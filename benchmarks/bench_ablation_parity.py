@@ -101,14 +101,13 @@ def test_raw_xor_bandwidth_calibration(benchmark, report):
 def test_rdp_protocol_double_failure(benchmark, report):
     """ABL-RDP: the double-parity protocol surviving a simultaneous
     2-node crash end to end (the scenario XOR cannot)."""
-    from repro.core import DoubleParityCheckpointer, build_double_parity_layout
+    from repro.core import dvdc
 
     from conftest import functional_cluster, run_to_completion
 
     def scenario():
         sim, cluster = functional_cluster(6, 2, seed=9)
-        layout = build_double_parity_layout(cluster, group_size=3)
-        ck = DoubleParityCheckpointer(cluster, layout)
+        ck = dvdc(cluster, group_size=3, scheme="rdp")
         run_to_completion(sim, ck.run_cycle())
         committed = {
             vm.vm_id: cluster.hypervisor(vm.node_id)
@@ -117,7 +116,7 @@ def test_rdp_protocol_double_failure(benchmark, report):
         }
         cluster.kill_node(0)
         cluster.kill_node(1)
-        rep = run_to_completion(sim, ck.recover(0, 1))
+        rep = run_to_completion(sim, ck.recover(0))
         ok = all(
             np.array_equal(cluster.vm(v).image.flat, committed[v])
             for v in committed

@@ -19,11 +19,7 @@ import numpy as np
 
 from repro import ClusterSpec, VirtualCluster
 from repro.analysis import format_bytes, format_seconds, render_table
-from repro.core import (
-    DoubleParityCheckpointer,
-    build_double_parity_layout,
-    dvdc,
-)
+from repro.core import dvdc
 from repro.sim import Simulator
 
 GB = 1e9
@@ -41,14 +37,15 @@ def build_cluster(seed: int):
 
 def main() -> None:
     sim, cluster, rng = build_cluster(seed=11)
-    layout = build_double_parity_layout(cluster, group_size=3)
-    ck = DoubleParityCheckpointer(cluster, layout)
+    ck = dvdc(cluster, group_size=3, scheme="rdp")
+    layout = ck.layout
 
     print("RDP groups (members -> row parity node, diagonal parity node):")
     for g in layout.groups:
         nodes = [cluster.vm(v).node_id for v in g.member_vm_ids]
+        row_node, diag_node = g.parity_nodes
         print(f"  group {g.group_id}: VMs {list(g.member_vm_ids)} on nodes "
-              f"{nodes} -> row@{g.row_parity_node}, diag@{g.diag_parity_node}")
+              f"{nodes} -> row@{row_node}, diag@{diag_node}")
 
     out = {}
 
@@ -83,7 +80,7 @@ def main() -> None:
               f"{' — beyond XOR, within RDP' if losses == 2 else ''}")
 
     def recover():
-        out["rep"] = yield from ck.recover(1, 4)
+        out["rep"] = yield from ck.recover(1)
 
     sim.run_processes(recover())
     rep = out["rep"]

@@ -67,20 +67,18 @@ KINDS = ("kill", "site", "flap", "degrade", "drop", "corrupt")
 LAYOUTS = ("fig1", "fig3", "fig4")
 
 #: RuntimeError messages that mean "legitimately unrecoverable under
-#: single parity" rather than "bug" — raised by the recovery path when a
-#: double failure (including crash + silent corruption) exceeds the
+#: the active scheme" rather than "bug" — raised by the recovery path
+#: when the faults (including crash + silent corruption) exceed the
 #: code's tolerance
 _UNRECOVERABLE_MARKERS = (
-    "beyond single-parity",
-    "exceeds XOR parity",
-    "unrecoverable with single parity",
     "no alive node",
     "no eligible parity node",
     "has no committed checkpoint",
     "silently corrupt",
-    # generalized schemes raise "... \u2014 beyond <scheme> tolerance <t>" only
-    # when the erasure pattern provably exceeds the active code's tolerance;
-    # an RS(k,2) double fault that fails recovery does NOT match and is a bug
+    # recovery raises "... \u2014 beyond <scheme> tolerance <t>" only when
+    # the erasure pattern provably exceeds the active code's tolerance: a
+    # double fault under XOR matches, an RS(k,2) double fault that fails
+    # recovery does NOT and is a bug
     "\u2014 beyond",
 )
 

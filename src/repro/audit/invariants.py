@@ -34,8 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..cluster.xorsum import reconstruct_missing_padded, xor_reduce_padded
-from ..coding import XorScheme, get_scheme, shard_key
+from ..coding import get_scheme, shard_key, shard_name
 from ..core.placement import validate_layout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -110,84 +109,10 @@ def check_parity_coherence(
     strict: bool = False,
     scheme=None,
 ) -> list[Violation]:
-    """Stored shards == the active scheme's encode of members' committed
-    payloads (padded XOR for the default :class:`~repro.coding.XorScheme`)."""
+    """Every stored shard equals the corresponding row of the active
+    scheme's ``encode`` over the members' committed payloads (the padded
+    XOR for the default :class:`~repro.coding.XorScheme`)."""
     coding = get_scheme(scheme)
-    if not isinstance(coding, XorScheme):
-        return _check_shard_coherence(cluster, layout, strict, coding)
-    out: list[Violation] = []
-    for g in layout.groups:
-        subject = f"group {g.group_id}"
-        pnode = cluster.node(g.parity_node)
-        if not pnode.alive:
-            out.append(Violation(
-                "parity-coherence", _severity(strict), subject,
-                f"parity node {g.parity_node} is down",
-            ))
-            continue
-        block = pnode.parity_store.get(g.group_id)
-        if block is None:
-            out.append(Violation(
-                "parity-coherence", _severity(strict), subject,
-                f"no parity block on node {g.parity_node}",
-            ))
-            continue
-        payloads = []
-        auditable = True
-        for v in g.member_vm_ids:
-            vm = cluster.vm(v)
-            if vm.node_id is None:
-                out.append(Violation(
-                    "parity-coherence", _severity(strict), subject,
-                    f"member vm {v} failed — group unauditable",
-                ))
-                auditable = False
-                break
-            img = cluster.hypervisor(vm.node_id).committed(v)
-            if img is None:
-                out.append(Violation(
-                    "parity-coherence", _severity(strict), subject,
-                    f"member vm {v} has no committed checkpoint",
-                ))
-                auditable = False
-                break
-            payloads.append(img.payload_flat() if img.payload is not None else None)
-        if not auditable:
-            continue
-        if block.data is None or any(p is None for p in payloads):
-            continue  # timing-only run: nothing functional to compare
-        expect = xor_reduce_padded(payloads)
-        got = block.data
-        if got.shape[0] < expect.shape[0]:
-            out.append(Violation(
-                "parity-coherence", FATAL, subject,
-                f"parity length {got.shape[0]} shorter than member XOR "
-                f"length {expect.shape[0]}",
-            ))
-            continue
-        if got.shape[0] > expect.shape[0] and got[expect.shape[0]:].any():
-            out.append(Violation(
-                "parity-coherence", FATAL, subject,
-                "nonzero parity bytes beyond the members' padded extent",
-            ))
-            continue
-        if not np.array_equal(got[: expect.shape[0]], expect):
-            nbad = int(np.count_nonzero(got[: expect.shape[0]] != expect))
-            out.append(Violation(
-                "parity-coherence", FATAL, subject,
-                f"parity differs from member XOR in {nbad} byte(s)",
-            ))
-    return out
-
-
-#: cap on exhaustive erasure-pattern enumeration per group (deterministic
-#: prefix is kept when a very wide group x tolerance combination overflows)
-_MAX_ERASURE_PATTERNS = 1024
-
-
-def _check_shard_coherence(cluster, layout, strict, coding) -> list[Violation]:
-    """Multi-shard form of parity coherence: every stored shard equals the
-    corresponding row of ``coding.encode`` over the committed payloads."""
     out: list[Violation] = []
     for g in layout.groups:
         subject = f"group {g.group_id}"
@@ -197,14 +122,14 @@ def _check_shard_coherence(cluster, layout, strict, coding) -> list[Violation]:
             if not pnode.alive:
                 out.append(Violation(
                     "parity-coherence", _severity(strict), subject,
-                    f"shard {j} home node {pnode_id} is down",
+                    f"{shard_name(j)} node {pnode_id} is down",
                 ))
                 continue
             block = pnode.parity_store.get(shard_key(g.group_id, j))
             if block is None:
                 out.append(Violation(
                     "parity-coherence", _severity(strict), subject,
-                    f"no shard {j} block on node {pnode_id}",
+                    f"no {shard_name(j)} block on node {pnode_id}",
                 ))
                 continue
             blocks.append((j, block))
@@ -238,7 +163,7 @@ def _check_shard_coherence(cluster, layout, strict, coding) -> list[Violation]:
             if got.shape[0] != want.shape[0]:
                 out.append(Violation(
                     "parity-coherence", FATAL, subject,
-                    f"shard {j} length {got.shape[0]} != encoded "
+                    f"{shard_name(j)} length {got.shape[0]} != encoded "
                     f"length {want.shape[0]}",
                 ))
                 continue
@@ -246,83 +171,15 @@ def _check_shard_coherence(cluster, layout, strict, coding) -> list[Violation]:
                 nbad = int(np.count_nonzero(got != want))
                 out.append(Violation(
                     "parity-coherence", FATAL, subject,
-                    f"shard {j} differs from {coding.name} encode "
+                    f"{shard_name(j)} differs from {coding.name} encode "
                     f"in {nbad} byte(s)",
                 ))
     return out
 
 
-def _check_erasures_recoverable(cluster, layout, strict, coding) -> list[Violation]:
-    """Constructive recoverability for every erasure pattern of size
-    <= ``coding.tolerance`` touching at least one member: decode and
-    compare the rebuilt members bit-exactly against committed payloads."""
-    out: list[Violation] = []
-    t, m = coding.tolerance, coding.n_shards
-    for g in layout.groups:
-        k = len(g.member_vm_ids)
-        shards: list[np.ndarray] = []
-        available = True
-        for j, pnode_id in enumerate(g.parity_nodes):
-            pnode = cluster.node(pnode_id)
-            block = (
-                pnode.parity_store.get(shard_key(g.group_id, j))
-                if pnode.alive else None
-            )
-            if block is None or block.data is None:
-                available = False
-                break
-            shards.append(block.data)
-        if not available:
-            continue  # availability handled by parity-coherence
-        images = {}
-        for v in g.member_vm_ids:
-            vm = cluster.vm(v)
-            img = (
-                cluster.hypervisor(vm.node_id).committed(v)
-                if vm.node_id is not None
-                else None
-            )
-            if img is None or img.payload is None:
-                images = None
-                break
-            images[v] = img.payload_flat()
-        if images is None:
-            continue  # unauditable; parity-coherence already flagged it
-        member_list = [images[v] for v in g.member_vm_ids]
-        length = max(p.shape[0] for p in member_list)
-        patterns = [
-            combo
-            for r in range(1, t + 1)
-            for combo in combinations(range(k + m), r)
-            if any(slot < k for slot in combo)
-        ]
-        patterns = patterns[:_MAX_ERASURE_PATTERNS]
-        for combo in patterns:
-            mem = [None if i in combo else member_list[i] for i in range(k)]
-            shd = [None if (k + j) in combo else shards[j] for j in range(m)]
-            try:
-                rebuilt = coding.reconstruct(mem, shd, nbytes=length)
-            except Exception as exc:
-                out.append(Violation(
-                    "erasure-recoverable", FATAL, f"group {g.group_id}",
-                    f"pattern {combo} within tolerance {t} failed to "
-                    f"decode: {exc}",
-                ))
-                continue
-            for i in combo:
-                if i >= k:
-                    continue
-                want = member_list[i]
-                got = rebuilt[i][: want.shape[0]]
-                if not np.array_equal(got, want):
-                    nbad = int(np.count_nonzero(got != want))
-                    out.append(Violation(
-                        "erasure-recoverable", FATAL,
-                        f"vm {g.member_vm_ids[i]}",
-                        f"pattern {combo}: rebuilt image differs from "
-                        f"committed in {nbad} byte(s)",
-                    ))
-    return out
+#: cap on exhaustive erasure-pattern enumeration per group (deterministic
+#: prefix is kept when a very wide group x tolerance combination overflows)
+_MAX_ERASURE_PATTERNS = 1024
 
 
 def check_layout_validity(
@@ -372,7 +229,7 @@ def check_epoch_coherence(
             if block is not None and block.epoch != committed_epoch:
                 out.append(Violation(
                     "epoch-coherence", FATAL, f"group {g.group_id}",
-                    f"shard {j} epoch {block.epoch} != committed "
+                    f"{shard_name(j)} epoch {block.epoch} != committed "
                     f"{committed_epoch}",
                 ))
         for v in g.member_vm_ids:
@@ -443,18 +300,31 @@ def check_single_failure_recoverable(
     strict: bool = False,
     scheme=None,
 ) -> list[Violation]:
-    """Constructive recoverability: rebuild each member from the others
-    + parity (the actual recovery computation) and compare bit-exactly
-    against its committed payload.  For multi-shard schemes this widens
-    to every erasure pattern of size <= the scheme's tolerance."""
+    """Constructive recoverability for every erasure pattern of size
+    <= the scheme's tolerance touching at least one member: decode (the
+    actual recovery computation) and compare the rebuilt members
+    bit-exactly against their committed payloads.  Under a tolerance-1
+    scheme that is each single member loss, reported under the
+    invariant's historical name."""
     coding = get_scheme(scheme)
-    if not isinstance(coding, XorScheme):
-        return _check_erasures_recoverable(cluster, layout, strict, coding)
     out: list[Violation] = []
+    t, m = coding.tolerance, coding.n_shards
+    name = "single-failure-recoverable" if t == 1 else "erasure-recoverable"
     for g in layout.groups:
-        pnode = cluster.node(g.parity_node)
-        block = pnode.parity_store.get(g.group_id) if pnode.alive else None
-        if block is None or block.data is None:
+        k = len(g.member_vm_ids)
+        shards: list[np.ndarray] = []
+        available = True
+        for j, pnode_id in enumerate(g.parity_nodes):
+            pnode = cluster.node(pnode_id)
+            block = (
+                pnode.parity_store.get(shard_key(g.group_id, j))
+                if pnode.alive else None
+            )
+            if block is None or block.data is None:
+                available = False
+                break
+            shards.append(block.data)
+        if not available:
             continue  # availability handled by parity-coherence
         images = {}
         for v in g.member_vm_ids:
@@ -470,24 +340,40 @@ def check_single_failure_recoverable(
             images[v] = img.payload_flat()
         if images is None:
             continue  # unauditable; parity-coherence already flagged it
-        for v in g.member_vm_ids:
-            survivors = [p for w, p in images.items() if w != v]
+        member_list = [images[v] for v in g.member_vm_ids]
+        length = max(p.shape[0] for p in member_list)
+        patterns = [
+            combo
+            for r in range(1, t + 1)
+            for combo in combinations(range(k + m), r)
+            if any(slot < k for slot in combo)
+        ]
+        patterns = patterns[:_MAX_ERASURE_PATTERNS]
+        for combo in patterns:
+            mem = [None if i in combo else member_list[i] for i in range(k)]
+            shd = [None if (k + j) in combo else shards[j] for j in range(m)]
             try:
-                rebuilt = reconstruct_missing_padded(
-                    survivors, block.data, images[v].shape[0]
-                )
-            except ValueError as exc:
+                rebuilt = coding.reconstruct(mem, shd, nbytes=length)
+            except Exception as exc:
                 out.append(Violation(
-                    "single-failure-recoverable", FATAL, f"vm {v}",
-                    f"reconstruction impossible: {exc}",
+                    name, FATAL, f"group {g.group_id}",
+                    f"pattern {combo} within tolerance {t} failed to "
+                    f"decode: {exc}",
                 ))
                 continue
-            if not np.array_equal(rebuilt, images[v]):
-                nbad = int(np.count_nonzero(rebuilt != images[v]))
-                out.append(Violation(
-                    "single-failure-recoverable", FATAL, f"vm {v}",
-                    f"rebuilt image differs from committed in {nbad} byte(s)",
-                ))
+            for i in combo:
+                if i >= k:
+                    continue
+                want = member_list[i]
+                got = rebuilt[i][: want.shape[0]]
+                if not np.array_equal(got, want):
+                    nbad = int(np.count_nonzero(got != want))
+                    out.append(Violation(
+                        name, FATAL,
+                        f"vm {g.member_vm_ids[i]}",
+                        f"pattern {combo}: rebuilt image differs from "
+                        f"committed in {nbad} byte(s)",
+                    ))
     return out
 
 

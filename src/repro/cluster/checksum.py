@@ -24,7 +24,7 @@ import zlib
 import numpy as np
 
 __all__ = [
-    "block_checksum", "block_checksums_rows", "page_checksums", "checksum_ok",
+    "block_checksum", "page_checksums", "checksum_ok",
 ]
 
 
@@ -43,22 +43,6 @@ def block_checksum(data: np.ndarray) -> int:
     # streams it in place — no tobytes copy
     crc = zlib.crc32(b)
     return (b.size & 0xFFFFFFFF) << 32 | crc
-
-
-def block_checksums_rows(rows: np.ndarray) -> list[int]:
-    """:func:`block_checksum` of every row of a 2-D uint8 array.
-
-    Rows of a C-contiguous array expose the buffer protocol directly, so
-    each CRC streams the row in place — no per-row ``tobytes`` copy.
-    Values are bit-identical to calling :func:`block_checksum` per row
-    (same bytes, same CRC, same length mix).
-    """
-    if rows.ndim != 2 or rows.dtype != np.uint8:
-        raise ValueError("block_checksums_rows expects a 2-D uint8 array")
-    rows = np.ascontiguousarray(rows)
-    hi = (rows.shape[1] & 0xFFFFFFFF) << 32
-    crc32 = zlib.crc32
-    return [hi | crc32(row) for row in rows]
 
 
 def page_checksums(data: np.ndarray, page_size: int) -> list[int]:

@@ -1,8 +1,9 @@
-"""Pluggable erasure-coding schemes (XOR, RDP, Reed–Solomon, replication).
+"""Erasure codecs and pluggable coding schemes (XOR, RDP, Reed–Solomon,
+replication).
 
-See :mod:`repro.coding.schemes` for the :class:`CodingScheme` interface
-and ``docs/coding.md`` for the scheme matrix and custom-scheme
-registration.
+See :mod:`repro.coding.parity` for the standalone XOR/RDP codecs,
+:mod:`repro.coding.schemes` for the :class:`CodingScheme` interface and
+``docs/coding.md`` for the scheme matrix and custom-scheme registration.
 """
 
 from .gf256 import (
@@ -17,6 +18,7 @@ from .gf256 import (
     gf_mul,
     gf_mul_vec,
 )
+from .parity import ParityCodeError, RDPCode, XorCode, smallest_prime_at_least
 from .schemes import (
     CodingScheme,
     ReedSolomonScheme,
@@ -28,6 +30,8 @@ from .schemes import (
     parse_scheme,
     register_scheme,
     shard_key,
+    shard_name,
+    shard_suffix,
 )
 
 __all__ = [
@@ -51,4 +55,10 @@ __all__ = [
     "parse_scheme",
     "register_scheme",
     "shard_key",
+    "shard_name",
+    "shard_suffix",
+    "ParityCodeError",
+    "RDPCode",
+    "XorCode",
+    "smallest_prime_at_least",
 ]

@@ -1,10 +1,9 @@
 """Pluggable erasure-coding schemes for checkpoint parity groups.
 
-:class:`CodingScheme` abstracts what ``core.dvdc`` historically
-hard-coded: *one* XOR parity shard per RAID group.  A scheme maps the
-``k`` member images of a group to ``m = n_shards`` parity shards placed
-on ``m`` distinct non-member nodes, and can rebuild any erasure pattern
-of at most :attr:`~CodingScheme.tolerance` lost elements (members and
+:class:`CodingScheme` abstracts what the paper hard-codes: *one* XOR
+parity shard per RAID group.  A scheme maps the ``k`` member images of
+a group to ``m = n_shards`` parity shards placed on ``m`` distinct
+non-member nodes, and can rebuild any erasure pattern of at most :attr:`~CodingScheme.tolerance` lost elements (members and
 shards alike).
 
 Four schemes ship:
@@ -18,10 +17,13 @@ name       shards m  tolerance  storage overhead  exchange traffic
 ``rep-n``  n−1       n−1        (n−1)·k/k         (n−1)×
 ========== ========= ========== ================= =================
 
-All four are linear over GF(2) — ``encode(a ⊕ b) == encode(a) ⊕
-encode(b)`` for fixed member count and coding length — which is what
-lets the incremental small-write fold generalize: XOR the encode of the
-*deltas* into the previous shards.
+The checkpointer hands a scheme one whole epoch at a time:
+:meth:`CodingScheme.encode_many` for full images, and — for schemes
+that set ``folds_deltas``, today XOR — :meth:`CodingScheme.fold_many`
+to update the previous shards from the dirty pages alone.
+``encode_many`` defaults to a loop over ``encode`` and folding is
+opt-in; :class:`XorScheme` overrides both with the stacked
+:mod:`repro.cluster.xorsum` kernels.
 
 Buffers may have heterogeneous lengths; ``encode`` zero-pads to the
 longest member (the padded-XOR convention the stack already uses) and
@@ -38,20 +40,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..cluster.xorsum import as_u8, reconstruct_missing_padded, xor_reduce_padded
+from ..cluster.bufpool import GLOBAL_POOL
+from ..cluster.memory import PageDelta
+from ..cluster.xorsum import (
+    as_u8,
+    reconstruct_missing_padded,
+    xor_fold_groups,
+    xor_reduce_groups,
+    xor_reduce_padded,
+)
 from .gf256 import MUL_TABLE, cauchy_matrix, gf_matinv
-
-
-def _coding_error() -> "type[RuntimeError]":
-    """:class:`repro.core.parity.ParityCodeError`, imported lazily.
-
-    ``repro.core``'s package init imports :mod:`repro.core.dvdc`, which
-    needs this package — a top-level import here would make the import
-    graph order-dependent.  Deferring to call time breaks the cycle.
-    """
-    from ..core.parity import ParityCodeError
-
-    return ParityCodeError
+from .parity import ParityCodeError, RDPCode
 
 __all__ = [
     "CodingScheme",
@@ -64,6 +63,8 @@ __all__ = [
     "register_scheme",
     "available_schemes",
     "shard_key",
+    "shard_name",
+    "shard_suffix",
 ]
 
 #: Upper bound on shards-per-group baked into the shard_key packing.
@@ -73,16 +74,29 @@ MAX_SHARDS = 16
 def shard_key(group_id: int, shard_index: int) -> int:
     """Parity-store key for shard ``shard_index`` of group ``group_id``.
 
-    Shard 0 keeps the plain group id — bit-compatible with every
-    existing single-parity code path.  Higher shards use negative keys
-    (the convention ``core.double_parity`` introduced for its diagonal
-    shard) packed so keys are unique across ``(group, shard)`` pairs.
+    Shard 0 keeps the plain group id — the key the paper's single-parity
+    block always had, so XOR is simply the ``m = 1`` case.  Higher
+    shards use negative keys (the convention the first RDP checkpointer
+    introduced for its diagonal shard) packed so keys are unique across
+    ``(group, shard)`` pairs.
     """
     if not 0 <= shard_index < MAX_SHARDS:
         raise ValueError(f"shard index {shard_index} out of range")
     if shard_index == 0:
         return group_id
     return -(group_id * MAX_SHARDS + shard_index)
+
+
+def shard_suffix(shard_index: int) -> str:
+    """Flow-label suffix for a shard: empty for shard 0 (the historical
+    single-parity labels), ``.s<j>`` for shards ``j >= 1``."""
+    return f".s{shard_index}" if shard_index else ""
+
+
+def shard_name(shard_index: int) -> str:
+    """Name of a shard in scrub/audit/health messages: ``parity`` for
+    shard 0 (again the single-parity name), ``shard<j>`` for ``j >= 1``."""
+    return f"shard{shard_index}" if shard_index else "parity"
 
 
 def _pad_members(
@@ -92,11 +106,11 @@ def _pad_members(
     ``length`` when the caller pins it)."""
     bufs = [as_u8(m) for m in members]
     if not bufs:
-        raise _coding_error()("empty member list")
+        raise ParityCodeError("empty member list")
     n = max(b.shape[0] for b in bufs)
     if length is not None:
         if length < n:
-            raise _coding_error()(f"coding length {length} < longest member {n}")
+            raise ParityCodeError(f"coding length {length} < longest member {n}")
         n = length
     out = []
     for b in bufs:
@@ -122,18 +136,46 @@ class CodingScheme:
     tolerance:
         Maximum simultaneous erasures (members + shards) the scheme
         repairs.
-    linear:
-        True when ``encode`` is GF(2)-linear at fixed ``(k, length)``,
-        enabling the incremental delta fold.
+    folds_deltas:
+        True when :meth:`fold_many` updates the previous shards from the
+        dirty pages alone.  The checkpointer then verifies the previous
+        shards before folding; otherwise it materializes every member
+        (committed base + dirty pages) and re-encodes whole through
+        :meth:`encode_many`.
     """
 
     name: str = "abstract"
     n_shards: int = 0
     tolerance: int = 0
-    linear: bool = True
+    folds_deltas: bool = False
 
     def encode(self, members: Sequence[np.ndarray | bytes]) -> list[np.ndarray]:
         """Members (any lengths, zero-pad semantics) → ``m`` shards."""
+        raise NotImplementedError
+
+    def encode_many(
+        self, groups: Sequence[Sequence[np.ndarray]]
+    ) -> list[list[np.ndarray]]:
+        """Encode every group of one checkpoint epoch in a single call.
+
+        Returns ``encode(members)`` per group, in order.  Override to
+        batch across groups; results must stay bit-identical.
+        """
+        return [self.encode(members) for members in groups]
+
+    def fold_many(
+        self,
+        prev_shards: Sequence[Sequence[np.ndarray]],
+        updates: Sequence[Sequence[tuple[np.ndarray, PageDelta]]],
+    ) -> list[list[np.ndarray]]:
+        """Shards of an incremental epoch from the previous shards.
+
+        ``updates[g]`` lists, per member of group ``g``, its committed
+        full image and the :class:`~repro.cluster.memory.PageDelta` of
+        pages dirtied since; ``prev_shards[g]`` the group's current
+        shard bytes.  Returns fresh shards (inputs are not mutated).
+        Only called when :attr:`folds_deltas` is set.
+        """
         raise NotImplementedError
 
     def reconstruct(
@@ -183,6 +225,22 @@ def _missing_count(
     return lost_members, lost_shards
 
 
+def _xor_delta(
+    base: np.ndarray, delta: PageDelta, scratch: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(indices, old ⊕ new)`` for the dirty pages of one member, in a
+    pooled buffer appended to ``scratch`` — no per-epoch temporaries."""
+    buf = GLOBAL_POOL.acquire(delta.pages.nbytes)
+    scratch.append(buf)
+    xored = buf.reshape(delta.n_pages, delta.page_size)
+    np.take(
+        base.reshape(delta.n_pages_total, delta.page_size),
+        delta.indices, axis=0, out=xored,
+    )
+    np.bitwise_xor(xored, delta.pages, out=xored)
+    return delta.indices, xored
+
+
 class XorScheme(CodingScheme):
     """Single-parity XOR (the paper's RAID-4/5 analogue), as a scheme.
 
@@ -194,9 +252,69 @@ class XorScheme(CodingScheme):
     name = "xor"
     n_shards = 1
     tolerance = 1
+    folds_deltas = True
 
     def encode(self, members: Sequence[np.ndarray | bytes]) -> list[np.ndarray]:
         return [xor_reduce_padded(members)]
+
+    def encode_many(
+        self, groups: Sequence[Sequence[np.ndarray]]
+    ) -> list[list[np.ndarray]]:
+        """Groups are bucketed by ``(member count, length)`` and each
+        bucket reduced by one stacked :func:`xor_reduce_groups` call;
+        groups with unequal member lengths take the scalar padded
+        reduce."""
+        out: list[list[np.ndarray]] = [[] for _ in groups]
+        buckets: dict[tuple[int, int], list[int]] = {}
+        for i, members in enumerate(groups):
+            lengths = {m.shape[0] for m in members}
+            if len(lengths) == 1:
+                buckets.setdefault((len(members), lengths.pop()), []).append(i)
+            else:
+                out[i] = [
+                    xor_reduce_padded(
+                        members, out=GLOBAL_POOL.acquire(max(lengths))
+                    )
+                ]
+        for idxs in buckets.values():
+            stacked = xor_reduce_groups([groups[i] for i in idxs])
+            for row, i in zip(stacked, idxs):
+                out[i] = [row]
+        return out
+
+    def fold_many(
+        self,
+        prev_shards: Sequence[Sequence[np.ndarray]],
+        updates: Sequence[Sequence[tuple[np.ndarray, PageDelta]]],
+    ) -> list[list[np.ndarray]]:
+        """The RAID-5 small-write update: ``old ⊕ new`` of each dirty
+        page is folded into a copy of the previous parity, one stacked
+        :func:`xor_fold_groups` call per ``(pages, page size)`` bucket."""
+        out: list[list[np.ndarray]] = [[] for _ in updates]
+        buckets: dict[tuple[int, int], list[int]] = {}
+        for i, members in enumerate(updates):
+            delta = members[0][1]
+            buckets.setdefault(
+                (delta.n_pages_total, delta.page_size), []
+            ).append(i)
+        for (n_pages_total, page_size), idxs in buckets.items():
+            scratch: list[np.ndarray] = []
+            stacked = xor_fold_groups(
+                [prev_shards[i][0] for i in idxs],
+                [
+                    [_xor_delta(base, delta, scratch) for base, delta in updates[i]]
+                    for i in idxs
+                ],
+                n_pages_total,
+                page_size,
+            )
+            # the fold list (every view of the scratch buffers) died with
+            # the call, so the pool's sole-owner gate takes them back
+            while scratch:
+                GLOBAL_POOL.recycle(scratch.pop())
+            for row, i in zip(stacked, idxs):
+                out[i] = [row]
+        return out
 
     def reconstruct(
         self,
@@ -206,14 +324,14 @@ class XorScheme(CodingScheme):
     ) -> list[np.ndarray]:
         lost, lost_shards = _missing_count(members, shards)
         if len(lost) + lost_shards > self.tolerance:
-            raise _coding_error()(
+            raise ParityCodeError(
                 f"xor tolerates 1 erasure, {len(lost) + lost_shards} lost"
             )
         if not lost:
             return [as_u8(m).copy() for m in members]  # type: ignore[arg-type]
         parity = shards[0]
         if parity is None:
-            raise _coding_error()("cannot rebuild a member without the parity shard")
+            raise ParityCodeError("cannot rebuild a member without the parity shard")
         parity = as_u8(parity)
         survivors = [as_u8(m) for m in members if m is not None]
         rebuilt = reconstruct_missing_padded(survivors, parity, parity.shape[0])
@@ -229,7 +347,7 @@ class XorScheme(CodingScheme):
 class RDPScheme(CodingScheme):
     """Row-Diagonal Parity re-expressed on the scheme interface.
 
-    Wraps :class:`repro.core.parity.RDPCode` (one cached codec per
+    Wraps :class:`repro.coding.parity.RDPCode` (one cached codec per
     member count), so shard bytes are identical to the standalone
     double-parity checkpointer's.
     """
@@ -244,8 +362,6 @@ class RDPScheme(CodingScheme):
     def _code(self, k: int) -> RDPCode:
         code = self._codes.get(k)
         if code is None:
-            from ..core.parity import RDPCode  # lazy: avoids import cycle
-
             code = self._codes[k] = RDPCode(k)
         return code
 
@@ -338,7 +454,7 @@ class ReedSolomonScheme(CodingScheme):
         k = len(members)
         lost, lost_shards = _missing_count(members, shards)
         if len(lost) + lost_shards > self.tolerance:
-            raise _coding_error()(
+            raise ParityCodeError(
                 f"{self.name} tolerates {self.tolerance} erasures, "
                 f"{len(lost) + lost_shards} lost"
             )
@@ -350,7 +466,7 @@ class ReedSolomonScheme(CodingScheme):
                 length = as_u8(s).shape[0]
                 break
         if length is None:
-            raise _coding_error()("no surviving shard; pass nbytes")
+            raise ParityCodeError("no surviving shard; pass nbytes")
         cmat = self._matrix(k)
         # Generator rows: identity for members, Cauchy rows for shards.
         # Pick k surviving rows, invert, solve for the data vector.
@@ -367,7 +483,7 @@ class ReedSolomonScheme(CodingScheme):
                 rows.append(cmat[i])
                 rhs.append(as_u8(s))
         if len(rows) < k:
-            raise _coding_error()(
+            raise ParityCodeError(
                 f"{self.name}: only {len(rows)} survivors for {k} unknowns"
             )
         inv = gf_matinv(np.stack(rows[:k]))
@@ -424,12 +540,12 @@ class ReplicationScheme(CodingScheme):
             return [as_u8(m).copy() for m in members]  # type: ignore[arg-type]
         source = next((s for s in shards if s is not None), None)
         if source is None:
-            raise _coding_error()(
+            raise ParityCodeError(
                 f"{self.name}: members lost and no replica shard survives"
             )
         flat = as_u8(source)
         if flat.shape[0] % k:
-            raise _coding_error()(
+            raise ParityCodeError(
                 f"{self.name}: replica length {flat.shape[0]} not divisible by k={k}"
             )
         length = flat.shape[0] // k

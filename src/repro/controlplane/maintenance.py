@@ -1,4 +1,4 @@
-"""Rolling node maintenance: drain → migrate → re-form parity → rejoin.
+"""Rolling node maintenance: drain → migrate → re-home parity → rejoin.
 
 The drain path is where the control plane finally exercises
 :func:`repro.migration.precopy.live_migrate` end to end over real
@@ -14,10 +14,10 @@ windows**:
    equation can be audited against the image at the VM's current home;
 3. functional images are checksum-verified: the post-migration payload
    must equal the pre-migration fingerprint bit-for-bit;
-4. parity blocks homed on the draining node are re-encoded onto fresh
-   nodes via the protocol's own
-   :meth:`~repro.core.dvdc.DisklessCheckpointer._reencode_parity`,
-   which keeps the old block until the new one is stored;
+4. parity shards homed on the draining node (any slot of any coding
+   scheme) are re-encoded onto fresh nodes via the protocol's own
+   :meth:`~repro.core.dvdc.DisklessCheckpointer.rehome_shards`,
+   which keeps each old block until the new one is stored;
 5. the empty node is cleanly deactivated, maintained, and rejoined.
 
 A strict :func:`repro.audit.invariants.audit_cluster` sweep runs after
@@ -157,12 +157,13 @@ def drain_node(cp, node_id: int) -> dict:
         moved_vms[vm.vm_id] = dst
         cp.audit(f"drain node {node_id}: vm {vm.vm_id} -> {dst}")
 
-    # ---- re-encode parity blocks homed here onto fresh nodes
+    # ---- re-encode parity shards homed here onto fresh nodes
     for group in list(cp.layout.groups_with_parity_on(node_id)):
+        slots = [j for j, home in enumerate(group.parity_nodes) if home == node_id]
         attempts = cp.config.drain_retries + 1
         for attempt in range(attempts):
             report = DisklessRecoveryReport(failed_node=node_id)
-            yield from cp.ck._reencode_parity(group, report)
+            yield from cp.ck.rehome_shards(group, slots, report)
             if group.group_id in report.reencoded_groups:
                 break
             if attempt == attempts - 1:
@@ -171,7 +172,7 @@ def drain_node(cp, node_id: int) -> dict:
                     f"node {node_id}"
                 )
             yield sim.timeout(cp.config.drain_retry_wait * (2 ** attempt))
-        new_home = cp.layout.group_of(group.member_vm_ids[0]).parity_node
+        new_home = cp.layout.group_of(group.member_vm_ids[0]).parity_nodes[slots[0]]
         moved_parity[group.group_id] = new_home
         cp.audit(f"drain node {node_id}: parity g{group.group_id} -> {new_home}")
 

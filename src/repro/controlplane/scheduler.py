@@ -100,7 +100,7 @@ class PlacementEngine:
         """Where to migrate ``vm`` so its RAID group stays orthogonal.
 
         Excludes the VM's current node, every node hosting another
-        member of its group, the group's parity node, and ``exclude``
+        member of its group, the group's parity shard homes, and ``exclude``
         (draining / fenced / maintenance nodes); then least-loaded.
         """
         banned = set(exclude)
@@ -112,7 +112,7 @@ class PlacementEngine:
             except LayoutError:
                 group = None
             if group is not None:
-                banned.add(group.parity_node)
+                banned.update(group.parity_nodes)
                 for other in group.member_vm_ids:
                     if other == vm.vm_id:
                         continue

@@ -6,7 +6,11 @@ protocols of Section IV for *any* :class:`~repro.core.groups.GroupLayout`
 layout, and the Fig. 4 DVDC layout are the same protocol pointed at
 different parity placements (that observation is the paper's own
 narrative arc).  Convenience constructors for the three architectures
-live in :mod:`repro.core.architectures`.
+live in :mod:`repro.core.architectures`.  The erasure code is a
+:class:`~repro.coding.CodingScheme` with ``m`` parity shards per group;
+the paper's single XOR parity block is the ``m = 1`` scheme and runs
+the same code as RDP or RS(k, m) — "the parity node" below reads "each
+of the group's ``m`` shard homes" in general.
 
 Checkpoint cycle (one epoch):
 
@@ -26,10 +30,11 @@ Checkpoint cycle (one epoch):
    commit timestamp.  Until then the previous epoch remains fully
    recoverable.
 
-Incremental epochs move only dirty data: members ship the XOR-delta
-``old ⊕ new`` of their dirty pages and the parity node folds it into
-the staged copy of the previous parity — the RAID-5 small-write
-optimization applied to checkpoints.
+Incremental epochs move only dirty data.  A scheme that folds deltas
+(XOR) folds ``old ⊕ new`` of the dirty pages into the staged copy of
+the previous parity — the RAID-5 small-write optimization applied to
+checkpoints; any other scheme materializes each member (committed base
++ dirty pages) and re-encodes its shards whole.
 
 Recovery (after a node crash): every surviving VM rolls back to its
 local in-memory checkpoint (a memory copy — no disk, no network); each
@@ -49,19 +54,12 @@ from ..checkpoint.base import CaptureOutcome, CaptureStrategy, CheckpointCycleRe
 from ..checkpoint.compression import NO_COMPRESSION, CompressionModel
 from ..checkpoint.coordinator import CoordinatedCheckpoint
 from ..checkpoint.strategies import ForkedCapture
-from ..cluster.bufpool import GLOBAL_POOL
-from ..cluster.checksum import block_checksum, block_checksums_rows
+from ..cluster.checksum import block_checksum
 from ..cluster.cluster import VirtualCluster
 from ..cluster.images import CheckpointImage, CheckpointKind, ParityBlock
-from ..cluster.memory import PageDelta, recycle_delta
+from ..cluster.memory import PageDelta
 from ..cluster.vm import VMState
-from ..cluster.xorsum import (
-    reconstruct_missing_padded,
-    xor_fold_groups,
-    xor_reduce_groups,
-    xor_reduce_padded,
-)
-from ..coding import CodingScheme, XorScheme, get_scheme, shard_key
+from ..coding import CodingScheme, get_scheme, shard_key, shard_suffix
 from ..network.link import NetworkError
 from ..sim import AllOf, NULL_TRACER, Resource, Tracer
 from ..telemetry import probe_of
@@ -115,12 +113,9 @@ class DisklessCheckpointer:
         self.cluster = cluster
         self.layout = layout
         #: the erasure-coding scheme protecting every group (default: the
-        #: paper's single-parity XOR).  When it is XOR, every hot path
-        #: below runs the historical single-shard code verbatim — the
-        #: golden scale64 digests pin that bit-for-bit; other schemes
-        #: take the generalized m-shard branches.
+        #: paper's single-parity XOR, the ``m = 1`` instance of the one
+        #: m-shard protocol below)
         self.scheme = get_scheme(scheme)
-        self._is_xor = isinstance(self.scheme, XorScheme)
         self.strategy = strategy or ForkedCapture()
         self.compression = compression
         self.xor_bandwidth = xor_bandwidth
@@ -197,27 +192,47 @@ class DisklessCheckpointer:
     # ------------------------------------------------------------------
     # checkpoint cycle
     # ------------------------------------------------------------------
-    def _xor_delta_payload(
-        self, old: CheckpointImage, new: CheckpointImage
-    ) -> PageDelta | None:
-        """For functional incremental captures: pages of ``old ⊕ new``
-        restricted to the dirty set (what actually crosses the wire)."""
-        if not isinstance(new.payload, PageDelta):
+    def _encode_at(self, node_id: int, nbytes: float):
+        """Process: hold ``node_id``'s encode engine for ``nbytes`` of
+        streaming XOR/GF work (groups sharing a shard home serialize)."""
+        engine = self._xor_engines[node_id]
+        yield engine.request()
+        try:
+            seconds = nbytes / self.xor_bandwidth
+            if seconds > 0:
+                yield self.cluster.sim.timeout(seconds)
+        finally:
+            engine.release()
+
+    def _committed_flat(self, vm_id: int) -> np.ndarray | None:
+        """Flat bytes of ``vm_id``'s committed checkpoint at its current
+        node; None for a timing-only image or when nothing is committed."""
+        vm = self.cluster.vm(vm_id)
+        img = self.cluster.hypervisor(vm.node_id).committed(vm_id)
+        if img is None or img.payload is None:
             return None
-        delta: PageDelta = new.payload
-        old_pages = old.payload_flat().reshape(
-            delta.n_pages_total, delta.page_size
-        )
-        # pooled gather + in-place xor: no per-epoch temporaries
-        buf = GLOBAL_POOL.acquire(delta.pages.nbytes)
-        xored = buf.reshape(delta.n_pages, delta.page_size)
-        np.take(old_pages, delta.indices, axis=0, out=xored)
-        np.bitwise_xor(xored, delta.pages, out=xored)
-        return PageDelta(
-            page_size=delta.page_size,
-            n_pages_total=delta.n_pages_total,
-            indices=delta.indices,
-            pages=xored,
+        return img.payload_flat()
+
+    def _shard_block(
+        self,
+        group: RaidGroup,
+        j: int,
+        epoch: int,
+        logical_bytes: float,
+        shards: list[np.ndarray] | None,
+        member_checksums: dict[int, int],
+    ) -> ParityBlock:
+        """Shard ``j`` of ``group`` as a store-ready block, keyed with
+        :func:`repro.coding.shard_key`; ``shards=None`` is timing-only."""
+        data = None if shards is None else shards[j]
+        return ParityBlock(
+            group_id=shard_key(group.group_id, j),
+            epoch=epoch,
+            member_vm_ids=group.member_vm_ids,
+            logical_bytes=logical_bytes,
+            data=data,
+            checksum=None if data is None else block_checksum(data),
+            member_checksums=dict(member_checksums),
         )
 
     def _group_cycle(
@@ -228,371 +243,188 @@ class DisklessCheckpointer:
         pending: list,
         staged_commits: dict[int, CheckpointImage],
     ):
-        """Process: exchange + validation for one group; the parity
-        bytes themselves are encoded by the commit-time batched flush."""
-        if not self._is_xor:
-            yield from self._group_cycle_scheme(
-                group, outcomes, result, pending, staged_commits
-            )
-            return
+        """Process: m-way exchange + validation for one group; the shard
+        bytes themselves are encoded by the commit-time batched flush.
+
+        Every member ships its capture to *each* of the scheme's ``m``
+        shard homes (the m-way traffic the scheme's ``traffic_factor``
+        models), and each home charges its encode engine.
+        """
         sim = self.cluster.sim
-        if not self.cluster.node(group.parity_node).alive:
-            # the parity node died before the exchange even started (its
-            # RAM — including any previous parity block — is gone); the
-            # group contributes nothing and the epoch aborts
-            result.failed_groups.append(group.group_id)
+        gid = group.group_id
+        homes = group.parity_nodes
+        if any(not self.cluster.node(n).alive for n in homes):
+            # a shard home died before the exchange even started (its
+            # RAM — including any previous shard — is gone); the group
+            # contributes nothing and the epoch aborts
+            result.failed_groups.append(gid)
             return
         flows = []
         member_images: list[CheckpointImage] = []
-        xor_deltas: dict[int, PageDelta] = {}
         raw_bytes = 0.0
         for vm_id in group.member_vm_ids:
             if vm_id not in outcomes:  # VM failed before capture
                 continue
-            o = outcomes[vm_id]
+            image = outcomes[vm_id].image
             vm = self.cluster.vm(vm_id)
             assert vm.node_id is not None
-            member_images.append(o.image)
-            # functional incremental: precompute old⊕new before commit
-            if o.image.kind == CheckpointKind.INCREMENTAL and o.image.payload is not None:
-                hv = self.cluster.hypervisor(vm.node_id)
-                old = hv.committed(vm_id)
-                if old is None or old.payload is None:
-                    raise RuntimeError(
-                        f"vm {vm_id}: incremental epoch without committed base"
-                    )
-                xd = self._xor_delta_payload(old, o.image)
-                if xd is not None:
-                    xor_deltas[vm_id] = xd
-            wire = self.compression.output_bytes(o.image.logical_bytes)
-            raw_bytes += o.image.logical_bytes
-            result.network_bytes += wire
-            flows.append(
-                self._transfer(
-                    vm.node_id,
-                    group.parity_node,
-                    wire,
-                    label=f"dvdc.g{group.group_id}.vm{vm_id}.e{o.image.epoch}",
+            member_images.append(image)
+            if (
+                isinstance(image.payload, PageDelta)
+                and self._committed_flat(vm_id) is None
+            ):
+                raise RuntimeError(
+                    f"vm {vm_id}: incremental epoch without committed base"
                 )
-            )
+            wire = self.compression.output_bytes(image.logical_bytes)
+            raw_bytes += image.logical_bytes
+            base = f"dvdc.g{gid}.vm{vm_id}.e{image.epoch}"
+            for j, home in enumerate(homes):
+                result.network_bytes += wire
+                flows.append(
+                    self._transfer(
+                        vm.node_id, home, wire, label=base + shard_suffix(j)
+                    )
+                )
         if not member_images:
             return
-        if flows:
-            try:
-                yield AllOf(sim, flows)
-            except NetworkError:
-                # a node died mid-exchange, or a transient outage outlived
-                # the retry budget; either way this group contributes
-                # nothing and the epoch aborts (failed_groups guard)
-                result.failed_groups.append(group.group_id)
-                return
-
-        # XOR at the parity node (serialized per node across groups)
-        engine = self._xor_engines[group.parity_node]
-        req = engine.request()
-        yield req
         try:
-            xor_time = raw_bytes / self.xor_bandwidth
-            if xor_time > 0:
-                yield sim.timeout(xor_time)
-        finally:
-            engine.release()
-        result.parity_bytes += raw_bytes
-        result.xor_seconds_by_node[group.parity_node] = (
-            result.xor_seconds_by_node.get(group.parity_node, 0.0)
-            + raw_bytes / self.xor_bandwidth
-        )
+            yield AllOf(sim, flows)
+        except NetworkError:
+            # a node died mid-exchange, or a transient outage outlived
+            # the retry budget; either way this group contributes
+            # nothing and the epoch aborts (failed_groups guard)
+            result.failed_groups.append(gid)
+            return
+        # encode at every shard home (serialized per node across groups)
+        for home in homes:
+            if not self.cluster.node(home).alive:
+                result.failed_groups.append(gid)
+                return
+            yield from self._encode_at(home, raw_bytes)
+            result.parity_bytes += raw_bytes
+            result.xor_seconds_by_node[home] = (
+                result.xor_seconds_by_node.get(home, 0.0)
+                + raw_bytes / self.xor_bandwidth
+            )
 
-        # Validate and *register* the parity encode; the numeric work
-        # happens once per epoch in _flush_encodes, batched across every
-        # group, on the commit path only.  All protocol-point checks
-        # (parity-node aliveness, previous-block presence and checksum,
-        # group homogeneity) stay right here so failure behavior is
-        # unchanged; what moves is pure, event-free byte crunching whose
-        # results only become observable at commit.
+        # Validate and *register* the encode; the numeric work happens
+        # once per epoch in _flush_encodes, batched across every group,
+        # on the commit path only.  The protocol-point checks a delta
+        # fold depends on (shard-home aliveness, previous-block presence
+        # and checksum, group homogeneity) stay right here so failure
+        # behavior is unchanged; what moves is pure, event-free byte
+        # crunching whose results only become observable at commit.
         prev = None
-        functional = all(img.payload is not None for img in member_images)
-        if functional:
-            if any(img.kind == CheckpointKind.INCREMENTAL for img in member_images):
-                pnode = self.cluster.node(group.parity_node)
-                if not pnode.alive:
-                    # died between the aliveness check above and the fold
-                    result.failed_groups.append(group.group_id)
-                    return
-                prev = pnode.parity_store.get(group.group_id)
-                if prev is None or prev.data is None:
+        if (
+            self.scheme.folds_deltas
+            and all(img.payload is not None for img in member_images)
+            and any(isinstance(img.payload, PageDelta) for img in member_images)
+        ):
+            if any(not self.cluster.node(n).alive for n in homes):
+                # died between the encode above and the fold
+                result.failed_groups.append(gid)
+                return
+            prev = self._shard_blocks(group)
+            for blk in prev:
+                if blk is None or blk.data is None:
                     raise RuntimeError(
-                        f"group {group.group_id}: incremental parity update "
+                        f"group {gid}: incremental parity update "
                         "without a previous parity block"
                     )
-                if prev.checksum is not None and block_checksum(prev.data) != prev.checksum:
+                if blk.checksum is not None and block_checksum(blk.data) != blk.checksum:
                     # folding a delta into rotten parity would produce a
                     # self-consistently-checksummed wrong block — refuse
                     raise RuntimeError(
-                        f"group {group.group_id}: previous parity block fails "
+                        f"group {gid}: previous parity block fails "
                         "its checksum — silent corruption; scrub or run a "
                         "full epoch before folding increments"
                     )
-                for img in member_images:
-                    if img.kind != CheckpointKind.INCREMENTAL:
-                        # a full capture mixed in (e.g. post-recovery)
-                        raise RuntimeError(
-                            "mixed full/incremental captures within one group "
-                            "epoch are not supported; run a full epoch first"
-                        )
-                    xd = xor_deltas[img.vm_id]
-                    if prev.data.shape[0] != xd.n_pages_total * xd.page_size:
-                        raise RuntimeError(
-                            "incremental epochs require homogeneous "
-                            "image sizes within a group; use full/"
-                            "forked capture for heterogeneous groups"
-                        )
-        pending.append((group, member_images, xor_deltas, prev, functional))
+            for img in member_images:
+                delta = img.payload
+                if not isinstance(delta, PageDelta):
+                    # a full capture mixed in (e.g. post-recovery)
+                    raise RuntimeError(
+                        "mixed full/incremental captures within one group "
+                        "epoch are not supported; run a full epoch first"
+                    )
+                nbytes = delta.n_pages_total * delta.page_size
+                if any(blk.data.shape[0] != nbytes for blk in prev):
+                    raise RuntimeError(
+                        "incremental epochs require homogeneous "
+                        "image sizes within a group; use full/"
+                        "forked capture for heterogeneous groups"
+                    )
+        pending.append((group, member_images, prev))
         for img in member_images:
             staged_commits[img.vm_id] = img
 
     def _flush_encodes(
-        self, pending: list, staged: dict[int, ParityBlock]
-    ) -> None:
-        """Commit-time batched parity encode.
+        self, pending: list
+    ) -> list[tuple[RaidGroup, list[ParityBlock]]]:
+        """Commit-time batched shard encode.
 
-        ``pending`` holds one ``(group, member_images, xor_deltas, prev,
-        functional)`` record per surviving group, registered in exchange
-        completion order.  Groups are partitioned by shape signature and
-        encoded with the stacked kernels (:func:`xor_reduce_groups`,
-        :func:`xor_fold_groups`, :func:`block_checksums_rows`) — a
-        handful of whole-cluster numpy calls instead of O(groups)
-        small ones.  Results (parity bytes, checksums, staging order)
-        are bit-identical to the historical per-group inline encode;
-        odd-shaped groups fall back to the scalar path.
+        ``pending`` holds one ``(group, member_images, prev_blocks)``
+        record per surviving group, registered in exchange completion
+        order.  All full-image groups go through one
+        :meth:`~repro.coding.CodingScheme.encode_many` call; incremental
+        captures are either folded into ``prev_blocks`` by
+        :meth:`~repro.coding.CodingScheme.fold_many` (schemes that fold
+        deltas) or materialized — committed base + dirty pages — and
+        encoded whole with the rest.  Returns each group's
+        shard-index-ordered blocks; member checksums are recorded for
+        exactly the members whose full bytes were in hand.
         """
-        datas: list[np.ndarray | None] = [None] * len(pending)
-        checksums: list[int | None] = [None] * len(pending)
-        full_batches: dict[tuple[int, int], list[int]] = {}
-        incr_batches: dict[tuple[int, int], list[int]] = {}
-        for i, (group, member_images, xor_deltas, prev, functional) in enumerate(
-            pending
-        ):
-            if not functional:
-                continue
+        flats: dict[int, list[np.ndarray]] = {}
+        fold: list[int] = []
+        for i, (_group, images, prev) in enumerate(pending):
+            if any(img.payload is None for img in images):
+                continue  # timing-only group: blocks carry no bytes
             if prev is not None:
-                xd0 = xor_deltas[member_images[0].vm_id]
-                incr_batches.setdefault(
-                    (xd0.n_pages_total, xd0.page_size), []
-                ).append(i)
-            else:
-                flats = [img.payload_flat() for img in member_images]
-                lengths = {f.shape[0] for f in flats}
-                if len(lengths) == 1:
-                    full_batches.setdefault(
-                        (len(flats), lengths.pop()), []
-                    ).append(i)
-                else:  # heterogeneous member sizes: scalar padded reduce
-                    data = xor_reduce_padded(
-                        flats,
-                        out=GLOBAL_POOL.acquire(max(f.shape[0] for f in flats)),
-                    )
-                    datas[i] = data
-                    checksums[i] = block_checksum(data)
-
-        for (_n_members, _length), idxs in full_batches.items():
-            stacked = xor_reduce_groups(
-                [
-                    [img.payload_flat() for img in pending[i][1]]
-                    for i in idxs
-                ]
-            )
-            row_sums = block_checksums_rows(stacked)
-            for row, i in enumerate(idxs):
-                datas[i] = stacked[row]
-                checksums[i] = row_sums[row]
-
-        for (n_pages_total, page_size), idxs in incr_batches.items():
-            folds = []
-            for i in idxs:
-                _g, member_images, xor_deltas, _p, _f = pending[i]
-                folds.append(
-                    [
-                        (
-                            xor_deltas[img.vm_id].indices,
-                            xor_deltas[img.vm_id].pages,
-                        )
-                        for img in member_images
-                    ]
-                )
-            stacked = xor_fold_groups(
-                [pending[i][3].data for i in idxs],
-                folds,
-                n_pages_total,
-                page_size,
-            )
-            del folds
-            row_sums = block_checksums_rows(stacked)
-            for row, i in enumerate(idxs):
-                datas[i] = stacked[row]
-                checksums[i] = row_sums[row]
-                # every delta of this group is folded; reclaim the pages
-                member_images, xor_deltas = pending[i][1], pending[i][2]
-                for img in member_images:
-                    recycle_delta(xor_deltas.pop(img.vm_id))
-
-        for i, (group, member_images, _xd, _prev, _f) in enumerate(pending):
-            logical = max(img.logical_bytes for img in member_images)
-            full_logical = max(
-                self.cluster.vm(v).memory_bytes for v in group.member_vm_ids
-            )
-            staged[group.group_id] = ParityBlock(
-                group_id=group.group_id,
-                epoch=self.epoch,
-                member_vm_ids=group.member_vm_ids,
-                logical_bytes=full_logical if logical < full_logical else logical,
-                data=datas[i],
-                checksum=checksums[i],
-                member_checksums={
-                    img.vm_id: block_checksum(img.payload_flat())
-                    for img in member_images
-                    if isinstance(img.payload, np.ndarray)
-                },
-            )
-
-    # ------------------------------------------------------------------
-    # generalized m-shard paths (any CodingScheme other than plain XOR)
-    # ------------------------------------------------------------------
-    def _group_cycle_scheme(
-        self,
-        group: RaidGroup,
-        outcomes: dict[int, CaptureOutcome],
-        result: DisklessCycleResult,
-        pending: list,
-        staged_commits: dict[int, CheckpointImage],
-    ):
-        """Process: m-way exchange for one group under a general scheme.
-
-        Every member ships its capture to *each* of the scheme's ``m``
-        shard homes (the m-way traffic the scheme's ``traffic_factor``
-        models), and each home charges its encode engine.  Incremental
-        captures are materialized to full images (committed base + dirty
-        pages) and the shards re-encoded whole — correct for any scheme,
-        linear or not.
-        """
-        sim = self.cluster.sim
-        shard_nodes = group.parity_nodes
-        if any(not self.cluster.node(n).alive for n in shard_nodes):
-            # a shard home died before the exchange (its RAM — including
-            # any previous shard — is gone); the epoch aborts
-            result.failed_groups.append(group.group_id)
-            return
-        flows = []
-        member_images: list[CheckpointImage] = []
-        full_flats: dict[int, np.ndarray] = {}
-        raw_bytes = 0.0
-        for vm_id in group.member_vm_ids:
-            if vm_id not in outcomes:  # VM failed before capture
+                fold.append(i)
                 continue
-            o = outcomes[vm_id]
-            vm = self.cluster.vm(vm_id)
-            assert vm.node_id is not None
-            member_images.append(o.image)
-            if o.image.payload is not None:
-                if o.image.kind == CheckpointKind.INCREMENTAL and isinstance(
-                    o.image.payload, PageDelta
-                ):
-                    hv = self.cluster.hypervisor(vm.node_id)
-                    old = hv.committed(vm_id)
-                    if old is None or old.payload is None:
-                        raise RuntimeError(
-                            f"vm {vm_id}: incremental epoch without committed base"
-                        )
-                    delta: PageDelta = o.image.payload
-                    pages = old.payload_flat().copy().reshape(
-                        delta.n_pages_total, delta.page_size
-                    )
-                    pages[delta.indices] = delta.pages
-                    full_flats[vm_id] = pages.reshape(-1)
+            members = []
+            for img in images:
+                if isinstance(img.payload, PageDelta):
+                    full = self._committed_flat(img.vm_id).copy()
+                    img.payload.apply_to(full)
+                    members.append(full)
                 else:
-                    full_flats[vm_id] = o.image.payload_flat()
-            wire = self.compression.output_bytes(o.image.logical_bytes)
-            raw_bytes += o.image.logical_bytes
-            base = f"dvdc.g{group.group_id}.vm{vm_id}.e{o.image.epoch}"
-            for j, pnode in enumerate(shard_nodes):
-                result.network_bytes += wire
-                flows.append(
-                    self._transfer(
-                        vm.node_id,
-                        pnode,
-                        wire,
-                        label=base if j == 0 else f"{base}.s{j}",
-                    )
-                )
-        if not member_images:
-            return
-        if flows:
-            try:
-                yield AllOf(sim, flows)
-            except NetworkError:
-                result.failed_groups.append(group.group_id)
-                return
-        # encode at every shard home (serialized per node across groups)
-        for pnode in shard_nodes:
-            if not self.cluster.node(pnode).alive:
-                result.failed_groups.append(group.group_id)
-                return
-            engine = self._xor_engines[pnode]
-            req = engine.request()
-            yield req
-            try:
-                xor_time = raw_bytes / self.xor_bandwidth
-                if xor_time > 0:
-                    yield sim.timeout(xor_time)
-            finally:
-                engine.release()
-            result.parity_bytes += raw_bytes
-            result.xor_seconds_by_node[pnode] = (
-                result.xor_seconds_by_node.get(pnode, 0.0)
-                + raw_bytes / self.xor_bandwidth
+                    members.append(img.payload_flat())
+            flats[i] = members
+        shards = dict(zip(flats, self.scheme.encode_many(list(flats.values()))))
+        if fold:
+            folded = self.scheme.fold_many(
+                [[blk.data for blk in pending[i][2]] for i in fold],
+                [
+                    [
+                        (self._committed_flat(img.vm_id), img.payload)
+                        for img in pending[i][1]
+                    ]
+                    for i in fold
+                ],
             )
-        pending.append((group, member_images, full_flats))
-        for img in member_images:
-            staged_commits[img.vm_id] = img
+            shards.update(zip(fold, folded))
 
-    def _flush_encodes_scheme(self, pending: list, staged: dict[int, list]) -> None:
-        """Commit-time shard encode for a general scheme.
-
-        ``pending`` holds ``(group, member_images, full_flats)`` records;
-        ``staged[group_id]`` becomes the shard-index-ordered list of
-        :class:`ParityBlock`, keyed for the parity stores with
-        :func:`repro.coding.shard_key`.
-        """
-        for group, member_images, full_flats in pending:
-            functional = len(full_flats) == len(member_images) and member_images
-            shards: list[np.ndarray] | None = None
-            member_checksums: dict[int, int] = {}
-            if functional:
-                flats = [full_flats[img.vm_id] for img in member_images]
-                shards = self.scheme.encode(flats)
-                member_checksums = {
-                    img.vm_id: block_checksum(full_flats[img.vm_id])
-                    for img in member_images
-                }
-            logical = max(img.logical_bytes for img in member_images)
+        staged = []
+        for i, (group, images, _prev) in enumerate(pending):
+            logical = max(img.logical_bytes for img in images)
             full_logical = max(
                 self.cluster.vm(v).memory_bytes for v in group.member_vm_ids
             )
-            blocks = []
-            for j in range(self.scheme.n_shards):
-                data = shards[j] if shards is not None else None
-                blocks.append(
-                    ParityBlock(
-                        group_id=shard_key(group.group_id, j),
-                        epoch=self.epoch,
-                        member_vm_ids=group.member_vm_ids,
-                        logical_bytes=full_logical if logical < full_logical else logical,
-                        data=data,
-                        checksum=None if data is None else block_checksum(data),
-                        member_checksums=dict(member_checksums),
-                    )
+            member_checksums = {
+                img.vm_id: block_checksum(flat)
+                for img, flat in zip(images, flats.get(i, ()))
+            }
+            blocks = [
+                self._shard_block(
+                    group, j, self.epoch, max(logical, full_logical),
+                    shards.get(i), member_checksums,
                 )
-            staged[group.group_id] = blocks
+                for j in range(self.scheme.n_shards)
+            ]
+            staged.append((group, blocks))
+        return staged
 
     def run_cycle(self, pause_done=None):
         """Process: one coordinated diskless checkpoint epoch.
@@ -632,7 +464,6 @@ class DisklessCheckpointer:
         for o in outcomes_list:
             result.per_vm_pause[o.image.vm_id] = o.pause_seconds
 
-        staged: dict[int, ParityBlock] = {}
         staged_commits: dict[int, CheckpointImage] = {}
         pending: list = []
         group_procs = [
@@ -668,17 +499,9 @@ class DisklessCheckpointer:
             if self.auditor is not None:
                 self.auditor.post_cycle(self, result)
             return result
-        groups_by_id = {g.group_id: g for g in self.layout.groups}
-        if self._is_xor:
-            self._flush_encodes(pending, staged)
-            for group_id, block in staged.items():
-                self.cluster.node(groups_by_id[group_id].parity_node).store_parity(block)
-        else:
-            self._flush_encodes_scheme(pending, staged)
-            for group_id, blocks in staged.items():
-                g = groups_by_id[group_id]
-                for node_id, blk in zip(g.parity_nodes, blocks):
-                    self.cluster.node(node_id).store_parity(blk)
+        for group, blocks in self._flush_encodes(pending):
+            for node_id, blk in zip(group.parity_nodes, blocks):
+                self.cluster.node(node_id).store_parity(blk)
         for vm_id, image in staged_commits.items():
             vm = self.cluster.vm(vm_id)
             if vm.node_id is None:
@@ -727,213 +550,6 @@ class DisklessCheckpointer:
             vm.resume()
         report.rolled_back.append(vm_id)
 
-    def _rebuild_member(
-        self, group: RaidGroup, lost_vm_id: int, report: DisklessRecoveryReport
-    ):
-        """Process: reconstruct one lost member from survivors + parity."""
-        sim = self.cluster.sim
-        parity_node = group.parity_node
-        pnode = self.cluster.node(parity_node)
-        block = pnode.parity_store.get(group.group_id)
-        if block is None or not pnode.alive:
-            raise RuntimeError(
-                f"group {group.group_id}: parity block unavailable on node "
-                f"{parity_node} — unrecoverable with single parity"
-            )
-        survivors = [v for v in group.member_vm_ids if v != lost_vm_id]
-        flows = []
-        survivor_payloads = []
-        total_bytes = 0.0
-        wire_bytes = 0.0
-        for v in survivors:
-            vm = self.cluster.vm(v)
-            if vm.node_id is None:
-                raise RuntimeError(
-                    f"group {group.group_id}: survivor vm {v} also lost — "
-                    "double failure exceeds XOR parity"
-                )
-            hv = self.cluster.hypervisor(vm.node_id)
-            img = hv.committed(v)
-            if img is None:
-                raise RuntimeError(f"survivor vm {v} has no committed checkpoint")
-            nbytes = self.cluster.vm(v).memory_bytes
-            total_bytes += nbytes
-            if img.payload is not None:
-                survivor_payloads.append(img.payload_flat())
-            if vm.node_id != parity_node:
-                wire_bytes += nbytes
-                flows.append(
-                    self._transfer(
-                        vm.node_id, parity_node, nbytes,
-                        label=f"rebuild.g{group.group_id}.vm{v}",
-                    )
-                )
-        if flows:
-            try:
-                yield AllOf(sim, flows)
-            except NetworkError:
-                # another node died mid-rebuild; leave this VM failed —
-                # the queued failure's recovery pass retries the group.
-                # Aborted transfers never count toward report.network_bytes.
-                return
-        report.network_bytes += wire_bytes
-        # XOR: survivors + parity
-        if not self.cluster.node(parity_node).alive:
-            raise RuntimeError(
-                f"group {group.group_id}: parity node {parity_node} died "
-                "during reconstruction — unrecoverable with single parity"
-            )
-        lost_vm = self.cluster.vm(lost_vm_id)
-        xor_bytes = total_bytes + lost_vm.memory_bytes
-        engine = self._xor_engines[parity_node]
-        req = engine.request()
-        yield req
-        try:
-            yield sim.timeout(xor_bytes / self.xor_bandwidth)
-        finally:
-            engine.release()
-        report.xor_bytes += xor_bytes
-
-        rebuilt: np.ndarray | None = None
-        if block.data is not None and len(survivor_payloads) == len(survivors):
-            rebuilt = reconstruct_missing_padded(
-                survivor_payloads,
-                block.data,
-                lost_vm.image.nbytes
-                if lost_vm.image is not None
-                else block.data.shape[0],
-            )
-            expect = block.member_checksums.get(lost_vm_id)
-            if expect is not None and block_checksum(rebuilt) != expect:
-                raise RuntimeError(
-                    f"vm {lost_vm_id}: rebuilt image fails its end-to-end "
-                    "checksum — a survivor image or the parity block is "
-                    "silently corrupt; scrub before recovering"
-                )
-
-        # ship the rebuilt image to its new home and restore
-        target = choose_restore_node(
-            self.cluster, self.layout, group,
-            exclude=self._recovery_exclude({report.failed_node}),
-            domains=self.domains,
-        )
-        if target != parity_node:
-            flow = self._transfer(
-                parity_node, target, lost_vm.memory_bytes,
-                label=f"restore.g{group.group_id}.vm{lost_vm_id}",
-            )
-            try:
-                yield flow
-            except NetworkError:
-                return  # destination (or source) died; retried later
-            report.network_bytes += lost_vm.memory_bytes
-        self.cluster.place_failed_vm(lost_vm_id, target)
-        hv = self.cluster.hypervisor(target)
-        image = CheckpointImage(
-            vm_id=lost_vm_id,
-            epoch=self.committed_epoch,
-            kind=CheckpointKind.FULL,
-            logical_bytes=lost_vm.memory_bytes,
-            captured_at=sim.now,
-            payload=rebuilt,
-            meta={"reconstructed": True},
-        )
-        if rebuilt is not None or lost_vm.image is None:
-            hv.restore(lost_vm, image)
-        else:  # functional VM but timing-only parity: revive without bytes
-            lost_vm.revive()
-        hv.commit_checkpoint(image)
-        report.reconstructed[lost_vm_id] = target
-        self.tracer.emit(
-            sim.now, "diskless.rebuild", vm=lost_vm_id, group=group.group_id,
-            target=target,
-        )
-
-    def _reencode_parity(self, group: RaidGroup, report: DisklessRecoveryReport):
-        """Process: rebuild a lost parity block on a fresh node."""
-        sim = self.cluster.sim
-        new_node = choose_parity_node(
-            self.cluster, self.layout, group,
-            exclude=self._recovery_exclude({report.failed_node}),
-            domains=self.domains,
-        )
-        flows = []
-        payloads = []
-        total = 0.0
-        wire_bytes = 0.0
-        for v in group.member_vm_ids:
-            vm = self.cluster.vm(v)
-            if vm.node_id is None:
-                # a member just died too: the queued failure's recovery
-                # will rebuild it and re-encode this group afterwards
-                return
-            img = self.cluster.hypervisor(vm.node_id).committed(v)
-            if img is None:
-                raise RuntimeError(f"vm {v} has no committed checkpoint to re-encode")
-            total += vm.memory_bytes
-            if img.payload is not None:
-                payloads.append(img.payload_flat())
-            if vm.node_id != new_node:
-                wire_bytes += vm.memory_bytes
-                flows.append(
-                    self._transfer(
-                        vm.node_id, new_node, vm.memory_bytes,
-                        label=f"reencode.g{group.group_id}.vm{v}",
-                    )
-                )
-        if flows:
-            try:
-                yield AllOf(sim, flows)
-            except NetworkError:
-                # retried by the queued failure's recovery; dead transfers
-                # contribute nothing to the accounting
-                return
-        report.network_bytes += wire_bytes
-        engine = self._xor_engines[new_node]
-        req = engine.request()
-        yield req
-        try:
-            yield sim.timeout(total / self.xor_bandwidth)
-        finally:
-            engine.release()
-        report.xor_bytes += total
-        data = (
-            xor_reduce_padded(payloads)
-            if payloads and len(payloads) == len(group.member_vm_ids)
-            else None
-        )
-        member_checksums: dict[int, int] = {}
-        if data is not None:
-            for v, p in zip(group.member_vm_ids, payloads):
-                member_checksums[v] = block_checksum(p)
-        block = ParityBlock(
-            group_id=group.group_id,
-            epoch=self.committed_epoch,
-            member_vm_ids=group.member_vm_ids,
-            logical_bytes=max(
-                self.cluster.vm(v).memory_bytes for v in group.member_vm_ids
-            ),
-            data=data,
-            checksum=None if data is None else block_checksum(data),
-            member_checksums=member_checksums,
-        )
-        self.cluster.node(new_node).store_parity(block)
-        # drop the superseded block from the previous home, if any
-        old_home = self.cluster.node(group.parity_node)
-        if old_home.alive and old_home.node_id != new_node:
-            old_home.parity_store.pop(group.group_id, None)
-        # the layout now points parity at the new node
-        self.layout.replace_group(
-            group.group_id, RaidGroup(group.group_id, group.member_vm_ids, new_node)
-        )
-        report.reencoded_groups.append(group.group_id)
-        self.tracer.emit(
-            sim.now, "diskless.reencode", group=group.group_id, node=new_node
-        )
-
-    # ------------------------------------------------------------------
-    # generalized m-shard recovery
-    # ------------------------------------------------------------------
     def _shard_blocks(self, group: RaidGroup) -> list[ParityBlock | None]:
         """The group's shard blocks in shard-index order; ``None`` marks a
         shard whose home is dead or whose block is missing."""
@@ -948,37 +564,13 @@ class DisklessCheckpointer:
             out.append(blk)
         return out
 
-    def _missing_shard_slots(self, group: RaidGroup) -> list[int]:
-        """Shard indices whose home is dead, block missing, or colocated
-        with a member — everything :meth:`heal` must re-home.  With
-        :attr:`domains` set, sharing a *failure domain* with a member
-        counts as colocation too (geo-spread invariant)."""
-        member_nodes = {
-            self.cluster.vm(v).node_id
-            for v in group.member_vm_ids
-            if self.cluster.vm(v).node_id is not None
-        }
-        member_doms = (
-            {self.domains.domain_of(m) for m in member_nodes}
-            if self.domains is not None
-            else None
-        )
-        slots = []
-        for j, node_id in enumerate(group.parity_nodes):
-            node = self.cluster.node(node_id)
-            if (
-                not node.alive
-                or shard_key(group.group_id, j) not in node.parity_store
-                or node_id in member_nodes
-                or (
-                    member_doms is not None
-                    and self.domains.domain_of(node_id) in member_doms
-                )
-            ):
-                slots.append(j)
-        return slots
+    def _lost_shard_slots(self, group: RaidGroup) -> list[int]:
+        """Shard indices whose home is dead or whose block is missing —
+        what :meth:`recover` re-homes.  Slots merely colocated with a
+        member are :meth:`heal`'s business."""
+        return [j for j, blk in enumerate(self._shard_blocks(group)) if blk is None]
 
-    def _recover_group_scheme(
+    def _recover_group(
         self, group: RaidGroup, lost_vm_ids: list[int], report: DisklessRecoveryReport
     ):
         """Process: rebuild every lost member of one group via the scheme.
@@ -986,10 +578,12 @@ class DisklessCheckpointer:
         Handles any erasure pattern within ``scheme.tolerance`` (multiple
         members, members + shards); patterns beyond it raise the
         tolerance-aware unrecoverable error the audit classifier keys on.
-        Missing shards are re-encoded afterwards in the same pass.
+        Shards the crash took are re-encoded afterwards in the same pass.
         """
         sim = self.cluster.sim
+        gid = group.group_id
         k = len(group.member_vm_ids)
+        beyond = f"beyond {self.scheme.name} tolerance {self.scheme.tolerance}"
         shard_blocks = self._shard_blocks(group)
         lost_set = set(lost_vm_ids)
         missing_shards = sum(1 for b in shard_blocks if b is None)
@@ -1010,9 +604,8 @@ class DisklessCheckpointer:
         )
         if (over_tolerance and not replica_rescue) or staging is None:
             raise RuntimeError(
-                f"group {group.group_id} lost {len(lost_set)} members and "
-                f"{missing_shards} parity shards — beyond {self.scheme.name} "
-                f"tolerance {self.scheme.tolerance}"
+                f"group {gid} lost {len(lost_set)} members and "
+                f"{missing_shards} parity shards — {beyond}"
             )
 
         survivors = [v for v in group.member_vm_ids if v not in lost_set]
@@ -1024,8 +617,7 @@ class DisklessCheckpointer:
             vm = self.cluster.vm(v)
             if vm.node_id is None:
                 raise RuntimeError(
-                    f"group {group.group_id}: survivor vm {v} also lost — "
-                    f"beyond {self.scheme.name} tolerance"
+                    f"group {gid}: survivor vm {v} also lost — {beyond}"
                 )
             img = self.cluster.hypervisor(vm.node_id).committed(v)
             if img is None:
@@ -1038,7 +630,7 @@ class DisklessCheckpointer:
                 flows.append(
                     self._transfer(
                         vm.node_id, staging, vm.memory_bytes,
-                        label=f"rebuild.g{group.group_id}.vm{v}",
+                        label=f"rebuild.g{gid}.vm{v}",
                     )
                 )
         # surviving shards hosted elsewhere stream to the staging node too
@@ -1051,51 +643,41 @@ class DisklessCheckpointer:
             wire_bytes += size
             flows.append(
                 self._transfer(
-                    home, staging, size,
-                    label=f"rebuild.g{group.group_id}.s{j}",
+                    home, staging, size, label=f"rebuild.g{gid}{shard_suffix(j)}"
                 )
             )
         if flows:
             try:
                 yield AllOf(sim, flows)
             except NetworkError:
-                # another node died mid-rebuild; the queued failure's
-                # recovery pass retries the group
+                # another node died mid-rebuild; leave the VMs failed —
+                # the queued failure's recovery pass retries the group.
+                # Aborted transfers never count toward report.network_bytes.
                 return
         report.network_bytes += wire_bytes
         if not self.cluster.node(staging).alive:
             raise RuntimeError(
-                f"group {group.group_id}: staging node {staging} died during "
-                f"reconstruction — beyond {self.scheme.name} tolerance"
+                f"group {gid}: staging node {staging} died during "
+                f"reconstruction — {beyond}"
             )
         decode_bytes += sum(self.cluster.vm(v).memory_bytes for v in lost_set)
-        engine = self._xor_engines[staging]
-        req = engine.request()
-        yield req
-        try:
-            yield sim.timeout(decode_bytes / self.xor_bandwidth)
-        finally:
-            engine.release()
+        yield from self._encode_at(staging, decode_bytes)
         report.xor_bytes += decode_bytes
 
         functional = len(survivor_payloads) == len(survivors) and any(
             b is not None and b.data is not None for b in shard_blocks
         )
         rebuilt: dict[int, np.ndarray] = {}
-        checksums_src = next(
-            (b for b in shard_blocks if b is not None), None
-        )
         if functional:
             ref = next(b for b in shard_blocks if b is not None and b.data is not None)
             length = self.scheme.working_length(int(ref.data.shape[0]), k)
-            member_bufs = [
-                survivor_payloads.get(v) if v not in lost_set else None
-                for v in group.member_vm_ids
-            ]
-            shard_bufs = [
-                None if b is None or b.data is None else b.data for b in shard_blocks
-            ]
-            decoded = self.scheme.reconstruct(member_bufs, shard_bufs, nbytes=length)
+            decoded = self.scheme.reconstruct(
+                [survivor_payloads.get(v) for v in group.member_vm_ids],
+                [None if b is None else b.data for b in shard_blocks],
+                nbytes=length,
+            )
+            # any surviving block carries the members' commit-time CRCs
+            expected = next(b for b in shard_blocks if b is not None).member_checksums
             for idx, v in enumerate(group.member_vm_ids):
                 if v not in lost_set:
                     continue
@@ -1104,11 +686,7 @@ class DisklessCheckpointer:
                     lost_vm.image.nbytes if lost_vm.image is not None else length
                 )
                 img_bytes = decoded[idx][:nbytes].copy()
-                expect = (
-                    checksums_src.member_checksums.get(v)
-                    if checksums_src is not None
-                    else None
-                )
+                expect = expected.get(v)
                 if expect is not None and block_checksum(img_bytes) != expect:
                     raise RuntimeError(
                         f"vm {v}: rebuilt image fails its end-to-end checksum "
@@ -1128,7 +706,7 @@ class DisklessCheckpointer:
             if target != staging:
                 flow = self._transfer(
                     staging, target, lost_vm.memory_bytes,
-                    label=f"restore.g{group.group_id}.vm{v}",
+                    label=f"restore.g{gid}.vm{v}",
                 )
                 try:
                     yield flow
@@ -1153,40 +731,35 @@ class DisklessCheckpointer:
             hv.commit_checkpoint(image)
             report.reconstructed[v] = target
             self.tracer.emit(
-                sim.now, "diskless.rebuild", vm=v, group=group.group_id,
-                target=target,
+                sim.now, "diskless.rebuild", vm=v, group=gid, target=target,
             )
         # re-home any shard slots this crash emptied
-        if self._missing_shard_slots(group):
-            yield from self._reencode_shards_scheme(group, report)
+        slots = self._lost_shard_slots(group)
+        if slots:
+            yield from self.rehome_shards(group, slots, report)
 
-    def _reencode_shards_scheme(self, group: RaidGroup, report: DisklessRecoveryReport):
-        """Process: re-encode the group's shards, re-homing every slot
-        whose node died or whose block is missing/colocated.
+    def rehome_shards(
+        self, group: RaidGroup, slots: list[int], report: DisklessRecoveryReport
+    ):
+        """Process: re-encode shard ``slots`` of ``group`` onto fresh homes.
 
-        All ``m`` shards are recomputed from the committed member images
-        (one encode) but only missing slots get new homes; surviving
-        slots keep their nodes and are refreshed in place so the group
-        ends the pass fully protected on ``m`` distinct non-member
-        nodes.
+        The one re-home path: recovery passes the slots a crash emptied,
+        :meth:`heal` the slots it found misplaced, a controlplane drain
+        the slots homed on the node it is emptying.  New homes avoid
+        ``report.failed_node``, the cordons and the group's other shard
+        homes; all ``m`` shards are recomputed from the committed member
+        images (one encode) and the requested slots stored — each old
+        block is dropped only after its replacement is in place.
         """
         sim = self.cluster.sim
         gid = group.group_id
-        slots = self._missing_shard_slots(group)
-        if not slots:
-            return
-        member_nodes = {
-            self.cluster.vm(v).node_id
-            for v in group.member_vm_ids
-            if self.cluster.vm(v).node_id is not None
-        }
         homes = list(group.parity_nodes)
         for j in slots:
             taken = {h for i, h in enumerate(homes) if i != j}
             avoid = frozenset(
                 self.domains.domain_of(h)
-                for i, h in enumerate(homes)
-                if i != j and self.cluster.node(h).alive
+                for h in taken
+                if self.cluster.node(h).alive
             ) if self.domains is not None else frozenset()
             homes[j] = choose_parity_node(
                 self.cluster, self.layout, group,
@@ -1194,13 +767,13 @@ class DisklessCheckpointer:
                 domains=self.domains,
                 avoid_domains=avoid,
             )
-        # gather member images; bail if a member just died too (the queued
-        # failure's recovery rebuilds it and re-encodes afterwards)
         payloads = []
         total = 0.0
         for v in group.member_vm_ids:
             vm = self.cluster.vm(v)
             if vm.node_id is None:
+                # a member just died too: the queued failure's recovery
+                # will rebuild it and re-encode this group afterwards
                 return
             img = self.cluster.hypervisor(vm.node_id).committed(v)
             if img is None:
@@ -1211,136 +784,120 @@ class DisklessCheckpointer:
         flows = []
         wire_bytes = 0.0
         for j in slots:
-            new_home = homes[j]
             for v in group.member_vm_ids:
                 vm = self.cluster.vm(v)
-                if vm.node_id != new_home:
+                if vm.node_id != homes[j]:
                     wire_bytes += vm.memory_bytes
                     flows.append(
                         self._transfer(
-                            vm.node_id, new_home, vm.memory_bytes,
-                            label=f"reencode.g{gid}.s{j}.vm{v}",
+                            vm.node_id, homes[j], vm.memory_bytes,
+                            label=f"reencode.g{gid}.vm{v}{shard_suffix(j)}",
                         )
                     )
         if flows:
             try:
                 yield AllOf(sim, flows)
             except NetworkError:
+                # retried by the queued failure's recovery; dead transfers
+                # contribute nothing to the accounting
                 return
         report.network_bytes += wire_bytes
         for j in slots:
-            engine = self._xor_engines[homes[j]]
-            req = engine.request()
-            yield req
-            try:
-                yield sim.timeout(total / self.xor_bandwidth)
-            finally:
-                engine.release()
+            yield from self._encode_at(homes[j], total)
             report.xor_bytes += total
-        functional = len(payloads) == len(group.member_vm_ids) and payloads
+        functional = payloads and len(payloads) == len(group.member_vm_ids)
         shards = self.scheme.encode(payloads) if functional else None
-        member_checksums: dict[int, int] = {}
-        if functional:
-            for v, p in zip(group.member_vm_ids, payloads):
-                member_checksums[v] = block_checksum(p)
+        member_checksums = (
+            {v: block_checksum(p) for v, p in zip(group.member_vm_ids, payloads)}
+            if functional
+            else {}
+        )
         logical = max(self.cluster.vm(v).memory_bytes for v in group.member_vm_ids)
         for j in slots:
-            data = shards[j] if shards is not None else None
-            block = ParityBlock(
-                group_id=shard_key(gid, j),
-                epoch=self.committed_epoch,
-                member_vm_ids=group.member_vm_ids,
-                logical_bytes=logical,
-                data=data,
-                checksum=None if data is None else block_checksum(data),
-                member_checksums=dict(member_checksums),
+            block = self._shard_block(
+                group, j, self.committed_epoch, logical, shards, member_checksums
             )
             self.cluster.node(homes[j]).store_parity(block)
+            # drop the superseded block from the previous home, if any
             old_home = self.cluster.node(group.parity_nodes[j])
             if old_home.alive and old_home.node_id != homes[j]:
                 old_home.parity_store.pop(shard_key(gid, j), None)
+        # the layout now points the moved shards at their new nodes
         self.layout.replace_group(
             gid, RaidGroup(gid, group.member_vm_ids, homes[0], tuple(homes[1:]))
         )
         if gid not in report.reencoded_groups:
             report.reencoded_groups.append(gid)
         self.tracer.emit(
-            sim.now, "diskless.reencode", group=gid,
-            node=homes[slots[0]] if slots else group.parity_node,
+            sim.now, "diskless.reencode", group=gid, node=homes[slots[0]]
         )
+
+    def _misplaced_shard_slots(self, group: RaidGroup) -> list[int]:
+        """Shard slots :meth:`heal` should move: every lost slot (even a
+        degraded home beats no shard), plus slots colocated with a
+        member — same node, or with :attr:`domains` same failure domain
+        — for which a strictly valid new home exists."""
+        member_nodes = {
+            self.cluster.vm(v).node_id
+            for v in group.member_vm_ids
+            if self.cluster.vm(v).node_id is not None
+        }
+        member_doms = (
+            {self.domains.domain_of(m) for m in member_nodes}
+            if self.domains is not None
+            else set()
+        )
+        homes = group.parity_nodes
+        slots = []
+        spare: list[int] | None = None  # scanned only for a colocated slot
+        for j, blk in enumerate(self._shard_blocks(group)):
+            if blk is None:
+                slots.append(j)
+                continue
+            on_member_node = homes[j] in member_nodes
+            if not on_member_node and (
+                self.domains is None
+                or self.domains.domain_of(homes[j]) not in member_doms
+            ):
+                continue
+            if spare is None:
+                spare = [
+                    n.node_id
+                    for n in self.cluster.alive_nodes
+                    if n.node_id not in member_nodes and n.node_id not in homes
+                ]
+            if on_member_node:
+                movable = bool(spare)
+            else:
+                # the current home is safe node-wise: it moves only if a
+                # domain-orthogonal home actually exists
+                movable = any(
+                    self.domains.domain_of(n) not in member_doms for n in spare
+                )
+            if movable:
+                slots.append(j)
+        return slots
 
     def heal(self):
         """Process: restore layout validity after node repairs.
 
         Post-recovery placements can be *degraded*: with few nodes the
-        only place to restore a rebuilt VM is its group's parity node,
-        so one element of slack is gone until the crashed node returns.
-        ``heal`` scans for groups whose parity block is co-located with
-        a member (or missing/on a dead node) and re-encodes the parity
-        onto a strictly valid node when one exists.  Call it at
-        checkpoint boundaries once repairs have landed — the
+        only place to restore a rebuilt VM is one of its group's shard
+        homes, so one element of slack is gone until the crashed node
+        returns.  ``heal`` scans for groups with a shard co-located with
+        a member (or missing/on a dead node) and re-encodes it onto a
+        strictly valid node when one exists.  Call it at checkpoint
+        boundaries once repairs have landed — the
         :class:`~repro.workloads.app.CheckpointedJob` runner does.
         """
         healed: list[int] = []
-        if not self._is_xor:
-            for group in list(self.layout.groups):
-                if not self._missing_shard_slots(group):
-                    continue
-                report = DisklessRecoveryReport(failed_node=-1)
-                try:
-                    yield from self._reencode_shards_scheme(group, report)
-                except RuntimeError:
-                    continue
-                healed.append(group.group_id)
-            if healed:
-                self.tracer.emit(self.cluster.sim.now, "diskless.heal", groups=healed)
-            return healed
         for group in list(self.layout.groups):
-            pnode = self.cluster.node(group.parity_node)
-            member_nodes = {
-                self.cluster.vm(v).node_id
-                for v in group.member_vm_ids
-                if self.cluster.vm(v).node_id is not None
-            }
-            missing = (not pnode.alive) or group.group_id not in pnode.parity_store
-            colocated = group.parity_node in member_nodes
-            member_doms = (
-                {self.domains.domain_of(m) for m in member_nodes}
-                if self.domains is not None
-                else set()
-            )
-            dom_colocated = (
-                not missing
-                and not colocated
-                and self.domains is not None
-                and self.domains.domain_of(group.parity_node) in member_doms
-            )
-            if not (missing or colocated or dom_colocated):
+            slots = self._misplaced_shard_slots(group)
+            if not slots:
                 continue
-            # only act when a strictly valid new home exists
-            valid = [
-                n
-                for n in self.cluster.alive_nodes
-                if n.node_id not in member_nodes and n.node_id != group.parity_node
-            ]
-            if dom_colocated:
-                # the current home is safe node-wise; move only if a
-                # domain-orthogonal home actually exists
-                valid = [
-                    n for n in valid
-                    if self.domains.domain_of(n.node_id) not in member_doms
-                ]
-                if not valid:
-                    continue
-            if not valid and not missing:
-                continue
-            if not valid and missing:
-                # parity truly lost and nowhere valid: degrade rather
-                # than leave the group unprotected
-                pass
             report = DisklessRecoveryReport(failed_node=-1)
             try:
-                yield from self._reencode_parity(group, report)
+                yield from self.rehome_shards(group, slots, report)
             except RuntimeError:
                 continue
             healed.append(group.group_id)
@@ -1352,8 +909,9 @@ class DisklessCheckpointer:
         """Process: full DVDC recovery after ``failed_node_id`` crashed.
 
         Phases run concurrently where independent: survivor rollbacks
-        (local memory copies), per-group member reconstruction, and
-        parity re-encoding.  Returns a
+        (local memory copies), per-group member reconstruction (any
+        within-tolerance mix of lost members and shards), and shard
+        re-encoding.  Returns a
         :class:`~repro.core.recovery.DisklessRecoveryReport`.
         """
         sim = self.cluster.sim
@@ -1362,55 +920,26 @@ class DisklessCheckpointer:
             raise RuntimeError("no committed checkpoint epoch to recover from")
         report = DisklessRecoveryReport(failed_node=failed_node_id)
 
-        lost_vms = [
-            vm.vm_id
-            for vm in self.cluster.all_vms
-            if vm.state == VMState.FAILED and vm.node_id is None
+        lost_by_group: dict[int, list[int]] = {}
+        for vm in self.cluster.all_vms:
+            if vm.state == VMState.FAILED and vm.node_id is None:
+                gid = self.layout.group_of(vm.vm_id).group_id
+                lost_by_group.setdefault(gid, []).append(vm.vm_id)
+        groups_by_id = {g.group_id: g for g in self.layout.groups}
+        procs = [
+            sim.process(self._recover_group(groups_by_id[gid], lost, report))
+            for gid, lost in lost_by_group.items()
         ]
-        lost_set = set(lost_vms)
-        procs = []
-        if self._is_xor:
-            # groups that lost a member
-            for vm_id in lost_vms:
-                group = self.layout.group_of(vm_id)
-                others_lost = [v for v in group.member_vm_ids if v in lost_set and v != vm_id]
-                if others_lost:
-                    raise RuntimeError(
-                        f"group {group.group_id} lost {len(others_lost) + 1} members "
-                        "— beyond single-parity tolerance"
-                    )
-                procs.append(sim.process(self._rebuild_member(group, vm_id, report)))
-            # groups whose parity block is missing anywhere (this crash, or a
-            # re-encode aborted by an earlier overlapping crash) and that
-            # lost no member this time
-            for group in self.layout.groups:
-                if any(v in lost_set for v in group.member_vm_ids):
-                    continue
-                pnode = self.cluster.node(group.parity_node)
-                if (not pnode.alive) or group.group_id not in pnode.parity_store:
-                    procs.append(sim.process(self._reencode_parity(group, report)))
-        else:
-            # general scheme: one recovery process per damaged group,
-            # handling any <= tolerance mix of lost members and shards
-            lost_by_group: dict[int, list[int]] = {}
-            for vm_id in lost_vms:
-                group = self.layout.group_of(vm_id)
-                lost_by_group.setdefault(group.group_id, []).append(vm_id)
-            groups_by_id = {g.group_id: g for g in self.layout.groups}
-            for gid, lost in lost_by_group.items():
-                procs.append(
-                    sim.process(
-                        self._recover_group_scheme(groups_by_id[gid], lost, report)
-                    )
-                )
-            for group in self.layout.groups:
-                if group.group_id in lost_by_group:
-                    continue
-                if self._missing_shard_slots(group):
-                    procs.append(
-                        sim.process(self._reencode_shards_scheme(group, report))
-                    )
+        # groups that lost no member but are missing a shard anywhere
+        # (this crash, or a re-encode aborted by an earlier overlapping one)
+        for group in self.layout.groups:
+            if group.group_id in lost_by_group:
+                continue
+            slots = self._lost_shard_slots(group)
+            if slots:
+                procs.append(sim.process(self.rehome_shards(group, slots, report)))
         # all surviving VMs roll back locally
+        lost_set = {v for lost in lost_by_group.values() for v in lost}
         for vm_id in self.layout.vm_ids:
             if vm_id not in lost_set:
                 procs.append(sim.process(self._rollback_survivor(vm_id, report)))

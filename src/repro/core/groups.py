@@ -61,6 +61,15 @@ class RaidGroup:
     parity_node: int
     extra_parity_nodes: tuple[int, ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.extra_parity_nodes and len(set(self.parity_nodes)) != len(
+            self.parity_nodes
+        ):
+            raise LayoutError(
+                f"group {self.group_id}: parity shards share a node "
+                f"{self.parity_nodes}"
+            )
+
     @property
     def size(self) -> int:
         return len(self.member_vm_ids)

@@ -29,10 +29,6 @@ from .checkpoint.adaptive import AdaptivePolicy
 from .checkpoint.diskful import DiskfulCheckpointer
 from .checkpoint.strategies import ForkedCapture, IncrementalCapture
 from .core.architectures import checkpoint_node, dvdc, first_shot
-from .core.double_parity import (
-    DoubleParityCheckpointer,
-    build_double_parity_layout,
-)
 from .failures.distributions import Exponential, FailureDistribution
 from .failures.injector import FailureInjector, FailureSchedule
 from .workloads.app import CheckpointedJob, JobResult
@@ -84,10 +80,10 @@ class MethodSpec:
         if self.name == "diskful":
             return DiskfulCheckpointer(cluster, strategy=strategy)
         if self.name == "dvdc_rdp":
-            layout = build_double_parity_layout(
-                cluster, group_size=max(1, cluster.n_nodes - 2)
+            return dvdc(
+                cluster, strategy=strategy, scheme="rdp",
+                group_size=max(1, cluster.n_nodes - 2),
             )
-            return DoubleParityCheckpointer(cluster, layout)
         if self.name == "checkpoint_node":
             node = cluster.n_nodes - 1
             for vm in list(cluster.vms_on(node)):

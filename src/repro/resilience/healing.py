@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from ..cluster.cluster import VirtualCluster
-from ..coding import shard_key
+from ..coding import shard_key, shard_name
 from ..core.dvdc import DisklessCheckpointer
 from ..core.placement import validate_layout
 from ..sim import NULL_TRACER, Tracer
@@ -198,15 +198,12 @@ class SelfHealer:
                 pnode = self.cluster.node(pnode_id)
                 if not pnode.alive:
                     out.append(
-                        f"group {g.group_id}: parity node {pnode_id} down"
-                        if j == 0
-                        else f"group {g.group_id}: shard {j} node {pnode_id} down"
+                        f"group {g.group_id}: {shard_name(j)} node {pnode_id} down"
                     )
                 elif shard_key(g.group_id, j) not in pnode.parity_store:
                     out.append(
-                        f"group {g.group_id}: no parity block on node {pnode_id}"
-                        if j == 0
-                        else f"group {g.group_id}: no shard {j} block on node {pnode_id}"
+                        f"group {g.group_id}: no {shard_name(j)} block "
+                        f"on node {pnode_id}"
                     )
         return out
 

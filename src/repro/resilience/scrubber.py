@@ -33,8 +33,7 @@ import numpy as np
 
 from ..cluster.checksum import block_checksum
 from ..cluster.cluster import VirtualCluster
-from ..cluster.xorsum import reconstruct_missing_padded, xor_reduce_padded
-from ..coding import XorScheme, get_scheme, shard_key
+from ..coding import get_scheme, shard_key, shard_name
 from ..core.groups import GroupLayout
 from ..sim import NULL_TRACER, Tracer
 from ..telemetry import probe_of
@@ -74,7 +73,6 @@ class Scrubber:
         self.tracer = tracer
         self.probe = probe_of(tracer)
         self.scheme = get_scheme(scheme)
-        self._is_xor = isinstance(self.scheme, XorScheme)
         self.reports: list[ScrubReport] = []
 
     # ------------------------------------------------------------------
@@ -120,87 +118,8 @@ class Scrubber:
         once, where single-parity XOR could not.
         """
         report = ScrubReport()
-        if not self._is_xor:
-            for group in self.layout.groups:
-                self._scrub_group_scheme(report, group)
-            self.reports.append(report)
-            if report.unrepairable:
-                self.probe.count(
-                    "repro_resilience_corruptions_unrepairable_total",
-                    len(report.unrepairable),
-                    help="Corruptions the scrubber could not repair in place",
-                )
-            return report
         for group in self.layout.groups:
-            pnode = self.cluster.node(group.parity_node)
-            if not pnode.alive:
-                continue
-            block = pnode.parity_store.get(group.group_id)
-            images = self._member_images(group)
-
-            # -- member images first: parity repair assumes clean members
-            bad_members: list[int] = []
-            if images is not None:
-                for v in group.member_vm_ids:
-                    vm = self.cluster.vm(v)
-                    img = self.cluster.hypervisor(vm.node_id).committed(v)
-                    expect = img.meta.get("checksum")
-                    if expect is None:
-                        continue
-                    report.scrubbed += 1
-                    if block_checksum(images[v]) != expect:
-                        self._detect(report, f"image vm{v}@node{vm.node_id}")
-                        bad_members.append(v)
-
-            parity_ok = True
-            if block is not None and block.data is not None and block.checksum is not None:
-                report.scrubbed += 1
-                if block_checksum(block.data) != block.checksum:
-                    parity_ok = False
-                    self._detect(
-                        report, f"parity g{group.group_id}@node{group.parity_node}"
-                    )
-
-            # -- repair
-            if bad_members:
-                if len(bad_members) > 1 or not parity_ok or block is None or block.data is None:
-                    for v in bad_members:
-                        report.unrepairable.append(f"image vm{v}")
-                    if not parity_ok:
-                        report.unrepairable.append(f"parity g{group.group_id}")
-                    continue
-                v = bad_members[0]
-                vm = self.cluster.vm(v)
-                img = self.cluster.hypervisor(vm.node_id).committed(v)
-                survivors = [images[w] for w in group.member_vm_ids if w != v]
-                rebuilt = reconstruct_missing_padded(
-                    survivors, block.data, images[v].shape[0]
-                )
-                if block_checksum(rebuilt) != img.meta["checksum"]:
-                    report.unrepairable.append(f"image vm{v}")
-                    continue
-                images[v][:] = rebuilt
-                self._repaired(report, f"image vm{v}")
-            elif not parity_ok:
-                if images is None:
-                    report.unrepairable.append(f"parity g{group.group_id}")
-                    continue
-                rebuilt = xor_reduce_padded(list(images.values()))
-                if (
-                    rebuilt.shape[0] > block.data.shape[0]
-                    or block_checksum(
-                        np.pad(rebuilt, (0, block.data.shape[0] - rebuilt.shape[0]))
-                        if rebuilt.shape[0] < block.data.shape[0]
-                        else rebuilt
-                    )
-                    != block.checksum
-                ):
-                    report.unrepairable.append(f"parity g{group.group_id}")
-                    continue
-                block.data[: rebuilt.shape[0]] = rebuilt
-                block.data[rebuilt.shape[0]:] = 0
-                self._repaired(report, f"parity g{group.group_id}")
-
+            self._scrub_group(report, group)
         self.reports.append(report)
         if report.unrepairable:
             self.probe.count(
@@ -210,8 +129,8 @@ class Scrubber:
             )
         return report
 
-    def _scrub_group_scheme(self, report: ScrubReport, group) -> None:
-        """Verify-and-repair one group under a multi-shard scheme."""
+    def _scrub_group(self, report: ScrubReport, group) -> None:
+        """Verify-and-repair one group."""
         gid = group.group_id
         blocks = []  # (shard index, home node id, block or None)
         for j, pnode_id in enumerate(group.parity_nodes):
@@ -241,7 +160,7 @@ class Scrubber:
                 continue
             report.scrubbed += 1
             if block_checksum(block.data) != block.checksum:
-                self._detect(report, f"shard{j} g{gid}@node{pnode_id}")
+                self._detect(report, f"{shard_name(j)} g{gid}@node{pnode_id}")
                 bad_shards.append(j)
         if not bad_members and not bad_shards:
             return
@@ -262,7 +181,7 @@ class Scrubber:
             for v in bad_members:
                 report.unrepairable.append(f"image vm{v}")
             for j in bad_shards:
-                report.unrepairable.append(f"shard{j} g{gid}")
+                report.unrepairable.append(f"{shard_name(j)} g{gid}")
             return
 
         # -- repair: decode with corrupt artifacts marked lost
@@ -279,7 +198,7 @@ class Scrubber:
             for v in bad_members:
                 report.unrepairable.append(f"image vm{v}")
             for j in bad_shards:
-                report.unrepairable.append(f"shard{j} g{gid}")
+                report.unrepairable.append(f"{shard_name(j)} g{gid}")
             return
         members_clean = True
         for v in bad_members:
@@ -298,7 +217,7 @@ class Scrubber:
         if not members_clean:
             # can't re-encode from members that failed verification
             for j in bad_shards:
-                report.unrepairable.append(f"shard{j} g{gid}")
+                report.unrepairable.append(f"{shard_name(j)} g{gid}")
             return
         fresh = self.scheme.encode([images[v] for v in member_ids])
         for j in bad_shards:
@@ -308,10 +227,10 @@ class Scrubber:
                 candidate.shape[0] != block.data.shape[0]
                 or block_checksum(candidate) != block.checksum
             ):
-                report.unrepairable.append(f"shard{j} g{gid}")
+                report.unrepairable.append(f"{shard_name(j)} g{gid}")
                 continue
             block.data[:] = candidate
-            self._repaired(report, f"shard{j} g{gid}")
+            self._repaired(report, f"{shard_name(j)} g{gid}")
 
     def run(self, interval: float):
         """Process generator: scrub every ``interval`` seconds, forever.

@@ -10,7 +10,9 @@ the padding convention cannot slip through.
 
 from __future__ import annotations
 
+import ast
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from repro.cluster.checksum import block_checksum
 from repro.cluster.xorsum import xor_reduce_padded
 from repro.coding import (
     CodingScheme,
+    ParityCodeError,
     RDPScheme,
     ReedSolomonScheme,
     ReplicationScheme,
@@ -33,7 +36,6 @@ from repro.coding import (
 from repro.coding import schemes as schemes_mod
 from repro.core import dvdc
 from repro.core.groups import build_orthogonal_layout, layout_dvdc
-from repro.core.parity import ParityCodeError
 from repro.core.placement import validate_layout
 from repro.resilience import Scrubber
 from repro.sim import Simulator
@@ -63,6 +65,36 @@ def _assert_round_trip(scheme: CodingScheme, members, shards, pattern):
         )
         # zero-pad convention: nothing but padding past the logical size
         assert not got[original.shape[0] :].any()
+
+
+class TestLayering:
+    def test_coding_imports_nothing_from_core_or_above(self):
+        """docs/architecture.md: coding sits below core.  Walk every
+        import in the package — lazy function-level ones included — and
+        allow only coding itself and the substrate layers."""
+        import repro.coding
+
+        below_core = {"coding", "cluster", "network", "storage", "failures", "sim"}
+        pkg_dir = Path(repro.coding.__file__).parent
+        offenders = []
+        for path in sorted(pkg_dir.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    if node.level == 1:
+                        continue  # sibling module inside repro.coding
+                    prefix = ["repro"] if node.level == 2 else []
+                    names = [".".join(prefix + (node.module or "").split("."))]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                for name in names:
+                    parts = name.split(".")
+                    if parts[0] == "repro" and (
+                        len(parts) < 2 or parts[1] not in below_core
+                    ):
+                        offenders.append(f"{path.name}:{node.lineno} imports {name}")
+        assert offenders == []
 
 
 class TestRegistry:
@@ -319,7 +351,7 @@ class TestSchemeAwareScrubber:
         cluster.kill_node(home1)  # second erasure, simultaneous
 
         report = Scrubber(cluster, ck.layout, scheme=ck.scheme).scrub_once()
-        assert f"shard0 g{group.group_id}" in report.repaired
+        assert f"parity g{group.group_id}" in report.repaired
         assert report.unrepairable == []
         assert block_checksum(block.data) == pristine
 

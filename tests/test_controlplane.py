@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.audit import audit_cluster
 from repro.checkpoint.strategies import IncrementalCapture
 from repro.cluster import ClusterSpec, VirtualCluster
 from repro.cluster.vm import VMState
@@ -51,11 +52,12 @@ def _populated(sim, n_active, n_spare=0, vms_per_node=2, seed=7):
     return cluster
 
 
-def make_cp(sim, n_active=6, n_spare=0, group_size=3, strategy=None, **cfg):
+def make_cp(sim, n_active=6, n_spare=0, group_size=3, strategy=None,
+            scheme=None, **cfg):
     cluster = _populated(sim, n_active, n_spare)
     tracer = Tracer()
     ck = dvdc(cluster, group_size=group_size, strategy=strategy,
-              tracer=tracer)
+              tracer=tracer, scheme=scheme)
     spares = SparePool.provision(cluster, n_spare) if n_spare else None
     cfg.setdefault("repair_time", 8.0)
     cp = ControlPlane(
@@ -362,6 +364,37 @@ class TestDrain:
         assert all(r.ok for r in cp.audits)
         assert cluster.node(2).alive  # rejoined
         assert 2 not in cp.maintenance
+
+    @pytest.mark.parametrize("scheme", ["xor", "rdp", "rs-8-2"])
+    def test_drain_rehomes_shards_under_any_scheme(self, scheme):
+        """Draining a shard home moves exactly the slots homed there.
+        (Regression: the drain used to call the XOR-only re-encode, so
+        under rdp / rs-8-2 a group's homes collapsed to one node and the
+        op ended FAILED: IndexError.)"""
+        sim = Simulator()
+        cluster, ck, cp = make_cp(
+            sim, 8, maintenance_seconds=0.5, scheme=scheme
+        )
+        cp.start()
+        node_id = ck.layout.groups[0].parity_nodes[-1]
+
+        def scenario():
+            yield from cp.checkpoint()
+            op = cp.submit("drain", node_id=node_id)
+            yield op.done
+            return op
+
+        op = drive(sim, cp, scenario())
+        assert op.state is OpState.DONE, op.error
+        for g in ck.layout.groups:
+            members = {cluster.vm(v).node_id for v in g.member_vm_ids}
+            assert len(set(g.parity_nodes)) == ck.scheme.n_shards
+            assert not members & set(g.parity_nodes)
+        report = audit_cluster(
+            cluster, ck.layout, ck.committed_epoch, strict=True,
+            scheme=ck.scheme,
+        )
+        assert report.violations == []
 
     def test_drain_rejects_double_maintenance(self):
         sim = Simulator()

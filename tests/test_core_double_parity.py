@@ -1,17 +1,24 @@
-"""Tests for the RDP double-parity extension of DVDC."""
+"""Tests for double-failure protection: DVDC under ``scheme="rdp"``.
+
+RDP is the same checkpoint protocol as XOR with a second shard per
+group; these pin the double-parity behaviours on
+``DisklessCheckpointer(scheme="rdp")`` over ``layout_dvdc(n_parity=2)``.
+"""
 
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterSpec, VirtualCluster, VMState
+from repro.audit import audit_cluster
+from repro.cluster import ClusterSpec, VirtualCluster, VMState, xor_reduce
+from repro.coding import shard_key
 from repro.core import (
-    DoubleParityCheckpointer,
-    DoubleParityGroup,
-    DoubleParityLayout,
+    DisklessCheckpointer,
+    GroupLayout,
     LayoutError,
-    build_double_parity_layout,
+    RaidGroup,
+    layout_dvdc,
 )
 from repro.sim import Simulator
 
@@ -28,37 +35,42 @@ def _cluster(n_nodes=6, vms=12, seed=4):
     return sim, cluster, rng
 
 
+def _checkpointer(cluster):
+    layout = layout_dvdc(cluster, group_size=3, n_parity=2)
+    return DisklessCheckpointer(cluster, layout, scheme="rdp")
+
+
 class TestLayout:
     def test_parity_nodes_distinct_and_off_members(self):
         sim, cluster, _ = _cluster()
-        layout = build_double_parity_layout(cluster, group_size=3)
-        for g in layout.groups:
+        for g in layout_dvdc(cluster, group_size=3, n_parity=2).groups:
             member_nodes = {cluster.vm(v).node_id for v in g.member_vm_ids}
-            assert g.row_parity_node not in member_nodes
-            assert g.diag_parity_node not in member_nodes
-            assert g.row_parity_node != g.diag_parity_node
+            row_node, diag_node = g.parity_nodes
+            assert row_node not in member_nodes
+            assert diag_node not in member_nodes
+            assert row_node != diag_node
 
     def test_needs_group_size_plus_two_nodes(self):
         sim, cluster, _ = _cluster(n_nodes=4, vms=8)
         with pytest.raises(LayoutError):
-            build_double_parity_layout(cluster, group_size=3)
+            layout_dvdc(cluster, group_size=3, n_parity=2)
 
     def test_all_vms_covered(self):
         sim, cluster, _ = _cluster()
-        layout = build_double_parity_layout(cluster, 3)
+        layout = layout_dvdc(cluster, group_size=3, n_parity=2)
         assert layout.vm_ids == list(range(12))
 
     def test_group_validation(self):
         with pytest.raises(LayoutError):
-            DoubleParityGroup(0, (1, 2), 3, 3)  # same parity node twice
+            RaidGroup(0, (1, 2), 3, (3,))  # same parity node twice
         with pytest.raises(LayoutError):
-            DoubleParityLayout([
-                DoubleParityGroup(0, (1,), 2, 3),
-                DoubleParityGroup(1, (1,), 4, 5),
+            GroupLayout([
+                RaidGroup(0, (1,), 2, (3,)),
+                RaidGroup(1, (1,), 4, (5,)),
             ])
 
     def test_group_of(self):
-        layout = DoubleParityLayout([DoubleParityGroup(0, (7,), 1, 2)])
+        layout = GroupLayout([RaidGroup(0, (7,), 1, (2,))])
         assert layout.group_of(7).group_id == 0
         with pytest.raises(LayoutError):
             layout.group_of(99)
@@ -67,45 +79,26 @@ class TestLayout:
 class TestCycle:
     def test_cycle_stores_both_shards(self):
         sim, cluster, _ = _cluster()
-        layout = build_double_parity_layout(cluster, 3)
-        ck = DoubleParityCheckpointer(cluster, layout)
-
-        def proc():
-            r = yield from ck.run_cycle()
-            return r
-
-        r = run_process(sim, proc())
+        ck = _checkpointer(cluster)
+        r = run_process(sim, ck.run_cycle())
         assert r.committed
-        for g in layout.groups:
-            assert g.group_id in cluster.node(g.row_parity_node).parity_store
-            assert -(g.group_id + 1) in cluster.node(g.diag_parity_node).parity_store
+        for g in ck.layout.groups:
+            for j, home in enumerate(g.parity_nodes):
+                assert shard_key(g.group_id, j) in cluster.node(home).parity_store
 
     def test_traffic_double_single_parity(self):
         sim, cluster, _ = _cluster()
-        layout = build_double_parity_layout(cluster, 3)
-        ck = DoubleParityCheckpointer(cluster, layout)
-
-        def proc():
-            r = yield from ck.run_cycle()
-            return r
-
-        r = run_process(sim, proc())
+        ck = _checkpointer(cluster)
+        r = run_process(sim, ck.run_cycle())
         # each of 12 x 1 GB images ships to two parity nodes
         assert r.network_bytes == pytest.approx(24e9)
 
     def test_row_shard_matches_xor_of_members(self):
-        from repro.cluster import xor_reduce
-
         sim, cluster, _ = _cluster()
-        layout = build_double_parity_layout(cluster, 3)
-        ck = DoubleParityCheckpointer(cluster, layout)
-
-        def proc():
-            yield from ck.run_cycle()
-
-        run_process(sim, proc())
-        g = layout.groups[0]
-        row = cluster.node(g.row_parity_node).parity_store[g.group_id]
+        ck = _checkpointer(cluster)
+        run_process(sim, ck.run_cycle())
+        g = ck.layout.groups[0]
+        row = cluster.node(g.parity_node).parity_store[g.group_id]
         payloads = [
             cluster.hypervisor(cluster.vm(v).node_id).committed(v).payload_flat()
             for v in g.member_vm_ids
@@ -135,18 +128,12 @@ class TestDoubleFailureRecovery:
         """The RDP promise: ANY two simultaneous node failures are
         survivable — exhaustively over all 15 node pairs."""
         sim, cluster, rng = _cluster()
-        layout = build_double_parity_layout(cluster, 3)
-        ck = DoubleParityCheckpointer(cluster, layout)
+        ck = _checkpointer(cluster)
         committed = self._checkpoint(sim, cluster, ck, rng)
         a, b = pair
         cluster.kill_node(a)
         cluster.kill_node(b)
-
-        def proc():
-            rep = yield from ck.recover(a, b)
-            return rep
-
-        run_process(sim, proc())
+        run_process(sim, ck.recover(a))
         for vm in cluster.all_vms:
             assert vm.state == VMState.RUNNING
             assert np.array_equal(vm.image.flat, committed[vm.vm_id]), (
@@ -155,41 +142,29 @@ class TestDoubleFailureRecovery:
 
     def test_single_failure_also_fine(self):
         sim, cluster, rng = _cluster()
-        layout = build_double_parity_layout(cluster, 3)
-        ck = DoubleParityCheckpointer(cluster, layout)
+        ck = _checkpointer(cluster)
         committed = self._checkpoint(sim, cluster, ck, rng)
         cluster.kill_node(2)
-
-        def proc():
-            rep = yield from ck.recover(2)
-            return rep
-
-        rep = run_process(sim, proc())
+        run_process(sim, ck.recover(2))
         for vm in cluster.all_vms:
             assert np.array_equal(vm.image.flat, committed[vm.vm_id])
 
     def test_recover_before_checkpoint_raises(self):
         sim, cluster, _ = _cluster()
-        layout = build_double_parity_layout(cluster, 3)
-        ck = DoubleParityCheckpointer(cluster, layout)
+        ck = _checkpointer(cluster)
         cluster.kill_node(0)
-
-        def proc():
-            yield from ck.recover(0)
-
         with pytest.raises(RuntimeError):
-            run_process(sim, proc())
+            run_process(sim, ck.recover(0))
 
     def test_post_recovery_cycle_consistent(self):
         sim, cluster, rng = _cluster()
-        layout = build_double_parity_layout(cluster, 3)
-        ck = DoubleParityCheckpointer(cluster, layout)
+        ck = _checkpointer(cluster)
         self._checkpoint(sim, cluster, ck, rng)
         cluster.kill_node(0)
         cluster.kill_node(3)
 
         def proc():
-            yield from ck.recover(0, 3)
+            yield from ck.recover(0)
             for vm in cluster.all_vms:
                 vm.image.touch_pages(rng.integers(0, 16, 2), rng)
             r = yield from ck.run_cycle()
@@ -197,7 +172,11 @@ class TestDoubleFailureRecovery:
 
         r = run_process(sim, proc())
         assert r.committed
-        # both shards for every group live on alive nodes again
+        # both shards for every group live on alive nodes again, and the
+        # new epoch's shards are coherent with the committed images
         for g in ck.layout.groups:
-            assert cluster.node(g.row_parity_node).alive
-            assert cluster.node(g.diag_parity_node).alive
+            assert all(cluster.node(n).alive for n in g.parity_nodes)
+        report = audit_cluster(
+            cluster, ck.layout, ck.committed_epoch, scheme=ck.scheme
+        )
+        assert not report.fatal

@@ -145,16 +145,19 @@ class TestDVDCRecovery:
         assert len(paper_cluster.nas) == 0
         assert paper_cluster.nas.disk.ops == 0
 
-    def test_parity_node_loss_reencodes(self, paper_cluster, sim, rng):
-        ck = dvdc(paper_cluster)
+    @pytest.mark.parametrize("scheme", ["xor", "rdp", "rs-8-2"])
+    def test_parity_node_loss_reencodes(self, paper_cluster, sim, rng, scheme):
+        ck = dvdc(paper_cluster, scheme=scheme)
+        lost_shard = {g.group_id for g in ck.layout.groups_with_parity_on(3)}
         rep, _ = self._checkpoint_then_kill(paper_cluster, sim, ck, 3, rng)
-        # node 3 held one group's parity; that group lost no member only
-        # if none of its members were on node 3 — with the Fig. 4 layout
-        # node 3 hosts members of 3 groups and parity of 1
-        assert len(rep.reencoded_groups) == 1
-        g = rep.reencoded_groups[0]
-        new_home = ck.layout.groups_with_parity_on(3)
-        assert all(gg.group_id != g for gg in new_home)
+        # recover re-encodes exactly the groups whose shard died with
+        # node 3 (under XOR on the Fig. 4 layout: members of 3 groups and
+        # parity of 1).  Groups that lost a member are rebuilt onto the
+        # three survivors, necessarily next to another element of the
+        # group — those colocated shards wait for heal, not recover.
+        assert set(rep.reencoded_groups) == lost_shard
+        assert len(rep.reencoded_groups) == len(lost_shard)
+        assert not ck.layout.groups_with_parity_on(3)
 
     def test_recover_without_epoch_raises(self, paper_cluster, sim):
         ck = dvdc(paper_cluster)

@@ -8,7 +8,7 @@ Each test documents a failure mode that existed before the fix:
 * ``report.network_bytes`` was charged before transfers that can die
   with ``NetworkError``, inflating recovery accounting on aborted
   rebuild/re-encode passes;
-* ``_rebuild_member`` hand-rolled the survivor XOR fold instead of using
+* the member rebuild hand-rolled the survivor XOR fold instead of using
   ``reconstruct_missing_padded`` (covered via heterogeneous groups).
 """
 
@@ -39,7 +39,7 @@ class TestMidPauseFailure:
         return ck, run_process(sim, proc())
 
     def test_cycle_aborts_instead_of_crashing(self, paper_cluster, sim):
-        # pre-fix: AssertionError in _group_cycle on the dead VM's node
+        # pre-fix: AssertionError in the group cycle on the dead VM's node
         ck, r = self._run(paper_cluster, sim)
         assert r.committed is False
         assert ck.committed_epoch == 0  # previous epoch remains the anchor
