@@ -22,7 +22,6 @@ inputs.
 from __future__ import annotations
 
 import json
-import os
 import warnings
 from pathlib import Path
 from typing import Iterator
@@ -151,28 +150,3 @@ class ResultStore:
         if kind is None:
             return list(recs)
         return [r for r in recs if r["task"]["kind"] == kind]
-
-    def write_report(self, path: str | Path, name: str, payload: dict) -> dict:
-        """Merge ``payload`` under ``name`` into a JSON report file.
-
-        Used by the campaign-backed benches to accumulate entries in
-        ``BENCH_campaign.json`` across runs; returns the full document.
-
-        The write is atomic (temp file + ``os.replace``): a crash — or a
-        concurrent reader — mid-write can never observe a truncated or
-        half-old document, only the previous or the new one.
-        """
-        path = Path(path)
-        doc: dict = {}
-        if path.exists():
-            try:
-                doc = json.loads(path.read_text(encoding="utf-8"))
-            except (ValueError, OSError):
-                doc = {}
-        doc[name] = payload
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        os.replace(tmp, path)
-        return doc

@@ -178,7 +178,7 @@ def run_scale_digests(params: dict, seed: int | None) -> dict:
     from ..perf import ScaleConfig, run_scale_point
 
     cfg = ScaleConfig(**{**params, "trace": True})
-    result = run_scale_point(cfg, collect_digests=True)
+    result = run_scale_point(cfg)
     return {
         "n_nodes": cfg.n_nodes,
         "allocator": cfg.allocator,
@@ -200,18 +200,12 @@ def run_image_snapshot(params: dict, seed: int | None) -> dict:
     consumers can prove the zero-copy path delivered exact bytes.
     """
     from ..cluster.checksum import block_checksum
-    from ..perf import ScaleConfig
-    from ..perf.scale import _dirty_epoch, build_scale_scenario
+    from ..perf import ScaleConfig, build_scale_scenario, run_epochs
 
     vm_ids = [int(v) for v in params.get("vm_ids", [0])]
     cfg = ScaleConfig(**{k: v for k, v in params.items() if k != "vm_ids"})
-    sim, cluster, ckpt, rngs, tracer = build_scale_scenario(cfg)
-    for _ in range(cfg.epochs):
-        _dirty_epoch(cluster, rngs, cfg)
-        proc = sim.process(ckpt.run_cycle())
-        sim.run()
-        if proc.ok is False:
-            raise proc.value
+    sim, cluster, ckpt, rngs, _ = build_scale_scenario(cfg)
+    run_epochs(sim, cluster, ckpt, rngs, cfg)
     images: dict[str, object] = {}
     checksums: dict[str, int] = {}
     for vm_id in vm_ids:

@@ -24,14 +24,6 @@ trace export
 metrics
     Run an instrumented scenario and print its metrics in Prometheus
     text exposition format (or as a summary table).
-bench scale
-    Run the thousand-node scale sweep (incremental allocator + COW +
-    buffer pool vs the reference paths) and optionally gate against a
-    recorded ``BENCH_scale.json`` baseline (``--check``).
-bench serving
-    Serving-path bench: 1.2M-request arrival generation (chunked must
-    equal monolithic bit-for-bit) plus a pinned checkpoint-protected
-    cell, gated against ``BENCH_serving.json`` (``--check``).
 serving run|study
     Checkpoint-protected request serving: ``run`` serves one open-loop
     stream under a chosen protection policy (baseline, checkpoint,
@@ -774,107 +766,6 @@ def _cmd_geo_study(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_geo(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from .geo import generate_geo_bench
-
-    result = generate_geo_bench(quick=args.quick, log=lambda m: print(f"  {m}"))
-    rows = [
-        [p["policy"], p["site_cost"],
-         f"{p['closed_form']:.4g}", f"{p['mc_mean']:.4g}",
-         f"{p['mc_std_error']:.2g}",
-         "yes" if p["agrees"] else "NO",
-         "yes" if p["predicted_beyond_tolerance"] else "no",
-         "yes" if p["matches_sim"] else "NO"]
-        for p in result["model"]["points"]
-    ]
-    print(render_table(
-        ["policy", "site-cost", "closed form", "MC mean", "MC stderr",
-         "agrees", "pred beyond-tol", "matches sim"],
-        rows, title="geo bench: window-loss model vs Monte-Carlo",
-    ))
-    summary = result["summary"]
-    for policy, s in summary.items():
-        print(f"  {policy}: {s['survived']}/{s['cells']} survived a "
-              f"full-site outage")
-    if args.write:
-        with open(args.out, "w") as fh:
-            _json.dump(result, fh, indent=1, sort_keys=True)
-        print(f"wrote {args.out}")
-    ok = (
-        all(p["agrees"] and p["matches_sim"] for p in result["model"]["points"])
-        and summary["local-parity"]["survived"] == 0
-        and summary["geo-spread"]["survived"] == summary["geo-spread"]["cells"]
-        and summary["remus-async"]["survived"] == summary["remus-async"]["cells"]
-    )
-    if not ok:
-        print("bench geo FAILED: survival matrix or model corroboration "
-              "does not match predictions")
-    return 0 if ok else 1
-
-
-def _cmd_bench_scale(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from .perf import compare_to_baseline, generate_bench
-
-    result = generate_bench(
-        quick=args.quick, epochs=args.epochs, ref_cap=args.ref_cap,
-        log=lambda msg: print(f"  {msg}", file=sys.stderr),
-    )
-    rows = []
-    for p in result["points"]:
-        rows.append([
-            p["n_nodes"],
-            p["n_vms"],
-            f"{p['events_per_sec']:,.0f}",
-            f"{p['epochs_per_sec']:.3f}",
-            f"{p['speedup_vs_reference']:.1f}x"
-            + ("*" if p["reference_capped"] else ""),
-            format_bytes(p["peak_rss_bytes"]),
-        ])
-    print(render_table(
-        ["nodes", "VMs", "events/s", "epochs/s", "vs reference", "peak RSS"],
-        rows,
-        title="DVDC scale sweep (incremental allocator + COW + buffer pool)",
-    ))
-    if any(p["reference_capped"] for p in result["points"]):
-        print("  * reference measured over a capped wall-clock window; "
-              "speedup from events/s (identical event streams)")
-    hp = result["heap_bench"]
-    print(f"  heap bench: {hp['ops_per_sec']:,.0f} ops/s, peak heap "
-          f"{hp['peak_heap']} of {hp['n_events']:,} scheduled "
-          f"({hp['compactions']} compactions)")
-    cb = result.get("coding_bench")
-    if cb:
-        print(f"  coding bench: RS({cb['k']},{cb['m']}) encode "
-              f"{cb['rs_encode_mbps']:,.0f} MB/s, decode "
-              f"{cb['rs_decode_mbps']:,.0f} MB/s "
-              f"(XOR {cb['xor_encode_mbps']:,.0f}/"
-              f"{cb['xor_decode_mbps']:,.0f} MB/s)")
-    if args.write:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _json.dump(result, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.out}")
-    if args.check:
-        with open(args.check, encoding="utf-8") as fh:
-            baseline = _json.load(fh)
-        failures, warnings = compare_to_baseline(
-            result, baseline, tolerance=args.tolerance
-        )
-        for w in warnings:
-            print(f"WARN {w}", file=sys.stderr)
-        for f in failures:
-            print(f"FAIL {f}", file=sys.stderr)
-        if failures:
-            return 1
-        print(f"regression gate passed against {args.check} "
-              f"(tolerance {args.tolerance:.0%})")
-    return 0
-
-
 def _serving_load(args: argparse.Namespace):
     from .serving.study import ServingLoad
 
@@ -947,54 +838,6 @@ def _cmd_serving_study(args: argparse.Namespace) -> int:
     print(outcome.summary_table())
     _report_failures(campaign)
     return 0 if campaign.n_failed == 0 else 1
-
-
-def _cmd_bench_serving(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from .serving.bench import compare_serving_baseline, generate_serving_bench
-
-    result = generate_serving_bench(
-        quick=args.quick,
-        log=lambda msg: print(f"  {msg}", file=sys.stderr),
-    )
-    arr = result["arrivals"]
-    rows = [["arrivals", f"{arr['n_requests']:,}",
-             f"{arr['requests_per_sec']:,.0f}", arr["digest"][:16]]]
-    for leg in ("serve_quick", "serve"):
-        if leg in result:
-            srv = result[leg]
-            rows.append([leg, f"{srv['n_requests']:,}",
-                         f"{srv['requests_per_sec']:,.0f}",
-                         srv["digest"][:16]])
-    print(render_table(
-        ["leg", "requests", "req/s", "digest"],
-        rows,
-        title="serving bench (chunked generation + checkpointed cell)",
-    ))
-    if not arr["chunk_invariant"]:
-        print("FAIL arrival stream is not chunk-invariant", file=sys.stderr)
-        return 1
-    if args.write:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _json.dump(result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}")
-    if args.check:
-        with open(args.check, encoding="utf-8") as fh:
-            baseline = _json.load(fh)
-        failures, warnings = compare_serving_baseline(
-            result, baseline, tolerance=args.tolerance
-        )
-        for w in warnings:
-            print(f"WARN {w}", file=sys.stderr)
-        for f in failures:
-            print(f"FAIL {f}", file=sys.stderr)
-        if failures:
-            return 1
-        print(f"serving gate passed against {args.check} "
-              f"(throughput tolerance {args.tolerance:.0%})")
-    return 0
 
 
 def _controlplane_build(args: argparse.Namespace):
@@ -1386,63 +1229,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="geo-spread",
                     help="geo: placement policy under test")
     au.set_defaults(func=_cmd_audit)
-
-    be = sub.add_parser("bench", help="performance benchmarks")
-    besub = be.add_subparsers(dest="bench_command", required=True)
-    bs = besub.add_parser(
-        "scale",
-        help="thousand-node scale sweep; optionally gate against a baseline",
-    )
-    bs.add_argument("--quick", action="store_true",
-                    help="64-node point only (the CI perf-regression job)")
-    bs.add_argument("--epochs", type=_positive_int, default=3,
-                    help="checkpoint epochs per point")
-    bs.add_argument("--ref-cap", type=float, default=20.0,
-                    help="wall-clock cap for the reference allocator above "
-                         "64 nodes, seconds")
-    bs.add_argument("--write", action="store_true",
-                    help="write the result JSON (see --out)")
-    bs.add_argument("--out", default="BENCH_scale.json",
-                    help="output path for --write")
-    bs.add_argument("--check", default=None, metavar="BASELINE",
-                    help="compare against a recorded BENCH_scale.json; exit 1 "
-                         "if the incremental/reference speedup regressed")
-    bs.add_argument("--tolerance", type=float, default=0.20,
-                    help="allowed fractional regression for --check")
-    bs.set_defaults(func=_cmd_bench_scale)
-
-    bv = besub.add_parser(
-        "serving",
-        help="serving-path bench: 1.2M-request arrival generation "
-             "(chunked == monolithic, bit-exact) + a pinned serving cell",
-    )
-    bv.add_argument("--quick", action="store_true",
-                    help="skip the full-size serve cell (CI mode; the "
-                         "arrival leg and quick cell still gate hard)")
-    bv.add_argument("--write", action="store_true",
-                    help="write the result JSON (see --out)")
-    bv.add_argument("--out", default="BENCH_serving.json",
-                    help="output path for --write")
-    bv.add_argument("--check", default=None, metavar="BASELINE",
-                    help="compare against a recorded BENCH_serving.json; "
-                         "exit 1 on any digest/count/quantile change")
-    bv.add_argument("--tolerance", type=float, default=0.30,
-                    help="allowed fractional throughput regression "
-                         "(warn-only) for --check")
-    bv.set_defaults(func=_cmd_bench_serving)
-
-    bg = besub.add_parser(
-        "geo",
-        help="georedundancy bench: policy survival matrix under a "
-             "full-site outage + window-loss model corroboration",
-    )
-    bg.add_argument("--quick", action="store_true",
-                    help="one seed and fewer Monte-Carlo runs (CI mode)")
-    bg.add_argument("--write", action="store_true",
-                    help="write the result JSON (see --out)")
-    bg.add_argument("--out", default="BENCH_geo.json",
-                    help="output path for --write")
-    bg.set_defaults(func=_cmd_bench_geo)
 
     geo = sub.add_parser(
         "geo",

@@ -56,7 +56,7 @@ class BufferPool:
         self.enabled = True
         self._free: dict[int, list[np.ndarray]] = {}
         self._held_bytes = 0
-        # stats (monotonic; read by tests and `repro bench scale`)
+        # stats (monotonic; read by tests)
         self.hits = 0
         self.misses = 0
         self.recycled = 0

@@ -16,7 +16,7 @@ policies that survive them:
   (the Remus pattern) with an explicit, measured lag window.
 - :mod:`~repro.geo.study` — the three-policy survival study
   (``local-parity`` / ``geo-spread`` / ``remus-async``) behind
-  ``repro geo`` and ``repro bench geo``.
+  ``repro geo``.
 
 A single-site :class:`~repro.geo.topology.GeoTopology` is bit-identical
 to the plain switched fabric — the geo layer is free when unused.
@@ -28,7 +28,6 @@ from .study import (
     POLICIES,
     GeoConfig,
     build_geo_scenario,
-    generate_geo_bench,
     respread_groups,
     run_geo_point,
     run_geo_study,
@@ -61,5 +60,4 @@ __all__ = [
     "respread_groups",
     "run_geo_point",
     "run_geo_study",
-    "generate_geo_bench",
 ]

@@ -23,8 +23,7 @@ epochs — run under each cross-site placement policy:
 :func:`run_geo_point` runs one (policy, seed) cell end to end — epochs,
 optional site kill, recovery/salvage, repair, re-spread, strict audit —
 and returns survival plus bit-exactness digests.  The ``geo_cell``
-campaign task kind wraps it; ``repro geo study`` and ``repro bench geo``
-fan it out.
+campaign task kind wraps it; ``repro geo study`` fans it out.
 """
 
 from __future__ import annotations
@@ -34,16 +33,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..checkpoint.strategies import IncrementalCapture
 from ..cluster.checksum import block_checksum
 from ..cluster.vm import VMState
 from ..coding import get_scheme
-from ..controlplane.scheduler import PlacementEngine
-from ..core.architectures import dvdc
 from ..network.link import NetworkError
-from ..perf.scale import scenario_digests
-from ..sim import NULL_TRACER, Simulator, Tracer
-from ..sim.rng import RngRegistry
+from ..perf.scale import build_scenario, run_epochs, run_process, scenario_digests
+from ..sim import NULL_TRACER, Tracer
 from .remus import RemusAsyncReplicator
 from .topology import (
     DEFAULT_WAN_BANDWIDTH,
@@ -59,7 +54,6 @@ __all__ = [
     "respread_groups",
     "run_geo_point",
     "run_geo_study",
-    "generate_geo_bench",
 ]
 
 POLICIES = ("local-parity", "geo-spread", "remus-async")
@@ -117,30 +111,12 @@ class GeoConfig:
 def build_geo_scenario(cfg: GeoConfig, tracer: Tracer | None = None):
     """Construct ``(sim, cluster, ck, replicator, geo, rngs, tracer)``.
 
-    Mirrors :func:`repro.perf.scale.build_scale_scenario` — same
-    placement engine, same named RNG streams, same VM shape — with the
-    topology swapped for :class:`~repro.geo.topology.GeoTopology` and
-    the layout built per ``cfg.policy``.
+    :func:`repro.perf.scale.build_scenario` — same placement engine,
+    same named RNG streams, same VM shape as the flat scale scenario —
+    on a :class:`~repro.geo.topology.GeoTopology` fabric, with the
+    layout built per ``cfg.policy``.
     """
-    sim = Simulator()
-    if tracer is None:
-        tracer = Tracer() if cfg.trace else NULL_TRACER
     geo = cfg.geo_spec()
-    from ..cluster.cluster import VirtualCluster
-
-    spec = geo_cluster_spec(geo, allocator=cfg.allocator)
-    rngs = RngRegistry(cfg.seed)
-    cluster = VirtualCluster(sim, spec, tracer=tracer)
-    hosts = PlacementEngine(cluster).spread(cfg.n_vms)
-    init = rngs.stream("image-init")
-    for i in range(cfg.n_vms):
-        vm = cluster.create_vm(
-            hosts[i], 1e9, dirty_rate=2e5,
-            image_pages=cfg.image_pages, page_size=cfg.page_size,
-        )
-        fill = min(512, vm.image.nbytes)
-        vm.image.write(0, init.integers(0, 256, fill, dtype=np.uint8))
-        vm.image.clear_dirty()
     scheme = get_scheme(cfg.scheme)
     # one group size for every policy, so storage/traffic are comparable:
     # the geo-spread-feasible k = n_sites - m
@@ -149,10 +125,10 @@ def build_geo_scenario(cfg: GeoConfig, tracer: Tracer | None = None):
         if cfg.group_size is not None
         else max(1, cfg.n_sites - scheme.n_shards)
     )
-    domains = geo.domain_map("site") if cfg.policy == "geo-spread" else None
-    ck = dvdc(
-        cluster, group_size=group_size, strategy=IncrementalCapture(),
-        tracer=tracer, scheme=scheme, domains=domains,
+    sim, cluster, ck, rngs, tracer = build_scenario(
+        cfg, geo_cluster_spec(geo, allocator=cfg.allocator), tracer,
+        group_size=group_size, scheme=scheme,
+        domains=geo.domain_map("site") if cfg.policy == "geo-spread" else None,
     )
     replicator = None
     if cfg.policy == "remus-async":
@@ -160,13 +136,6 @@ def build_geo_scenario(cfg: GeoConfig, tracer: Tracer | None = None):
         for vm_id in sorted(cluster.vms):
             replicator.standby_node(vm_id)  # fixed assignment up front
     return sim, cluster, ck, replicator, geo, rngs, tracer
-
-
-def _dirty_epoch(cluster, rngs: RngRegistry, cfg: GeoConfig) -> None:
-    for vm in cluster.all_vms:
-        rng = rngs.stream(f"dirty/vm{vm.vm_id}")
-        idx = rng.integers(0, cfg.image_pages, size=cfg.dirty_pages_per_vm)
-        vm.image.touch_pages(idx, rng)
 
 
 def _committed_checksums(cluster) -> dict[int, int]:
@@ -298,21 +267,13 @@ def run_geo_point(cfg: GeoConfig, collect_digests: bool = False) -> dict:
     """
     sim, cluster, ck, replicator, geo, rngs, tracer = build_geo_scenario(cfg)
 
-    def run_proc(gen):
-        proc = sim.process(gen)
-        sim.run()
-        if proc.ok is False:
-            raise proc.value
-        return proc.value
-
     epoch_log: dict[int, dict[int, int]] = {}
     replicate_until = cfg.epochs - cfg.lag_epochs
     for e in range(cfg.epochs):
-        _dirty_epoch(cluster, rngs, cfg)
-        run_proc(ck.run_cycle())
+        run_epochs(sim, cluster, ck, rngs, cfg, epochs=1)
         epoch_log[ck.committed_epoch] = _committed_checksums(cluster)
         if replicator is not None and (e + 1) <= replicate_until:
-            run_proc(replicator.replicate_epoch())
+            run_process(sim, replicator.replicate_epoch())
 
     result: dict = {
         "policy": cfg.policy,
@@ -350,12 +311,12 @@ def run_geo_point(cfg: GeoConfig, collect_digests: bool = False) -> dict:
 
         restored_epochs: dict[int, int] = {}
         if not beyond:
-            run_proc(ck.recover(dead_nodes[0]))
+            run_process(sim, ck.recover(dead_nodes[0]))
             restored_epochs = {
                 vm.vm_id: ck.committed_epoch for vm in cluster.all_vms
             }
         elif replicator is not None:
-            salvage = run_proc(replicator.salvage_cluster())
+            salvage = run_process(sim, replicator.salvage_cluster())
             result["rollback_epochs"] = salvage.rollback_epochs
             result["salvaged_vms"] = len(salvage.salvaged)
             result["data_lost"] = bool(salvage.unsalvageable)
@@ -390,14 +351,13 @@ def run_geo_point(cfg: GeoConfig, collect_digests: bool = False) -> dict:
             cluster.topology.set_site_wan_up(site, True, reason="site repaired")
         if result["survived"]:
             if cfg.policy == "geo-spread":
-                moved = run_proc(respread_groups(ck, cluster, domains, tracer))
+                moved = run_process(sim, respread_groups(ck, cluster, domains, tracer))
                 result["respread_vms"] = len(moved)
-            run_proc(ck.heal())
-            _dirty_epoch(cluster, rngs, cfg)
-            run_proc(ck.run_cycle())
+            run_process(sim, ck.heal())
+            run_epochs(sim, cluster, ck, rngs, cfg, epochs=1)
             epoch_log[ck.committed_epoch] = _committed_checksums(cluster)
             if replicator is not None:
-                run_proc(replicator.replicate_epoch())
+                run_process(sim, replicator.replicate_epoch())
             from ..audit import audit_cluster
 
             audit = audit_cluster(
@@ -476,71 +436,3 @@ def run_geo_study(
             "mean_wan_bytes": sum(r["wan_bytes"] for r in rows) / len(rows),
         }
     return {"config": cfg.__dict__ | {}, "cells": cells, "summary": summary}
-
-
-def generate_geo_bench(quick: bool = False, log=lambda msg: None) -> dict:
-    """The ``repro bench geo`` payload: policy survival matrix under a
-    full-site kill, with the domain-correlated window-loss model
-    Monte-Carlo corroborated alongside.
-    """
-    from ..model import (
-        estimate_geo_window_loss,
-        geo_window_loss_probability,
-        worst_domain_cost,
-    )
-
-    seeds = (0,) if quick else (0, 1)
-    cfg = GeoConfig(n_nodes=12, n_sites=3, epochs=2, kill_site=-1)
-    log(f"geo survival matrix: {len(POLICIES)} policies x {len(seeds)} seeds")
-    study = run_geo_study(cfg, seeds=seeds)
-
-    log("window-loss model vs Monte-Carlo (correlated site terms)")
-    lam, window, n_nodes, n_sites = 1e-4, 600.0, cfg.n_nodes, cfg.n_sites
-    site_rate = 1e-5
-    model_points = []
-    for policy in POLICIES:
-        sim, cluster, ck, _rep, geo, _rngs, _tr = build_geo_scenario(
-            replace(cfg, policy=policy)
-        )
-        cost = worst_domain_cost(ck.layout, cluster, geo.domain_map("site"))
-        closed = geo_window_loss_probability(
-            lam, n_nodes, window, tolerance=ck.scheme.tolerance,
-            site_rate=site_rate, n_sites=n_sites, site_cost=cost,
-        )
-        mc = estimate_geo_window_loss(
-            np.random.default_rng([7, 0x6E0]), lam, n_nodes, window,
-            n_runs=20000 if not quick else 4000,
-            tolerance=ck.scheme.tolerance,
-            site_rate=site_rate, n_sites=n_sites, site_cost=cost,
-        )
-        agrees = abs(mc.mean - closed) <= max(4 * mc.std_error, 1e-4)
-        # the policy-differentiating prediction: a lone site outage
-        # exceeds local tolerance iff the layout stacks more elements
-        # per site than the scheme absorbs — checked against the
-        # simulated survival matrix below
-        predicted_beyond = cost > ck.scheme.tolerance
-        sim_beyond = [
-            bool(c["beyond_tolerance"])
-            for c in study["cells"]
-            if c["policy"] == policy
-        ]
-        model_points.append({
-            "policy": policy,
-            "site_cost": cost,
-            "closed_form": closed,
-            "mc_mean": mc.mean,
-            "mc_std_error": mc.std_error,
-            "agrees": agrees,
-            "predicted_beyond_tolerance": predicted_beyond,
-            "matches_sim": all(s == predicted_beyond for s in sim_beyond),
-        })
-    return {
-        "bench": "geo",
-        "quick": quick,
-        "summary": study["summary"],
-        "cells": study["cells"],
-        "model": {
-            "lam": lam, "window": window, "site_rate": site_rate,
-            "points": model_points,
-        },
-    }

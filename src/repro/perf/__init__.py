@@ -1,19 +1,19 @@
-"""Performance harness: scale scenarios, digests, regression checks.
+"""The canonical scale scenario: builder, epoch driver, digests.
 
-``repro.perf`` owns the thousand-node scaling story: a canonical DVDC
-scale scenario (:func:`~repro.perf.scale.run_scale_point`), bit-exact
-run digests used by the differential/golden tests, the cancel-heavy
-event-heap microbenchmark, and the ``BENCH_scale.json`` baseline
-comparison behind ``repro bench scale`` and the perf-regression CI job.
+``repro.perf`` is one thin scenario module, :mod:`~repro.perf.scale`:
+the shared scenario body the flat and geo builders call, the epoch
+driver, the bit-exact run digests the golden tests pin, and the
+cancel-heavy event-heap probe.  It measures no wall-clock throughput —
+the repo's one bench harness is ``benchmarks/e2e/`` (``BENCHMARK.json``).
 """
 
 from .scale import (
     ScaleConfig,
     build_scale_scenario,
-    compare_to_baseline,
-    generate_bench,
-    coding_throughput_bench,
+    build_scenario,
     heap_cancel_bench,
+    run_epochs,
+    run_process,
     run_scale_point,
     scenario_digests,
 )
@@ -21,10 +21,10 @@ from .scale import (
 __all__ = [
     "ScaleConfig",
     "build_scale_scenario",
-    "compare_to_baseline",
-    "generate_bench",
-    "coding_throughput_bench",
+    "build_scenario",
     "heap_cancel_bench",
+    "run_epochs",
+    "run_process",
     "run_scale_point",
     "scenario_digests",
 ]

@@ -1,31 +1,31 @@
-"""The canonical DVDC scale scenario and its measurement harness.
+"""The canonical DVDC scale scenario: builder, epoch driver, digests.
 
-One scenario, three consumers:
+One scenario body, shared by every study that needs "a DVDC cluster
+running incremental checkpoint epochs":
 
-* ``benchmarks/bench_scale.py`` times it at 64/256/1024 nodes and writes
-  ``BENCH_scale.json``;
-* ``tests/test_golden_determinism.py`` digests a small instance and pins
-  the digests against ``tests/golden/``;
-* ``repro bench scale`` runs it from the CLI and gates PRs against the
-  recorded baseline.
+* :func:`build_scale_scenario` (flat fabric) and
+  :func:`repro.geo.study.build_geo_scenario` (multi-site fabric) both
+  call :func:`build_scenario` with their own ``ClusterSpec`` and
+  checkpointer arguments;
+* :func:`run_epochs` is the one dirty → ``run_cycle`` → drain loop the
+  golden tests, the campaign task kinds and the geo study drive;
+* :func:`scenario_digests` hashes everything a perf change must not
+  move, which is how ``tests/golden/`` and ``benchmarks/e2e/`` prove the
+  optimized and reference paths bit-identical.
 
-The scenario is a 4-VMs-per-node DVDC cluster running incremental
-checkpoint epochs: each epoch every VM dirties a few pages from its own
-named RNG stream, then one coordinated cycle captures deltas, exchanges
-them to parity nodes, folds parity, and commits.  Every knob that the
-perf work touches (fluid-flow allocator, COW snapshots, buffer pool) is
-a parameter, so the same function measures the optimized and reference
-paths and *proves them bit-identical* via :func:`scenario_digests`.
+Each epoch every VM dirties a few pages from its own named RNG stream,
+then one coordinated cycle captures deltas, exchanges them to parity
+nodes, folds parity, and commits.  Nothing here reads the host clock
+except :func:`heap_cancel_bench` (an e2e layer probe); wall-clock
+measurement lives in ``benchmarks/e2e/`` only.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
-import resource
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,13 +39,13 @@ from ..sim.rng import RngRegistry
 
 __all__ = [
     "ScaleConfig",
+    "build_scenario",
     "build_scale_scenario",
+    "run_process",
+    "run_epochs",
     "run_scale_point",
     "scenario_digests",
     "heap_cancel_bench",
-    "coding_throughput_bench",
-    "generate_bench",
-    "compare_to_baseline",
 ]
 
 
@@ -70,20 +70,28 @@ class ScaleConfig:
         return self.n_nodes * self.vms_per_node
 
 
-def build_scale_scenario(cfg: ScaleConfig, tracer: Tracer | None = None):
-    """Construct (sim, cluster, checkpointer, rngs, tracer) for ``cfg``.
+def build_scenario(cfg, spec: ClusterSpec, tracer: Tracer | None = None,
+                   cow: bool = True, **checkpointer):
+    """Construct ``(sim, cluster, checkpointer, rngs, tracer)`` on ``spec``.
 
+    ``cfg`` supplies ``seed``, ``trace``, ``n_vms``, ``image_pages`` and
+    ``page_size``; ``checkpointer`` is forwarded to
+    :func:`~repro.core.architectures.dvdc` (group size, scheme, domains).
     ``tracer`` overrides the default (``Tracer()`` when ``cfg.trace``,
     else the null tracer) — the golden tests pass a telemetry ``Probe``
     here to export span timelines of the exact same scenario.
     """
+    for name in ("image_pages", "page_size"):
+        # 0 means "no functional image" to create_vm; configs reach here
+        # from campaign spec files, so reject it by name
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)}")
     sim = Simulator()
     if tracer is None:
         tracer = Tracer() if cfg.trace else NULL_TRACER
-    spec = ClusterSpec(n_nodes=cfg.n_nodes, allocator=cfg.allocator)
     rngs = RngRegistry(cfg.seed)
     old_cow = memory.DEFAULT_COW
-    memory.DEFAULT_COW = cfg.cow
+    memory.DEFAULT_COW = cow
     try:
         cluster = VirtualCluster(sim, spec, tracer=tracer)
         # placement routed through the control plane's engine; on an
@@ -102,82 +110,54 @@ def build_scale_scenario(cfg: ScaleConfig, tracer: Tracer | None = None):
     finally:
         memory.DEFAULT_COW = old_cow
     ckpt = dvdc(
-        cluster, group_size=cfg.group_size, strategy=IncrementalCapture(),
-        tracer=tracer,
+        cluster, strategy=IncrementalCapture(), tracer=tracer, **checkpointer
     )
     return sim, cluster, ckpt, rngs, tracer
 
 
-def _dirty_epoch(cluster, rngs: RngRegistry, cfg: ScaleConfig) -> None:
+def build_scale_scenario(cfg: ScaleConfig, tracer: Tracer | None = None):
+    """The flat-fabric scenario: ``(sim, cluster, checkpointer, rngs, tracer)``."""
+    spec = ClusterSpec(n_nodes=cfg.n_nodes, allocator=cfg.allocator)
+    return build_scenario(
+        cfg, spec, tracer, cow=cfg.cow, group_size=cfg.group_size
+    )
+
+
+def _dirty_epoch(cluster, rngs: RngRegistry, cfg) -> None:
     for vm in cluster.all_vms:
         rng = rngs.stream(f"dirty/vm{vm.vm_id}")
         idx = rng.integers(0, cfg.image_pages, size=cfg.dirty_pages_per_vm)
         vm.image.touch_pages(idx, rng)
 
 
-def run_scale_point(
-    cfg: ScaleConfig,
-    max_wall: float | None = None,
-    collect_digests: bool = False,
-) -> dict:
-    """Run the scenario and measure it.
+def run_process(sim, gen):
+    """Run ``gen`` as a process until the queue drains; re-raise its
+    failure, else return its value."""
+    proc = sim.process(gen)
+    sim.run()
+    if proc.ok is False:
+        raise proc.value
+    return proc.value
 
-    ``max_wall`` caps wall-clock seconds: the run stops mid-epoch once
-    exceeded (``aborted: True``) but still reports events/sec over the
-    events it did execute — how the intractably slow reference allocator
-    is measured at 1024 nodes.  Construction/teardown are excluded from
-    the timed window.
-    """
-    sim, cluster, ckpt, rngs, tracer = build_scale_scenario(cfg)
-    epochs_done = 0
-    aborted = False
-    t0 = time.perf_counter()
-    deadline = None if max_wall is None else t0 + max_wall
-    for _ in range(cfg.epochs):
+
+def run_epochs(sim, cluster, ckpt, rngs, cfg, epochs: int | None = None) -> None:
+    """The epoch driver: ``epochs`` (default ``cfg.epochs``) rounds of
+    every VM dirtying pages, then one coordinated cycle run to
+    completion."""
+    for _ in range(cfg.epochs if epochs is None else epochs):
         _dirty_epoch(cluster, rngs, cfg)
-        proc = sim.process(ckpt.run_cycle())
-        if deadline is None:
-            sim.run()
-        else:
-            # chunked run(): the deadline check lands every 256 events,
-            # exactly like the historical per-step loop, without paying
-            # per-event dispatch overhead in Python
-            while True:
-                before = sim.event_count
-                sim.run(max_events=256)
-                if sim.event_count - before < 256:
-                    break  # queue drained inside the chunk
-                if time.perf_counter() > deadline:
-                    aborted = True
-                    break
-        if aborted:
-            break
-        if proc.ok is False:
-            raise proc.value
-        epochs_done += 1
-    wall = time.perf_counter() - t0
-    events = sim.event_count
-    result = {
-        "n_nodes": cfg.n_nodes,
-        "n_vms": cfg.n_vms,
-        "allocator": cfg.allocator,
-        "cow": cfg.cow,
-        "epochs_requested": cfg.epochs,
-        "epochs_completed": epochs_done,
-        "aborted": aborted,
-        "events": events,
-        "wall_seconds": wall,
-        "events_per_sec": events / wall if wall > 0 else 0.0,
-        "epochs_per_sec": epochs_done / wall if (wall > 0 and not aborted) else None,
+        run_process(sim, ckpt.run_cycle())
+
+
+def run_scale_point(cfg: ScaleConfig) -> dict:
+    """Run the scenario for ``cfg.epochs`` epochs and digest it."""
+    sim, cluster, ckpt, rngs, tracer = build_scale_scenario(cfg)
+    run_epochs(sim, cluster, ckpt, rngs, cfg)
+    return {
+        "events": sim.event_count,
         "sim_time": sim.now,
-        "heap_compactions": sim.compactions,
-        # Linux ru_maxrss is KiB; process high-water mark, so across
-        # several points in one process it only grows — warn-only metric
-        "peak_rss_bytes": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024,
+        "digests": scenario_digests(sim, cluster, ckpt, rngs, tracer),
     }
-    if collect_digests and not aborted:
-        result["digests"] = scenario_digests(sim, cluster, ckpt, rngs, tracer)
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -295,240 +275,3 @@ def heap_cancel_bench(n_events: int, cancel_fraction: float = 0.9,
 
 def _noop() -> None:
     pass
-
-
-# ----------------------------------------------------------------------
-# BENCH_scale.json generation
-def coding_throughput_bench(k: int = 8, m: int = 2,
-                            member_bytes: int = 1 << 20,
-                            rounds: int = 3) -> dict:
-    """Encode/decode throughput of RS(k,m) next to the XOR parity path.
-
-    Times best-of-``rounds`` passes over ``k`` members of
-    ``member_bytes`` each: a full encode, and a decode of a
-    double-member erasure for RS (single-member for XOR).  Absolute
-    MB/s is host-dependent; the RS-vs-XOR *ratio* is the
-    hardware-independent number the regression gate checks.
-
-    The XOR kernels finish a quick-size pass in microseconds, where a
-    single ``perf_counter`` delta is mostly noise — each measurement
-    therefore repeats its stage until ~5 ms of wall clock accumulates
-    and reports the per-pass time, so the ratio is stable enough to
-    gate on.
-    """
-    from ..coding import ReedSolomonScheme, XorScheme
-
-    rng = np.random.default_rng(0)
-    members = [
-        rng.integers(0, 256, member_bytes, dtype=np.uint8) for _ in range(k)
-    ]
-    rs = ReedSolomonScheme(m=m, k_hint=k)
-    xor = XorScheme()
-    data_bytes = float(k * member_bytes)
-    min_wall = 5e-3
-
-    def best(fn) -> float:
-        # calibrate repetitions so one measurement spans >= min_wall
-        t0 = time.perf_counter()
-        fn()
-        once = max(time.perf_counter() - t0, 1e-9)
-        reps = max(1, int(math.ceil(min_wall / once)))
-        elapsed = []
-        for _ in range(rounds):
-            t0 = time.perf_counter()
-            for _ in range(reps):
-                fn()
-            elapsed.append((time.perf_counter() - t0) / reps)
-        return min(elapsed)
-
-    rs_shards = rs.encode(members)       # warm the Cauchy matrix cache
-    xor_shards = xor.encode(members)
-    rs_erased = [None, None] + members[2:] if k > 2 else [None] * k
-    xor_erased = [None] + members[1:]
-
-    rs_encode = best(lambda: rs.encode(members))
-    rs_decode = best(
-        lambda: rs.reconstruct(rs_erased, rs_shards, nbytes=member_bytes)
-    )
-    xor_encode = best(lambda: xor.encode(members))
-    xor_decode = best(
-        lambda: xor.reconstruct(xor_erased, xor_shards, nbytes=member_bytes)
-    )
-    return {
-        "k": k,
-        "m": m,
-        "member_bytes": member_bytes,
-        "rs_encode_mbps": data_bytes / rs_encode / 1e6,
-        "rs_decode_mbps": data_bytes / rs_decode / 1e6,
-        "xor_encode_mbps": data_bytes / xor_encode / 1e6,
-        "xor_decode_mbps": data_bytes / xor_decode / 1e6,
-        "rs_vs_xor_encode_ratio": xor_encode / rs_encode,
-        "rs_vs_xor_decode_ratio": xor_decode / rs_decode,
-    }
-
-
-# ----------------------------------------------------------------------
-#: Node counts of the full sweep.  The calendar-queue engine extends the
-#: paper-scale story past 1024 nodes to 4096 and 10240 (10k nodes /
-#: 40960 VMs); --quick runs the 64-node anchor plus the 4096-node
-#: calendar-queue point so PR gating covers the large-scale path too.
-FULL_NODES = (64, 256, 1024, 4096, 10240)
-QUICK_NODES = (64, 4096)
-#: Above this size the reference allocator cannot finish an epoch in
-#: reasonable time; it is measured events/sec over a capped window and
-#: epoch throughput is derived (both allocators execute bit-identical
-#: event streams, so events/epoch transfers exactly).
-REF_FULL_MAX_NODES = 64
-REF_WALL_CAP = 20.0
-
-
-def generate_bench(quick: bool = False, epochs: int = 3,
-                   ref_cap: float = REF_WALL_CAP,
-                   log=lambda msg: None) -> dict:
-    """Run the scale sweep and return the ``BENCH_scale.json`` payload.
-
-    Every generation starts with a differential run at 64 nodes proving
-    the optimized paths bit-identical to the reference allocator (and COW
-    to plain copies) — a bench whose numbers describe a *wrong* simulator
-    would be worse than no bench.
-    """
-    nodes = QUICK_NODES if quick else FULL_NODES
-    log("differential check at 64 nodes (incremental vs reference, COW vs copy)")
-    diff_cfg = ScaleConfig(n_nodes=64, epochs=2, trace=True)
-    digests = {
-        "incremental": run_scale_point(diff_cfg, collect_digests=True)["digests"],
-        "reference": run_scale_point(
-            ScaleConfig(n_nodes=64, epochs=2, allocator="reference", trace=True),
-            collect_digests=True,
-        )["digests"],
-        "no_cow": run_scale_point(
-            ScaleConfig(n_nodes=64, epochs=2, cow=False, trace=True),
-            collect_digests=True,
-        )["digests"],
-    }
-    if not (digests["incremental"] == digests["reference"] == digests["no_cow"]):
-        raise RuntimeError(
-            f"differential check failed — optimized paths are not "
-            f"bit-identical: {digests}"
-        )
-    points = []
-    for n in nodes:
-        log(f"{n} nodes: incremental allocator, {epochs} epochs")
-        inc = run_scale_point(ScaleConfig(n_nodes=n, epochs=epochs))
-        cap = None if n <= REF_FULL_MAX_NODES else ref_cap
-        log(f"{n} nodes: reference allocator"
-            + (f" (capped at {cap:.0f}s wall)" if cap else ""))
-        ref = run_scale_point(
-            ScaleConfig(n_nodes=n, epochs=epochs, allocator="reference"),
-            max_wall=cap,
-        )
-        events_per_epoch = inc["events"] / max(inc["epochs_completed"], 1)
-        ref_epochs_per_sec = (
-            ref["epochs_per_sec"]
-            if ref["epochs_per_sec"]
-            else ref["events_per_sec"] / events_per_epoch
-        )
-        speedup = (
-            inc["events_per_sec"] / ref["events_per_sec"]
-            if ref["events_per_sec"]
-            else None
-        )
-        points.append({
-            "n_nodes": n,
-            "n_vms": inc["n_vms"],
-            "epochs": inc["epochs_completed"],
-            "events": inc["events"],
-            "events_per_sec": inc["events_per_sec"],
-            "epochs_per_sec": inc["epochs_per_sec"],
-            "peak_rss_bytes": inc["peak_rss_bytes"],
-            "heap_compactions": inc["heap_compactions"],
-            "reference_events_per_sec": ref["events_per_sec"],
-            "reference_epochs_per_sec": ref_epochs_per_sec,
-            "reference_capped": bool(ref["aborted"]),
-            "speedup_vs_reference": speedup,
-        })
-    log("event-heap cancel-heavy microbenchmark")
-    heap = heap_cancel_bench(200_000 if not quick else 50_000)
-    log("RS(8,2) vs XOR coding throughput")
-    coding = coding_throughput_bench(
-        member_bytes=(1 << 20) if not quick else (1 << 18)
-    )
-    return {
-        "bench": "scale",
-        "quick": quick,
-        "config": {
-            "vms_per_node": 4, "group_size": 4, "epochs": epochs, "seed": 0,
-            "image_pages": 16, "page_size": 64, "dirty_pages_per_vm": 4,
-        },
-        "differential_digests_identical": True,
-        "points": points,
-        "heap_bench": heap,
-        "coding_bench": coding,
-    }
-
-
-# ----------------------------------------------------------------------
-# baseline comparison (the CI regression gate)
-# ----------------------------------------------------------------------
-def compare_to_baseline(current: dict, baseline: dict,
-                        tolerance: float = 0.20) -> tuple[list[str], list[str]]:
-    """Compare a fresh bench result against a recorded baseline.
-
-    Returns ``(failures, warnings)``.  The *hard* gate is hardware
-    independent: the incremental-vs-reference speedup ratio at each
-    common node count must not regress by more than ``tolerance``.
-    Absolute throughput and RSS vary with the host, so they only warn.
-    """
-    failures: list[str] = []
-    warnings: list[str] = []
-    base_points = {p["n_nodes"]: p for p in baseline.get("points", [])}
-    for point in current.get("points", []):
-        n = point["n_nodes"]
-        base = base_points.get(n)
-        if base is None:
-            continue
-        cur_ratio = point.get("speedup_vs_reference")
-        base_ratio = base.get("speedup_vs_reference")
-        if cur_ratio and base_ratio:
-            if cur_ratio < base_ratio * (1.0 - tolerance):
-                failures.append(
-                    f"{n} nodes: incremental/reference speedup regressed "
-                    f"{base_ratio:.1f}x -> {cur_ratio:.1f}x "
-                    f"(tolerance {tolerance:.0%})"
-                )
-        cur_eps = point.get("events_per_sec")
-        base_eps = base.get("events_per_sec")
-        if cur_eps and base_eps and cur_eps < base_eps * (1.0 - tolerance):
-            warnings.append(
-                f"{n} nodes: absolute throughput {base_eps:,.0f} -> "
-                f"{cur_eps:,.0f} events/s (host-dependent; warn only)"
-            )
-        cur_rss = point.get("peak_rss_bytes")
-        base_rss = base.get("peak_rss_bytes")
-        if cur_rss and base_rss and cur_rss > base_rss * (1.0 + tolerance):
-            warnings.append(
-                f"{n} nodes: peak RSS {base_rss / 1e6:.0f}MB -> "
-                f"{cur_rss / 1e6:.0f}MB (noisy; warn only)"
-            )
-    cur_coding = current.get("coding_bench")
-    base_coding = baseline.get("coding_bench")
-    if cur_coding and base_coding:
-        for stage in ("encode", "decode"):
-            cur_ratio = cur_coding.get(f"rs_vs_xor_{stage}_ratio")
-            base_ratio = base_coding.get(f"rs_vs_xor_{stage}_ratio")
-            # ratio = RS throughput as a fraction of XOR throughput on
-            # the same host; RS getting *slower* drops the ratio
-            if cur_ratio and base_ratio and cur_ratio < base_ratio * (1.0 - tolerance):
-                failures.append(
-                    f"coding: RS(8,2) {stage} regressed vs XOR "
-                    f"{base_ratio:.3f} -> {cur_ratio:.3f} of XOR throughput "
-                    f"(tolerance {tolerance:.0%})"
-                )
-            cur_mbps = cur_coding.get(f"rs_{stage}_mbps")
-            base_mbps = base_coding.get(f"rs_{stage}_mbps")
-            if cur_mbps and base_mbps and cur_mbps < base_mbps * (1.0 - tolerance):
-                warnings.append(
-                    f"coding: RS(8,2) {stage} {base_mbps:,.0f} -> "
-                    f"{cur_mbps:,.0f} MB/s (host-dependent; warn only)"
-                )
-    return failures, warnings

@@ -120,14 +120,6 @@ class TestResultStore:
         assert len(store.records()) == 2
         assert len(store.records(kind="mc_chunk")) == 1
 
-    def test_write_report_merges(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
-        path = tmp_path / "report.json"
-        store.write_report(path, "a", {"x": 1})
-        doc = store.write_report(path, "b", {"y": 2})
-        assert doc == {"a": {"x": 1}, "b": {"y": 2}}
-        assert json.loads(path.read_text()) == doc
-
 
 def _tiny_fig5_tasks(n_points=4):
     from repro.campaign import fig5_sweep

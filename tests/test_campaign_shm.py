@@ -3,14 +3,10 @@
 Covers :mod:`repro.campaign.shm` (segment round trips, recursive
 extract/restore, JSON-safe stripping), the runner integration (pooled
 workers publish arrays to shared memory instead of pickling them back),
-and two store bugfixes that ride along:
-
-* ``ResultStore.write_report`` is atomic (temp file + ``os.replace``) —
-  the pre-fix implementation wrote the report in place, so a crash
-  mid-write left a truncated JSON document behind;
-* ``ResultStore._load`` compaction rewrites one line per key (last
-  wins) — the pre-fix implementation kept every superseded duplicate
-  line forever, so a store two campaigns raced on never shrank.
+and a store bugfix that rides along: ``ResultStore._load`` compaction
+rewrites one line per key (last wins) — the pre-fix implementation kept
+every superseded duplicate line forever, so a store two campaigns raced
+on never shrank.
 """
 
 from __future__ import annotations
@@ -179,48 +175,6 @@ class TestRunnerIntegration:
         warm = CampaignRunner(store=store, jobs=1).run(tasks)
         assert warm.n_cached == 1
         assert STUB_KEY in warm.values()[0]["images"]["0"]
-
-
-# ---------------------------------------------------------------------------
-# satellite bugfix: atomic write_report
-# ---------------------------------------------------------------------------
-class TestAtomicWriteReport:
-    def test_partial_write_crash_preserves_previous_report(
-        self, tmp_path, monkeypatch
-    ):
-        """A crash mid-write must leave the previous document intact.
-
-        Pre-fix, ``write_report`` wrote the live report in place, so a
-        partial write followed by a crash left a truncated JSON document
-        — this test fails there.  Post-fix the partial write lands on a
-        temp file and ``os.replace`` never runs, so the original bytes
-        survive untouched.
-        """
-        from pathlib import Path
-
-        store = ResultStore(tmp_path / "s")
-        report = tmp_path / "report.json"
-        store.write_report(report, "a", {"x": 1})
-        before = report.read_text()
-
-        def partial_write_text(self, text, *args, **kwargs):
-            with open(self, "w", encoding="utf-8") as fh:
-                fh.write(text[:7])  # a few bytes land ...
-            raise OSError("disk full mid-write")  # ... then the disk fills
-
-        monkeypatch.setattr(Path, "write_text", partial_write_text)
-        with pytest.raises(OSError):
-            store.write_report(report, "b", {"y": 2})
-        monkeypatch.undo()
-        assert report.read_text() == before
-        assert json.loads(before) == {"a": {"x": 1}}
-
-    def test_no_stale_tmp_after_success(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
-        report = tmp_path / "report.json"
-        store.write_report(report, "a", {"x": 1})
-        leftovers = [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
-        assert leftovers == []
 
 
 # ---------------------------------------------------------------------------

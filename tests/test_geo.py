@@ -5,6 +5,8 @@ local-parity loses)."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,22 @@ class TestSurvivalMatrix:
         assert s["remus-async"]["survived"] == 2
         assert s["remus-async"]["beyond_tolerance"] == 2
         assert s["remus-async"]["mean_rollback_epochs"] == 1.0
+        # the layout-level prediction agrees with every simulated cell:
+        # a lone site outage exceeds local tolerance iff the layout
+        # stacks more elements per site than the scheme absorbs
+        from repro.geo.study import build_geo_scenario
+
+        for policy in s:
+            _sim, cluster, ck, _r, geo, _rng, _t = build_geo_scenario(
+                replace(cfg, policy=policy)
+            )
+            predicted = worst_domain_cost(
+                ck.layout, cluster, geo.domain_map("site")
+            ) > ck.scheme.tolerance
+            cells = [c for c in study["cells"] if c["policy"] == policy]
+            assert cells and all(
+                c["beyond_tolerance"] == predicted for c in cells
+            ), policy
 
     def test_remus_lag_window_scales_rollback(self):
         r = run_geo_point(GeoConfig(

@@ -26,12 +26,13 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.perf import ScaleConfig, build_scale_scenario, run_scale_point
-from repro.perf.scale import _dirty_epoch, scenario_digests
+from repro.geo.study import GeoConfig, build_geo_scenario
+from repro.perf import ScaleConfig, build_scale_scenario, run_epochs, run_scale_point
 from repro.telemetry import Probe
 from repro.telemetry.export import chrome_trace
 
@@ -46,7 +47,7 @@ def _golden() -> dict:
 
 def _run_digests(allocator: str = "incremental", cow: bool = True) -> dict:
     cfg = ScaleConfig(**GOLDEN_CFG, allocator=allocator, cow=cow, trace=True)
-    return run_scale_point(cfg, collect_digests=True)
+    return run_scale_point(cfg)
 
 
 def _chrome_trace_bytes() -> bytes:
@@ -55,11 +56,7 @@ def _chrome_trace_bytes() -> bytes:
     cfg = ScaleConfig(**GOLDEN_CFG, trace=True)
     probe = Probe()
     sim, cluster, ckpt, rngs, _ = build_scale_scenario(cfg, tracer=probe)
-    for _ in range(cfg.epochs):
-        _dirty_epoch(cluster, rngs, cfg)
-        proc = sim.process(ckpt.run_cycle())
-        sim.run()
-        assert proc.ok
+    run_epochs(sim, cluster, ckpt, rngs, cfg)
     doc = chrome_trace(probe.spans, clock="sim")
     return (json.dumps(doc, indent=1) + "\n").encode("utf-8")
 
@@ -109,6 +106,41 @@ def test_chrome_trace_byte_stable_and_pinned():
     b = _chrome_trace_bytes()
     assert a == b, "chrome trace export must be byte-identical run to run"
     assert hashlib.sha256(a).hexdigest() == _golden()["chrome_trace_sha256"]
+
+
+# ---------------------------------------------------------------------------
+# the shared scenario builder and epoch driver
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "n_nodes",
+    [64, 256,
+     pytest.param(4096, marks=pytest.mark.slow),
+     pytest.param(10240, marks=pytest.mark.slow)],
+)
+def test_large_cluster_path_does_the_same_work_per_vm(n_nodes):
+    """The scenario completes at every size and its event count is
+    exactly affine in the VM count: 4.5 events per VM-epoch plus 5 per
+    cycle, so 3 epochs cost ``13.5 * n_vms + 15`` events from 64 to
+    10240 nodes."""
+    cfg = ScaleConfig(n_nodes=n_nodes, epochs=3)
+    sim, cluster, ckpt, rngs, _ = build_scale_scenario(cfg)
+    run_epochs(sim, cluster, ckpt, rngs, cfg)
+    assert [r.committed for r in ckpt.history] == [True] * cfg.epochs
+    assert 2 * sim.event_count == 27 * cfg.n_vms + 30
+
+
+@pytest.mark.parametrize(
+    "build,config",
+    [(build_scale_scenario, ScaleConfig(n_nodes=8)),
+     (build_geo_scenario, GeoConfig())],
+    ids=["scale", "geo"],
+)
+def test_scenario_rejects_empty_images_by_field_name(build, config):
+    """Both configs arrive from ``repro campaign --spec`` JSON; 0 pages
+    used to die deep in the builder with an AttributeError on None."""
+    for field in ("image_pages", "page_size"):
+        with pytest.raises(ValueError, match=field):
+            build(replace(config, **{field: 0}))
 
 
 # ---------------------------------------------------------------------------

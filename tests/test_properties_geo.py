@@ -227,8 +227,7 @@ class TestSingleSiteBitTransparent:
         from repro.perf import ScaleConfig, run_scale_point
 
         scale = run_scale_point(
-            ScaleConfig(n_nodes=12, epochs=2, seed=3, trace=True),
-            collect_digests=True,
+            ScaleConfig(n_nodes=12, epochs=2, seed=3, trace=True)
         )
         geo = run_geo_point(
             GeoConfig(
