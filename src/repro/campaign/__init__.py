@@ -5,13 +5,14 @@ independent task units with deterministic seeding, fans them across
 cores, caches completed results content-addressed on disk, and feeds
 them back into the existing analysis tables and figures::
 
-    from repro.campaign import CampaignRunner, ResultStore, fig5_sweep
+    from repro.campaign import CampaignRunner, fig5_sweep
     from repro.campaign import fig5_result_from_values
 
     sweep = fig5_sweep()
-    runner = CampaignRunner(store=ResultStore("campaign_store"), jobs=4)
+    runner = CampaignRunner(store="campaign_store", jobs=4)
     result = runner.run(sweep.expand())        # resumable: hits are free
 
+Task values are JSON values, so a cached result equals a fresh one.
 See ``docs/campaigns.md`` for the spec format, seeding guarantees,
 store layout, and resume semantics.
 """
@@ -23,7 +24,6 @@ from .aggregate import (
     study_outcome_from_values,
 )
 from .presets import (
-    PRESETS,
     fig5_sweep,
     run_fig5_campaign,
     run_study_campaign,
@@ -37,16 +37,6 @@ from .runner import (
     TaskRun,
     execute_task,
     execute_task_batch,
-)
-from .shm import (
-    SHM_AVAILABLE,
-    ShmArrayRef,
-    extract_arrays,
-    has_arrays,
-    load_array,
-    restore_arrays,
-    share_array,
-    strip_arrays,
 )
 from .spec import Sweep, Task, canonical_json, task_key
 from .store import ResultStore
@@ -73,17 +63,8 @@ __all__ = [
     "run_fig5_campaign",
     "run_validate_campaign",
     "run_study_campaign",
-    "PRESETS",
     "fig5_result_from_values",
     "fig5_series_from_values",
     "mc_estimate_from_values",
     "study_outcome_from_values",
-    "SHM_AVAILABLE",
-    "ShmArrayRef",
-    "share_array",
-    "load_array",
-    "extract_arrays",
-    "restore_arrays",
-    "strip_arrays",
-    "has_arrays",
 ]

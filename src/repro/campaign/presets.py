@@ -27,7 +27,7 @@ from ..model import (
 )
 from ..sim.rng import derive_seed
 from ..telemetry import Probe
-from .runner import CampaignResult, CampaignRunner
+from .runner import CampaignRunner
 from .spec import Sweep, Task
 from .store import ResultStore
 
@@ -38,7 +38,6 @@ __all__ = [
     "run_fig5_campaign",
     "run_validate_campaign",
     "run_study_campaign",
-    "PRESETS",
 ]
 
 #: Default MTBF grid of the ``validate`` command, hours.
@@ -173,17 +172,6 @@ def study_sweep(
     )
 
 
-def _runner(
-    jobs: int,
-    store: ResultStore | str | None,
-    resume: bool,
-    probe: Probe | None = None,
-):
-    if isinstance(store, (str,)) or hasattr(store, "__fspath__"):
-        store = ResultStore(store)
-    return CampaignRunner(store=store, jobs=jobs, resume=resume, probe=probe)
-
-
 def run_fig5_campaign(
     jobs: int = 1,
     store: ResultStore | str | None = None,
@@ -195,8 +183,8 @@ def run_fig5_campaign(
     from .aggregate import fig5_result_from_values
 
     sweep = fig5_sweep(**sweep_kwargs)
-    result = _runner(jobs, store, resume, probe).run(sweep.expand())
-    _raise_if_all_failed(result)
+    result = CampaignRunner(store, jobs, resume, probe).run(sweep.expand())
+    result.raise_if_all_failed()
     base = sweep.base
     fig = fig5_result_from_values(
         result.values("fig5_point"),
@@ -224,8 +212,8 @@ def run_validate_campaign(
     from .aggregate import mc_estimate_from_values
 
     cases, tasks = validate_tasks(**task_kwargs)
-    result = _runner(jobs, store, resume, probe).run(tasks)
-    _raise_if_all_failed(result)
+    result = CampaignRunner(store, jobs, resume, probe).run(tasks)
+    result.raise_if_all_failed()
     rows = []
     for case in cases:
         values = [
@@ -248,25 +236,9 @@ def run_study_campaign(
     from .aggregate import study_outcome_from_values
 
     sweep = study_sweep(**sweep_kwargs)
-    result = _runner(jobs, store, resume, probe).run(sweep.expand())
-    _raise_if_all_failed(result)
+    result = CampaignRunner(store, jobs, resume, probe).run(sweep.expand())
+    result.raise_if_all_failed()
     outcome = study_outcome_from_values(
         result.values("study_cell"), work=sweep.base["work"]
     )
     return outcome, result
-
-
-def _raise_if_all_failed(result: CampaignResult) -> None:
-    if result.n_total and result.n_failed == result.n_total:
-        first = result.failures()[0]
-        raise RuntimeError(
-            f"every campaign task failed; first error: {first.error}"
-        )
-
-
-#: Preset name → the run helper the ``repro campaign`` CLI dispatches to.
-PRESETS = {
-    "fig5": run_fig5_campaign,
-    "validate": run_validate_campaign,
-    "study": run_study_campaign,
-}

@@ -2,7 +2,7 @@
 
 The runner fans independent :class:`~repro.campaign.spec.Task` units out
 across a :class:`~concurrent.futures.ProcessPoolExecutor` (``jobs=1``
-runs inline with no pool).  Three invariants make ``--jobs N`` safe:
+runs inline with no pool).  Four invariants make ``--jobs N`` safe:
 
 * **Seed discipline** — every task carries its own master seed, derived
   from parameter values at expansion time; workers never share or
@@ -10,25 +10,29 @@ runs inline with no pool).  Three invariants make ``--jobs N`` safe:
   serial ones.
 * **Failure isolation** — task functions run inside a catch-all in the
   worker; an exception marks that task failed and the sweep continues.
+* **JSON values** — a value :func:`json.dumps` rejects fails *its*
+  task, so a fresh run returns what the store will serve back.
 * **Deterministic collection** — results are gathered and persisted in
   task-list order regardless of completion order, so stores, aggregated
   tables, and floating-point merges never depend on scheduling.
 
 With a :class:`~repro.campaign.store.ResultStore` attached, completed
 tasks are looked up by content hash first (``resume=True``), so
-re-running a half-finished sweep executes only the missing tasks.
+re-running a half-finished sweep executes only the missing tasks; each
+result is persisted as it is collected, so an interrupted run keeps them.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ..telemetry import NULL_PROBE, Probe
-from . import shm
 from .spec import Task
 from .store import ResultStore
 from .tasks import get_kind
@@ -42,24 +46,19 @@ __all__ = [
 ]
 
 
-def execute_task(task_dict: dict, share_arrays: bool = False) -> dict:
+def execute_task(task_dict: dict) -> dict:
     """Run one task in the current process; never raises.
 
     Top-level (hence picklable) worker entry point.  Returns
     ``{"ok": bool, "value": dict|None, "error": str|None, "elapsed": s}``.
-
-    With ``share_arrays=True`` (the pool path), ndarray leaves of the
-    result value are published into shared memory and replaced by
-    pipe-sized markers (:mod:`repro.campaign.shm`), so page arrays never
-    cross the worker→coordinator pickle channel.
+    A value that is not JSON-serializable fails here, not in the store.
     """
     start = time.perf_counter()
     try:
         task = Task.from_dict(task_dict)
         kind = get_kind(task.kind)
         value = kind.fn(task.params, task.seed)
-        if share_arrays:
-            value = shm.extract_arrays(value)
+        json.dumps(value)
         return {
             "ok": True,
             "value": value,
@@ -75,7 +74,7 @@ def execute_task(task_dict: dict, share_arrays: bool = False) -> dict:
         }
 
 
-def execute_task_batch(task_dicts: list[dict], share_arrays: bool = False) -> list[dict]:
+def execute_task_batch(task_dicts: list[dict]) -> list[dict]:
     """Run a contiguous batch of tasks in the current process.
 
     One pool submission per *batch* instead of per task: pickling and
@@ -85,7 +84,7 @@ def execute_task_batch(task_dicts: list[dict], share_arrays: bool = False) -> li
     through :func:`execute_task`, so isolation and per-task seeding are
     unchanged.
     """
-    return [execute_task(td, share_arrays) for td in task_dicts]
+    return [execute_task(td) for td in task_dicts]
 
 
 @dataclass(frozen=True)
@@ -137,6 +136,12 @@ class CampaignResult:
     def failures(self) -> list[TaskRun]:
         return [r for r in self.runs if not r.ok]
 
+    def raise_if_all_failed(self) -> None:
+        """A sweep with no survivor has nothing to aggregate."""
+        if self.runs and self.n_failed == self.n_total:
+            first = self.failures()[0].error
+            raise RuntimeError(f"every campaign task failed; first error: {first}")
+
     def summary_table(self, title: str = "campaign") -> str:
         from ..analysis import render_table
 
@@ -158,20 +163,23 @@ class CampaignRunner:
     """Execute tasks with optional parallelism and result caching.
 
     ``jobs=1`` runs inline (no subprocess); ``jobs>1`` uses a process
-    pool.  ``store=None`` disables caching; otherwise completed tasks
-    are served from the store when ``resume`` and persisted after
-    execution.
+    pool.  ``store`` is a :class:`ResultStore`, a directory path to open
+    one at, or ``None`` to disable caching; with a store, completed
+    tasks are served from it when ``resume`` and each executed task is
+    persisted as soon as it is collected.
     """
 
     def __init__(
         self,
-        store: ResultStore | None = None,
+        store: ResultStore | str | os.PathLike | None = None,
         jobs: int = 1,
         resume: bool = True,
         probe: Probe | None = None,
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
+        if store is not None and not isinstance(store, ResultStore):
+            store = ResultStore(store)
         self.store = store
         self.jobs = jobs
         self.resume = resume
@@ -183,6 +191,23 @@ class CampaignRunner:
         size = max(1, math.ceil(len(pending) / (jobs * 4)))
         return [pending[i:i + size] for i in range(0, len(pending), size)]
 
+    def _execute(self, tasks: Sequence[Task], pending: list[int]) -> Iterator:
+        """``(index, raw result)`` of each pending task, lazily, in order."""
+        if self.jobs == 1 or not pending:
+            for i in pending:
+                yield i, execute_task(tasks[i].to_dict())
+            return
+        batches = self._chunk(pending, self.jobs)
+        with ProcessPoolExecutor(max_workers=self.jobs) as pool:
+            futures = [
+                pool.submit(
+                    execute_task_batch, [tasks[i].to_dict() for i in batch]
+                )
+                for batch in batches
+            ]
+            for batch, future in zip(batches, futures):
+                yield from zip(batch, future.result())
+
     def run(self, tasks: Sequence[Task]) -> CampaignResult:
         start = time.perf_counter()
         probe = self.probe
@@ -190,7 +215,7 @@ class CampaignRunner:
             "campaign.run", 0.0, track="campaign",
             n_tasks=len(tasks), jobs=self.jobs,
         )
-        outcomes: list[TaskRun | None] = [None] * len(tasks)
+        runs: list[TaskRun | None] = [None] * len(tasks)
 
         pending: list[int] = []
         for i, task in enumerate(tasks):
@@ -198,7 +223,7 @@ class CampaignRunner:
             if self.store is not None and self.resume:
                 rec = self.store.get(task.key)
             if rec is not None:
-                outcomes[i] = TaskRun(
+                runs[i] = TaskRun(
                     task=task,
                     value=rec["value"],
                     cached=True,
@@ -207,42 +232,18 @@ class CampaignRunner:
             else:
                 pending.append(i)
 
-        if pending:
-            if self.jobs == 1:
-                raws = [execute_task(tasks[i].to_dict()) for i in pending]
-            else:
-                batches = self._chunk(pending, self.jobs)
-                share = shm.SHM_AVAILABLE
-                with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                    futures = [
-                        pool.submit(
-                            execute_task_batch,
-                            [tasks[i].to_dict() for i in batch],
-                            share,
-                        )
-                        for batch in batches
-                    ]
-                    raws = [raw for f in futures for raw in f.result()]
-                if share:
-                    # re-inflate shared-memory markers into real arrays;
-                    # each segment is copied out once and unlinked here,
-                    # so no shm state survives collection
-                    for raw in raws:
-                        if raw["value"] is not None:
-                            raw["value"] = shm.restore_arrays(raw["value"])
-            for i, raw in zip(pending, raws):
-                outcomes[i] = TaskRun(
-                    task=tasks[i],
-                    value=raw["value"],
-                    error=raw["error"],
-                    elapsed=raw["elapsed"],
-                )
+        # pending ascends and results arrive in submission order, so the
+        # store grows in task-list order and survives a later task's crash
+        for i, raw in self._execute(tasks, pending):
+            run = runs[i] = TaskRun(
+                task=tasks[i],
+                value=raw["value"],
+                error=raw["error"],
+                elapsed=raw["elapsed"],
+            )
+            if self.store is not None and run.ok:
+                self.store.put(run.task, run.value, run.elapsed)
 
-        runs = [r for r in outcomes if r is not None]
-        if self.store is not None:
-            for r in runs:
-                if r.ok and not r.cached:
-                    self.store.put(r.task, r.value, r.elapsed)
         wall = time.perf_counter() - start
         if probe.enabled:
             busy = 0.0
@@ -270,6 +271,4 @@ class CampaignRunner:
                 help="Busy fraction of the worker pool (task CPU / jobs*wall)",
             )
         probe.span_end(span, wall, n_pending=len(pending))
-        return CampaignResult(
-            runs=runs, jobs=self.jobs, wall_time=wall
-        )
+        return CampaignResult(runs=runs, jobs=self.jobs, wall_time=wall)

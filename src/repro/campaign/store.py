@@ -26,7 +26,6 @@ import warnings
 from pathlib import Path
 from typing import Iterator
 
-from .shm import has_arrays, strip_arrays
 from .spec import Task
 
 __all__ = ["ResultStore"]
@@ -124,15 +123,9 @@ class ResultStore:
     def put(self, task: Task, value: dict, elapsed: float = 0.0) -> dict:
         """Persist one completed task; returns the stored record.
 
-        Array leaves (checkpoint pages, parity bytes from shared-memory
-        task kinds) are replaced by ``{"__array__": {shape, dtype,
-        crc32}}`` summary stubs — raw page data does not belong in an
-        append-only JSONL cache, and the fingerprint suffices to audit a
-        re-executed task against its cached record.  Cache hits
-        therefore return the stub form.
+        ``value`` is a JSON value (the runner has already checked), so a
+        later :meth:`get` serves back exactly what was put.
         """
-        if has_arrays(value):
-            value = strip_arrays(value)
         rec = {
             "key": task.key,
             "task": task.to_dict(),

@@ -5,7 +5,14 @@ seed) -> dict`` plus a ``version`` tag.  The tag is part of every task's
 content hash: bump it when the function's semantics change and cached
 results for that kind — and only that kind — are invalidated.
 
-Built-in kinds cover the repo's three quantitative workloads:
+The returned dict is a **JSON value** — str keys; str, int, float, bool,
+``None``, list and dict leaves — such that ``json.loads(json.dumps(v))
+== v``.  That is the layer's one data contract: it is what lets the
+store serve a cached task back equal to a fresh one, and a value
+``json.dumps`` rejects fails its task.  Bulk data (page arrays) travels
+as a digest, never as bytes.
+
+Built-in kinds:
 
 ``fig5_point``
     One (method, interval) point of the Fig. 5 expected-time-ratio
@@ -28,12 +35,10 @@ Built-in kinds cover the repo's three quantitative workloads:
     open-loop request stream served from the cluster under one
     protection policy, returning latency quantiles and loss accounting
     plus a bit-exact completion digest.
-``image_snapshot``
-    One scale-scenario run returning the committed checkpoint *page
-    arrays* of selected VMs.  The array payload rides the zero-copy
-    shared-memory transport (:mod:`repro.campaign.shm`) under
-    ``--jobs N`` instead of the pool's pickle channel; the accompanying
-    checksums prove the bytes arrived exact.
+``geo_cell``
+    One (policy, seed) cell of the geo placement study: a multi-site
+    cluster losing a whole site, returning survival, rollback and WAN
+    accounting plus its flow digests.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ __all__ = [
     "run_scale_digests",
     "run_study_cell",
     "run_serving_cell_task",
-    "run_image_snapshot",
 ]
 
 
@@ -68,7 +72,7 @@ _REGISTRY: dict[str, TaskKind] = {}
 
 
 def register_task(name: str, version: str = "1"):
-    """Decorator registering ``fn(params, seed) -> dict`` as a kind."""
+    """Decorator registering ``fn(params, seed) -> JSON dict`` as a kind."""
 
     def deco(fn):
         if name in _REGISTRY:
@@ -186,47 +190,6 @@ def run_scale_digests(params: dict, seed: int | None) -> dict:
         "events": result["events"],
         "sim_time": result["sim_time"].hex(),
         "digests": result["digests"],
-    }
-
-
-@register_task("image_snapshot", version="1")
-def run_image_snapshot(params: dict, seed: int | None) -> dict:
-    """Committed checkpoint image bytes of selected VMs after a scale run.
-
-    params: any :class:`~repro.perf.ScaleConfig` field, plus ``vm_ids``
-    (list of VM ids; default ``[0]``).  Returns the raw page arrays —
-    the payload the shared-memory transport exists for — keyed by VM id,
-    with :func:`~repro.cluster.checksum.block_checksum` fingerprints so
-    consumers can prove the zero-copy path delivered exact bytes.
-    """
-    from ..cluster.checksum import block_checksum
-    from ..perf import ScaleConfig, build_scale_scenario, run_epochs
-
-    vm_ids = [int(v) for v in params.get("vm_ids", [0])]
-    cfg = ScaleConfig(**{k: v for k, v in params.items() if k != "vm_ids"})
-    sim, cluster, ckpt, rngs, _ = build_scale_scenario(cfg)
-    run_epochs(sim, cluster, ckpt, rngs, cfg)
-    images: dict[str, object] = {}
-    checksums: dict[str, int] = {}
-    for vm_id in vm_ids:
-        img = None
-        for node in cluster.nodes:
-            got = node.checkpoint_store.get(vm_id)
-            if got is not None and got.payload is not None:
-                img = got
-                break
-        if img is None:
-            raise ValueError(f"no committed checkpoint for vm {vm_id}")
-        payload = img.payload_flat()
-        # copy: the committed buffer may be pool-recycled after this
-        # task returns, and shared-memory publication needs stable bytes
-        images[str(vm_id)] = payload.copy()
-        checksums[str(vm_id)] = block_checksum(payload)
-    return {
-        "n_nodes": cfg.n_nodes,
-        "epochs": cfg.epochs,
-        "images": images,
-        "checksums": checksums,
     }
 
 

@@ -361,7 +361,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from .campaign import (
         CampaignRunner,
-        ResultStore,
         Sweep,
         run_fig5_campaign,
         run_study_campaign,
@@ -375,10 +374,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         import json as _json
 
         sweep = Sweep.from_dict(_json.loads(open(args.spec).read()))
-        store = ResultStore(args.store) if args.store else None
-        runner = CampaignRunner(store=store, jobs=args.jobs,
-                                resume=not args.no_resume)
-        result = runner.run(sweep.expand())
+        result = CampaignRunner(**kwargs).run(sweep.expand())
         print(result.summary_table(title=f"campaign {sweep.name!r}"))
         _report_failures(result)
         return 0 if result.n_failed == 0 else 1
@@ -739,15 +735,13 @@ def _cmd_geo_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_geo_study(args: argparse.Namespace) -> int:
-    from .campaign import ResultStore
     from .geo import run_geo_study
 
     cfg = _geo_config(args)
-    store = ResultStore(args.store) if args.store else None
     study = run_geo_study(
         cfg, policies=tuple(args.policies),
         seeds=tuple(range(args.seed, args.seed + args.seeds)),
-        jobs=args.jobs, store=store,
+        **_campaign_kwargs(args),
     )
     rows = []
     for cell in study["cells"]:

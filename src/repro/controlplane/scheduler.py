@@ -12,10 +12,7 @@ coordinator owns:
   stay bit-identical);
 * :meth:`choose_drain_target` — constraint-aware re-placement during a
   drain: never co-locate a VM with another element (member or parity)
-  of its own RAID group, so the layout stays valid mid-maintenance;
-* :meth:`choose_restore_host` / :meth:`choose_parity_host` — façade
-  over the :mod:`repro.core.recovery` pickers, so callers above core
-  route recovery placement through the engine too.
+  of its own RAID group, so the layout stays valid mid-maintenance.
 
 The engine is deliberately stateless between calls — it reads the live
 cluster every time — which makes it safe to consult from concurrent
@@ -28,8 +25,7 @@ import heapq
 
 from ..cluster.cluster import VirtualCluster
 from ..cluster.vm import VirtualMachine
-from ..core.groups import GroupLayout, LayoutError, RaidGroup
-from ..core.recovery import choose_parity_node, choose_restore_node
+from ..core.groups import GroupLayout, LayoutError
 
 __all__ = ["PlacementEngine", "PlacementError"]
 
@@ -125,16 +121,3 @@ class PlacementEngine:
                 f"no orthogonality-preserving target for vm {vm.vm_id}"
             )
         return min(nodes, key=lambda n: (len(n.vms), n.node_id)).node_id
-
-    # ------------------------------------------------------------------
-    # recovery-placement façade over repro.core.recovery
-    # ------------------------------------------------------------------
-    def choose_restore_host(
-        self, layout: GroupLayout, group: RaidGroup, exclude=None
-    ) -> int:
-        return choose_restore_node(self.cluster, layout, group, exclude=exclude)
-
-    def choose_parity_host(
-        self, layout: GroupLayout, group: RaidGroup, exclude=None
-    ) -> int:
-        return choose_parity_node(self.cluster, layout, group, exclude=exclude)

@@ -398,6 +398,7 @@ def run_geo_study(
     seeds=(0,),
     jobs: int = 1,
     store=None,
+    resume: bool = True,
 ) -> dict:
     """Fan the (policy × seed) matrix out through the campaign layer.
 
@@ -413,7 +414,7 @@ def run_geo_study(
             cell = replace(cfg, policy=policy, seed=seed)
             params = {f: getattr(cell, f) for f in cell.__dataclass_fields__}
             tasks.append(Task(kind="geo_cell", params=params))
-    outcome = CampaignRunner(store=store, jobs=jobs).run(tasks)
+    outcome = CampaignRunner(store=store, jobs=jobs, resume=resume).run(tasks)
     if outcome.n_failed:
         raise RuntimeError(
             f"{outcome.n_failed} geo cells failed: "

@@ -283,13 +283,15 @@ def run_serving_study(
     parallelizes across cells with bit-identical results (each cell is
     a deterministic function of its parameters).
     """
-    from ..campaign.presets import _raise_if_all_failed, _runner
+    from ..campaign import CampaignRunner
 
     policies = list(policies) if policies else list(DEFAULT_POLICIES)
     load = load or ServingLoad()
     sweep = serving_sweep(policies, load, seeds=seeds)
-    result = _runner(jobs, store, resume).run(sweep.expand())
-    _raise_if_all_failed(result)
+    result = CampaignRunner(store=store, jobs=jobs, resume=resume).run(
+        sweep.expand()
+    )
+    result.raise_if_all_failed()
     order = {
         (p.name, s): i
         for i, (p, s) in enumerate(

@@ -13,6 +13,7 @@ from repro.campaign import (
     Task,
     execute_task,
     get_kind,
+    register_task,
     run_fig5_campaign,
     run_study_campaign,
     run_validate_campaign,
@@ -20,6 +21,25 @@ from repro.campaign import (
     task_kinds,
 )
 from repro.model import fig5
+
+#: kinds registered by the package itself, before the test-only ones below
+BUILTIN_KINDS = task_kinds()
+
+
+@register_task("test_tripwire")
+def _run_tripwire(params, seed):
+    """Raises ``KeyboardInterrupt`` while the ``trip`` file exists."""
+    import os
+
+    if params.get("trip") and os.path.exists(params["trip"]):
+        raise KeyboardInterrupt
+    return {"i": params["i"]}
+
+
+@register_task("test_ndarray")
+def _run_ndarray(params, seed):
+    """Breaks the JSON-value contract on purpose."""
+    return {"pages": np.arange(4, dtype=np.uint8)}
 
 
 class TestTaskKeys:
@@ -330,6 +350,162 @@ class TestStoreCorruptTail:
         reopened = ResultStore(store.root)
         assert reopened.skipped_lines == 0
         assert store.path.read_text(encoding="utf-8") == before
+
+
+class TestCompactionDedup:
+    @staticmethod
+    def _line(key: str, r: int) -> str:
+        return json.dumps(
+            {"key": key, "task": {"kind": "k", "params": {}}, "value": {"r": r},
+             "elapsed": 0.0},
+            sort_keys=True,
+        )
+
+    def test_duplicate_keys_compact_to_last_wins(self, tmp_path):
+        """Pre-fix, compaction preserved every duplicate line verbatim;
+        this asserts the rewritten file holds one line per key with the
+        last occurrence's value — it fails on the pre-fix code."""
+        root = tmp_path / "s"
+        root.mkdir()
+        path = root / ResultStore.FILENAME
+        path.write_text(
+            self._line("a", 1) + "\n"
+            + self._line("b", 10) + "\n"
+            + self._line("a", 2) + "\n",
+            encoding="utf-8",
+        )
+        store = ResultStore(root)
+        assert store.peek("a")["value"] == {"r": 2}  # last wins in memory
+        lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+        assert len(lines) == 2  # compacted: one line per key
+        by_key = {json.loads(ln)["key"]: json.loads(ln) for ln in lines}
+        assert by_key["a"]["value"] == {"r": 2}
+        assert by_key["b"]["value"] == {"r": 10}
+        # a reopened store agrees with the compacted file
+        reopened = ResultStore(root)
+        assert reopened.peek("a")["value"] == {"r": 2}
+        assert len(reopened) == 2
+
+    def test_corrupt_line_still_skipped_and_compacted(self, tmp_path):
+        root = tmp_path / "s"
+        root.mkdir()
+        path = root / ResultStore.FILENAME
+        path.write_text(
+            self._line("a", 1) + "\n" + '{"key": "bro' + "\n"
+            + self._line("a", 3) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.warns(RuntimeWarning):
+            store = ResultStore(root)
+        assert store.skipped_lines == 1
+        assert store.peek("a")["value"] == {"r": 3}
+        lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+        assert len(lines) == 1
+        assert json.loads(lines[0])["value"] == {"r": 3}
+
+    def test_clean_unique_file_left_untouched(self, tmp_path):
+        root = tmp_path / "s"
+        root.mkdir()
+        path = root / ResultStore.FILENAME
+        original = self._line("a", 1) + "\n" + self._line("b", 2) + "\n"
+        path.write_text(original, encoding="utf-8")
+        ResultStore(root)
+        assert path.read_text() == original  # no dirt → no rewrite
+
+
+#: one tiny parameter set per built-in kind; a new kind must add its own
+TINY_PARAMS = {
+    "fig5_point": {
+        "method": "diskless", "interval": 600.0, "lam": 9.26e-5, "T": 172800.0,
+    },
+    "mc_chunk": {
+        "lam": 1e-4, "T": 3600.0, "N": 600.0, "n_runs": 64, "chunk_runs": 32,
+        "chunk_index": 1, "final_checkpoint": True, "master_seed": 1,
+    },
+    "study_cell": {
+        "method": {"name": "dvdc"}, "trace_seed": 0, "work": 360.0,
+        "interval": 600.0, "node_mtbf": 6 * 3600.0,
+    },
+    "scale_digests": {"n_nodes": 8, "epochs": 2},
+    "serving_cell": {
+        "policy": {"name": "checkpoint", "checkpoint": True, "interval": 1.0},
+        "load": {"n_requests": 1000},
+        "trace_seed": 0,
+    },
+    "geo_cell": {"n_nodes": 6, "n_sites": 3, "epochs": 1, "kill_site": -1},
+}
+
+
+class TestJsonValueContract:
+    """A task value is a JSON value — the layer's one data contract."""
+
+    @pytest.mark.parametrize("kind", BUILTIN_KINDS)
+    def test_value_round_trips_and_warm_equals_cold(self, kind, tmp_path):
+        assert kind in TINY_PARAMS, f"add a tiny parameter set for {kind!r}"
+        task = Task(kind, TINY_PARAMS[kind])
+        cold = CampaignRunner(store=ResultStore(tmp_path / "s")).run([task])
+        assert cold.n_failed == 0, cold.failures()[0].error
+        value = cold.runs[0].value
+        assert json.loads(json.dumps(value, sort_keys=True)) == value
+        # a fresh process would reopen the store from disk: do the same
+        warm = CampaignRunner(store=ResultStore(tmp_path / "s")).run([task])
+        assert warm.n_cached == 1
+        assert warm.runs[0].value == value
+
+    def test_non_json_value_fails_its_own_task(self, tmp_path):
+        out = execute_task(Task("test_ndarray", {}).to_dict())
+        assert out["ok"] is False and out["value"] is None
+        assert "TypeError" in out["error"]
+        # ... so store.put never sees it and the siblings are unharmed
+        good = _tiny_fig5_tasks(1)
+        tasks = [good[0], Task("test_ndarray", {}), good[1]]
+        store = ResultStore(tmp_path / "s")
+        result = CampaignRunner(store=store, jobs=1).run(tasks)
+        assert [r.ok for r in result.runs] == [True, False, True]
+        assert list(store.keys()) == [good[0].key, good[1].key]
+
+
+class TestInterruptedRun:
+    """Results are persisted as they arrive, not after the last one."""
+
+    @staticmethod
+    def _tasks(trip, n, at):
+        return [
+            Task("test_tripwire", {"i": i, **({"trip": trip} if i == at else {})})
+            for i in range(n)
+        ]
+
+    @staticmethod
+    def _keys_on_disk(root):
+        lines = (root / ResultStore.FILENAME).read_text().splitlines()
+        return [json.loads(ln)["key"] for ln in lines]
+
+    def test_inline_interrupt_keeps_collected_results(self, tmp_path):
+        trip = tmp_path / "trip"
+        trip.touch()
+        tasks = self._tasks(str(trip), n=5, at=3)
+        with pytest.raises(KeyboardInterrupt):
+            CampaignRunner(store=ResultStore(tmp_path / "s"), jobs=1).run(tasks)
+        assert self._keys_on_disk(tmp_path / "s") == [t.key for t in tasks[:3]]
+        reopened = ResultStore(tmp_path / "s")
+        assert [reopened.peek(t.key)["value"] for t in tasks[:3]] == [
+            {"i": 0}, {"i": 1}, {"i": 2}
+        ]
+        # the re-run picks up where the interrupt struck
+        trip.unlink()
+        rerun = CampaignRunner(store=reopened, jobs=1).run(tasks)
+        assert [r.cached for r in rerun.runs] == [True] * 3 + [False] * 2
+        assert rerun.values() == [{"i": i} for i in range(5)]
+
+    def test_pool_interrupt_keeps_collected_results_in_order(self, tmp_path):
+        trip = tmp_path / "trip"
+        trip.touch()
+        tasks = self._tasks(str(trip), n=8, at=5)
+        with pytest.raises(KeyboardInterrupt):
+            CampaignRunner(store=ResultStore(tmp_path / "s"), jobs=2).run(tasks)
+        # collection is in submission order, so exactly the tasks ahead of
+        # the failure are on disk — and in task-list order
+        assert self._keys_on_disk(tmp_path / "s") == [t.key for t in tasks[:5]]
 
 
 class TestRunnerBatching:

@@ -118,6 +118,24 @@ class TestCampaignCommand:
         assert counts(first) == [12, 12, 0, 0]
         assert counts(second) == [12, 0, 12, 0]
 
+    def test_geo_study_no_resume_reexecutes(self, capsys, tmp_path):
+        """``--no-resume`` was parsed but dropped: the second run served
+        the cache and the store never grew."""
+        store = tmp_path / "store"
+        args = ["geo", "study", "--nodes", "6", "--epochs", "1", "--seeds",
+                "1", "--store", str(store)]
+
+        def records():
+            return len((store / "results.jsonl").read_text().splitlines())
+
+        assert main(args) == 0
+        assert records() == 3  # one cell per policy
+        assert main(args) == 0
+        assert records() == 3  # resumed: all cached
+        assert main(args + ["--no-resume"]) == 0
+        assert records() == 6  # every cell re-executed and re-appended
+        capsys.readouterr()
+
     def test_campaign_spec_file(self, capsys, tmp_path):
         import json
 
