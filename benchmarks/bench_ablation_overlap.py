@@ -20,7 +20,7 @@ from repro.core import dvdc
 from repro.failures import Exponential, FailureInjector, FailureSchedule
 from repro.workloads import CheckpointedJob, paper_scenario
 
-from conftest import run_to_completion
+from conftest import run_process
 
 
 def _epoch_latency(kind: str):
@@ -30,7 +30,7 @@ def _epoch_latency(kind: str):
         if kind == "dvdc"
         else DiskfulCheckpointer(sc.cluster)
     )
-    r = run_to_completion(sc.sim, ck.run_cycle())
+    r = run_process(sc.sim, ck.run_cycle())
     return r.overhead, r.latency
 
 

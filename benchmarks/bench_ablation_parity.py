@@ -103,12 +103,12 @@ def test_rdp_protocol_double_failure(benchmark, report):
     2-node crash end to end (the scenario XOR cannot)."""
     from repro.core import dvdc
 
-    from conftest import functional_cluster, run_to_completion
+    from conftest import functional_cluster, run_process
 
     def scenario():
         sim, cluster = functional_cluster(6, 2, seed=9)
         ck = dvdc(cluster, group_size=3, scheme="rdp")
-        run_to_completion(sim, ck.run_cycle())
+        run_process(sim, ck.run_cycle())
         committed = {
             vm.vm_id: cluster.hypervisor(vm.node_id)
             .committed(vm.vm_id).payload_flat().copy()
@@ -116,7 +116,7 @@ def test_rdp_protocol_double_failure(benchmark, report):
         }
         cluster.kill_node(0)
         cluster.kill_node(1)
-        rep = run_to_completion(sim, ck.recover(0))
+        rep = run_process(sim, ck.recover(0))
         ok = all(
             np.array_equal(cluster.vm(v).image.flat, committed[v])
             for v in committed

@@ -21,7 +21,7 @@ from repro.model import (
 from repro.failures import PAPER_LAMBDA
 from repro.sim import Simulator
 
-from conftest import functional_cluster, run_to_completion
+from conftest import functional_cluster, run_process
 
 GB = 1e9
 
@@ -104,10 +104,10 @@ def test_remus_failover_vs_dvdc_recovery_sim(benchmark, report):
         # DVDC recovery on the paper cluster
         sim2, cluster2 = functional_cluster(4, 3, seed=5)
         ck = dvdc(cluster2)
-        run_to_completion(sim2, ck.run_cycle())
+        run_process(sim2, ck.run_cycle())
         cluster2.kill_node(0)
         t1 = sim2.now
-        rep = run_to_completion(sim2, ck.recover(0))
+        rep = run_process(sim2, ck.recover(0))
         return lost, remus_resume, rep.recovery_time
 
     lost, remus_resume, dvdc_recovery = benchmark.pedantic(

@@ -11,7 +11,7 @@ import numpy as np
 from repro.analysis import format_bytes, format_seconds, render_table
 from repro.core import first_shot
 
-from conftest import functional_cluster, run_to_completion
+from conftest import functional_cluster, run_process
 
 
 def _build(n_data_nodes: int = 3):
@@ -27,7 +27,7 @@ def _build(n_data_nodes: int = 3):
 def _epoch(n_data_nodes: int = 3):
     sim, cluster = _build(n_data_nodes)
     ck = first_shot(cluster)
-    r = run_to_completion(sim, ck.run_cycle())
+    r = run_process(sim, ck.run_cycle())
     return sim, cluster, ck, r
 
 
@@ -60,7 +60,7 @@ def test_fig1_recovery(benchmark, report):
             for vm in cluster.all_vms
         }
         cluster.kill_node(0)
-        rep = run_to_completion(sim, ck.recover(0))
+        rep = run_process(sim, ck.recover(0))
         ok = all(
             np.array_equal(cluster.vm(v).image.flat, committed[v])
             for v in committed

@@ -9,7 +9,7 @@ dedicated node's rx link + XOR engine become the bottleneck.
 from repro.analysis import format_bytes, format_seconds, render_table
 from repro.core import checkpoint_node, dvdc
 
-from conftest import functional_cluster, run_to_completion
+from conftest import functional_cluster, run_process
 
 
 def _fig3_epoch():
@@ -19,7 +19,7 @@ def _fig3_epoch():
         cluster.node(3).evict(vm)
         del cluster.vms[vm.vm_id]
     ck = checkpoint_node(cluster, node_id=3)
-    r = run_to_completion(sim, ck.run_cycle())
+    r = run_process(sim, ck.run_cycle())
     return cluster, ck, r
 
 
@@ -30,7 +30,7 @@ def _fig4_epoch(n_vms: int = 9):
         cluster.node(vm.node_id).evict(vm)
         del cluster.vms[vm.vm_id]
     ck = dvdc(cluster, group_size=3)
-    r = run_to_completion(sim, ck.run_cycle())
+    r = run_process(sim, ck.run_cycle())
     return cluster, ck, r
 
 
@@ -67,9 +67,9 @@ def test_fig3_dedicated_node_loss_recovers_parity(benchmark, report):
             cluster.node(3).evict(vm)
             del cluster.vms[vm.vm_id]
         ck = checkpoint_node(cluster, node_id=3)
-        run_to_completion(sim, ck.run_cycle())
+        run_process(sim, ck.run_cycle())
         cluster.kill_node(3)
-        rep = run_to_completion(sim, ck.recover(3))
+        rep = run_process(sim, ck.recover(3))
         return rep
 
     rep = benchmark(scenario)

@@ -12,13 +12,13 @@ from repro.analysis import format_bytes, format_seconds, render_table
 from repro.checkpoint import IncrementalCapture
 from repro.core import dvdc
 
-from conftest import functional_cluster, run_to_completion
+from conftest import functional_cluster, run_process
 
 
 def _epoch():
     sim, cluster = functional_cluster(4, 3, seed=31)
     ck = dvdc(cluster)
-    r = run_to_completion(sim, ck.run_cycle())
+    r = run_process(sim, ck.run_cycle())
     return sim, cluster, ck, r
 
 
@@ -56,14 +56,14 @@ def test_fig4_incremental_epoch(benchmark, report):
     def inc_epoch():
         sim, cluster = functional_cluster(4, 3, seed=32)
         ck = dvdc(cluster, strategy=IncrementalCapture())
-        run_to_completion(sim, ck.run_cycle())
+        run_process(sim, ck.run_cycle())
         rng = np.random.default_rng(0)
         for vm in cluster.all_vms:
             vm.image.touch_pages(rng.integers(0, vm.image.n_pages, 2), rng)
         # advance time so the logical dirty estimate is realistic
         sim.schedule(60.0, lambda: None)
         sim.run()
-        return run_to_completion(sim, ck.run_cycle())
+        return run_process(sim, ck.run_cycle())
 
     r = benchmark(inc_epoch)
     report(
@@ -82,7 +82,7 @@ def test_fig4_single_failure_recovery(benchmark, report):
             for vm in cluster.all_vms
         }
         cluster.kill_node(1)
-        rep = run_to_completion(sim, ck.recover(1))
+        rep = run_process(sim, ck.recover(1))
         ok = all(
             np.array_equal(cluster.vm(v).image.flat, committed[v])
             for v in committed

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterSpec, VirtualCluster
+from repro.perf import run_process  # noqa: F401 - the benches import it from here
 from repro.sim import Simulator
 
 
@@ -34,15 +35,6 @@ def functional_cluster(
         vm.image.write(0, rng.integers(0, 256, fill, dtype=np.uint8))
         vm.image.clear_dirty()
     return sim, cluster
-
-
-def run_to_completion(sim: Simulator, gen):
-    """Drive a protocol generator to completion, re-raising failures."""
-    proc = sim.process(gen)
-    sim.run()
-    if proc.ok is False:
-        raise proc.value
-    return proc.value
 
 
 @pytest.fixture

@@ -53,7 +53,7 @@ import sys
 from .analysis import ascii_plot, format_bytes, format_seconds, render_table
 from .failures import Exponential, FailureInjector, FailureSchedule
 from .model import ClusterModel
-from .sim import NULL_TRACER, Tracer
+from .sim import NULL_TRACER
 from .workloads import CheckpointedJob, paper_scenario, scaled_scenario
 
 __all__ = ["main", "build_parser"]
@@ -174,44 +174,19 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
     return 0 if campaign.n_failed == 0 else 1
 
 
-def _build_epoch_checkpointer(sc, arch: str, n_nodes: int,
-                              tracer: Tracer = NULL_TRACER):
-    """One checkpointer of the chosen architecture on ``sc.cluster``.
+def _epoch_method(arch: str):
+    """The ``--arch`` spelling as a full-capture :class:`MethodSpec`."""
+    from .experiments import MethodSpec
 
-    Mutates the cluster where the architecture demands it (vacating
-    parity nodes).  Shared by ``epoch`` and the telemetry subcommands.
-    """
-    from .checkpoint import DiskfulCheckpointer
-    from .core import checkpoint_node, dvdc, first_shot
-
-    if arch == "dvdc":
-        return dvdc(sc.cluster, tracer=tracer)
-    if arch == "diskful":
-        return DiskfulCheckpointer(sc.cluster, tracer=tracer)
-    if arch == "checkpoint-node":
-        # vacate the last node for parity duty
-        node = n_nodes - 1
-        for vm in list(sc.cluster.vms_on(node)):
-            sc.cluster.node(node).evict(vm)
-            del sc.cluster.vms[vm.vm_id]
-        return checkpoint_node(sc.cluster, node_id=node, tracer=tracer)
-    if arch == "firstshot":
-        for node in range(n_nodes):
-            extra = sc.cluster.vms_on(node)[1:] if node < n_nodes - 1 else (
-                sc.cluster.vms_on(node)
-            )
-            for vm in extra:
-                sc.cluster.node(node).evict(vm)
-                del sc.cluster.vms[vm.vm_id]
-        return first_shot(sc.cluster, tracer=tracer)
-    raise ValueError(arch)  # pragma: no cover - argparse restricts choices
+    name = {"checkpoint-node": "checkpoint_node", "firstshot": "first_shot"}
+    return MethodSpec(name.get(arch, arch), incremental=False)
 
 
 def _cmd_epoch(args: argparse.Namespace) -> int:
     sc = scaled_scenario(
         args.nodes, args.vms_per_node, seed=args.seed, functional=False
     )
-    ck = _build_epoch_checkpointer(sc, args.arch, args.nodes)
+    ck = _epoch_method(args.arch).build(sc.cluster)
 
     out = {}
 
@@ -450,7 +425,7 @@ def _run_instrumented(args: argparse.Namespace):
             tracer=probe,
         )
         sc.sim.attach_probe(probe)
-        ck = _build_epoch_checkpointer(sc, args.arch, args.nodes, tracer=probe)
+        ck = _epoch_method(args.arch).build(sc.cluster, tracer=probe)
         sc.sim.run_processes(ck.run_cycle())
         return probe
     # job: checkpointed work with failure injection — exercises the
@@ -466,8 +441,7 @@ def _run_instrumented(args: argparse.Namespace):
     injector = FailureInjector(
         sc.sim, sc.cluster.n_nodes, schedule=schedule, tracer=probe
     )
-    ck = _build_epoch_checkpointer(sc, args.arch, sc.cluster.n_nodes,
-                                   tracer=probe)
+    ck = _epoch_method(args.arch).build(sc.cluster, tracer=probe)
     job = CheckpointedJob(
         sc.cluster, ck, work=work, interval=args.interval,
         injector=injector, repair_time=30.0,

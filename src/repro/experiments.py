@@ -31,6 +31,7 @@ from .checkpoint.strategies import ForkedCapture, IncrementalCapture
 from .core.architectures import checkpoint_node, dvdc, first_shot
 from .failures.distributions import Exponential, FailureDistribution
 from .failures.injector import FailureInjector, FailureSchedule
+from .sim import NULL_TRACER, Tracer
 from .workloads.app import CheckpointedJob, JobResult
 from .workloads.generators import scaled_scenario
 
@@ -72,24 +73,28 @@ class MethodSpec:
             bits.append("overlap")
         return "+".join(bits)
 
-    def build(self, cluster):
-        """Instantiate the checkpointer on a cluster."""
+    def build(self, cluster, tracer: Tracer = NULL_TRACER):
+        """Instantiate the checkpointer on a cluster.
+
+        Mutates the cluster where the architecture demands it (vacating
+        the parity node, thinning to one VM per node).
+        """
         strategy = IncrementalCapture() if self.incremental else ForkedCapture()
         if self.name == "dvdc":
-            return dvdc(cluster, strategy=strategy)
+            return dvdc(cluster, strategy=strategy, tracer=tracer)
         if self.name == "diskful":
-            return DiskfulCheckpointer(cluster, strategy=strategy)
+            return DiskfulCheckpointer(cluster, strategy=strategy, tracer=tracer)
         if self.name == "dvdc_rdp":
             return dvdc(
                 cluster, strategy=strategy, scheme="rdp",
-                group_size=max(1, cluster.n_nodes - 2),
+                group_size=max(1, cluster.n_nodes - 2), tracer=tracer,
             )
         if self.name == "checkpoint_node":
             node = cluster.n_nodes - 1
             for vm in list(cluster.vms_on(node)):
                 cluster.node(node).evict(vm)
                 del cluster.vms[vm.vm_id]
-            return checkpoint_node(cluster, node_id=node)
+            return checkpoint_node(cluster, node_id=node, tracer=tracer)
         # first_shot: thin to one VM per node, freeing the last node
         for node_id in range(cluster.n_nodes):
             vms = cluster.vms_on(node_id)
@@ -97,7 +102,7 @@ class MethodSpec:
             for vm in drop:
                 cluster.node(node_id).evict(vm)
                 del cluster.vms[vm.vm_id]
-        return first_shot(cluster)
+        return first_shot(cluster, tracer=tracer)
 
 
 @dataclass

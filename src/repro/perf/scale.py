@@ -34,7 +34,7 @@ from ..cluster import memory
 from ..cluster.cluster import ClusterSpec, VirtualCluster
 from ..controlplane.scheduler import PlacementEngine
 from ..core.architectures import dvdc
-from ..sim import Simulator, Tracer, NULL_TRACER
+from ..sim import NULL_TRACER, SimulationError, Simulator, Tracer
 from ..sim.rng import RngRegistry
 
 __all__ = [
@@ -132,9 +132,19 @@ def _dirty_epoch(cluster, rngs: RngRegistry, cfg) -> None:
 
 def run_process(sim, gen):
     """Run ``gen`` as a process until the queue drains; re-raise its
-    failure, else return its value."""
+    failure, else return its value.
+
+    A process still waiting once nothing is left to run can never
+    finish; that raises :class:`SimulationError` naming the generator
+    instead of returning a quiet ``None``.
+    """
     proc = sim.process(gen)
     sim.run()
+    if not proc.triggered:
+        raise SimulationError(
+            f"process {proc.name!r} never finished: the event queue "
+            "drained while it was still waiting (deadlock?)"
+        )
     if proc.ok is False:
         raise proc.value
     return proc.value

@@ -131,6 +131,7 @@ class ServingRuntime:
         self.n_failures = 0
         self.n_recoveries = 0
         self.unrecoverable: list[tuple[int, str]] = []
+        self._recovery = None  # latest standalone recovery process
         #: node -> (window start, group labels, downed sids)
         self._open_outages: dict[int, tuple[float, list[str], list[int]]] = {}
         self._shed: set[int] = set()
@@ -322,11 +323,21 @@ class ServingRuntime:
             self.sim.process(self._watch_recovery(node_id))
 
     def _spawn_recovery(self, node_id: int) -> None:
-        self.sim.process(self._recover_proc(node_id))
+        self._recovery = self.sim.process(
+            self._recover_proc(node_id, self._recovery)
+        )
 
-    def _recover_proc(self, node_id: int):
-        """Standalone repair + rollback recovery for one crashed node."""
+    def _recover_proc(self, node_id: int, prior):
+        """Standalone repair + rollback recovery for one crashed node.
+
+        ``ck.recover`` rebuilds *every* failed unhosted VM, whichever
+        node it died on, so two in flight would both re-place the same
+        VMs: wait for ``prior`` (the previous crash's recovery, if still
+        running), then recover whatever is still lost.
+        """
         self.cluster.repair_node(node_id)
+        if prior is not None and prior.alive:
+            yield prior
         _, _, sids = self._open_outages.get(node_id, (0.0, [], []))
         if self.ck is not None and self.ck.committed_epoch >= 0:
             try:

@@ -15,36 +15,17 @@ The engine deliberately knows nothing about processes; it only fires
 matters for the Monte-Carlo validation runs and the 10k-node scale
 scenarios that execute millions of events.
 
-Internal structure — calendar queue
------------------------------------
-The pending set is a two-tier *calendar queue* rather than one binary
-heap (see ``docs/performance.md``):
+Internal structure
+------------------
+The pending set is one binary heap of plain ``(time, priority, seq,
+handle)`` tuples, so pops deliver the ``(time, priority, seq)`` total
+order by construction.  Anything more elaborate has to win on the
+end-to-end benchmark first (``docs/performance.md`` records one
+structure that did not).
 
-* ``_cur`` — a small binary heap of plain ``(time, priority, seq,
-  handle)`` tuples covering the *current region* of simulated time.
-  ``heappop`` cost scales with the current region's population, not the
-  total pending count.
-* ``_future`` — a dict of unsorted buckets keyed by ``floor(time /
-  width)``.  Scheduling into the future is an O(1) ``list.append``;
-  a bucket is heapified exactly once, when the clock reaches it and the
-  bucket merges into ``_cur``.
-
-The queue starts in *pure-heap mode* (``_width is None``, everything in
-``_cur``) and switches to bucketed mode only when the pending count
-grows past a threshold — small simulations keep the classic heap's
-constant factors.  Bucket width adapts deterministically to the observed
-event-time distribution (the trigger depends only on queue state, which
-is itself deterministic, so golden traces are unaffected).
-
-Total order is preserved exactly: every entry carries the same
-``(time, priority, seq)`` key as the historical single-heap engine, a
-bucket's key is a true lower bound for every entry in it, and a bucket
-is merged *before* any entry of ``_cur`` at or past that lower bound is
-popped — so pops deliver the identical global sequence.
-
-Cancellation stays lazy: cancelled entries are dropped when they
-surface at the top of ``_cur``, or wholesale by an amortized O(n)
-compaction sweep across both tiers.
+Cancellation is lazy: cancelled entries are dropped when they surface
+at the top of the heap, or wholesale by an amortized O(n) compaction
+sweep.
 """
 
 from __future__ import annotations
@@ -143,29 +124,10 @@ class Simulator:
     #: constantly).
     COMPACT_MIN_CANCELLED = 64
 
-    #: Pending-entry count at which the queue switches from pure-heap to
-    #: bucketed (calendar) mode.  Below this the single heap's constant
-    #: factors win; above it, O(1) future appends and region-local pops do.
-    BUCKET_THRESHOLD = 4096
-
-    #: Target entries per bucket when (re)sizing the calendar width.
-    BUCKET_TARGET_FILL = 16
-
-    #: A merged bucket larger than this forces a width halving sweep.
-    BUCKET_SPLIT_SIZE = 8192
-
     def __init__(self, start: float = 0.0, probe: Any = None):
         self._now = float(start)
-        # current-region heap of (time, priority, seq, handle) tuples
-        self._cur: list[tuple[float, int, int, EventHandle]] = []
-        # future buckets: floor(time/width) -> unsorted entry list
-        self._future: dict[int, list[tuple[float, int, int, EventHandle]]] = {}
-        self._keys: list[int] = []  # min-heap of _future keys
-        self._width: float | None = None  # None => pure-heap mode
-        self._cur_key = 0  # highest bucket key already merged into _cur
-        self._size = 0  # total entries across both tiers (incl. cancelled)
-        self._bucket_check = 0  # retry throttle for _enter_bucket_mode
-        self._tiny_merges = 0  # consecutive merges of near-empty buckets
+        # the pending set: a heap of (time, priority, seq, handle) tuples
+        self._heap: list[tuple[float, int, int, EventHandle]] = []
         self._seq = itertools.count()
         self._running = False
         self._event_count = 0
@@ -206,7 +168,7 @@ class Simulator:
     @property
     def heap_size(self) -> int:
         """Entries currently pending, including lazily-deleted ones."""
-        return self._size
+        return len(self._heap)
 
     @property
     def cancelled_pending(self) -> int:
@@ -222,160 +184,27 @@ class Simulator:
         self._cancelled += 1
         if (
             self._cancelled >= self.COMPACT_MIN_CANCELLED
-            and self._cancelled * 2 >= self._size
+            and self._cancelled * 2 >= len(self._heap)
         ):
             self._compact()
 
     def _compact(self) -> None:
-        """Sweep cancelled entries out of both tiers.
+        """Sweep cancelled entries out of the heap.
 
         Entries are totally ordered by ``(time, priority, seq)``, so the
         re-heapified subset pops in exactly the order the original queue
         would have delivered it — compaction never changes execution
-        order, only memory and pop cost.  ``_cur`` is filtered *in
+        order, only memory and pop cost.  The heap is filtered *in
         place*: the run loop holds a direct reference to the list.
         """
-        cur = self._cur
-        cur[:] = [e for e in cur if not e[3].cancelled]
-        heapify(cur)
-        size = len(cur)
-        future = self._future
-        if future:
-            for k in list(future):
-                kept = [e for e in future[k] if not e[3].cancelled]
-                if kept:
-                    future[k] = kept
-                    size += len(kept)
-                else:
-                    del future[k]
-            self._keys[:] = future.keys()
-            heapify(self._keys)
-        self._size = size
+        heap = self._heap
+        heap[:] = [e for e in heap if not e[3].cancelled]
+        heapify(heap)
         self._cancelled = 0
         self._compactions += 1
 
-    # ------------------------------------------------------------------
-    # calendar plumbing
-    # ------------------------------------------------------------------
-    def _bucket_key(self, time: float, width: float) -> int:
-        """Bucket index whose lower bound ``k * width`` never exceeds
-        ``time`` (float division can round either way; a key that
-        rounded *up* would break the merge condition's lower-bound
-        argument, so nudge it back down)."""
-        k = int(time / width)
-        if k * width > time:
-            k -= 1
-        return k
-
     def _push(self, time: float, priority: int, handle: EventHandle) -> None:
-        entry = (time, priority, next(self._seq), handle)
-        width = self._width
-        if width is None:
-            heappush(self._cur, entry)
-            self._size += 1
-            if self._size >= self.BUCKET_THRESHOLD and self._size >= self._bucket_check:
-                self._enter_bucket_mode()
-            return
-        k = self._bucket_key(time, width)
-        if k <= self._cur_key:
-            heappush(self._cur, entry)
-        else:
-            bucket = self._future.get(k)
-            if bucket is None:
-                self._future[k] = [entry]
-                heappush(self._keys, k)
-            else:
-                bucket.append(entry)
-        self._size += 1
-
-    def _enter_bucket_mode(self) -> None:
-        """Switch from pure-heap to calendar mode, sizing the width from
-        the currently pending time span."""
-        cur = self._cur
-        horizon = max(e[0] for e in cur)
-        span = horizon - self._now
-        if span <= 0.0 or not math.isfinite(span):
-            # everything sits at one timestamp; buckets can't help right
-            # now — back off so the O(n) scan stays amortized O(1)
-            self._bucket_check = self._size * 2
-            return
-        width = span * self.BUCKET_TARGET_FILL / max(len(cur), 1)
-        if not self._set_width(width):
-            self._bucket_check = self._size * 2
-
-    def _set_width(self, width: float) -> bool:
-        """(Re)bucket every pending entry under ``width``.
-
-        O(n); triggered only by deterministic queue-shape conditions, so
-        it occurs at identical points in identical runs.  Returns False
-        — leaving every structure untouched — when ``width`` is unusable
-        or so fine that a pending time would overflow its integer bucket
-        key (``int(time/width)`` → inf for subnormal widths).
-        """
-        if width <= 0.0 or not math.isfinite(width):
-            return False
-        cur = self._cur
-        try:
-            cur_key = self._bucket_key(self._now, width)
-            future: dict[int, list[tuple[float, int, int, EventHandle]]] = {}
-            stay = []
-            for e in itertools.chain(cur, *self._future.values()):
-                k = self._bucket_key(e[0], width)
-                if k <= cur_key:
-                    stay.append(e)
-                else:
-                    b = future.get(k)
-                    if b is None:
-                        future[k] = [e]
-                    else:
-                        b.append(e)
-        except OverflowError:
-            return False
-        self._width = width
-        self._cur_key = cur_key
-        cur[:] = stay
-        heapify(cur)
-        self._future = future
-        self._keys = list(future.keys())
-        heapify(self._keys)
-        self._tiny_merges = 0
-        return True
-
-    def _merge_next_bucket(self) -> None:
-        """Fold the earliest future bucket into the current-region heap,
-        adapting the width when bucket sizes drift degenerate."""
-        k = heappop(self._keys)
-        bucket = self._future.pop(k)
-        self._cur_key = k
-        cur = self._cur
-        cur.extend(bucket)
-        heapify(cur)
-        n = len(bucket)
-        if n > self.BUCKET_SPLIT_SIZE:
-            # one overstuffed bucket — width too coarse for the local
-            # event density.  Size the new width from this bucket's own
-            # time span; a zero-span spike (thousands of events at one
-            # timestamp) cannot be split by any width, so leave the
-            # width alone instead of shrinking toward float underflow.
-            tmin = tmax = bucket[0][0]
-            for e in bucket:
-                t = e[0]
-                if t < tmin:
-                    tmin = t
-                elif t > tmax:
-                    tmax = t
-            span = tmax - tmin
-            if span > 0.0:
-                self._set_width(span * self.BUCKET_TARGET_FILL / n)
-            else:
-                self._tiny_merges = 0
-        elif n <= 1 and len(self._keys) > 64:
-            self._tiny_merges += 1
-            if self._tiny_merges >= 256:
-                # long run of near-empty buckets — width too fine
-                self._set_width(self._width * 8.0)
-        else:
-            self._tiny_merges = 0
+        heappush(self._heap, (time, priority, next(self._seq), handle))
 
     # ------------------------------------------------------------------
     # scheduling
@@ -397,22 +226,8 @@ class Simulator:
             raise SimulationError(f"invalid delay {delay!r}; must be finite and >= 0")
         time = self._now + delay
         handle = EventHandle(time, fn, args, self)
-        if delay == 0.0:
-            # fast path: the current timestamp is always current-region
-            self._cur_push(time, priority, handle)
-        else:
-            self._push(time, priority, handle)
+        self._push(time, priority, handle)
         return handle
-
-    def _cur_push(self, time: float, priority: int, handle: EventHandle) -> None:
-        heappush(self._cur, (time, priority, next(self._seq), handle))
-        self._size += 1
-        if (
-            self._width is None
-            and self._size >= self.BUCKET_THRESHOLD
-            and self._size >= self._bucket_check
-        ):
-            self._enter_bucket_mode()
 
     def at(
         self,
@@ -444,17 +259,9 @@ class Simulator:
 
         Returns True if an event ran, False if the queue is empty.
         """
-        cur = self._cur
-        keys = self._keys
-        while True:
-            if keys and (not cur or cur[0][0] >= keys[0] * self._width):
-                self._merge_next_bucket()
-                keys = self._keys  # _set_width may have rebuilt the key heap
-                continue
-            if not cur:
-                return False
-            entry = heappop(cur)
-            self._size -= 1
+        heap = self._heap
+        while heap:
+            entry = heappop(heap)
             handle = entry[3]
             if handle.cancelled:
                 self._cancelled -= 1
@@ -464,8 +271,9 @@ class Simulator:
             self._event_count += 1
             handle.fn(*handle.args)
             if self._probe is not None and self._probe.enabled:
-                self._probe.sim_event(self._size)
+                self._probe.sim_event(len(heap))
             return True
+        return False
 
     def run(self, until: float = math.inf, max_events: int | None = None) -> float:
         """Run events until the queue drains, ``until`` is reached, or
@@ -479,26 +287,20 @@ class Simulator:
             raise SimulationError("run() is not reentrant")
         self._running = True
         executed = 0
-        # _cur is filtered strictly in place (compaction, drain), so one
-        # binding stays valid across callbacks; _keys can be rebuilt by a
-        # width change, so it is re-fetched after every merge.
-        cur = self._cur
+        # the heap is only ever mutated in place (compaction, drain), so
+        # one binding stays valid across callbacks
+        heap = self._heap
         try:
             while True:
-                keys = self._keys
-                if keys and (not cur or cur[0][0] >= keys[0] * self._width):
-                    self._merge_next_bucket()
-                    continue
-                if not cur:
+                if not heap:
                     # queue drained
                     if until != _INF and until > self._now:
                         self._now = until
                     break
-                entry = cur[0]
+                entry = heap[0]
                 handle = entry[3]
                 if handle.cancelled:
-                    heappop(cur)
-                    self._size -= 1
+                    heappop(heap)
                     self._cancelled -= 1
                     continue
                 time = entry[0]
@@ -507,8 +309,7 @@ class Simulator:
                     break
                 if max_events is not None and executed >= max_events:
                     break
-                heappop(cur)
-                self._size -= 1
+                heappop(heap)
                 self._now = time
                 handle.fired = True
                 self._event_count += 1
@@ -517,7 +318,7 @@ class Simulator:
                 except StopSimulation:
                     break
                 if self._probe is not None and self._probe.enabled:
-                    self._probe.sim_event(self._size)
+                    self._probe.sim_event(len(heap))
                 executed += 1
         finally:
             self._running = False
@@ -525,35 +326,25 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next pending event, or ``inf`` if none."""
-        cur = self._cur
-        while True:
-            keys = self._keys
-            if keys and (not cur or cur[0][0] >= keys[0] * self._width):
-                self._merge_next_bucket()
-                continue
-            if not cur:
-                return math.inf
-            if cur[0][3].cancelled:
-                heappop(cur)
-                self._size -= 1
-                self._cancelled -= 1
-                continue
-            return cur[0][0]
+        heap = self._heap
+        while heap:
+            if not heap[0][3].cancelled:
+                return heap[0][0]
+            heappop(heap)
+            self._cancelled -= 1
+        return math.inf
 
     def drain(self) -> int:
         """Cancel every pending event; returns how many were cancelled."""
         n = 0
-        for entry in itertools.chain(self._cur, *self._future.values()):
+        for entry in self._heap:
             handle = entry[3]
             if not handle.cancelled and not handle.fired:
                 # set directly: the entries leave the queue wholesale below,
                 # so routing through cancel()'s compaction logic is waste
                 handle.cancelled = True
                 n += 1
-        self._cur.clear()
-        self._future.clear()
-        self._keys.clear()
-        self._size = 0
+        self._heap.clear()
         self._cancelled = 0
         return n
 

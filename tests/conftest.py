@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterSpec, VirtualCluster
+from repro.perf import run_process  # noqa: F401 - test modules import it from here
 from repro.sim import RngRegistry, Simulator
 
 
@@ -42,13 +43,3 @@ def paper_cluster(sim: Simulator) -> VirtualCluster:
         vm.image.write(0, rng.integers(0, 256, 2048, dtype=np.uint8))
         vm.image.clear_dirty()
     return cluster
-
-
-def run_process(sim: Simulator, gen):
-    """Run a generator to completion; re-raise its failure, return value."""
-    proc = sim.process(gen)
-    sim.run()
-    if proc.ok is False:
-        raise proc.value
-    assert proc.triggered, "process never finished (deadlock?)"
-    return proc.value

@@ -10,7 +10,10 @@ eats crash loss) must hold on seeded traces.
 import numpy as np
 import pytest
 
+from repro.audit.invariants import audit_cluster
+from repro.core.architectures import dvdc
 from repro.experiments import MethodSpec, PairedJobStudy
+from repro.failures.injector import FailureEvent, FailureInjector, FailureSchedule
 from repro.serving import (
     ArrivalChunk,
     ArrivalConfig,
@@ -24,7 +27,9 @@ from repro.serving import (
     run_serving_cell,
     run_serving_study,
 )
+from repro.serving.runtime import ServingRuntime
 from repro.sim import RngRegistry
+from repro.workloads.generators import scaled_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +400,41 @@ class TestServingCell:
     def test_unprotected_outages_attributed_to_none(self):
         rep = run_serving_cell(ServingPolicy("baseline"), CRASHY, 0)
         assert set(rep["degraded_seconds"]) == {"none"}
+
+
+class TestConcurrentKills:
+    def test_simultaneous_node_kills_within_tolerance_both_recover(self):
+        """Two nodes die at the same instant under RS(4,2).  Each crash
+        gets its own recovery, but ``recover`` rebuilds every lost VM:
+        run concurrently, the second re-placed VMs the first had already
+        hosted and was written off as unrecoverable."""
+        sc = scaled_scenario(
+            8, 2, vm_memory=float(16 << 20), seed=0,
+            functional=True, image_pages=16, page_size=64,
+        )
+        ck = dvdc(sc.cluster, group_size=4, scheme="rs-4-2")
+        arrivals = OpenLoopArrivals(
+            ArrivalConfig(rate=200.0, n_requests=4000), sc.rngs
+        )
+        kills = [FailureEvent(time=5.0, node_id=n, ordinal=0) for n in (1, 2)]
+        injector = FailureInjector(sc.sim, 8, schedule=FailureSchedule(kills))
+        runtime = ServingRuntime(
+            sc, arrivals, checkpointer=ck, injector=injector,
+            repair_time=2.0, interval=1.0,
+        )
+        injector.start()
+        runtime.start()
+        sc.sim.run(until=2000.0)
+        assert runtime.unrecoverable == []
+        assert runtime.n_failures == 2 and runtime.n_recoveries == 2
+        assert not runtime._shed  # both nodes' replicas are back up
+        assert all(vm.node_id is not None for vm in sc.cluster.all_vms)
+        assert runtime.report()["drained"] is True
+        audit = audit_cluster(
+            sc.cluster, ck.layout, ck.committed_epoch, strict=True,
+            scheme=ck.scheme,
+        )
+        assert audit.fatal == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the discrete-event core: ordering, cancellation, clocks."""
 
 import math
+import random
 
 import pytest
 
@@ -85,6 +86,56 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.at(5.0, lambda: None)
 
+    def test_far_future_events_fire_last_and_in_order(self):
+        sim = Simulator()
+        order = []
+        for far in (1e12, 1e6, 1e9):
+            sim.at(far, order.append, far)
+        for i in range(200):
+            sim.schedule(float(i % 13) + 0.1, order.append, i)
+        sim.run()
+        assert order[-3:] == [1e6, 1e9, 1e12]
+        near = order[:-3]
+        assert len(near) == 200
+        # near events sorted by their scheduled time, FIFO within ties
+        times = [float(t % 13) + 0.1 for t in near]
+        assert times == sorted(times)
+
+    def test_astronomical_time_beside_nanosecond_times(self):
+        """1e300 beside 1e-9 spacings must schedule and fire in order."""
+        sim = Simulator()
+        order = []
+        sim.at(1e300, order.append, "far")
+        for i in range(500):
+            sim.schedule((i % 50) * 1e-9 + 1e-9, order.append, i)
+        sim.run()
+        assert len(order) == 501
+        assert order[-1] == "far"
+        times = [(i % 50) * 1e-9 + 1e-9 for i in order[:-1]]
+        assert times == sorted(times)
+
+
+class TestAtNonFinite:
+    """A NaN compares false against everything and would corrupt the
+    queue's total order, so ``at()`` must reject non-finite times."""
+
+    def test_at_rejects_nan(self):
+        with pytest.raises(SimulationError, match="non-finite"):
+            Simulator().at(math.nan, lambda: None)
+
+    def test_at_rejects_inf(self):
+        with pytest.raises(SimulationError, match="non-finite"):
+            Simulator().at(math.inf, lambda: None)
+
+    def test_queue_usable_after_rejection(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.at(math.nan, lambda: None)
+        fired = []
+        sim.at(1.0, fired.append, "ok")
+        sim.run()
+        assert fired == ["ok"]
+
 
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
@@ -118,6 +169,51 @@ class TestCancellation:
         assert sim.drain() == 5
         sim.run()
         assert fired == []
+
+    def test_drain_resets_bookkeeping(self):
+        sim = Simulator()
+        handles = [sim.schedule(float(i % 97) + 0.5, lambda: None) for i in range(300)]
+        for h in handles[::3]:
+            h.cancel()
+        expected = len([h for h in handles if not h.cancelled])
+        assert sim.drain() == expected
+        assert sim.heap_size == 0
+        assert sim.cancelled_pending == 0
+        assert sim.peek() == math.inf
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cancelled_pending_equals_buried_count(self, seed):
+        """``cancelled_pending`` must equal the number of cancelled
+        entries physically buried in the heap at every point of a random
+        schedule/cancel/step interleaving (compactions included)."""
+        rng = random.Random(seed)
+        sim = Simulator()
+        sim.COMPACT_MIN_CANCELLED = 8  # instance override: compact often
+        handles = []
+        live = []
+        for _ in range(40):
+            for _ in range(rng.randrange(1, 30)):
+                live.append(
+                    sim.schedule(
+                        rng.random() * 50.0,
+                        lambda: None,
+                        priority=rng.choice((URGENT, NORMAL, LATE)),
+                    )
+                )
+                handles.append(live[-1])
+            for _ in range(rng.randrange(0, 30)):
+                if live:
+                    live.pop(rng.randrange(len(live))).cancel()
+            for _ in range(rng.randrange(0, 6)):
+                sim.step()
+            live = [h for h in live if h.pending]
+            buried = sum(1 for e in sim._heap if e[3].cancelled)
+            assert sim.cancelled_pending == buried
+            assert sim.heap_size - buried == sum(h.pending for h in handles)
+        assert sim.compactions > 0
+        sim.run()
+        assert sim.heap_size == 0
+        assert sim.cancelled_pending == 0
 
 
 class TestRun:

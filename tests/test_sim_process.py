@@ -7,6 +7,7 @@ from repro.sim import (
     AnyOf,
     Interrupt,
     ProcessError,
+    SimulationError,
     Simulator,
 )
 
@@ -105,6 +106,16 @@ class TestEvents:
     def test_value_before_trigger_raises(self, sim):
         with pytest.raises(ProcessError):
             _ = sim.event().value
+
+    def test_run_process_reports_a_wait_nobody_ends(self, sim):
+        """The queue drains with the process still parked on an event
+        nobody triggers: a deadlock, not a ``None`` result."""
+
+        def stuck_waiter():
+            yield sim.event()
+
+        with pytest.raises(SimulationError, match="stuck_waiter"):
+            run_process(sim, stuck_waiter())
 
 
 class TestJoin:
