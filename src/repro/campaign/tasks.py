@@ -170,11 +170,11 @@ def run_mc_chunk(params: dict, seed: int | None) -> dict:
     return {"chunk_index": index, **chunk_moments(samples)}
 
 
-@register_task("scale_digests", version="1")
+@register_task("scale_digests", version="2")
 def run_scale_digests(params: dict, seed: int | None) -> dict:
     """Digest one perf scale-scenario run (see :mod:`repro.perf.scale`).
 
-    params: n_nodes, epochs, allocator, cow, plus any other
+    params: n_nodes, epochs, allocator, plus any other
     :class:`~repro.perf.ScaleConfig` field.  Returns the scenario's
     bit-exactness digests; the golden determinism tests run this kind
     under ``--jobs 1`` and ``--jobs 4`` and require identical output.
@@ -186,7 +186,6 @@ def run_scale_digests(params: dict, seed: int | None) -> dict:
     return {
         "n_nodes": cfg.n_nodes,
         "allocator": cfg.allocator,
-        "cow": cfg.cow,
         "events": result["events"],
         "sim_time": result["sim_time"].hex(),
         "digests": result["digests"],

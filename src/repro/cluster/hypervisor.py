@@ -17,7 +17,6 @@ import sys
 
 import numpy as np
 
-from .bufpool import GLOBAL_POOL
 from .checksum import block_checksum
 from .images import CheckpointImage, CheckpointKind
 from .memory import PageDelta
@@ -162,9 +161,7 @@ class Hypervisor:
                 prev.payload = None
                 merged = prev_payload
             else:
-                src = prev.payload_flat()
-                merged = GLOBAL_POOL.acquire(src.nbytes)
-                np.copyto(merged, src)
+                merged = prev.payload_flat().copy()
             del prev_payload
             delta.apply_to(merged)
             # The committed object is a merged full snapshot: it occupies
@@ -183,33 +180,7 @@ class Hypervisor:
             # Commit is the moment the bytes are known good: fingerprint
             # them so restores and scrubs can detect later bit-rot.
             image.meta["checksum"] = block_checksum(image.payload)
-        replaced = self.node.checkpoint_store.get(image.vm_id)
         self.node.store_checkpoint(image)
-        self._recycle_replaced(replaced, image)
-
-    def _recycle_replaced(self, prev: CheckpointImage | None,
-                          image: CheckpointImage) -> None:
-        """Recycle the payload of a just-replaced committed checkpoint.
-
-        Only fires when nothing else references the old image (refcount
-        gate) — a checkpoint a test or scrubber still holds stays intact.
-        """
-        if (
-            prev is None
-            or prev is image
-            or not isinstance(prev.payload, np.ndarray)
-            # commit_checkpoint's local + our parameter + getrefcount's
-            # argument == 3; anything above means an external holder
-            or sys.getrefcount(prev) > 3
-        ):
-            return
-        buf = prev.payload
-        prev.payload = None
-        vm = self.node.vms.get(prev.vm_id)
-        if vm is not None and vm.image is not None:
-            vm.image.recycle_snapshot(buf)
-        else:
-            GLOBAL_POOL.recycle(buf)
 
     def committed(self, vm_id: int) -> CheckpointImage | None:
         return self.node.checkpoint_store.get(vm_id)

@@ -10,41 +10,29 @@ Incremental checkpoints are :class:`PageDelta` objects — the "only the
 changed pages are needed" representation from Section II-B (Plank's
 incremental variant), applied here at hypervisor level.
 
-Snapshot capture is copy-on-write-style: every content mutation stamps
-its pages with a monotonically increasing *generation*, and a snapshot
-buffer recycled back via :meth:`MemoryImage.recycle_snapshot` carries the
-generation it was captured at.  The next :meth:`snapshot` then reuses
-that buffer and re-copies only pages written since — so steady-state
-capture cost is proportional to the epoch's dirty set, not the image
-size.  Contents are bit-identical to a plain full copy (proven by the
-golden/differential tests); ``DEFAULT_COW`` / the ``cow`` constructor
-flag exist so those tests can run both paths.
+Buffers are plain numpy arrays: a full snapshot is one ``copy()`` of
+the image and a delta is one allocating gather of its dirty pages.  The
+steady-state checkpoint cost stays proportional to the dirty set
+because the hypervisor merges each delta into the committed image in
+place (see :meth:`repro.cluster.hypervisor.Hypervisor.commit_checkpoint`).
 """
 
 from __future__ import annotations
 
 import sys
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
-
-from .bufpool import GLOBAL_POOL, BufferPool
 
 __all__ = [
     "MemoryImage",
     "PageDelta",
     "recycle_delta",
     "DEFAULT_PAGE_SIZE",
-    "DEFAULT_COW",
 ]
 
 #: x86 small page.
 DEFAULT_PAGE_SIZE = 4096
-
-#: Default for ``MemoryImage(cow=...)``.  The differential tests flip
-#: this to prove COW and plain-copy snapshots are bit-identical.
-DEFAULT_COW = True
 
 
 @dataclass(frozen=True)
@@ -82,26 +70,21 @@ class PageDelta:
         view[self.indices] = self.pages
 
 
-def recycle_delta(delta: PageDelta, pool: BufferPool | None = None) -> bool:
-    """Return a fully-consumed delta's page buffer to the pool.
+def recycle_delta(delta: PageDelta) -> bool:
+    """Empty a fully-consumed delta, dropping its page buffer now.
 
     Caller contract: the delta has been applied/folded everywhere it will
     ever be needed and the caller holds the *only* reference to it.  The
     delta is emptied in place (zero pages) so accidental reuse fails
-    loudly rather than reading recycled bytes.  Refuses (returns False)
+    loudly rather than reading stale bytes.  Refuses (returns False)
     when any other reference to the delta still exists.
     """
-    if pool is None:
-        pool = GLOBAL_POOL
     # caller's binding + our parameter + getrefcount's argument == 3
     if not isinstance(delta, PageDelta) or sys.getrefcount(delta) > 3:
         return False
-    pages = delta.pages
-    base = pages.base if pages.base is not None else pages
     object.__setattr__(delta, "pages", np.empty((0, delta.page_size), dtype=np.uint8))
     object.__setattr__(delta, "indices", np.empty(0, dtype=np.int64))
-    del pages
-    return pool.recycle(base)
+    return True
 
 
 class MemoryImage:
@@ -115,10 +98,6 @@ class MemoryImage:
         Bytes per page.
     fill:
         Initial byte value, or ``None`` to leave zeroed.
-    cow:
-        Enable generation-tracked snapshot reuse (default
-        :data:`DEFAULT_COW`).  Purely a performance knob; snapshot
-        contents are identical either way.
 
     Notes
     -----
@@ -128,12 +107,12 @@ class MemoryImage:
     the image being small — the same kernels run at any size.
 
     The ``pages`` / ``flat`` views are writable but writes through them
-    bypass both dirty logging and COW generation tracking; all mutation
-    inside this package goes through the methods below.
+    bypass dirty logging; all mutation inside this package goes through
+    the methods below.
     """
 
     def __init__(self, n_pages: int, page_size: int = DEFAULT_PAGE_SIZE,
-                 fill: int | None = None, cow: bool | None = None):
+                 fill: int | None = None):
         if n_pages < 1:
             raise ValueError(f"need >= 1 page, got {n_pages}")
         if page_size < 1:
@@ -148,16 +127,6 @@ class MemoryImage:
             self._flat[:] = fill
         self._dirty = np.zeros(n_pages, dtype=bool)
         self._dirty_count = 0
-        self._cow = DEFAULT_COW if cow is None else bool(cow)
-        # generation tracking for COW snapshots: _page_gen[p] is the
-        # generation of page p's last content write
-        self._gen = 0
-        self._page_gen = np.zeros(n_pages, dtype=np.int64) if self._cow else None
-        # id(buffer) -> (weakref, generation) for buffers snapshot() has
-        # handed out; the weakref death callback evicts the entry so a
-        # reused id can never alias a stale generation tag
-        self._issued: dict[int, tuple[weakref.ref, int]] = {}
-        self._retired: tuple[int, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # geometry
@@ -179,16 +148,6 @@ class MemoryImage:
     # ------------------------------------------------------------------
     # guest writes
     # ------------------------------------------------------------------
-    def _stamp(self, first: int, last: int) -> None:
-        if self._page_gen is not None:
-            self._gen += 1
-            self._page_gen[first : last + 1] = self._gen
-
-    def _stamp_indices(self, idx: np.ndarray) -> None:
-        if self._page_gen is not None:
-            self._gen += 1
-            self._page_gen[idx] = self._gen
-
     def write(self, addr: int, data: bytes | np.ndarray) -> None:
         """Write bytes at ``addr``, marking every touched page dirty."""
         buf = np.frombuffer(bytes(data), dtype=np.uint8) if isinstance(
@@ -203,7 +162,6 @@ class MemoryImage:
         seg = self._dirty[first : last + 1]
         self._dirty_count += int(seg.size - np.count_nonzero(seg))
         seg[:] = True
-        self._stamp(first, last)
 
     def fill_page(self, index: int, value: int) -> None:
         """Overwrite one page with a constant (fast workload writes)."""
@@ -211,12 +169,12 @@ class MemoryImage:
         if not self._dirty[index]:
             self._dirty[index] = True
             self._dirty_count += 1
-        self._stamp(index, index)
 
     def touch_pages(self, indices: np.ndarray, rng: np.random.Generator | None = None) -> None:
         """Dirty the given pages; with an rng, also scribble random bytes
         into the first 8 bytes of each (cheap content change so deltas
-        are non-trivial in functional tests).
+        are non-trivial in functional tests; pages shorter than 8 bytes
+        take the leading ``page_size`` bytes of each 8-byte draw).
 
         ``indices`` may contain duplicates; accounting is by *unique*
         page, so ``dirty_bytes`` never double-counts a page re-touched
@@ -236,8 +194,8 @@ class MemoryImage:
             # rng consumption deliberately keyed to len(indices), dupes
             # included — RNG traces must not depend on the accounting fix
             stamp = rng.integers(0, 256, size=(len(idx), 8), dtype=np.uint8)
-            self.pages[idx, :8] = stamp
-            self._stamp_indices(uniq)
+            width = min(8, self.page_size)
+            self.pages[idx, :width] = stamp[:, :width]
 
     def read(self, addr: int, length: int) -> np.ndarray:
         if addr < 0 or addr + length > self.nbytes:
@@ -273,58 +231,10 @@ class MemoryImage:
     def snapshot(self) -> np.ndarray:
         """Full copy of the image contents (a *full* checkpoint payload).
 
-        With COW enabled the copy reuses the most recently recycled
-        snapshot buffer, re-copying only pages written since that buffer
-        was captured.  Either way the caller owns a buffer whose bytes
-        equal the image exactly, and the image never writes to it again.
+        The caller owns the returned buffer; the image never writes to
+        it again.
         """
-        if not self._cow:
-            return self._flat.copy()
-        if self._retired is not None:
-            rtag, out = self._retired
-            self._retired = None
-            stale = np.flatnonzero(self._page_gen > rtag)
-            if len(stale):
-                out.reshape(self.n_pages, self.page_size)[stale] = self.pages[stale]
-        else:
-            out = GLOBAL_POOL.acquire(self.nbytes)
-            np.copyto(out, self._flat)
-        self._register(out, self._gen)
-        return out
-
-    def _register(self, buf: np.ndarray, tag: int) -> None:
-        ident = id(buf)
-        self_ref = weakref.ref(self)
-
-        def _evict(_ref, self_ref=self_ref, ident=ident):
-            img = self_ref()
-            if img is not None:
-                img._issued.pop(ident, None)
-
-        self._issued[ident] = (weakref.ref(buf, _evict), tag)
-
-    def recycle_snapshot(self, buf: np.ndarray) -> bool:
-        """Hand a buffer returned by :meth:`snapshot` back for reuse.
-
-        Caller contract: it holds the only remaining reference (verified
-        via a refcount gate — a buffer still referenced elsewhere is left
-        untouched and the call returns False).  Buffers this image did
-        not issue fall through to the global pool.
-        """
-        if not isinstance(buf, np.ndarray):
-            return False
-        entry = self._issued.pop(id(buf), None) if self._cow else None
-        if entry is not None:
-            ref, tag = entry
-            # caller's binding + our parameter + getrefcount's arg == 3
-            if ref() is buf and sys.getrefcount(buf) <= 3:
-                old = self._retired
-                self._retired = (tag, buf)
-                if old is not None:
-                    GLOBAL_POOL.recycle(old[1])
-                return True
-            return False
-        return GLOBAL_POOL.recycle(buf, extra_refs=1)
+        return self._flat.copy()
 
     def capture_delta(self, clear: bool = True) -> PageDelta:
         """Capture currently-dirty pages as a :class:`PageDelta`.
@@ -332,15 +242,9 @@ class MemoryImage:
         With ``clear`` (the normal checkpoint path) the dirty log resets,
         beginning the next epoch — the read-and-clear that log-dirty
         hypervisor modes perform atomically at checkpoint time.
-
-        The page matrix lives in a pooled buffer; once the delta has been
-        applied/folded everywhere, :func:`recycle_delta` returns it.
         """
         idx = self.dirty_page_indices
-        k = len(idx)
-        buf = GLOBAL_POOL.acquire(k * self.page_size)
-        pages = buf.reshape(k, self.page_size)
-        np.take(self.pages, idx, axis=0, out=pages)
+        pages = np.take(self.pages, idx, axis=0)
         if clear:
             self.clear_dirty()
         return PageDelta(
@@ -357,7 +261,6 @@ class MemoryImage:
             raise ValueError(f"payload {buf.nbytes}B != image {self.nbytes}B")
         self._flat[:] = buf
         self.clear_dirty()
-        self._stamp(0, self.n_pages - 1)
 
     def apply_delta(self, delta: PageDelta) -> None:
         """Patch the image with a delta; clears dirty bits of the pages."""
@@ -366,7 +269,6 @@ class MemoryImage:
         delta.apply_to(self._flat)
         self._dirty_count -= int(np.count_nonzero(self._dirty[delta.indices]))
         self._dirty[delta.indices] = False
-        self._stamp_indices(delta.indices)
 
     def equals(self, other: "MemoryImage") -> bool:
         return (
@@ -374,16 +276,3 @@ class MemoryImage:
             and self.page_size == other.page_size
             and bool(np.array_equal(self._flat, other._flat))
         )
-
-    # ------------------------------------------------------------------
-    # pickling (campaign workers ship scenario state across processes;
-    # weakrefs and issued-buffer identity are process-local)
-    # ------------------------------------------------------------------
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_issued"] = {}
-        state["_retired"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)

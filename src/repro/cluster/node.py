@@ -11,12 +11,7 @@ parity for a group must not live with any member.
 
 from __future__ import annotations
 
-import sys
-
-import numpy as np
-
 from ..cluster.images import CheckpointImage, ParityBlock
-from .bufpool import GLOBAL_POOL
 from .vm import VirtualMachine
 
 __all__ = ["PhysicalNode", "NodeError"]
@@ -122,19 +117,7 @@ class PhysicalNode:
         if not self.alive:
             raise NodeError(f"node {self.node_id} is down")
         block.stored_on_node = self.node_id
-        prev = self.parity_store.get(block.group_id)
         self.parity_store[block.group_id] = block
-        if (
-            prev is not None
-            and prev is not block
-            and isinstance(prev.data, np.ndarray)
-            # our local + getrefcount's argument == 2; anything above
-            # means some other code still holds the replaced block
-            and sys.getrefcount(prev) <= 2
-        ):
-            buf = prev.data
-            prev.data = None
-            GLOBAL_POOL.recycle(buf)
         self.check_memory()
 
     # ------------------------------------------------------------------

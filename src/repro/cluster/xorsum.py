@@ -71,36 +71,18 @@ def xor_reduce(buffers: Iterable[np.ndarray | bytes]) -> np.ndarray:
     return out
 
 
-def xor_reduce_padded(
-    buffers: Iterable[np.ndarray | bytes], out: np.ndarray | None = None
-) -> np.ndarray:
+def xor_reduce_padded(buffers: Iterable[np.ndarray | bytes]) -> np.ndarray:
     """XOR of buffers of *unequal* length, zero-padded to the longest.
 
     RAID over heterogeneous VM images: a short member behaves as if
     zero-extended, so parity is as long as the largest image and any
     single member remains recoverable (reconstruct, then truncate to
     the member's own length).
-
-    ``out``, if given, must be a flat uint8 array at least as long as the
-    longest buffer; the result lands in ``out[:longest]`` (zeroed first)
-    and that slice is returned — lets parity exchange fold through pooled
-    scratch instead of allocating per call.
     """
     bufs = [as_u8(b) for b in buffers]
     if not bufs:
         raise ValueError("xor_reduce_padded needs at least one buffer")
-    n = max(b.shape[0] for b in bufs)
-    if out is None:
-        acc = np.zeros(n, dtype=np.uint8)
-    else:
-        if out.dtype != np.uint8 or out.ndim != 1 or out.shape[0] < n:
-            raise ValueError(
-                f"out must be a flat uint8 array of >= {n} bytes"
-            )
-        # exact-length out is returned as-is (not a sliced view) so the
-        # caller can later recycle it to a buffer pool
-        acc = out if out.shape[0] == n else out[:n]
-        acc[:] = 0
+    acc = np.zeros(max(b.shape[0] for b in bufs), dtype=np.uint8)
     for b in bufs:
         np.bitwise_xor(acc[: b.shape[0]], b, out=acc[: b.shape[0]])
     return acc
@@ -138,7 +120,7 @@ def xor_reduce_groups(group_flats: Sequence[Sequence[np.ndarray]]) -> np.ndarray
 
 def xor_fold_groups(
     prev_rows: Sequence[np.ndarray],
-    group_folds: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
+    group_folds: Sequence[Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]],
     n_pages_total: int,
     page_size: int,
 ) -> np.ndarray:
@@ -146,19 +128,22 @@ def xor_fold_groups(
 
     ``prev_rows[i]`` is group *i*'s previous flat parity block
     (``n_pages_total * page_size`` bytes); ``group_folds[i]`` holds that
-    group's member deltas as ``(page_indices, pages)`` pairs, where
-    ``pages`` is ``(k, page_size)`` of ``old ⊕ new`` dirty-page bytes.
+    group's members as ``(page_indices, base, pages)`` triples: ``base``
+    is the member's flat image the parity was taken over and ``pages``
+    the ``(len(page_indices), page_size)`` new bytes of its dirty pages.
     Returns a fresh ``(G, n_pages_total * page_size)`` array of folded
-    parity — input rows are not mutated.
+    parity, ``prev ⊕ base[page] ⊕ new[page]`` on every dirty page —
+    inputs are not mutated.
 
-    The fold runs member-slot-major: slot *j* of every group scatters in
-    one gather/xor/scatter triple (indices from different groups land in
-    disjoint row ranges, so the fancy-indexed update is well-defined).
-    Two members of the *same* group may dirty the same page; they sit in
-    different slots, and slot *j+1* gathers after slot *j* scattered, so
-    overlapping updates chain exactly like the sequential fold — and XOR
-    commutativity makes the slot-major order bit-identical to the
-    group-major one.
+    The fold runs member-slot-major: slot *j* of every group gathers its
+    parity pages in one fancy index (indices from different groups land
+    in disjoint row ranges, so the update is well-defined), XORs each
+    member's old and new pages straight into its segment of the gather,
+    and scatters back once.  Two members of the *same* group may dirty
+    the same page; they sit in different slots, and slot *j+1* gathers
+    after slot *j* scattered, so overlapping updates chain exactly like
+    the sequential fold — and XOR commutativity makes the slot-major
+    order bit-identical to the group-major one.
     """
     n_groups = len(prev_rows)
     if n_groups != len(group_folds):
@@ -174,17 +159,21 @@ def xor_fold_groups(
     pages_view = out.reshape(n_groups * n_pages_total, page_size)
     max_slots = max((len(folds) for folds in group_folds), default=0)
     for slot in range(max_slots):
+        members = []
         idx_parts = []
-        page_parts = []
         for i, folds in enumerate(group_folds):
             if slot < len(folds):
-                indices, pages = folds[slot]
-                idx_parts.append(indices + i * n_pages_total)
-                page_parts.append(pages)
+                members.append(folds[slot])
+                idx_parts.append(folds[slot][0] + i * n_pages_total)
         idx = np.concatenate(idx_parts)
-        pages = np.vstack(page_parts)
         gathered = pages_view[idx]
-        np.bitwise_xor(gathered, pages, out=gathered)
+        start = 0
+        for indices, base, pages in members:
+            seg = gathered[start : start + len(indices)]
+            start += len(indices)
+            old = base.reshape(n_pages_total, page_size)[indices]
+            np.bitwise_xor(seg, old, out=seg)
+            np.bitwise_xor(seg, pages, out=seg)
         pages_view[idx] = gathered
     return out
 

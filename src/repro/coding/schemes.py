@@ -40,7 +40,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..cluster.bufpool import GLOBAL_POOL
 from ..cluster.memory import PageDelta
 from ..cluster.xorsum import (
     as_u8,
@@ -225,22 +224,6 @@ def _missing_count(
     return lost_members, lost_shards
 
 
-def _xor_delta(
-    base: np.ndarray, delta: PageDelta, scratch: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(indices, old ⊕ new)`` for the dirty pages of one member, in a
-    pooled buffer appended to ``scratch`` — no per-epoch temporaries."""
-    buf = GLOBAL_POOL.acquire(delta.pages.nbytes)
-    scratch.append(buf)
-    xored = buf.reshape(delta.n_pages, delta.page_size)
-    np.take(
-        base.reshape(delta.n_pages_total, delta.page_size),
-        delta.indices, axis=0, out=xored,
-    )
-    np.bitwise_xor(xored, delta.pages, out=xored)
-    return delta.indices, xored
-
-
 class XorScheme(CodingScheme):
     """Single-parity XOR (the paper's RAID-4/5 analogue), as a scheme.
 
@@ -271,11 +254,7 @@ class XorScheme(CodingScheme):
             if len(lengths) == 1:
                 buckets.setdefault((len(members), lengths.pop()), []).append(i)
             else:
-                out[i] = [
-                    xor_reduce_padded(
-                        members, out=GLOBAL_POOL.acquire(max(lengths))
-                    )
-                ]
+                out[i] = [xor_reduce_padded(members)]
         for idxs in buckets.values():
             stacked = xor_reduce_groups([groups[i] for i in idxs])
             for row, i in zip(stacked, idxs):
@@ -287,9 +266,10 @@ class XorScheme(CodingScheme):
         prev_shards: Sequence[Sequence[np.ndarray]],
         updates: Sequence[Sequence[tuple[np.ndarray, PageDelta]]],
     ) -> list[list[np.ndarray]]:
-        """The RAID-5 small-write update: ``old ⊕ new`` of each dirty
-        page is folded into a copy of the previous parity, one stacked
-        :func:`xor_fold_groups` call per ``(pages, page size)`` bucket."""
+        """The RAID-5 small-write update: the old and new bytes of each
+        dirty page are folded into a copy of the previous parity, one
+        stacked :func:`xor_fold_groups` call per ``(pages, page size)``
+        bucket."""
         out: list[list[np.ndarray]] = [[] for _ in updates]
         buckets: dict[tuple[int, int], list[int]] = {}
         for i, members in enumerate(updates):
@@ -298,20 +278,15 @@ class XorScheme(CodingScheme):
                 (delta.n_pages_total, delta.page_size), []
             ).append(i)
         for (n_pages_total, page_size), idxs in buckets.items():
-            scratch: list[np.ndarray] = []
             stacked = xor_fold_groups(
                 [prev_shards[i][0] for i in idxs],
                 [
-                    [_xor_delta(base, delta, scratch) for base, delta in updates[i]]
+                    [(delta.indices, base, delta.pages) for base, delta in updates[i]]
                     for i in idxs
                 ],
                 n_pages_total,
                 page_size,
             )
-            # the fold list (every view of the scratch buffers) died with
-            # the call, so the pool's sole-owner gate takes them back
-            while scratch:
-                GLOBAL_POOL.recycle(scratch.pop())
             for row, i in zip(stacked, idxs):
                 out[i] = [row]
         return out

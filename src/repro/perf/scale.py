@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..checkpoint.strategies import IncrementalCapture
-from ..cluster import memory
 from ..cluster.cluster import ClusterSpec, VirtualCluster
 from ..controlplane.scheduler import PlacementEngine
 from ..core.architectures import dvdc
@@ -59,7 +58,6 @@ class ScaleConfig:
     epochs: int = 3
     seed: int = 0
     allocator: str = "incremental"
-    cow: bool = True
     image_pages: int = 16
     page_size: int = 64
     dirty_pages_per_vm: int = 4
@@ -71,44 +69,42 @@ class ScaleConfig:
 
 
 def build_scenario(cfg, spec: ClusterSpec, tracer: Tracer | None = None,
-                   cow: bool = True, **checkpointer):
+                   **checkpointer):
     """Construct ``(sim, cluster, checkpointer, rngs, tracer)`` on ``spec``.
 
-    ``cfg`` supplies ``seed``, ``trace``, ``n_vms``, ``image_pages`` and
-    ``page_size``; ``checkpointer`` is forwarded to
-    :func:`~repro.core.architectures.dvdc` (group size, scheme, domains).
-    ``tracer`` overrides the default (``Tracer()`` when ``cfg.trace``,
-    else the null tracer) — the golden tests pass a telemetry ``Probe``
-    here to export span timelines of the exact same scenario.
+    ``cfg`` supplies ``seed``, ``trace``, ``n_vms``, ``image_pages``,
+    ``page_size``, ``epochs`` and ``dirty_pages_per_vm``; ``checkpointer``
+    is forwarded to :func:`~repro.core.architectures.dvdc` (group size,
+    scheme, domains).  ``tracer`` overrides the default (``Tracer()``
+    when ``cfg.trace``, else the null tracer) — the golden tests pass a
+    telemetry ``Probe`` here to export span timelines of the exact same
+    scenario.
     """
-    for name in ("image_pages", "page_size"):
-        # 0 means "no functional image" to create_vm; configs reach here
-        # from campaign spec files, so reject it by name
-        if getattr(cfg, name) < 1:
-            raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)}")
+    # configs reach here from campaign spec files, so bad sizes are
+    # rejected by field name: 0 pages means "no functional image" to
+    # create_vm, and negative counts would run zero epochs or die in numpy
+    for name, least in (("image_pages", 1), ("page_size", 1),
+                        ("epochs", 0), ("dirty_pages_per_vm", 0)):
+        if getattr(cfg, name) < least:
+            raise ValueError(f"{name} must be >= {least}, got {getattr(cfg, name)}")
     sim = Simulator()
     if tracer is None:
         tracer = Tracer() if cfg.trace else NULL_TRACER
     rngs = RngRegistry(cfg.seed)
-    old_cow = memory.DEFAULT_COW
-    memory.DEFAULT_COW = cow
-    try:
-        cluster = VirtualCluster(sim, spec, tracer=tracer)
-        # placement routed through the control plane's engine; on an
-        # empty cluster its least-loaded greedy reproduces the classic
-        # round-robin exactly (pinned by the golden digests)
-        hosts = PlacementEngine(cluster).spread(cfg.n_vms)
-        init = rngs.stream("image-init")
-        for i in range(cfg.n_vms):
-            vm = cluster.create_vm(
-                hosts[i], 1e9, dirty_rate=2e5,
-                image_pages=cfg.image_pages, page_size=cfg.page_size,
-            )
-            fill = min(512, vm.image.nbytes)
-            vm.image.write(0, init.integers(0, 256, fill, dtype=np.uint8))
-            vm.image.clear_dirty()
-    finally:
-        memory.DEFAULT_COW = old_cow
+    cluster = VirtualCluster(sim, spec, tracer=tracer)
+    # placement routed through the control plane's engine; on an empty
+    # cluster its least-loaded greedy reproduces the classic round-robin
+    # exactly (pinned by the golden digests)
+    hosts = PlacementEngine(cluster).spread(cfg.n_vms)
+    init = rngs.stream("image-init")
+    for i in range(cfg.n_vms):
+        vm = cluster.create_vm(
+            hosts[i], 1e9, dirty_rate=2e5,
+            image_pages=cfg.image_pages, page_size=cfg.page_size,
+        )
+        fill = min(512, vm.image.nbytes)
+        vm.image.write(0, init.integers(0, 256, fill, dtype=np.uint8))
+        vm.image.clear_dirty()
     ckpt = dvdc(
         cluster, strategy=IncrementalCapture(), tracer=tracer, **checkpointer
     )
@@ -118,9 +114,7 @@ def build_scenario(cfg, spec: ClusterSpec, tracer: Tracer | None = None,
 def build_scale_scenario(cfg: ScaleConfig, tracer: Tracer | None = None):
     """The flat-fabric scenario: ``(sim, cluster, checkpointer, rngs, tracer)``."""
     spec = ClusterSpec(n_nodes=cfg.n_nodes, allocator=cfg.allocator)
-    return build_scenario(
-        cfg, spec, tracer, cow=cfg.cow, group_size=cfg.group_size
-    )
+    return build_scenario(cfg, spec, tracer, group_size=cfg.group_size)
 
 
 def _dirty_epoch(cluster, rngs: RngRegistry, cfg) -> None:

@@ -4,7 +4,9 @@ Seeded (RngRegistry-driven) randomized laws for the pieces the scale
 work leans on hardest:
 
 * xorsum algebra — associativity/commutativity, self-inverse, padded
-  round-trips, and ``out=``-buffer equivalence;
+  round-trips;
+* the batched XOR delta fold — equal to a naive per-member fold, and
+  ``XorScheme.fold_many`` equal to a whole re-encode;
 * fluid-flow conservation — under random flap/abort/degrade schedules,
   delivered bytes match flow sizes, links never leak flows, and the
   incremental allocator's per-flow trajectory is bit-identical to the
@@ -12,28 +14,25 @@ work leans on hardest:
 * ``MemoryImage.touch_pages`` accounting — ``dirty_bytes`` counts
   *unique* pages (the double-count regression) while RNG consumption
   stays keyed to the raw index list;
-* BufferPool lifetime rules — refcount gate, view/dtype rejection, caps;
 * event-heap lazy-deletion compaction — bounded heap, preserved
   execution order, counter hygiene across peek/drain;
-* COW snapshots — bit-identical to plain copies, and recycling can never
-  corrupt a buffer the caller still holds.
+* snapshots — a snapshot stays frozen while the image mutates.
 """
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 import pytest
 
-from repro.cluster.bufpool import BufferPool
 from repro.cluster.memory import MemoryImage
 from repro.cluster.xorsum import (
     reconstruct_missing_padded,
+    xor_fold_groups,
     xor_into,
     xor_reduce,
     xor_reduce_padded,
 )
+from repro.coding import get_scheme
 from repro.network.topology import SwitchedTopology
 from repro.sim import RngRegistry, Simulator
 
@@ -90,27 +89,86 @@ def test_padded_round_trip(rngs: RngRegistry, seed: int):
         assert np.array_equal(got, bufs[missing])
 
 
+# ---------------------------------------------------------------------------
+# the batched XOR delta fold
+# ---------------------------------------------------------------------------
+def _naive_fold(prev, folds, n_pages_total: int, page_size: int) -> np.ndarray:
+    """``parity ^= old[idx] ^ new`` one member and one page at a time."""
+    parity = prev.copy().reshape(n_pages_total, page_size)
+    for indices, base, pages in folds:
+        old = base.reshape(n_pages_total, page_size)
+        for page, new in zip(indices, pages):
+            parity[page] ^= old[page] ^ new
+    return parity.reshape(-1)
+
+
+def _fold_case(rng, n_pages_total: int, page_size: int):
+    """Random groups, pinned to cover the fold's awkward cases: group 0
+    has four members and group 1 one (unequal slot counts), group 0's
+    first two members both dirty page 3, and its last delta is empty."""
+    nbytes = n_pages_total * page_size
+    slots = rng.integers(0, 5, size=int(rng.integers(2, 6)))
+    slots[0], slots[1] = 4, 1
+    prev_rows, group_folds = [], []
+    for g, n_slots in enumerate(slots):
+        prev_rows.append(rng.integers(0, 256, nbytes, dtype=np.uint8))
+        folds = []
+        for j in range(n_slots):
+            n_dirty = int(rng.integers(0, n_pages_total + 1))
+            indices = rng.choice(n_pages_total, n_dirty, replace=False)
+            if g == 0 and j < 2:
+                indices = np.union1d(indices, [3])
+            if g == 0 and j == 3:
+                indices = indices[:0]
+            indices = np.sort(indices).astype(np.int64)
+            base = rng.integers(0, 256, nbytes, dtype=np.uint8)
+            pages = rng.integers(0, 256, (len(indices), page_size), dtype=np.uint8)
+            folds.append((indices, base, pages))
+        group_folds.append(folds)
+    return prev_rows, group_folds
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_xor_fold_groups_matches_naive_fold(rngs: RngRegistry, seed: int):
+    rng = rngs.stream(f"fold/{seed}")
+    n_pages_total = int(rng.integers(4, 20))
+    page_size = int(rng.choice([1, 8, 64]))
+    prev_rows, group_folds = _fold_case(rng, n_pages_total, page_size)
+    before = [r.copy() for r in prev_rows]
+    got = xor_fold_groups(prev_rows, group_folds, n_pages_total, page_size)
+    assert got.shape == (len(prev_rows), n_pages_total * page_size)
+    for row, prev, folds in zip(got, prev_rows, group_folds):
+        assert np.array_equal(row, _naive_fold(prev, folds, n_pages_total, page_size))
+    assert all(np.array_equal(a, b) for a, b in zip(prev_rows, before)), \
+        "input parity rows must not be mutated"
+
+
 @pytest.mark.parametrize("seed", range(3))
-def test_xor_reduce_padded_out_buffer_equivalence(rngs: RngRegistry, seed: int):
-    """``out=`` lands the same bytes; an exact-length out is returned
-    as-is (identity) so pooled callers can recycle it afterwards."""
-    rng = rngs.stream(f"outbuf/{seed}")
-    bufs = [rng.integers(0, 256, size=int(n), dtype=np.uint8)
-            for n in rng.integers(1, 200, size=4)]
-    longest = max(b.shape[0] for b in bufs)
-    expected = xor_reduce_padded(bufs)
-    exact = np.full(longest, 0xAA, dtype=np.uint8)
-    got = xor_reduce_padded(bufs, out=exact)
-    assert got is exact
-    assert np.array_equal(got, expected)
-    oversized = np.full(longest + 17, 0xAA, dtype=np.uint8)
-    got = xor_reduce_padded(bufs, out=oversized)
-    assert np.array_equal(got, expected)
-    assert np.all(oversized[longest:] == 0xAA), "bytes past the result untouched"
-    with pytest.raises(ValueError):
-        xor_reduce_padded(bufs, out=np.zeros(longest - 1, dtype=np.uint8))
-    with pytest.raises(ValueError):
-        xor_reduce_padded(bufs, out=np.zeros(longest, dtype=np.uint16))
+def test_xor_scheme_fold_many_equals_reencode(rngs: RngRegistry, seed: int):
+    """Folding each epoch's deltas into the previous parity gives the
+    bytes a whole re-encode of the new members gives — across two page
+    geometries in one call (two fold buckets) and with a clean member."""
+    rng = rngs.stream(f"fold-many/{seed}")
+    scheme = get_scheme("xor")
+    prev_shards, updates, expected = [], [], []
+    for n_pages, page_size in [(16, 64), (8, 32), (16, 64)]:
+        images = []
+        for _ in range(int(rng.integers(2, 5))):
+            img = MemoryImage(n_pages, page_size)
+            img.write(0, rng.integers(0, 256, img.nbytes, dtype=np.uint8))
+            img.clear_dirty()
+            images.append(img)
+        bases = [img.snapshot() for img in images]
+        prev_shards.append(scheme.encode(bases))
+        for img in images[1:]:  # images[0] stays clean: an empty delta
+            img.touch_pages(rng.integers(0, n_pages, size=5), rng)
+        updates.append([(base, img.capture_delta())
+                        for base, img in zip(bases, images)])
+        expected.append(scheme.encode([img.flat for img in images]))
+    folded = scheme.fold_many(prev_shards, updates)
+    assert len(folded) == len(expected)
+    for got, want in zip(folded, expected):
+        assert len(got) == 1 and np.array_equal(got[0], want[0])
 
 
 # ---------------------------------------------------------------------------
@@ -250,51 +308,19 @@ def test_touch_pages_rng_consumption_unchanged_by_duplicates():
     assert rng_a.integers(0, 1 << 30) == rng_b.integers(0, 1 << 30)
 
 
-# ---------------------------------------------------------------------------
-# BufferPool lifetime rules
-# ---------------------------------------------------------------------------
-def test_pool_roundtrip_and_refcount_gate():
-    pool = BufferPool()
-    buf = pool.acquire(256)
-    ident = id(buf)
-    alias = buf  # second reference: recycle must refuse
-    assert pool.recycle(buf) is False
-    assert pool.stats()["rejected"] == 1
-    del alias
-    assert pool.recycle(buf) is True
-    del buf
-    again = pool.acquire(256)
-    assert id(again) == ident, "freed buffer is reissued"
-    assert pool.hits == 1
-
-
-def test_pool_rejects_unsafe_buffers():
-    pool = BufferPool()
-    base = np.zeros(128, dtype=np.uint8)
-    assert pool.recycle(base[:64]) is False  # view
-    assert pool.recycle(np.zeros(16, dtype=np.uint16)) is False  # dtype
-    assert pool.recycle(np.zeros((4, 4), dtype=np.uint8)) is False  # ndim
-    assert pool.recycle(None) is False
-    assert pool.held_buffers == 0
-
-
-def test_pool_caps():
-    pool = BufferPool(max_buffers_per_size=2, max_total_bytes=1024)
-    kept = [pool.recycle(np.zeros(100, dtype=np.uint8)) for _ in range(3)]
-    assert kept == [True, True, False]
-    assert pool.held_buffers == 2
-    assert pool.recycle(np.zeros(1000, dtype=np.uint8)) is False  # total cap
-    pool.clear()
-    assert pool.held_bytes == 0 and pool.held_buffers == 0
-
-
-def test_pool_disabled_is_passthrough():
-    pool = BufferPool()
-    pool.enabled = False
-    assert pool.recycle(np.zeros(64, dtype=np.uint8)) is False
-    a = pool.acquire(64)
-    b = pool.acquire(64)
-    assert a is not b
+@pytest.mark.parametrize("page_size", [1, 4])
+def test_touch_pages_stamps_pages_shorter_than_the_draw(page_size: int):
+    """A page under 8 bytes takes the leading bytes of each row of the
+    ``(n, 8)`` draw; the stream still advances by the whole draw, so
+    every other page size replays exactly as before."""
+    img = MemoryImage(4, page_size=page_size)
+    rng_a = np.random.default_rng(3)
+    img.touch_pages([1, 2], rng_a)
+    rng_b = np.random.default_rng(3)
+    expected = rng_b.integers(0, 256, size=(2, 8), dtype=np.uint8)
+    assert np.array_equal(img.pages[[1, 2]], expected[:, :page_size])
+    assert img.dirty_page_count == 2
+    assert rng_a.integers(0, 1 << 30) == rng_b.integers(0, 1 << 30)
 
 
 # ---------------------------------------------------------------------------
@@ -369,55 +395,19 @@ def test_cancel_after_fire_is_noop():
 
 
 # ---------------------------------------------------------------------------
-# COW snapshot safety
+# snapshots
 # ---------------------------------------------------------------------------
-def _random_image(rng, cow: bool) -> MemoryImage:
-    img = MemoryImage(n_pages=16, page_size=64, cow=cow)
+def test_snapshot_stays_frozen_while_image_mutates(rng):
+    """A snapshot the caller holds is its own buffer: later writes to
+    the image, and later snapshots, never reach it."""
+    img = MemoryImage(n_pages=16, page_size=64)
     img.write(0, rng.integers(0, 256, size=img.nbytes, dtype=np.uint8))
     img.clear_dirty()
-    return img
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_cow_snapshot_bit_identical_to_copy(rngs: RngRegistry, seed: int):
-    rng = rngs.stream(f"cow/{seed}")
-    cow = _random_image(rng, cow=True)
-    raw = MemoryImage(n_pages=16, page_size=64, cow=False)
-    raw.restore(cow.flat)
-    for _ in range(6):
-        addr = int(rng.integers(0, cow.nbytes - 32))
-        data = rng.integers(0, 256, size=32, dtype=np.uint8)
-        cow.write(addr, data)
-        raw.write(addr, data)
-        snap = cow.snapshot()
-        assert np.array_equal(snap, raw.snapshot())
-        assert np.array_equal(snap, cow.flat)
-        cow.recycle_snapshot(snap)
-        del snap
-
-
-def test_recycle_never_corrupts_held_snapshot(rng):
-    """A snapshot the caller still references is refused by the recycle
-    gate and its bytes stay frozen while the image keeps mutating."""
-    img = _random_image(rng, cow=True)
     snap = img.snapshot()
     frozen = snap.copy()
-    holder = snap  # second reference — recycle must refuse
-    assert img.recycle_snapshot(snap) is False
     img.write(0, rng.integers(0, 256, size=img.nbytes, dtype=np.uint8))
+    img.fill_page(3, 0xEE)
     later = img.snapshot()
     assert np.array_equal(snap, frozen), "held snapshot was mutated"
     assert np.array_equal(later, img.flat)
-    assert holder is snap
-
-
-def test_cow_reuse_path_recopies_only_stale_pages(rng):
-    img = _random_image(rng, cow=True)
-    snap = img.snapshot()
-    assert img.recycle_snapshot(snap) is True
-    ident = id(snap)
-    del snap
-    img.fill_page(3, 0xEE)
-    again = img.snapshot()
-    assert id(again) == ident, "retired buffer is reused"
-    assert np.array_equal(again, img.flat)
+    assert not np.shares_memory(later, img.flat)
