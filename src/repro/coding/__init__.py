@@ -15,8 +15,9 @@ from .gf256 import (
     gf_inv,
     gf_matinv,
     gf_matmul,
+    gf_matvec,
     gf_mul,
-    gf_mul_vec,
+    gf_pair_tables,
 )
 from .parity import ParityCodeError, RDPCode, XorCode, smallest_prime_at_least
 from .schemes import (
@@ -43,8 +44,9 @@ __all__ = [
     "gf_inv",
     "gf_matinv",
     "gf_matmul",
+    "gf_matvec",
     "gf_mul",
-    "gf_mul_vec",
+    "gf_pair_tables",
     "CodingScheme",
     "ReedSolomonScheme",
     "ReplicationScheme",

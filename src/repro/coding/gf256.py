@@ -9,10 +9,18 @@ Two lookup structures drive everything:
 
 * ``GF_EXP`` / ``GF_LOG`` — the discrete log/antilog tables used for
   scalar multiply, divide, and inverse.
-* ``MUL_TABLE`` — the full 256×256 product table.  Multiplying a whole
-  buffer by a scalar coefficient is a single vectorized numpy gather
-  (``MUL_TABLE[c][vec]``), which is what makes RS(k, m) encode a
-  handful of fancy-index + XOR passes instead of a Python loop.
+* ``MUL_TABLE`` — the full 256×256 product table; row ``c`` maps every
+  byte to its product with ``c``.
+
+Every product over data buffers goes through one kernel,
+:func:`gf_matvec`: the rows of ``mat @ vecs`` over GF(256), computed
+block by block.  Each member's block is widened to ``intp`` once and
+shared by all output rows; each coefficient is one ``np.take`` gather
+into a reused buffer XORed into the output slice.  Given :func:`gf_pair_tables` (a
+65 536-entry ``uint16`` table per coefficient), the gather reads the
+members two bytes at a time — what RS encode does with its fixed
+generator; decode matrices change with every erasure pattern, so
+decode gathers byte-wise from ``MUL_TABLE`` rows and builds no tables.
 
 The matrix helpers (:func:`gf_matmul`, :func:`gf_matinv`) operate on
 small ``k × k`` systematic-code matrices — Gauss–Jordan over GF(256) —
@@ -21,6 +29,8 @@ property guarantees.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -83,13 +93,102 @@ MUL_TABLE = _build_mul_table()
 MUL_TABLE.setflags(write=False)
 
 
-def gf_mul_vec(coeff: int, vec: np.ndarray) -> np.ndarray:
-    """Vectorized ``coeff * vec`` over a uint8 buffer (table gather)."""
-    if coeff == 0:
-        return np.zeros_like(vec)
-    if coeff == 1:
-        return vec.copy()
-    return MUL_TABLE[coeff][vec]
+#: Columns per block in :func:`gf_matvec` (elements: bytes, or byte
+#: pairs with pair tables) — the widened indices, the gather buffer and
+#: the output slices of one block stay cache-resident.
+BLOCK = 1 << 15
+
+_PAIR_BYTES = np.arange(1 << 16, dtype=np.uint16).view(np.uint8)
+
+
+def gf_pair_tables(mat: np.ndarray) -> dict[int, np.ndarray]:
+    """Byte-pair product tables for every coefficient ``>= 2`` of ``mat``.
+
+    ``table[c][p]`` is the ``uint16`` whose two bytes are ``c`` times
+    the two bytes of ``p`` (in memory order, so the tables are
+    endian-neutral).  128 KiB each; :func:`gf_matvec` uses them to
+    gather two products per index.
+    """
+    return {
+        c: MUL_TABLE[c][_PAIR_BYTES].view(np.uint16)
+        for c in map(int, np.unique(mat))
+        if c > 1
+    }
+
+
+def gf_matvec(
+    mat: np.ndarray,
+    vecs: Sequence[np.ndarray],
+    length: int,
+    pair_tables: dict[int, np.ndarray] | None = None,
+) -> list[np.ndarray]:
+    """Rows of ``mat @ vecs`` over GF(256): ``out[i] = sum_j mat[i, j] * vecs[j]``.
+
+    ``mat`` is ``r × k``; ``vecs`` holds ``k`` contiguous ``uint8``
+    buffers of exactly ``length`` bytes (any alignment).  Returns ``r``
+    fresh ``uint8`` arrays of ``length`` bytes.  With ``pair_tables``
+    (from :func:`gf_pair_tables` over ``mat``, or a superset) the
+    members are read as byte pairs and an odd last byte is multiplied
+    through ``MUL_TABLE``; the bytes are the same either way.
+    """
+    mat = np.asarray(mat, dtype=np.uint8)
+    rows, k = mat.shape
+    if len(vecs) != k:
+        raise ValueError(f"{k} matrix columns but {len(vecs)} vectors")
+    for v in vecs:
+        if v.shape != (length,):
+            raise ValueError(f"vector of shape {v.shape}, expected ({length},)")
+    out = [np.zeros(length, dtype=np.uint8) for _ in range(rows)]
+    coeffs = [[int(c) for c in row] for row in mat]
+    paired = 0
+    if pair_tables is not None:
+        paired = length & ~1
+        _matvec_blocks(
+            coeffs,
+            [v[:paired].view(np.uint16) for v in vecs],
+            [o[:paired].view(np.uint16) for o in out],
+            pair_tables,
+        )
+    # The bytes no pair gather covered: all of them, or an odd last one.
+    _matvec_blocks(
+        coeffs, [v[paired:] for v in vecs], [o[paired:] for o in out], MUL_TABLE
+    )
+    return out
+
+
+def _matvec_blocks(coeffs, vecs, out, tables) -> None:
+    """Accumulate ``coeffs @ vecs`` into ``out`` (all of one element
+    dtype), one column block at a time; ``tables[c]`` maps an element
+    to its product with ``c``."""
+    n = vecs[0].shape[0] if vecs else 0
+    if n == 0:
+        return
+    step = min(BLOCK, n)
+    idx = np.empty(step, dtype=np.intp)
+    tmp = np.empty(step, dtype=vecs[0].dtype)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        w = stop - start
+        bidx, btmp = idx[:w], tmp[:w]
+        for j, vec in enumerate(vecs):
+            block = vec[start:stop]
+            widened = False
+            for i, row in enumerate(coeffs):
+                c = row[j]
+                if c == 0:
+                    continue
+                dst = out[i][start:stop]
+                if c == 1:
+                    np.bitwise_xor(dst, block, out=dst)
+                    continue
+                if not widened:
+                    np.copyto(bidx, block)
+                    widened = True
+                # mode="clip" gathers straight into ``btmp``: in-range
+                # indices make the clip a no-op, while "raise" would
+                # gather into a temporary and copy it over.
+                np.take(tables[c], bidx, out=btmp, mode="clip")
+                np.bitwise_xor(dst, btmp, out=dst)
 
 
 def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -100,16 +199,7 @@ def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     k2, m = b.shape
     if k != k2:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    out = np.zeros((n, m), dtype=np.uint8)
-    for i in range(n):
-        row = a[i]
-        acc = np.zeros(m, dtype=np.uint8)
-        for j in range(k):
-            c = int(row[j])
-            if c:
-                acc ^= MUL_TABLE[c][b[j]]
-        out[i] = acc
-    return out
+    return np.array(gf_matvec(a, list(b), m), dtype=np.uint8).reshape(n, m)
 
 
 def gf_matinv(m: np.ndarray) -> np.ndarray:

@@ -48,7 +48,7 @@ from ..cluster.xorsum import (
     xor_reduce_groups,
     xor_reduce_padded,
 )
-from .gf256 import MUL_TABLE, cauchy_matrix, gf_matinv
+from .gf256 import cauchy_matrix, gf_matinv, gf_matvec, gf_pair_tables
 from .parity import ParityCodeError, RDPCode
 
 __all__ = [
@@ -380,10 +380,13 @@ class ReedSolomonScheme(CodingScheme):
 
     Generator ``[I_k ; C]`` with ``C`` an ``m × k`` Cauchy block (any
     square submatrix invertible — the MDS property), so *any* ``m``
-    erasures among the ``k + m`` elements are repairable.  Encode is
-    vectorized: per coefficient, one ``MUL_TABLE`` gather over the whole
-    member buffer plus an XOR accumulate.  Decode inverts the ``k × k``
-    survivor submatrix by Gauss–Jordan over GF(256) and re-projects.
+    erasures among the ``k + m`` elements are repairable.  Encode and
+    decode are both one :func:`~repro.coding.gf256.gf_matvec` call:
+    encode applies ``C`` with byte-pair tables cached per member count
+    beside the matrix (at most ``m·k`` tables of 128 KiB); decode
+    inverts the ``k × k`` survivor submatrix by Gauss–Jordan over
+    GF(256) and applies the inverse's lost-member rows through
+    ``MUL_TABLE``, since that matrix changes with every erasure pattern.
 
     ``k`` is bound per group at encode time (the spec's ``k`` — e.g. the
     8 in ``rs-8-2`` — is advisory, used for bench naming and overhead
@@ -391,13 +394,18 @@ class ReedSolomonScheme(CodingScheme):
     """
 
     def __init__(self, m: int = 2, k_hint: int = 8) -> None:
-        if m < 1:
-            raise ValueError(f"need m >= 1 parity shards, got {m}")
+        if not 1 <= m <= MAX_SHARDS:
+            raise ValueError(
+                f"need 1 <= m <= MAX_SHARDS ({MAX_SHARDS}) parity shards, got {m}"
+            )
+        if k_hint < 1:
+            raise ValueError(f"need k >= 1 data members, got {k_hint}")
         self.n_shards = m
         self.tolerance = m
         self.k_hint = k_hint
         self.name = f"rs-{k_hint}-{m}"
         self._cauchy: dict[int, np.ndarray] = {}
+        self._pairs: dict[int, dict[int, np.ndarray]] = {}
 
     def _matrix(self, k: int) -> np.ndarray:
         mat = self._cauchy.get(k)
@@ -405,20 +413,16 @@ class ReedSolomonScheme(CodingScheme):
             mat = self._cauchy[k] = cauchy_matrix(k, self.n_shards)
         return mat
 
+    def _pair_tables(self, k: int) -> dict[int, np.ndarray]:
+        tables = self._pairs.get(k)
+        if tables is None:
+            tables = self._pairs[k] = gf_pair_tables(self._matrix(k))
+        return tables
+
     def encode(self, members: Sequence[np.ndarray | bytes]) -> list[np.ndarray]:
         padded, length = _pad_members(members)
-        cmat = self._matrix(len(padded))
-        shards = []
-        for i in range(self.n_shards):
-            acc = np.zeros(length, dtype=np.uint8)
-            for j, m in enumerate(padded):
-                c = int(cmat[i, j])
-                if c == 1:
-                    acc ^= m
-                elif c:
-                    acc ^= MUL_TABLE[c][m]
-            shards.append(acc)
-        return shards
+        k = len(padded)
+        return gf_matvec(self._matrix(k), padded, length, self._pair_tables(k))
 
     def reconstruct(
         self,
@@ -462,18 +466,11 @@ class ReedSolomonScheme(CodingScheme):
                 f"{self.name}: only {len(rows)} survivors for {k} unknowns"
             )
         inv = gf_matinv(np.stack(rows[:k]))
-        rhs_mat = rhs[:k]
-        out = list(members)
-        for j in lost:
-            acc = np.zeros(length, dtype=np.uint8)
-            for c_idx in range(k):
-                c = int(inv[j, c_idx])
-                if c == 1:
-                    acc ^= rhs_mat[c_idx]
-                elif c:
-                    acc ^= MUL_TABLE[c][rhs_mat[c_idx]]
-            out[j] = acc
-        return [as_u8(m).copy() if i not in lost else out[i] for i, m in enumerate(out)]
+        rebuilt = dict(zip(lost, gf_matvec(inv[lost], rhs[:k], length)))
+        return [
+            rebuilt[i] if m is None else as_u8(m).copy()
+            for i, m in enumerate(members)
+        ]
 
     def storage_overhead(self, k: int) -> float:
         return self.n_shards / k
@@ -491,8 +488,11 @@ class ReplicationScheme(CodingScheme):
     """
 
     def __init__(self, n: int = 3) -> None:
-        if n < 2:
-            raise ValueError(f"replication needs n >= 2 copies, got {n}")
+        if not 2 <= n <= MAX_SHARDS + 1:
+            raise ValueError(
+                f"replication needs 2 <= n <= {MAX_SHARDS + 1} copies "
+                f"(n - 1 <= MAX_SHARDS ({MAX_SHARDS}) shards), got {n}"
+            )
         self.copies = n
         self.n_shards = n - 1
         self.tolerance = n - 1
@@ -574,12 +574,14 @@ def parse_scheme(spec: str) -> CodingScheme:
         return factory()
     parts = spec.split("-")
     try:
-        if parts[0] == "rs" and len(parts) == 3:
-            return ReedSolomonScheme(m=int(parts[2]), k_hint=int(parts[1]))
-        if parts[0] == "rep" and len(parts) == 2:
-            return ReplicationScheme(int(parts[1]))
+        params = [int(p) for p in parts[1:]]
     except ValueError:
-        pass
+        params = []
+    # Out-of-range parameters raise the constructor's own error.
+    if parts[0] == "rs" and len(params) == 2:
+        return ReedSolomonScheme(m=params[1], k_hint=params[0])
+    if parts[0] == "rep" and len(params) == 1:
+        return ReplicationScheme(params[0])
     raise ValueError(
         f"unknown coding scheme {spec!r}; known: {', '.join(available_schemes())}"
     )

@@ -8,6 +8,8 @@ entry or a lost carry in the log/exp construction cannot hide.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -15,14 +17,39 @@ from repro.coding import (
     GF_EXP,
     GF_LOG,
     MUL_TABLE,
+    ReedSolomonScheme,
     cauchy_matrix,
     gf_div,
     gf_inv,
     gf_matinv,
     gf_matmul,
+    gf_matvec,
     gf_mul,
-    gf_mul_vec,
+    gf_pair_tables,
 )
+from repro.coding.gf256 import BLOCK
+
+#: Lengths, in kernel elements, around the block boundaries.
+ELEMENT_LENGTHS = [0, 1, 2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
+
+
+def _byte_length(elements: int, pairs: bool) -> int:
+    """Bytes holding ``elements`` kernel elements; in pair mode an odd
+    element count also adds the odd tail byte."""
+    return 2 * elements + (elements & 1) if pairs else elements
+
+
+def _scalar_matvec(mat, vecs, length):
+    """``mat @ vecs`` from scalar :func:`gf_mul` alone (one 256-entry
+    product row per coefficient), independent of ``MUL_TABLE``."""
+    out = []
+    for row in mat:
+        acc = np.zeros(length, dtype=np.uint8)
+        for c, vec in zip(row, vecs):
+            lut = np.array([gf_mul(int(c), x) for x in range(256)], np.uint8)
+            acc ^= lut[vec]
+        out.append(acc)
+    return out
 
 
 class TestFieldAlgebra:
@@ -77,12 +104,82 @@ class TestFieldAlgebra:
         # the generator's order is 255: the first cycle has no repeats
         assert len({int(GF_EXP[i]) for i in range(255)}) == 255
 
-    def test_gf_mul_vec_matches_scalar(self):
+    @pytest.mark.parametrize("pairs", [False, True], ids=["bytes", "pairs"])
+    def test_gf_matvec_matches_scalar(self, pairs):
         vec = np.arange(256, dtype=np.uint8)
         for coeff in (0, 1, 2, 0x53, 0xFF):
-            out = gf_mul_vec(coeff, vec)
+            mat = np.array([[coeff]], dtype=np.uint8)
+            tables = gf_pair_tables(mat) if pairs else None
+            (out,) = gf_matvec(mat, [vec], 256, tables)
             expect = np.array([gf_mul(coeff, v) for v in range(256)], np.uint8)
             assert np.array_equal(out, expect)
+
+
+class TestMatvecKernel:
+    """:func:`gf_matvec` against a scalar reference across block
+    boundaries, both gather modes and misaligned member views."""
+
+    @pytest.mark.parametrize("pairs", [False, True], ids=["bytes", "pairs"])
+    @pytest.mark.parametrize("elements", ELEMENT_LENGTHS)
+    def test_matches_scalar_reference(self, elements, pairs):
+        rng = np.random.default_rng(elements * 2 + pairs)
+        length = _byte_length(elements, pairs)
+        rows, k = 3, 4
+        # 0, 1 and general coefficients in every row and column
+        mat = rng.integers(2, 256, size=(rows, k), dtype=np.uint8)
+        mat[0, 0] = mat[1, 1] = 0
+        mat[2, 2] = mat[0, 3] = 1
+        # members 1 and 3 are odd-offset views into larger buffers
+        vecs = []
+        for j in range(k):
+            buf = rng.integers(0, 256, length + 1, dtype=np.uint8)
+            vecs.append(buf[1:] if j % 2 else buf[:length])
+        tables = gf_pair_tables(mat) if pairs else None
+        got = gf_matvec(mat, vecs, length, tables)
+        expect = _scalar_matvec(mat, vecs, length)
+        assert len(got) == rows
+        for g, e in zip(got, expect):
+            assert g.dtype == np.uint8 and g.shape == (length,)
+            assert np.array_equal(g, e)
+
+    def test_pair_tables_cover_only_general_coefficients(self):
+        mat = np.array([[0, 1, 7], [7, 0x53, 1]], dtype=np.uint8)
+        tables = gf_pair_tables(mat)
+        assert sorted(tables) == [7, 0x53]
+        pair = np.array([0x12, 0xFE], dtype=np.uint8)
+        got = tables[0x53][pair.view(np.uint16)[0]]
+        assert np.array_equal(
+            np.array([got], dtype=np.uint16).view(np.uint8),
+            [gf_mul(0x53, 0x12), gf_mul(0x53, 0xFE)],
+        )
+
+    def test_rejects_mismatched_shapes(self):
+        mat = np.ones((1, 2), dtype=np.uint8)
+        vec = np.zeros(8, dtype=np.uint8)
+        with pytest.raises(ValueError, match="columns"):
+            gf_matvec(mat, [vec], 8)
+        with pytest.raises(ValueError, match="expected"):
+            gf_matvec(mat, [vec, vec[:7]], 8)
+
+    @pytest.mark.parametrize("elements", ELEMENT_LENGTHS)
+    def test_rs_4_3_round_trip_every_erasure_pattern(self, elements):
+        k, m = 4, 3
+        length = _byte_length(elements, True)
+        rng = np.random.default_rng(elements)
+        scheme = ReedSolomonScheme(m=m, k_hint=k)
+        bufs = [rng.integers(0, 256, length + 1, dtype=np.uint8) for _ in range(k)]
+        members = [b[1:] if j % 2 else b[:length] for j, b in enumerate(bufs)]
+        shards = scheme.encode(members)
+        assert [s.shape for s in shards] == [(length,)] * m
+        for r in range(m + 1):
+            for pattern in combinations(range(k + m), r):
+                mem = [None if j in pattern else members[j] for j in range(k)]
+                shd = [None if k + j in pattern else shards[j] for j in range(m)]
+                rebuilt = scheme.reconstruct(mem, shd, nbytes=length)
+                for j in range(k):
+                    assert np.array_equal(rebuilt[j], members[j]), (
+                        f"member {j} wrong after erasing {pattern}"
+                    )
 
 
 class TestMatrices:

@@ -158,6 +158,34 @@ class TestRegistry:
         with pytest.raises(ValueError):
             ReplicationScheme(1)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: parse_scheme("rs-4-17"),
+            lambda: ReedSolomonScheme(m=17, k_hint=4),
+            lambda: parse_scheme("rep-18"),
+            lambda: ReplicationScheme(18),
+        ],
+        ids=["rs-spec", "rs-direct", "rep-spec", "rep-direct"],
+    )
+    def test_shard_count_beyond_shard_key_packing_rejected(self, build):
+        with pytest.raises(ValueError, match=f"MAX_SHARDS \\({schemes_mod.MAX_SHARDS}"):
+            build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: parse_scheme("rs-0-2"), lambda: ReedSolomonScheme(m=2, k_hint=0)],
+        ids=["spec", "direct"],
+    )
+    def test_rs_needs_a_data_member(self, build):
+        with pytest.raises(ValueError, match="k >= 1"):
+            build()
+
+    def test_largest_accepted_shard_counts_have_shard_keys(self):
+        for scheme in (parse_scheme("rs-4-16"), parse_scheme("rep-17")):
+            assert scheme.n_shards == schemes_mod.MAX_SHARDS
+            shard_key(3, scheme.n_shards - 1)
+
 
 class TestExhaustiveErasures:
     """encode ∘ decode identity over *all* ≤ tolerance erasure patterns."""
