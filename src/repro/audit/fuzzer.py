@@ -157,6 +157,9 @@ class FuzzConfig:
             raise ValueError(f"layout must be one of {LAYOUTS}, got {self.layout!r}")
         if self.n_nodes < 3:
             raise ValueError("fuzzing needs >= 3 nodes")
+        from ..coding import parse_scheme
+
+        n_shards = parse_scheme(self.scheme).n_shards  # fail fast on unknown specs
         if self.geo_sites:
             if self.geo_sites < 2:
                 raise ValueError("geo mode needs >= 2 sites")
@@ -167,9 +170,13 @@ class FuzzConfig:
                     f"geo_policy must be geo-spread or remus-async, "
                     f"got {self.geo_policy!r}"
                 )
-        from ..coding import parse_scheme
-
-        parse_scheme(self.scheme)  # fail fast on unknown specs
+            if self.geo_policy == "geo-spread" and self.geo_sites <= n_shards:
+                # site-orthogonal groups put every shard and at least one
+                # member on sites of their own
+                raise ValueError(
+                    f"geo-spread needs more sites than {self.scheme}'s "
+                    f"{n_shards} parity shards, got {self.geo_sites}"
+                )
 
 
 @dataclass

@@ -19,11 +19,15 @@ name       shards m  tolerance  storage overhead  exchange traffic
 
 The checkpointer hands a scheme one whole epoch at a time:
 :meth:`CodingScheme.encode_many` for full images, and — for schemes
-that set ``folds_deltas``, today XOR — :meth:`CodingScheme.fold_many`
-to update the previous shards from the dirty pages alone.
-``encode_many`` defaults to a loop over ``encode`` and folding is
-opt-in; :class:`XorScheme` overrides both with the stacked
-:mod:`repro.cluster.xorsum` kernels.
+that set ``folds_deltas``, XOR and Reed–Solomon —
+:meth:`CodingScheme.fold_many` to update the previous shards from the
+dirty pages alone (both codes are linear, so
+``shards′ = shards ⊕ C·Δ``).  ``encode_many`` defaults
+to a loop over ``encode`` and folding is opt-in; :class:`XorScheme`
+overrides both with the stacked :mod:`repro.cluster.xorsum` kernels,
+:class:`ReedSolomonScheme` folds through the GF(256) kernel, and RDP
+and replication have their incremental members materialized and
+re-encoded whole.
 
 Buffers may have heterogeneous lengths; ``encode`` zero-pads to the
 longest member (the padded-XOR convention the stack already uses) and
@@ -137,16 +141,23 @@ class CodingScheme:
         repairs.
     folds_deltas:
         True when :meth:`fold_many` updates the previous shards from the
-        dirty pages alone.  The checkpointer then verifies the previous
-        shards before folding; otherwise it materializes every member
-        (committed base + dirty pages) and re-encodes whole through
-        :meth:`encode_many`.
+        dirty pages alone (XOR and Reed–Solomon).  The checkpointer then
+        verifies the previous shards before folding — rotten shards are
+        refused, not folded into — and checks :meth:`fold_mismatch`;
+        otherwise it materializes every member (committed base + dirty
+        pages) and re-encodes whole through :meth:`encode_many`.
+    folded_member_checksums:
+        Whether blocks produced by :meth:`fold_many` record the members'
+        commit fingerprints in ``member_checksums``, as encoded blocks
+        always do.  XOR's folded blocks record none: the golden digests
+        pin that.
     """
 
     name: str = "abstract"
     n_shards: int = 0
     tolerance: int = 0
     folds_deltas: bool = False
+    folded_member_checksums: bool = True
 
     def encode(self, members: Sequence[np.ndarray | bytes]) -> list[np.ndarray]:
         """Members (any lengths, zero-pad semantics) → ``m`` shards."""
@@ -165,17 +176,28 @@ class CodingScheme:
     def fold_many(
         self,
         prev_shards: Sequence[Sequence[np.ndarray]],
-        updates: Sequence[Sequence[tuple[np.ndarray, PageDelta]]],
+        updates: Sequence[Sequence[tuple[np.ndarray, PageDelta] | None]],
     ) -> list[list[np.ndarray]]:
         """Shards of an incremental epoch from the previous shards.
 
-        ``updates[g]`` lists, per member of group ``g``, its committed
+        ``updates[g][i]`` is member ``i`` of group ``g`` — its position
+        in the group, the column the encode gave it — as its committed
         full image and the :class:`~repro.cluster.memory.PageDelta` of
-        pages dirtied since; ``prev_shards[g]`` the group's current
-        shard bytes.  Returns fresh shards (inputs are not mutated).
-        Only called when :attr:`folds_deltas` is set.
+        pages dirtied since, or ``None`` for a member left unchanged;
+        ``prev_shards[g]`` the group's current shard bytes.  Returns
+        fresh shards (inputs are not mutated, and no reference to them
+        is kept).  Only called when :attr:`folds_deltas` is set.
         """
         raise NotImplementedError
+
+    def fold_mismatch(self, member_nbytes: int, shard_nbytes: int) -> str | None:
+        """Why :meth:`fold_many` cannot fold a ``member_nbytes`` image into
+        ``shard_nbytes`` shards, or None when it can.  Shards are
+        zero-padded to the longest member, so any member that fits in
+        them folds."""
+        if member_nbytes <= shard_nbytes:
+            return None
+        return f"a {member_nbytes} B image does not fit {shard_nbytes} B shards"
 
     def reconstruct(
         self,
@@ -236,6 +258,7 @@ class XorScheme(CodingScheme):
     n_shards = 1
     tolerance = 1
     folds_deltas = True
+    folded_member_checksums = False
 
     def encode(self, members: Sequence[np.ndarray | bytes]) -> list[np.ndarray]:
         return [xor_reduce_padded(members)]
@@ -264,7 +287,7 @@ class XorScheme(CodingScheme):
     def fold_many(
         self,
         prev_shards: Sequence[Sequence[np.ndarray]],
-        updates: Sequence[Sequence[tuple[np.ndarray, PageDelta]]],
+        updates: Sequence[Sequence[tuple[np.ndarray, PageDelta] | None]],
     ) -> list[list[np.ndarray]]:
         """The RAID-5 small-write update: the old and new bytes of each
         dirty page are folded into a copy of the previous parity, one
@@ -272,7 +295,8 @@ class XorScheme(CodingScheme):
         bucket."""
         out: list[list[np.ndarray]] = [[] for _ in updates]
         buckets: dict[tuple[int, int], list[int]] = {}
-        for i, members in enumerate(updates):
+        folds = [[u for u in members if u is not None] for members in updates]
+        for i, members in enumerate(folds):
             delta = members[0][1]
             buckets.setdefault(
                 (delta.n_pages_total, delta.page_size), []
@@ -281,7 +305,7 @@ class XorScheme(CodingScheme):
             stacked = xor_fold_groups(
                 [prev_shards[i][0] for i in idxs],
                 [
-                    [(delta.indices, base, delta.pages) for base, delta in updates[i]]
+                    [(delta.indices, base, delta.pages) for base, delta in folds[i]]
                     for i in idxs
                 ],
                 n_pages_total,
@@ -290,6 +314,16 @@ class XorScheme(CodingScheme):
             for row, i in zip(stacked, idxs):
                 out[i] = [row]
         return out
+
+    def fold_mismatch(self, member_nbytes: int, shard_nbytes: int) -> str | None:
+        """:func:`xor_fold_groups` folds pages of a parity block exactly
+        one member long, so every member must span the whole shard."""
+        if member_nbytes == shard_nbytes:
+            return None
+        return (
+            "incremental epochs require homogeneous image sizes within a "
+            "group; use full/forked capture for heterogeneous groups"
+        )
 
     def reconstruct(
         self,
@@ -387,11 +421,16 @@ class ReedSolomonScheme(CodingScheme):
     inverts the ``k × k`` survivor submatrix by Gauss–Jordan over
     GF(256) and applies the inverse's lost-member rows through
     ``MUL_TABLE``, since that matrix changes with every erasure pattern.
+    The code is linear, so an incremental epoch folds: each member's
+    dirty-page delta goes through its column of ``C`` into the previous
+    shards (:meth:`fold_many`).
 
     ``k`` is bound per group at encode time (the spec's ``k`` — e.g. the
     8 in ``rs-8-2`` — is advisory, used for bench naming and overhead
     math); coefficient matrices are cached per member count.
     """
+
+    folds_deltas = True
 
     def __init__(self, m: int = 2, k_hint: int = 8) -> None:
         if not 1 <= m <= MAX_SHARDS:
@@ -423,6 +462,39 @@ class ReedSolomonScheme(CodingScheme):
         padded, length = _pad_members(members)
         k = len(padded)
         return gf_matvec(self._matrix(k), padded, length, self._pair_tables(k))
+
+    def fold_many(
+        self,
+        prev_shards: Sequence[Sequence[np.ndarray]],
+        updates: Sequence[Sequence[tuple[np.ndarray, PageDelta] | None]],
+    ) -> list[list[np.ndarray]]:
+        """``shards′ = shards ⊕ C·Δ``, member by member: ``Δ`` is the old
+        ⊕ new bytes of member ``i``'s dirty pages, its ``m`` products one
+        :func:`gf_matvec` over column ``i`` of ``C`` (whose coefficients
+        already have pair tables), XORed into each shard's copy at those
+        pages of the member's own prefix.  Shards are zero-padded to the
+        longest member, so heterogeneous groups need no extra case."""
+        out = []
+        for shards, members in zip(prev_shards, updates):
+            k = len(members)
+            cmat, tables = self._matrix(k), self._pair_tables(k)
+            folded = [as_u8(s).copy() for s in shards]
+            for i, update in enumerate(members):
+                if update is None or not update[1].n_pages:
+                    continue
+                base, delta = update
+                n, size = delta.n_pages_total, delta.page_size
+                diff = base.reshape(n, size)[delta.indices]
+                np.bitwise_xor(diff, delta.pages, out=diff)
+                products = gf_matvec(
+                    cmat[:, [i]], [diff.reshape(-1)], diff.size, tables
+                )
+                for shard, product in zip(folded, products):
+                    shard[: n * size].reshape(n, size)[delta.indices] ^= (
+                        product.reshape(-1, size)
+                    )
+            out.append(folded)
+        return out
 
     def reconstruct(
         self,

@@ -31,10 +31,13 @@ Checkpoint cycle (one epoch):
    recoverable.
 
 Incremental epochs move only dirty data.  A scheme that folds deltas
-(XOR) folds ``old ⊕ new`` of the dirty pages into the staged copy of
-the previous parity — the RAID-5 small-write optimization applied to
-checkpoints; any other scheme materializes each member (committed base
-+ dirty pages) and re-encodes its shards whole.
+(XOR, and RS through the members' columns of its generator) folds
+``old ⊕ new`` of the dirty pages into the staged copy of the previous
+shards — the RAID-5 small-write optimization applied to checkpoints;
+any other scheme (RDP, replication) materializes each member
+(committed base + dirty pages) and re-encodes its shards whole.  Every
+block's ``member_checksums`` are the CRCs the commit takes of the
+members' bytes, except XOR-folded blocks, which record none.
 
 Recovery (after a node crash): every surviving VM rolls back to its
 local in-memory checkpoint (a memory copy — no disk, no network); each
@@ -312,9 +315,10 @@ class DisklessCheckpointer:
         # once per epoch in _flush_encodes, batched across every group,
         # on the commit path only.  The protocol-point checks a delta
         # fold depends on (shard-home aliveness, previous-block presence
-        # and checksum, group homogeneity) stay right here so failure
-        # behavior is unchanged; what moves is pure, event-free byte
-        # crunching whose results only become observable at commit.
+        # and checksum, member sizes the scheme can fold) stay right here
+        # so failure behavior is unchanged; what moves is pure,
+        # event-free byte crunching whose results only become observable
+        # at commit.
         prev = None
         if (
             self.scheme.folds_deltas
@@ -349,19 +353,15 @@ class DisklessCheckpointer:
                         "epoch are not supported; run a full epoch first"
                     )
                 nbytes = delta.n_pages_total * delta.page_size
-                if any(blk.data.shape[0] != nbytes for blk in prev):
-                    raise RuntimeError(
-                        "incremental epochs require homogeneous "
-                        "image sizes within a group; use full/"
-                        "forked capture for heterogeneous groups"
-                    )
+                for blk in prev:
+                    why = self.scheme.fold_mismatch(nbytes, blk.data.shape[0])
+                    if why is not None:
+                        raise RuntimeError(f"group {gid}, vm {img.vm_id}: {why}")
         pending.append((group, member_images, prev))
         for img in member_images:
             staged_commits[img.vm_id] = img
 
-    def _flush_encodes(
-        self, pending: list
-    ) -> list[tuple[RaidGroup, list[ParityBlock]]]:
+    def _flush_encodes(self, pending: list) -> list[tuple]:
         """Commit-time batched shard encode.
 
         ``pending`` holds one ``(group, member_images, prev_blocks)``
@@ -370,10 +370,16 @@ class DisklessCheckpointer:
         :meth:`~repro.coding.CodingScheme.encode_many` call; incremental
         captures are either folded into ``prev_blocks`` by
         :meth:`~repro.coding.CodingScheme.fold_many` (schemes that fold
-        deltas) or materialized — committed base + dirty pages — and
-        encoded whole with the rest.  Returns each group's
-        shard-index-ordered blocks; member checksums are recorded for
-        exactly the members whose full bytes were in hand.
+        deltas: XOR, RS) or materialized — committed base + dirty pages
+        — and encoded whole with the rest.
+
+        Returns one ``(group, member_images, shards, fingerprinted)``
+        record per pending group: the shard-index-ordered shard bytes
+        (None for a timing-only group) and whether its blocks record
+        the members' commit fingerprints — every encoded group does, a
+        folded one as the scheme's ``folded_member_checksums`` says.
+        The fold holds the committed images only for its call, so the
+        commit that follows can still patch each one in place.
         """
         flats: dict[int, list[np.ndarray]] = {}
         fold: list[int] = []
@@ -394,37 +400,24 @@ class DisklessCheckpointer:
             flats[i] = members
         shards = dict(zip(flats, self.scheme.encode_many(list(flats.values()))))
         if fold:
+            updates = []
+            for i in fold:
+                group, images, _prev = pending[i]
+                deltas = {img.vm_id: img.payload for img in images}
+                # one entry per group member, at its encode column
+                updates.append([
+                    (self._committed_flat(v), deltas[v]) if v in deltas else None
+                    for v in group.member_vm_ids
+                ])
             folded = self.scheme.fold_many(
-                [[blk.data for blk in pending[i][2]] for i in fold],
-                [
-                    [
-                        (self._committed_flat(img.vm_id), img.payload)
-                        for img in pending[i][1]
-                    ]
-                    for i in fold
-                ],
+                [[blk.data for blk in pending[i][2]] for i in fold], updates
             )
             shards.update(zip(fold, folded))
-
-        staged = []
-        for i, (group, images, _prev) in enumerate(pending):
-            logical = max(img.logical_bytes for img in images)
-            full_logical = max(
-                self.cluster.vm(v).memory_bytes for v in group.member_vm_ids
-            )
-            member_checksums = {
-                img.vm_id: block_checksum(flat)
-                for img, flat in zip(images, flats.get(i, ()))
-            }
-            blocks = [
-                self._shard_block(
-                    group, j, self.epoch, max(logical, full_logical),
-                    shards.get(i), member_checksums,
-                )
-                for j in range(self.scheme.n_shards)
-            ]
-            staged.append((group, blocks))
-        return staged
+        fold_sums = self.scheme.folded_member_checksums
+        return [
+            (group, images, shards.get(i), prev is None or fold_sums)
+            for i, (group, images, prev) in enumerate(pending)
+        ]
 
     def run_cycle(self, pause_done=None):
         """Process: one coordinated diskless checkpoint epoch.
@@ -499,15 +492,34 @@ class DisklessCheckpointer:
             if self.auditor is not None:
                 self.auditor.post_cycle(self, result)
             return result
-        for group, blocks in self._flush_encodes(pending):
-            for node_id, blk in zip(group.parity_nodes, blocks):
-                self.cluster.node(node_id).store_parity(blk)
+        encoded = self._flush_encodes(pending)
+        # the commit fingerprints each member's bytes; blocks record
+        # those CRCs rather than taking their own
+        fingerprints: dict[int, int] = {}
         for vm_id, image in staged_commits.items():
             vm = self.cluster.vm(vm_id)
             if vm.node_id is None:
                 continue
-            self.cluster.hypervisor(vm.node_id).commit_checkpoint(image)
+            hv = self.cluster.hypervisor(vm.node_id)
+            hv.commit_checkpoint(image)
+            crc = hv.committed(vm_id).meta.get("checksum")
+            if crc is not None:
+                fingerprints[vm_id] = crc
             vm.epoch = epoch
+        for group, images, shards, fingerprinted in encoded:
+            member_checksums = {
+                img.vm_id: fingerprints[img.vm_id]
+                for img in images
+                if fingerprinted and img.vm_id in fingerprints
+            }
+            logical = max(
+                max(img.logical_bytes for img in images),
+                max(self.cluster.vm(v).memory_bytes for v in group.member_vm_ids),
+            )
+            for j, node_id in enumerate(group.parity_nodes):
+                self.cluster.node(node_id).store_parity(self._shard_block(
+                    group, j, epoch, logical, shards, member_checksums
+                ))
         self.committed_epoch = epoch
         self.epoch += 1
         self.last_cycle_at = sim.now

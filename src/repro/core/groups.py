@@ -412,10 +412,18 @@ def layout_dvdc(
     default size then becomes ``n_domains - n_parity``)."""
     if group_size is not None:
         size = group_size
-    elif domains is not None:
-        size = domains.n_domains - n_parity
     else:
-        size = cluster.n_nodes - n_parity
+        units, count = (
+            ("failure domains", domains.n_domains) if domains is not None
+            else ("nodes", cluster.n_nodes)
+        )
+        size = count - n_parity
+        if size < 1:
+            raise LayoutError(
+                f"{count} {units} leave no room for a member beside "
+                f"{n_parity} parity shards; need more than {n_parity} {units} "
+                "or an explicit group_size"
+            )
     return build_orthogonal_layout(
         cluster, size, parity="rotate", domains=domains, n_parity=n_parity
     )

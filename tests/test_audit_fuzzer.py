@@ -46,6 +46,17 @@ class TestFuzzConfig:
         with pytest.raises(ValueError):
             FuzzConfig(n_nodes=2)
 
+    def test_geo_spread_needs_more_sites_than_shards(self):
+        """Site-orthogonal groups need a site per shard plus one for a
+        member; ``--geo 3 --scheme rs-4-3`` used to die in the layout."""
+        with pytest.raises(ValueError, match="more sites than rs-4-3's 3"):
+            FuzzConfig(n_nodes=12, geo_sites=3, scheme="rs-4-3")
+        FuzzConfig(n_nodes=12, geo_sites=4, scheme="rs-4-3")
+        # remus-async keeps flat layouts, so it needs no such margin
+        FuzzConfig(
+            n_nodes=12, geo_sites=3, scheme="rs-4-3", geo_policy="remus-async"
+        )
+
 
 class TestScheduleGeneration:
     def test_draw_respects_bounds(self):

@@ -201,6 +201,78 @@ class TestDVDCRecovery:
         assert _parity_matches_committed(paper_cluster, ck)
 
 
+class TestFoldedEpoch:
+    """An incremental epoch under a scheme that folds deltas: the blocks
+    take their member checksums from the commit, and the commit still
+    patches each committed image in place."""
+
+    def _folded(self, sim, scheme, rng):
+        """6 nodes × 2 functional VMs: one full epoch, then one folded
+        incremental epoch.  Returns the cluster, the checkpointer and
+        ``id`` of every committed payload before the folded epoch."""
+        cluster = VirtualCluster(sim, ClusterSpec(n_nodes=6))
+        for vm in cluster.create_vms_balanced(
+            12, 1e9, dirty_rate=1e6, image_pages=16, page_size=128
+        ):
+            vm.image.write(0, rng.integers(0, 256, 2048, dtype=np.uint8))
+            vm.image.clear_dirty()
+        ck = dvdc(cluster, strategy=IncrementalCapture(), scheme=scheme)
+        ids = {}
+
+        def proc():
+            yield from ck.run_cycle()
+            for vm in cluster.all_vms:
+                # ids only: a held reference would defeat the steal gate
+                ids[vm.vm_id] = id(
+                    cluster.hypervisor(vm.node_id).committed(vm.vm_id).payload
+                )
+                vm.image.touch_pages(rng.integers(0, 16, 4), rng)
+            r = yield from ck.run_cycle()
+            assert r.committed
+
+        run_process(sim, proc())
+        return cluster, ck, ids
+
+    @pytest.mark.parametrize("scheme", ["xor", "rs-8-2", "rs-4-3"])
+    def test_blocks_carry_commit_fingerprints_and_commit_steals(
+        self, sim, rng, scheme
+    ):
+        cluster, ck, ids = self._folded(sim, scheme, rng)
+        for g in ck.layout.groups:
+            committed = {
+                v: cluster.hypervisor(cluster.vm(v).node_id).committed(v)
+                for v in g.member_vm_ids
+            }
+            shards = ck.scheme.encode([c.payload_flat() for c in committed.values()])
+            want = (
+                {v: c.meta["checksum"] for v, c in committed.items()}
+                if ck.scheme.folded_member_checksums else {}
+            )
+            for blk, shard in zip(ck._shard_blocks(g), shards):
+                assert blk.epoch == 1
+                assert np.array_equal(blk.data, shard)
+                assert blk.member_checksums == want
+        for vm in cluster.all_vms:
+            payload = cluster.hypervisor(vm.node_id).committed(vm.vm_id).payload
+            assert id(payload) == ids[vm.vm_id], f"vm {vm.vm_id}: commit copied"
+
+    @pytest.mark.parametrize("scheme", ["rs-8-2", "rs-4-3"])
+    def test_corrupt_survivor_fails_end_to_end_checksum(self, sim, rng, scheme):
+        cluster, ck, _ = self._folded(sim, scheme, rng)
+        group = ck.layout.groups[0]
+        lost, survivor = group.member_vm_ids[:2]
+        img = cluster.hypervisor(cluster.vm(survivor).node_id).committed(survivor)
+        img.payload.reshape(-1).view(np.uint8)[3] ^= np.uint8(0x04)
+        node = cluster.vm(lost).node_id
+        cluster.kill_node(node)
+
+        def proc():
+            yield from ck.recover(node)
+
+        with pytest.raises(RuntimeError, match="fails its end-to-end checksum"):
+            run_process(sim, proc())
+
+
 class TestFirstShotArchitecture:
     def _build(self):
         sim_ = __import__("repro.sim", fromlist=["Simulator"]).Simulator()

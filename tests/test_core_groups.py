@@ -111,6 +111,29 @@ class TestOrthogonalBuilder:
         with pytest.raises(LayoutError):
             build_orthogonal_layout(cluster4, 0)
 
+    def test_default_size_leaving_no_member_named(self, sim):
+        """The defaulted size is units − shards; when no member fits, the
+        error names the node or domain count and the shard count, rather
+        than a bare ``group_size must be >= 1, got 0``."""
+        from repro.cluster import ClusterSpec, VirtualCluster
+        from repro.core import dvdc
+        from repro.failures.domains import FailureDomainMap
+
+        small = VirtualCluster(sim, ClusterSpec(n_nodes=3))
+        small.create_vms_balanced(3, 1e9)
+        with pytest.raises(LayoutError, match="3 nodes .* 3 parity shards"):
+            layout_dvdc(small, n_parity=3)
+        with pytest.raises(LayoutError, match="3 nodes .* 3 parity shards"):
+            dvdc(small, scheme="rs-4-3")
+        wide = VirtualCluster(sim, ClusterSpec(n_nodes=12))
+        wide.create_vms_balanced(12, 1e9)
+        sites = FailureDomainMap(tuple(n % 3 for n in range(12)))
+        with pytest.raises(
+            LayoutError, match="3 failure domains .* 3 parity shards"
+        ):
+            dvdc(wide, scheme="rs-4-3", domains=sites)
+        assert len(layout_dvdc(wide, n_parity=2, domains=sites)) == 12
+
     def test_homeless_vm_rejected(self, cluster4):
         vm = cluster4.create_vm(0, 1e9)
         cluster4.node(0).evict(vm)

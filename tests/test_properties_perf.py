@@ -5,8 +5,8 @@ work leans on hardest:
 
 * xorsum algebra — associativity/commutativity, self-inverse, padded
   round-trips;
-* the batched XOR delta fold — equal to a naive per-member fold, and
-  ``XorScheme.fold_many`` equal to a whole re-encode;
+* the delta folds — the batched XOR fold equal to a naive per-member
+  fold, and ``fold_many`` of XOR and RS equal to a whole re-encode;
 * fluid-flow conservation — under random flap/abort/degrade schedules,
   delivered bytes match flow sizes, links never leak flows, and the
   incremental allocator's per-flow trajectory is bit-identical to the
@@ -169,6 +169,73 @@ def test_xor_scheme_fold_many_equals_reencode(rngs: RngRegistry, seed: int):
     assert len(folded) == len(expected)
     for got, want in zip(folded, expected):
         assert len(got) == 1 and np.array_equal(got[0], want[0])
+
+
+def _scribble(rng, img: MemoryImage, pages) -> None:
+    """Overwrite whole pages with fresh random bytes (dirtying them)."""
+    for page in pages:
+        img.write(
+            int(page) * img.page_size,
+            rng.integers(0, 256, img.page_size, dtype=np.uint8),
+        )
+
+
+#: (n_pages, page_size) per member of each group: k_hint members, then
+#: mixed lengths with an odd page size and a 1-page image, then odd byte
+#: counts throughout (the pair tables' tail byte)
+_RS_FOLD_GROUPS = [
+    [(16, 64)] * 8,
+    [(16, 64), (4, 64), (1, 64), (9, 33), (2, 64)],
+    [(3, 7), (1, 5), (5, 7), (2, 7)],
+]
+
+
+@pytest.mark.parametrize("spec", ["rs-8-2", "rs-4-3"])
+@pytest.mark.parametrize("seed", range(3))
+def test_rs_fold_many_equals_reencode(rngs: RngRegistry, spec: str, seed: int):
+    """``shards ⊕ C·Δ`` is bit-identical to re-encoding the new members,
+    whatever the member count against ``k_hint``.  In every group member
+    0 has an empty delta, member 1 dirties every page and member 2 also
+    dirties page 0; group 1's last member is unchanged (``None``)."""
+    rng = rngs.stream(f"rs-fold/{spec}/{seed}")
+    scheme = get_scheme(spec)
+    prev_shards, updates, expected = [], [], []
+    for g, geometries in enumerate(_RS_FOLD_GROUPS):
+        images = []
+        for n_pages, page_size in geometries:
+            img = MemoryImage(n_pages, page_size)
+            img.write(0, rng.integers(0, 256, img.nbytes, dtype=np.uint8))
+            img.clear_dirty()
+            images.append(img)
+        bases = [img.snapshot() for img in images]
+        prev_shards.append(scheme.encode(bases))
+        group = []
+        for i, img in enumerate(images):
+            if g == 1 and i == len(images) - 1:
+                group.append(None)
+                continue
+            if i == 0:
+                pages = []
+            elif i == 1:
+                pages = range(img.n_pages)
+            else:
+                n_dirty = int(rng.integers(0, img.n_pages + 1))
+                pages = rng.choice(img.n_pages, n_dirty, replace=False)
+                if i == 2:
+                    pages = np.union1d(pages, [0])
+            _scribble(rng, img, pages)
+            group.append((bases[i], img.capture_delta()))
+        updates.append(group)
+        expected.append(scheme.encode([img.flat for img in images]))
+    before = [[s.copy() for s in shards] for shards in prev_shards]
+    folded = scheme.fold_many(prev_shards, updates)
+    assert len(folded) == len(expected)
+    for got, want in zip(folded, expected):
+        assert len(got) == scheme.n_shards
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    for shards, saved in zip(prev_shards, before):
+        assert all(np.array_equal(a, b) for a, b in zip(shards, saved)), \
+            "input shards must not be mutated"
 
 
 # ---------------------------------------------------------------------------

@@ -157,9 +157,15 @@ class TestScrubber:
         assert all(r.clean for r in scrubber.reports)
 
 
+@pytest.mark.parametrize("scheme", ["xor", "rs-8-2", "rs-4-3"])
 class TestRottenParityRefusal:
-    def test_incremental_fold_refuses_corrupt_previous_parity(self, sim, paper_cluster):
-        ck = dvdc(paper_cluster, strategy=IncrementalCapture())
+    """Every scheme that folds deltas refuses to fold into a corrupt
+    shard 0 (RS used to re-encode over it silently)."""
+
+    def test_incremental_fold_refuses_corrupt_previous_parity(
+        self, sim, paper_cluster, scheme
+    ):
+        ck = dvdc(paper_cluster, strategy=IncrementalCapture(), scheme=scheme)
 
         def first():
             r = yield from ck.run_cycle()
@@ -180,8 +186,8 @@ class TestRottenParityRefusal:
         with pytest.raises(RuntimeError, match="silent corruption"):
             run_process(sim, second())
 
-    def test_scrub_first_then_fold_succeeds(self, sim, paper_cluster):
-        ck = dvdc(paper_cluster, strategy=IncrementalCapture())
+    def test_scrub_first_then_fold_succeeds(self, sim, paper_cluster, scheme):
+        ck = dvdc(paper_cluster, strategy=IncrementalCapture(), scheme=scheme)
 
         def first():
             r = yield from ck.run_cycle()
@@ -192,7 +198,7 @@ class TestRottenParityRefusal:
         block = paper_cluster.node(group.parity_node).parity_store[group.group_id]
         block.data[0] ^= np.uint8(1)
 
-        report = Scrubber(paper_cluster, ck.layout).scrub_once()
+        report = Scrubber(paper_cluster, ck.layout, scheme=ck.scheme).scrub_once()
         assert report.repaired  # the scrubber is the prescribed remedy
 
         vm = paper_cluster.vm(group.member_vm_ids[0])
