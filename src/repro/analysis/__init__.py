@@ -1,15 +1,13 @@
 """Analysis helpers: statistics, text tables, ASCII figures."""
 
 from .figures import ascii_plot
-from .stats import Summary, bootstrap_ci, relative_error, summarize
+from .stats import Summary, summarize
 from .tables import format_bytes, format_seconds, render_table
 from .timeline import render_timeline
 
 __all__ = [
     "Summary",
     "summarize",
-    "bootstrap_ci",
-    "relative_error",
     "ascii_plot",
     "render_table",
     "format_seconds",

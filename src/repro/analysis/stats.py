@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Summary", "summarize", "bootstrap_ci", "relative_error"]
+__all__ = ["Summary", "summarize"]
 
 
 @dataclass(frozen=True)
@@ -20,14 +19,6 @@ class Summary:
     minimum: float
     median: float
     maximum: float
-
-    @property
-    def std_error(self) -> float:
-        return self.std / math.sqrt(self.n) if self.n > 1 else float("inf")
-
-    def ci95(self) -> tuple[float, float]:
-        half = 1.96 * self.std_error
-        return (self.mean - half, self.mean + half)
 
 
 def summarize(samples) -> Summary:
@@ -43,27 +34,3 @@ def summarize(samples) -> Summary:
         median=float(np.median(arr)),
         maximum=float(arr.max()),
     )
-
-
-def bootstrap_ci(
-    samples,
-    rng: np.random.Generator,
-    stat=np.mean,
-    n_boot: int = 2000,
-    alpha: float = 0.05,
-) -> tuple[float, float]:
-    """Percentile bootstrap CI for an arbitrary statistic."""
-    arr = np.asarray(list(samples), dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot bootstrap an empty sample")
-    idx = rng.integers(0, arr.size, size=(n_boot, arr.size))
-    stats = np.array([stat(arr[row]) for row in idx])
-    lo, hi = np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return float(lo), float(hi)
-
-
-def relative_error(measured: float, reference: float) -> float:
-    """|measured − reference| / |reference| (inf when reference is 0)."""
-    if reference == 0:
-        return math.inf if measured != 0 else 0.0
-    return abs(measured - reference) / abs(reference)

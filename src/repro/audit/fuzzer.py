@@ -27,7 +27,7 @@ event, so a ``(config, schedule, seed)`` triple replays exactly.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -213,10 +213,6 @@ class FuzzResult:
     @property
     def failures(self) -> list[TrialResult]:
         return [t for t in self.trials if t.failed]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
     @property
     def n_violations(self) -> int:

@@ -89,10 +89,6 @@ class AuditReport:
         return [v for v in self.violations if v.severity == FATAL]
 
     @property
-    def degraded(self) -> list[Violation]:
-        return [v for v in self.violations if v.severity == DEGRADED]
-
-    @property
     def ok(self) -> bool:
         """No fatal findings (degraded states are tolerated unless the
         sweep ran strict, in which case they were already promoted)."""

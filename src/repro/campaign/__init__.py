@@ -40,7 +40,7 @@ from .runner import (
 )
 from .spec import Sweep, Task, canonical_json, task_key
 from .store import ResultStore
-from .tasks import TaskKind, get_kind, register_task, task_kinds
+from .tasks import TaskKind, get_kind, register_task
 
 __all__ = [
     "Task",
@@ -56,7 +56,6 @@ __all__ = [
     "TaskKind",
     "register_task",
     "get_kind",
-    "task_kinds",
     "fig5_sweep",
     "validate_tasks",
     "study_sweep",

@@ -90,8 +90,7 @@ def mc_estimate_from_values(values: list[dict]) -> MonteCarloEstimate:
     """Merge ``mc_chunk`` values (sorted by chunk index) into an estimate.
 
     Sorting by ``chunk_index`` pins the floating-point accumulation
-    order, so serial and parallel campaigns — and
-    :func:`estimate_expected_time_chunked` — agree exactly.
+    order, so serial and parallel campaigns agree exactly.
     """
     return estimate_from_moments(
         sorted(values, key=lambda v: v["chunk_index"])

@@ -118,12 +118,6 @@ class Sweep:
         for values in itertools.product(*(self.grid[a] for a in axes)):
             yield dict(zip(axes, values))
 
-    def n_tasks(self) -> int:
-        n = self.replications
-        for values in self.grid.values():
-            n *= len(values)
-        return n
-
     def seed_for(self, point: dict, replication: int) -> int:
         """Task seed from the point's *values* — order-insensitive."""
         return derive_seed(
@@ -154,17 +148,6 @@ class Sweep:
                     version=version,
                 ))
         return tasks
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "base": self.base,
-            "grid": self.grid,
-            "replications": self.replications,
-            "master_seed": self.master_seed,
-            "seeded": self.seeded,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Sweep":

@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import warnings
 from pathlib import Path
-from typing import Iterator
 
 from .spec import Task
 
@@ -104,9 +103,6 @@ class ResultStore:
     def __contains__(self, key: str) -> bool:
         return key in self._index
 
-    def keys(self) -> Iterator[str]:
-        return iter(self._index)
-
     def get(self, key: str) -> dict | None:
         """The stored record for ``key``, counting hit or miss."""
         rec = self._index.get(key)
@@ -115,10 +111,6 @@ class ResultStore:
         else:
             self.hits += 1
         return rec
-
-    def peek(self, key: str) -> dict | None:
-        """Like :meth:`get` but without touching the counters."""
-        return self._index.get(key)
 
     def put(self, task: Task, value: dict, elapsed: float = 0.0) -> dict:
         """Persist one completed task; returns the stored record.

@@ -26,10 +26,6 @@ Built-in kinds:
 ``study_cell``
     One (method, trace seed) cell of a paired job study, running the
     full cluster simulation and returning the ``JobResult`` fields.
-``scale_digests``
-    One perf scale-scenario run, returning its bit-exactness digests —
-    the golden determinism tests' vehicle for proving campaign
-    ``--jobs N`` byte-stability.
 ``serving_cell``
     One (policy, trace seed) cell of a paired serving study: an
     open-loop request stream served from the cluster under one
@@ -50,10 +46,8 @@ __all__ = [
     "TaskKind",
     "register_task",
     "get_kind",
-    "task_kinds",
     "run_fig5_point",
     "run_mc_chunk",
-    "run_scale_digests",
     "run_study_cell",
     "run_serving_cell_task",
 ]
@@ -90,10 +84,6 @@ def get_kind(name: str) -> TaskKind:
         raise KeyError(
             f"unknown task kind {name!r}; registered: {sorted(_REGISTRY)}"
         ) from None
-
-
-def task_kinds() -> list[str]:
-    return sorted(_REGISTRY)
 
 
 # ---------------------------------------------------------------------------
@@ -170,29 +160,7 @@ def run_mc_chunk(params: dict, seed: int | None) -> dict:
     return {"chunk_index": index, **chunk_moments(samples)}
 
 
-@register_task("scale_digests", version="2")
-def run_scale_digests(params: dict, seed: int | None) -> dict:
-    """Digest one perf scale-scenario run (see :mod:`repro.perf.scale`).
-
-    params: n_nodes, epochs, allocator, plus any other
-    :class:`~repro.perf.ScaleConfig` field.  Returns the scenario's
-    bit-exactness digests; the golden determinism tests run this kind
-    under ``--jobs 1`` and ``--jobs 4`` and require identical output.
-    """
-    from ..perf import ScaleConfig, run_scale_point
-
-    cfg = ScaleConfig(**{**params, "trace": True})
-    result = run_scale_point(cfg)
-    return {
-        "n_nodes": cfg.n_nodes,
-        "allocator": cfg.allocator,
-        "events": result["events"],
-        "sim_time": result["sim_time"].hex(),
-        "digests": result["digests"],
-    }
-
-
-@register_task("study_cell", version="1")
+@register_task("study_cell", version="2")
 def run_study_cell(params: dict, seed: int | None) -> dict:
     """One (method, trace seed) cell of a paired job study.
 
@@ -227,7 +195,6 @@ def run_study_cell(params: dict, seed: int | None) -> dict:
         "method": outcome.method,
         "trace_seed": outcome.seed,
         "result": asdict(outcome.result),
-        "serving": outcome.serving,
     }
 
 

@@ -57,10 +57,6 @@ class RemusModel:
         if self.bandwidth <= 0:
             raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
 
-    @property
-    def checkpoint_rate_hz(self) -> float:
-        return 1.0 / self.epoch_length
-
     def epoch_dirty_bytes(self, vm_dirty_rate: float, image_bytes: float) -> float:
         return min(vm_dirty_rate * self.epoch_length, image_bytes)
 

@@ -48,6 +48,7 @@ makes them resumable.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .analysis import ascii_plot, format_bytes, format_seconds, render_table
@@ -461,15 +462,15 @@ def _add_scenario_flags(sp: argparse.ArgumentParser) -> None:
                     help="what to run under instrumentation")
     sp.add_argument("--arch", choices=["dvdc", "diskful"], default="dvdc",
                     help="epoch/job: checkpoint architecture")
-    sp.add_argument("--nodes", type=int, default=4, help="epoch: cluster size")
-    sp.add_argument("--vms-per-node", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--points", type=int, default=48,
+    sp.add_argument("--nodes", type=_positive_int, default=4, help="epoch: cluster size")
+    sp.add_argument("--vms-per-node", type=_positive_int, default=3)
+    sp.add_argument("--seed", type=_nonnegative_int, default=0)
+    sp.add_argument("--points", type=_positive_int, default=48,
                     help="fig5: interval grid points")
-    sp.add_argument("--work", type=float, default=0.5, help="job: hours")
-    sp.add_argument("--interval", type=float, default=300.0,
+    sp.add_argument("--work", type=_positive, default=0.5, help="job: hours")
+    sp.add_argument("--interval", type=_positive, default=300.0,
                     help="job: checkpoint interval, seconds")
-    sp.add_argument("--node-mtbf", type=float, default=2.0,
+    sp.add_argument("--node-mtbf", type=_positive, default=2.0,
                     help="job: per-node MTBF, hours")
 
 
@@ -1019,11 +1020,27 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _bounded(kind, low, strict: bool = False):
+    """An argparse type: a finite ``kind`` that is >= ``low`` (> when
+    ``strict``); anything else exits 2 with argparse naming the flag."""
+    what = f"{'an integer' if kind is int else 'a finite number'} " \
+        f"{'>' if strict else '>='} {low:g}"
+
+    def parse(text: str):
+        value = kind(text)
+        if not math.isfinite(value) or value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" wording
+    return parse
+
+
+_positive_int = _bounded(int, 1)
+_nonnegative_int = _bounded(int, 0)  # seeds, spares, fault counts
+_positive = _bounded(float, 0.0, strict=True)
+_nonnegative = _bounded(float, 0.0)
+_site = _bounded(int, -1)  # -1 names the worst site
 
 
 def _add_campaign_flags(sp: argparse.ArgumentParser) -> None:
@@ -1043,18 +1060,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     f5 = sub.add_parser("fig5", help="reproduce Fig. 5 analytically")
-    f5.add_argument("--mtbf", type=float, default=3.0, help="cluster MTBF, hours")
-    f5.add_argument("--job", type=float, default=48.0, help="job length, hours")
-    f5.add_argument("--nodes", type=int, default=4)
-    f5.add_argument("--vms-per-node", type=int, default=3)
-    f5.add_argument("--dirty-rate", type=float, default=2e5,
+    f5.add_argument("--mtbf", type=_positive, default=3.0, help="cluster MTBF, hours")
+    f5.add_argument("--job", type=_positive, default=48.0, help="job length, hours")
+    f5.add_argument("--nodes", type=_positive_int, default=4)
+    f5.add_argument("--vms-per-node", type=_positive_int, default=3)
+    f5.add_argument("--dirty-rate", type=_nonnegative, default=2e5,
                     help="per-VM dirty rate, bytes/s")
     f5.add_argument("--plot", action="store_true", help="ASCII curve")
     f5.add_argument("--scheme", nargs="*", default=None, metavar="SPEC",
                     help="compare coding schemes analytically instead of "
                          "running the campaign; bare --scheme sweeps "
                          "xor, rdp, rs-8-2 and rep-3")
-    f5.add_argument("--window", type=float, default=300.0,
+    f5.add_argument("--window", type=_nonnegative, default=300.0,
                     help="scheme sweep: degraded-window length, seconds")
     _add_campaign_flags(f5)
     f5.set_defaults(func=_cmd_fig5)
@@ -1062,18 +1079,18 @@ def build_parser() -> argparse.ArgumentParser:
     ep = sub.add_parser("epoch", help="run one checkpoint epoch")
     ep.add_argument("--arch", choices=["dvdc", "diskful", "checkpoint-node",
                                        "firstshot"], default="dvdc")
-    ep.add_argument("--nodes", type=int, default=4)
-    ep.add_argument("--vms-per-node", type=int, default=3)
-    ep.add_argument("--seed", type=int, default=0)
+    ep.add_argument("--nodes", type=_positive_int, default=4)
+    ep.add_argument("--vms-per-node", type=_positive_int, default=3)
+    ep.add_argument("--seed", type=_nonnegative_int, default=0)
     ep.set_defaults(func=_cmd_epoch)
 
     jb = sub.add_parser("job", help="end-to-end checkpointed job")
     jb.add_argument("--method", choices=["dvdc", "diskful"], default="dvdc")
-    jb.add_argument("--work", type=float, default=4.0, help="hours")
-    jb.add_argument("--interval", type=float, default=600.0, help="seconds")
-    jb.add_argument("--node-mtbf", type=float, default=6.0, help="hours")
-    jb.add_argument("--repair", type=float, default=30.0, help="seconds")
-    jb.add_argument("--seeds", type=int, default=3)
+    jb.add_argument("--work", type=_positive, default=4.0, help="hours")
+    jb.add_argument("--interval", type=_positive, default=600.0, help="seconds")
+    jb.add_argument("--node-mtbf", type=_positive, default=6.0, help="hours")
+    jb.add_argument("--repair", type=_nonnegative, default=30.0, help="seconds")
+    jb.add_argument("--seeds", type=_positive_int, default=3)
     jb.add_argument("--overlap", action="store_true")
     jb.set_defaults(func=_cmd_job)
 
@@ -1082,24 +1099,24 @@ def build_parser() -> argparse.ArgumentParser:
                      default=["dvdc", "diskful"],
                      help="dvdc diskful dvdc_rdp checkpoint_node first_shot; "
                           "append +overlap for latency-hiding execution")
-    stu.add_argument("--work", type=float, default=4.0, help="hours")
-    stu.add_argument("--interval", type=float, default=600.0, help="seconds")
-    stu.add_argument("--node-mtbf", type=float, default=6.0, help="hours")
-    stu.add_argument("--repair", type=float, default=30.0, help="seconds")
-    stu.add_argument("--seeds", type=int, default=5)
-    stu.add_argument("--nodes", type=int, default=4)
-    stu.add_argument("--vms-per-node", type=int, default=3)
+    stu.add_argument("--work", type=_positive, default=4.0, help="hours")
+    stu.add_argument("--interval", type=_positive, default=600.0, help="seconds")
+    stu.add_argument("--node-mtbf", type=_positive, default=6.0, help="hours")
+    stu.add_argument("--repair", type=_nonnegative, default=30.0, help="seconds")
+    stu.add_argument("--seeds", type=_positive_int, default=5)
+    stu.add_argument("--nodes", type=_positive_int, default=4)
+    stu.add_argument("--vms-per-node", type=_positive_int, default=3)
     stu.add_argument("--full", action="store_true",
                      help="full-image capture instead of incremental")
     _add_campaign_flags(stu)
     stu.set_defaults(func=_cmd_study)
 
     va = sub.add_parser("validate", help="equations vs Monte-Carlo")
-    va.add_argument("--job", type=float, default=8.0, help="hours")
-    va.add_argument("--overhead", type=float, default=120.0, help="T_ov, s")
-    va.add_argument("--repair", type=float, default=60.0, help="T_r, s")
-    va.add_argument("--runs", type=int, default=4000)
-    va.add_argument("--seed", type=int, default=0)
+    va.add_argument("--job", type=_positive, default=8.0, help="hours")
+    va.add_argument("--overhead", type=_nonnegative, default=120.0, help="T_ov, s")
+    va.add_argument("--repair", type=_nonnegative, default=60.0, help="T_r, s")
+    va.add_argument("--runs", type=_positive_int, default=4000)
+    va.add_argument("--seed", type=_nonnegative_int, default=0)
     _add_campaign_flags(va)
     va.set_defaults(func=_cmd_validate)
 
@@ -1112,15 +1129,15 @@ def build_parser() -> argparse.ArgumentParser:
                     help="prebuilt campaign to run")
     cp.add_argument("--spec", default=None,
                     help="JSON sweep spec file (overrides the preset)")
-    cp.add_argument("--points", type=int, default=240,
+    cp.add_argument("--points", type=_positive_int, default=240,
                     help="fig5: interval grid points")
-    cp.add_argument("--runs", type=int, default=4000,
+    cp.add_argument("--runs", type=_positive_int, default=4000,
                     help="validate: Monte-Carlo runs per grid point")
-    cp.add_argument("--seed", type=int, default=0,
+    cp.add_argument("--seed", type=_nonnegative_int, default=0,
                     help="validate: master seed")
-    cp.add_argument("--seeds", type=int, default=3,
+    cp.add_argument("--seeds", type=_positive_int, default=3,
                     help="study: failure-trace seeds")
-    cp.add_argument("--work", type=float, default=2.0,
+    cp.add_argument("--work", type=_positive, default=2.0,
                     help="study: job length, hours")
     _add_campaign_flags(cp)
     cp.set_defaults(func=_cmd_campaign)
@@ -1166,7 +1183,7 @@ def build_parser() -> argparse.ArgumentParser:
     au.add_argument("--heal", action="store_true",
                     help="run the spare-pool self-healing scenario instead "
                          "(permanent node loss, recover, reprotect)")
-    au.add_argument("--spares", type=int, default=1,
+    au.add_argument("--spares", type=_nonnegative_int, default=1,
                     help="heal: cold spare nodes to provision")
     au.add_argument("--layout", choices=["fig1", "fig3", "fig4", "all"],
                     default="all", help="which architecture(s) to audit")
@@ -1176,11 +1193,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fuzz: independent schedules per layout")
     au.add_argument("--cycles", type=_positive_int, default=4,
                     help="checkpoint cycles per trial")
-    au.add_argument("--max-faults", type=int, default=2,
+    au.add_argument("--max-faults", type=_nonnegative_int, default=2,
                     help="fuzz: max node kills per schedule")
-    au.add_argument("--budget", type=float, default=None,
+    au.add_argument("--budget", type=_positive, default=None,
                     help="fuzz: wall-clock seconds per layout")
-    au.add_argument("--seed", type=int, default=0, help="base seed")
+    au.add_argument("--seed", type=_nonnegative_int, default=0, help="base seed")
     au.add_argument("--heterogeneous", action="store_true",
                     help="mix VM memory sizes within groups")
     au.add_argument("--strategy", choices=["forked", "full", "incremental"],
@@ -1188,7 +1205,7 @@ def build_parser() -> argparse.ArgumentParser:
     au.add_argument("--scheme", default="xor",
                     help="coding scheme for trials: xor, rdp, rs-<k>-<m>, "
                          "rep-<n> (default xor)")
-    au.add_argument("--geo", type=int, default=0, metavar="SITES",
+    au.add_argument("--geo", type=_nonnegative_int, default=0, metavar="SITES",
                     help="geo mode: split the cluster into SITES failure "
                          "domains, add correlated whole-site kills to the "
                          "schedule, and classify fate vs bug tolerance-"
@@ -1211,14 +1228,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--racks-per-site", type=_positive_int, default=2)
         sp.add_argument("--vms-per-node", type=_positive_int, default=1)
         sp.add_argument("--epochs", type=_positive_int, default=2)
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=_nonnegative_int, default=0)
         sp.add_argument("--scheme", default="xor",
                         help="coding scheme: xor, rdp, rs-<k>-<m>, rep-<n>")
-        sp.add_argument("--wan-bandwidth", type=float, default=12.5e6,
+        sp.add_argument("--wan-bandwidth", type=_positive, default=12.5e6,
                         help="WAN uplink bandwidth, bytes/s")
-        sp.add_argument("--wan-latency", type=float, default=20e-3,
+        sp.add_argument("--wan-latency", type=_nonnegative, default=20e-3,
                         help="WAN round-trip latency, seconds")
-        sp.add_argument("--kill-site", type=int, default=-1,
+        sp.add_argument("--kill-site", type=_site, default=-1,
                         help="site to fail after the last commit "
                              "(-1 = worst for the layout; use --no-kill "
                              "for a fault-free run)")
@@ -1256,21 +1273,21 @@ def build_parser() -> argparse.ArgumentParser:
     svsub = sv.add_subparsers(dest="serving_command", required=True)
 
     def _serving_common(sp) -> None:
-        sp.add_argument("--rate", type=float, default=240.0,
+        sp.add_argument("--rate", type=_positive, default=240.0,
                         help="open-loop arrival rate, requests/s")
         sp.add_argument("--requests", type=_positive_int, default=60_000,
                         help="total requests in the stream")
-        sp.add_argument("--service-mean", type=float, default=0.02,
+        sp.add_argument("--service-mean", type=_positive, default=0.02,
                         help="mean PS service demand, seconds")
         sp.add_argument("--dist", choices=["exponential", "lognormal"],
                         default="exponential", help="service demand shape")
         sp.add_argument("--nodes", type=_positive_int, default=4)
         sp.add_argument("--vms-per-node", type=_positive_int, default=2)
-        sp.add_argument("--node-mtbf", type=float, default=0.0,
+        sp.add_argument("--node-mtbf", type=_nonnegative, default=0.0,
                         help="per-node MTBF, seconds (0 = no crashes)")
-        sp.add_argument("--repair", type=float, default=20.0,
+        sp.add_argument("--repair", type=_nonnegative, default=20.0,
                         help="node repair time, seconds")
-        sp.add_argument("--slo", type=float, default=0.25,
+        sp.add_argument("--slo", type=_positive, default=0.25,
                         help="p99 SLO for the SLA controller, seconds")
 
     sr = svsub.add_parser(
@@ -1280,9 +1297,9 @@ def build_parser() -> argparse.ArgumentParser:
     sr.add_argument("--policy", default="checkpoint",
                     choices=["baseline", "checkpoint", "checkpoint_sla",
                              "clone2"])
-    sr.add_argument("--interval", type=float, default=None,
+    sr.add_argument("--interval", type=_positive, default=None,
                     help="override the policy's checkpoint interval, s")
-    sr.add_argument("--seed", type=int, default=0)
+    sr.add_argument("--seed", type=_nonnegative_int, default=0)
     sr.add_argument("--metrics", action="store_true",
                     help="print the telemetry summary table after the run")
     sr.set_defaults(func=_cmd_serving_run)
@@ -1309,13 +1326,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--nodes", type=_positive_int, default=nodes,
                         help="managed (VM-hosting) nodes")
         sp.add_argument("--vms-per-node", type=_positive_int, default=2)
-        sp.add_argument("--spares", type=int, default=2,
+        sp.add_argument("--spares", type=_nonnegative_int, default=2,
                         help="cold spare nodes for the healer")
         sp.add_argument("--group-size", type=_positive_int, default=4)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--repair-time", type=float, default=10.0,
+        sp.add_argument("--seed", type=_nonnegative_int, default=0)
+        sp.add_argument("--repair-time", type=_nonnegative, default=10.0,
                         help="node downtime after a fence before rejoin")
-        sp.add_argument("--maintenance-seconds", type=float, default=0.5,
+        sp.add_argument("--maintenance-seconds", type=_nonnegative, default=0.5,
                         help="hold time of a drained node")
 
     cr = cplsub.add_parser(
@@ -1326,9 +1343,9 @@ def build_parser() -> argparse.ArgumentParser:
     _cpl_common(cr, nodes=12)
     cr.add_argument("--ops", type=_positive_int, default=500,
                     help="operations to submit")
-    cr.add_argument("--mean-gap", type=float, default=0.5,
+    cr.add_argument("--mean-gap", type=_positive, default=0.5,
                     help="mean seconds between submissions")
-    cr.add_argument("--fault-rate", type=float, default=0.002,
+    cr.add_argument("--fault-rate", type=_nonnegative, default=0.002,
                     help="transient faults per node-second")
     cr.add_argument("--no-faults", dest="faults", action="store_false",
                     help="disable the transient fault injector")
@@ -1343,13 +1360,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     cs = cplsub.add_parser("status", help="short managed run + status table")
     _cpl_common(cs, nodes=8)
-    cs.add_argument("--duration", type=float, default=20.0,
+    cs.add_argument("--duration", type=_positive, default=20.0,
                     help="sim seconds to run before the snapshot")
     cs.set_defaults(func=_cmd_controlplane)
 
     ca = sub.add_parser("calibrate", help="measure host XOR bandwidth")
-    ca.add_argument("--size", type=int, default=1 << 24, help="buffer bytes")
-    ca.add_argument("--repeats", type=int, default=3)
+    ca.add_argument("--size", type=_positive_int, default=1 << 24, help="buffer bytes")
+    ca.add_argument("--repeats", type=_positive_int, default=3)
     ca.set_defaults(func=_cmd_calibrate)
     return p
 

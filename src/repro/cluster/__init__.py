@@ -8,12 +8,8 @@ from .node import NodeError, PhysicalNode
 from .vm import VirtualMachine, VMError, VMState
 from .xorsum import (
     as_u8,
-    is_zero,
     measure_xor_bandwidth,
-    reconstruct_missing,
     reconstruct_missing_padded,
-    xor_into,
-    xor_pairs,
     xor_reduce,
     xor_reduce_padded,
 )
@@ -36,11 +32,7 @@ __all__ = [
     "ClusterSpec",
     "xor_reduce",
     "xor_reduce_padded",
-    "xor_into",
-    "xor_pairs",
-    "reconstruct_missing",
     "reconstruct_missing_padded",
     "as_u8",
-    "is_zero",
     "measure_xor_bandwidth",
 ]

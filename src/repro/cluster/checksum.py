@@ -23,9 +23,7 @@ import zlib
 
 import numpy as np
 
-__all__ = [
-    "block_checksum", "page_checksums", "checksum_ok",
-]
+__all__ = ["block_checksum"]
 
 
 def _flat_bytes(data: np.ndarray) -> np.ndarray:
@@ -43,25 +41,3 @@ def block_checksum(data: np.ndarray) -> int:
     # streams it in place — no tobytes copy
     crc = zlib.crc32(b)
     return (b.size & 0xFFFFFFFF) << 32 | crc
-
-
-def page_checksums(data: np.ndarray, page_size: int) -> list[int]:
-    """Per-page fingerprints (the rolling form used to localize damage).
-
-    The last page may be short; its checksum covers the short tail.
-    """
-    if page_size < 1:
-        raise ValueError(f"page_size must be >= 1, got {page_size}")
-    b = _flat_bytes(data)
-    return [
-        block_checksum(b[off: off + page_size])
-        for off in range(0, b.size, page_size)
-    ]
-
-
-def checksum_ok(data: np.ndarray | None, expected: int | None) -> bool:
-    """True when ``data`` matches ``expected``; vacuously true when
-    either side is absent (timing-only artifacts carry no checksum)."""
-    if data is None or expected is None:
-        return True
-    return block_checksum(data) == expected

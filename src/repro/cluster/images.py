@@ -69,10 +69,6 @@ class CheckpointImage:
             if not isinstance(self.payload, PageDelta):
                 raise TypeError("incremental checkpoint payload must be a PageDelta")
 
-    @property
-    def functional(self) -> bool:
-        return self.payload is not None
-
     def payload_flat(self) -> np.ndarray:
         """The payload as a flat uint8 array (full snapshots only)."""
         if isinstance(self.payload, np.ndarray):
@@ -101,19 +97,3 @@ class ParityBlock:
     #: CRC of each member image folded in, vm_id -> checksum.  Lets a
     #: rebuild verify the reconstructed bytes end-to-end.
     member_checksums: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def functional(self) -> bool:
-        return self.data is not None
-
-    def copy(self) -> "ParityBlock":
-        return ParityBlock(
-            group_id=self.group_id,
-            epoch=self.epoch,
-            member_vm_ids=self.member_vm_ids,
-            logical_bytes=self.logical_bytes,
-            stored_on_node=self.stored_on_node,
-            data=None if self.data is None else self.data.copy(),
-            checksum=self.checksum,
-            member_checksums=dict(self.member_checksums),
-        )

@@ -163,13 +163,6 @@ class MemoryImage:
         self._dirty_count += int(seg.size - np.count_nonzero(seg))
         seg[:] = True
 
-    def fill_page(self, index: int, value: int) -> None:
-        """Overwrite one page with a constant (fast workload writes)."""
-        self.pages[index] = value
-        if not self._dirty[index]:
-            self._dirty[index] = True
-            self._dirty_count += 1
-
     def touch_pages(self, indices: np.ndarray, rng: np.random.Generator | None = None) -> None:
         """Dirty the given pages; with an rng, also scribble random bytes
         into the first 8 bytes of each (cheap content change so deltas
@@ -177,7 +170,7 @@ class MemoryImage:
         take the leading ``page_size`` bytes of each 8-byte draw).
 
         ``indices`` may contain duplicates; accounting is by *unique*
-        page, so ``dirty_bytes`` never double-counts a page re-touched
+        page, so ``dirty_page_count`` never double-counts a page re-touched
         within one interval.
         """
         idx = np.asarray(indices, dtype=np.int64)
@@ -197,11 +190,6 @@ class MemoryImage:
             width = min(8, self.page_size)
             self.pages[idx, :width] = stamp[:, :width]
 
-    def read(self, addr: int, length: int) -> np.ndarray:
-        if addr < 0 or addr + length > self.nbytes:
-            raise IndexError(f"read [{addr}, {addr + length}) outside image")
-        return self._flat[addr : addr + length].copy()
-
     # ------------------------------------------------------------------
     # dirty logging (hypervisor side)
     # ------------------------------------------------------------------
@@ -213,17 +201,9 @@ class MemoryImage:
     def dirty_page_count(self) -> int:
         return self._dirty_count
 
-    @property
-    def dirty_bytes(self) -> int:
-        return self.dirty_page_count * self.page_size
-
     def clear_dirty(self) -> None:
         self._dirty[:] = False
         self._dirty_count = 0
-
-    def mark_all_dirty(self) -> None:
-        self._dirty[:] = True
-        self._dirty_count = self.n_pages
 
     # ------------------------------------------------------------------
     # capture
@@ -261,18 +241,3 @@ class MemoryImage:
             raise ValueError(f"payload {buf.nbytes}B != image {self.nbytes}B")
         self._flat[:] = buf
         self.clear_dirty()
-
-    def apply_delta(self, delta: PageDelta) -> None:
-        """Patch the image with a delta; clears dirty bits of the pages."""
-        if delta.n_pages_total != self.n_pages or delta.page_size != self.page_size:
-            raise ValueError("delta geometry does not match image")
-        delta.apply_to(self._flat)
-        self._dirty_count -= int(np.count_nonzero(self._dirty[delta.indices]))
-        self._dirty[delta.indices] = False
-
-    def equals(self, other: "MemoryImage") -> bool:
-        return (
-            self.n_pages == other.n_pages
-            and self.page_size == other.page_size
-            and bool(np.array_equal(self._flat, other._flat))
-        )

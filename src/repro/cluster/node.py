@@ -92,10 +92,6 @@ class PhysicalNode:
     def used_bytes(self) -> float:
         return self.vm_bytes + self.checkpoint_bytes + self.parity_bytes
 
-    @property
-    def free_bytes(self) -> float:
-        return self.ram_bytes - self.used_bytes
-
     def check_memory(self) -> None:
         """Raise if resident state exceeds physical RAM."""
         if self.used_bytes > self.ram_bytes * (1 + 1e-9):

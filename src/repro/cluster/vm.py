@@ -32,10 +32,6 @@ class VMState(str, Enum):
     FAILED = "failed"
 
 
-#: States in which guest execution makes progress.
-_EXECUTING = {VMState.RUNNING}
-
-
 class VirtualMachine:
     """One guest VM.
 
@@ -82,14 +78,6 @@ class VirtualMachine:
     # ------------------------------------------------------------------
     # state machine
     # ------------------------------------------------------------------
-    @property
-    def executing(self) -> bool:
-        return self.state in _EXECUTING
-
-    @property
-    def functional(self) -> bool:
-        return self.image is not None
-
     def pause(self) -> None:
         if self.state == VMState.FAILED:
             raise VMError(f"{self.name}: cannot pause a failed VM")

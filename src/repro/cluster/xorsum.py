@@ -4,7 +4,7 @@ Parity in DVDC is plain RAID-style XOR over VM checkpoint images.  The
 kernels below are the only place the package touches raw bytes for
 parity, so they are written for throughput: operations are whole-array
 ``np.bitwise_xor`` calls over ``uint8`` buffers (memory-bandwidth bound,
-no Python-level loops), with in-place variants to avoid temporaries —
+no Python-level loops), accumulating in place to avoid temporaries —
 following the in-place/no-copies guidance for numerical Python.
 """
 
@@ -21,11 +21,7 @@ __all__ = [
     "xor_reduce_padded",
     "xor_reduce_groups",
     "xor_fold_groups",
-    "xor_into",
-    "xor_pairs",
-    "reconstruct_missing",
     "reconstruct_missing_padded",
-    "is_zero",
     "measure_xor_bandwidth",
 ]
 
@@ -36,9 +32,7 @@ def as_u8(buf: np.ndarray | bytes | bytearray) -> np.ndarray:
     ``bytes``/``bytearray`` map zero-copy through ``np.frombuffer`` (the
     bytearray view is writable, so in-place kernels mutate the original).
     Contiguous arrays map to a flat view; *non-contiguous* arrays cannot
-    be viewed flat, so the result is a contiguous **copy** — in-place
-    callers must detect that (``np.shares_memory``) and write back, as
-    :func:`xor_into` does.
+    be viewed flat, so the result is a contiguous **copy**.
     """
     if isinstance(buf, (bytes, bytearray)):
         return np.frombuffer(buf, dtype=np.uint8)
@@ -197,62 +191,6 @@ def reconstruct_missing_padded(
     if nbytes > p.shape[0]:
         raise ValueError(f"requested {nbytes}B exceeds parity length {p.shape[0]}")
     return p[:nbytes].copy()
-
-
-def xor_into(dst: np.ndarray, src: np.ndarray | bytes) -> np.ndarray:
-    """In-place ``dst ^= src``; returns ``dst``.
-
-    This is the parity *update* primitive: applying a delta (old ^ new)
-    to an existing parity buffer without materializing intermediates.
-
-    ``dst`` must be mutable.  Non-contiguous arrays are supported:
-    :func:`as_u8` has to *copy* such inputs (``reshape(-1)`` on a strided
-    view materializes a new buffer), so the XOR result is explicitly
-    written back into ``dst`` — without that write-back the update would
-    silently land in a temporary and be lost.
-    """
-    if isinstance(dst, bytes):
-        raise TypeError("xor_into requires a mutable destination, got bytes")
-    d = as_u8(dst)
-    s = as_u8(src)
-    _check_same_length([d, s])
-    if isinstance(dst, bytearray):
-        np.bitwise_xor(d, s, out=d)
-        dst[:] = d.tobytes()
-        return dst
-    np.bitwise_xor(d, s, out=d)
-    if not np.shares_memory(d, dst):
-        # as_u8 copied (non-contiguous dst): write the result back
-        dst[...] = d.view(dst.dtype).reshape(dst.shape)
-    return dst
-
-
-def xor_pairs(a: np.ndarray | bytes, b: np.ndarray | bytes) -> np.ndarray:
-    """Fresh ``a ^ b`` — used to form incremental parity deltas."""
-    aa, bb = as_u8(a), as_u8(b)
-    _check_same_length([aa, bb])
-    return np.bitwise_xor(aa, bb)
-
-
-def reconstruct_missing(
-    survivors: Iterable[np.ndarray | bytes], parity: np.ndarray | bytes
-) -> np.ndarray:
-    """Recover the single missing member of a RAID-5 style group.
-
-    ``parity == XOR(all members)`` implies
-    ``missing == parity ^ XOR(survivors)``.
-    """
-    bufs = [as_u8(b) for b in survivors]
-    p = as_u8(parity).copy()
-    for b in bufs:
-        _check_same_length([p, b])
-        np.bitwise_xor(p, b, out=p)
-    return p
-
-
-def is_zero(buf: np.ndarray | bytes) -> bool:
-    """True iff every byte is zero (zero-page detection for compression)."""
-    return not as_u8(buf).any()
 
 
 def measure_xor_bandwidth(nbytes: int = 1 << 24, repeats: int = 3) -> float:

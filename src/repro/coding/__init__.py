@@ -14,7 +14,6 @@ from .gf256 import (
     gf_div,
     gf_inv,
     gf_matinv,
-    gf_matmul,
     gf_matvec,
     gf_mul,
     gf_pair_tables,
@@ -43,7 +42,6 @@ __all__ = [
     "gf_div",
     "gf_inv",
     "gf_matinv",
-    "gf_matmul",
     "gf_matvec",
     "gf_mul",
     "gf_pair_tables",

@@ -22,7 +22,7 @@ members two bytes at a time — what RS encode does with its fixed
 generator; decode matrices change with every erasure pattern, so
 decode gathers byte-wise from ``MUL_TABLE`` rows and builds no tables.
 
-The matrix helpers (:func:`gf_matmul`, :func:`gf_matinv`) operate on
+The matrix inverse (:func:`gf_matinv`) operates on
 small ``k × k`` systematic-code matrices — Gauss–Jordan over GF(256) —
 and are only ever applied to matrices whose invertibility the MDS
 property guarantees.
@@ -189,17 +189,6 @@ def _matvec_blocks(coeffs, vecs, out, tables) -> None:
                 # gather into a temporary and copy it over.
                 np.take(tables[c], bidx, out=btmp, mode="clip")
                 np.bitwise_xor(dst, btmp, out=dst)
-
-
-def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over GF(256) for small uint8 matrices."""
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
-    n, k = a.shape
-    k2, m = b.shape
-    if k != k2:
-        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    return np.array(gf_matvec(a, list(b), m), dtype=np.uint8).reshape(n, m)
 
 
 def gf_matinv(m: np.ndarray) -> np.ndarray:

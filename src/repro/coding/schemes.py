@@ -226,10 +226,6 @@ class CodingScheme:
         """Exchange bytes shipped per checkpoint byte (m-way fan-out)."""
         return float(self.n_shards)
 
-    def shard_length(self, member_length: int, k: int) -> int:
-        """Working shard length for members padded to ``member_length``."""
-        return member_length
-
     def working_length(self, shard_length: int, k: int) -> int:
         """Member working (padded) length implied by a shard's length."""
         return shard_length
@@ -403,10 +399,6 @@ class RDPScheme(CodingScheme):
 
     def storage_overhead(self, k: int) -> float:
         return 2.0 / k
-
-    def shard_length(self, member_length: int, k: int) -> int:
-        code = self._code(k)
-        return code._rowbytes(member_length) * (code.p - 1)
 
 
 class ReedSolomonScheme(CodingScheme):
@@ -603,9 +595,6 @@ class ReplicationScheme(CodingScheme):
 
     def storage_overhead(self, k: int) -> float:
         return float(self.n_shards)
-
-    def shard_length(self, member_length: int, k: int) -> int:
-        return member_length * k
 
     def working_length(self, shard_length: int, k: int) -> int:
         return shard_length // k

@@ -78,8 +78,6 @@ class ControlPlaneConfig:
     #: run post-reconfiguration audits in strict mode and raise on
     #: fatal violations
     strict_audit: bool = True
-    #: background scrub cadence; None scrubs only before strict audits
-    scrub_interval: float | None = None
     #: target size for parity groups formed from provisioned VMs
     group_size: int = 4
     #: erasure tolerance used by the kill-op safety guard; None derives
@@ -98,7 +96,6 @@ class ControlPlane:
         config: ControlPlaneConfig | None = None,
         tracer: Tracer = NULL_TRACER,
         precopy_model: PrecopyModel | None = None,
-        dirty_model=None,
     ):
         self.cluster = cluster
         self.ck = checkpointer
@@ -118,8 +115,6 @@ class ControlPlane:
         )
         #: drain migrations use this pre-copy model (default: node NIC)
         self.precopy_model = precopy_model
-        #: optional WorkloadDirtyModel applied to drain migrations
-        self.dirty_model = dirty_model
 
         #: nodes currently under maintenance (drained or draining)
         self.maintenance: set[int] = set()
@@ -170,8 +165,6 @@ class ControlPlane:
         self._procs.append(sim.process(self._monitor_loop()))
         if self.config.checkpoint_interval is not None:
             self._procs.append(sim.process(self._checkpoint_loop()))
-        if self.config.scrub_interval is not None:
-            self._procs.append(sim.process(self._scrub_loop()))
         self.tracer.emit(sim.now, "controlplane.started",
                          nodes=len(self.registry.last_seen))
         return self
@@ -184,27 +177,6 @@ class ControlPlane:
         self._procs.clear()
         self._started = False
         self.tracer.emit(self.cluster.sim.now, "controlplane.stopped")
-
-    def attach_injector(self, injector) -> None:
-        """Fold a :class:`~repro.failures.injector.FailureInjector` in.
-
-        The subscriber does exactly what a real power event does — kills
-        the node and books the repair; *detection* is left entirely to
-        the keepalive path, so injected crashes and organic silence are
-        handled identically.
-        """
-        injector.subscribe(self._on_injected_failure)
-
-    def _on_injected_failure(self, ev) -> None:
-        node = self.cluster.node(ev.node_id)
-        if not node.alive or ev.node_id in self.maintenance:
-            return
-        self._recovery_results.pop(ev.node_id, None)
-        self.cluster.kill_node(ev.node_id)
-        self.healer.on_failure()
-        self.cluster.sim.schedule(
-            self.config.repair_time, self._repair, ev.node_id
-        )
 
     # ------------------------------------------------------------------
     # keepalive monitor + fencing
@@ -505,15 +477,6 @@ class ControlPlane:
             return result
         finally:
             self._lock.release()
-
-    def _scrub_loop(self):
-        sim = self.cluster.sim
-        try:
-            while True:
-                yield sim.timeout(self.config.scrub_interval)
-                self.scrubber.scrub_once()
-        except Interrupt:
-            return
 
     def _enroll_pending(self) -> None:
         """Form parity groups from provisioned-but-unprotected VMs.

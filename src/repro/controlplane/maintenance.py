@@ -54,7 +54,6 @@ def migrate_with_verify(cp, vm, dst_node_id: int):
                 cp.cluster, vm, dst_node_id,
                 model=cp.precopy_model,
                 tracer=cp.tracer,
-                dirty_model=cp.dirty_model,
             )
             break
         except NetworkError:

@@ -17,7 +17,6 @@ from .groups import (
 from .placement import (
     LayoutReport,
     group_losses_if_node_fails,
-    rebalance_after_migration,
     survives_single_node_failure,
     tolerable_node_failure_sets,
     validate_layout,
@@ -45,7 +44,6 @@ __all__ = [
     "group_losses_if_node_fails",
     "survives_single_node_failure",
     "tolerable_node_failure_sets",
-    "rebalance_after_migration",
     "DisklessCheckpointer",
     "DisklessCycleResult",
     "DEFAULT_XOR_BANDWIDTH",

@@ -71,10 +71,6 @@ class RaidGroup:
             )
 
     @property
-    def size(self) -> int:
-        return len(self.member_vm_ids)
-
-    @property
     def parity_nodes(self) -> tuple[int, ...]:
         """All shard homes, shard index order: ``(parity_node, *extras)``."""
         return (self.parity_node, *self.extra_parity_nodes)

@@ -10,14 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..cluster.cluster import VirtualCluster
-from .groups import GroupLayout, LayoutError, RaidGroup, build_orthogonal_layout
+from .groups import GroupLayout
 
 __all__ = [
     "validate_layout",
     "group_losses_if_node_fails",
     "survives_single_node_failure",
     "tolerable_node_failure_sets",
-    "rebalance_after_migration",
     "LayoutReport",
 ]
 
@@ -29,10 +28,6 @@ class LayoutReport:
     ok: bool
     errors: list[str] = field(default_factory=list)
     parity_load: dict[int, int] = field(default_factory=dict)
-
-    def raise_if_invalid(self) -> None:
-        if not self.ok:
-            raise LayoutError("; ".join(self.errors))
 
 
 def validate_layout(
@@ -128,50 +123,3 @@ def tolerable_node_failure_sets(
                 worst = max(worst, loss)
             (survivable if worst <= tolerance else fatal).append(combo)
     return survivable, fatal
-
-
-def rebalance_after_migration(
-    layout: GroupLayout, cluster: VirtualCluster, tolerance: int = 1
-) -> GroupLayout:
-    """After live migrations have moved VMs, rebuild any groups whose
-    constraints broke ("mixing up the distribution of VM's per physical
-    node", Section IV-A).
-
-    Groups still satisfying the constraints are kept verbatim (their
-    parity blocks stay valid — no re-encode needed); violated groups'
-    members are pooled and re-grouped.  The returned layout reuses
-    surviving group ids and appends fresh ids for rebuilt groups.
-    """
-    keep: list[RaidGroup] = []
-    pool_vm_ids: list[int] = []
-    for g in layout.groups:
-        per_node: dict[int, int] = {}
-        ok = True
-        for vm_id in g.member_vm_ids:
-            node = cluster.vm(vm_id).node_id
-            if node is None:
-                ok = False
-                continue
-            per_node[node] = per_node.get(node, 0) + 1
-        for pnode in g.parity_nodes:
-            per_node[pnode] = per_node.get(pnode, 0) + 1
-        if ok and max(per_node.values()) <= tolerance:
-            keep.append(g)
-        else:
-            pool_vm_ids.extend(v for v in g.member_vm_ids)
-    if not pool_vm_ids:
-        return layout
-    pool_vms = [cluster.vm(v) for v in pool_vm_ids if cluster.vm(v).node_id is not None]
-    sizes = [g.size for g in layout.groups]
-    target_size = max(sizes) if sizes else 1
-    target_size = min(target_size, len({vm.node_id for vm in pool_vms}) or 1)
-    n_parity = max((len(g.parity_nodes) for g in layout.groups), default=1)
-    rebuilt = build_orthogonal_layout(
-        cluster, target_size, parity="rotate", vms=pool_vms, n_parity=n_parity
-    )
-    next_id = max((g.group_id for g in keep), default=-1) + 1
-    renumbered = [
-        RaidGroup(next_id + i, g.member_vm_ids, g.parity_node, g.extra_parity_nodes)
-        for i, g in enumerate(rebuilt.groups)
-    ]
-    return GroupLayout(keep + renumbered)

@@ -4,16 +4,15 @@ The benches, examples, and CLI all run variations of two experiments:
 *paired job comparisons* (several checkpointing methods over identical
 failure traces) and *epoch microbenchmarks* (one cycle of each
 architecture on an equivalent cluster).  This module is the single
-implementation both lean on, and the programmatic entry point for
-downstream studies::
+implementation both lean on.  A paired study runs one campaign cell per
+(method, trace seed) through :func:`repro.campaign.run_study_campaign`::
 
-    from repro.experiments import PairedJobStudy, MethodSpec
+    from repro.campaign import run_study_campaign
 
-    study = PairedJobStudy(
-        methods=[MethodSpec("dvdc"), MethodSpec("diskful")],
+    outcome, _ = run_study_campaign(
+        methods=[{"name": "dvdc"}, {"name": "diskful"}],
         work=4 * 3600, interval=600, node_mtbf=6 * 3600, seeds=10,
     )
-    outcome = study.run()
     print(outcome.summary_table())
 """
 
@@ -29,7 +28,7 @@ from .checkpoint.adaptive import AdaptivePolicy
 from .checkpoint.diskful import DiskfulCheckpointer
 from .checkpoint.strategies import ForkedCapture, IncrementalCapture
 from .core.architectures import checkpoint_node, dvdc, first_shot
-from .failures.distributions import Exponential, FailureDistribution
+from .failures.distributions import Exponential
 from .failures.injector import FailureInjector, FailureSchedule
 from .sim import NULL_TRACER, Tracer
 from .workloads.app import CheckpointedJob, JobResult
@@ -112,9 +111,6 @@ class JobOutcome:
     method: str
     seed: int
     result: JobResult
-    #: serving-sidecar report (latency quantiles, loss, stalls) when the
-    #: study ran with ``serving=...``; None otherwise
-    serving: dict | None = None
 
 
 @dataclass
@@ -130,10 +126,6 @@ class StudyOutcome:
     def completion_rate(self, method: str) -> float:
         rs = self.for_method(method)
         return sum(r.completed for r in rs) / len(rs) if rs else float("nan")
-
-    def mean_ratio(self, method: str) -> float:
-        rs = [r.time_ratio for r in self.for_method(method) if r.completed]
-        return float(np.mean(rs)) if rs else float("nan")
 
     def summary_table(self) -> str:
         methods = sorted({c.method for c in self.cells})
@@ -179,23 +171,11 @@ class PairedJobStudy:
         seeds: int = 5,
         n_nodes: int = 4,
         vms_per_node: int = 3,
-        failure_dist: FailureDistribution | None = None,
-        functional: bool = True,
-        managed: bool = False,
-        serving: dict | None = None,
     ):
         if not methods:
             raise ValueError("need at least one MethodSpec")
         if seeds < 1:
             raise ValueError("need at least one seed")
-        if managed:
-            unsupported = [m.name for m in methods if m.name != "dvdc"]
-            if unsupported:
-                raise ValueError(
-                    "managed mode needs the dvdc single-parity protocol "
-                    f"(XOR layout + healer); unsupported: {unsupported}"
-                )
-        self.managed = managed
         self.methods = methods
         self.work = float(work)
         self.interval = interval
@@ -204,13 +184,6 @@ class PairedJobStudy:
         self.seeds = int(seeds)
         self.n_nodes = n_nodes
         self.vms_per_node = vms_per_node
-        self.failure_dist = failure_dist or Exponential(1.0 / node_mtbf)
-        self.functional = functional
-        #: serving-sidecar config: ArrivalConfig fields plus optional
-        #: ``clone`` and ``slo_p99``.  Every method cell then serves the
-        #: identical open-loop request trace while the job runs, and the
-        #: cell's JobOutcome carries the serving report.
-        self.serving = dict(serving) if serving else None
 
     def _run_cell(self, spec: MethodSpec, seed: int) -> JobOutcome:
         # RDP needs room for two parity homes off the member nodes
@@ -219,76 +192,23 @@ class PairedJobStudy:
             raise ValueError("dvdc_rdp needs >= 4 nodes")
         sc = scaled_scenario(
             n_nodes, self.vms_per_node, seed=seed,
-            functional=self.functional,
-            image_pages=32 if self.functional else None,
-            page_size=128,
+            functional=True, image_pages=32, page_size=128,
         )
         rng = sc.rngs.stream("failure-trace")
         schedule = FailureSchedule.draw(
-            rng, self.failure_dist, n_nodes,
+            rng, Exponential(1.0 / self.node_mtbf), n_nodes,
             horizon=self.work * 10, repair_time=self.repair_time,
         )
         injector = FailureInjector(sc.sim, n_nodes, schedule=schedule)
         ck = spec.build(sc.cluster)
-        controlplane = None
-        if self.managed:
-            # route failure handling through the coordinator: heartbeat
-            # detection, fencing, recovery, healing, strict audits — the
-            # job keeps only work accounting and checkpoint cadence
-            from .controlplane import ControlPlane, ControlPlaneConfig
-
-            controlplane = ControlPlane(
-                sc.cluster, ck,
-                config=ControlPlaneConfig(repair_time=self.repair_time),
-            ).start()
         job = CheckpointedJob(
             sc.cluster, ck, work=self.work, interval=self.interval,
             injector=injector, repair_time=self.repair_time,
-            overlap=spec.overlap, controlplane=controlplane,
+            overlap=spec.overlap,
         )
-        serving = None
-        if self.serving is not None:
-            serving = self._build_serving(sc, ck, injector, job)
         injector.start()
         proc = job.start()
-        if controlplane is not None:
-            proc.subscribe(lambda ev: controlplane.stop())
         sc.sim.run(until=self.work * 100)
         if proc.ok is False:
             raise proc.value
-        return JobOutcome(
-            method=spec.display, seed=seed, result=job.result,
-            serving=serving.report() if serving is not None else None,
-        )
-
-    def _build_serving(self, sc, ck, injector, job):
-        """Attach a serving sidecar: the job owns checkpoint cadence and
-        recovery; the sidecar serves traffic through those disruptions."""
-        from .serving.arrivals import ArrivalConfig, OpenLoopArrivals
-        from .serving.controller import SLAController
-        from .serving.runtime import ServingRuntime
-
-        cfg = dict(self.serving)
-        clone = int(cfg.pop("clone", 1))
-        slo_p99 = cfg.pop("slo_p99", None)
-        runtime = ServingRuntime(
-            sc,
-            OpenLoopArrivals(ArrivalConfig(**cfg), sc.rngs),
-            checkpointer=ck,
-            injector=injector,
-            job=job,
-            repair_time=self.repair_time,
-            clone=clone,
-        )
-        if slo_p99 is not None:
-            # steer the *job's* checkpoint interval against the SLO
-            runtime.controller = SLAController(job, float(slo_p99))
-        runtime.start()
-        return runtime
-
-    def run(self) -> StudyOutcome:
-        outcome = StudyOutcome(work=self.work)
-        for seed in range(self.seeds):
-            for spec in self.methods:
-                outcome.cells.append(self._run_cell(spec, seed))
-        return outcome
+        return JobOutcome(method=spec.display, seed=seed, result=job.result)

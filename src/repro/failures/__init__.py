@@ -1,26 +1,15 @@
-"""Failure modeling: distributions, injection, and MTBF arithmetic."""
+"""Failure modeling: distributions, domains, and schedule replay."""
 
-from .domains import FailureDomainMap, draw_domain_schedule, racks
+from .domains import FailureDomainMap, racks
 from .distributions import (
     Bathtub,
     Exponential,
     FailureDistribution,
     LogNormal,
     Weibull,
-    from_mtbf,
 )
-from .injector import FailureEvent, FailureInjector, FailureSchedule, poisson_injector
-from .mtbf import (
-    PAPER_LAMBDA,
-    PAPER_MTBF_SECONDS,
-    checkpoint_viability,
-    expected_failures,
-    mtbf_from_rate,
-    node_mtbf_for_system,
-    probability_failure_free,
-    rate_from_mtbf,
-    system_mtbf,
-)
+from .injector import FailureEvent, FailureInjector, FailureSchedule
+from .mtbf import PAPER_LAMBDA, PAPER_MTBF_SECONDS
 
 __all__ = [
     "FailureDistribution",
@@ -28,21 +17,11 @@ __all__ = [
     "Weibull",
     "LogNormal",
     "Bathtub",
-    "from_mtbf",
     "FailureDomainMap",
     "racks",
-    "draw_domain_schedule",
     "FailureEvent",
     "FailureInjector",
     "FailureSchedule",
-    "poisson_injector",
-    "system_mtbf",
-    "node_mtbf_for_system",
-    "rate_from_mtbf",
-    "mtbf_from_rate",
-    "checkpoint_viability",
-    "expected_failures",
-    "probability_failure_free",
     "PAPER_LAMBDA",
     "PAPER_MTBF_SECONDS",
 ]

@@ -10,9 +10,7 @@ Every distribution exposes:
 
 * ``sample(rng)`` / ``sample_n(rng, n)`` — draw inter-failure times;
 * ``mean()`` — the MTBF implied by the parameters;
-* ``rate()`` — 1/mean (the λ used throughout the analytical model);
-* ``cdf(t)`` / ``survival(t)`` — closed forms where available;
-* ``hazard(t)`` — instantaneous failure rate.
+* ``cdf(t)`` / ``survival(t)`` — closed forms where available.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "FailureDistribution",
@@ -29,7 +26,6 @@ __all__ = [
     "Weibull",
     "LogNormal",
     "Bathtub",
-    "from_mtbf",
 ]
 
 
@@ -45,23 +41,11 @@ class FailureDistribution:
     def mean(self) -> float:
         raise NotImplementedError
 
-    def rate(self) -> float:
-        """Average failure rate λ = 1/MTBF."""
-        return 1.0 / self.mean()
-
     def cdf(self, t: float) -> float:
         raise NotImplementedError
 
     def survival(self, t: float) -> float:
         return 1.0 - self.cdf(t)
-
-    def hazard(self, t: float) -> float:
-        """h(t) = f(t)/S(t); default via numerical differentiation."""
-        eps = max(1e-9, 1e-6 * max(t, 1.0))
-        s = self.survival(t)
-        if s <= 0.0:
-            return math.inf
-        return (self.cdf(t + eps) - self.cdf(t)) / (eps * s)
 
 
 @dataclass(frozen=True)
@@ -91,9 +75,6 @@ class Exponential(FailureDistribution):
             return 0.0
         return -math.expm1(-self.lam * t)
 
-    def hazard(self, t: float) -> float:
-        return self.lam
-
 
 @dataclass(frozen=True)
 class Weibull(FailureDistribution):
@@ -122,17 +103,6 @@ class Weibull(FailureDistribution):
             return 0.0
         return -math.expm1(-((t / self.scale) ** self.shape))
 
-    def hazard(self, t: float) -> float:
-        if t < 0:
-            return 0.0
-        if t == 0.0:
-            if self.shape < 1:
-                return math.inf
-            if self.shape == 1:
-                return 1.0 / self.scale
-            return 0.0
-        return (self.shape / self.scale) * (t / self.scale) ** (self.shape - 1.0)
-
     @classmethod
     def from_mtbf(cls, mtbf: float, shape: float) -> "Weibull":
         """Weibull with the given mean and shape."""
@@ -156,11 +126,6 @@ class LogNormal(FailureDistribution):
 
     def mean(self) -> float:
         return math.exp(self.mu + self.sigma**2 / 2.0)
-
-    def cdf(self, t: float) -> float:
-        if t <= 0:
-            return 0.0
-        return 0.5 * (1.0 + special.erf((math.log(t) - self.mu) / (self.sigma * math.sqrt(2))))
 
     @classmethod
     def from_mean_cv(cls, mean: float, cv: float) -> "LogNormal":
@@ -199,12 +164,6 @@ class Bathtub(FailureDistribution):
     def survival(self, t: float) -> float:
         return self.infant.survival(t) * self.life.survival(t) * self.wearout.survival(t)
 
-    def cdf(self, t: float) -> float:
-        return 1.0 - self.survival(t)
-
-    def hazard(self, t: float) -> float:
-        return self.infant.hazard(t) + self.life.hazard(t) + self.wearout.hazard(t)
-
     def mean(self) -> float:
         """Mean via numerical integration of the survival function."""
         from scipy import integrate
@@ -223,22 +182,3 @@ class Bathtub(FailureDistribution):
             life=Exponential(1.0 / mtbf),
             wearout=Weibull.from_mtbf(10.0 * mtbf, shape=3.0),
         )
-
-
-def from_mtbf(mtbf: float, kind: str = "exponential", **kwargs) -> FailureDistribution:
-    """Factory: build a distribution with the given MTBF.
-
-    ``kind`` ∈ {"exponential", "weibull", "lognormal", "bathtub"}.
-    Extra parameters: ``shape`` (weibull), ``cv`` (lognormal).
-    """
-    if mtbf <= 0:
-        raise ValueError(f"MTBF must be > 0, got {mtbf}")
-    if kind == "exponential":
-        return Exponential(1.0 / mtbf)
-    if kind == "weibull":
-        return Weibull.from_mtbf(mtbf, shape=kwargs.get("shape", 0.7))
-    if kind == "lognormal":
-        return LogNormal.from_mean_cv(mtbf, cv=kwargs.get("cv", 1.5))
-    if kind == "bathtub":
-        return Bathtub.typical(mtbf)
-    raise ValueError(f"unknown distribution kind {kind!r}")

@@ -7,9 +7,6 @@ level up — nodes share racks, power circuits, and top-of-rack switches,
 and those fail as units.  This module models it:
 
 * :class:`FailureDomainMap` — which node lives in which domain;
-* :func:`draw_domain_schedule` — a replayable schedule in which whole
-  domains crash at one instant (every member node fails
-  simultaneously);
 * domain-aware placement lives in :func:`repro.core.groups.\
 build_orthogonal_layout` (``domains=`` parameter): members of a group
   are spread across *domains*, not merely nodes, so a full-rack loss
@@ -21,12 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .distributions import FailureDistribution
-from .injector import FailureEvent, FailureSchedule
-
-__all__ = ["FailureDomainMap", "racks", "draw_domain_schedule"]
+__all__ = ["FailureDomainMap", "racks"]
 
 
 @dataclass(frozen=True)
@@ -61,12 +53,6 @@ class FailureDomainMap:
             raise ValueError(f"node {node_id} out of range")
         return self.assignment[node_id]
 
-    def nodes_in(self, domain_id: int) -> list[int]:
-        return [n for n, d in enumerate(self.assignment) if d == domain_id]
-
-    def domains(self) -> list[int]:
-        return sorted(set(self.assignment))
-
 
 def racks(n_nodes: int, nodes_per_rack: int) -> FailureDomainMap:
     """Consecutive nodes grouped into racks of ``nodes_per_rack``."""
@@ -75,36 +61,3 @@ def racks(n_nodes: int, nodes_per_rack: int) -> FailureDomainMap:
     return FailureDomainMap(
         tuple(i // nodes_per_rack for i in range(n_nodes))
     )
-
-
-def draw_domain_schedule(
-    rng: np.random.Generator,
-    dist: FailureDistribution,
-    domains: FailureDomainMap,
-    horizon: float,
-    repair_time: float = 0.0,
-) -> FailureSchedule:
-    """Replayable schedule of whole-domain crashes.
-
-    Each *domain* gets an independent renewal failure process from
-    ``dist`` (so ``dist``'s MTBF is the per-rack MTBF); at each domain
-    failure instant every node in the domain emits a simultaneous
-    :class:`FailureEvent`.
-    """
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
-    events: list[FailureEvent] = []
-    ordinals = [0] * domains.n_nodes
-    for domain in domains.domains():
-        t = 0.0
-        while True:
-            t += dist.sample(rng)
-            if t > horizon:
-                break
-            for node in domains.nodes_in(domain):
-                events.append(FailureEvent(time=t, node_id=node,
-                                           ordinal=ordinals[node]))
-                ordinals[node] += 1
-            t += repair_time
-    events.sort(key=lambda e: (e.time, e.node_id))
-    return FailureSchedule(events)

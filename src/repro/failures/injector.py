@@ -2,14 +2,13 @@
 
 The central correlation fact that motivates DVDC's orthogonal placement
 (Section IV-B): *failures strike physical nodes*, and a node failure
-takes down every VM resident on it simultaneously.  The injector draws
-per-node failure times from a :class:`FailureDistribution` and delivers
-node-crash events into the simulation; subscribers (hypervisors, the
-DVDC coordinator, recovery manager) react.
-
-Repair is modeled per node with a separate distribution (deterministic
-by default); a failed node is down for the repair interval, then rejoins
-empty — its VMs must be reconstructed elsewhere by the recovery layer.
+takes down every VM resident on it simultaneously.  A
+:class:`FailureSchedule` draws per-node failure times from a
+:class:`FailureDistribution` up front; the injector replays it as
+node-crash events in the simulation, and subscribers (the job, the
+serving runtime, the recovery layer) react.  A failed node is down for
+the subscriber's repair interval, then rejoins empty — its VMs must be
+reconstructed elsewhere by the recovery layer.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 
 from ..sim import NULL_TRACER, Simulator, Tracer
 from ..telemetry import probe_of
-from .distributions import Exponential, FailureDistribution
+from .distributions import FailureDistribution
 
 __all__ = ["FailureEvent", "FailureInjector", "FailureSchedule"]
 
@@ -80,22 +79,13 @@ class FailureSchedule:
         events.sort(key=lambda e: (e.time, e.node_id))
         return cls(events)
 
-    def for_node(self, node_id: int) -> list[FailureEvent]:
-        return [e for e in self.events if e.node_id == node_id]
-
     def __len__(self) -> int:
         return len(self.events)
 
 
 class FailureInjector:
-    """Delivers node failures into a live simulation.
-
-    Two modes:
-
-    * **online** — pass a distribution and rng; each node gets an
-      independent renewal process sampled lazily as the run advances;
-    * **replay** — pass a :class:`FailureSchedule`; events are delivered
-      verbatim (used for paired comparisons and regression tests).
+    """Replays a :class:`FailureSchedule` into a live simulation, event
+    for event (one schedule serves every method of a paired comparison).
 
     Subscribers are callables ``fn(event: FailureEvent)`` invoked at the
     failure instant, in subscription order.
@@ -105,27 +95,16 @@ class FailureInjector:
         self,
         sim: Simulator,
         n_nodes: int,
-        dist: FailureDistribution | None = None,
-        rng: np.random.Generator | None = None,
-        schedule: FailureSchedule | None = None,
-        repair_time: float = 0.0,
+        schedule: FailureSchedule,
         tracer: Tracer = NULL_TRACER,
     ):
-        if (dist is None) == (schedule is None):
-            raise ValueError("provide exactly one of dist (online) or schedule (replay)")
-        if dist is not None and rng is None:
-            raise ValueError("online mode requires an rng")
         self.sim = sim
         self.n_nodes = n_nodes
-        self.dist = dist
-        self.rng = rng
         self.schedule = schedule
-        self.repair_time = float(repair_time)
         self.tracer = tracer
         self.probe = probe_of(tracer)
         self._subscribers: list[Callable[[FailureEvent], None]] = []
         self._delivered: list[FailureEvent] = []
-        self._ordinals = [0] * n_nodes
         self._started = False
 
     # ------------------------------------------------------------------
@@ -141,38 +120,14 @@ class FailureInjector:
         if self._started:
             return
         self._started = True
-        if self.schedule is not None:
-            for ev in self.schedule.events:
-                if ev.node_id >= self.n_nodes:
-                    raise ValueError(
-                        f"schedule references node {ev.node_id} >= n_nodes {self.n_nodes}"
-                    )
-                self.sim.at(ev.time, self._fire, ev)
-        else:
-            for node in range(self.n_nodes):
-                self._arm_next(node)
+        for ev in self.schedule.events:
+            if ev.node_id >= self.n_nodes:
+                raise ValueError(
+                    f"schedule references node {ev.node_id} >= n_nodes {self.n_nodes}"
+                )
+            self.sim.at(ev.time, self._deliver, ev)
 
     # ------------------------------------------------------------------
-    def _arm_next(self, node_id: int) -> None:
-        assert self.dist is not None and self.rng is not None
-        delay = self.dist.sample(self.rng)
-        self.sim.schedule(delay, self._fire_online, node_id)
-
-    def _fire_online(self, node_id: int) -> None:
-        ev = FailureEvent(
-            time=self.sim.now, node_id=node_id, ordinal=self._ordinals[node_id]
-        )
-        self._ordinals[node_id] += 1
-        self._deliver(ev)
-        # next failure clock starts after repair completes
-        self.sim.schedule(self.repair_time, self._arm_next_cb, node_id)
-
-    def _arm_next_cb(self, node_id: int) -> None:
-        self._arm_next(node_id)
-
-    def _fire(self, ev: FailureEvent) -> None:
-        self._deliver(ev)
-
     def _deliver(self, ev: FailureEvent) -> None:
         self._delivered.append(ev)
         self.tracer.emit(self.sim.now, "failure.node", node=ev.node_id, ordinal=ev.ordinal)
@@ -183,22 +138,3 @@ class FailureInjector:
         )
         for fn in self._subscribers:
             fn(ev)
-
-
-def poisson_injector(
-    sim: Simulator,
-    n_nodes: int,
-    mtbf_per_node: float,
-    rng: np.random.Generator,
-    repair_time: float = 0.0,
-    tracer: Tracer = NULL_TRACER,
-) -> FailureInjector:
-    """Convenience: exponential per-node failures with the given MTBF."""
-    return FailureInjector(
-        sim,
-        n_nodes,
-        dist=Exponential(1.0 / mtbf_per_node),
-        rng=rng,
-        repair_time=repair_time,
-        tracer=tracer,
-    )

@@ -1,80 +1,15 @@
-"""MTBF aggregation and scaling helpers.
+"""The paper's failure-rate operating point.
 
 The introduction's scaling argument — more components, shorter system
-MTBF — is quantified here.  For independent exponential components the
-system-level rate is the sum of component rates, so a cluster of ``n``
-nodes each with MTBF ``m`` has system MTBF ``m / n``.  These helpers
-convert between per-node and per-system views and reproduce the paper's
-headline operating point (cluster MTBF 3 h ⇒ λ = 9.26e-5 /s).
+MTBF — meets Section V-B at one number: a cluster MTBF of 3 h, i.e.
+λ = 9.26e-5 failures per second.
 """
 
 from __future__ import annotations
 
-import math
-
-__all__ = [
-    "system_mtbf",
-    "node_mtbf_for_system",
-    "rate_from_mtbf",
-    "mtbf_from_rate",
-    "checkpoint_viability",
-    "PAPER_LAMBDA",
-    "PAPER_MTBF_SECONDS",
-]
+__all__ = ["PAPER_LAMBDA", "PAPER_MTBF_SECONDS"]
 
 #: The paper's Section V-B operating point: 3 h cluster MTBF.
 PAPER_MTBF_SECONDS = 3.0 * 3600.0
 #: λ = 1/MTBF quoted in the paper as 9.26e-5 failures/sec.
 PAPER_LAMBDA = 1.0 / PAPER_MTBF_SECONDS
-
-
-def rate_from_mtbf(mtbf: float) -> float:
-    """λ = 1/MTBF (failures per second)."""
-    if mtbf <= 0:
-        raise ValueError(f"MTBF must be > 0, got {mtbf}")
-    return 1.0 / mtbf
-
-
-def mtbf_from_rate(lam: float) -> float:
-    """MTBF = 1/λ."""
-    if lam <= 0:
-        raise ValueError(f"rate must be > 0, got {lam}")
-    return 1.0 / lam
-
-
-def system_mtbf(node_mtbf: float, n_nodes: int) -> float:
-    """MTBF of a system of ``n_nodes`` independent exponential nodes."""
-    if n_nodes < 1:
-        raise ValueError(f"need >= 1 node, got {n_nodes}")
-    return node_mtbf / n_nodes
-
-
-def node_mtbf_for_system(target_system_mtbf: float, n_nodes: int) -> float:
-    """Per-node MTBF required so the whole system has the target MTBF."""
-    if n_nodes < 1:
-        raise ValueError(f"need >= 1 node, got {n_nodes}")
-    return target_system_mtbf * n_nodes
-
-
-def checkpoint_viability(mtbf: float, checkpoint_time: float) -> float:
-    """Schroeder–Gibson viability ratio MTBF / checkpoint-time.
-
-    The introduction cites the projection that this ratio drops below 1
-    (the system can do nothing but checkpoint and still lose data).
-    Values ≤ 1 mean checkpointing alone cannot keep up; larger is safer.
-    """
-    if checkpoint_time <= 0:
-        raise ValueError(f"checkpoint time must be > 0, got {checkpoint_time}")
-    return mtbf / checkpoint_time
-
-
-def expected_failures(lam: float, horizon: float) -> float:
-    """Expected number of Poisson failures in ``horizon`` seconds."""
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    return lam * horizon
-
-
-def probability_failure_free(lam: float, horizon: float) -> float:
-    """P(no failure in ``horizon``) = e^{-λ·horizon}."""
-    return math.exp(-lam * max(horizon, 0.0))

@@ -1,5 +1,5 @@
-"""Multi-site georedundancy: hierarchical topologies, correlated
-site/rack failures, and cross-site checkpoint placement policies.
+"""Multi-site georedundancy: hierarchical topologies, whole-site
+outages, and cross-site checkpoint placement policies.
 
 The paper's scheme protects against independent *node* loss inside one
 cluster; this package extends the reproduction to the failure mode that
@@ -10,8 +10,6 @@ policies that survive them:
 - :mod:`~repro.geo.topology` — node → rack → pod → site hierarchy over
   :class:`~repro.network.SwitchedTopology`, with modeled WAN links
   (high latency, low bandwidth, independently partitionable).
-- :mod:`~repro.geo.failures` — seeded correlated failure schedules:
-  rack- and site-level renewal processes that kill whole domains.
 - :mod:`~repro.geo.remus` — asynchronous remote full-copy protection
   (the Remus pattern) with an explicit, measured lag window.
 - :mod:`~repro.geo.study` — the three-policy survival study
@@ -22,7 +20,6 @@ A single-site :class:`~repro.geo.topology.GeoTopology` is bit-identical
 to the plain switched fabric — the geo layer is free when unused.
 """
 
-from .failures import GeoEvent, draw_geo_schedule, site_kill_members
 from .remus import RemoteCopy, RemusAsyncReplicator, RemusSalvageReport
 from .study import (
     POLICIES,
@@ -48,9 +45,6 @@ __all__ = [
     "GeoSpec",
     "GeoTopology",
     "geo_cluster_spec",
-    "GeoEvent",
-    "draw_geo_schedule",
-    "site_kill_members",
     "RemoteCopy",
     "RemusAsyncReplicator",
     "RemusSalvageReport",

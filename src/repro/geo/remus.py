@@ -182,13 +182,6 @@ class RemusAsyncReplicator:
     # ------------------------------------------------------------------
     # salvage
     # ------------------------------------------------------------------
-    def covered_epoch(self, vm_id: int) -> int:
-        """Epoch the VM's live remote copy holds (−1 = none usable)."""
-        copy = self.copies.get(vm_id)
-        if copy is None or not self.cluster.node(copy.node_id).alive:
-            return -1
-        return copy.epoch
-
     def salvage_cluster(self) -> "RemusSalvageReport":
         """Process: recover a beyond-tolerance loss from remote copies.
 

@@ -133,24 +133,10 @@ class GeoSpec:
     def site_of(self, node_id: int) -> int:
         return self._site[node_id]
 
-    def rack_of(self, node_id: int) -> int:
-        return self._rack[node_id]
-
-    def pod_of(self, node_id: int) -> int:
-        return self._pod[node_id]
-
     def nodes_in_site(self, site: int) -> list[int]:
         if not (0 <= site < self.n_sites):
             raise ValueError(f"site {site} out of range 0..{self.n_sites - 1}")
         return [n for n in range(self.n_nodes) if self._site[n] == site]
-
-    @property
-    def n_racks(self) -> int:
-        return self.n_sites * self.racks_per_site
-
-    @property
-    def n_pods(self) -> int:
-        return self.n_sites * self.pods_per_site
 
     def domain_map(self, level: str = "site") -> FailureDomainMap:
         """The hierarchy level as a dense failure-domain map.
@@ -177,9 +163,8 @@ class GeoTopology(SwitchedTopology):
     cross-site flow additionally traverses the source site's WAN egress
     and the destination site's WAN ingress — two shared low-bandwidth
     links where all inter-site traffic of a site pair contends, each
-    charged half the one-way ``wan_latency``.  The NAS stays homed at
-    site 0 (the paper's shared-NAS baseline), so remote sites reach it
-    over the WAN too.
+    charged half the one-way ``wan_latency``.  NAS paths are the flat
+    fabric's: no geo scenario checkpoints to the NAS.
 
     With ``geo.n_sites == 1`` no WAN links are created at all: the
     :class:`~repro.network.link.Network` is link-for-link identical to
@@ -231,22 +216,6 @@ class GeoTopology(SwitchedTopology):
                 path[1:1] = self._wan_hops(s, d)
         return path
 
-    def node_to_nas(self, src: int) -> list:
-        path = super().node_to_nas(src)
-        if self.wan_tx:
-            s = self.geo.site_of(src)
-            if s != 0:
-                path[1:1] = self._wan_hops(s, 0)
-        return path
-
-    def nas_to_node(self, dst: int) -> list:
-        path = super().nas_to_node(dst)
-        if self.wan_tx:
-            d = self.geo.site_of(dst)
-            if d != 0:
-                path[-1:-1] = self._wan_hops(0, d)
-        return path
-
     # -- accounting ----------------------------------------------------
     def transfer(self, src: int, dst: int, size: float, label: str | None = None):
         flow = super().transfer(src, dst, size, label)
@@ -260,10 +229,6 @@ class GeoTopology(SwitchedTopology):
         return flow
 
     # -- WAN health (correlated-fault surface) -------------------------
-    def site_wan_up(self, site: int) -> bool:
-        self._check_site(site)
-        return self.wan_tx[site].up and self.wan_rx[site].up
-
     def set_site_wan_up(self, site: int, up: bool, reason: str = "wan outage") -> int:
         """Flap a site's WAN uplink pair down or up; cross-site flows
         through it fail with a transient error (retryable).  Returns the

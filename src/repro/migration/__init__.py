@@ -2,7 +2,7 @@
 
 from .downtime import PAPER_BASE_OVERHEAD, DowntimeModel
 from .pagehash import DedupPlan, PageHashIndex, hash_pages, plan_dedup_transfer
-from .precopy import PrecopyModel, PrecopyResult, live_migrate, migration_time_estimate
+from .precopy import PrecopyModel, PrecopyResult, live_migrate
 
 __all__ = [
     "DowntimeModel",
@@ -10,7 +10,6 @@ __all__ = [
     "PrecopyModel",
     "PrecopyResult",
     "live_migrate",
-    "migration_time_estimate",
     "PageHashIndex",
     "DedupPlan",
     "plan_dedup_transfer",

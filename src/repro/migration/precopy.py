@@ -20,7 +20,6 @@ Two forms are provided:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..cluster.cluster import VirtualCluster
@@ -73,24 +72,12 @@ class PrecopyModel:
         """Dirty-to-bandwidth ratio; ≥ 1 means pre-copy cannot converge."""
         return dirty_rate / self.bandwidth
 
-    def estimate(
-        self, image_bytes: float, dirty_rate: float, dirty_model=None
-    ) -> PrecopyResult:
-        """Rounds, traffic, elapsed time, and downtime for one migration.
-
-        ``dirty_model`` — optional
-        :class:`~repro.workloads.dirtypages.WorkloadDirtyModel`: per-round
-        re-dirtying then follows the workload's saturating working-set
-        curve instead of the synthetic ``dirty_rate · t`` line (repeated
-        writes to a hot page cost one page, so rounds shrink faster and
-        downtime reflects the residual working set).
-        """
+    def estimate(self, image_bytes: float, dirty_rate: float) -> PrecopyResult:
+        """Rounds, traffic, elapsed time, and downtime for one migration."""
         if image_bytes < 0:
             raise ValueError(f"image_bytes must be >= 0, got {image_bytes}")
         if dirty_rate < 0:
             raise ValueError(f"dirty_rate must be >= 0, got {dirty_rate}")
-        if dirty_model is not None:
-            dirty_rate = dirty_model.peak_rate
         rho = self.rho(dirty_rate)
         to_send = image_bytes
         total = 0.0
@@ -102,10 +89,7 @@ class PrecopyModel:
             total += to_send
             elapsed += t
             rounds += 1
-            if dirty_model is not None:
-                to_send = min(image_bytes, dirty_model.dirty_bytes(t))
-            else:
-                to_send = min(image_bytes, dirty_rate * t)
+            to_send = min(image_bytes, dirty_rate * t)
             if rho >= 1.0 and rounds >= 2:
                 # diverging: residual stopped shrinking, force stop-and-copy
                 converged = False
@@ -128,7 +112,6 @@ def live_migrate(
     dst_node_id: int,
     model: PrecopyModel | None = None,
     tracer: Tracer = NULL_TRACER,
-    dirty_model=None,
 ):
     """Simulation process: live-migrate ``vm`` to ``dst_node_id``.
 
@@ -136,12 +119,6 @@ def live_migrate(
     contends with checkpoint traffic on the same links), then the
     stop-and-copy pause, then re-registers the VM on the destination.
     Returns a :class:`PrecopyResult`.
-
-    ``dirty_model`` — optional
-    :class:`~repro.workloads.dirtypages.WorkloadDirtyModel`: the bytes
-    re-dirtied during each round follow the workload's saturating
-    working-set curve instead of the synthetic ``vm.dirty_rate · t``
-    line (see :meth:`PrecopyModel.estimate`).
 
     For functional VMs the image travels by reference-copy at the
     stop-and-copy point — the simulated payload equals the source
@@ -162,8 +139,7 @@ def live_migrate(
     rounds = 0
     to_send = vm.memory_bytes
     converged = True
-    dirty_rate = dirty_model.peak_rate if dirty_model is not None else vm.dirty_rate
-    rho = model.rho(dirty_rate)
+    rho = model.rho(vm.dirty_rate)
     while to_send > model.downtime_target_bytes and rounds < model.max_rounds:
         flow = cluster.topology.transfer(
             src, dst_node_id, to_send, label=f"migrate.vm{vm.vm_id}.r{rounds}"
@@ -180,10 +156,7 @@ def live_migrate(
         round_time = sim.now - start if rounds == 0 else flow.finished_at - flow.started_at
         total += to_send
         rounds += 1
-        if dirty_model is not None:
-            to_send = min(vm.memory_bytes, dirty_model.dirty_bytes(round_time))
-        else:
-            to_send = min(vm.memory_bytes, vm.dirty_rate * round_time)
+        to_send = min(vm.memory_bytes, vm.dirty_rate * round_time)
         if rho >= 1.0 and rounds >= 2:
             converged = False
             break
@@ -217,16 +190,3 @@ def live_migrate(
         downtime=downtime,
         converged=converged,
     )
-
-
-def migration_time_estimate(
-    image_bytes: float, dirty_rate: float, bandwidth: float
-) -> float:
-    """Quick closed-form total migration time (geometric sum).
-
-    ``S/B · (1-ρ^{n+1})/(1-ρ)`` with the default round cap; infinite
-    (math.inf) if ``ρ >= 1`` (non-convergent without throttling).
-    """
-    if dirty_rate >= bandwidth:
-        return math.inf
-    return PrecopyModel(bandwidth=bandwidth).estimate(image_bytes, dirty_rate).total_time

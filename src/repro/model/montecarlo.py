@@ -28,7 +28,6 @@ __all__ = [
     "simulate_completion_times_chunked",
     "chunk_moments",
     "estimate_from_moments",
-    "estimate_expected_time_chunked",
     "window_loss_probability",
     "estimate_window_loss",
 ]
@@ -332,148 +331,3 @@ def estimate_window_loss(
     p = float((kth < window).mean())
     std_error = math.sqrt(max(p * (1.0 - p), 1e-12) / n_runs)
     return MonteCarloEstimate(mean=p, std_error=std_error, n_runs=n_runs)
-
-
-def geo_window_loss_probability(
-    lam: float,
-    n_nodes: int,
-    window: float,
-    tolerance: int = 1,
-    site_rate: float = 0.0,
-    n_sites: int = 0,
-    site_cost: int = 1,
-) -> float:
-    """Window-loss probability with domain-correlated failure terms.
-
-    Extends :func:`window_loss_probability`: on top of the
-    ``n_nodes - 1`` surviving nodes' independent failures, each of
-    ``n_sites`` sites fails as a unit at rate ``site_rate``, and one
-    site outage erases ``site_cost`` elements of the worst-placed group
-    (``1`` under a valid geo-spread layout, up to the whole group under
-    ``local-parity`` — :func:`worst_domain_cost` measures a layout).
-    With independent per-site processes,
-
-    .. math::
-
-        P_{loss} = P(X + c \\cdot D \\ge m), \\quad
-        X \\sim \\mathrm{Binom}(n-1, 1 - e^{-\\lambda W}), \\
-        D \\sim \\mathrm{Binom}(s, 1 - e^{-\\lambda_s W})
-
-    ``site_rate = 0`` (or ``n_sites = 0``) reduces exactly to the
-    uncorrelated form.
-    """
-    base_validate = window_loss_probability(lam, n_nodes, window, tolerance)
-    if n_sites < 0:
-        raise ValueError(f"n_sites must be >= 0, got {n_sites}")
-    if site_rate < 0:
-        raise ValueError(f"site_rate must be >= 0, got {site_rate}")
-    if site_cost < 1:
-        raise ValueError(f"site_cost must be >= 1, got {site_cost}")
-    if site_rate == 0.0 or n_sites == 0:
-        return base_validate
-    n = n_nodes - 1
-    q = -math.expm1(-lam * window)
-    qs = -math.expm1(-site_rate * window)
-    p_loss = 0.0
-    for d in range(n_sites + 1):
-        p_d = math.comb(n_sites, d) * qs**d * (1.0 - qs) ** (n_sites - d)
-        need = tolerance - site_cost * d  # node failures still required
-        if need <= 0:
-            p_x = 1.0
-        elif need > n:
-            p_x = 0.0
-        else:
-            p_x = sum(
-                math.comb(n, i) * q**i * (1.0 - q) ** (n - i)
-                for i in range(need, n + 1)
-            )
-        p_loss += p_d * p_x
-    return float(min(1.0, p_loss))
-
-
-def estimate_geo_window_loss(
-    rng: np.random.Generator,
-    lam: float,
-    n_nodes: int,
-    window: float,
-    n_runs: int = 2000,
-    tolerance: int = 1,
-    site_rate: float = 0.0,
-    n_sites: int = 0,
-    site_cost: int = 1,
-) -> MonteCarloEstimate:
-    """Monte-Carlo corroboration of :func:`geo_window_loss_probability`.
-
-    Each run draws the survivors' and the sites' next failure times and
-    scores a loss when node failures plus ``site_cost`` × site outages
-    inside the window reach the tolerance — event counting only, no use
-    of the closed form, so agreement is evidence, not tautology.
-    """
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
-    geo_window_loss_probability(
-        lam, n_nodes, window, tolerance,
-        site_rate=site_rate, n_sites=n_sites, site_cost=site_cost,
-    )
-    node_draws = rng.exponential(1.0 / lam, size=(n_runs, n_nodes - 1))
-    hits = (node_draws < window).sum(axis=1)
-    if site_rate > 0.0 and n_sites > 0:
-        site_draws = rng.exponential(1.0 / site_rate, size=(n_runs, n_sites))
-        hits = hits + site_cost * (site_draws < window).sum(axis=1)
-    p = float((hits >= tolerance).mean())
-    std_error = math.sqrt(max(p * (1.0 - p), 1e-12) / n_runs)
-    return MonteCarloEstimate(mean=p, std_error=std_error, n_runs=n_runs)
-
-
-def worst_domain_cost(layout, cluster, domains) -> int:
-    """Largest number of one group's elements (members + parity shards)
-    co-resident in a single failure domain — the ``site_cost`` a domain
-    outage charges :func:`geo_window_loss_probability`.
-
-    1 for a valid geo-spread layout; typically ≥ 2 under ``local-parity``
-    on a multi-site cluster.
-    """
-    worst = 0
-    for g in layout.groups:
-        per_dom: dict[int, int] = {}
-        for vm_id in g.member_vm_ids:
-            node = cluster.vm(vm_id).node_id
-            if node is None:
-                continue
-            d = domains.domain_of(node)
-            per_dom[d] = per_dom.get(d, 0) + 1
-        for p in g.parity_nodes:
-            d = domains.domain_of(p)
-            per_dom[d] = per_dom.get(d, 0) + 1
-        if per_dom:
-            worst = max(worst, max(per_dom.values()))
-    return worst
-
-
-def estimate_expected_time_chunked(
-    master_seed: int,
-    lam: float,
-    T: float,
-    N: float | None,
-    T_ov: float = 0.0,
-    T_r: float = 0.0,
-    n_runs: int = 2000,
-    chunk_runs: int = DEFAULT_CHUNK_RUNS,
-    final_checkpoint: bool = True,
-) -> MonteCarloEstimate:
-    """Chunk-seeded counterpart of :func:`estimate_expected_time`.
-
-    Aggregates through :func:`estimate_from_moments` — the same merge the
-    campaign layer performs — so CLI ``--jobs 1`` and ``--jobs N`` agree
-    to the bit.
-    """
-    sizes = chunk_sizes(n_runs, chunk_runs)
-    moments = (
-        chunk_moments(
-            simulate_completion_times_chunk(
-                master_seed, i, size, lam, T, N, T_ov, T_r, final_checkpoint
-            )
-        )
-        for i, size in enumerate(sizes)
-    )
-    return estimate_from_moments(moments)

@@ -131,11 +131,6 @@ class PipelineCosts:
             return self.pause + max(self.network, self.sink)
         return self.pause + self.network + self.sink
 
-    @property
-    def latency(self) -> float:
-        """Start-to-usable; equals overhead in the serialized model."""
-        return self.overhead
-
 
 def _per_vm_bytes(cluster: ClusterModel, cfg: MethodConfig, interval: float) -> float:
     if cfg.incremental:

@@ -30,7 +30,6 @@ __all__ = [
     "expected_time_no_checkpoint",
     "expected_time_checkpointed",
     "expected_time_with_overhead",
-    "expected_time_ratio",
     "paper_literal_eq1",
     "paper_literal_eq3",
     "paper_literal_overhead",
@@ -117,13 +116,6 @@ def expected_time_with_overhead(
         + s
     )
     return per_segment * (T / N)
-
-
-def expected_time_ratio(
-    lam: float, T: float, N: float, T_ov: float, T_r: float = 0.0
-) -> float:
-    """E[T_chk;ov] / T — the Y axis of Fig. 5 (1.0 = fault-free ideal)."""
-    return expected_time_with_overhead(lam, T, N, T_ov, T_r) / T
 
 
 # ----------------------------------------------------------------------

@@ -53,10 +53,6 @@ class Fig5Series:
         """Fractional overhead versus the fault-free ideal at optimum."""
         return self.optimum.expected_ratio - 1.0
 
-    def to_rows(self) -> list[tuple[float, float]]:
-        """(interval, ratio) pairs for external plotting."""
-        return list(zip(self.intervals.tolist(), self.ratios.tolist()))
-
 
 @dataclass
 class Fig5Result:
@@ -75,46 +71,6 @@ class Fig5Result:
         return 1.0 - (
             self.diskless.optimum.expected_time / self.diskful.optimum.expected_time
         )
-
-    def save_csv(self, path) -> None:
-        """Write the two curves to CSV (interval, diskless, diskful) —
-        for users who want to replot Fig. 5 with their own tools.
-
-        The two series share the interval grid when produced by
-        :func:`fig5`; rows are emitted on the diskless grid with the
-        diskful ratio interpolated if grids differ.
-        """
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["interval_seconds", "diskless_ratio", "diskful_ratio"])
-            same_grid = (
-                len(self.diskless.intervals) == len(self.diskful.intervals)
-                and bool(np.allclose(self.diskless.intervals, self.diskful.intervals))
-            )
-            if same_grid:
-                duf = self.diskful.ratios
-            else:
-                duf = np.interp(
-                    self.diskless.intervals,
-                    self.diskful.intervals,
-                    self.diskful.ratios,
-                )
-            for x, a, b in zip(self.diskless.intervals, self.diskless.ratios, duf):
-                w.writerow([f"{x:.6g}", f"{a:.8g}", f"{b:.8g}"])
-            w.writerow([])
-            w.writerow(["optimum_method", "interval", "ratio"])
-            w.writerow([
-                "diskless",
-                f"{self.diskless.optimum.interval:.6g}",
-                f"{self.diskless.min_ratio:.8g}",
-            ])
-            w.writerow([
-                "diskful",
-                f"{self.diskful.optimum.interval:.6g}",
-                f"{self.diskful.min_ratio:.8g}",
-            ])
 
 
 def sweep_intervals(

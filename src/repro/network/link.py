@@ -152,24 +152,6 @@ class Flow(SimEvent):
         #: both allocators reschedule same-time completions identically
         self._order = 0
 
-    @property
-    def active(self) -> bool:
-        return not self.triggered
-
-    @property
-    def remaining(self) -> float:
-        """Bytes left right now (interpolated from the anchor)."""
-        if self.rate <= 0.0:
-            return self._anchor_remaining
-        dt = self.network.sim.now - self._anchor_time
-        if dt <= 0.0:
-            return self._anchor_remaining
-        return max(0.0, self._anchor_remaining - dt * self.rate)
-
-    @property
-    def transferred(self) -> float:
-        return self.size - self.remaining
-
     def abort(self, reason: str = "aborted", transient: bool = False) -> None:
         """Cancel the transfer; the waiting process sees a NetworkError.
 
@@ -193,7 +175,7 @@ class Flow(SimEvent):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<Flow {self.label} {self.transferred:.3g}/{self.size:.3g}B "
+            f"<Flow {self.label} {self.size - self._anchor_remaining:.3g}/{self.size:.3g}B "
             f"@{self.rate:.3g}B/s>"
         )
 
@@ -233,20 +215,13 @@ class Network:
         self.links[name] = link
         return link
 
-    def link(self, name: str) -> Link:
-        try:
-            return self.links[name]
-        except KeyError:
-            raise NetworkError(f"unknown link {name!r}") from None
-
     # ------------------------------------------------------------------
     # link health (transient-fault surface)
     # ------------------------------------------------------------------
-    def set_link_up(self, link: Link | str, up: bool, reason: str = "link down") -> int:
+    def set_link_up(self, lk: Link, up: bool, reason: str = "link down") -> int:
         """Flap a link down (aborting its in-flight flows with
         :class:`TransientNetworkError`) or back up.  Returns the number
         of flows torn down.  Idempotent."""
-        lk = self.link(link) if isinstance(link, str) else link
         if lk.up == up:
             return 0
         lk.up = up
@@ -287,7 +262,7 @@ class Network:
     # ------------------------------------------------------------------
     def start_flow(
         self,
-        path: Iterable[Link | str],
+        path: Iterable[Link],
         size: float,
         label: str | None = None,
     ) -> Flow:
@@ -296,7 +271,7 @@ class Network:
         Path latencies are summed and charged up front, before the flow
         enters bandwidth contention.  Returns the :class:`Flow` event.
         """
-        links = [self.link(p) if isinstance(p, str) else p for p in path]
+        links = list(path)
         if not links:
             raise NetworkError("flow path must contain at least one link")
         if size < 0:
@@ -532,8 +507,3 @@ class Network:
             self._finish_flow(flow)
         else:  # pragma: no cover - defensive reschedule
             self._reallocate(flow.path)
-
-    # ------------------------------------------------------------------
-    @property
-    def active_flows(self) -> tuple[Flow, ...]:
-        return tuple(self._active)

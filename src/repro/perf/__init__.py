@@ -14,7 +14,6 @@ from .scale import (
     heap_cancel_bench,
     run_epochs,
     run_process,
-    run_scale_point,
     scenario_digests,
 )
 
@@ -25,6 +24,5 @@ __all__ = [
     "heap_cancel_bench",
     "run_epochs",
     "run_process",
-    "run_scale_point",
     "scenario_digests",
 ]

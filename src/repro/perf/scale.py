@@ -42,7 +42,6 @@ __all__ = [
     "build_scale_scenario",
     "run_process",
     "run_epochs",
-    "run_scale_point",
     "scenario_digests",
     "heap_cancel_bench",
 ]
@@ -151,17 +150,6 @@ def run_epochs(sim, cluster, ckpt, rngs, cfg, epochs: int | None = None) -> None
     for _ in range(cfg.epochs if epochs is None else epochs):
         _dirty_epoch(cluster, rngs, cfg)
         run_process(sim, ckpt.run_cycle())
-
-
-def run_scale_point(cfg: ScaleConfig) -> dict:
-    """Run the scenario for ``cfg.epochs`` epochs and digest it."""
-    sim, cluster, ckpt, rngs, tracer = build_scale_scenario(cfg)
-    run_epochs(sim, cluster, ckpt, rngs, cfg)
-    return {
-        "events": sim.event_count,
-        "sim_time": sim.now,
-        "digests": scenario_digests(sim, cluster, ckpt, rngs, tracer),
-    }
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ package supplies everything between "perfect" and "crashed":
 See ``docs/resilience.md`` for the fault taxonomy and knobs.
 """
 
-from ..cluster.checksum import block_checksum, checksum_ok, page_checksums
+from ..cluster.checksum import block_checksum
 from .faults import (
     FAULT_KINDS,
     TransientFault,
@@ -47,6 +47,4 @@ __all__ = [
     "ScrubReport",
     "Scrubber",
     "block_checksum",
-    "page_checksums",
-    "checksum_ok",
 ]

@@ -29,7 +29,7 @@ outstanding fault expires.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -122,9 +122,6 @@ class TransientFaultSchedule:
         events.sort(key=lambda e: (e.time, e.node_id, e.kind))
         return cls(events)
 
-    def for_node(self, node_id: int) -> list[TransientFault]:
-        return [e for e in self.events if e.node_id == node_id]
-
     def __len__(self) -> int:
         return len(self.events)
 
@@ -184,21 +181,12 @@ class TransientFaultInjector:
         self.rng = rng or np.random.default_rng(0)
         self.tracer = tracer
         self.probe = probe_of(tracer)
-        self._subscribers: list[Callable[[TransientFault], None]] = []
-        self._delivered: list[TransientFault] = []
         #: corruption descriptions actually landed, in delivery order
         self.corrupted: list[str] = []
         # reference counts for overlapping flaps/degradations per node
         self._flaps: dict[int, int] = {}
         self._degrades: dict[int, int] = {}
         self._started = False
-
-    def subscribe(self, fn: Callable[[TransientFault], None]) -> None:
-        self._subscribers.append(fn)
-
-    @property
-    def delivered(self) -> Sequence[TransientFault]:
-        return tuple(self._delivered)
 
     def start(self) -> None:
         """Arm the injector; idempotent."""
@@ -215,7 +203,6 @@ class TransientFaultInjector:
 
     # ------------------------------------------------------------------
     def _fire(self, ev: TransientFault) -> None:
-        self._delivered.append(ev)
         self.tracer.emit(
             self.sim.now, f"fault.{ev.kind}", node=ev.node_id,
             duration=ev.duration, severity=ev.severity,
@@ -227,8 +214,6 @@ class TransientFaultInjector:
         )
         apply = getattr(self, f"_apply_{ev.kind}")
         apply(ev)
-        for fn in self._subscribers:
-            fn(ev)
 
     def _apply_flap(self, ev: TransientFault) -> None:
         self._flaps[ev.node_id] = self._flaps.get(ev.node_id, 0) + 1

@@ -20,9 +20,8 @@ force a fresh full checkpoint epoch.
 
 The scrubber is a *mechanism*: :meth:`Scrubber.scrub_once` is
 instantaneous in simulated time (checksums are memory-speed compared to
-the transfers around them).  Run it periodically with
-:meth:`Scrubber.run` for a background process, or call it directly at
-quiescent points (the fuzzer does, before every strict audit).
+the transfers around them).  Callers run it at quiescent points: the
+fuzzer before every strict audit, the control plane before its own.
 """
 
 from __future__ import annotations
@@ -52,10 +51,6 @@ class ScrubReport:
     repaired: list[str] = field(default_factory=list)
     #: subset of ``detected`` whose redundancy was also damaged
     unrepairable: list[str] = field(default_factory=list)
-
-    @property
-    def clean(self) -> bool:
-        return not self.detected
 
 
 class Scrubber:
@@ -231,16 +226,3 @@ class Scrubber:
                 continue
             block.data[:] = candidate
             self._repaired(report, f"{shard_name(j)} g{gid}")
-
-    def run(self, interval: float):
-        """Process generator: scrub every ``interval`` seconds, forever.
-
-        Spawn with ``sim.process(scrubber.run(interval))``; the process
-        ends only when the simulation stops scheduling it (e.g. ``run``
-        hit its horizon).
-        """
-        if interval <= 0:
-            raise ValueError(f"interval must be > 0, got {interval}")
-        while True:
-            yield self.cluster.sim.timeout(interval)
-            self.scrub_once()

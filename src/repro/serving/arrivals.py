@@ -77,11 +77,6 @@ class ArrivalConfig:
                 f"chunk_requests must be >= 1, got {self.chunk_requests}"
             )
 
-    @property
-    def offered_load_per_server(self) -> float:
-        """rate × mean demand — divide by replica count for utilization."""
-        return self.rate * self.service_mean
-
 
 @dataclass(frozen=True)
 class ArrivalChunk:

@@ -12,9 +12,7 @@ max_interval]``, the classic AIMD-flavored shape that cannot oscillate
 out of bounds.
 
 The target is anything with a mutable ``interval`` attribute read once
-per cycle — :class:`~repro.serving.runtime.ServingRuntime` in
-standalone mode, :class:`~repro.workloads.app.CheckpointedJob` when the
-controller rides sidecar on a paired study.
+per cycle — :class:`~repro.serving.runtime.ServingRuntime`.
 
 Window quantiles are computed exactly (``np.quantile`` over that
 window's latency array), not from the cumulative P² estimate: control

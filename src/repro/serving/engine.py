@@ -403,8 +403,3 @@ class ServingEngine:
     def outstanding(self) -> int:
         """Requests offered but not yet completed or lost."""
         return self.offered - self.completed - self.lost - self.lost_unrouted
-
-    @property
-    def pending_arrivals(self) -> int:
-        total = sum(c.n for c in self._chunks[self._chunk_i:])
-        return total - (self._arr_i if self._chunk_i < len(self._chunks) else 0)

@@ -8,19 +8,11 @@ every same-timestamp disruption handler has already appended its status
 change before the sweep runs — then sweeps the whole window at once and
 feeds the drained completions into telemetry in batch.
 
-The runtime operates in two modes:
-
-* **standalone** — it owns the checkpoint cadence itself: each cycle
-  brackets :meth:`DisklessCheckpointer.run_cycle` with engine stalls
-  (barrier start to barrier lift, surfaced by the cycle's
-  ``pause_done`` event), and it drives node repair + rollback recovery
-  after injected crashes.  This is what ``repro serving run|study``
-  uses.
-* **sidecar** — an existing :class:`~repro.workloads.app.CheckpointedJob`
-  owns checkpointing and recovery; the runtime taps the checkpoint
-  coordinator's tracer to mirror ``coordinated.pause`` /
-  ``coordinated.resume`` into stall windows and watches the cluster for
-  replica recovery.  This is what ``PairedJobStudy(serving=...)`` uses.
+The runtime owns the checkpoint cadence: each cycle brackets
+:meth:`DisklessCheckpointer.run_cycle` with engine stalls (barrier start
+to barrier lift, surfaced by the cycle's ``pause_done`` event), and it
+drives node repair + rollback recovery after injected crashes.  This is
+what ``repro serving run|study`` uses.
 
 Disruption accounting: every (node down → serving restored) interval is
 a *degraded window* attributed to the parity groups hosted on that
@@ -66,22 +58,6 @@ def build_servers(cluster) -> list[PSServer]:
     ]
 
 
-class _CoordinatorTap(Tracer):
-    """Forwarding tracer mirroring barrier pause/resume into stalls."""
-
-    def __init__(self, inner: Tracer, runtime: "ServingRuntime"):
-        super().__init__(enabled=True)
-        self._inner = inner
-        self._runtime = runtime
-
-    def emit(self, time: float, kind: str, **data) -> None:
-        if kind == "coordinated.pause":
-            self._runtime._on_pause(time)
-        elif kind == "coordinated.resume":
-            self._runtime._on_resume(time)
-        self._inner.emit(time, kind, **data)
-
-
 class ServingRuntime:
     """Serve an open-loop request stream from the cluster's VMs."""
 
@@ -92,7 +68,6 @@ class ServingRuntime:
         *,
         checkpointer=None,
         injector=None,
-        job=None,
         repair_time: float = 30.0,
         clone: int = 1,
         interval: float = 120.0,
@@ -105,10 +80,9 @@ class ServingRuntime:
         self.cluster = scenario.cluster
         self.arrivals = arrivals
         self.ck = checkpointer
-        self.job = job  # sidecar mode when set: the job owns cadence
         self.repair_time = float(repair_time)
         #: checkpoint cadence knob — read every cycle, so the SLA
-        #: controller can turn it live (standalone mode)
+        #: controller can turn it live
         self.interval = float(interval)
         self.controller = controller
         self.tracer = tracer
@@ -131,7 +105,7 @@ class ServingRuntime:
         self.n_failures = 0
         self.n_recoveries = 0
         self.unrecoverable: list[tuple[int, str]] = []
-        self._recovery = None  # latest standalone recovery process
+        self._recovery = None  # latest recovery process
         #: node -> (window start, group labels, downed sids)
         self._open_outages: dict[int, tuple[float, list[str], list[int]]] = {}
         self._shed: set[int] = set()
@@ -147,10 +121,6 @@ class ServingRuntime:
         self.drain_stalled = False
         self._proc = None
 
-        if self.job is not None and self.ck is not None:
-            coord = getattr(self.ck, "coordinator", None)
-            if coord is not None:
-                coord.tracer = _CoordinatorTap(coord.tracer, self)
         if injector is not None:
             injector.subscribe(self._on_failure)
 
@@ -170,8 +140,7 @@ class ServingRuntime:
 
     def _run(self):
         sim = self.sim
-        standalone = self.job is None
-        if standalone and self.ck is not None:
+        if self.ck is not None:
             sim.process(self._cadence_loop())
         sim.process(self._drain_loop())
         for chunk in self.arrivals.chunks():
@@ -223,7 +192,7 @@ class ServingRuntime:
             self._drain_window()
 
     # ------------------------------------------------------------------
-    # checkpoint cadence (standalone mode)
+    # checkpoint cadence
     # ------------------------------------------------------------------
     def _cadence_loop(self):
         sim = self.sim
@@ -302,14 +271,9 @@ class ServingRuntime:
             if s.node_id == node_id and s.sid not in self._shed
         ]
         labels = self._groups_on_node(node_id)
-        node = self.cluster.node(node_id)
-        standalone = self.job is None
-        if standalone:
-            if not node.alive:
-                return
-            self.cluster.kill_node(node_id)
-        elif not sids:
-            return  # repeat crash of a node we already shed
+        if not self.cluster.node(node_id).alive:
+            return
+        self.cluster.kill_node(node_id)
         self.engine.set_down(now, sids)
         self._shed.update(sids)
         self.n_failures += 1
@@ -317,10 +281,7 @@ class ServingRuntime:
         self.tracer.emit(
             now, "serving.node_down", node=node_id, shed=len(sids)
         )
-        if standalone:
-            self.sim.schedule(self.repair_time, self._spawn_recovery, node_id)
-        else:
-            self.sim.process(self._watch_recovery(node_id))
+        self.sim.schedule(self.repair_time, self._spawn_recovery, node_id)
 
     def _spawn_recovery(self, node_id: int) -> None:
         self._recovery = self.sim.process(
@@ -328,7 +289,7 @@ class ServingRuntime:
         )
 
     def _recover_proc(self, node_id: int, prior):
-        """Standalone repair + rollback recovery for one crashed node.
+        """Repair + rollback recovery for one crashed node.
 
         ``ck.recover`` rebuilds *every* failed unhosted VM, whichever
         node it died on, so two in flight would both re-place the same
@@ -358,22 +319,6 @@ class ServingRuntime:
                     self.cluster.place_failed_vm(vm.vm_id, node_id)
                     vm.revive()
         self._restore_replicas(node_id)
-
-    def _watch_recovery(self, node_id: int):
-        """Sidecar mode: the job recovers; we watch for replicas to
-        come back (possibly on a different node, per placement)."""
-        _, _, sids = self._open_outages.get(node_id, (0.0, [], []))
-        while True:
-            yield self.sim.timeout(self.drain_tick)
-            if self._done:
-                return
-            live = [
-                sid for sid in sids
-                if self.cluster.vm(self.servers[sid].vm_id).node_id is not None
-            ]
-            if len(live) == len(sids):
-                self._restore_replicas(node_id)
-                return
 
     def _restore_replicas(self, node_id: int) -> None:
         now = self.sim.now

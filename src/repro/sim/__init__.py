@@ -4,8 +4,8 @@ Public surface:
 
 * :class:`Simulator` — event heap and clock;
 * :class:`Process`, :class:`SimEvent`, :class:`Timeout`, :class:`Interrupt`,
-  :class:`AllOf`, :class:`AnyOf` — generator-coroutine process layer;
-* :class:`Resource`, :class:`Store`, :class:`Container` — shared resources;
+  :class:`AllOf` — generator-coroutine process layer;
+* :class:`Resource` — a counting semaphore with FIFO grants;
 * :class:`RngRegistry` — named deterministic random streams;
 * :class:`Tracer` — optional event tracing.
 """
@@ -21,14 +21,13 @@ from .engine import (
 )
 from .process import (
     AllOf,
-    AnyOf,
     Interrupt,
     Process,
     ProcessError,
     SimEvent,
     Timeout,
 )
-from .resources import Container, Resource, ResourceError, Store
+from .resources import Resource, ResourceError
 from .rng import RngRegistry, derive_seed
 from .trace import NULL_TRACER, TraceRecord, Tracer
 
@@ -45,11 +44,8 @@ __all__ = [
     "Process",
     "Interrupt",
     "AllOf",
-    "AnyOf",
     "ProcessError",
     "Resource",
-    "Store",
-    "Container",
     "ResourceError",
     "RngRegistry",
     "derive_seed",

@@ -90,11 +90,6 @@ class EventHandle:
         if self._sim is not None:
             self._sim._note_cancel()
 
-    @property
-    def pending(self) -> bool:
-        """True while the event is scheduled and not cancelled."""
-        return not (self.cancelled or self.fired)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
         name = getattr(self.fn, "__qualname__", repr(self.fn))
@@ -112,7 +107,7 @@ class Simulator:
 
     Notes
     -----
-    The clock only moves when :meth:`run` or :meth:`step` executes events;
+    The clock only moves when :meth:`run` executes events;
     scheduling is side-effect free.  All times are floats in seconds.
     """
 
@@ -138,11 +133,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # telemetry
     # ------------------------------------------------------------------
-    @property
-    def probe(self) -> Any:
-        """The attached :class:`repro.telemetry.Probe`, or ``None``."""
-        return self._probe
-
     def attach_probe(self, probe: Any) -> None:
         """Attach a telemetry probe; it observes every executed event.
 
@@ -169,11 +159,6 @@ class Simulator:
     def heap_size(self) -> int:
         """Entries currently pending, including lazily-deleted ones."""
         return len(self._heap)
-
-    @property
-    def cancelled_pending(self) -> int:
-        """Cancelled entries still buried in the queue."""
-        return self._cancelled
 
     @property
     def compactions(self) -> int:
@@ -254,27 +239,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the single next pending event.
-
-        Returns True if an event ran, False if the queue is empty.
-        """
-        heap = self._heap
-        while heap:
-            entry = heappop(heap)
-            handle = entry[3]
-            if handle.cancelled:
-                self._cancelled -= 1
-                continue
-            self._now = entry[0]
-            handle.fired = True
-            self._event_count += 1
-            handle.fn(*handle.args)
-            if self._probe is not None and self._probe.enabled:
-                self._probe.sim_event(len(heap))
-            return True
-        return False
-
     def run(self, until: float = math.inf, max_events: int | None = None) -> float:
         """Run events until the queue drains, ``until`` is reached, or
         ``max_events`` callbacks have executed.
@@ -287,7 +251,7 @@ class Simulator:
             raise SimulationError("run() is not reentrant")
         self._running = True
         executed = 0
-        # the heap is only ever mutated in place (compaction, drain), so
+        # the heap is only ever mutated in place (compaction), so
         # one binding stays valid across callbacks
         heap = self._heap
         try:
@@ -323,30 +287,6 @@ class Simulator:
         finally:
             self._running = False
         return self._now
-
-    def peek(self) -> float:
-        """Time of the next pending event, or ``inf`` if none."""
-        heap = self._heap
-        while heap:
-            if not heap[0][3].cancelled:
-                return heap[0][0]
-            heappop(heap)
-            self._cancelled -= 1
-        return math.inf
-
-    def drain(self) -> int:
-        """Cancel every pending event; returns how many were cancelled."""
-        n = 0
-        for entry in self._heap:
-            handle = entry[3]
-            if not handle.cancelled and not handle.fired:
-                # set directly: the entries leave the queue wholesale below,
-                # so routing through cancel()'s compaction logic is waste
-                handle.cancelled = True
-                n += 1
-        self._heap.clear()
-        self._cancelled = 0
-        return n
 
     # ------------------------------------------------------------------
     # process-style convenience (implemented in repro.sim.process)

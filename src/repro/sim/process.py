@@ -7,7 +7,7 @@ A *process* is a Python generator driven by the event heap in
 * :class:`SimEvent` — resume when some other actor triggers it;
 * another :class:`Process` — resume when it terminates (its return value
   becomes the value of the ``yield`` expression);
-* :class:`AllOf` / :class:`AnyOf` — composite conditions.
+* :class:`AllOf` — wait for several events at once.
 
 Failure propagates: if a yielded event *fails* with an exception, the
 exception is thrown into the waiting generator, where it can be caught
@@ -29,7 +29,6 @@ __all__ = [
     "Process",
     "Interrupt",
     "AllOf",
-    "AnyOf",
     "ProcessError",
 ]
 
@@ -74,10 +73,6 @@ class SimEvent:
     @property
     def triggered(self) -> bool:
         return self._value is not _PENDING
-
-    @property
-    def processed(self) -> bool:
-        return self.callbacks is None
 
     @property
     def ok(self) -> bool | None:
@@ -253,8 +248,11 @@ class Process(SimEvent):
         return f"<Process {self.name} {'alive' if self.alive else 'done'}>"
 
 
-class _Condition(SimEvent):
-    """Base for AllOf/AnyOf: waits on several events at once."""
+class AllOf(SimEvent):
+    """Succeeds when every child succeeds; fails fast on the first failure.
+
+    Value is ``{index: child_value}`` for all children.
+    """
 
     __slots__ = ("events", "_remaining")
 
@@ -268,25 +266,6 @@ class _Condition(SimEvent):
         for ev in self.events:
             ev.subscribe(self._on_child)
 
-    def _on_child(self, event: SimEvent) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _results(self) -> dict[int, Any]:
-        return {
-            i: ev.value
-            for i, ev in enumerate(self.events)
-            if ev.triggered and ev.ok
-        }
-
-
-class AllOf(_Condition):
-    """Succeeds when every child succeeds; fails fast on the first failure.
-
-    Value is ``{index: child_value}`` for all children.
-    """
-
-    __slots__ = ()
-
     def _on_child(self, event: SimEvent) -> None:
         if self.triggered:
             return
@@ -295,22 +274,4 @@ class AllOf(_Condition):
             return
         self._remaining -= 1
         if self._remaining == 0:
-            self.succeed(self._results())
-
-
-class AnyOf(_Condition):
-    """Succeeds when the first child succeeds (value: ``{index: value}``
-    of all children triggered so far); fails only if *all* children fail.
-    """
-
-    __slots__ = ()
-
-    def _on_child(self, event: SimEvent) -> None:
-        if self.triggered:
-            return
-        if event.ok:
-            self.succeed(self._results())
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.fail(event.value)
+            self.succeed({i: ev.value for i, ev in enumerate(self.events)})

@@ -1,47 +1,23 @@
 """Shared resources for simulation processes.
 
-Three primitives cover everything the cluster substrate needs:
-
-* :class:`Resource` — counting semaphore with FIFO queueing (CPU slots,
-  NAS service channels, per-node checkpoint agents);
-* :class:`Store` — unbounded FIFO of Python objects with blocking get
-  (message queues between hypervisors);
-* :class:`Container` — continuous-quantity tank with blocking put/get
-  (memory reservations for in-flight checkpoint buffers).
-
-All waits are ordinary :class:`~repro.sim.process.SimEvent` objects, so a
-process waiting on a resource can still be interrupted (the request is
-then abandoned and must be cancelled with the returned handle).
+:class:`Resource` is a counting semaphore with FIFO queueing (disk
+channels, per-node parity encoders, the control plane's protocol lock).
+Its waits are ordinary :class:`~repro.sim.process.SimEvent` objects.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque
+from typing import Deque
 
 from .engine import Simulator
 from .process import SimEvent
 
-__all__ = ["Resource", "Store", "Container", "ResourceError"]
+__all__ = ["Resource", "ResourceError"]
 
 
 class ResourceError(RuntimeError):
     """Misuse of a resource (e.g. releasing more than was acquired)."""
-
-
-class _Request(SimEvent):
-    """A pending acquisition; yielded by processes, cancellable."""
-
-    __slots__ = ("amount", "abandoned")
-
-    def __init__(self, sim: Simulator, amount: float = 1):
-        super().__init__(sim)
-        self.amount = amount
-        self.abandoned = False
-
-    def abandon(self) -> None:
-        """Withdraw an un-granted request (after an Interrupt)."""
-        self.abandoned = True
 
 
 class Resource:
@@ -63,19 +39,15 @@ class Resource:
         self.sim = sim
         self.capacity = int(capacity)
         self.in_use = 0
-        self._queue: Deque[_Request] = deque()
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self.in_use
+        self._queue: Deque[SimEvent] = deque()
 
     @property
     def queue_length(self) -> int:
-        return sum(1 for r in self._queue if not r.abandoned)
+        return len(self._queue)
 
-    def request(self) -> _Request:
+    def request(self) -> SimEvent:
         """Return an event that succeeds once a unit is granted."""
-        req = _Request(self.sim)
+        req = SimEvent(self.sim)
         if self.in_use < self.capacity and not self._queue:
             self.in_use += 1
             req.succeed(self)
@@ -87,102 +59,11 @@ class Resource:
         """Return one unit and grant it to the next FIFO waiter."""
         if self.in_use <= 0:
             raise ResourceError("release() without matching grant")
-        while self._queue:
-            nxt = self._queue.popleft()
-            if nxt.abandoned:
-                continue
-            nxt.succeed(self)  # unit transfers directly to the waiter
+        if self._queue:
+            # the unit transfers directly to the waiter
+            self._queue.popleft().succeed(self)
             return
         self.in_use -= 1
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Resource {self.in_use}/{self.capacity} q={self.queue_length}>"
-
-
-class Store:
-    """Unbounded FIFO of items with blocking ``get``.
-
-    ``put`` never blocks; ``get`` returns an event whose value is the
-    item.  Items are matched to getters FIFO-to-FIFO.
-    """
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[_Request] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        while self._getters:
-            getter = self._getters.popleft()
-            if getter.abandoned:
-                continue
-            getter.succeed(item)
-            return
-        self._items.append(item)
-
-    def get(self) -> _Request:
-        req = _Request(self.sim)
-        if self._items:
-            req.succeed(self._items.popleft())
-        else:
-            self._getters.append(req)
-        return req
-
-    def peek_all(self) -> list[Any]:
-        """Snapshot of queued items (for tests and diagnostics)."""
-        return list(self._items)
-
-
-class Container:
-    """Continuous-quantity tank (e.g. bytes of spare RAM).
-
-    ``get(amount)`` blocks until the level covers the request; ``put``
-    raises if the level would exceed capacity.  Grants are FIFO: a large
-    blocked request blocks smaller later ones (no starvation).
-    """
-
-    def __init__(self, sim: Simulator, capacity: float, init: float = 0.0):
-        if capacity <= 0:
-            raise ResourceError(f"capacity must be > 0, got {capacity}")
-        if not (0.0 <= init <= capacity):
-            raise ResourceError(f"init {init} outside [0, {capacity}]")
-        self.sim = sim
-        self.capacity = float(capacity)
-        self.level = float(init)
-        self._getters: Deque[_Request] = deque()
-
-    def put(self, amount: float) -> None:
-        if amount < 0:
-            raise ResourceError(f"cannot put negative amount {amount}")
-        if self.level + amount > self.capacity + 1e-9:
-            raise ResourceError(
-                f"put({amount}) overflows capacity {self.capacity} (level {self.level})"
-            )
-        self.level = min(self.capacity, self.level + amount)
-        self._drain()
-
-    def get(self, amount: float) -> _Request:
-        if amount < 0:
-            raise ResourceError(f"cannot get negative amount {amount}")
-        if amount > self.capacity:
-            raise ResourceError(f"get({amount}) exceeds capacity {self.capacity}")
-        req = _Request(self.sim, amount)
-        self._getters.append(req)
-        self._drain()
-        return req
-
-    def _drain(self) -> None:
-        while self._getters:
-            head = self._getters[0]
-            if head.abandoned:
-                self._getters.popleft()
-                continue
-            if head.amount <= self.level + 1e-12:
-                self._getters.popleft()
-                self.level -= head.amount
-                head.succeed(head.amount)
-            else:
-                break

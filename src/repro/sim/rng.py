@@ -58,23 +58,6 @@ class RngRegistry:
             self._streams[name] = gen
         return self._streams[name]
 
-    def spawn(self, name: str) -> "RngRegistry":
-        """A child registry whose master seed is derived from ``name`` —
-        used to give each Monte-Carlo replication its own universe."""
-        return RngRegistry(self.seed_for(name))
-
-    def spawn_many(self, prefix: str, n: int) -> list["RngRegistry"]:
-        """``n`` independent child registries ``prefix/0 .. prefix/n-1``.
-
-        The i-th child equals ``spawn(f"{prefix}/{i}")`` exactly, so a
-        campaign worker handed only ``(master_seed, prefix, i)`` can
-        rebuild its universe without seeing its siblings — the property
-        that makes parallel fan-out bit-identical to a serial loop.
-        """
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        return [self.spawn(f"{prefix}/{i}") for i in range(n)]
-
     def __contains__(self, name: str) -> bool:
         return name in self._streams
 

@@ -65,26 +65,18 @@ class Tracer:
             out = [r for r in out if where(r)]
         return list(out) if out is self.records else out
 
-    def count(self, kind: str) -> int:
-        return sum(1 for r in self.records if r.kind == kind)
-
-    def times(self, kind: str) -> list[float]:
-        return [r.time for r in self.records if r.kind == kind]
-
-    def clear(self) -> None:
-        self.records.clear()
-
 
 class _NullTracer(Tracer):
     """Tracer that drops everything; shared singleton.
 
     Because the singleton is the default argument of dozens of
     constructors, it must be *truly* inert: it exposes no mutable state
-    (``records`` is an empty tuple, not a shared list), ``enabled``
-    cannot be flipped on, and ``clear``/``select`` touch nothing — so no
-    caller can accidentally leak records into, or wipe state through,
-    the shared instance.
+    (``records`` is an empty tuple, not a shared list) and ``enabled``
+    cannot be flipped on — so no caller can accidentally leak records
+    into the shared instance.
     """
+
+    records: tuple = ()
 
     def __init__(self) -> None:
         # deliberately no super().__init__ — a null tracer holds no state
@@ -98,22 +90,7 @@ class _NullTracer(Tracer):
     def enabled(self, value: bool) -> None:
         pass  # permanently disabled
 
-    @property
-    def records(self) -> tuple:  # type: ignore[override]
-        return ()
-
     def emit(self, time: float, kind: str, **data: Any) -> None:  # noqa: D102
-        pass
-
-    def select(
-        self,
-        kind: str | None = None,
-        prefix: str | None = None,
-        where: Callable[[TraceRecord], bool] | None = None,
-    ) -> list[TraceRecord]:
-        return []
-
-    def clear(self) -> None:
         pass
 
 

@@ -150,8 +150,5 @@ class NAS:
                           op="delete")
         self._sync_gauges()
 
-    def keys(self) -> list[str]:
-        return sorted(self._catalog)
-
     def __len__(self) -> int:
         return len(self._catalog)

@@ -124,10 +124,6 @@ class P2Quantile:
         return h[i] + d * (h[j] - h[i]) / (n[j] - n[i])
 
     @property
-    def n(self) -> int:
-        return self._n
-
-    @property
     def value(self) -> float:
         """Current estimate; NaN before any observation."""
         if not self._h:
@@ -166,12 +162,6 @@ class Gauge:
         self.value = float(v)
         if v > self.max_value:
             self.max_value = float(v)
-
-    def inc(self, n: float = 1.0) -> None:
-        self.set(self.value + n)
-
-    def dec(self, n: float = 1.0) -> None:
-        self.set(self.value - n)
 
 
 class Histogram:
@@ -254,37 +244,9 @@ class Histogram:
             for v in arr.tolist():
                 add(v)
 
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else math.nan
-
-    def quantile(self, q: float) -> float:
-        """Streaming estimate for a tracked q, else bucket interpolation."""
-        est = self._quantiles.get(q)
-        if est is not None:
-            return est.value
-        return self._bucket_quantile(q)
-
     def quantiles(self) -> dict[float, float]:
         """All tracked quantile estimates."""
         return {q: est.value for q, est in sorted(self._quantiles.items())}
-
-    def _bucket_quantile(self, q: float) -> float:
-        if not 0.0 < q < 1.0:
-            raise MetricError(f"quantile must be in (0, 1), got {q}")
-        if self.count == 0:
-            return math.nan
-        target = q * self.count
-        cum = 0
-        lo = 0.0
-        for bound, c in zip(self.buckets, self.counts):
-            if cum + c >= target and c > 0:
-                # linear interpolation within the bucket
-                frac = (target - cum) / c
-                return lo + frac * (bound - lo)
-            cum += c
-            lo = bound
-        return self.max
 
     def cumulative_buckets(self) -> list[tuple[float, int]]:
         """``(le, cumulative_count)`` pairs ending with ``(inf, count)``."""
@@ -338,16 +300,6 @@ class MetricFamily:
     def __len__(self) -> int:
         return len(self._series)
 
-    # label-less convenience — the common single-series case
-    def inc(self, n: float = 1.0) -> None:
-        self.labels().inc(n)
-
-    def set(self, v: float) -> None:
-        self.labels().set(v)
-
-    def observe(self, v: float) -> None:
-        self.labels().observe(v)
-
 
 class MetricsRegistry:
     """All metric families of one run, keyed by name.
@@ -393,9 +345,6 @@ class MetricsRegistry:
             kw["quantiles"] = tuple(quantiles)
         return self._register(name, "histogram", help, **kw)
 
-    def get(self, name: str) -> MetricFamily | None:
-        return self._families.get(name)
-
     def families(self) -> list[MetricFamily]:
         return [self._families[n] for n in sorted(self._families)]
 
@@ -404,9 +353,6 @@ class MetricsRegistry:
 
     def __contains__(self, name: str) -> bool:
         return name in self._families
-
-    def clear(self) -> None:
-        self._families.clear()
 
     def snapshot(self) -> dict:
         """JSON-able dump of every series (used by the JSONL exporter)."""

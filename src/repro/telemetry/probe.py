@@ -129,10 +129,12 @@ class Probe(Tracer):
 class _NullProbe(Probe):
     """Inert shared probe: never records, never accumulates state.
 
-    Mirrors the hardened ``NULL_TRACER`` contract — no mutable globals.
-    ``metrics``/``spans`` return *fresh throwaway* instances on every
-    access so even direct writes cannot leak between callers.
+    Mirrors the hardened ``NULL_TRACER`` contract — no mutable globals:
+    it owns no registry, recorder or record list, so nothing can leak
+    between callers through it.
     """
+
+    records: tuple = ()
 
     def __init__(self) -> None:
         # deliberately no super().__init__ — a null probe holds no state
@@ -145,18 +147,6 @@ class _NullProbe(Probe):
     @enabled.setter
     def enabled(self, value: bool) -> None:
         pass  # permanently disabled
-
-    @property
-    def records(self):  # type: ignore[override]
-        return ()
-
-    @property
-    def metrics(self) -> MetricsRegistry:  # type: ignore[override]
-        return MetricsRegistry()
-
-    @property
-    def spans(self) -> SpanRecorder:  # type: ignore[override]
-        return SpanRecorder()
 
     def emit(self, time: float, kind: str, **data: Any) -> None:
         pass
@@ -191,12 +181,6 @@ class _NullProbe(Probe):
 
     def sim_event(self, heap_depth: int) -> None:
         pass
-
-    def clear(self) -> None:
-        pass
-
-    def select(self, kind=None, prefix=None, where=None):
-        return []
 
 
 #: Shared inert probe; the safe default everywhere.

@@ -60,16 +60,8 @@ class Span:
     def finished(self) -> bool:
         return self.end_sim is not None
 
-    @property
-    def duration_sim(self) -> float | None:
-        return None if self.end_sim is None else self.end_sim - self.start_sim
-
-    @property
-    def duration_wall(self) -> float | None:
-        return None if self.end_wall is None else self.end_wall - self.start_wall
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = f"{self.duration_sim:.6g}s" if self.finished else "open"
+        state = f"{self.end_sim - self.start_sim:.6g}s" if self.finished else "open"
         return f"<Span {self.track}/{self.name} {state}>"
 
 
@@ -125,23 +117,11 @@ class SpanRecorder:
 
     # ------------------------------------------------------------------
     @property
-    def open_spans(self) -> list[Span]:
-        return [s for stack in self._stacks.values() for s in stack]
-
-    @property
     def completed(self) -> list[Span]:
         return [s for s in self.spans if s.finished]
 
     def __len__(self) -> int:
         return len(self.spans)
-
-    def select(self, name: str | None = None, track: str | None = None) -> list[Span]:
-        out = self.spans
-        if name is not None:
-            out = [s for s in out if s.name == name]
-        if track is not None:
-            out = [s for s in out if s.track == track]
-        return list(out)
 
     # ------------------------------------------------------------------
     def chrome_events(self, clock: str = "sim") -> list[dict]:

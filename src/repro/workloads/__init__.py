@@ -1,25 +1,15 @@
 """Workloads: checkpointed jobs, dirty-page processes, scenario factories."""
 
 from .app import CheckpointedJob, JobResult
-from .dirtypages import (
-    HotColdDirty,
-    PhasedDirty,
-    UniformDirty,
-    WorkloadDirtyModel,
-    drive_vm,
-)
-from .generators import Scenario, cluster_model_for, paper_scenario, scaled_scenario
+from .dirtypages import HotColdDirty, drive_vm
+from .generators import Scenario, paper_scenario, scaled_scenario
 
 __all__ = [
     "CheckpointedJob",
     "JobResult",
-    "UniformDirty",
     "HotColdDirty",
-    "PhasedDirty",
-    "WorkloadDirtyModel",
     "drive_vm",
     "Scenario",
     "paper_scenario",
     "scaled_scenario",
-    "cluster_model_for",
 ]

@@ -83,15 +83,6 @@ class CheckpointedJob:
         failure before the background commit rolls back one extra
         interval).  At most one checkpoint is outstanding, matching the
         2x-memory rule of Section II-B2.
-    controlplane:
-        Optional :class:`~repro.controlplane.ControlPlane`.  When given,
-        the job keeps only its data-plane role (work progress, rollback
-        accounting, checkpoint cadence) and delegates the control-plane
-        role — killing/repairing crashed nodes, recovery, healing,
-        post-recovery audits — to the coordinator: the injector is
-        attached to the control plane and the job waits on
-        :meth:`~repro.controlplane.ControlPlane.recovered_event` instead
-        of calling ``recover()`` itself.
     """
 
     def __init__(
@@ -104,7 +95,6 @@ class CheckpointedJob:
         repair_time: float = 30.0,
         overlap: bool = False,
         tracer: Tracer = NULL_TRACER,
-        controlplane=None,
     ):
         from ..checkpoint.adaptive import AdaptivePolicy
 
@@ -133,15 +123,8 @@ class CheckpointedJob:
         self._outstanding = None  # (cycle Process, progress at capture)
         self._in_cycle = False
         self._heal_proc = None
-        self.controlplane = controlplane
         if injector is not None:
-            if controlplane is not None:
-                # coordinator kills/repairs; the job only observes (the
-                # job's subscriber runs first so it sees the node alive)
-                injector.subscribe(self._on_failure_managed)
-                controlplane.attach_injector(injector)
-            else:
-                injector.subscribe(self._on_failure)
+            injector.subscribe(self._on_failure)
 
     # ------------------------------------------------------------------
     def _on_failure(self, ev: FailureEvent) -> None:
@@ -153,19 +136,6 @@ class CheckpointedJob:
         self.cluster.kill_node(ev.node_id)
         self.result.n_failures += 1
         self.cluster.sim.schedule(self.repair_time, self._repair, ev.node_id)
-        self._pending_failures.append(ev.node_id)
-        if self._main is not None and self._main.alive and not self._recovering:
-            self._main.interrupt(ev)
-
-    def _on_failure_managed(self, ev: FailureEvent) -> None:
-        """Managed mode: record the crash and roll back; the control
-        plane (also subscribed) performs the kill, repair, recovery, and
-        healing."""
-        if self._main is not None and not self._main.alive:
-            return
-        if not self.cluster.node(ev.node_id).alive:
-            return
-        self.result.n_failures += 1
         self._pending_failures.append(ev.node_id)
         if self._main is not None and self._main.alive and not self._recovering:
             self._main.interrupt(ev)
@@ -345,16 +315,6 @@ class CheckpointedJob:
             while self._pending_failures:
                 node_id = self._pending_failures.pop(0)
                 t0 = sim.now
-                if self.controlplane is not None:
-                    # coordinator detects (keepalive deadline), recovers,
-                    # heals, and audits; the job just waits for the result
-                    ok, error = yield self.controlplane.recovered_event(node_id)
-                    if not ok:
-                        self.result.failure_reason = error
-                        return False
-                    self.result.n_recoveries += 1
-                    self.result.recovery_time += sim.now - t0
-                    continue
                 if self.checkpointer.committed_epoch < 0:
                     # nothing committed yet: nothing to restore — cold
                     # restart (the classic resubmit-from-scratch path)

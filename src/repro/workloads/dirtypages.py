@@ -3,14 +3,9 @@
 The principle of locality (Section II-B1) makes real working sets
 small and skewed; these generators produce page-touch streams with
 controllable skew so incremental checkpoints and pre-copy migration see
-realistic dirty sets:
-
-* :class:`UniformDirty` — every page equally likely (worst case for
-  incremental capture);
-* :class:`HotColdDirty` — a hot fraction of pages absorbs most writes
-  (the classic 90/10 working-set model);
-* :class:`PhasedDirty` — the hot region shifts between program phases
-  (stressing write-protect/trap costs and pre-copy convergence).
+realistic dirty sets.  :class:`HotColdDirty` sends a hot fraction of
+pages most writes (the classic 90/10 working-set model); :func:`drive_vm`
+runs it against a functional VM image.
 """
 
 from __future__ import annotations
@@ -20,30 +15,7 @@ import numpy as np
 from ..cluster.vm import VirtualMachine, VMState
 from ..sim import Interrupt, Simulator
 
-__all__ = [
-    "UniformDirty",
-    "HotColdDirty",
-    "PhasedDirty",
-    "WorkloadDirtyModel",
-    "drive_vm",
-]
-
-
-class UniformDirty:
-    """Uniform page selection."""
-
-    def __init__(self, n_pages: int):
-        if n_pages < 1:
-            raise ValueError(f"need >= 1 page, got {n_pages}")
-        self.n_pages = n_pages
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return rng.integers(0, self.n_pages, size=count, dtype=np.int64)
-
-    def expected_unique_pages(self, touches: float) -> float:
-        """Expected distinct pages dirtied after ``touches`` uniform
-        writes (single-tier coupon collector)."""
-        return float(self.n_pages * (1.0 - np.exp(-touches / self.n_pages)))
+__all__ = ["HotColdDirty", "drive_vm"]
 
 
 class HotColdDirty:
@@ -67,92 +39,6 @@ class HotColdDirty:
         idx[hot] = rng.integers(0, self.hot_pages, size=n_hot)
         idx[~hot] = rng.integers(self.hot_pages, self.n_pages, size=count - n_hot)
         return idx
-
-    def expected_unique_pages(self, touches: int) -> float:
-        """Expected distinct pages dirtied after ``touches`` writes
-        (coupon-collector on the two tiers) — used to sanity-check the
-        saturating dirty model in tests."""
-        hot_t = touches * self.hot_weight
-        cold_t = touches - hot_t
-        n_cold = self.n_pages - self.hot_pages
-        hot_u = self.hot_pages * (1.0 - np.exp(-hot_t / self.hot_pages))
-        cold_u = n_cold * (1.0 - np.exp(-cold_t / n_cold)) if n_cold else 0.0
-        return float(hot_u + cold_u)
-
-
-class PhasedDirty:
-    """Hot region rotates around the address space every ``phase_len``
-    sampling steps."""
-
-    def __init__(self, n_pages: int, phase_len: int = 100, window: float = 0.2):
-        if n_pages < 1:
-            raise ValueError(f"need >= 1 page, got {n_pages}")
-        if phase_len < 1:
-            raise ValueError(f"phase_len must be >= 1, got {phase_len}")
-        if not (0.0 < window <= 1.0):
-            raise ValueError(f"window must be in (0,1], got {window}")
-        self.n_pages = n_pages
-        self.phase_len = phase_len
-        self.window_pages = max(1, int(n_pages * window))
-        self._step = 0
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        phase = self._step // self.phase_len
-        self._step += 1
-        base = (phase * self.window_pages) % self.n_pages
-        offs = rng.integers(0, self.window_pages, size=count, dtype=np.int64)
-        return (base + offs) % self.n_pages
-
-    def expected_unique_pages(self, touches: float) -> float:
-        """Expected distinct pages after ``touches`` writes, within one
-        phase (coupon collector over the current window).  Cross-phase
-        accumulation depends on sampling cadence, so this is the
-        single-phase lower bound."""
-        w = self.window_pages
-        return float(min(self.n_pages, w * (1.0 - np.exp(-touches / w))))
-
-
-class WorkloadDirtyModel:
-    """Saturating dirty-set curve of a real page-touch workload.
-
-    Pre-copy's synthetic model charges ``dirty_rate · t`` bytes per
-    round — a line that never bends.  Real workloads re-dirty their hot
-    pages, so the transferable dirty set saturates at the working set:
-    this adapter maps any dirty-page *pattern* (via its
-    ``expected_unique_pages`` coupon-collector curve) plus a touch rate
-    to expected dirty **bytes** over an interval, which is what
-    :func:`repro.migration.precopy.live_migrate` and
-    :meth:`~repro.migration.precopy.PrecopyModel.estimate` consume.
-    """
-
-    def __init__(self, pattern, touches_per_second: float, page_bytes: float):
-        if touches_per_second < 0:
-            raise ValueError(
-                f"touches_per_second must be >= 0, got {touches_per_second}"
-            )
-        if page_bytes <= 0:
-            raise ValueError(f"page_bytes must be > 0, got {page_bytes}")
-        if not hasattr(pattern, "expected_unique_pages"):
-            raise TypeError(
-                f"pattern {pattern!r} has no expected_unique_pages() curve"
-            )
-        self.pattern = pattern
-        self.touches_per_second = float(touches_per_second)
-        self.page_bytes = float(page_bytes)
-
-    @property
-    def peak_rate(self) -> float:
-        """Initial slope in bytes/second (every touch hits a clean page)
-        — the honest stand-in for ``vm.dirty_rate`` in ρ convergence
-        checks."""
-        return self.touches_per_second * self.page_bytes
-
-    def dirty_bytes(self, elapsed: float) -> float:
-        """Expected bytes dirtied over ``elapsed`` seconds of execution."""
-        if elapsed <= 0:
-            return 0.0
-        touches = self.touches_per_second * elapsed
-        return self.pattern.expected_unique_pages(touches) * self.page_bytes
 
 
 def drive_vm(

@@ -11,10 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cluster.cluster import ClusterSpec, VirtualCluster
-from ..model.overhead import ClusterModel
 from ..sim import NULL_TRACER, RngRegistry, Simulator, Tracer
 
-__all__ = ["Scenario", "paper_scenario", "scaled_scenario", "cluster_model_for"]
+__all__ = ["Scenario", "paper_scenario", "scaled_scenario"]
 
 GIB = float(1 << 30)
 
@@ -103,19 +102,4 @@ def scaled_scenario(
         rngs=rngs,
         vm_memory=vm_memory,
         vm_dirty_rate=vm_dirty_rate,
-    )
-
-
-def cluster_model_for(scenario: Scenario) -> ClusterModel:
-    """The analytical :class:`ClusterModel` matching a simulated scenario
-    — used when comparing model predictions with simulation results."""
-    cl = scenario.cluster
-    return ClusterModel(
-        n_nodes=cl.n_nodes,
-        vms_per_node=len(cl.all_vms) // cl.n_nodes,
-        vm_memory_bytes=scenario.vm_memory,
-        vm_dirty_rate=scenario.vm_dirty_rate,
-        node_bandwidth=cl.spec.node_bandwidth,
-        nas_bandwidth=cl.spec.nas_bandwidth,
-        nas_disk_bandwidth=cl.spec.nas_disk.bandwidth,
     )

@@ -191,7 +191,7 @@ class TestFuzzBatch:
     def test_aggregates(self):
         result = fuzz(FuzzConfig(n_cycles=2), seeds=4)
         assert len(result.trials) == 4
-        assert result.ok and not result.failures
+        assert not result.failures
         assert result.n_violations == 0
         assert result.elapsed > 0
 
@@ -244,7 +244,7 @@ class TestSchemeSweep:
             n_nodes=6, n_cycles=3, max_faults=2, interval=60.0, scheme=scheme
         )
         result = fuzz(config, seeds=4, base_seed=7)
-        assert result.ok, [str(v) for t in result.failures for v in t.violations]
+        assert not result.failures, [str(v) for t in result.failures for v in t.violations]
         assert all(t.unrecoverable is None for t in result.trials)
 
     def test_xor_shrink_still_one_minimal(self, monkeypatch):

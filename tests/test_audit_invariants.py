@@ -49,7 +49,7 @@ class TestFuzzPropertyClean:
         result = fuzz(
             FuzzConfig(layout=layout, n_cycles=3), seeds=6, shrink_failing=False
         )
-        assert result.ok, [
+        assert not result.failures, [
             str(v) for t in result.failures for v in t.violations
         ]
         # the sweep must actually exercise failures, not just idle cycles
@@ -61,7 +61,7 @@ class TestFuzzPropertyClean:
             FuzzConfig(layout="fig4", heterogeneous=True, n_cycles=3),
             seeds=6, shrink_failing=False,
         )
-        assert result.ok, [
+        assert not result.failures, [
             str(v) for t in result.failures for v in t.violations
         ]
 

@@ -11,7 +11,7 @@ from repro.sim import Simulator
 
 class TestRemusModel:
     def test_40hz_rate(self):
-        assert RemusModel(epoch_length=25e-3).checkpoint_rate_hz == pytest.approx(40.0)
+        assert 1.0 / RemusModel().epoch_length == pytest.approx(40.0)
 
     def test_epoch_dirty_saturates(self):
         m = RemusModel(epoch_length=1.0)

@@ -41,6 +41,42 @@ class TestParser:
         assert args.overlap
         assert args.seeds == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["fig5", "--mtbf", "0"],
+        ["calibrate", "--size", "0"],
+        ["calibrate", "--repeats", "0"],
+        ["controlplane", "status", "--duration", "-1"],
+        ["controlplane", "run", "--spares", "-1"],
+        ["serving", "run", "--slo", "nan"],
+        ["job", "--seeds", "0"],
+        ["study", "--seeds", "0"],
+        ["validate", "--job", "nan"],
+        ["fig5", "--job", "inf"],
+        ["geo", "run", "--kill-site", "-2"],
+    ], ids=" ".join)
+    def test_hostile_numbers_exit_2_naming_the_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}: must be" in capsys.readouterr().err
+
+    def test_every_numeric_flag_is_range_checked(self):
+        """A bare ``type=int`` / ``type=float`` accepts 0, negatives,
+        NaN and infinity; every numeric flag goes through ``_bounded``."""
+        import argparse
+
+        def walk(parser):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from walk(sub)
+                else:
+                    yield action
+
+        bare = [a.option_strings for a in walk(build_parser())
+                if a.type in (int, float)]
+        assert bare == []
+
 
 class TestCommands:
     def test_fig5_output(self, capsys):

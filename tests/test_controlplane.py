@@ -3,8 +3,8 @@
 Covers the keepalive/fencing daemon (true crash vs straggler-NIC false
 positive vs sub-deadline flap), the PENDING→RUNNING→DONE/FAILED op
 state machine, the kill-op safety guard, live-drain maintenance with
-checksum-verified migrations and zero unprotected windows, the
-beyond-tolerance salvage path, and the managed experiment mode.
+checksum-verified migrations and zero unprotected windows, and the
+beyond-tolerance salvage path.
 """
 
 from __future__ import annotations
@@ -102,7 +102,15 @@ class TestFencing:
             [FailureEvent(time=5.0, node_id=2, ordinal=0)]
         )
         injector = FailureInjector(sim, 6, schedule=schedule)
-        cp.attach_injector(injector)
+
+        def power_loss(ev):
+            # what the machine room does: the node dies now and comes
+            # back after the repair time; detection is the keepalive's job
+            cluster.kill_node(ev.node_id)
+            cp.healer.on_failure()
+            sim.schedule(cp.config.repair_time, cp._repair, ev.node_id)
+
+        injector.subscribe(power_loss)
         injector.start()
         cp.start()
 
@@ -330,6 +338,28 @@ class TestOps:
         assert all(vm.state == VMState.RUNNING for vm in cluster.all_vms)
         assert cp.audits and cp.audits[-1].ok
 
+    def test_kill_before_first_commit_cold_restores(self):
+        """No committed epoch to roll back to: recovery re-places the
+        dead node's VMs empty on live hosts (``_cold_restore``)."""
+        sim = Simulator()
+        cluster, ck, cp = make_cp(sim, 6)  # no checkpoint cadence
+        assert cp.config.checkpoint_interval is None
+        cp.start()
+        victims = [vm.vm_id for vm in cluster.vms_on(1)]
+
+        def scenario():
+            op = cp.submit("kill", node_id=1)
+            yield op.done
+            return op
+
+        op = drive(sim, cp, scenario())
+        assert ck.committed_epoch < 0
+        assert op.state is OpState.DONE, op.error
+        assert all(vm.state == VMState.RUNNING for vm in cluster.all_vms)
+        for vm_id in victims:
+            home = cluster.vm(vm_id).node_id
+            assert home is not None and home != 1
+
 
 # ---------------------------------------------------------------------------
 # drain / rolling maintenance
@@ -363,6 +393,37 @@ class TestDrain:
         assert len(cp.audits) >= n_vms + len(parity_groups) + 1
         assert all(r.ok for r in cp.audits)
         assert cluster.node(2).alive  # rejoined
+        assert 2 not in cp.maintenance
+
+    def test_failed_migration_unstages_the_committed_copy(self, monkeypatch):
+        """A drain whose migration fails leaves the VM's committed image
+        only at its current home (``_unstage_committed``)."""
+        from repro.network.link import NetworkError
+
+        def unreachable(*args, **kwargs):
+            raise NetworkError("destination unreachable")
+            yield  # pragma: no cover - makes this a generator
+
+        monkeypatch.setattr(
+            "repro.controlplane.maintenance.live_migrate", unreachable
+        )
+        sim = Simulator()
+        cluster, ck, cp = make_cp(sim, 6, drain_retry_wait=0.1)
+        cp.start()
+
+        def scenario():
+            yield from cp.checkpoint()
+            op = cp.submit("drain", node_id=2)
+            yield op.done
+            return op
+
+        op = drive(sim, cp, scenario())
+        assert op.state is OpState.FAILED
+        assert "destination unreachable" in op.error
+        for vm in cluster.vms_on(2):
+            holders = [n.node_id for n in cluster.nodes
+                       if vm.vm_id in n.checkpoint_store]
+            assert holders == [2], (vm.vm_id, holders)
         assert 2 not in cp.maintenance
 
     @pytest.mark.parametrize("scheme", ["xor", "rdp", "rs-8-2"])
@@ -503,29 +564,3 @@ class TestPlacement:
         engine = PlacementEngine(cluster)
         with pytest.raises(PlacementError):
             engine.choose_host(exclude={0, 1})
-
-
-# ---------------------------------------------------------------------------
-# managed experiments
-# ---------------------------------------------------------------------------
-class TestManagedStudy:
-    def test_managed_requires_dvdc(self):
-        from repro.experiments import MethodSpec, PairedJobStudy
-
-        with pytest.raises(ValueError, match="managed mode"):
-            PairedJobStudy(
-                methods=[MethodSpec("diskful")], seeds=1, managed=True
-            )
-
-    def test_managed_study_completes(self):
-        from repro.experiments import MethodSpec, PairedJobStudy
-
-        study = PairedJobStudy(
-            methods=[MethodSpec("dvdc")],
-            work=600.0, interval=120.0, node_mtbf=36000.0,
-            repair_time=30.0, seeds=2, n_nodes=4, vms_per_node=2,
-            managed=True,
-        )
-        outcome = study.run()
-        assert len(outcome.cells) == 2
-        assert outcome.completion_rate("dvdc") == 1.0

@@ -73,7 +73,7 @@ class TestOrthogonalBuilder:
             for _ in range(count):
                 cluster4.create_vm(node, 1e9)
         layout = build_orthogonal_layout(cluster4, group_size=3)
-        sizes = sorted(g.size for g in layout.groups)
+        sizes = sorted(len(g.member_vm_ids) for g in layout.groups)
         assert sum(sizes) == 10
         for g in layout.groups:
             nodes = [cluster4.vm(v).node_id for v in g.member_vm_ids]
@@ -148,7 +148,7 @@ class TestFirstShot:
         layout = layout_firstshot(cluster4)
         assert len(layout) == 1
         g = layout.groups[0]
-        assert g.size == 3
+        assert len(g.member_vm_ids) == 3
         assert g.parity_node == 3
 
     def test_requires_one_vm_per_node(self, cluster4):
@@ -181,7 +181,7 @@ class TestCheckpointNode:
         for g in layout.groups:
             nodes = {cluster4.vm(v).node_id for v in g.member_vm_ids}
             assert 3 not in nodes
-            assert len(nodes) == g.size
+            assert len(nodes) == len(g.member_vm_ids)
 
     def test_checkpoint_node_hosting_vms_rejected(self, cluster4):
         cluster4.create_vms_balanced(8, 1e9)

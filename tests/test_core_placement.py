@@ -1,14 +1,10 @@
 """Tests for layout validation and failure-tolerance analysis (Fig. 2)."""
 
-import pytest
-
 from repro.core import (
     GroupLayout,
-    LayoutError,
     RaidGroup,
     group_losses_if_node_fails,
     layout_dvdc,
-    rebalance_after_migration,
     survives_single_node_failure,
     tolerable_node_failure_sets,
     validate_layout,
@@ -21,7 +17,6 @@ class TestValidate:
         layout = layout_dvdc(cluster4)
         report = validate_layout(layout, cluster4)
         assert report.ok
-        report.raise_if_invalid()
 
     def test_colocated_members_flagged(self, cluster4):
         cluster4.create_vms_balanced(8, 1e9)  # vms 0,4 on node 0
@@ -29,8 +24,6 @@ class TestValidate:
         report = validate_layout(layout, cluster4)
         assert not report.ok
         assert "exceeds tolerance" in report.errors[0]
-        with pytest.raises(LayoutError):
-            report.raise_if_invalid()
 
     def test_parity_colocated_with_member_flagged(self, cluster4):
         cluster4.create_vms_balanced(8, 1e9)
@@ -91,32 +84,3 @@ class TestFailureAnalysis:
             layout, cluster4, tolerance=2, max_set=2
         )
         assert [c for c in fatal if len(c) == 2] == []
-
-
-class TestRebalance:
-    def test_unbroken_layout_returned_verbatim(self, cluster4):
-        cluster4.create_vms_balanced(12, 1e9)
-        layout = layout_dvdc(cluster4)
-        assert rebalance_after_migration(layout, cluster4) is layout
-
-    def test_migration_breaking_group_triggers_rebuild(self, cluster4):
-        cluster4.create_vms_balanced(12, 1e9)
-        layout = layout_dvdc(cluster4)
-        g0 = layout.groups[0]
-        # move one member of group 0 onto another member's node
-        a, b = g0.member_vm_ids[0], g0.member_vm_ids[1]
-        cluster4.move_vm(a, cluster4.vm(b).node_id)
-        assert not validate_layout(layout, cluster4).ok
-        fixed = rebalance_after_migration(layout, cluster4)
-        assert validate_layout(fixed, cluster4).ok
-        assert sorted(fixed.vm_ids) == list(range(12))
-
-    def test_kept_groups_preserve_ids(self, cluster4):
-        cluster4.create_vms_balanced(12, 1e9)
-        layout = layout_dvdc(cluster4)
-        g0 = layout.groups[0]
-        a, b = g0.member_vm_ids[0], g0.member_vm_ids[1]
-        cluster4.move_vm(a, cluster4.vm(b).node_id)
-        fixed = rebalance_after_migration(layout, cluster4)
-        surviving_ids = {g.group_id for g in layout.groups[1:]}
-        assert surviving_ids.issubset({g.group_id for g in fixed.groups})

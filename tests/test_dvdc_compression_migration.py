@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.checkpoint import CompressionModel
-from repro.core import dvdc, rebalance_after_migration, validate_layout
+from repro.core import dvdc
 from repro.migration import PrecopyModel, live_migrate
 from repro.workloads import paper_scenario
 
@@ -60,30 +60,6 @@ class TestDVDCCompression:
 
 
 class TestMigrationInterplay:
-    def test_migrated_vm_checkpoints_from_new_home(self):
-        sc = paper_scenario(seed=43)
-        ck = dvdc(sc.cluster)
-
-        def proc():
-            yield from ck.run_cycle()
-            vm = sc.cluster.vm(0)
-            # move vm0 to the one node hosting no groupmate conflicts...
-            # any target; then rebalance the layout
-            yield from live_migrate(
-                sc.cluster, vm, (vm.node_id + 1) % 4,
-                model=PrecopyModel(bandwidth=125e6),
-            )
-            new_layout = rebalance_after_migration(ck.layout, sc.cluster)
-            ck.layout = new_layout
-            # a heal pass materializes parity for any rebuilt groups
-            yield from ck.heal()
-            r = yield from ck.run_cycle()
-            return r
-
-        r = run_process(sc.sim, proc())
-        assert r.committed
-        assert validate_layout(ck.layout, sc.cluster).ok
-
     def test_migration_interrupted_by_failure(self):
         """A crash of the destination mid-migration aborts the transfer
         flows; the VM keeps running at the source."""

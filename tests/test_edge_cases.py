@@ -7,7 +7,6 @@ import pytest
 from repro.cluster import ClusterSpec, NodeError, VirtualCluster
 from repro.core import dvdc
 from repro.failures import FailureEvent, FailureInjector, FailureSchedule
-from repro.model import fig5
 from repro.sim import Simulator
 from repro.workloads import CheckpointedJob, paper_scenario
 
@@ -141,26 +140,6 @@ class TestBackgroundHeal:
         assert healed
 
 
-class TestFig5Csv:
-    def test_csv_roundtrip(self, tmp_path):
-        result = fig5()
-        path = tmp_path / "fig5.csv"
-        result.save_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "interval_seconds,diskless_ratio,diskful_ratio"
-        # data rows parse as floats and dominate the file
-        data = [ln for ln in lines[1:] if ln and not ln.startswith(("optimum", "diskless", "diskful"))]
-        xs = [float(ln.split(",")[0]) for ln in data]
-        assert xs == sorted(xs)
-        assert any(ln.startswith("diskless") for ln in lines)
-
-    def test_to_rows(self):
-        s = fig5().diskless
-        rows = s.to_rows()
-        assert len(rows) == len(s.intervals)
-        assert rows[0][0] == pytest.approx(float(s.intervals[0]))
-
-
 class TestNetworkConservation:
     def test_bytes_delivered_equal_flow_sizes(self):
         """Property: completed flows deliver exactly their size —
@@ -177,7 +156,7 @@ class TestNetworkConservation:
         def starter():
             for k in range(30):
                 yield sim.timeout(float(rng.random() * 2))
-                path = [f"l{i}" for i in
+                path = [net.links[f"l{i}"] for i in
                         rng.choice(4, size=rng.integers(1, 3), replace=False)]
                 flows.append(net.start_flow(path, float(rng.integers(1, 500))))
 
@@ -185,7 +164,7 @@ class TestNetworkConservation:
         sim.run()
         for f in flows:
             assert f.ok
-            assert f.transferred == pytest.approx(f.size, abs=1e-6)
+            assert f._anchor_remaining == 0.0
 
     def test_flow_attributes(self):
         from repro.network import Network
@@ -193,12 +172,12 @@ class TestNetworkConservation:
         sim = Simulator()
         net = Network(sim)
         net.add_link("l", 100.0)
-        f = net.start_flow(["l"], 100.0, label="x")
-        assert f.active
-        assert len(net.active_flows) in (0, 1)  # latency phase or active
+        f = net.start_flow([net.links["l"]], 100.0, label="x")
+        assert not f.triggered
+        assert len(net.links["l"].flows) in (0, 1)  # latency phase or active
         sim.run()
-        assert not f.active
-        assert net.active_flows == ()
+        assert f.triggered and f.ok
+        assert not net.links["l"].flows
 
 
 class TestHeterogeneousVMs:

@@ -12,10 +12,10 @@ from repro.core import (
     validate_layout,
 )
 from repro.failures import (
-    Exponential,
     FailureDomainMap,
+    FailureEvent,
     FailureInjector,
-    draw_domain_schedule,
+    FailureSchedule,
     racks,
 )
 from repro.sim import Simulator
@@ -42,8 +42,7 @@ class TestDomainMap:
         d = racks(6, 2)
         assert d.n_domains == 3
         assert d.domain_of(0) == d.domain_of(1) == 0
-        assert d.nodes_in(2) == [4, 5]
-        assert d.domains() == [0, 1, 2]
+        assert d.assignment == (0, 0, 1, 1, 2, 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -56,24 +55,6 @@ class TestDomainMap:
             racks(4, 2).domain_of(99)
 
 
-class TestDomainSchedule:
-    def test_whole_domain_fails_together(self, rng):
-        d = racks(6, 2)
-        sched = draw_domain_schedule(rng, Exponential(1 / 100.0), d, horizon=500.0)
-        # group events by timestamp: each burst covers exactly one rack
-        by_time: dict[float, list[int]] = {}
-        for ev in sched.events:
-            by_time.setdefault(ev.time, []).append(ev.node_id)
-        for t, nodes in by_time.items():
-            doms = {d.domain_of(n) for n in nodes}
-            assert len(doms) == 1
-            assert sorted(nodes) == d.nodes_in(doms.pop())
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            draw_domain_schedule(rng, Exponential(0.1), racks(4, 2), horizon=0.0)
-
-
 class TestDomainAwarePlacement:
     def test_members_span_distinct_racks(self):
         sim, cluster, domains, _ = _rack_cluster()
@@ -83,7 +64,7 @@ class TestDomainAwarePlacement:
                 domains.domain_of(cluster.vm(v).node_id)
                 for v in g.member_vm_ids
             }
-            assert len(member_doms) == g.size
+            assert len(member_doms) == len(g.member_vm_ids)
             assert domains.domain_of(g.parity_node) not in member_doms
 
     def test_domain_validate(self):
@@ -162,10 +143,11 @@ class TestRackFailureSurvival:
         sim, cluster, domains, rng = _rack_cluster(seed=51)
         layout = build_orthogonal_layout(cluster, group_size=2, domains=domains)
         ck = DisklessCheckpointer(cluster, layout)
-        sched = draw_domain_schedule(
-            np.random.default_rng(7), Exponential(1 / (2 * 3600.0)),
-            domains, horizon=8 * 3600.0, repair_time=60.0,
-        )
+        # whole racks crash together: rack 0 at 20 min, rack 2 at 45 min
+        sched = FailureSchedule([
+            FailureEvent(1200.0, 0, 0), FailureEvent(1200.0, 1, 0),
+            FailureEvent(2700.0, 4, 0), FailureEvent(2700.0, 5, 0),
+        ])
         inj = FailureInjector(sim, cluster.n_nodes, schedule=sched)
         job = CheckpointedJob(cluster, ck, work=3600.0, interval=600.0,
                               injector=inj, repair_time=60.0)

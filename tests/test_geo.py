@@ -23,12 +23,6 @@ from repro.geo import (
     run_geo_point,
     run_geo_study,
 )
-from repro.model import (
-    estimate_geo_window_loss,
-    geo_window_loss_probability,
-    window_loss_probability,
-    worst_domain_cost,
-)
 from repro.sim import Simulator
 
 
@@ -40,8 +34,8 @@ class TestGeoSpec:
         geo = GeoSpec(n_nodes=12, n_sites=3, racks_per_site=2)
         for n in range(12):
             assert geo.site_of(n) == n // 4
-            assert geo.rack_of(n) // 2 == geo.site_of(n)
-        assert geo.n_racks == 6
+            assert geo.domain_map("rack").domain_of(n) // 2 == geo.site_of(n)
+        assert geo.domain_map("rack").n_domains == 6
         assert geo.domain_map("site").n_domains == 3
         assert geo.domain_map("node").n_domains == 12
 
@@ -83,7 +77,8 @@ class TestGeoSpreadLayout:
         cfg = GeoConfig(n_nodes=12, n_sites=3, policy="geo-spread")
         _sim, cluster, ck, _r, geo, _rng, _t = build_geo_scenario(cfg)
         domains = geo.domain_map("site")
-        assert worst_domain_cost(ck.layout, cluster, domains) == 1
+        # at most one element of any group per site
+        assert validate_layout(ck.layout, cluster, domains=domains).ok
         report = validate_layout(
             ck.layout, cluster, tolerance=ck.scheme.tolerance, domains=domains
         )
@@ -94,9 +89,10 @@ class TestGeoSpreadLayout:
 
         cfg = GeoConfig(n_nodes=12, n_sites=3, policy="local-parity")
         _sim, cluster, ck, _r, geo, _rng, _t = build_geo_scenario(cfg)
-        assert worst_domain_cost(
-            ck.layout, cluster, geo.domain_map("site")
-        ) > ck.scheme.tolerance
+        assert not validate_layout(
+            ck.layout, cluster, tolerance=ck.scheme.tolerance,
+            domains=geo.domain_map("site"),
+        ).ok
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +123,10 @@ class TestSurvivalMatrix:
             _sim, cluster, ck, _r, geo, _rng, _t = build_geo_scenario(
                 replace(cfg, policy=policy)
             )
-            predicted = worst_domain_cost(
-                ck.layout, cluster, geo.domain_map("site")
-            ) > ck.scheme.tolerance
+            predicted = not validate_layout(
+                ck.layout, cluster, tolerance=ck.scheme.tolerance,
+                domains=geo.domain_map("site"),
+            ).ok
             cells = [c for c in study["cells"] if c["policy"] == policy]
             assert cells and all(
                 c["beyond_tolerance"] == predicted for c in cells
@@ -299,47 +296,9 @@ class TestGeoFuzz:
         from repro.audit.fuzzer import fuzz
 
         result = fuzz(self._config(policy), seeds=6)
-        assert result.ok, [
+        assert not result.failures, [
             [str(v) for v in t.violations[:2]] for t in result.failures
         ]
-
-
-# ---------------------------------------------------------------------------
-# the domain-correlated window-loss model
-# ---------------------------------------------------------------------------
-class TestGeoWindowLossModel:
-    def test_reduces_to_base_without_site_terms(self):
-        base = window_loss_probability(1e-4, 16, 300.0, tolerance=1)
-        assert geo_window_loss_probability(
-            1e-4, 16, 300.0, tolerance=1, site_rate=0.0, n_sites=3
-        ) == base
-        assert geo_window_loss_probability(
-            1e-4, 16, 300.0, tolerance=1, site_rate=1e-5, n_sites=0
-        ) == base
-
-    def test_site_terms_only_raise_risk(self):
-        kw = dict(tolerance=2, n_sites=3, site_cost=3)
-        lo = geo_window_loss_probability(1e-4, 16, 300.0, site_rate=1e-6, **kw)
-        hi = geo_window_loss_probability(1e-4, 16, 300.0, site_rate=1e-4, **kw)
-        base = window_loss_probability(1e-4, 16, 300.0, tolerance=2)
-        assert base <= lo < hi <= 1.0
-
-    def test_site_cost_differentiates_above_tolerance(self):
-        """With tolerance 2, a stacked layout (cost 3) dies to one site
-        event while a spread layout (cost 1) needs a coincidence."""
-        kw = dict(tolerance=2, site_rate=1e-4, n_sites=3)
-        spread = geo_window_loss_probability(1e-5, 16, 300.0, site_cost=1, **kw)
-        stacked = geo_window_loss_probability(1e-5, 16, 300.0, site_cost=3, **kw)
-        assert stacked > spread
-
-    def test_monte_carlo_corroborates_closed_form(self):
-        rng = np.random.default_rng([11, 0x6E0])
-        kw = dict(tolerance=2, site_rate=1e-4, n_sites=3, site_cost=3)
-        closed = geo_window_loss_probability(1e-4, 16, 300.0, **kw)
-        mc = estimate_geo_window_loss(
-            rng, 1e-4, 16, 300.0, n_runs=20_000, **kw
-        )
-        assert abs(mc.mean - closed) <= max(4 * mc.std_error, 1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,28 @@
 import numpy as np
 import pytest
 
+from repro.campaign import mc_estimate_from_values
 from repro.model import (
     chunk_moments,
     chunk_seed,
     chunk_sizes,
-    estimate_expected_time_chunked,
+    estimate_expected_time,
     estimate_from_moments,
     simulate_completion_times_chunk,
     simulate_completion_times_chunked,
 )
 
 ARGS = dict(lam=1 / 3600.0, T=4 * 3600.0, N=900.0, T_ov=120.0, T_r=60.0)
+
+
+def _chunk_values(master, n_runs, chunk_runs):
+    """What the campaign's ``mc_chunk`` tasks return, in chunk order."""
+    return [
+        {"chunk_index": i, **chunk_moments(
+            simulate_completion_times_chunk(master, i, size, **ARGS)
+        )}
+        for i, size in enumerate(chunk_sizes(n_runs, chunk_runs))
+    ]
 
 
 class TestChunkPlan:
@@ -82,9 +93,7 @@ class TestMoments:
         samples = simulate_completion_times_chunked(
             master, n_runs=n_runs, chunk_runs=chunk_runs, **ARGS
         )
-        est = estimate_expected_time_chunked(
-            master, n_runs=n_runs, chunk_runs=chunk_runs, **ARGS
-        )
+        est = estimate_from_moments(_chunk_values(master, n_runs, chunk_runs))
         assert est.n_runs == n_runs
         assert est.mean == pytest.approx(samples.mean(), rel=1e-12)
         assert est.std_error == pytest.approx(
@@ -101,9 +110,8 @@ class TestMoments:
             for i, size in enumerate(sizes)
         ]
         merged = estimate_from_moments(moments)
-        again = estimate_expected_time_chunked(
-            master, n_runs=384, chunk_runs=128, **ARGS
-        )
+        # the campaign merges values in whatever order workers return them
+        again = mc_estimate_from_values(_chunk_values(master, 384, 128)[::-1])
         assert merged.mean == again.mean
         assert merged.std_error == again.std_error
 
@@ -119,10 +127,11 @@ class TestMoments:
     def test_agrees_with_closed_form(self):
         from repro.model import expected_time_with_overhead
 
-        est = estimate_expected_time_chunked(
-            3, n_runs=4000, chunk_runs=512, **ARGS
-        )
+        est = mc_estimate_from_values(_chunk_values(3, 4000, 512))
         analytic = expected_time_with_overhead(
             ARGS["lam"], ARGS["T"], ARGS["N"], ARGS["T_ov"], ARGS["T_r"]
         )
         assert est.within(analytic)
+        # and with the monolithic estimator, an independent sample
+        mono = estimate_expected_time(np.random.default_rng(3), n_runs=4000, **ARGS)
+        assert est.within(mono.mean, z=4.0)

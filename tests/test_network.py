@@ -24,15 +24,13 @@ class TestLink:
         net.add_link("ok", 10.0)
         with pytest.raises(NetworkError):
             net.add_link("ok", 10.0)  # duplicate
-        with pytest.raises(NetworkError):
-            net.link("missing")
 
 
 class TestSingleLink:
     def test_single_flow_time(self, sim):
         net = Network(sim)
         net.add_link("l", bandwidth=100.0)
-        flow = net.start_flow(["l"], 500.0)
+        flow = net.start_flow([net.links["l"]], 500.0)
         sim.run()
         assert flow.finished_at == pytest.approx(5.0)
         assert flow.ok
@@ -40,15 +38,15 @@ class TestSingleLink:
     def test_latency_charged_once(self, sim):
         net = Network(sim)
         net.add_link("l", bandwidth=100.0, latency=0.5)
-        flow = net.start_flow(["l"], 100.0)
+        flow = net.start_flow([net.links["l"]], 100.0)
         sim.run()
         assert flow.finished_at == pytest.approx(1.5)
 
     def test_equal_sharing_two_flows(self, sim):
         net = Network(sim)
         net.add_link("l", bandwidth=100.0)
-        f1 = net.start_flow(["l"], 100.0)
-        f2 = net.start_flow(["l"], 100.0)
+        f1 = net.start_flow([net.links["l"]], 100.0)
+        f2 = net.start_flow([net.links["l"]], 100.0)
         sim.run()
         # each gets 50 B/s -> both finish at 2.0
         assert f1.finished_at == pytest.approx(2.0)
@@ -57,8 +55,8 @@ class TestSingleLink:
     def test_rate_rises_when_contender_leaves(self, sim):
         net = Network(sim)
         net.add_link("l", bandwidth=100.0)
-        short = net.start_flow(["l"], 50.0)
-        long = net.start_flow(["l"], 150.0)
+        short = net.start_flow([net.links["l"]], 50.0)
+        long = net.start_flow([net.links["l"]], 150.0)
         sim.run()
         # phase 1: 50 B/s each until short done at t=1 (50B); long has 100B left
         # phase 2: long at 100 B/s -> 1s more
@@ -68,13 +66,13 @@ class TestSingleLink:
     def test_staggered_arrival(self, sim):
         net = Network(sim)
         net.add_link("l", bandwidth=100.0)
-        f1 = net.start_flow(["l"], 200.0)
+        f1 = net.start_flow([net.links["l"]], 200.0)
 
         result = {}
 
         def later():
             yield sim.timeout(1.0)
-            f2 = net.start_flow(["l"], 50.0)
+            f2 = net.start_flow([net.links["l"]], 50.0)
             yield f2
             result["f2"] = sim.now
 
@@ -88,14 +86,14 @@ class TestSingleLink:
     def test_zero_byte_flow_completes_after_latency(self, sim):
         net = Network(sim)
         net.add_link("l", bandwidth=100.0, latency=0.25)
-        flow = net.start_flow(["l"], 0.0)
+        flow = net.start_flow([net.links["l"]], 0.0)
         sim.run()
         assert flow.finished_at == pytest.approx(0.25)
 
     def test_abort_fails_waiters(self, sim):
         net = Network(sim)
         net.add_link("l", bandwidth=10.0)
-        flow = net.start_flow(["l"], 1000.0)
+        flow = net.start_flow([net.links["l"]], 1000.0)
 
         def waiter():
             try:
@@ -115,8 +113,8 @@ class TestSingleLink:
     def test_abort_frees_bandwidth(self, sim):
         net = Network(sim)
         net.add_link("l", bandwidth=100.0)
-        f1 = net.start_flow(["l"], 1000.0)
-        f2 = net.start_flow(["l"], 100.0)
+        f1 = net.start_flow([net.links["l"]], 1000.0)
+        f2 = net.start_flow([net.links["l"]], 100.0)
         sim.schedule(0.5, lambda: f1.abort())
         sim.run()
         # f2: 0.5s at 50B/s (25B), then 75B at 100B/s -> finishes at 1.25
@@ -130,8 +128,8 @@ class TestMaxMin:
         net = Network(sim)
         net.add_link("fast", 100.0)
         net.add_link("slow", 25.0)
-        capped = net.start_flow(["fast", "slow"], 100.0)  # rate 25
-        free = net.start_flow(["fast"], 100.0)  # should get 75
+        capped = net.start_flow([net.links["fast"], net.links["slow"]], 100.0)  # rate 25
+        free = net.start_flow([net.links["fast"]], 100.0)  # should get 75
         sim.run()
         assert capped.finished_at == pytest.approx(4.0)
         assert free.finished_at == pytest.approx(100.0 / 75.0)
@@ -139,7 +137,7 @@ class TestMaxMin:
     def test_three_way_fairness(self, sim):
         net = Network(sim)
         net.add_link("l", 90.0)
-        flows = [net.start_flow(["l"], 90.0) for _ in range(3)]
+        flows = [net.start_flow([net.links["l"]], 90.0) for _ in range(3)]
         sim.run()
         for f in flows:
             assert f.finished_at == pytest.approx(3.0)

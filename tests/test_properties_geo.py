@@ -1,11 +1,9 @@
 """Property tests for the geo layer (hypothesis + differential A/B).
 
-Four properties lock the georedundancy machinery down:
+Three properties lock the georedundancy machinery down:
 
 * the domain-spread invariant (no two elements of a group in one site)
   survives every recovery and re-home the protocol performs;
-* the correlated injector kills exactly the targeted domain's members,
-  never more, never fewer;
 * WAN links conserve capacity under max-min reallocation — flows share
   the bottleneck exactly and reclaim it the instant a peer finishes;
 * a single-site :class:`~repro.geo.GeoTopology` adds zero links and is
@@ -15,21 +13,12 @@ Four properties lock the georedundancy machinery down:
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import validate_layout
-from repro.failures import Exponential
-from repro.geo import (
-    GeoConfig,
-    GeoSpec,
-    GeoTopology,
-    draw_geo_schedule,
-    run_geo_point,
-    site_kill_members,
-)
+from repro.geo import GeoConfig, GeoSpec, GeoTopology, run_geo_point
 from repro.sim import Simulator
 
 
@@ -89,56 +78,7 @@ class TestDomainSpreadInvariant:
 
 
 # ---------------------------------------------------------------------------
-# 2. the correlated injector kills exactly the domain's members
-# ---------------------------------------------------------------------------
-class TestCorrelatedInjector:
-    @settings(max_examples=12, deadline=None)
-    @given(
-        seed=st.integers(0, 10_000),
-        per_site=st.integers(2, 6),
-        n_sites=st.integers(2, 4),
-    )
-    def test_geo_events_cover_exact_domain_membership(
-        self, seed, per_site, n_sites
-    ):
-        geo = GeoSpec(
-            n_nodes=per_site * n_sites, n_sites=n_sites, racks_per_site=2
-        )
-        rng = np.random.default_rng([seed, 0x6E0])
-        schedule, events = draw_geo_schedule(
-            rng, geo, horizon=5000.0,
-            node_dist=Exponential(lam=1 / 4000.0),
-            rack_dist=Exponential(lam=1 / 8000.0),
-            site_dist=Exponential(lam=1 / 9000.0),
-        )
-        by_time: dict[float, set[int]] = {}
-        for ev in schedule.events:
-            by_time.setdefault(ev.time, set()).add(ev.node_id)
-        for ev in events:
-            if ev.level == "site":
-                want = set(geo.nodes_in_site(ev.domain))
-            elif ev.level == "rack":
-                want = set(geo.domain_map("rack").nodes_in(ev.domain))
-            else:
-                want = {ev.domain}
-            assert set(ev.nodes) == want
-            # the flat schedule fires exactly those nodes at that instant
-            assert by_time[ev.time] == want
-        # and nothing in the flat schedule is unexplained
-        explained = {(ev.time, n) for ev in events for n in ev.nodes}
-        flat = {(ev.time, ev.node_id) for ev in schedule.events}
-        assert flat == explained
-
-    def test_site_kill_members_is_the_whole_site(self):
-        geo = GeoSpec(n_nodes=10, n_sites=3)
-        for node in range(10):
-            members = site_kill_members(geo, node)
-            assert node in members
-            assert members == geo.nodes_in_site(geo.site_of(node))
-
-
-# ---------------------------------------------------------------------------
-# 3. WAN capacity conservation under max-min reallocation
+# 2. WAN capacity conservation under max-min reallocation
 # ---------------------------------------------------------------------------
 class TestWanMaxMin:
     B = 10e6  # WAN uplink bandwidth
@@ -201,13 +141,13 @@ class TestWanMaxMin:
         sim.run(until=1.0)
         torn = topo.set_site_wan_up(0, False, reason="test")
         assert torn == 1
-        assert not topo.site_wan_up(0)
+        assert not topo.wan_tx[0].up and not topo.wan_rx[0].up
         sim.run()
         assert flows[0].ok is False
 
 
 # ---------------------------------------------------------------------------
-# 4. single-site differential A/B: the geo layer is bit-transparent
+# 3. single-site differential A/B: the geo layer is bit-transparent
 # ---------------------------------------------------------------------------
 class TestSingleSiteBitTransparent:
     def test_zero_wan_links_and_identical_link_table(self):
@@ -224,11 +164,17 @@ class TestSingleSiteBitTransparent:
         """The same scenario through :mod:`repro.perf.scale` (plain
         fabric) and through a 1-site geo build must agree on every
         digest: checkpoints, parity, flows, cycle timings, clock, RNG."""
-        from repro.perf import ScaleConfig, run_scale_point
-
-        scale = run_scale_point(
-            ScaleConfig(n_nodes=12, epochs=2, seed=3, trace=True)
+        from repro.perf import (
+            ScaleConfig, build_scale_scenario, run_epochs, scenario_digests,
         )
+
+        cfg = ScaleConfig(n_nodes=12, epochs=2, seed=3, trace=True)
+        sim, cluster, ckpt, rngs, tracer = build_scale_scenario(cfg)
+        run_epochs(sim, cluster, ckpt, rngs, cfg)
+        scale = {
+            "events": sim.event_count, "sim_time": sim.now,
+            "digests": scenario_digests(sim, cluster, ckpt, rngs, tracer),
+        }
         geo = run_geo_point(
             GeoConfig(
                 n_nodes=12, n_sites=1, racks_per_site=1, policy="local-parity",

@@ -11,11 +11,11 @@ work leans on hardest:
   delivered bytes match flow sizes, links never leak flows, and the
   incremental allocator's per-flow trajectory is bit-identical to the
   reference allocator's;
-* ``MemoryImage.touch_pages`` accounting — ``dirty_bytes`` counts
+* ``MemoryImage.touch_pages`` accounting — ``dirty_page_count`` counts
   *unique* pages (the double-count regression) while RNG consumption
   stays keyed to the raw index list;
 * event-heap lazy-deletion compaction — bounded heap, preserved
-  execution order, counter hygiene across peek/drain;
+  execution order, counter hygiene after fire-then-cancel;
 * snapshots — a snapshot stays frozen while the image mutates.
 """
 
@@ -28,7 +28,6 @@ from repro.cluster.memory import MemoryImage
 from repro.cluster.xorsum import (
     reconstruct_missing_padded,
     xor_fold_groups,
-    xor_into,
     xor_reduce,
     xor_reduce_padded,
 )
@@ -51,10 +50,10 @@ def test_xor_reduce_order_independent(rngs: RngRegistry, seed: int):
     expected = xor_reduce(bufs)
     perm = rng.permutation(len(bufs))
     assert np.array_equal(xor_reduce([bufs[i] for i in perm]), expected)
-    # fold pairwise via xor_into: same result as one-shot reduce
-    acc = bufs[0].copy()
+    # fold pairwise: same result as one-shot reduce
+    acc = bufs[0]
     for b in bufs[1:]:
-        xor_into(acc, b)
+        acc = xor_reduce([acc, b])
     assert np.array_equal(acc, expected)
 
 
@@ -64,10 +63,7 @@ def test_xor_self_inverse(rngs: RngRegistry, seed: int):
     n = int(rng.integers(1, 1024))
     a = rng.integers(0, 256, size=n, dtype=np.uint8)
     b = rng.integers(0, 256, size=n, dtype=np.uint8)
-    x = a.copy()
-    xor_into(x, b)
-    xor_into(x, b)
-    assert np.array_equal(x, a)
+    assert np.array_equal(xor_reduce([xor_reduce([a, b]), b]), a)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -288,7 +284,7 @@ def _run_flow_schedule(allocator: str, seed: int):
     sim.run()
     records = [
         (f.label, f.ok, float(f.started_at), float(f.finished_at),
-         float(f.size), float(f.transferred))
+         float(f.size), float(f.size - f._anchor_remaining))
         for f in flows
     ]
     leaked = [lk.name for lk in topo.network.links.values() if lk.flows]
@@ -328,19 +324,17 @@ def test_touch_pages_duplicates_count_once(rng):
     img = MemoryImage(n_pages=16, page_size=64)
     img.touch_pages(np.array([3, 3, 3, 7]))
     assert img.dirty_page_count == 2
-    assert img.dirty_bytes == 2 * 64
     # re-touching already-dirty pages within the interval adds nothing
     img.touch_pages(np.array([7, 7, 9]), rng)
     assert img.dirty_page_count == 3
-    assert img.dirty_bytes == 3 * 64
     assert sorted(img.dirty_page_indices) == [3, 7, 9]
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_touch_pages_accounting_invariant(rngs: RngRegistry, seed: int):
     """After any touch/clear/delta sequence, the cached dirty count equals
-    the bitmap's ground truth — dirty_bytes == unique dirty pages x page
-    size, never the double-counted sum."""
+    the bitmap's ground truth — unique dirty pages, never the
+    double-counted sum."""
     rng = rngs.stream(f"touch/{seed}")
     img = MemoryImage(n_pages=32, page_size=128)
     for _ in range(30):
@@ -350,12 +344,11 @@ def test_touch_pages_accounting_invariant(rngs: RngRegistry, seed: int):
             idx = rng.integers(0, 32, size=k)  # duplicates likely
             img.touch_pages(idx, rng)
         elif op < 0.8 and img.dirty_page_count:
-            img.apply_delta(img.capture_delta(clear=True))
+            img.capture_delta(clear=True)
         else:
             img.clear_dirty()
         truth = len(img.dirty_page_indices)
         assert img.dirty_page_count == truth
-        assert img.dirty_bytes == truth * img.page_size
 
 
 def test_touch_pages_rng_consumption_unchanged_by_duplicates():
@@ -407,7 +400,7 @@ def test_heap_stays_bounded_under_cancel_churn():
         peak = max(peak, sim.heap_size)
     assert peak <= 2 * Simulator.COMPACT_MIN_CANCELLED + 2
     assert sim.compactions > 0
-    assert sim.cancelled_pending < Simulator.COMPACT_MIN_CANCELLED
+    assert sim._cancelled < Simulator.COMPACT_MIN_CANCELLED
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -437,28 +430,12 @@ def test_compaction_preserves_execution_order(seed: int):
     assert lazy_compactions > 0 and eager_compactions == 0
 
 
-def test_peek_and_drain_counter_hygiene():
-    sim = Simulator()
-    sim.COMPACT_MIN_CANCELLED = 1 << 60
-    keep = sim.schedule(2.0, _noop)
-    for _ in range(5):
-        sim.schedule(1.0, _noop).cancel()
-    assert sim.cancelled_pending == 5
-    assert sim.peek() == 2.0  # skips + evicts the cancelled prefix
-    assert sim.cancelled_pending == 0
-    assert sim.heap_size == 1
-    sim.schedule(3.0, _noop).cancel()
-    assert sim.drain() == 1  # only `keep` was still live
-    assert sim.cancelled_pending == 0 and sim.heap_size == 0
-    assert keep.cancelled
-
-
 def test_cancel_after_fire_is_noop():
     sim = Simulator()
     h = sim.schedule(0.0, _noop)
     sim.run()
     h.cancel()
-    assert sim.cancelled_pending == 0
+    assert sim._cancelled == 0
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +450,7 @@ def test_snapshot_stays_frozen_while_image_mutates(rng):
     snap = img.snapshot()
     frozen = snap.copy()
     img.write(0, rng.integers(0, 256, size=img.nbytes, dtype=np.uint8))
-    img.fill_page(3, 0xEE)
+    img.write(3 * 64, np.full(64, 0xEE, dtype=np.uint8))
     later = img.snapshot()
     assert np.array_equal(snap, frozen), "held snapshot was mutated"
     assert np.array_equal(later, img.flat)

@@ -81,7 +81,6 @@ class TestScheduleDraw:
             assert e.duration >= 0
             assert 0.3 <= e.severity < 1.0
             assert 0 <= e.node_id < 4
-        assert sched.for_node(0) == [e for e in sched.events if e.node_id == 0]
 
 
 class TestInjector:
@@ -105,7 +104,6 @@ class TestInjector:
             sim.at(t, lambda t=t: seen.setdefault(t, link.up))
         sim.run()
         assert seen == {0.5: True, 1.5: False, 4.5: False, 6.5: True}
-        assert len(inj.delivered) == 2
 
     def test_overlapping_degrades_restore_only_at_the_end(self, sim):
         cluster, inj = self._arm(sim, [
@@ -145,7 +143,8 @@ class TestInjector:
             TransientFault(time=0.1, node_id=2, kind="corrupt"),
         ])
         sim.run()
-        assert inj.delivered and inj.corrupted == []
+        assert sim.now == pytest.approx(0.1)  # the fault fired
+        assert inj.corrupted == []
 
     def test_schedule_beyond_cluster_is_rejected(self, sim):
         cluster = VirtualCluster(sim, ClusterSpec(n_nodes=2))
@@ -200,7 +199,6 @@ class TestCorruptNodeState:
 
 def _assert_zero_residual(network: Network) -> None:
     """The satellite invariant: no failure path may leak link capacity."""
-    assert network.active_flows == ()
     for link in network.links.values():
         assert not link.flows, f"{link.name} leaked {link.flows}"
         assert link.utilization == 0.0
@@ -303,7 +301,7 @@ class TestZeroResidualCapacity:
         sim.schedule(0.5, topo.drop_node_flows, 0)
         sim.schedule(
             0.6, lambda: rates.update(
-                survivor=max(f.rate for f in net.active_flows)
+                survivor=max(f.rate for lk in net.links.values() for f in lk.flows)
             )
         )
         sim.run()

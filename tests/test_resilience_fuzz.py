@@ -67,7 +67,7 @@ class TestTransientDraw:
 class TestTransientTrials:
     def test_small_batch_runs_clean(self):
         result = fuzz(FuzzConfig(transient=True, n_cycles=3), seeds=4)
-        assert result.ok, [str(v) for t in result.failures for v in t.violations]
+        assert not result.failures, [str(v) for t in result.failures for v in t.violations]
         assert len(result.trials) == 4
         # determinism: the same campaign replays identically
         again = fuzz(FuzzConfig(transient=True, n_cycles=3), seeds=4)

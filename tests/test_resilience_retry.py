@@ -76,7 +76,7 @@ class TestRetryingTransfer:
 
         def make_flow():
             calls.append(sim.now)
-            return net.start_flow(["l"], 100.0)
+            return net.start_flow([net.links["l"]], 100.0)
 
         def driver():
             flow = yield from retrying_transfer(sim, make_flow, DEFAULT_RETRY)
@@ -91,7 +91,7 @@ class TestRetryingTransfer:
         flows = []
 
         def make_flow():
-            flow = net.start_flow(["l"], 100.0)
+            flow = net.start_flow([net.links["l"]], 100.0)
             flows.append(flow)
             if len(flows) <= 2:  # first two attempts are doomed
                 sim.schedule(0.1, flow.abort, "blip", True)
@@ -114,7 +114,7 @@ class TestRetryingTransfer:
         probe = Probe()
 
         def make_flow():
-            flow = net.start_flow(["l"], 100.0)
+            flow = net.start_flow([net.links["l"]], 100.0)
             sim.schedule(0.05, flow.abort, "blip", True)
             return flow
 
@@ -134,7 +134,7 @@ class TestRetryingTransfer:
         net2.add_link("l", bandwidth=100.0)
 
         def make_flow2():
-            flow = net2.start_flow(["l"], 100.0)
+            flow = net2.start_flow([net2.links["l"]], 100.0)
             sim2.schedule(0.05, flow.abort, "blip", True)
             return flow
 
@@ -151,7 +151,7 @@ class TestRetryingTransfer:
         attempts = []
 
         def make_flow():
-            flow = net.start_flow(["l"], 100.0)
+            flow = net.start_flow([net.links["l"]], 100.0)
             attempts.append(flow)
             sim.schedule(0.05, flow.abort, "node crashed", False)
             return flow
@@ -167,7 +167,7 @@ class TestRetryingTransfer:
         net = self._net(sim)
 
         def make_flow():
-            flow = net.start_flow(["l"], 100.0)
+            flow = net.start_flow([net.links["l"]], 100.0)
             sim.schedule(0.5, flow.abort, "blip", True)
             return flow
 
@@ -192,7 +192,7 @@ class TestRetryingTransfer:
         def make_flow():
             # first attempt crawls on the slow link; the retry takes the
             # fast one (the straggling path recovered)
-            link = "slow" if not attempts else "l"
+            link = net.links["slow" if not attempts else "l"]
             flow = net.start_flow([link], 100.0)
             attempts.append(flow)
             return flow
@@ -217,7 +217,7 @@ class TestRetryingTransfer:
 
         def driver():
             return (yield from retrying_transfer(
-                sim, lambda: net.start_flow(["l"], 100.0), policy
+                sim, lambda: net.start_flow([net.links["l"]], 100.0), policy
             ))
 
         flow = run_process(sim, driver())

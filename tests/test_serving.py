@@ -12,7 +12,6 @@ import pytest
 
 from repro.audit.invariants import audit_cluster
 from repro.core.architectures import dvdc
-from repro.experiments import MethodSpec, PairedJobStudy
 from repro.failures.injector import FailureEvent, FailureInjector, FailureSchedule
 from repro.serving import (
     ArrivalChunk,
@@ -48,10 +47,6 @@ class TestArrivalConfig:
             ArrivalConfig(service_dist="pareto")
         with pytest.raises(ValueError, match="chunk_requests"):
             ArrivalConfig(chunk_requests=0)
-
-    def test_offered_load(self):
-        cfg = ArrivalConfig(rate=200.0, service_mean=0.02)
-        assert cfg.offered_load_per_server == pytest.approx(4.0)
 
 
 class TestOpenLoopArrivals:
@@ -466,23 +461,3 @@ class TestServingStudy:
         assert outcome.mean_quantile("baseline", "p99") == pytest.approx(
             float(np.mean(per_seed))
         )
-
-
-# ---------------------------------------------------------------------------
-# sidecar mode: serving riding a paired batch-job study
-
-
-class TestServingSidecar:
-    def test_paired_study_carries_serving_outcomes(self):
-        study = PairedJobStudy(
-            methods=[MethodSpec("dvdc")],
-            work=1800.0, seeds=1, node_mtbf=200 * 3600.0,
-            serving={"rate": 40.0, "n_requests": 1500},
-        )
-        out = study.run()
-        assert len(out.cells) == 1
-        serving = out.cells[0].serving
-        assert serving is not None
-        assert serving["offered"] == 1500
-        assert serving["completed"] + serving["lost"] <= 1500
-        assert serving["latency"]["p99"] > 0

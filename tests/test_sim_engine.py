@@ -151,41 +151,21 @@ class TestCancellation:
         handle = sim.schedule(1.0, lambda: None)
         handle.cancel()
         handle.cancel()
-        assert not handle.pending
+        assert handle.cancelled and not handle.fired
+        assert sim._cancelled == 1
 
     def test_pending_transitions(self):
         sim = Simulator()
         handle = sim.schedule(1.0, lambda: None)
-        assert handle.pending
+        assert not (handle.fired or handle.cancelled)
         sim.run()
-        assert not handle.pending
-        assert handle.fired
-
-    def test_drain_cancels_everything(self):
-        sim = Simulator()
-        fired = []
-        for i in range(5):
-            sim.schedule(float(i + 1), fired.append, i)
-        assert sim.drain() == 5
-        sim.run()
-        assert fired == []
-
-    def test_drain_resets_bookkeeping(self):
-        sim = Simulator()
-        handles = [sim.schedule(float(i % 97) + 0.5, lambda: None) for i in range(300)]
-        for h in handles[::3]:
-            h.cancel()
-        expected = len([h for h in handles if not h.cancelled])
-        assert sim.drain() == expected
-        assert sim.heap_size == 0
-        assert sim.cancelled_pending == 0
-        assert sim.peek() == math.inf
+        assert handle.fired and not handle.cancelled
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_cancelled_pending_equals_buried_count(self, seed):
-        """``cancelled_pending`` must equal the number of cancelled
+        """The cancelled-entry count must equal the number of cancelled
         entries physically buried in the heap at every point of a random
-        schedule/cancel/step interleaving (compactions included)."""
+        schedule/cancel/run interleaving (compactions included)."""
         rng = random.Random(seed)
         sim = Simulator()
         sim.COMPACT_MIN_CANCELLED = 8  # instance override: compact often
@@ -204,16 +184,17 @@ class TestCancellation:
             for _ in range(rng.randrange(0, 30)):
                 if live:
                     live.pop(rng.randrange(len(live))).cancel()
-            for _ in range(rng.randrange(0, 6)):
-                sim.step()
-            live = [h for h in live if h.pending]
+            sim.run(max_events=rng.randrange(0, 6))
+            live = [h for h in live if not (h.cancelled or h.fired)]
             buried = sum(1 for e in sim._heap if e[3].cancelled)
-            assert sim.cancelled_pending == buried
-            assert sim.heap_size - buried == sum(h.pending for h in handles)
+            assert sim._cancelled == buried
+            assert sim.heap_size - buried == sum(
+                not (h.cancelled or h.fired) for h in handles
+            )
         assert sim.compactions > 0
         sim.run()
         assert sim.heap_size == 0
-        assert sim.cancelled_pending == 0
+        assert sim._cancelled == 0
 
 
 class TestRun:
@@ -266,15 +247,6 @@ class TestRun:
             sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.event_count == 4
-
-    def test_peek(self):
-        sim = Simulator()
-        assert sim.peek() == math.inf
-        h = sim.schedule(3.0, lambda: None)
-        sim.schedule(5.0, lambda: None)
-        assert sim.peek() == 3.0
-        h.cancel()
-        assert sim.peek() == 5.0
 
     def test_exception_propagates_out_of_run(self):
         sim = Simulator()

@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import (
     AllOf,
-    AnyOf,
     Interrupt,
     ProcessError,
     SimulationError,
@@ -259,32 +258,6 @@ class TestConditions:
                 return sim.now
 
         assert run_process(sim, parent()) == 1.0
-
-    def test_anyof_returns_first(self, sim):
-        def worker(d):
-            yield sim.timeout(d)
-            return d
-
-        def parent():
-            got = yield AnyOf(sim, [sim.process(worker(5.0)), sim.process(worker(2.0))])
-            return (got, sim.now)
-
-        values, t = run_process(sim, parent())
-        assert t == 2.0
-        assert values == {1: 2.0}
-
-    def test_anyof_fails_only_when_all_fail(self, sim):
-        def bad(d, msg):
-            yield sim.timeout(d)
-            raise ValueError(msg)
-
-        def parent():
-            try:
-                yield AnyOf(sim, [sim.process(bad(1.0, "a")), sim.process(bad(2.0, "b"))])
-            except ValueError as exc:
-                return (str(exc), sim.now)
-
-        assert run_process(sim, parent()) == ("b", 2.0)
 
 
 class TestDeterminism:

@@ -1,8 +1,8 @@
-"""Tests for Resource / Store / Container."""
+"""Tests for Resource."""
 
 import pytest
 
-from repro.sim import Container, Resource, ResourceError, Store
+from repro.sim import Resource, ResourceError
 
 from conftest import run_process
 
@@ -17,7 +17,7 @@ class TestResource:
 
         def proc():
             yield res.request()
-            return (res.in_use, res.available)
+            return (res.in_use, res.capacity - res.in_use)
 
         assert run_process(sim, proc()) == (1, 1)
 
@@ -63,43 +63,6 @@ class TestResource:
         assert got == [1.0]
         assert res.in_use == 0
 
-    def test_abandoned_request_skipped(self, sim):
-        res = Resource(sim, capacity=1)
-        order = []
-
-        def holder():
-            yield res.request()
-            yield sim.timeout(5.0)
-            res.release()
-
-        reqs = {}
-
-        def quitter():
-            reqs["q"] = res.request()
-            try:
-                yield reqs["q"]
-            except BaseException:  # pragma: no cover
-                pass
-
-        def patient():
-            yield res.request()
-            order.append(sim.now)
-            res.release()
-
-        sim.process(holder())
-        q = sim.process(quitter())
-
-        def kill_quitter():
-            yield sim.timeout(1.0)
-            # simulate a process abandoning its queued request
-            reqs["q"].abandon()
-            q.interrupt()
-
-        sim.process(kill_quitter())
-        sim.process(patient())
-        sim.run()
-        assert order == [5.0]
-
     def test_queue_length(self, sim):
         res = Resource(sim, capacity=1)
 
@@ -117,117 +80,3 @@ class TestResource:
         sim.process(waiter())
         sim.run(until=1.0)
         assert res.queue_length == 2
-
-
-class TestStore:
-    def test_put_then_get(self, sim):
-        store = Store(sim)
-        store.put("item")
-
-        def proc():
-            got = yield store.get()
-            return got
-
-        assert run_process(sim, proc()) == "item"
-
-    def test_get_blocks_until_put(self, sim):
-        store = Store(sim)
-
-        def getter():
-            got = yield store.get()
-            return (got, sim.now)
-
-        def putter():
-            yield sim.timeout(3.0)
-            store.put(42)
-
-        p = sim.process(getter())
-        sim.process(putter())
-        sim.run()
-        assert p.value == (42, 3.0)
-
-    def test_fifo_matching(self, sim):
-        store = Store(sim)
-        results = []
-
-        def getter(name):
-            got = yield store.get()
-            results.append((name, got))
-
-        sim.process(getter("g1"))
-        sim.process(getter("g2"))
-
-        def putter():
-            yield sim.timeout(1.0)
-            store.put("first")
-            store.put("second")
-
-        sim.process(putter())
-        sim.run()
-        assert results == [("g1", "first"), ("g2", "second")]
-
-    def test_len_and_peek(self, sim):
-        store = Store(sim)
-        store.put(1)
-        store.put(2)
-        assert len(store) == 2
-        assert store.peek_all() == [1, 2]
-
-
-class TestContainer:
-    def test_validation(self, sim):
-        with pytest.raises(ResourceError):
-            Container(sim, capacity=0)
-        with pytest.raises(ResourceError):
-            Container(sim, capacity=10, init=11)
-
-    def test_get_blocks_until_level(self, sim):
-        tank = Container(sim, capacity=100, init=0)
-
-        def getter():
-            yield tank.get(30)
-            return sim.now
-
-        def filler():
-            yield sim.timeout(1.0)
-            tank.put(20)
-            yield sim.timeout(1.0)
-            tank.put(20)
-
-        p = sim.process(getter())
-        sim.process(filler())
-        sim.run()
-        assert p.value == 2.0
-        assert tank.level == pytest.approx(10.0)
-
-    def test_overflow_rejected(self, sim):
-        tank = Container(sim, capacity=10, init=5)
-        with pytest.raises(ResourceError):
-            tank.put(6)
-
-    def test_get_exceeding_capacity_rejected(self, sim):
-        tank = Container(sim, capacity=10)
-        with pytest.raises(ResourceError):
-            tank.get(11)
-
-    def test_fifo_no_starvation(self, sim):
-        """A large blocked request must block smaller later ones."""
-        tank = Container(sim, capacity=100, init=0)
-        order = []
-
-        def getter(name, amount):
-            yield tank.get(amount)
-            order.append(name)
-
-        sim.process(getter("big", 50))
-        sim.process(getter("small", 5))
-
-        def filler():
-            yield sim.timeout(1.0)
-            tank.put(10)  # enough for small, but big is first
-            yield sim.timeout(1.0)
-            tank.put(90)
-
-        sim.process(filler())
-        sim.run()
-        assert order == ["big", "small"]

@@ -9,9 +9,6 @@ from repro.failures import FailureEvent, FailureInjector, FailureSchedule
 from repro.workloads import (
     CheckpointedJob,
     HotColdDirty,
-    PhasedDirty,
-    UniformDirty,
-    cluster_model_for,
     drive_vm,
     paper_scenario,
     scaled_scenario,
@@ -19,45 +16,26 @@ from repro.workloads import (
 
 
 class TestDirtyPatterns:
-    def test_uniform_bounds(self, rng):
-        p = UniformDirty(100)
-        idx = p.sample(rng, 1000)
-        assert idx.min() >= 0 and idx.max() < 100
-
     def test_hotcold_skew(self, rng):
         p = HotColdDirty(1000, hot_fraction=0.1, hot_weight=0.9)
         idx = p.sample(rng, 20000)
         hot = (idx < p.hot_pages).mean()
         assert 0.85 < hot < 0.95
 
-    def test_hotcold_expected_unique(self, rng):
-        p = HotColdDirty(1000, hot_fraction=0.1, hot_weight=0.9)
-        touches = 500
-        uniq = len(np.unique(p.sample(rng, touches)))
-        expected = p.expected_unique_pages(touches)
-        assert abs(uniq - expected) / expected < 0.25
-
-    def test_phased_window_moves(self, rng):
-        p = PhasedDirty(1000, phase_len=1, window=0.1)
-        first = set(p.sample(rng, 50))
-        for _ in range(4):
-            last = set(p.sample(rng, 50))
-        assert first != last
-
     def test_validation(self):
         with pytest.raises(ValueError):
-            UniformDirty(0)
+            HotColdDirty(0)
         with pytest.raises(ValueError):
             HotColdDirty(10, hot_fraction=1.5)
         with pytest.raises(ValueError):
-            PhasedDirty(10, phase_len=0)
+            HotColdDirty(10, hot_weight=-0.1)
 
     def test_drive_vm_dirties_only_while_running(self):
         sc = paper_scenario(seed=1)
         vm = sc.vms[0]
         rng = sc.rngs.stream("w")
         sc.sim.process(
-            drive_vm(sc.sim, vm, UniformDirty(vm.image.n_pages), rng, 10.0)
+            drive_vm(sc.sim, vm, HotColdDirty(vm.image.n_pages), rng, 10.0)
         )
         sc.sim.run(until=5.0)
         dirty_running = vm.image.dirty_page_count
@@ -70,7 +48,7 @@ class TestDirtyPatterns:
     def test_drive_requires_functional(self):
         sc = scaled_scenario(2, 1, functional=False)
         with pytest.raises(ValueError):
-            list(drive_vm(sc.sim, sc.vms[0], UniformDirty(4), None, 1.0))
+            list(drive_vm(sc.sim, sc.vms[0], HotColdDirty(4), None, 1.0))
 
 
 class TestScenarios:
@@ -78,7 +56,7 @@ class TestScenarios:
         sc = paper_scenario(seed=0)
         assert sc.cluster.n_nodes == 4
         assert len(sc.vms) == 12
-        assert all(vm.functional for vm in sc.vms)
+        assert all(vm.image is not None for vm in sc.vms)
         assert all(vm.image.dirty_page_count == 0 for vm in sc.vms)
 
     def test_scenario_seed_reproducible(self):
@@ -87,13 +65,6 @@ class TestScenarios:
         assert np.array_equal(a.vms[0].image.flat, b.vms[0].image.flat)
         c = paper_scenario(seed=10)
         assert not np.array_equal(a.vms[0].image.flat, c.vms[0].image.flat)
-
-    def test_cluster_model_for_mirror(self):
-        sc = paper_scenario()
-        m = cluster_model_for(sc)
-        assert m.n_nodes == 4
-        assert m.vms_per_node == 3
-        assert m.node_bandwidth == sc.cluster.spec.node_bandwidth
 
 
 class TestJobRunner:
