@@ -36,7 +36,7 @@ def _epoch_latency(kind: str):
 
 def _job(kind: str, overlap: bool, seed: int, fail: bool):
     work, interval = 4 * 3600.0, 600.0
-    sc = paper_scenario(seed=seed, functional=True)
+    sc = paper_scenario(seed=seed)
     inj = None
     if fail:
         rng = sc.rngs.stream("failures")

@@ -103,10 +103,13 @@ def test_rdp_protocol_double_failure(benchmark, report):
     2-node crash end to end (the scenario XOR cannot)."""
     from repro.core import dvdc
 
-    from conftest import functional_cluster, run_process
+    from repro.workloads import scaled_scenario
+
+    from conftest import run_process
 
     def scenario():
-        sim, cluster = functional_cluster(6, 2, seed=9)
+        sc = scaled_scenario(6, 2, vm_memory=1e9, seed=9)
+        sim, cluster = sc.sim, sc.cluster
         ck = dvdc(cluster, group_size=3, scheme="rdp")
         run_process(sim, ck.run_cycle())
         committed = {

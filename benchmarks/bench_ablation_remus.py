@@ -20,8 +20,9 @@ from repro.model import (
 )
 from repro.failures import PAPER_LAMBDA
 from repro.sim import Simulator
+from repro.workloads import scaled_scenario
 
-from conftest import functional_cluster, run_process
+from conftest import run_process
 
 GB = 1e9
 
@@ -102,7 +103,8 @@ def test_remus_failover_vs_dvdc_recovery_sim(benchmark, report):
         remus_resume = sim.now - t0  # instantaneous
 
         # DVDC recovery on the paper cluster
-        sim2, cluster2 = functional_cluster(4, 3, seed=5)
+        sc = scaled_scenario(4, 3, vm_memory=1e9, seed=5)
+        sim2, cluster2 = sc.sim, sc.cluster
         ck = dvdc(cluster2)
         run_process(sim2, ck.run_cycle())
         cluster2.kill_node(0)

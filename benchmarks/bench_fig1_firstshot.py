@@ -11,24 +11,17 @@ import numpy as np
 from repro.analysis import format_bytes, format_seconds, render_table
 from repro.core import first_shot
 
-from conftest import functional_cluster, run_process
+from repro.workloads import scaled_scenario
 
-
-def _build(n_data_nodes: int = 3):
-    sim, cluster = functional_cluster(n_data_nodes + 1, 1, seed=11)
-    # the spare (highest) node holds parity: move its VM off
-    spare = n_data_nodes
-    for vm in list(cluster.vms_on(spare)):
-        cluster.node(spare).evict(vm)
-        del cluster.vms[vm.vm_id]
-    return sim, cluster
+from conftest import run_process
 
 
 def _epoch(n_data_nodes: int = 3):
-    sim, cluster = _build(n_data_nodes)
-    ck = first_shot(cluster)
-    r = run_process(sim, ck.run_cycle())
-    return sim, cluster, ck, r
+    # the spare (highest) node stays empty to hold parity
+    sc = scaled_scenario(n_data_nodes + 1, 1, vm_memory=1e9, seed=11, spares=1)
+    ck = first_shot(sc.cluster)
+    r = run_process(sc.sim, ck.run_cycle())
+    return sc.sim, sc.cluster, ck, r
 
 
 def test_fig1_checkpoint_epoch(benchmark, report):

@@ -14,12 +14,11 @@ from repro.core import (
     validate_layout,
 )
 
-from conftest import functional_cluster
+from repro.workloads import scaled_scenario
 
 
 def _survivability(n_nodes: int, vms_per_node: int):
-    sim, cluster = functional_cluster(n_nodes, vms_per_node, seed=2,
-                                      image_pages=4, page_size=16)
+    cluster = scaled_scenario(n_nodes, vms_per_node, vm_memory=1e9, seed=2).cluster
     layout = build_orthogonal_layout(cluster, group_size=n_nodes - 1)
     ok = validate_layout(layout, cluster).ok
     single = survives_single_node_failure(layout, cluster, tolerance=1)
@@ -64,7 +63,7 @@ def test_fig2_survivability_matrix(benchmark, report):
 def test_fig2_layout_construction_speed(benchmark):
     """Layout building must stay cheap at scale (placement is on the
     recovery path via rebalance)."""
-    sim, cluster = functional_cluster(32, 4, seed=3, image_pages=4, page_size=16)
+    cluster = scaled_scenario(32, 4, vm_memory=1e9, seed=3).cluster
     layout = benchmark(build_orthogonal_layout, cluster, 8)
     assert validate_layout(layout, cluster).ok
 
@@ -82,7 +81,8 @@ def test_fig2_rack_domain_extension(benchmark, report):
     from repro.failures import racks
 
     def scenario():
-        sim, cluster = functional_cluster(6, 2, seed=4)
+        sc = scaled_scenario(6, 2, vm_memory=1e9, seed=4)
+        sim, cluster = sc.sim, sc.cluster
         domains = racks(6, 2)
         layout = build_orthogonal_layout(cluster, group_size=2, domains=domains)
         ok_aware = validate_layout(layout, cluster, domains=domains).ok

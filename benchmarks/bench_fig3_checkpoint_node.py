@@ -9,22 +9,22 @@ dedicated node's rx link + XOR engine become the bottleneck.
 from repro.analysis import format_bytes, format_seconds, render_table
 from repro.core import checkpoint_node, dvdc
 
-from conftest import functional_cluster, run_process
+from repro.workloads import scaled_scenario
+
+from conftest import run_process
 
 
 def _fig3_epoch():
-    sim, cluster = functional_cluster(4, 3, seed=21)
-    # vacate node 3 -> dedicated checkpoint node, 9 protected VMs
-    for vm in list(cluster.vms_on(3)):
-        cluster.node(3).evict(vm)
-        del cluster.vms[vm.vm_id]
-    ck = checkpoint_node(cluster, node_id=3)
-    r = run_process(sim, ck.run_cycle())
-    return cluster, ck, r
+    # node 3 stays empty -> dedicated checkpoint node, 9 protected VMs
+    sc = scaled_scenario(4, 3, vm_memory=1e9, seed=21, spares=1)
+    ck = checkpoint_node(sc.cluster, node_id=3)
+    r = run_process(sc.sim, ck.run_cycle())
+    return sc.cluster, ck, r
 
 
 def _fig4_epoch(n_vms: int = 9):
-    sim, cluster = functional_cluster(4, 3, seed=21)
+    sc = scaled_scenario(4, 3, vm_memory=1e9, seed=21)
+    sim, cluster = sc.sim, sc.cluster
     # keep only n_vms so both architectures protect the same count
     for vm in list(cluster.all_vms)[n_vms:]:
         cluster.node(vm.node_id).evict(vm)
@@ -62,10 +62,8 @@ def test_fig3_dedicated_node_loss_recovers_parity(benchmark, report):
     group re-encodes; no VM state is touched."""
 
     def scenario():
-        sim, cluster = functional_cluster(4, 3, seed=22)
-        for vm in list(cluster.vms_on(3)):
-            cluster.node(3).evict(vm)
-            del cluster.vms[vm.vm_id]
+        sc = scaled_scenario(4, 3, vm_memory=1e9, seed=22, spares=1)
+        sim, cluster = sc.sim, sc.cluster
         ck = checkpoint_node(cluster, node_id=3)
         run_process(sim, ck.run_cycle())
         cluster.kill_node(3)

@@ -12,14 +12,16 @@ from repro.analysis import format_bytes, format_seconds, render_table
 from repro.checkpoint import IncrementalCapture
 from repro.core import dvdc
 
-from conftest import functional_cluster, run_process
+from repro.workloads import scaled_scenario
+
+from conftest import run_process
 
 
 def _epoch():
-    sim, cluster = functional_cluster(4, 3, seed=31)
-    ck = dvdc(cluster)
-    r = run_process(sim, ck.run_cycle())
-    return sim, cluster, ck, r
+    sc = scaled_scenario(4, 3, vm_memory=1e9, seed=31)
+    ck = dvdc(sc.cluster)
+    r = run_process(sc.sim, ck.run_cycle())
+    return sc.sim, sc.cluster, ck, r
 
 
 def test_fig4_epoch_even_parity_split(benchmark, report):
@@ -54,7 +56,9 @@ def test_fig4_incremental_epoch(benchmark, report):
         return None
 
     def inc_epoch():
-        sim, cluster = functional_cluster(4, 3, seed=32)
+        sc = scaled_scenario(4, 3, vm_memory=1e9, seed=32, image_pages=16,
+                             page_size=64)
+        sim, cluster = sc.sim, sc.cluster
         ck = dvdc(cluster, strategy=IncrementalCapture())
         run_process(sim, ck.run_cycle())
         rng = np.random.default_rng(0)

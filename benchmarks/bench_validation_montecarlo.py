@@ -98,7 +98,7 @@ def test_valmc_system_level(benchmark, report):
     lam = 4 / node_mtbf
 
     def one_run(seed: int) -> float | None:
-        sc = paper_scenario(seed=seed, functional=True)
+        sc = paper_scenario(seed=seed)
         rng = sc.rngs.stream("failures")
         sched = FailureSchedule.draw(
             rng, Exponential(1 / node_mtbf), 4, horizon=work * 8,

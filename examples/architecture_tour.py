@@ -12,22 +12,12 @@ image per protected VM.
 Run:  python examples/architecture_tour.py
 """
 
-import numpy as np
-
-from repro import ClusterSpec, VirtualCluster
+from repro import scaled_scenario
 from repro.analysis import format_bytes, format_seconds, render_table
 from repro.checkpoint import RemusModel
 from repro.core import checkpoint_node, dvdc, first_shot
-from repro.sim import Simulator
 
 GB = 1e9
-
-
-def _functional_vm(cluster, node, rng):
-    vm = cluster.create_vm(node, GB, dirty_rate=2e5, image_pages=16, page_size=64)
-    vm.image.write(0, rng.integers(0, 256, 512, dtype=np.uint8))
-    vm.image.clear_dirty()
-    return vm
 
 
 def run_epoch(ck, sim):
@@ -42,33 +32,20 @@ def run_epoch(ck, sim):
 
 def build_fig1():
     """Fig. 1: 3 compute nodes x 1 VM + 1 dedicated parity node."""
-    sim = Simulator()
-    cluster = VirtualCluster(sim, ClusterSpec(n_nodes=4))
-    rng = np.random.default_rng(1)
-    for node in range(3):
-        _functional_vm(cluster, node, rng)
-    return sim, cluster, first_shot(cluster)
+    sc = scaled_scenario(4, 1, vm_memory=GB, seed=1, spares=1)
+    return sc.sim, sc.cluster, first_shot(sc.cluster)
 
 
 def build_fig3():
     """Fig. 3: 3 compute nodes x 3 VMs + 1 dedicated checkpoint node."""
-    sim = Simulator()
-    cluster = VirtualCluster(sim, ClusterSpec(n_nodes=4))
-    rng = np.random.default_rng(2)
-    for node in range(3):
-        for _ in range(3):
-            _functional_vm(cluster, node, rng)
-    return sim, cluster, checkpoint_node(cluster, node_id=3)
+    sc = scaled_scenario(4, 3, vm_memory=GB, seed=2, spares=1)
+    return sc.sim, sc.cluster, checkpoint_node(sc.cluster, node_id=3)
 
 
 def build_fig4():
     """Fig. 4: 4 compute nodes x 3 VMs, rotating parity — DVDC."""
-    sim = Simulator()
-    cluster = VirtualCluster(sim, ClusterSpec(n_nodes=4))
-    rng = np.random.default_rng(3)
-    for i in range(12):
-        _functional_vm(cluster, i % 4, rng)
-    return sim, cluster, dvdc(cluster)
+    sc = scaled_scenario(4, 3, vm_memory=GB, seed=3)
+    return sc.sim, sc.cluster, dvdc(sc.cluster)
 
 
 def main() -> None:

@@ -17,22 +17,16 @@ Run:  python examples/double_failure_protection.py
 
 import numpy as np
 
-from repro import ClusterSpec, VirtualCluster
+from repro import scaled_scenario
 from repro.analysis import format_bytes, format_seconds, render_table
 from repro.core import dvdc
-from repro.sim import Simulator
 
 GB = 1e9
 
 
 def build_cluster(seed: int):
-    sim = Simulator()
-    cluster = VirtualCluster(sim, ClusterSpec(n_nodes=6))
-    rng = np.random.default_rng(seed)
-    for vm in cluster.create_vms_balanced(12, GB, image_pages=32, page_size=128):
-        vm.image.write(0, rng.integers(0, 256, 2048, dtype=np.uint8))
-        vm.image.clear_dirty()
-    return sim, cluster, rng
+    sc = scaled_scenario(6, 2, vm_memory=GB, seed=seed, image_pages=32, page_size=128)
+    return sc.sim, sc.cluster, sc.rngs.stream("writes")
 
 
 def main() -> None:

@@ -30,7 +30,7 @@ from repro.workloads import (
 def run_one(kind: str, seed: int, work: float, interval: float,
             node_mtbf: float, repair: float, tracer: Tracer | None = None):
     tracer = tracer if tracer is not None else Tracer(enabled=False)
-    sc = paper_scenario(seed=seed, functional=True, tracer=tracer)
+    sc = paper_scenario(seed=seed, tracer=tracer)
     # one shared trace per seed: both methods see identical crashes
     trace_rng = sc.rngs.stream("failure-trace")
     schedule = FailureSchedule.draw(

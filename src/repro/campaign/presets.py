@@ -153,6 +153,10 @@ def study_sweep(
     ``methods`` are dicts with the :class:`repro.experiments.MethodSpec`
     fields (``name``, optional ``incremental``/``overlap``/``label``).
     """
+    if not methods:
+        raise ValueError("need at least one method")
+    if seeds < 1:
+        raise ValueError(f"need at least one seed, got {seeds}")
     return Sweep(
         name=name,
         kind="study_cell",

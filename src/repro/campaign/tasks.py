@@ -166,12 +166,10 @@ def run_study_cell(params: dict, seed: int | None) -> dict:
 
     params: method {name, incremental, overlap, label}, trace_seed,
     work, interval, node_mtbf, repair_time, n_nodes, vms_per_node.
-    Delegates to :class:`repro.experiments.PairedJobStudy` so the cell
-    is the exact computation the serial study performs.
     """
     from dataclasses import asdict
 
-    from ..experiments import MethodSpec, PairedJobStudy
+    from ..experiments import MethodSpec, run_job_cell
 
     m = params["method"]
     spec = MethodSpec(
@@ -180,17 +178,15 @@ def run_study_cell(params: dict, seed: int | None) -> dict:
         overlap=bool(m.get("overlap", False)),
         label=m.get("label"),
     )
-    study = PairedJobStudy(
-        methods=[spec],
+    outcome = run_job_cell(
+        spec, int(params["trace_seed"]),
         work=float(params["work"]),
         interval=float(params["interval"]),
         node_mtbf=float(params["node_mtbf"]),
         repair_time=float(params.get("repair_time", 30.0)),
-        seeds=int(params["trace_seed"]) + 1,
         n_nodes=int(params.get("n_nodes", 4)),
         vms_per_node=int(params.get("vms_per_node", 3)),
     )
-    outcome = study._run_cell(spec, int(params["trace_seed"]))
     return {
         "method": outcome.method,
         "trace_seed": outcome.seed,

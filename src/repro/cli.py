@@ -184,9 +184,7 @@ def _epoch_method(arch: str):
 
 
 def _cmd_epoch(args: argparse.Namespace) -> int:
-    sc = scaled_scenario(
-        args.nodes, args.vms_per_node, seed=args.seed, functional=False
-    )
+    sc = scaled_scenario(args.nodes, args.vms_per_node, seed=args.seed)
     ck = _epoch_method(args.arch).build(sc.cluster)
 
     out = {}
@@ -222,7 +220,7 @@ def _cmd_job(args: argparse.Namespace) -> int:
     work = args.work * 3600.0
     rows = []
     for seed in range(args.seeds):
-        sc = paper_scenario(seed=seed, functional=True)
+        sc = paper_scenario(seed=seed)
         rng = sc.rngs.stream("failures")
         schedule = FailureSchedule.draw(
             rng, Exponential(1.0 / (args.node_mtbf * 3600.0)),
@@ -422,8 +420,7 @@ def _run_instrumented(args: argparse.Namespace):
         return probe
     if args.scenario == "epoch":
         sc = scaled_scenario(
-            args.nodes, args.vms_per_node, seed=args.seed, functional=False,
-            tracer=probe,
+            args.nodes, args.vms_per_node, seed=args.seed, tracer=probe
         )
         sc.sim.attach_probe(probe)
         ck = _epoch_method(args.arch).build(sc.cluster, tracer=probe)
@@ -432,7 +429,7 @@ def _run_instrumented(args: argparse.Namespace):
     # job: checkpointed work with failure injection — exercises the
     # recovery track too
     work = args.work * 3600.0
-    sc = paper_scenario(seed=args.seed, functional=True, tracer=probe)
+    sc = paper_scenario(seed=args.seed, tracer=probe)
     sc.sim.attach_probe(probe)
     rng = sc.rngs.stream("failures")
     schedule = FailureSchedule.draw(
@@ -514,27 +511,16 @@ def _audit_heal(args: argparse.Namespace) -> int:
     cluster, recovery, then ``SelfHealer.reprotect``.  With a spare the
     cluster must end PROTECTED (and report the window of vulnerability);
     with an empty pool it must settle in DEGRADED and say so."""
-    import numpy as np
-
     from .audit import Auditor
-    from .cluster import ClusterSpec, VirtualCluster
+    from .coding import parse_scheme
     from .core import dvdc
     from .resilience import ClusterHealth, SelfHealer, SparePool
-    from .sim import Simulator
 
-    sim = Simulator()
-    total = args.nodes + args.spares
-    cluster = VirtualCluster(sim, ClusterSpec(n_nodes=total))
-    rng = np.random.default_rng(args.seed)
-    for node in range(args.nodes):
-        for _ in range(args.vms_per_node):
-            vm = cluster.create_vm(node, 64e6, image_pages=32, page_size=128)
-            vm.image.write(
-                0, rng.integers(0, 256, vm.image.nbytes // 2, dtype=np.uint8)
-            )
-            vm.image.clear_dirty()
-    from .coding import parse_scheme
-
+    sc = scaled_scenario(
+        args.nodes + args.spares, args.vms_per_node, vm_memory=64e6,
+        seed=args.seed, image_pages=32, page_size=128, spares=args.spares,
+    )
+    sim, cluster = sc.sim, sc.cluster
     spares = SparePool.provision(cluster, args.spares)
     n_shards = parse_scheme(args.scheme).n_shards
     ck = dvdc(
@@ -811,29 +797,18 @@ def _cmd_serving_study(args: argparse.Namespace) -> int:
 
 def _controlplane_build(args: argparse.Namespace):
     """Build a managed functional cluster: (sim, cluster, ck, cp, rngs)."""
-    import numpy as np
-
-    from .cluster import ClusterSpec, VirtualCluster
     from .controlplane import ControlPlane, ControlPlaneConfig
     from .core import dvdc
     from .resilience import DEFAULT_RETRY, SparePool
-    from .sim import Simulator, Tracer
-    from .sim.rng import RngRegistry
+    from .sim import Tracer
 
-    sim = Simulator()
     tracer = Tracer()
     total = args.nodes + args.spares
-    cluster = VirtualCluster(sim, ClusterSpec(n_nodes=total), tracer=tracer)
-    rngs = RngRegistry(args.seed)
-    init = rngs.stream("image-init")
-    pages, page_size = 16, 64
-    for i in range(args.nodes * args.vms_per_node):
-        vm = cluster.create_vm(
-            i % args.nodes, float(pages * page_size),
-            dirty_rate=10.0, image_pages=pages, page_size=page_size,
-        )
-        vm.image.write(0, init.integers(0, 256, 512, dtype=np.uint8))
-        vm.image.clear_dirty()
+    sc = scaled_scenario(
+        total, args.vms_per_node, vm_memory=1024.0, seed=args.seed,
+        image_pages=16, page_size=64, spares=args.spares, tracer=tracer,
+    )
+    sim, cluster, rngs = sc.sim, sc.cluster, sc.rngs
     ck = dvdc(
         cluster, group_size=args.group_size, tracer=tracer,
         retry=DEFAULT_RETRY, retry_rng=rngs.stream("retry"),

@@ -131,27 +131,6 @@ class VirtualCluster:
         self.vms[vm.vm_id] = vm
         return vm
 
-    def create_vms_balanced(
-        self,
-        n_vms: int,
-        memory_bytes: float,
-        dirty_rate: float = 0.0,
-        image_pages: int | None = None,
-        page_size: int = 4096,
-    ) -> list[VirtualMachine]:
-        """Round-robin ``n_vms`` identical VMs across all nodes — the
-        Fig. 4 layout when ``n_vms == 3 · n_nodes``."""
-        return [
-            self.create_vm(
-                i % self.n_nodes,
-                memory_bytes,
-                dirty_rate=dirty_rate,
-                image_pages=image_pages,
-                page_size=page_size,
-            )
-            for i in range(n_vms)
-        ]
-
     # ------------------------------------------------------------------
     # lookup
     # ------------------------------------------------------------------

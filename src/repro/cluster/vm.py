@@ -14,6 +14,7 @@ correctness tests prove that a reconstructed VM is byte-identical.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 from .memory import DEFAULT_PAGE_SIZE, MemoryImage
@@ -59,10 +60,11 @@ class VirtualMachine:
         page_size: int = DEFAULT_PAGE_SIZE,
         name: str | None = None,
     ):
-        if memory_bytes <= 0:
-            raise VMError(f"memory_bytes must be > 0, got {memory_bytes}")
-        if dirty_rate < 0:
-            raise VMError(f"dirty_rate must be >= 0, got {dirty_rate}")
+        # NaN fails every comparison, so these reject it with infinity
+        if not (0 < memory_bytes < math.inf):
+            raise VMError(f"memory_bytes must be finite and > 0, got {memory_bytes}")
+        if not (0 <= dirty_rate < math.inf):
+            raise VMError(f"dirty_rate must be finite and >= 0, got {dirty_rate}")
         self.vm_id = int(vm_id)
         self.name = name or f"vm{vm_id}"
         self.memory_bytes = float(memory_bytes)

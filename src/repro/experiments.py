@@ -24,7 +24,6 @@ import numpy as np
 
 from .analysis.stats import summarize
 from .analysis.tables import format_seconds, render_table
-from .checkpoint.adaptive import AdaptivePolicy
 from .checkpoint.diskful import DiskfulCheckpointer
 from .checkpoint.strategies import ForkedCapture, IncrementalCapture
 from .core.architectures import checkpoint_node, dvdc, first_shot
@@ -34,7 +33,7 @@ from .sim import NULL_TRACER, Tracer
 from .workloads.app import CheckpointedJob, JobResult
 from .workloads.generators import scaled_scenario
 
-__all__ = ["MethodSpec", "JobOutcome", "StudyOutcome", "PairedJobStudy"]
+__all__ = ["MethodSpec", "JobOutcome", "StudyOutcome", "run_job_cell"]
 
 #: Named method constructors: name -> (factory(cluster, incremental) -> ckpt)
 _METHOD_NAMES = ("dvdc", "diskful", "dvdc_rdp", "checkpoint_node", "first_shot")
@@ -153,62 +152,43 @@ class StudyOutcome:
         )
 
 
-class PairedJobStudy:
-    """Run several methods over identical failure traces (CRN design).
+def run_job_cell(
+    spec: MethodSpec,
+    seed: int,
+    *,
+    work: float,
+    interval: float,
+    node_mtbf: float,
+    repair_time: float,
+    n_nodes: int,
+    vms_per_node: int,
+) -> JobOutcome:
+    """One (method, trace seed) cell of a paired job study.
 
-    Parameters mirror the Fig. 5 setting by default.  Each seed draws
-    one failure schedule; every method replays it exactly, so
-    cross-method differences are pure protocol cost.
+    ``seed`` draws one failure schedule; every method replays it
+    exactly (common random numbers), so cross-method differences are
+    pure protocol cost.
     """
-
-    def __init__(
-        self,
-        methods: list[MethodSpec],
-        work: float = 4 * 3600.0,
-        interval: float | AdaptivePolicy = 600.0,
-        node_mtbf: float = 6 * 3600.0,
-        repair_time: float = 30.0,
-        seeds: int = 5,
-        n_nodes: int = 4,
-        vms_per_node: int = 3,
-    ):
-        if not methods:
-            raise ValueError("need at least one MethodSpec")
-        if seeds < 1:
-            raise ValueError("need at least one seed")
-        self.methods = methods
-        self.work = float(work)
-        self.interval = interval
-        self.node_mtbf = float(node_mtbf)
-        self.repair_time = float(repair_time)
-        self.seeds = int(seeds)
-        self.n_nodes = n_nodes
-        self.vms_per_node = vms_per_node
-
-    def _run_cell(self, spec: MethodSpec, seed: int) -> JobOutcome:
-        # RDP needs room for two parity homes off the member nodes
-        n_nodes = self.n_nodes
-        if spec.name == "dvdc_rdp" and n_nodes < 4:
-            raise ValueError("dvdc_rdp needs >= 4 nodes")
-        sc = scaled_scenario(
-            n_nodes, self.vms_per_node, seed=seed,
-            functional=True, image_pages=32, page_size=128,
-        )
-        rng = sc.rngs.stream("failure-trace")
-        schedule = FailureSchedule.draw(
-            rng, Exponential(1.0 / self.node_mtbf), n_nodes,
-            horizon=self.work * 10, repair_time=self.repair_time,
-        )
-        injector = FailureInjector(sc.sim, n_nodes, schedule=schedule)
-        ck = spec.build(sc.cluster)
-        job = CheckpointedJob(
-            sc.cluster, ck, work=self.work, interval=self.interval,
-            injector=injector, repair_time=self.repair_time,
-            overlap=spec.overlap,
-        )
-        injector.start()
-        proc = job.start()
-        sc.sim.run(until=self.work * 100)
-        if proc.ok is False:
-            raise proc.value
-        return JobOutcome(method=spec.display, seed=seed, result=job.result)
+    # RDP needs room for two parity homes off the member nodes
+    if spec.name == "dvdc_rdp" and n_nodes < 4:
+        raise ValueError("dvdc_rdp needs >= 4 nodes")
+    sc = scaled_scenario(
+        n_nodes, vms_per_node, seed=seed, image_pages=32, page_size=128
+    )
+    rng = sc.rngs.stream("failure-trace")
+    schedule = FailureSchedule.draw(
+        rng, Exponential(1.0 / node_mtbf), n_nodes,
+        horizon=work * 10, repair_time=repair_time,
+    )
+    injector = FailureInjector(sc.sim, n_nodes, schedule=schedule)
+    ck = spec.build(sc.cluster)
+    job = CheckpointedJob(
+        sc.cluster, ck, work=work, interval=interval,
+        injector=injector, repair_time=repair_time, overlap=spec.overlap,
+    )
+    injector.start()
+    proc = job.start()
+    sc.sim.run(until=work * 100)
+    if proc.ok is False:
+        raise proc.value
+    return JobOutcome(method=spec.display, seed=seed, result=job.result)

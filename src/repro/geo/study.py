@@ -94,10 +94,6 @@ class GeoConfig:
         if self.lag_epochs < 0 or self.lag_epochs > self.epochs:
             raise ValueError("lag_epochs must be in 0..epochs")
 
-    @property
-    def n_vms(self) -> int:
-        return self.n_nodes * self.vms_per_node
-
     def geo_spec(self) -> GeoSpec:
         return GeoSpec(
             n_nodes=self.n_nodes,

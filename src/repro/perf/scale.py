@@ -1,7 +1,8 @@
 """The canonical DVDC scale scenario: builder, epoch driver, digests.
 
-One scenario body, shared by every study that needs "a DVDC cluster
-running incremental checkpoint epochs":
+The DVDC layer over :func:`repro.workloads.scaled_scenario`, shared by
+every study that needs "a DVDC cluster running incremental checkpoint
+epochs":
 
 * :func:`build_scale_scenario` (flat fabric) and
   :func:`repro.geo.study.build_geo_scenario` (multi-site fabric) both
@@ -30,11 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..checkpoint.strategies import IncrementalCapture
-from ..cluster.cluster import ClusterSpec, VirtualCluster
-from ..controlplane.scheduler import PlacementEngine
+from ..cluster.cluster import ClusterSpec
 from ..core.architectures import dvdc
 from ..sim import NULL_TRACER, SimulationError, Simulator, Tracer
 from ..sim.rng import RngRegistry
+from ..workloads.generators import scaled_scenario
 
 __all__ = [
     "ScaleConfig",
@@ -62,16 +63,12 @@ class ScaleConfig:
     dirty_pages_per_vm: int = 4
     trace: bool = False
 
-    @property
-    def n_vms(self) -> int:
-        return self.n_nodes * self.vms_per_node
-
 
 def build_scenario(cfg, spec: ClusterSpec, tracer: Tracer | None = None,
                    **checkpointer):
     """Construct ``(sim, cluster, checkpointer, rngs, tracer)`` on ``spec``.
 
-    ``cfg`` supplies ``seed``, ``trace``, ``n_vms``, ``image_pages``,
+    ``cfg`` supplies ``seed``, ``trace``, ``vms_per_node``, ``image_pages``,
     ``page_size``, ``epochs`` and ``dirty_pages_per_vm``; ``checkpointer``
     is forwarded to :func:`~repro.core.architectures.dvdc` (group size,
     scheme, domains).  ``tracer`` overrides the default (``Tracer()``
@@ -79,35 +76,22 @@ def build_scenario(cfg, spec: ClusterSpec, tracer: Tracer | None = None,
     telemetry ``Probe`` here to export span timelines of the exact same
     scenario.
     """
-    # configs reach here from campaign spec files, so bad sizes are
-    # rejected by field name: 0 pages means "no functional image" to
-    # create_vm, and negative counts would run zero epochs or die in numpy
-    for name, least in (("image_pages", 1), ("page_size", 1),
-                        ("epochs", 0), ("dirty_pages_per_vm", 0)):
-        if getattr(cfg, name) < least:
-            raise ValueError(f"{name} must be >= {least}, got {getattr(cfg, name)}")
-    sim = Simulator()
+    # configs reach here from campaign spec files, so bad counts are
+    # rejected by field name (the builder checks the image sizes):
+    # negative counts would run zero epochs or die in numpy
+    for name in ("epochs", "dirty_pages_per_vm"):
+        if getattr(cfg, name) < 0:
+            raise ValueError(f"{name} must be >= 0, got {getattr(cfg, name)}")
     if tracer is None:
         tracer = Tracer() if cfg.trace else NULL_TRACER
-    rngs = RngRegistry(cfg.seed)
-    cluster = VirtualCluster(sim, spec, tracer=tracer)
-    # placement routed through the control plane's engine; on an empty
-    # cluster its least-loaded greedy reproduces the classic round-robin
-    # exactly (pinned by the golden digests)
-    hosts = PlacementEngine(cluster).spread(cfg.n_vms)
-    init = rngs.stream("image-init")
-    for i in range(cfg.n_vms):
-        vm = cluster.create_vm(
-            hosts[i], 1e9, dirty_rate=2e5,
-            image_pages=cfg.image_pages, page_size=cfg.page_size,
-        )
-        fill = min(512, vm.image.nbytes)
-        vm.image.write(0, init.integers(0, 256, fill, dtype=np.uint8))
-        vm.image.clear_dirty()
-    ckpt = dvdc(
-        cluster, strategy=IncrementalCapture(), tracer=tracer, **checkpointer
+    sc = scaled_scenario(
+        spec, cfg.vms_per_node, vm_memory=1e9, seed=cfg.seed,
+        image_pages=cfg.image_pages, page_size=cfg.page_size, tracer=tracer,
     )
-    return sim, cluster, ckpt, rngs, tracer
+    ckpt = dvdc(
+        sc.cluster, strategy=IncrementalCapture(), tracer=tracer, **checkpointer
+    )
+    return sc.sim, sc.cluster, ckpt, sc.rngs, tracer
 
 
 def build_scale_scenario(cfg: ScaleConfig, tracer: Tracer | None = None):

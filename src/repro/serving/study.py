@@ -5,7 +5,7 @@ seeded open-loop arrival trace under one protection policy.  All
 policies at the same trace seed share identical arrival, service, and
 failure traces (common random numbers), so cross-policy latency
 differences are pure protocol cost — the same CRN discipline
-:class:`~repro.experiments.PairedJobStudy` applies to batch jobs.
+:func:`~repro.experiments.run_job_cell` applies to batch jobs.
 
 The default policy set is the ISSUE's comparison square:
 
@@ -147,8 +147,7 @@ def run_serving_cell(
     """
     sc = scaled_scenario(
         load.n_nodes, load.vms_per_node, vm_memory=load.vm_memory,
-        seed=seed, functional=True, image_pages=16, page_size=64,
-        tracer=tracer,
+        seed=seed, image_pages=16, page_size=64, tracer=tracer,
     )
     arrivals = OpenLoopArrivals(load.arrival_config(), sc.rngs)
     ck = None

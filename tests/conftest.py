@@ -6,8 +6,17 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterSpec, VirtualCluster
+from repro.controlplane import PlacementEngine
 from repro.perf import run_process  # noqa: F401 - test modules import it from here
 from repro.sim import RngRegistry, Simulator
+
+
+def spread_vms(cluster: VirtualCluster, n_vms: int, memory_bytes: float,
+               **vm_kwargs) -> list:
+    """``n_vms`` identical VMs placed by ``PlacementEngine.spread``: on an
+    empty cluster, VM *i* lands on node ``i % n_nodes``."""
+    return [cluster.create_vm(host, memory_bytes, **vm_kwargs)
+            for host in PlacementEngine(cluster).spread(n_vms)]
 
 
 @pytest.fixture
@@ -35,8 +44,8 @@ def cluster4(sim: Simulator) -> VirtualCluster:
 def paper_cluster(sim: Simulator) -> VirtualCluster:
     """Fig. 4 complete: 4 nodes × 3 functional VMs with seeded content."""
     cluster = VirtualCluster(sim, ClusterSpec(n_nodes=4))
-    vms = cluster.create_vms_balanced(
-        12, 1e9, dirty_rate=1e6, image_pages=32, page_size=128
+    vms = spread_vms(
+        cluster, 12, 1e9, dirty_rate=1e6, image_pages=32, page_size=128
     )
     rng = np.random.default_rng(777)
     for vm in vms:

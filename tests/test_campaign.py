@@ -215,6 +215,19 @@ class TestRunner:
         assert [r.ok for r in result.runs] == [True, False, True]
         assert "ValueError" in result.failures()[0].error
 
+    def test_nan_vm_size_fails_its_task_by_field_name(self):
+        """Python's json reads ``NaN``, so a spec file can carry one; the
+        cell used to die in the network layer with "invalid delay nan"."""
+        sweep = Sweep.from_dict(json.loads(
+            '{"name": "nan", "kind": "serving_cell", "base": {"policy": '
+            '{"name": "checkpoint", "checkpoint": true, "interval": 1.0}, '
+            '"load": {"vm_memory": NaN, "n_requests": 1000}, "trace_seed": 0}}'
+        ))
+        result = CampaignRunner(jobs=1).run(sweep.expand())
+        assert result.n_failed == 1
+        error = result.failures()[0].error
+        assert "VMError" in error and "memory_bytes" in error
+
     def test_failed_task_not_stored(self, tmp_path):
         store = ResultStore(tmp_path / "s")
         bad = Task("fig5_point", {"method": "diskful"})

@@ -16,7 +16,7 @@ from repro.checkpoint import (
 )
 from repro.cluster import CheckpointKind, VMState
 
-from conftest import run_process
+from conftest import run_process, spread_vms
 
 
 def _vm_and_hv(cluster, node=0):
@@ -129,7 +129,7 @@ class TestFunctionalCompression:
 
 class TestCoordinator:
     def test_barrier_pause_is_max_over_nodes(self, cluster4, sim):
-        vms = cluster4.create_vms_balanced(8, 1e9)  # 2 per node
+        vms = spread_vms(cluster4, 8, 1e9)  # 2 per node
         coord = CoordinatedCheckpoint(cluster4, ForkedCapture())
 
         def proc():
@@ -143,7 +143,7 @@ class TestCoordinator:
         assert len(outcomes) == 8
 
     def test_vms_resumed_after_barrier(self, cluster4, sim):
-        vms = cluster4.create_vms_balanced(4, 1e9)
+        vms = spread_vms(cluster4, 4, 1e9)
         coord = CoordinatedCheckpoint(cluster4, ForkedCapture())
 
         def proc():
@@ -153,7 +153,7 @@ class TestCoordinator:
         assert all(vm.state == VMState.RUNNING for vm in vms)
 
     def test_failed_vms_skipped(self, cluster4, sim):
-        vms = cluster4.create_vms_balanced(4, 1e9)
+        vms = spread_vms(cluster4, 4, 1e9)
         vms[2].mark_failed()
         coord = CoordinatedCheckpoint(cluster4, ForkedCapture())
 

@@ -17,6 +17,8 @@ from repro.cluster import (
     VMState,
 )
 
+from conftest import spread_vms
+
 
 class TestVM:
     def test_lifecycle(self):
@@ -58,6 +60,15 @@ class TestVM:
             VirtualMachine(0, 0.0)
         with pytest.raises(VMError):
             VirtualMachine(0, 1e9, dirty_rate=-1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_sizes_rejected_by_name(self, bad):
+        """NaN passed both range checks and died much later in the
+        network layer as an invalid flow delay."""
+        with pytest.raises(VMError, match="memory_bytes"):
+            VirtualMachine(0, bad)
+        with pytest.raises(VMError, match="dirty_rate"):
+            VirtualMachine(0, 1e9, dirty_rate=bad)
 
     def test_functional_image_attachment(self):
         vm = VirtualMachine(0, 1e9, image_pages=8, page_size=64)
@@ -218,7 +229,7 @@ class TestHypervisor:
 
 class TestClusterFacade:
     def test_balanced_creation(self, cluster4):
-        vms = cluster4.create_vms_balanced(12, 1e9)
+        vms = spread_vms(cluster4, 12, 1e9)
         assert [vm.node_id for vm in vms] == [0, 1, 2, 3] * 3
         assert len(cluster4.vms_on(0)) == 3
 
@@ -229,7 +240,7 @@ class TestClusterFacade:
             cluster4.vm(99)
 
     def test_kill_and_repair(self, cluster4):
-        cluster4.create_vms_balanced(4, 1e9)
+        spread_vms(cluster4, 4, 1e9)
         lost = cluster4.kill_node(1)
         assert [vm.vm_id for vm in lost] == [1]
         assert len(cluster4.alive_nodes) == 3
@@ -237,13 +248,13 @@ class TestClusterFacade:
         assert len(cluster4.alive_nodes) == 4
 
     def test_move_vm(self, cluster4):
-        vms = cluster4.create_vms_balanced(4, 1e9)
+        vms = spread_vms(cluster4, 4, 1e9)
         cluster4.move_vm(0, 3)
         assert vms[0].node_id == 3
         assert len(cluster4.vms_on(3)) == 2
 
     def test_place_failed_vm(self, cluster4):
-        vms = cluster4.create_vms_balanced(4, 1e9)
+        vms = spread_vms(cluster4, 4, 1e9)
         cluster4.kill_node(0)
         cluster4.place_failed_vm(0, 2)
         assert vms[0].node_id == 2
@@ -251,7 +262,7 @@ class TestClusterFacade:
         assert vms[0].state == VMState.FAILED
 
     def test_place_failed_requires_homeless(self, cluster4):
-        cluster4.create_vms_balanced(4, 1e9)
+        spread_vms(cluster4, 4, 1e9)
         with pytest.raises(NodeError):
             cluster4.place_failed_vm(0, 2)
 

@@ -40,7 +40,7 @@ from repro.core.placement import validate_layout
 from repro.resilience import Scrubber
 from repro.sim import Simulator
 
-from conftest import run_process
+from conftest import run_process, spread_vms
 
 
 def _members(seed: int, lengths) -> list[np.ndarray]:
@@ -282,8 +282,8 @@ class TestXorTransparency:
     def _checkpointed(self, scheme):
         sim = Simulator()
         cluster = VirtualCluster(sim, ClusterSpec(n_nodes=4))
-        vms = cluster.create_vms_balanced(
-            12, 1e9, dirty_rate=1e6, image_pages=32, page_size=128
+        vms = spread_vms(
+            cluster, 12, 1e9, dirty_rate=1e6, image_pages=32, page_size=128
         )
         rng = np.random.default_rng(777)
         for vm in vms:
@@ -318,8 +318,8 @@ class TestMultiShardLayouts:
     def _cluster(self, n_nodes=8, vms=16):
         sim = Simulator()
         cluster = VirtualCluster(sim, ClusterSpec(n_nodes=n_nodes))
-        cluster.create_vms_balanced(
-            vms, 1e9, dirty_rate=1e6, image_pages=8, page_size=64
+        spread_vms(
+            cluster, vms, 1e9, dirty_rate=1e6, image_pages=8, page_size=64
         )
         return cluster
 
@@ -352,8 +352,8 @@ class TestSchemeAwareScrubber:
     def _checkpointed(self, n_nodes, scheme):
         sim = Simulator()
         cluster = VirtualCluster(sim, ClusterSpec(n_nodes=n_nodes))
-        vms = cluster.create_vms_balanced(
-            2 * n_nodes, 1e9, dirty_rate=1e6, image_pages=16, page_size=128
+        vms = spread_vms(
+            cluster, 2 * n_nodes, 1e9, dirty_rate=1e6, image_pages=16, page_size=128
         )
         rng = np.random.default_rng(4242)
         for vm in vms:

@@ -22,14 +22,14 @@ from repro.core import (
 )
 from repro.sim import Simulator
 
-from conftest import run_process
+from conftest import run_process, spread_vms
 
 
 def _cluster(n_nodes=6, vms=12, seed=4):
     sim = Simulator()
     cluster = VirtualCluster(sim, ClusterSpec(n_nodes=n_nodes))
     rng = np.random.default_rng(seed)
-    for vm in cluster.create_vms_balanced(vms, 1e9, image_pages=16, page_size=64):
+    for vm in spread_vms(cluster, vms, 1e9, image_pages=16, page_size=64):
         vm.image.write(0, rng.integers(0, 256, 512, dtype=np.uint8))
         vm.image.clear_dirty()
     return sim, cluster, rng

@@ -8,7 +8,7 @@ from repro.checkpoint import IncrementalCapture
 from repro.cluster import ClusterSpec, VirtualCluster, VMState, xor_reduce
 from repro.core import checkpoint_node, dvdc, first_shot, validate_layout
 
-from conftest import run_process
+from conftest import run_process, spread_vms
 
 
 def _parity_matches_committed(cluster, ck):
@@ -211,8 +211,8 @@ class TestFoldedEpoch:
         incremental epoch.  Returns the cluster, the checkpointer and
         ``id`` of every committed payload before the folded epoch."""
         cluster = VirtualCluster(sim, ClusterSpec(n_nodes=6))
-        for vm in cluster.create_vms_balanced(
-            12, 1e9, dirty_rate=1e6, image_pages=16, page_size=128
+        for vm in spread_vms(
+            cluster, 12, 1e9, dirty_rate=1e6, image_pages=16, page_size=128
         ):
             vm.image.write(0, rng.integers(0, 256, 2048, dtype=np.uint8))
             vm.image.clear_dirty()
@@ -361,7 +361,7 @@ class TestCheckpointNodeArchitecture:
         # Fig. 4 with same total VM count (12 VMs over 4 nodes)
         sim_b = __import__("repro.sim", fromlist=["Simulator"]).Simulator()
         cluster_b = VirtualCluster(sim_b, ClusterSpec(n_nodes=4))
-        cluster_b.create_vms_balanced(12, 1e9)
+        spread_vms(cluster_b, 12, 1e9)
         ck_b = dvdc(cluster_b)
 
         def proc_b():

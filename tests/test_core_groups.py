@@ -12,6 +12,8 @@ from repro.core import (
     layout_firstshot,
 )
 
+from conftest import spread_vms
+
 
 class TestGroupLayout:
     def test_duplicate_membership_rejected(self):
@@ -52,7 +54,7 @@ class TestGroupLayout:
 
 class TestOrthogonalBuilder:
     def test_dvdc_figure4_layout(self, cluster4):
-        cluster4.create_vms_balanced(12, 1e9)
+        spread_vms(cluster4, 12, 1e9)
         layout = layout_dvdc(cluster4)
         assert len(layout) == 4
         for g in layout.groups:
@@ -63,7 +65,7 @@ class TestOrthogonalBuilder:
         assert sorted(layout.parity_load().values()) == [1, 1, 1, 1]
 
     def test_all_vms_covered_exactly_once(self, cluster4):
-        cluster4.create_vms_balanced(12, 1e9)
+        spread_vms(cluster4, 12, 1e9)
         layout = layout_dvdc(cluster4)
         assert layout.vm_ids == list(range(12))
 
@@ -80,12 +82,12 @@ class TestOrthogonalBuilder:
             assert len(nodes) == len(set(nodes))
 
     def test_group_size_exceeding_nodes_rejected(self, cluster4):
-        cluster4.create_vms_balanced(4, 1e9)
+        spread_vms(cluster4, 4, 1e9)
         with pytest.raises(LayoutError):
             build_orthogonal_layout(cluster4, group_size=5)
 
     def test_group_size_equal_nodes_has_no_parity_home(self, cluster4):
-        cluster4.create_vms_balanced(4, 1e9)
+        spread_vms(cluster4, 4, 1e9)
         with pytest.raises(LayoutError):
             build_orthogonal_layout(cluster4, group_size=4, parity="rotate")
 
@@ -98,12 +100,12 @@ class TestOrthogonalBuilder:
         assert all(g.parity_node == 3 for g in layout.groups)
 
     def test_fixed_parity_hosting_member_rejected(self, cluster4):
-        cluster4.create_vms_balanced(8, 1e9)
+        spread_vms(cluster4, 8, 1e9)
         with pytest.raises(LayoutError):
             build_orthogonal_layout(cluster4, 2, parity=0)
 
     def test_invalid_parity_arg(self, cluster4):
-        cluster4.create_vms_balanced(4, 1e9)
+        spread_vms(cluster4, 4, 1e9)
         with pytest.raises(LayoutError):
             build_orthogonal_layout(cluster4, 2, parity="magic")
         with pytest.raises(LayoutError):
@@ -120,13 +122,13 @@ class TestOrthogonalBuilder:
         from repro.failures.domains import FailureDomainMap
 
         small = VirtualCluster(sim, ClusterSpec(n_nodes=3))
-        small.create_vms_balanced(3, 1e9)
+        spread_vms(small, 3, 1e9)
         with pytest.raises(LayoutError, match="3 nodes .* 3 parity shards"):
             layout_dvdc(small, n_parity=3)
         with pytest.raises(LayoutError, match="3 nodes .* 3 parity shards"):
             dvdc(small, scheme="rs-4-3")
         wide = VirtualCluster(sim, ClusterSpec(n_nodes=12))
-        wide.create_vms_balanced(12, 1e9)
+        spread_vms(wide, 12, 1e9)
         sites = FailureDomainMap(tuple(n % 3 for n in range(12)))
         with pytest.raises(
             LayoutError, match="3 failure domains .* 3 parity shards"
@@ -158,7 +160,7 @@ class TestFirstShot:
             layout_firstshot(cluster4)
 
     def test_requires_free_parity_node(self, cluster4):
-        cluster4.create_vms_balanced(4, 1e9)
+        spread_vms(cluster4, 4, 1e9)
         with pytest.raises(LayoutError):
             layout_firstshot(cluster4)
 
@@ -184,6 +186,6 @@ class TestCheckpointNode:
             assert len(nodes) == len(g.member_vm_ids)
 
     def test_checkpoint_node_hosting_vms_rejected(self, cluster4):
-        cluster4.create_vms_balanced(8, 1e9)
+        spread_vms(cluster4, 8, 1e9)
         with pytest.raises(LayoutError):
             layout_checkpoint_node(cluster4, checkpoint_node=0)

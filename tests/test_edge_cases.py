@@ -10,7 +10,7 @@ from repro.failures import FailureEvent, FailureInjector, FailureSchedule
 from repro.sim import Simulator
 from repro.workloads import CheckpointedJob, paper_scenario
 
-from conftest import run_process
+from conftest import run_process, spread_vms
 
 
 class TestRamConstrainedNodes:
@@ -23,7 +23,7 @@ class TestRamConstrainedNodes:
         cluster = VirtualCluster(
             sim, ClusterSpec(n_nodes=4, node_ram=3.0 * 3e9)
         )
-        cluster.create_vms_balanced(12, 1e9)
+        spread_vms(cluster, 12, 1e9)
         ck = dvdc(cluster)
 
         def proc():
@@ -39,7 +39,7 @@ class TestRamConstrainedNodes:
         cluster = VirtualCluster(
             sim, ClusterSpec(n_nodes=4, node_ram=1.5 * 3e9)
         )
-        cluster.create_vms_balanced(12, 1e9)
+        spread_vms(cluster, 12, 1e9)
         ck = dvdc(cluster)
 
         def proc():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.experiments import JobOutcome, MethodSpec, PairedJobStudy, StudyOutcome
+from repro.campaign import run_study_campaign
+from repro.experiments import JobOutcome, MethodSpec, StudyOutcome, run_job_cell
 from repro.workloads import JobResult
 
 
@@ -22,14 +23,14 @@ class TestMethodSpec:
         from repro.workloads import scaled_scenario
 
         for name in ("dvdc", "diskful", "checkpoint_node", "first_shot"):
-            sc = scaled_scenario(4, 3, functional=False)
+            sc = scaled_scenario(4, 3)
             ck = MethodSpec(name, incremental=False).build(sc.cluster)
             assert hasattr(ck, "run_cycle") and hasattr(ck, "recover")
 
     def test_build_rdp_needs_room(self):
         from repro.workloads import scaled_scenario
 
-        sc = scaled_scenario(6, 2, functional=False)
+        sc = scaled_scenario(6, 2)
         ck = MethodSpec("dvdc_rdp", incremental=False).build(sc.cluster)
         assert len(ck.layout) >= 1
 
@@ -64,19 +65,19 @@ class TestStudyOutcome:
 
 class TestPairedJobStudy:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PairedJobStudy(methods=[])
-        with pytest.raises(ValueError):
-            PairedJobStudy(methods=[MethodSpec("dvdc")], seeds=0)
+        """Both used to return an empty table without complaint."""
+        with pytest.raises(ValueError, match="method"):
+            run_study_campaign(methods=[])
+        with pytest.raises(ValueError, match="seed"):
+            run_study_campaign(methods=[{"name": "dvdc"}], seeds=0)
 
     def test_small_study_end_to_end(self):
-        study = PairedJobStudy(
-            methods=[MethodSpec("dvdc"), MethodSpec("diskful")],
-            work=1800.0, seeds=2, node_mtbf=200 * 3600.0,
-        )
-        out = StudyOutcome(work=study.work, cells=[
-            study._run_cell(spec, seed)
-            for seed in range(study.seeds) for spec in study.methods
+        cell = dict(work=1800.0, interval=600.0, node_mtbf=200 * 3600.0,
+                    repair_time=30.0, n_nodes=4, vms_per_node=3)
+        out = StudyOutcome(work=cell["work"], cells=[
+            run_job_cell(spec, seed, **cell)
+            for seed in range(2)
+            for spec in (MethodSpec("dvdc"), MethodSpec("diskful"))
         ])
         assert len(out.cells) == 4
         # failure-free-ish regime: both complete, DVDC cheaper

@@ -21,7 +21,7 @@ from repro.failures import (
 from repro.sim import Simulator
 from repro.workloads import CheckpointedJob
 
-from conftest import run_process
+from conftest import run_process, spread_vms
 
 
 def _rack_cluster(n_racks=3, nodes_per_rack=2, vms_per_node=2, seed=50):
@@ -29,8 +29,8 @@ def _rack_cluster(n_racks=3, nodes_per_rack=2, vms_per_node=2, seed=50):
     n_nodes = n_racks * nodes_per_rack
     cluster = VirtualCluster(sim, ClusterSpec(n_nodes=n_nodes))
     rng = np.random.default_rng(seed)
-    for vm in cluster.create_vms_balanced(
-        n_nodes * vms_per_node, 1e9, image_pages=16, page_size=64
+    for vm in spread_vms(
+        cluster, n_nodes * vms_per_node, 1e9, image_pages=16, page_size=64
     ):
         vm.image.write(0, rng.integers(0, 256, 512, dtype=np.uint8))
         vm.image.clear_dirty()

@@ -34,6 +34,7 @@ from repro.geo.study import GeoConfig, build_geo_scenario
 from repro.perf import ScaleConfig, build_scale_scenario, run_epochs, scenario_digests
 from repro.telemetry import Probe
 from repro.telemetry.export import chrome_trace
+from repro.workloads import scaled_scenario
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "scale64.json"
 #: The pinned scenario.  Changing any field invalidates the golden file.
@@ -128,24 +129,30 @@ def test_large_cluster_path_does_the_same_work_per_vm(n_nodes):
     sim, cluster, ckpt, rngs, _ = build_scale_scenario(cfg)
     run_epochs(sim, cluster, ckpt, rngs, cfg)
     assert [r.committed for r in ckpt.history] == [True] * cfg.epochs
-    assert 2 * sim.event_count == 27 * cfg.n_vms + 30
+    assert 2 * sim.event_count == 27 * len(cluster.vms) + 30
+
+
+_IMAGE_FIELDS = (("image_pages", 0), ("page_size", 0))
+_CONFIG_FIELDS = _IMAGE_FIELDS + (("epochs", -1), ("dirty_pages_per_vm", -1))
 
 
 @pytest.mark.parametrize(
-    "build,config",
-    [(build_scale_scenario, ScaleConfig(n_nodes=8)),
-     (build_geo_scenario, GeoConfig())],
-    ids=["scale", "geo"],
+    "build,fields",
+    [(lambda **bad: build_scale_scenario(replace(ScaleConfig(n_nodes=8), **bad)),
+      _CONFIG_FIELDS),
+     (lambda **bad: build_geo_scenario(replace(GeoConfig(), **bad)),
+      _CONFIG_FIELDS),
+     (lambda **bad: scaled_scenario(2, 1, **bad), _IMAGE_FIELDS)],
+    ids=["scale", "geo", "scaled"],
 )
-def test_scenario_rejects_empty_images_by_field_name(build, config):
+def test_scenario_rejects_empty_images_by_field_name(build, fields):
     """Both configs arrive from ``repro campaign --spec`` JSON; 0 pages
     used to die deep in the builder with an AttributeError on None, a
     negative epoch count quietly ran zero epochs, and a negative dirty
     page count died in numpy's "negative dimensions are not allowed"."""
-    for field, bad in (("image_pages", 0), ("page_size", 0),
-                       ("epochs", -1), ("dirty_pages_per_vm", -1)):
+    for field, bad in fields:
         with pytest.raises(ValueError, match=field):
-            build(replace(config, **{field: bad}))
+            build(**{field: bad})
 
 
 def test_scenario_runs_pages_shorter_than_the_dirty_stamp():

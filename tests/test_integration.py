@@ -24,7 +24,7 @@ from conftest import run_process
 
 
 def _run_job(kind, seed, work=2 * 3600.0, interval=600.0, mtbf_node=4 * 3600.0):
-    sc = paper_scenario(seed=seed, functional=True)
+    sc = paper_scenario(seed=seed)
     rng = sc.rngs.stream("failures")
     sched = FailureSchedule.draw(
         rng, Exponential(1 / mtbf_node), 4, horizon=work * 8, repair_time=30.0

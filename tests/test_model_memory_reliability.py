@@ -145,7 +145,7 @@ class TestReliabilityVsSimulation:
         total = 12
         wall_times = []
         for seed in range(total):
-            sc = paper_scenario(seed=seed, functional=True)
+            sc = paper_scenario(seed=seed)
             rng = sc.rngs.stream("failures")
             sched = FailureSchedule.draw(
                 rng, Exponential(1 / node_mtbf), 4, horizon=work * 10,

@@ -8,7 +8,7 @@ from repro.core import dvdc
 from repro.failures import FailureEvent, FailureInjector, FailureSchedule
 from repro.workloads import CheckpointedJob, paper_scenario
 
-from conftest import run_process
+from conftest import run_process, spread_vms
 
 
 class TestPauseDoneEvent:
@@ -234,7 +234,7 @@ class TestFlowTeardown:
         sim = Simulator()
         cluster = VirtualCluster(sim, ClusterSpec(n_nodes=6))
         rng = np.random.default_rng(2)
-        for vm in cluster.create_vms_balanced(12, 1e9, image_pages=16, page_size=64):
+        for vm in spread_vms(cluster, 12, 1e9, image_pages=16, page_size=64):
             vm.image.write(0, rng.integers(0, 256, 512, dtype=np.uint8))
             vm.image.clear_dirty()
         ck = dvdc(cluster, group_size=3, scheme="rdp")

@@ -16,6 +16,8 @@ from repro.model import (
 )
 from repro.sim import Simulator
 
+from conftest import spread_vms
+
 
 def buffers(k, min_len=1, max_len=200):
     return st.integers(min_value=min_len, max_value=max_len).flatmap(
@@ -122,7 +124,7 @@ class TestLayoutProperties:
             return
         sim = Simulator()
         cluster = VirtualCluster(sim, ClusterSpec(n_nodes=n_nodes))
-        cluster.create_vms_balanced(n_nodes * vms_per_node, 1e9)
+        spread_vms(cluster, n_nodes * vms_per_node, 1e9)
         layout = build_orthogonal_layout(cluster, group_size)
         assert validate_layout(layout, cluster).ok
         assert sorted(layout.vm_ids) == list(range(n_nodes * vms_per_node))
@@ -135,7 +137,7 @@ class TestLayoutProperties:
     def test_parity_load_balanced_within_one(self, n_nodes, vms_per_node):
         sim = Simulator()
         cluster = VirtualCluster(sim, ClusterSpec(n_nodes=n_nodes))
-        cluster.create_vms_balanced(n_nodes * vms_per_node, 1e9)
+        spread_vms(cluster, n_nodes * vms_per_node, 1e9)
         layout = build_orthogonal_layout(cluster, n_nodes - 1)
         load = layout.parity_load()
         values = [load.get(n, 0) for n in range(n_nodes)]

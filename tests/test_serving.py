@@ -404,8 +404,7 @@ class TestConcurrentKills:
         run concurrently, the second re-placed VMs the first had already
         hosted and was written off as unrecoverable."""
         sc = scaled_scenario(
-            8, 2, vm_memory=float(16 << 20), seed=0,
-            functional=True, image_pages=16, page_size=64,
+            8, 2, vm_memory=float(16 << 20), seed=0, image_pages=16, page_size=64,
         )
         ck = dvdc(sc.cluster, group_size=4, scheme="rs-4-2")
         arrivals = OpenLoopArrivals(

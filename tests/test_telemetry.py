@@ -374,7 +374,7 @@ class TestInstrumentedRun:
         from repro.workloads import scaled_scenario
 
         probe = Probe()
-        sc = scaled_scenario(3, 2, seed=0, functional=False, tracer=probe)
+        sc = scaled_scenario(3, 2, seed=0, tracer=probe)
         sc.sim.attach_probe(probe)
         ck = DiskfulCheckpointer(sc.cluster, tracer=probe)
         sc.sim.run_processes(ck.run_cycle())

@@ -45,10 +45,10 @@ class TestDirtyPatterns:
         sc.sim.run(until=10.0)
         assert vm.image.dirty_page_count == 0
 
-    def test_drive_requires_functional(self):
-        sc = scaled_scenario(2, 1, functional=False)
+    def test_drive_requires_functional(self, cluster4):
+        vm = cluster4.create_vm(0, 1e9)  # no functional image
         with pytest.raises(ValueError):
-            list(drive_vm(sc.sim, sc.vms[0], HotColdDirty(4), None, 1.0))
+            list(drive_vm(cluster4.sim, vm, HotColdDirty(4), None, 1.0))
 
 
 class TestScenarios:
@@ -65,6 +65,51 @@ class TestScenarios:
         assert np.array_equal(a.vms[0].image.flat, b.vms[0].image.flat)
         c = paper_scenario(seed=10)
         assert not np.array_equal(a.vms[0].image.flat, c.vms[0].image.flat)
+
+    @pytest.mark.parametrize("spares", [0, 1, 2])
+    def test_builder_contract(self, spares):
+        """Round-robin on the first ``n - spares`` nodes, the rest empty
+        for the spare pool, and images seeded by one rule."""
+        from repro.resilience import SparePool
+        from repro.sim import RngRegistry
+
+        n, per_node = 6, 2
+        sc = scaled_scenario(n, per_node, seed=5, image_pages=4, page_size=64,
+                             spares=spares)
+        hosts = n - spares
+        assert len(sc.vms) == hosts * per_node
+        assert [vm.node_id for vm in sc.vms] == [
+            i % hosts for i in range(hosts * per_node)]
+        pool = SparePool.provision(sc.cluster, spares)
+        assert pool.available == tuple(range(hosts, n))
+        init = RngRegistry(5).stream("image-init")
+        for vm in sc.vms:
+            assert vm.dirty_rate == 2e5
+            assert vm.image.dirty_page_count == 0
+            head = init.integers(0, 256, 256, dtype=np.uint8)
+            assert np.array_equal(vm.image.flat[:256], head)
+            assert not vm.image.flat[256:].any()
+
+    def test_builder_fills_at_most_512_bytes(self):
+        """A large image gets 512 seeded bytes and zeros after them."""
+        sc = scaled_scenario(2, 1, seed=1)
+        img = sc.vms[0].image
+        assert img.nbytes == 64 * 256
+        assert img.flat[:512].any() and not img.flat[512:].any()
+
+    def test_builder_takes_a_cluster_spec(self):
+        from repro.cluster import ClusterSpec
+
+        spec = ClusterSpec(n_nodes=3, allocator="reference")
+        sc = scaled_scenario(spec, 2)
+        assert sc.cluster.spec is spec
+        assert sc.cluster.topology.network.allocator == "reference"
+        assert [vm.node_id for vm in sc.vms] == [0, 1, 2, 0, 1, 2]
+
+    @pytest.mark.parametrize("spares", [-1, 3])
+    def test_builder_rejects_spares_out_of_range(self, spares):
+        with pytest.raises(ValueError, match="spares"):
+            scaled_scenario(3, 1, spares=spares)
 
 
 class TestJobRunner:
