@@ -17,14 +17,12 @@ import numpy as np
 
 from repro.analysis import format_seconds, render_table
 from repro.campaign import run_validate_campaign
-from repro.checkpoint import DiskfulCheckpointer
-from repro.failures import Exponential, FailureInjector, FailureSchedule
+from repro.experiments import MethodSpec, run_job_cell
 from repro.model import (
     ClusterModel,
     diskful_costs,
     expected_time_with_overhead,
 )
-from repro.workloads import CheckpointedJob, paper_scenario
 
 PARALLEL_JOBS = 4
 
@@ -98,22 +96,13 @@ def test_valmc_system_level(benchmark, report):
     lam = 4 / node_mtbf
 
     def one_run(seed: int) -> float | None:
-        sc = paper_scenario(seed=seed)
-        rng = sc.rngs.stream("failures")
-        sched = FailureSchedule.draw(
-            rng, Exponential(1 / node_mtbf), 4, horizon=work * 8,
-            repair_time=30.0,
-        )
-        inj = FailureInjector(sc.sim, 4, schedule=sched)
-        ck = DiskfulCheckpointer(sc.cluster)
-        job = CheckpointedJob(sc.cluster, ck, work=work, interval=interval,
-                              injector=inj, repair_time=30.0)
-        inj.start()
-        proc = job.start()
-        sc.sim.run()
-        if proc.ok is False:
-            raise proc.value
-        return job.result.time_ratio if job.result.completed else None
+        # full images: the model's overhead is diskful_costs of whole VMs
+        r = run_job_cell(
+            MethodSpec("diskful", incremental=False), seed,
+            work=work, interval=interval, node_mtbf=node_mtbf,
+            repair_time=30.0, n_nodes=4, vms_per_node=3,
+        ).result
+        return r.time_ratio if r.completed else None
 
     def replications():
         vals = [one_run(seed) for seed in range(5)]

@@ -52,10 +52,10 @@ import math
 import sys
 
 from .analysis import ascii_plot, format_bytes, format_seconds, render_table
-from .failures import Exponential, FailureInjector, FailureSchedule
+from .experiments import METHOD_NAMES, MethodSpec, run_job_cell
 from .model import ClusterModel
 from .sim import NULL_TRACER
-from .workloads import CheckpointedJob, paper_scenario, scaled_scenario
+from .workloads import scaled_scenario
 
 __all__ = ["main", "build_parser"]
 
@@ -177,23 +177,17 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
 
 def _epoch_method(arch: str):
     """The ``--arch`` spelling as a full-capture :class:`MethodSpec`."""
-    from .experiments import MethodSpec
-
     name = {"checkpoint-node": "checkpoint_node", "firstshot": "first_shot"}
     return MethodSpec(name.get(arch, arch), incremental=False)
 
 
 def _cmd_epoch(args: argparse.Namespace) -> int:
-    sc = scaled_scenario(args.nodes, args.vms_per_node, seed=args.seed)
-    ck = _epoch_method(args.arch).build(sc.cluster)
-
-    out = {}
-
-    def proc():
-        out["r"] = yield from ck.run_cycle()
-
-    sc.sim.run_processes(proc())
-    r = out["r"]
+    sc, ck = _epoch_method(args.arch).build(
+        args.nodes, args.vms_per_node, seed=args.seed
+    )
+    proc = sc.sim.process(ck.run_cycle())
+    sc.sim.run()
+    r = proc.value
     rows = [[
         args.arch,
         len(sc.cluster.all_vms),
@@ -214,33 +208,14 @@ def _cmd_epoch(args: argparse.Namespace) -> int:
 
 
 def _cmd_job(args: argparse.Namespace) -> int:
-    from .checkpoint import DiskfulCheckpointer, IncrementalCapture
-    from .core import dvdc
-
-    work = args.work * 3600.0
     rows = []
     for seed in range(args.seeds):
-        sc = paper_scenario(seed=seed)
-        rng = sc.rngs.stream("failures")
-        schedule = FailureSchedule.draw(
-            rng, Exponential(1.0 / (args.node_mtbf * 3600.0)),
-            sc.cluster.n_nodes, horizon=work * 10, repair_time=args.repair,
-        )
-        injector = FailureInjector(sc.sim, sc.cluster.n_nodes, schedule=schedule)
-        if args.method == "dvdc":
-            ck = dvdc(sc.cluster, strategy=IncrementalCapture())
-        else:
-            ck = DiskfulCheckpointer(sc.cluster)
-        job = CheckpointedJob(
-            sc.cluster, ck, work=work, interval=args.interval,
-            injector=injector, repair_time=args.repair, overlap=args.overlap,
-        )
-        injector.start()
-        proc = job.start()
-        sc.sim.run(until=work * 50)
-        if proc.ok is False:
-            raise proc.value
-        r = job.result
+        r = run_job_cell(
+            MethodSpec(args.method, overlap=args.overlap), seed,
+            work=args.work * 3600.0, interval=args.interval,
+            node_mtbf=args.node_mtbf * 3600.0, repair_time=args.repair,
+            n_nodes=4, vms_per_node=3,
+        ).result
         rows.append([
             seed,
             "yes" if r.completed else "LOST",
@@ -396,9 +371,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 def _run_instrumented(args: argparse.Namespace):
     """Run the chosen scenario with a live probe; returns the probe.
 
-    ``epoch``/``job`` run full simulations (spans on the checkpoint /
-    recovery tracks, sim/network/storage metrics); ``fig5`` runs the
-    analytic campaign (spans on the campaign track, per-task timings).
+    ``epoch``/``job``/``serving`` run full simulations (spans on the
+    checkpoint / recovery tracks, sim/network/storage metrics); ``fig5``
+    runs the analytic campaign (spans on the campaign track, per-task
+    timings).
     """
     from .telemetry import Probe
 
@@ -419,36 +395,20 @@ def _run_instrumented(args: argparse.Namespace):
         )
         return probe
     if args.scenario == "epoch":
-        sc = scaled_scenario(
+        sc, ck = _epoch_method(args.arch).build(
             args.nodes, args.vms_per_node, seed=args.seed, tracer=probe
         )
         sc.sim.attach_probe(probe)
-        ck = _epoch_method(args.arch).build(sc.cluster, tracer=probe)
         sc.sim.run_processes(ck.run_cycle())
         return probe
     # job: checkpointed work with failure injection — exercises the
     # recovery track too
-    work = args.work * 3600.0
-    sc = paper_scenario(seed=args.seed, tracer=probe)
-    sc.sim.attach_probe(probe)
-    rng = sc.rngs.stream("failures")
-    schedule = FailureSchedule.draw(
-        rng, Exponential(1.0 / (args.node_mtbf * 3600.0)),
-        sc.cluster.n_nodes, horizon=work * 10, repair_time=30.0,
+    run_job_cell(
+        MethodSpec(args.arch), args.seed,
+        work=args.work * 3600.0, interval=args.interval,
+        node_mtbf=args.node_mtbf * 3600.0, repair_time=30.0,
+        n_nodes=args.nodes, vms_per_node=args.vms_per_node, tracer=probe,
     )
-    injector = FailureInjector(
-        sc.sim, sc.cluster.n_nodes, schedule=schedule, tracer=probe
-    )
-    ck = _epoch_method(args.arch).build(sc.cluster, tracer=probe)
-    job = CheckpointedJob(
-        sc.cluster, ck, work=work, interval=args.interval,
-        injector=injector, repair_time=30.0,
-    )
-    injector.start()
-    proc = job.start()
-    sc.sim.run(until=work * 50)
-    if proc.ok is False:
-        raise proc.value
     return probe
 
 
@@ -459,8 +419,10 @@ def _add_scenario_flags(sp: argparse.ArgumentParser) -> None:
                     help="what to run under instrumentation")
     sp.add_argument("--arch", choices=["dvdc", "diskful"], default="dvdc",
                     help="epoch/job: checkpoint architecture")
-    sp.add_argument("--nodes", type=_positive_int, default=4, help="epoch: cluster size")
-    sp.add_argument("--vms-per-node", type=_positive_int, default=3)
+    sp.add_argument("--nodes", type=_positive_int, default=4,
+                    help="epoch/job/serving: cluster size")
+    sp.add_argument("--vms-per-node", type=_positive_int, default=3,
+                    help="epoch/job/serving: VMs on each node")
     sp.add_argument("--seed", type=_nonnegative_int, default=0)
     sp.add_argument("--points", type=_positive_int, default=48,
                     help="fig5: interval grid points")
@@ -1070,7 +1032,8 @@ def build_parser() -> argparse.ArgumentParser:
     jb.set_defaults(func=_cmd_job)
 
     stu = sub.add_parser("study", help="paired multi-method comparison")
-    stu.add_argument("--methods", nargs="+",
+    stu.add_argument("--methods", nargs="+", metavar="METHOD",
+                     choices=[m + o for m in METHOD_NAMES for o in ("", "+overlap")],
                      default=["dvdc", "diskful"],
                      help="dvdc diskful dvdc_rdp checkpoint_node first_shot; "
                           "append +overlap for latency-hiding execution")

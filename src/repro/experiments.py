@@ -30,23 +30,27 @@ from .core.architectures import checkpoint_node, dvdc, first_shot
 from .failures.distributions import Exponential
 from .failures.injector import FailureInjector, FailureSchedule
 from .sim import NULL_TRACER, Tracer
+from .telemetry import NULL_PROBE, probe_of
 from .workloads.app import CheckpointedJob, JobResult
 from .workloads.generators import scaled_scenario
 
-__all__ = ["MethodSpec", "JobOutcome", "StudyOutcome", "run_job_cell"]
+__all__ = ["METHOD_NAMES", "MethodSpec", "JobOutcome", "StudyOutcome", "run_job_cell"]
 
-#: Named method constructors: name -> (factory(cluster, incremental) -> ckpt)
-_METHOD_NAMES = ("dvdc", "diskful", "dvdc_rdp", "checkpoint_node", "first_shot")
+METHOD_NAMES = ("dvdc", "diskful", "dvdc_rdp", "checkpoint_node", "first_shot")
+
+#: Fewest nodes each method runs on: RDP's two parity homes off the
+#: members, the checkpoint server or parity node beside a data node.
+_MIN_NODES = {"dvdc_rdp": 4, "checkpoint_node": 2, "first_shot": 2}
 
 
 @dataclass(frozen=True)
 class MethodSpec:
     """One checkpointing configuration to compare.
 
-    ``name`` ∈ {dvdc, diskful, dvdc_rdp, checkpoint_node, first_shot}.
-    ``incremental`` uses dirty-page capture where the method supports it
-    (dvdc, diskful); ``overlap`` runs the job in latency-hiding mode.
-    ``label`` defaults to a description of the flags.
+    ``name`` ∈ :data:`METHOD_NAMES`.  ``incremental`` uses dirty-page
+    capture where the method supports it (dvdc, diskful); ``overlap``
+    runs the job in latency-hiding mode.  ``label`` defaults to a
+    description of the flags.
     """
 
     name: str
@@ -55,9 +59,9 @@ class MethodSpec:
     label: str | None = None
 
     def __post_init__(self) -> None:
-        if self.name not in _METHOD_NAMES:
+        if self.name not in METHOD_NAMES:
             raise ValueError(
-                f"unknown method {self.name!r}; pick from {_METHOD_NAMES}"
+                f"unknown method {self.name!r}; pick from {METHOD_NAMES}"
             )
 
     @property
@@ -71,36 +75,47 @@ class MethodSpec:
             bits.append("overlap")
         return "+".join(bits)
 
-    def build(self, cluster, tracer: Tracer = NULL_TRACER):
-        """Instantiate the checkpointer on a cluster.
+    def build(
+        self,
+        n_nodes: int,
+        vms_per_node: int,
+        *,
+        seed: int = 0,
+        tracer: Tracer = NULL_TRACER,
+        image_pages: int = 64,
+        page_size: int = 256,
+    ):
+        """The ``n_nodes`` cluster this method runs on, and its checkpointer.
 
-        Mutates the cluster where the architecture demands it (vacating
-        the parity node, thinning to one VM per node).
+        ``checkpoint_node`` keeps the last node free for the checkpoint
+        server; ``first_shot`` runs one VM on each other node and keeps
+        the last free for parity.  Sizes reach here from campaign spec
+        files, so bad ones are rejected by field name.
         """
+        # before first_shot's shaping replaces it with 1
+        if vms_per_node < 1:
+            raise ValueError(f"vms_per_node must be >= 1, got {vms_per_node}")
+        low = _MIN_NODES.get(self.name, 1)
+        if n_nodes < low:
+            raise ValueError(f"{self.name} needs >= {low} nodes, got {n_nodes}")
+        sc = scaled_scenario(
+            n_nodes, 1 if self.name == "first_shot" else vms_per_node,
+            seed=seed, image_pages=image_pages, page_size=page_size,
+            spares=int(self.name in ("checkpoint_node", "first_shot")),
+            tracer=tracer,
+        )
+        cluster = sc.cluster
         strategy = IncrementalCapture() if self.incremental else ForkedCapture()
         if self.name == "dvdc":
-            return dvdc(cluster, strategy=strategy, tracer=tracer)
+            return sc, dvdc(cluster, strategy=strategy, tracer=tracer)
         if self.name == "diskful":
-            return DiskfulCheckpointer(cluster, strategy=strategy, tracer=tracer)
+            return sc, DiskfulCheckpointer(cluster, strategy=strategy, tracer=tracer)
         if self.name == "dvdc_rdp":
-            return dvdc(
-                cluster, strategy=strategy, scheme="rdp",
-                group_size=max(1, cluster.n_nodes - 2), tracer=tracer,
-            )
+            return sc, dvdc(cluster, strategy=strategy, scheme="rdp",
+                            group_size=n_nodes - 2, tracer=tracer)
         if self.name == "checkpoint_node":
-            node = cluster.n_nodes - 1
-            for vm in list(cluster.vms_on(node)):
-                cluster.node(node).evict(vm)
-                del cluster.vms[vm.vm_id]
-            return checkpoint_node(cluster, node_id=node, tracer=tracer)
-        # first_shot: thin to one VM per node, freeing the last node
-        for node_id in range(cluster.n_nodes):
-            vms = cluster.vms_on(node_id)
-            drop = vms[1:] if node_id < cluster.n_nodes - 1 else vms
-            for vm in drop:
-                cluster.node(node_id).evict(vm)
-                del cluster.vms[vm.vm_id]
-        return first_shot(cluster, tracer=tracer)
+            return sc, checkpoint_node(cluster, node_id=n_nodes - 1, tracer=tracer)
+        return sc, first_shot(cluster, tracer=tracer)
 
 
 @dataclass
@@ -162,26 +177,27 @@ def run_job_cell(
     repair_time: float,
     n_nodes: int,
     vms_per_node: int,
+    tracer: Tracer = NULL_TRACER,
 ) -> JobOutcome:
     """One (method, trace seed) cell of a paired job study.
 
     ``seed`` draws one failure schedule; every method replays it
     exactly (common random numbers), so cross-method differences are
-    pure protocol cost.
+    pure protocol cost.  A :class:`~repro.telemetry.Probe` as ``tracer``
+    also observes the simulator's events.
     """
-    # RDP needs room for two parity homes off the member nodes
-    if spec.name == "dvdc_rdp" and n_nodes < 4:
-        raise ValueError("dvdc_rdp needs >= 4 nodes")
-    sc = scaled_scenario(
-        n_nodes, vms_per_node, seed=seed, image_pages=32, page_size=128
+    sc, ck = spec.build(
+        n_nodes, vms_per_node, seed=seed, tracer=tracer,
+        image_pages=32, page_size=128,
     )
+    if probe_of(tracer) is not NULL_PROBE:
+        sc.sim.attach_probe(tracer)
     rng = sc.rngs.stream("failure-trace")
     schedule = FailureSchedule.draw(
         rng, Exponential(1.0 / node_mtbf), n_nodes,
         horizon=work * 10, repair_time=repair_time,
     )
-    injector = FailureInjector(sc.sim, n_nodes, schedule=schedule)
-    ck = spec.build(sc.cluster)
+    injector = FailureInjector(sc.sim, n_nodes, schedule=schedule, tracer=tracer)
     job = CheckpointedJob(
         sc.cluster, ck, work=work, interval=interval,
         injector=injector, repair_time=repair_time, overlap=spec.overlap,

@@ -61,7 +61,8 @@ def scaled_scenario(
     """
     # sizes reach here from campaign spec files, so they are rejected by
     # field name: 0 pages means "no functional image" to create_vm
-    for name, value in (("image_pages", image_pages), ("page_size", page_size)):
+    for name, value in (("vms_per_node", vms_per_node),
+                        ("image_pages", image_pages), ("page_size", page_size)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     spec = nodes if isinstance(nodes, ClusterSpec) else ClusterSpec(n_nodes=nodes)

@@ -41,6 +41,17 @@ class TestParser:
         assert args.overlap
         assert args.seeds == 2
 
+    def test_study_methods_are_checked_by_the_parser(self, capsys):
+        """``--methods quantum`` used to end in a RuntimeError traceback."""
+        names = ["dvdc", "diskful", "dvdc_rdp", "checkpoint_node", "first_shot"]
+        every = names + [n + "+overlap" for n in names]
+        assert build_parser().parse_args(["study", "--methods", *every]).methods == every
+        for bad in ("quantum", "dvdc+full", "+overlap"):
+            with pytest.raises(SystemExit) as exc:
+                main(["study", "--methods", "dvdc", bad])
+            assert exc.value.code == 2
+            assert "argument --methods" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["fig5", "--mtbf", "0"],
         ["calibrate", "--size", "0"],
@@ -207,6 +218,32 @@ class TestCampaignCommand:
         assert parallel == serial
 
 
+class TestJobCommand:
+    """``repro job`` runs the study's cell on the paper 4x3 cluster."""
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    @pytest.mark.parametrize("method", ["dvdc", "diskful"])
+    def test_rows_are_study_cells(self, capsys, method, overlap):
+        from repro.analysis import format_seconds
+        from repro.campaign import run_study_campaign
+
+        argv = ["job", "--method", method, "--seeds", "2", "--work", "0.5"]
+        assert main(argv + ["--overlap"] * overlap) == 0
+        printed = [line.split() for line in capsys.readouterr().out.splitlines()]
+        # the job flags' defaults are the study's
+        outcome, _ = run_study_campaign(
+            methods=[{"name": method, "overlap": overlap}], work=1800.0, seeds=2,
+        )
+        assert len(outcome.cells) == 2
+        for cell in outcome.cells:
+            r = cell.result
+            assert [
+                str(cell.seed), "yes" if r.completed else "LOST",
+                f"{r.time_ratio:.3f}", str(r.n_failures), str(r.n_recoveries),
+                format_seconds(r.checkpoint_time), format_seconds(r.lost_work),
+            ] in printed
+
+
 class TestStudyCommand:
     def test_study_runs(self, capsys):
         assert main([
@@ -216,6 +253,16 @@ class TestStudyCommand:
         out = capsys.readouterr().out
         assert "paired study" in out
         assert "dvdc" in out and "diskful" in out
+
+    @pytest.mark.parametrize("method,low", [
+        ("first_shot", 2), ("checkpoint_node", 2), ("dvdc_rdp", 4),
+    ])
+    def test_study_below_the_node_minimum_names_it(self, method, low):
+        """first_shot on one node used to print a 0 % table over zero
+        VMs; checkpoint_node died in a LayoutError."""
+        with pytest.raises(RuntimeError, match=f"{method} needs >= {low} nodes"):
+            main(["study", "--methods", method, "--nodes", str(low - 1),
+                  "--seeds", "1", "--work", "0.2"])
 
     def test_study_overlap_suffix(self, capsys):
         assert main([
@@ -297,6 +344,36 @@ class TestTelemetryCommands:
         assert "repro_sim_events_total" in parse_prometheus_text(
             out.read_text()
         )
+
+    def test_job_scenario_metric_families(self, capsys):
+        from repro.telemetry import parse_prometheus_text
+
+        assert main(["metrics", "--scenario", "job"]) == 0
+        parsed = parse_prometheus_text(capsys.readouterr().out)
+        assert {
+            "repro_checkpoint_captures_total", "repro_checkpoint_pause_seconds",
+            "repro_failures_total", "repro_link_active_flows",
+            "repro_link_utilization", "repro_net_flow_bytes_total",
+            "repro_net_flow_seconds", "repro_net_flows_total",
+            "repro_sim_events_total", "repro_sim_heap_depth",
+            "repro_trace_events_total",
+        } <= set(parsed)
+
+    def test_job_scenario_honours_the_cluster_shape(self, tmp_path, capsys):
+        """The job scenario used to run the 4x3 cluster whatever
+        ``--nodes``/``--vms-per-node`` said."""
+        import json
+
+        out = tmp_path / "job.jsonl"
+        assert main(["trace", "export", "--scenario", "job", "--nodes", "6",
+                     "--vms-per-node", "2", "--format", "jsonl",
+                     "--out", str(out)]) == 0
+        docs = [json.loads(line) for line in out.read_text().splitlines()]
+        pauses = [d["data"] for d in docs if d.get("kind") == "coordinated.pause"]
+        assert pauses and all(p["n_vms"] == 12 for p in pauses)
+        links = docs[-1]["metrics"]["repro_link_utilization"]["series"]
+        assert {s["labels"]["link"] for s in links} == {
+            f"node{n}.{way}" for n in range(6) for way in ("rx", "tx")}
 
     def test_fig5_scenario_campaign_metrics(self, capsys):
         from repro.telemetry import parse_prometheus_text

@@ -4,8 +4,19 @@ import numpy as np
 import pytest
 
 from repro.campaign import run_study_campaign
-from repro.experiments import JobOutcome, MethodSpec, StudyOutcome, run_job_cell
+from repro.campaign.tasks import run_study_cell
+from repro.experiments import (
+    METHOD_NAMES,
+    JobOutcome,
+    MethodSpec,
+    StudyOutcome,
+    run_job_cell,
+)
 from repro.workloads import JobResult
+
+
+#: method -> fewest nodes it runs on
+MIN_NODES = [("dvdc_rdp", 4), ("checkpoint_node", 2), ("first_shot", 2)]
 
 
 class TestMethodSpec:
@@ -20,19 +31,43 @@ class TestMethodSpec:
         assert MethodSpec("dvdc", label="mine").display == "mine"
 
     def test_build_constructs_each_method(self):
-        from repro.workloads import scaled_scenario
-
-        for name in ("dvdc", "diskful", "checkpoint_node", "first_shot"):
-            sc = scaled_scenario(4, 3)
-            ck = MethodSpec(name, incremental=False).build(sc.cluster)
+        """Each method gets the cluster it needs: the checkpoint server
+        and first-shot's parity node stay free, first-shot runs one VM
+        per data node."""
+        shapes = {"dvdc": [3, 3, 3, 3], "diskful": [3, 3, 3, 3],
+                  "checkpoint_node": [3, 3, 3, 0], "first_shot": [1, 1, 1, 0]}
+        for name, per_node in shapes.items():
+            sc, ck = MethodSpec(name, incremental=False).build(4, 3)
             assert hasattr(ck, "run_cycle") and hasattr(ck, "recover")
+            assert [len(sc.cluster.vms_on(n)) for n in range(4)] == per_node
+            assert [vm.vm_id for vm in sc.vms] == list(range(sum(per_node)))
 
     def test_build_rdp_needs_room(self):
-        from repro.workloads import scaled_scenario
-
-        sc = scaled_scenario(6, 2)
-        ck = MethodSpec("dvdc_rdp", incremental=False).build(sc.cluster)
+        sc, ck = MethodSpec("dvdc_rdp", incremental=False).build(6, 2)
         assert len(ck.layout) >= 1
+        assert len(sc.vms) == 12
+
+    @pytest.mark.parametrize("name,low", MIN_NODES)
+    def test_build_names_the_node_minimum(self, name, low):
+        with pytest.raises(ValueError, match=f"{name} needs >= {low} nodes, got {low - 1}"):
+            MethodSpec(name).build(low - 1, 3)
+        sc, _ = MethodSpec(name).build(low, 3)
+        assert sc.cluster.n_nodes == low
+
+
+class TestStudyCellInputs:
+    """``study_cell`` parameters arrive from ``campaign --spec`` files."""
+
+    @pytest.mark.parametrize("vms_per_node", [0, -2])
+    @pytest.mark.parametrize("name", METHOD_NAMES)
+    def test_empty_nodes_rejected_by_field_name(self, name, vms_per_node):
+        """diskful used to report a completed job over zero VMs, and
+        first_shot died in ``max()`` of an empty sequence."""
+        cell = {"method": {"name": name}, "trace_seed": 0, "work": 600.0,
+                "interval": 300.0, "node_mtbf": 200 * 3600.0,
+                "vms_per_node": vms_per_node}
+        with pytest.raises(ValueError, match="vms_per_node must be >= 1"):
+            run_study_cell(cell, None)
 
 
 class TestStudyOutcome:

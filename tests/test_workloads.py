@@ -111,6 +111,12 @@ class TestScenarios:
         with pytest.raises(ValueError, match="spares"):
             scaled_scenario(3, 1, spares=spares)
 
+    @pytest.mark.parametrize("vms_per_node", [0, -2])
+    def test_builder_rejects_empty_nodes_by_field_name(self, vms_per_node):
+        """Both used to build a cluster with zero VMs."""
+        with pytest.raises(ValueError, match="vms_per_node must be >= 1"):
+            scaled_scenario(4, vms_per_node)
+
 
 class TestJobRunner:
     def _job(self, kind="dvdc", schedule_events=(), work=3600.0, interval=600.0):
