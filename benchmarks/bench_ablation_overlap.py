@@ -17,12 +17,10 @@ NAS fan-out — so diskless keeps winning under failures.
 from repro.analysis import format_seconds, render_table
 from repro.experiments import MethodSpec, run_job_cell
 
-from conftest import run_process
-
 
 def _epoch_latency(kind: str):
     sc, ck = MethodSpec(kind, incremental=False).build(4, 3, seed=8)
-    r = run_process(sc.sim, ck.run_cycle())
+    r = sc.sim.run_process(ck.run_cycle())
     return r.overhead, r.latency
 
 

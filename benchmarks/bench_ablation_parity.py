@@ -105,13 +105,11 @@ def test_rdp_protocol_double_failure(benchmark, report):
 
     from repro.workloads import scaled_scenario
 
-    from conftest import run_process
-
     def scenario():
         sc = scaled_scenario(6, 2, vm_memory=1e9, seed=9)
         sim, cluster = sc.sim, sc.cluster
         ck = dvdc(cluster, group_size=3, scheme="rdp")
-        run_process(sim, ck.run_cycle())
+        sim.run_process(ck.run_cycle())
         committed = {
             vm.vm_id: cluster.hypervisor(vm.node_id)
             .committed(vm.vm_id).payload_flat().copy()
@@ -119,7 +117,7 @@ def test_rdp_protocol_double_failure(benchmark, report):
         }
         cluster.kill_node(0)
         cluster.kill_node(1)
-        rep = run_process(sim, ck.recover(0))
+        rep = sim.run_process(ck.recover(0))
         ok = all(
             np.array_equal(cluster.vm(v).image.flat, committed[v])
             for v in committed

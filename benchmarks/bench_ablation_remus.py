@@ -22,7 +22,6 @@ from repro.failures import PAPER_LAMBDA
 from repro.sim import Simulator
 from repro.workloads import scaled_scenario
 
-from conftest import run_process
 
 GB = 1e9
 
@@ -106,10 +105,10 @@ def test_remus_failover_vs_dvdc_recovery_sim(benchmark, report):
         sc = scaled_scenario(4, 3, vm_memory=1e9, seed=5)
         sim2, cluster2 = sc.sim, sc.cluster
         ck = dvdc(cluster2)
-        run_process(sim2, ck.run_cycle())
+        sim2.run_process(ck.run_cycle())
         cluster2.kill_node(0)
         t1 = sim2.now
-        rep = run_process(sim2, ck.recover(0))
+        rep = sim2.run_process(ck.recover(0))
         return lost, remus_resume, rep.recovery_time
 
     lost, remus_resume, dvdc_recovery = benchmark.pedantic(

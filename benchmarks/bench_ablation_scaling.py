@@ -16,7 +16,6 @@ from repro.core import checkpoint_node, dvdc
 from repro.model import ClusterModel, diskful_costs, diskless_costs
 from repro.sim import Simulator
 
-from conftest import run_process
 
 VMS_PER_NODE = 2
 VM_BYTES = 1e9
@@ -31,7 +30,7 @@ def _epoch(n_nodes: int, dedicated: bool):
         ck = checkpoint_node(cluster, node_id=n_nodes, group_size=min(3, n_nodes))
     else:
         ck = dvdc(cluster, group_size=min(3, n_nodes - 1))
-    return run_process(sim, ck.run_cycle())
+    return sim.run_process(ck.run_cycle())
 
 
 def test_scaling_dvdc_vs_dedicated(benchmark, report):

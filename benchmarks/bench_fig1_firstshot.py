@@ -13,14 +13,12 @@ from repro.core import first_shot
 
 from repro.workloads import scaled_scenario
 
-from conftest import run_process
-
 
 def _epoch(n_data_nodes: int = 3):
     # the spare (highest) node stays empty to hold parity
     sc = scaled_scenario(n_data_nodes + 1, 1, vm_memory=1e9, seed=11, spares=1)
     ck = first_shot(sc.cluster)
-    r = run_process(sc.sim, ck.run_cycle())
+    r = sc.sim.run_process(ck.run_cycle())
     return sc.sim, sc.cluster, ck, r
 
 
@@ -53,7 +51,7 @@ def test_fig1_recovery(benchmark, report):
             for vm in cluster.all_vms
         }
         cluster.kill_node(0)
-        rep = run_process(sim, ck.recover(0))
+        rep = sim.run_process(ck.recover(0))
         ok = all(
             np.array_equal(cluster.vm(v).image.flat, committed[v])
             for v in committed

@@ -90,9 +90,7 @@ def test_fig2_rack_domain_extension(benchmark, report):
         ok_naive = validate_layout(naive, cluster, domains=domains).ok
         # functional proof: kill rack 1 (nodes 2+3), recover bit-exact
         ck = DisklessCheckpointer(cluster, layout)
-        from conftest import run_process
-
-        run_process(sim, ck.run_cycle())
+        sim.run_process(ck.run_cycle())
         committed = {
             vm.vm_id: cluster.hypervisor(vm.node_id)
             .committed(vm.vm_id).payload_flat().copy()
@@ -100,8 +98,8 @@ def test_fig2_rack_domain_extension(benchmark, report):
         }
         cluster.kill_node(2)
         cluster.kill_node(3)
-        run_process(sim, ck.recover(2))
-        run_process(sim, ck.recover(3))
+        sim.run_process(ck.recover(2))
+        sim.run_process(ck.recover(3))
         exact = all(
             np.array_equal(cluster.vm(v).image.flat, committed[v])
             for v in committed

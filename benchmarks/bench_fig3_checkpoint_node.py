@@ -11,14 +11,12 @@ from repro.core import checkpoint_node, dvdc
 
 from repro.workloads import scaled_scenario
 
-from conftest import run_process
-
 
 def _fig3_epoch():
     # node 3 stays empty -> dedicated checkpoint node, 9 protected VMs
     sc = scaled_scenario(4, 3, vm_memory=1e9, seed=21, spares=1)
     ck = checkpoint_node(sc.cluster, node_id=3)
-    r = run_process(sc.sim, ck.run_cycle())
+    r = sc.sim.run_process(ck.run_cycle())
     return sc.cluster, ck, r
 
 
@@ -30,7 +28,7 @@ def _fig4_epoch(n_vms: int = 9):
         cluster.node(vm.node_id).evict(vm)
         del cluster.vms[vm.vm_id]
     ck = dvdc(cluster, group_size=3)
-    r = run_process(sim, ck.run_cycle())
+    r = sim.run_process(ck.run_cycle())
     return cluster, ck, r
 
 
@@ -65,9 +63,9 @@ def test_fig3_dedicated_node_loss_recovers_parity(benchmark, report):
         sc = scaled_scenario(4, 3, vm_memory=1e9, seed=22, spares=1)
         sim, cluster = sc.sim, sc.cluster
         ck = checkpoint_node(cluster, node_id=3)
-        run_process(sim, ck.run_cycle())
+        sim.run_process(ck.run_cycle())
         cluster.kill_node(3)
-        rep = run_process(sim, ck.recover(3))
+        rep = sim.run_process(ck.recover(3))
         return rep
 
     rep = benchmark(scenario)

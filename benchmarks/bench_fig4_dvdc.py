@@ -14,13 +14,11 @@ from repro.core import dvdc
 
 from repro.workloads import scaled_scenario
 
-from conftest import run_process
-
 
 def _epoch():
     sc = scaled_scenario(4, 3, vm_memory=1e9, seed=31)
     ck = dvdc(sc.cluster)
-    r = run_process(sc.sim, ck.run_cycle())
+    r = sc.sim.run_process(ck.run_cycle())
     return sc.sim, sc.cluster, ck, r
 
 
@@ -60,14 +58,14 @@ def test_fig4_incremental_epoch(benchmark, report):
                              page_size=64)
         sim, cluster = sc.sim, sc.cluster
         ck = dvdc(cluster, strategy=IncrementalCapture())
-        run_process(sim, ck.run_cycle())
+        sim.run_process(ck.run_cycle())
         rng = np.random.default_rng(0)
         for vm in cluster.all_vms:
             vm.image.touch_pages(rng.integers(0, vm.image.n_pages, 2), rng)
         # advance time so the logical dirty estimate is realistic
         sim.schedule(60.0, lambda: None)
         sim.run()
-        return run_process(sim, ck.run_cycle())
+        return sim.run_process(ck.run_cycle())
 
     r = benchmark(inc_epoch)
     report(
@@ -86,7 +84,7 @@ def test_fig4_single_failure_recovery(benchmark, report):
             for vm in cluster.all_vms
         }
         cluster.kill_node(1)
-        rep = run_process(sim, ck.recover(1))
+        rep = sim.run_process(ck.recover(1))
         ok = all(
             np.array_equal(cluster.vm(v).image.flat, committed[v])
             for v in committed

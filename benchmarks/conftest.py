@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.perf import run_process  # noqa: F401 - the benches import it from here
-
 
 @pytest.fixture
 def report(capsys):

@@ -20,16 +20,6 @@ from repro.core import checkpoint_node, dvdc, first_shot
 GB = 1e9
 
 
-def run_epoch(ck, sim):
-    out = {}
-
-    def proc():
-        out["r"] = yield from ck.run_cycle()
-
-    sim.run_processes(proc())
-    return out["r"]
-
-
 def build_fig1():
     """Fig. 1: 3 compute nodes x 1 VM + 1 dedicated parity node."""
     sc = scaled_scenario(4, 1, vm_memory=GB, seed=1, spares=1)
@@ -56,7 +46,7 @@ def main() -> None:
         ("Fig.4 DVDC     (12 VMs)", build_fig4),
     ):
         sim, cluster, ck = builder()
-        r = run_epoch(ck, sim)
+        r = sim.run_process(ck.run_cycle())
         n_vms = len(cluster.all_vms)
         busiest = max(r.xor_seconds_by_node.values())
         rows.append([

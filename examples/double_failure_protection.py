@@ -41,13 +41,7 @@ def main() -> None:
         print(f"  group {g.group_id}: VMs {list(g.member_vm_ids)} on nodes "
               f"{nodes} -> row@{row_node}, diag@{diag_node}")
 
-    out = {}
-
-    def epoch():
-        out["r"] = yield from ck.run_cycle()
-
-    sim.run_processes(epoch())
-    r = out["r"]
+    r = sim.run_process(ck.run_cycle())
     print(f"\nRDP epoch: overhead {format_seconds(r.overhead)}, latency "
           f"{format_seconds(r.latency)}, traffic {format_bytes(r.network_bytes)} "
           "(each image ships to two parity nodes)")
@@ -73,11 +67,7 @@ def main() -> None:
         print(f"  group {g.group_id} lost {losses} shard(s)"
               f"{' — beyond XOR, within RDP' if losses == 2 else ''}")
 
-    def recover():
-        out["rep"] = yield from ck.recover(1)
-
-    sim.run_processes(recover())
-    rep = out["rep"]
+    rep = sim.run_process(ck.recover(1))
     print(f"\nrecovery: {format_seconds(rep.recovery_time)}; reconstructed "
           f"{dict(rep.reconstructed)}; re-encoded groups {rep.reencoded_groups}")
 
@@ -91,13 +81,7 @@ def main() -> None:
     # cost comparison vs single-parity DVDC on an equivalent cluster
     sim2, cluster2, _ = build_cluster(seed=12)
     ck_xor = dvdc(cluster2, group_size=3)
-    out2 = {}
-
-    def epoch2():
-        out2["r"] = yield from ck_xor.run_cycle()
-
-    sim2.run_processes(epoch2())
-    r_xor = out2["r"]
+    r_xor = sim2.run_process(ck_xor.run_cycle())
     rows = [
         ["XOR (paper)", "1 node crash", format_bytes(r_xor.network_bytes),
          format_bytes(4 * GB), format_seconds(r_xor.latency)],

@@ -55,10 +55,7 @@ def run_one(kind: str, seed: int, work: float, interval: float,
     job = CheckpointedJob(sc.cluster, ck, work=work, interval=interval,
                           injector=injector, repair_time=repair)
     injector.start()
-    proc = job.start()
-    sc.sim.run(until=work * 20)
-    if proc.ok is False:
-        raise proc.value
+    sc.sim.run_process(job.start(), until=work * 20)
     return job.result
 
 

@@ -53,13 +53,7 @@ def simulated_migration() -> None:
     sim = Simulator()
     cluster = VirtualCluster(sim, ClusterSpec(n_nodes=2))
     vm = cluster.create_vm(0, 1 * GB, dirty_rate=10e6)
-    out = {}
-
-    def proc():
-        out["r"] = yield from live_migrate(cluster, vm, 1)
-
-    sim.run_processes(proc())
-    r = out["r"]
+    r = sim.run_process(live_migrate(cluster, vm, 1))
     print(f"simulated migration: vm0 node0->node1 in "
           f"{format_seconds(r.total_time)} ({r.rounds} rounds, "
           f"{format_bytes(r.total_bytes)} moved, downtime "

@@ -55,13 +55,7 @@ def act2_functional_epoch():
         print(f"  group {g.group_id}: VMs {list(g.member_vm_ids)} on nodes "
               f"{nodes} -> parity on node {g.parity_node}")
 
-    result = {}
-
-    def run():
-        result["cycle"] = yield from ck.run_cycle()
-
-    sc.sim.run_processes(run())
-    r = result["cycle"]
+    r = sc.sim.run_process(ck.run_cycle())
     print(f"\nepoch {r.epoch}: overhead (guest pause) = {format_seconds(r.overhead)}"
           f", latency (usable) = {format_seconds(r.latency)}")
     print(f"network traffic = {format_bytes(r.network_bytes)}, "
@@ -88,13 +82,7 @@ def act3_failure_and_recovery(sc, ck) -> None:
     print(f"node 2 crashed: lost VMs {[vm.vm_id for vm in lost]} "
           "(their memory, checkpoints, and parity are gone)")
 
-    result = {}
-
-    def run():
-        result["rec"] = yield from ck.recover(2)
-
-    sc.sim.run_processes(run())
-    rep = result["rec"]
+    rep = sc.sim.run_process(ck.recover(2))
     print(f"recovery took {format_seconds(rep.recovery_time)}: "
           f"reconstructed {dict(rep.reconstructed)} (vm -> new node), "
           f"{len(rep.rolled_back)} survivors rolled back in-memory")

@@ -19,7 +19,8 @@ Quick start::
     # a functional cluster with bit-exact parity recovery
     sc = paper_scenario(seed=1)
     ck = dvdc(sc.cluster)
-    sc.sim.run_processes(ck.run_cycle())
+    r = sc.sim.run_process(ck.run_cycle())  # re-raises a failed cycle
+    print(r.committed)               # True
 
 Subpackages: ``repro.sim`` (discrete-event engine), ``repro.cluster``
 (VMs/nodes/hypervisors), ``repro.network`` / ``repro.storage``

@@ -633,17 +633,15 @@ def run_trial(
         yield from drain(config.n_cycles, rec_est)
         quiescent_audit("end")
 
-    proc = sim.process(driver())
-    sim.run()
-    if proc.ok is False:
-        exc = proc.value
-        if isinstance(exc, Unrecoverable):
-            trial.unrecoverable = str(exc)
-        else:
-            trial.violations.append(Violation(
-                "no-crash", FATAL, type(exc).__name__,
-                f"trial crashed at t={sim.now:.3f}: {exc}",
-            ))
+    try:
+        sim.run_process(driver())
+    except Unrecoverable as exc:
+        trial.unrecoverable = str(exc)
+    except Exception as exc:
+        trial.violations.append(Violation(
+            "no-crash", FATAL, type(exc).__name__,
+            f"trial crashed at t={sim.now:.3f}: {exc}",
+        ))
     trial.violations.extend(auditor.violations)
     return trial
 

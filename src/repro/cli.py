@@ -16,8 +16,8 @@ study
 validate
     Corroborate the Section V equations against Monte-Carlo.
 campaign
-    Run a preset or JSON-spec experiment campaign through the parallel,
-    resumable orchestration layer (``--jobs``, ``--resume``, ``--store``).
+    Run a JSON-spec sweep (``--spec``) through the parallel, resumable
+    orchestration layer (``--jobs``, ``--store``, ``--no-resume``).
 trace export
     Run an instrumented scenario and export its span timeline as a
     Chrome/Perfetto trace or a JSONL event stream.
@@ -43,6 +43,10 @@ calibrate
 layer too: ``--jobs N`` fans their task units across cores with
 bit-identical output (deterministic per-task seeding), and ``--store``
 makes them resumable.
+
+Every simulation driver runs its top-level process with
+``sim.run_process``, so a process that raises surfaces its own
+exception and one that never finishes raises ``SimulationError``.
 """
 
 from __future__ import annotations
@@ -105,7 +109,7 @@ def _campaign_kwargs(args: argparse.Namespace) -> dict:
     return {
         "jobs": args.jobs,
         "store": args.store,
-        "resume": not getattr(args, "no_resume", False),
+        "resume": not args.no_resume,
     }
 
 
@@ -185,9 +189,7 @@ def _cmd_epoch(args: argparse.Namespace) -> int:
     sc, ck = _epoch_method(args.arch).build(
         args.nodes, args.vms_per_node, seed=args.seed
     )
-    proc = sc.sim.process(ck.run_cycle())
-    sc.sim.run()
-    r = proc.value
+    r = sc.sim.run_process(ck.run_cycle())
     rows = [[
         args.arch,
         len(sc.cluster.all_vms),
@@ -308,64 +310,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from .campaign import (
-        CampaignRunner,
-        Sweep,
-        run_fig5_campaign,
-        run_study_campaign,
-        run_validate_campaign,
-    )
-    from .model import expected_time_with_overhead
+    from .campaign import CampaignRunner
 
-    kwargs = _campaign_kwargs(args)
-
-    if args.spec is not None:
-        import json as _json
-
-        sweep = Sweep.from_dict(_json.loads(open(args.spec).read()))
-        result = CampaignRunner(**kwargs).run(sweep.expand())
-        print(result.summary_table(title=f"campaign {sweep.name!r}"))
-        _report_failures(result)
-        return 0 if result.n_failed == 0 else 1
-
-    if args.preset == "fig5":
-        result, campaign = run_fig5_campaign(points=args.points, **kwargs)
-        print(campaign.summary_table(title="campaign 'fig5'"))
-        print()
-        _fig5_report(result, plot=False)
-    elif args.preset == "validate":
-        cases, campaign = run_validate_campaign(runs=args.runs,
-                                                seed=args.seed, **kwargs)
-        print(campaign.summary_table(title="campaign 'validate'"))
-        print()
-        rows = [
-            [
-                f"{c['mtbf_h']:g}h",
-                format_seconds(c["N"]),
-                format_seconds(c["estimate"].mean),
-                "yes" if c["estimate"].within(expected_time_with_overhead(
-                    c["lam"], 8 * 3600.0, c["N"], 120.0, 60.0
-                )) else "NO",
-            ]
-            for c in cases
-        ]
-        print(render_table(
-            ["MTBF", "interval", "E[T] Monte-Carlo", "within 3 sigma"],
-            rows,
-            title=f"VAL-MC grid ({args.runs} runs per point)",
-        ))
-    else:  # study
-        outcome, campaign = run_study_campaign(
-            methods=[{"name": "dvdc"}, {"name": "diskful"}],
-            seeds=args.seeds,
-            work=args.work * 3600.0,
-            **kwargs,
-        )
-        print(campaign.summary_table(title="campaign 'study'"))
-        print()
-        print(outcome.summary_table())
-    _report_failures(campaign)
-    return 0 if campaign.n_failed == 0 else 1
+    sweep = args.spec
+    result = CampaignRunner(**_campaign_kwargs(args)).run(sweep.expand())
+    print(result.summary_table(title=f"campaign {sweep.name!r}"))
+    _report_failures(result)
+    return 0 if result.n_failed == 0 else 1
 
 
 def _run_instrumented(args: argparse.Namespace):
@@ -399,7 +350,7 @@ def _run_instrumented(args: argparse.Namespace):
             args.nodes, args.vms_per_node, seed=args.seed, tracer=probe
         )
         sc.sim.attach_probe(probe)
-        sc.sim.run_processes(ck.run_cycle())
+        sc.sim.run_process(ck.run_cycle())
         return probe
     # job: checkpointed work with failure injection — exercises the
     # recovery track too
@@ -489,7 +440,6 @@ def _audit_heal(args: argparse.Namespace) -> int:
         cluster, group_size=max(1, args.nodes - n_shards), scheme=args.scheme
     )
     healer = SelfHealer(ck, spares=spares)
-    out = {}
 
     def driver():
         r = yield from ck.run_cycle()
@@ -498,10 +448,9 @@ def _audit_heal(args: argparse.Namespace) -> int:
         cluster.kill_node(0)  # permanent: the node never comes back
         healer.on_failure()
         yield from ck.recover(0)
-        out["report"] = yield from healer.reprotect()
+        return (yield from healer.reprotect())
 
-    sim.run_processes(driver())
-    report = out["report"]
+    report = sim.run_process(driver())
     print(render_table(
         ["spares", "final state", "rounds", "spares used", "spares left",
          "exhausted", "relocated", "healed groups", "degraded window"],
@@ -827,7 +776,6 @@ def _cmd_controlplane_run(args: argparse.Namespace) -> int:
         injector.start()
     cp.start()
     rng = rngs.stream("churn")
-    outcome = {"ok": False, "error": None}
 
     def churn():
         ops = []
@@ -855,7 +803,7 @@ def _cmd_controlplane_run(args: argparse.Namespace) -> int:
         yield AllOf(sim, [op.done for op in ops])
         # settle: let in-flight fences/recoveries/repairs finish
         settle = 0
-        while (cp.fenced or cp._recovery_queue) and settle < 600:
+        while cp.settling and settle < 600:
             yield sim.timeout(1.0)
             settle += 1
         yield sim.timeout(2 * cp.config.repair_time)
@@ -863,62 +811,58 @@ def _cmd_controlplane_run(args: argparse.Namespace) -> int:
         # late repair restored capacity for, so the audit sees steady state
         yield from cp.checkpoint()
         try:
-            report = cp.audit("post-soak")
-            outcome["ok"] = report.ok
+            ok, error = cp.audit("post-soak").ok, None
         except AuditFailure as exc:
-            outcome["error"] = str(exc)
+            ok, error = False, str(exc)
         cp.stop()
+        return ok, error
 
-    sim.run_processes(churn(), until=args.ops * args.mean_gap * 200)
+    ok, error = sim.run_process(churn(), until=args.ops * args.mean_gap * 200)
     print(_controlplane_summary(cp))
     terminal = cp.all_ops_terminal
     print(f"all ops terminal: {terminal}; final strict audit "
-          f"{'clean' if outcome['ok'] else 'FAILED'}")
-    if outcome["error"]:
-        print(f"  {outcome['error']}")
+          f"{'clean' if ok else 'FAILED'}")
+    if error:
+        print(f"  {error}")
     for op in cp.ops:
         if not op.state.terminal:
             print(f"  stuck: {op!r} params={op.params}")
-    return 0 if terminal and outcome["ok"] else 1
+    return 0 if terminal and ok else 1
 
 
 def _cmd_controlplane_drain(args: argparse.Namespace) -> int:
     """Rolling maintenance: drain+maintain+rejoin every node in turn."""
     sim, cluster, ck, cp, rngs = _controlplane_build(args)
     cp.start()
-    outcome = {"ok": True, "issues": []}
 
     def roll():
         # first protect everything: one committed epoch
         yield cp.submit("query").done  # warm the façade
         while ck.committed_epoch < 0:
             yield sim.timeout(1.0)
+        issues = []
         for node_id in range(args.nodes):
             before = cp.verified_migrations
             op = cp.submit("drain", node_id=node_id)
             yield op.done
             if op.state.value != "DONE":
-                outcome["ok"] = False
-                outcome["issues"].append(
-                    f"drain node {node_id}: {op.error}"
-                )
-                continue
-            if cp.verified_migrations == before:
-                outcome["ok"] = False
-                outcome["issues"].append(
+                issues.append(f"drain node {node_id}: {op.error}")
+            elif cp.verified_migrations == before:
+                issues.append(
                     f"drain node {node_id}: no checksum-verified migration"
                 )
         cp.audit("post-rolling-maintenance")
         cp.stop()
+        return issues
 
-    sim.run_processes(roll(), until=args.nodes * 1000.0)
+    issues = sim.run_process(roll(), until=args.nodes * 1000.0)
     print(_controlplane_summary(cp))
     bad_audits = [r for r in cp.audits if not r.ok]
     print(f"rolled {args.nodes} nodes; audits: {len(cp.audits)} "
           f"({len(bad_audits)} with fatal findings)")
-    for issue in outcome["issues"]:
+    for issue in issues:
         print(f"  {issue}")
-    return 0 if outcome["ok"] and not bad_audits else 1
+    return 0 if not issues and not bad_audits else 1
 
 
 def _cmd_controlplane_status(args: argparse.Namespace) -> int:
@@ -930,7 +874,7 @@ def _cmd_controlplane_status(args: argparse.Namespace) -> int:
         yield sim.timeout(args.duration)
         cp.stop()
 
-    sim.run_processes(run(), until=args.duration * 10)
+    sim.run_process(run(), until=args.duration * 10)
     status = cp.status()
     print(render_table(
         ["field", "value"],
@@ -980,6 +924,35 @@ _nonnegative = _bounded(float, 0.0)
 _site = _bounded(int, -1)  # -1 names the worst site
 
 
+def _scheme(text: str) -> str:
+    """An argparse type: a coding-scheme spec ``parse_scheme`` accepts,
+    kept as text; a bad spec exits 2 with argparse naming the flag."""
+    from .coding import parse_scheme
+
+    try:
+        parse_scheme(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
+def _sweep(path: str):
+    """An argparse type: the JSON :class:`~repro.campaign.Sweep` at
+    ``path``.  It is expanded once here, so a missing file, malformed
+    JSON or an invalid sweep exits 2 with argparse naming the flag."""
+    import json
+
+    from .campaign import Sweep
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            sweep = Sweep.from_dict(json.load(fh))
+        sweep.expand()
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise argparse.ArgumentTypeError(f"{type(exc).__name__}: {exc}") from None
+    return sweep
+
+
 def _add_campaign_flags(sp: argparse.ArgumentParser) -> None:
     """``--jobs/--store/--no-resume`` — shared by campaign-backed commands."""
     sp.add_argument("--jobs", type=_positive_int, default=1,
@@ -1004,7 +977,8 @@ def build_parser() -> argparse.ArgumentParser:
     f5.add_argument("--dirty-rate", type=_nonnegative, default=2e5,
                     help="per-VM dirty rate, bytes/s")
     f5.add_argument("--plot", action="store_true", help="ASCII curve")
-    f5.add_argument("--scheme", nargs="*", default=None, metavar="SPEC",
+    f5.add_argument("--scheme", nargs="*", type=_scheme, default=None,
+                    metavar="SPEC",
                     help="compare coding schemes analytically instead of "
                          "running the campaign; bare --scheme sweeps "
                          "xor, rdp, rs-8-2 and rep-3")
@@ -1060,23 +1034,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = sub.add_parser(
         "campaign",
-        help="run an experiment campaign (parallel, resumable)",
+        help="run a JSON-spec sweep (parallel, resumable)",
     )
-    cp.add_argument("preset", nargs="?", default="fig5",
-                    choices=["fig5", "validate", "study"],
-                    help="prebuilt campaign to run")
-    cp.add_argument("--spec", default=None,
-                    help="JSON sweep spec file (overrides the preset)")
-    cp.add_argument("--points", type=_positive_int, default=240,
-                    help="fig5: interval grid points")
-    cp.add_argument("--runs", type=_positive_int, default=4000,
-                    help="validate: Monte-Carlo runs per grid point")
-    cp.add_argument("--seed", type=_nonnegative_int, default=0,
-                    help="validate: master seed")
-    cp.add_argument("--seeds", type=_positive_int, default=3,
-                    help="study: failure-trace seeds")
-    cp.add_argument("--work", type=_positive, default=2.0,
-                    help="study: job length, hours")
+    cp.add_argument("--spec", type=_sweep, required=True,
+                    help="JSON sweep spec file (see docs/campaigns.md)")
     _add_campaign_flags(cp)
     cp.set_defaults(func=_cmd_campaign)
 
@@ -1140,7 +1101,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="mix VM memory sizes within groups")
     au.add_argument("--strategy", choices=["forked", "full", "incremental"],
                     default="forked", help="capture strategy for trials")
-    au.add_argument("--scheme", default="xor",
+    au.add_argument("--scheme", type=_scheme, default="xor",
                     help="coding scheme for trials: xor, rdp, rs-<k>-<m>, "
                          "rep-<n> (default xor)")
     au.add_argument("--geo", type=_nonnegative_int, default=0, metavar="SITES",
@@ -1167,7 +1128,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--vms-per-node", type=_positive_int, default=1)
         sp.add_argument("--epochs", type=_positive_int, default=2)
         sp.add_argument("--seed", type=_nonnegative_int, default=0)
-        sp.add_argument("--scheme", default="xor",
+        sp.add_argument("--scheme", type=_scheme, default="xor",
                         help="coding scheme: xor, rdp, rs-<k>-<m>, rep-<n>")
         sp.add_argument("--wan-bandwidth", type=_positive, default=12.5e6,
                         help="WAN uplink bandwidth, bytes/s")

@@ -764,5 +764,11 @@ class ControlPlane:
         }
 
     @property
+    def settling(self) -> bool:
+        """Nodes are still fenced or recoveries still queued: the state a
+        soak waits out before its final audit."""
+        return bool(self.fenced or self._recovery_queue)
+
+    @property
     def all_ops_terminal(self) -> bool:
         return all(op.state.terminal for op in self.ops)

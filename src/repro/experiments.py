@@ -203,8 +203,5 @@ def run_job_cell(
         injector=injector, repair_time=repair_time, overlap=spec.overlap,
     )
     injector.start()
-    proc = job.start()
-    sc.sim.run(until=work * 100)
-    if proc.ok is False:
-        raise proc.value
+    sc.sim.run_process(job.start(), until=work * 100)
     return JobOutcome(method=spec.display, seed=seed, result=job.result)

@@ -37,7 +37,7 @@ from ..cluster.checksum import block_checksum
 from ..cluster.vm import VMState
 from ..coding import get_scheme
 from ..network.link import NetworkError
-from ..perf.scale import build_scenario, run_epochs, run_process, scenario_digests
+from ..perf.scale import build_scenario, run_epochs, scenario_digests
 from ..sim import NULL_TRACER, Tracer
 from .remus import RemusAsyncReplicator
 from .topology import (
@@ -269,7 +269,7 @@ def run_geo_point(cfg: GeoConfig, collect_digests: bool = False) -> dict:
         run_epochs(sim, cluster, ck, rngs, cfg, epochs=1)
         epoch_log[ck.committed_epoch] = _committed_checksums(cluster)
         if replicator is not None and (e + 1) <= replicate_until:
-            run_process(sim, replicator.replicate_epoch())
+            sim.run_process(replicator.replicate_epoch())
 
     result: dict = {
         "policy": cfg.policy,
@@ -307,12 +307,12 @@ def run_geo_point(cfg: GeoConfig, collect_digests: bool = False) -> dict:
 
         restored_epochs: dict[int, int] = {}
         if not beyond:
-            run_process(sim, ck.recover(dead_nodes[0]))
+            sim.run_process(ck.recover(dead_nodes[0]))
             restored_epochs = {
                 vm.vm_id: ck.committed_epoch for vm in cluster.all_vms
             }
         elif replicator is not None:
-            salvage = run_process(sim, replicator.salvage_cluster())
+            salvage = sim.run_process(replicator.salvage_cluster())
             result["rollback_epochs"] = salvage.rollback_epochs
             result["salvaged_vms"] = len(salvage.salvaged)
             result["data_lost"] = bool(salvage.unsalvageable)
@@ -347,13 +347,13 @@ def run_geo_point(cfg: GeoConfig, collect_digests: bool = False) -> dict:
             cluster.topology.set_site_wan_up(site, True, reason="site repaired")
         if result["survived"]:
             if cfg.policy == "geo-spread":
-                moved = run_process(sim, respread_groups(ck, cluster, domains, tracer))
+                moved = sim.run_process(respread_groups(ck, cluster, domains, tracer))
                 result["respread_vms"] = len(moved)
-            run_process(sim, ck.heal())
+            sim.run_process(ck.heal())
             run_epochs(sim, cluster, ck, rngs, cfg, epochs=1)
             epoch_log[ck.committed_epoch] = _committed_checksums(cluster)
             if replicator is not None:
-                run_process(sim, replicator.replicate_epoch())
+                sim.run_process(replicator.replicate_epoch())
             from ..audit import audit_cluster
 
             audit = audit_cluster(

@@ -13,7 +13,6 @@ from .scale import (
     build_scenario,
     heap_cancel_bench,
     run_epochs,
-    run_process,
     scenario_digests,
 )
 
@@ -23,6 +22,5 @@ __all__ = [
     "build_scenario",
     "heap_cancel_bench",
     "run_epochs",
-    "run_process",
     "scenario_digests",
 ]

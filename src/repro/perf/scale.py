@@ -33,7 +33,7 @@ import numpy as np
 from ..checkpoint.strategies import IncrementalCapture
 from ..cluster.cluster import ClusterSpec
 from ..core.architectures import dvdc
-from ..sim import NULL_TRACER, SimulationError, Simulator, Tracer
+from ..sim import NULL_TRACER, Simulator, Tracer
 from ..sim.rng import RngRegistry
 from ..workloads.generators import scaled_scenario
 
@@ -41,7 +41,6 @@ __all__ = [
     "ScaleConfig",
     "build_scenario",
     "build_scale_scenario",
-    "run_process",
     "run_epochs",
     "scenario_digests",
     "heap_cancel_bench",
@@ -107,33 +106,13 @@ def _dirty_epoch(cluster, rngs: RngRegistry, cfg) -> None:
         vm.image.touch_pages(idx, rng)
 
 
-def run_process(sim, gen):
-    """Run ``gen`` as a process until the queue drains; re-raise its
-    failure, else return its value.
-
-    A process still waiting once nothing is left to run can never
-    finish; that raises :class:`SimulationError` naming the generator
-    instead of returning a quiet ``None``.
-    """
-    proc = sim.process(gen)
-    sim.run()
-    if not proc.triggered:
-        raise SimulationError(
-            f"process {proc.name!r} never finished: the event queue "
-            "drained while it was still waiting (deadlock?)"
-        )
-    if proc.ok is False:
-        raise proc.value
-    return proc.value
-
-
 def run_epochs(sim, cluster, ckpt, rngs, cfg, epochs: int | None = None) -> None:
     """The epoch driver: ``epochs`` (default ``cfg.epochs``) rounds of
     every VM dirtying pages, then one coordinated cycle run to
     completion."""
     for _ in range(cfg.epochs if epochs is None else epochs):
         _dirty_epoch(cluster, rngs, cfg)
-        run_process(sim, ckpt.run_cycle())
+        sim.run_process(ckpt.run_cycle())
 
 
 # ----------------------------------------------------------------------

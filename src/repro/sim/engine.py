@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 __all__ = [
     "EventHandle",
@@ -312,8 +312,27 @@ class Simulator:
 
         return SimEvent(self)
 
-    def run_processes(self, *generators: Iterable, until: float = math.inf) -> float:
-        """Spawn each generator as a process, then run to completion."""
-        for g in generators:
-            self.process(g)
-        return self.run(until=until)
+    def run_process(self, process, until: float = math.inf) -> Any:
+        """Run ``process`` to completion and return its value.
+
+        ``process`` is a generator, spawned here, or an already started
+        :class:`repro.sim.process.Process`.  Its exception is re-raised.
+        If the run stops (the queue drains or ``until`` is reached) with
+        the process still waiting, that raises :class:`SimulationError`
+        naming it instead of returning a quiet ``None``.  Only the
+        process is spawned; :meth:`run` does the rest unchanged.
+        """
+        from .process import Process
+
+        if not isinstance(process, Process):
+            process = Process(self, process)
+        self.run(until=until)
+        if not process.triggered:
+            raise SimulationError(
+                f"process {process.name!r} never finished: the run stopped "
+                f"at t={self._now:.6g} while it was still waiting "
+                "(deadlock, or `until` came first)"
+            )
+        if process.ok is False:
+            raise process.value
+        return process.value

@@ -7,7 +7,6 @@ import pytest
 
 from repro.cluster import ClusterSpec, VirtualCluster
 from repro.controlplane import PlacementEngine
-from repro.perf import run_process  # noqa: F401 - test modules import it from here
 from repro.sim import RngRegistry, Simulator
 
 

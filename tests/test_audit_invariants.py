@@ -27,8 +27,6 @@ from repro.audit.fuzzer import _build
 from repro.cluster.images import CheckpointImage, CheckpointKind, ParityBlock
 from repro.core import dvdc
 
-from conftest import run_process
-
 
 def _committed_state(config=None, seed=0):
     """A cluster with one committed epoch, plus its checkpointer."""
@@ -37,7 +35,7 @@ def _committed_state(config=None, seed=0):
     sim, cluster, ck, auditor, *_geo = _build(
         config or FuzzConfig(), seed, NULL_TRACER
     )
-    run_process(sim, ck.run_cycle())
+    sim.run_process(ck.run_cycle())
     return sim, cluster, ck, auditor
 
 
@@ -130,7 +128,7 @@ class TestAuditorFires:
 
     def test_colocated_member_degraded_vs_strict(self, paper_cluster, sim):
         ck = dvdc(paper_cluster)
-        run_process(sim, ck.run_cycle())
+        sim.run_process(ck.run_cycle())
         # move a member onto its own group's parity node
         g = ck.layout.groups[0]
         paper_cluster.move_vm(g.member_vm_ids[0], g.parity_node)
@@ -181,7 +179,7 @@ class TestAuditorFires:
             cluster.node(g.parity_node).parity_store[g.group_id].data[0] ^= 1
             yield from ck.run_cycle()
 
-        run_process(sim, proc())
+        sim.run_process(proc())
         # second cycle was a FULL capture: parity fully rewritten, so
         # corruption of the *first* epoch is only visible to the sweep
         # that ran between the cycles
@@ -202,7 +200,7 @@ class TestHookWiring:
             yield from ck.recover(1)
             return None
 
-        run_process(sim, proc())
+        sim.run_process(proc())
         contexts = [r.context for r in auditor.reports]
         assert contexts.count("post_cycle") == 2
         assert contexts.count("post_recovery") == 1
@@ -212,14 +210,14 @@ class TestHookWiring:
         auditor = Auditor(paper_cluster, None)
         ck = dvdc(paper_cluster, auditor=auditor)
         auditor.layout = ck.layout  # layout exists only after construction
-        run_process(sim, ck.run_cycle())
+        sim.run_process(ck.run_cycle())
         assert [r.context for r in auditor.reports] == ["post_cycle"]
         assert auditor.violations == []
 
     def test_no_auditor_is_free(self, paper_cluster, sim):
         ck = dvdc(paper_cluster)
         assert ck.auditor is None and ck.coordinator.auditor is None
-        r = run_process(sim, ck.run_cycle())
+        r = sim.run_process(ck.run_cycle())
         assert r.committed
 
 

@@ -6,8 +6,6 @@ import pytest
 from repro.checkpoint import DiskfulCheckpointer
 from repro.cluster import VMState
 
-from conftest import run_process
-
 
 class TestCycle:
     def test_cycle_accounting(self, paper_cluster, sim):
@@ -17,7 +15,7 @@ class TestCycle:
             r = yield from ck.run_cycle()
             return r
 
-        r = run_process(sim, proc())
+        r = sim.run_process(proc())
         assert r.committed
         # 12 x 1 GB through 100 MB/s NAS ingress >= 120 s
         assert r.latency > 120.0
@@ -33,7 +31,7 @@ class TestCycle:
         def proc():
             yield from ck.run_cycle()
 
-        run_process(sim, proc())
+        sim.run_process(proc())
         assert len(paper_cluster.nas) == 12
         assert paper_cluster.nas.contains("vm0/epoch0")
 
@@ -44,7 +42,7 @@ class TestCycle:
             yield from ck.run_cycle()
             yield from ck.run_cycle()
 
-        run_process(sim, proc())
+        sim.run_process(proc())
         # old generation dropped only after the new one committed
         assert not paper_cluster.nas.contains("vm0/epoch0")
         assert paper_cluster.nas.contains("vm0/epoch1")
@@ -61,7 +59,7 @@ class TestCycle:
             r = yield from ck.run_cycle()
             return r
 
-        r = run_process(sim, proc())
+        r = sim.run_process(proc())
         assert r.network_bytes == pytest.approx(6e9)
 
 
@@ -79,7 +77,7 @@ class TestRecovery:
             rep = yield from ck.recover(1)
             return rep
 
-        rep = run_process(sim, proc())
+        rep = sim.run_process(proc())
         assert sorted(rep.restored_vms) == [1, 5, 9]
         assert len(rep.rolled_back_vms) == 9
         assert rep.bytes_read == pytest.approx(12e9)
@@ -95,7 +93,7 @@ class TestRecovery:
             yield from ck.recover(0)
 
         with pytest.raises(RuntimeError):
-            run_process(sim, proc())
+            sim.run_process(proc())
 
     def test_failed_vms_spread_across_survivors(self, paper_cluster, sim):
         ck = DiskfulCheckpointer(paper_cluster)
@@ -106,7 +104,7 @@ class TestRecovery:
             rep = yield from ck.recover(0)
             return rep
 
-        run_process(sim, proc())
+        sim.run_process(proc())
         placements = [
             paper_cluster.vm(v).node_id for v in (0, 4, 8)
         ]
@@ -120,4 +118,4 @@ class TestRecovery:
             r = yield from ck.heal()
             return r
 
-        assert run_process(sim, proc()) == []
+        assert sim.run_process(proc()) == []

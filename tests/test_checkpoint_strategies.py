@@ -16,7 +16,7 @@ from repro.checkpoint import (
 )
 from repro.cluster import CheckpointKind, VMState
 
-from conftest import run_process, spread_vms
+from conftest import spread_vms
 
 
 def _vm_and_hv(cluster, node=0):
@@ -136,7 +136,7 @@ class TestCoordinator:
             outcomes, pause = yield from coord.capture_all(vms, 0, 0.0)
             return outcomes, pause, sim.now
 
-        outcomes, pause, t = run_process(sim, proc())
+        outcomes, pause, t = sim.run_process(proc())
         # 2 VMs per node, 40ms each, serialized per node = 80ms
         assert pause == pytest.approx(0.08)
         assert t == pytest.approx(0.08)
@@ -149,7 +149,7 @@ class TestCoordinator:
         def proc():
             yield from coord.capture_all(vms, 0, 0.0)
 
-        run_process(sim, proc())
+        sim.run_process(proc())
         assert all(vm.state == VMState.RUNNING for vm in vms)
 
     def test_failed_vms_skipped(self, cluster4, sim):
@@ -161,6 +161,6 @@ class TestCoordinator:
             outcomes, _ = yield from coord.capture_all(vms, 0, 0.0)
             return outcomes
 
-        outcomes = run_process(sim, proc())
+        outcomes = sim.run_process(proc())
         assert len(outcomes) == 3
         assert all(o.image.vm_id != 2 for o in outcomes)

@@ -1,8 +1,21 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+def _fig5_spec(intervals) -> dict:
+    """A JSON fig5 sweep: ``len(intervals)`` x 2 methods tasks."""
+    return {
+        "name": "mini",
+        "kind": "fig5_point",
+        "base": {"lam": 9.26e-5, "T": 172800.0},
+        "grid": {"interval": intervals, "method": ["diskful", "diskless"]},
+        "seeded": False,
+    }
 
 
 class TestParser:
@@ -18,16 +31,6 @@ class TestParser:
         assert args.jobs == 1
         assert args.store is None
         assert not args.no_resume
-
-    def test_campaign_defaults(self):
-        args = build_parser().parse_args(["campaign"])
-        assert args.preset == "fig5"
-        assert args.jobs == 1
-        assert args.spec is None
-
-    def test_campaign_preset_choices(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["campaign", "bogus"])
 
     def test_epoch_arch_choices(self):
         with pytest.raises(SystemExit):
@@ -64,12 +67,44 @@ class TestParser:
         ["validate", "--job", "nan"],
         ["fig5", "--job", "inf"],
         ["geo", "run", "--kill-site", "-2"],
+        ["fig5", "--scheme", "bogus"],
+        ["audit", "--scheme", "bogus"],
+        ["audit", "--heal", "--scheme", "bogus"],
+        ["geo", "run", "--scheme", "bogus"],
+        ["geo", "study", "--scheme", "rs-0-2"],
+        ["campaign", "--spec", "missing.json"],
+        ["campaign", "--spec", "malformed.json"],
+        ["campaign", "--spec", "invalid.json"],
+        ["campaign", "--spec", "unknown-kind.json"],
     ], ids=" ".join)
-    def test_hostile_numbers_exit_2_naming_the_flag(self, argv, capsys):
+    def test_hostile_numbers_exit_2_naming_the_flag(self, argv, capsys,
+                                                    tmp_path, monkeypatch):
+        """Numbers, scheme specs and sweep files are checked by the parser;
+        each used to end in a traceback with exit 1 or run on."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "malformed.json").write_text("{not json")
+        (tmp_path / "invalid.json").write_text(
+            json.dumps({**_fig5_spec([60.0]), "replications": 0}))
+        (tmp_path / "unknown-kind.json").write_text(
+            json.dumps({**_fig5_spec([60.0]), "kind": "bogus"}))
+        says = {
+            "bogus": "unknown coding scheme 'bogus'",
+            "rs-0-2": "need k >= 1",
+            "missing.json": "FileNotFoundError",
+            "malformed.json": "JSONDecodeError",
+            "invalid.json": "ValueError: replications must be >= 1",
+            "unknown-kind.json": "KeyError: \"unknown task kind 'bogus'",
+        }.get(argv[-1], "must be")
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert f"argument {argv[-2]}: must be" in capsys.readouterr().err
+        assert f"argument {argv[-2]}: {says}" in capsys.readouterr().err
+
+    def test_campaign_requires_a_spec(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign"])
+        assert exc.value.code == 2
+        assert "required: --spec" in capsys.readouterr().err
 
     def test_every_numeric_flag_is_range_checked(self):
         """A bare ``type=int`` / ``type=float`` accepts 0, negatives,
@@ -126,6 +161,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Monte-Carlo" in out
 
+    def test_audit_heal_reraises_the_driver_error(self, monkeypatch):
+        """A failing cycle used to surface as ``KeyError: 'report'``."""
+        from repro.core import DisklessCheckpointer
+
+        def run_cycle(self, *args, **kwargs):
+            raise RuntimeError("cycle exploded")
+
+        monkeypatch.setattr(DisklessCheckpointer, "run_cycle", run_cycle)
+        with pytest.raises(RuntimeError, match="cycle exploded"):
+            main(["audit", "--heal"])
+
     def test_calibrate(self, capsys):
         assert main(["calibrate", "--size", str(1 << 20), "--repeats", "1"]) == 0
         out = capsys.readouterr().out
@@ -142,18 +188,20 @@ class TestCampaignCommand:
         assert parallel == serial
 
     def test_campaign_fig5_smoke(self, capsys):
-        assert main(["campaign", "fig5", "--points", "8", "--jobs", "2"]) == 0
+        assert main(["fig5", "--jobs", "2"]) == 0
         out = capsys.readouterr().out
-        assert "campaign 'fig5'" in out
         assert "diskless" in out
+        assert "reduces expected completion time" in out
 
     def test_campaign_store_resume(self, capsys, tmp_path):
-        store = str(tmp_path / "store")
-        assert main(["campaign", "fig5", "--points", "6",
-                     "--store", store]) == 0
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(_fig5_spec([60.0, 120.0, 300.0, 600.0,
+                                               1200.0, 3600.0])))
+        args = ["campaign", "--spec", str(path),
+                "--store", str(tmp_path / "store")]
+        assert main(args) == 0
         first = capsys.readouterr().out
-        assert main(["campaign", "fig5", "--points", "6",
-                     "--store", store]) == 0
+        assert main(args) == 0
         second = capsys.readouterr().out
 
         def counts(out):
@@ -184,18 +232,8 @@ class TestCampaignCommand:
         capsys.readouterr()
 
     def test_campaign_spec_file(self, capsys, tmp_path):
-        import json
-
-        spec = {
-            "name": "mini",
-            "kind": "fig5_point",
-            "base": {"lam": 9.26e-5, "T": 172800.0},
-            "grid": {"interval": [60.0, 600.0],
-                     "method": ["diskful", "diskless"]},
-            "seeded": False,
-        }
         path = tmp_path / "sweep.json"
-        path.write_text(json.dumps(spec))
+        path.write_text(json.dumps(_fig5_spec([60.0, 600.0])))
         assert main(["campaign", "--spec", str(path), "--jobs", "2"]) == 0
         out = capsys.readouterr().out
         assert "campaign 'mini'" in out

@@ -40,7 +40,7 @@ from repro.core.placement import validate_layout
 from repro.resilience import Scrubber
 from repro.sim import Simulator
 
-from conftest import run_process, spread_vms
+from conftest import spread_vms
 
 
 def _members(seed: int, lengths) -> list[np.ndarray]:
@@ -295,7 +295,7 @@ class TestXorTransparency:
             r = yield from ck.run_cycle()
             assert r.committed
 
-        run_process(sim, cycle())
+        sim.run_process(cycle())
         return cluster, ck
 
     def test_default_equals_explicit_xor_bit_for_bit(self):
@@ -365,7 +365,7 @@ class TestSchemeAwareScrubber:
             r = yield from ck.run_cycle()
             assert r.committed
 
-        run_process(sim, cycle())
+        sim.run_process(cycle())
         return cluster, ck
 
     def test_rs82_survives_corrupt_shard_plus_dead_shard_home(self):

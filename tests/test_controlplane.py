@@ -77,12 +77,7 @@ def drive(sim, cp, gen, until=500.0):
         finally:
             cp.stop()
 
-    proc = sim.process(main())
-    sim.run(until=until)
-    if proc.ok is False:
-        raise proc.value
-    assert proc.triggered, "driver never finished (deadlock?)"
-    return proc.value
+    return sim.run_process(main(), until=until)
 
 
 def events_of(cp, kind):

@@ -38,7 +38,7 @@ def _managed_run():
             yield from cp.checkpoint()
         cp.stop()
 
-    sim.run_processes(epochs())
+    sim.run_process(epochs())
     return cp, scenario_digests(sim, cluster, ckpt, rngs, tracer)
 
 

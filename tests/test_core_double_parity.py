@@ -22,7 +22,7 @@ from repro.core import (
 )
 from repro.sim import Simulator
 
-from conftest import run_process, spread_vms
+from conftest import spread_vms
 
 
 def _cluster(n_nodes=6, vms=12, seed=4):
@@ -80,7 +80,7 @@ class TestCycle:
     def test_cycle_stores_both_shards(self):
         sim, cluster, _ = _cluster()
         ck = _checkpointer(cluster)
-        r = run_process(sim, ck.run_cycle())
+        r = sim.run_process(ck.run_cycle())
         assert r.committed
         for g in ck.layout.groups:
             for j, home in enumerate(g.parity_nodes):
@@ -89,14 +89,14 @@ class TestCycle:
     def test_traffic_double_single_parity(self):
         sim, cluster, _ = _cluster()
         ck = _checkpointer(cluster)
-        r = run_process(sim, ck.run_cycle())
+        r = sim.run_process(ck.run_cycle())
         # each of 12 x 1 GB images ships to two parity nodes
         assert r.network_bytes == pytest.approx(24e9)
 
     def test_row_shard_matches_xor_of_members(self):
         sim, cluster, _ = _cluster()
         ck = _checkpointer(cluster)
-        run_process(sim, ck.run_cycle())
+        sim.run_process(ck.run_cycle())
         g = ck.layout.groups[0]
         row = cluster.node(g.parity_node).parity_store[g.group_id]
         payloads = [
@@ -120,7 +120,7 @@ class TestDoubleFailureRecovery:
                 )
                 vm.image.touch_pages(rng.integers(0, 16, 3), rng)
 
-        run_process(sim, proc())
+        sim.run_process(proc())
         return committed
 
     @pytest.mark.parametrize("pair", list(combinations(range(6), 2)))
@@ -133,7 +133,7 @@ class TestDoubleFailureRecovery:
         a, b = pair
         cluster.kill_node(a)
         cluster.kill_node(b)
-        run_process(sim, ck.recover(a))
+        sim.run_process(ck.recover(a))
         for vm in cluster.all_vms:
             assert vm.state == VMState.RUNNING
             assert np.array_equal(vm.image.flat, committed[vm.vm_id]), (
@@ -145,7 +145,7 @@ class TestDoubleFailureRecovery:
         ck = _checkpointer(cluster)
         committed = self._checkpoint(sim, cluster, ck, rng)
         cluster.kill_node(2)
-        run_process(sim, ck.recover(2))
+        sim.run_process(ck.recover(2))
         for vm in cluster.all_vms:
             assert np.array_equal(vm.image.flat, committed[vm.vm_id])
 
@@ -154,7 +154,7 @@ class TestDoubleFailureRecovery:
         ck = _checkpointer(cluster)
         cluster.kill_node(0)
         with pytest.raises(RuntimeError):
-            run_process(sim, ck.recover(0))
+            sim.run_process(ck.recover(0))
 
     def test_post_recovery_cycle_consistent(self):
         sim, cluster, rng = _cluster()
@@ -170,7 +170,7 @@ class TestDoubleFailureRecovery:
             r = yield from ck.run_cycle()
             return r
 
-        r = run_process(sim, proc())
+        r = sim.run_process(proc())
         assert r.committed
         # both shards for every group live on alive nodes again, and the
         # new epoch's shards are coherent with the committed images

@@ -8,7 +8,7 @@ from repro.checkpoint import IncrementalCapture
 from repro.cluster import ClusterSpec, VirtualCluster, VMState, xor_reduce
 from repro.core import checkpoint_node, dvdc, first_shot, validate_layout
 
-from conftest import run_process, spread_vms
+from conftest import spread_vms
 
 
 def _parity_matches_committed(cluster, ck):
@@ -35,7 +35,7 @@ class TestDVDCCycle:
             r = yield from ck.run_cycle()
             return r
 
-        r = run_process(sim, proc())
+        r = sim.run_process(proc())
         assert r.committed
         assert ck.committed_epoch == 0
         assert _parity_matches_committed(paper_cluster, ck)
@@ -51,7 +51,7 @@ class TestDVDCCycle:
             r = yield from ck.run_cycle()
             return r
 
-        r = run_process(sim, proc())
+        r = sim.run_process(proc())
         assert r.overhead == pytest.approx(0.12)  # 3 VMs/node x 40 ms
 
     def test_latency_far_below_diskful(self, paper_cluster, sim):
@@ -62,7 +62,7 @@ class TestDVDCCycle:
             r = yield from ck.run_cycle()
             return r
 
-        r = run_process(sim, proc())
+        r = sim.run_process(proc())
         # 3 GB per node over its own 125 MB/s NIC ~= 24 s  (diskful: ~230 s)
         assert r.latency < 40.0
 
@@ -77,7 +77,7 @@ class TestDVDCCycle:
             r1 = yield from ck.run_cycle()
             return r1
 
-        r1 = run_process(sim, proc())
+        r1 = sim.run_process(proc())
         assert r1.network_bytes < 12e9 / 10
         assert _parity_matches_committed(paper_cluster, ck)
 
@@ -92,7 +92,7 @@ class TestDVDCCycle:
                 yield sim.timeout(5.0)
                 yield from ck.run_cycle()
 
-        run_process(sim, proc())
+        sim.run_process(proc())
         assert ck.committed_epoch == 5
         assert _parity_matches_committed(paper_cluster, ck)
 
@@ -103,7 +103,7 @@ class TestDVDCCycle:
             yield from ck.run_cycle()
             yield from ck.run_cycle()
 
-        run_process(sim, proc())
+        sim.run_process(proc())
         assert [h.epoch for h in ck.history] == [0, 1]
 
 
@@ -123,7 +123,7 @@ class TestDVDCRecovery:
             rep = yield from ck.recover(node)
             return rep
 
-        rep = run_process(sim, proc())
+        rep = sim.run_process(proc())
         return rep, committed
 
     def test_reconstruction_bit_exact(self, paper_cluster, sim, rng):
@@ -167,7 +167,7 @@ class TestDVDCRecovery:
             yield from ck.recover(0)
 
         with pytest.raises(RuntimeError):
-            run_process(sim, proc())
+            sim.run_process(proc())
 
     def test_post_recovery_epochs_consistent(self, paper_cluster, sim, rng):
         ck = dvdc(paper_cluster, strategy=IncrementalCapture())
@@ -181,7 +181,7 @@ class TestDVDCRecovery:
             yield sim.timeout(5.0)
             yield from ck.run_cycle()
 
-        run_process(sim, proc())
+        sim.run_process(proc())
         assert _parity_matches_committed(paper_cluster, ck)
 
     def test_heal_restores_validity_after_repair(self, paper_cluster, sim, rng):
@@ -195,7 +195,7 @@ class TestDVDCRecovery:
             healed = yield from ck.heal()
             return healed
 
-        healed = run_process(sim, proc())
+        healed = sim.run_process(proc())
         assert healed  # something was degraded and got fixed
         assert validate_layout(ck.layout, paper_cluster).ok
         assert _parity_matches_committed(paper_cluster, ck)
@@ -230,7 +230,7 @@ class TestFoldedEpoch:
             r = yield from ck.run_cycle()
             assert r.committed
 
-        run_process(sim, proc())
+        sim.run_process(proc())
         return cluster, ck, ids
 
     @pytest.mark.parametrize("scheme", ["xor", "rs-8-2", "rs-4-3"])
@@ -270,7 +270,7 @@ class TestFoldedEpoch:
             yield from ck.recover(node)
 
         with pytest.raises(RuntimeError, match="fails its end-to-end checksum"):
-            run_process(sim, proc())
+            sim.run_process(proc())
 
 
 class TestFirstShotArchitecture:
@@ -306,7 +306,7 @@ class TestFirstShotArchitecture:
             rep = yield from ck.recover(0)
             return rep
 
-        rep = run_process(sim, proc())
+        rep = sim.run_process(proc())
         assert list(rep.reconstructed) == [0]
         vm0 = cluster.vm(0)
         assert np.array_equal(vm0.image.flat, committed[0])
@@ -319,7 +319,7 @@ class TestFirstShotArchitecture:
             r = yield from ck.run_cycle()
             return r
 
-        r = run_process(sim, proc())
+        r = sim.run_process(proc())
         assert list(r.xor_seconds_by_node) == [3]
 
 
@@ -343,7 +343,7 @@ class TestCheckpointNodeArchitecture:
             r = yield from ck.run_cycle()
             return r
 
-        r = run_process(sim, proc())
+        r = sim.run_process(proc())
         assert list(r.xor_seconds_by_node) == [3]
         assert len(cluster.node(3).parity_store) == 3
 
@@ -356,7 +356,7 @@ class TestCheckpointNodeArchitecture:
             r = yield from ck_a.run_cycle()
             return r
 
-        r_fig3 = run_process(sim_a, proc_a())
+        r_fig3 = sim_a.run_process(proc_a())
 
         # Fig. 4 with same total VM count (12 VMs over 4 nodes)
         sim_b = __import__("repro.sim", fromlist=["Simulator"]).Simulator()
@@ -368,5 +368,5 @@ class TestCheckpointNodeArchitecture:
             r = yield from ck_b.run_cycle()
             return r
 
-        r_fig4 = run_process(sim_b, proc_b())
+        r_fig4 = sim_b.run_process(proc_b())
         assert r_fig3.latency > r_fig4.latency

@@ -8,8 +8,6 @@ from repro.core import dvdc
 from repro.migration import PrecopyModel, live_migrate
 from repro.workloads import paper_scenario
 
-from conftest import run_process
-
 
 class TestDVDCCompression:
     def test_compression_halves_wire_traffic(self):
@@ -20,7 +18,7 @@ class TestDVDCCompression:
             r = yield from ck.run_cycle()
             return r
 
-        r = run_process(sc.sim, proc())
+        r = sc.sim.run_process(proc())
         assert r.network_bytes == pytest.approx(6e9, rel=0.1)
         # XOR still operates on raw bytes
         assert r.parity_bytes == pytest.approx(
@@ -44,18 +42,18 @@ class TestDVDCCompression:
             sc.cluster.kill_node(0)
             yield from ck.recover(0)
 
-        run_process(sc.sim, proc())
+        sc.sim.run_process(proc())
         for vm in sc.cluster.all_vms:
             assert np.array_equal(vm.image.flat, committed[vm.vm_id])
 
     def test_compression_shortens_latency(self):
         sc_a = paper_scenario(seed=42)
         ck_a = dvdc(sc_a.cluster)
-        r_plain = run_process(sc_a.sim, ck_a.run_cycle())
+        r_plain = sc_a.sim.run_process(ck_a.run_cycle())
 
         sc_b = paper_scenario(seed=42)
         ck_b = dvdc(sc_b.cluster, compression=CompressionModel(ratio=0.5))
-        r_comp = run_process(sc_b.sim, ck_b.run_cycle())
+        r_comp = sc_b.sim.run_process(ck_b.run_cycle())
         assert r_comp.latency < r_plain.latency * 0.7
 
 

@@ -10,7 +10,7 @@ from repro.failures import FailureEvent, FailureInjector, FailureSchedule
 from repro.sim import Simulator
 from repro.workloads import CheckpointedJob, paper_scenario
 
-from conftest import run_process, spread_vms
+from conftest import spread_vms
 
 
 class TestRamConstrainedNodes:
@@ -29,7 +29,7 @@ class TestRamConstrainedNodes:
         def proc():
             yield from ck.run_cycle()
 
-        run_process(sim, proc())  # no NodeError
+        sim.run_process(proc())  # no NodeError
         for node in cluster.nodes:
             assert node.used_bytes <= node.ram_bytes
 
@@ -46,7 +46,7 @@ class TestRamConstrainedNodes:
             yield from ck.run_cycle()
 
         with pytest.raises(NodeError):
-            run_process(sim, proc())
+            sim.run_process(proc())
 
     def test_hosting_respects_ram(self):
         sim = Simulator()
@@ -71,10 +71,7 @@ class TestColdRestart:
         job = CheckpointedJob(sc.cluster, ck, work=1800.0, interval=600.0,
                               injector=inj, repair_time=30.0)
         inj.start()
-        proc = job.start()
-        sc.sim.run()
-        if proc.ok is False:
-            raise proc.value
+        sc.sim.run_process(job.start())
         assert job.result.completed
         assert job.result.n_failures == 1
         # all VMs alive and hosted
@@ -89,10 +86,7 @@ class TestColdRestart:
         job = CheckpointedJob(sc.cluster, ck, work=900.0, interval=300.0,
                               injector=inj, repair_time=30.0)
         inj.start()
-        proc = job.start()
-        sc.sim.run()
-        if proc.ok is False:
-            raise proc.value
+        sc.sim.run_process(job.start())
         assert job.result.completed
 
 
@@ -136,7 +130,7 @@ class TestBackgroundHeal:
             healed = yield from ck.heal()
             return healed
 
-        healed = run_process(sc.sim, proc())
+        healed = sc.sim.run_process(proc())
         assert healed
 
 
@@ -243,7 +237,7 @@ class TestHeterogeneousVMs:
             yield from ck.recover(2)
             return committed
 
-        committed = run_process(sim, proc())
+        committed = sim.run_process(proc())
         for vm in cluster.all_vms:
             assert vm.state.value == "running"
             assert np.array_equal(vm.image.flat, committed[vm.vm_id]), (
@@ -257,7 +251,7 @@ class TestHeterogeneousVMs:
         def proc():
             yield from ck.run_cycle()
 
-        run_process(sim, proc())
+        sim.run_process(proc())
         for g in ck.layout.groups:
             block = cluster.node(g.parity_node).parity_store[g.group_id]
             largest = max(
@@ -278,7 +272,7 @@ class TestHeterogeneousVMs:
             yield from ck.run_cycle()  # incremental: must fail clearly
 
         with pytest.raises(RuntimeError, match="homogeneous"):
-            run_process(sim, proc())
+            sim.run_process(proc())
 
     @pytest.mark.parametrize("scheme", ["rs-8-2", "rs-4-3"])
     def test_incremental_heterogeneous_rs_folds_and_recovers_bit_exact(
@@ -316,7 +310,7 @@ class TestHeterogeneousVMs:
             yield from ck.recover(2)
             return committed
 
-        committed = run_process(sim, proc())
+        committed = sim.run_process(proc())
         assert ck.committed_epoch == 3
         for vm in cluster.all_vms:
             assert vm.state.value == "running"

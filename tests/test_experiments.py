@@ -138,10 +138,7 @@ class TestPairedJobStudy:
                 vm.image.touch_pages(rng.integers(0, 64, 4), rng)
             yield from ck.run_cycle()
 
-        proc_obj = sc.sim.process(proc())
-        sc.sim.run()
-        if proc_obj.ok is False:
-            raise proc_obj.value
+        sc.sim.run_process(proc())
         obj = sc.cluster.nas.lookup("vm0/epoch1")
         img = obj.payload
         assert img.meta.get("consolidated")
@@ -170,9 +167,6 @@ class TestPairedJobStudy:
             sc.cluster.kill_node(1)
             yield from ck.recover(1)
 
-        proc_obj = sc.sim.process(proc())
-        sc.sim.run()
-        if proc_obj.ok is False:
-            raise proc_obj.value
+        sc.sim.run_process(proc())
         for vm in sc.cluster.all_vms:
             assert np.array_equal(vm.image.flat, committed[vm.vm_id])

@@ -21,7 +21,7 @@ from repro.failures import (
 from repro.sim import Simulator
 from repro.workloads import CheckpointedJob
 
-from conftest import run_process, spread_vms
+from conftest import spread_vms
 
 
 def _rack_cluster(n_racks=3, nodes_per_rack=2, vms_per_node=2, seed=50):
@@ -113,7 +113,7 @@ class TestRackFailureSurvival:
             yield from ck.recover(2)
             yield from ck.recover(3)
 
-        run_process(sim, proc())
+        sim.run_process(proc())
         for vm in cluster.all_vms:
             assert vm.state.value == "running"
             assert np.array_equal(vm.image.flat, committed[vm.vm_id]), (
@@ -137,7 +137,7 @@ class TestRackFailureSurvival:
             yield from ck.recover(1)
 
         with pytest.raises(RuntimeError):
-            run_process(sim, proc())
+            sim.run_process(proc())
 
     def test_end_to_end_job_under_rack_failures(self):
         sim, cluster, domains, rng = _rack_cluster(seed=51)
@@ -152,8 +152,5 @@ class TestRackFailureSurvival:
         job = CheckpointedJob(cluster, ck, work=3600.0, interval=600.0,
                               injector=inj, repair_time=60.0)
         inj.start()
-        proc = job.start()
-        sim.run()
-        if proc.ok is False:
-            raise proc.value
+        sim.run_process(job.start())
         assert job.result.completed

@@ -20,8 +20,6 @@ from repro.migration import live_migrate
 from repro.model import expected_time_with_overhead
 from repro.workloads import CheckpointedJob, paper_scenario
 
-from conftest import run_process
-
 
 def _run_job(kind, seed, work=2 * 3600.0, interval=600.0, mtbf_node=4 * 3600.0):
     sc = paper_scenario(seed=seed)
@@ -38,10 +36,7 @@ def _run_job(kind, seed, work=2 * 3600.0, interval=600.0, mtbf_node=4 * 3600.0):
         sc.cluster, ck, work=work, interval=interval, injector=inj, repair_time=30.0
     )
     inj.start()
-    proc = job.start()
-    sc.sim.run()
-    if proc.ok is False:
-        raise proc.value
+    sc.sim.run_process(job.start())
     return job.result
 
 
@@ -64,7 +59,7 @@ class TestSingleFailureSurvival:
             sc.cluster.kill_node(node)
             yield from ck.recover(node)
 
-        run_process(sc.sim, proc())
+        sc.sim.run_process(proc())
         for vm in sc.cluster.all_vms:
             assert vm.state.value == "running"
             assert np.array_equal(vm.image.flat, committed[vm.vm_id])
@@ -122,7 +117,7 @@ class TestMigrationIntegration:
             r = yield from ck1.run_cycle()
             return r
 
-        solo = run_process(sc1.sim, just_cycle())
+        solo = sc1.sim.run_process(just_cycle())
 
         sc2 = paper_scenario(seed=3)
         ck2 = dvdc(sc2.cluster)
@@ -136,7 +131,7 @@ class TestMigrationIntegration:
             yield mig
             return r
 
-        busy = run_process(sc2.sim, cycle_with_migration())
+        busy = sc2.sim.run_process(cycle_with_migration())
         assert busy.latency > solo.latency
 
 

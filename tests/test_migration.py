@@ -15,8 +15,6 @@ from repro.migration import (
 )
 from repro.sim import Simulator
 
-from conftest import run_process
-
 
 class TestDowntimeModel:
     def test_paper_base_overhead_is_40ms(self):
@@ -82,7 +80,7 @@ class TestLiveMigrateSim:
             r = yield from live_migrate(cluster, vm, 1)
             return r
 
-        result = run_process(sim, proc())
+        result = sim.run_process(proc())
         assert vm.node_id == 1
         assert vm.state.value == "running"
         assert result.total_bytes >= 1e9
@@ -100,7 +98,7 @@ class TestLiveMigrateSim:
             r = yield from live_migrate(cluster, vm, 0)
             return r
 
-        result = run_process(sim, proc())
+        result = sim.run_process(proc())
         assert result.total_bytes == 0.0
 
     def test_unhosted_vm_rejected(self):
@@ -113,7 +111,7 @@ class TestLiveMigrateSim:
             yield from live_migrate(cluster, vm, 1)
 
         with pytest.raises(ValueError):
-            run_process(sim, proc())
+            sim.run_process(proc())
 
 
 class TestPageHash:

@@ -156,10 +156,7 @@ class TestReliabilityVsSimulation:
             job = CheckpointedJob(sc.cluster, ck, work=work, interval=600.0,
                                   injector=inj, repair_time=30.0)
             inj.start()
-            proc = job.start()
-            sc.sim.run()
-            if proc.ok is False:
-                raise proc.value
+            sc.sim.run_process(job.start())
             if job.result.completed:
                 completed += 1
                 wall_times.append(job.result.wall_time)

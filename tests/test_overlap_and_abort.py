@@ -8,7 +8,7 @@ from repro.core import dvdc
 from repro.failures import FailureEvent, FailureInjector, FailureSchedule
 from repro.workloads import CheckpointedJob, paper_scenario
 
-from conftest import run_process, spread_vms
+from conftest import spread_vms
 
 
 class TestPauseDoneEvent:
@@ -28,7 +28,7 @@ class TestPauseDoneEvent:
             return r
 
         sc.sim.process(watcher())
-        run_process(sc.sim, cycle())
+        sc.sim.run_process(cycle())
         t_pause, pause_len = times["pause"]
         assert t_pause == pytest.approx(0.12)  # barrier = 3 x 40 ms
         assert pause_len == pytest.approx(0.12)
@@ -45,7 +45,7 @@ class TestPauseDoneEvent:
             seen["t"] = sc.sim.now
 
         sc.sim.process(watcher())
-        r = run_process(sc.sim, ck.run_cycle(pause_done=pause_done))
+        r = sc.sim.run_process(ck.run_cycle(pause_done=pause_done))
         assert seen["t"] == pytest.approx(0.12)
         assert r.latency > 100  # the NAS pipeline dwarfs the pause
 
@@ -65,7 +65,7 @@ class TestMidCycleAbort:
             r1 = yield from ck.run_cycle()
             return r1
 
-        r1 = run_process(sc.sim, proc())
+        r1 = sc.sim.run_process(proc())
         assert not r1.committed
         assert ck.committed_epoch == 0  # still the old epoch
         # surviving nodes still hold epoch-0 checkpoints and parity
@@ -94,7 +94,7 @@ class TestMidCycleAbort:
             rep = yield from ck.recover(2)
             return rep
 
-        run_process(sc.sim, proc())
+        sc.sim.run_process(proc())
         for vm in sc.cluster.all_vms:
             assert np.array_equal(vm.image.flat, committed[vm.vm_id])
 
@@ -108,7 +108,7 @@ class TestMidCycleAbort:
             r1 = yield from ck.run_cycle()
             return r1
 
-        r1 = run_process(sc.sim, proc())
+        r1 = sc.sim.run_process(proc())
         assert not r1.committed
         assert ck.committed_epoch == 0
         # generation 0 keys still present for every VM
@@ -132,10 +132,7 @@ class TestOverlappedJob:
             injector=inj, repair_time=30.0, overlap=overlap,
         )
         inj.start()
-        proc = job.start()
-        sc.sim.run()
-        if proc.ok is False:
-            raise proc.value
+        sc.sim.run_process(job.start())
         return job.result
 
     def test_overlap_hides_diskful_latency(self):
@@ -222,7 +219,7 @@ class TestFlowTeardown:
             rep = yield from ck.recover(1)
             return rep
 
-        run_process(sc.sim, proc())
+        sc.sim.run_process(proc())
         for vm in sc.cluster.all_vms:
             assert np.array_equal(vm.image.flat, committed[vm.vm_id])
 
@@ -245,6 +242,6 @@ class TestFlowTeardown:
             r1 = yield from ck.run_cycle()
             return r1
 
-        r1 = run_process(sim, proc())
+        r1 = sim.run_process(proc())
         assert not r1.committed
         assert ck.committed_epoch == 0

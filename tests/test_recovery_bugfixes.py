@@ -18,8 +18,6 @@ import pytest
 from repro.cluster import ClusterSpec, VirtualCluster, VMState
 from repro.core import dvdc
 
-from conftest import run_process
-
 
 class TestMidPauseFailure:
     """A node crash during the barrier window must not leak stale captures."""
@@ -36,7 +34,7 @@ class TestMidPauseFailure:
             r = yield from ck.run_cycle()
             return r
 
-        return ck, run_process(sim, proc())
+        return ck, sim.run_process(proc())
 
     def test_cycle_aborts_instead_of_crashing(self, paper_cluster, sim):
         # pre-fix: AssertionError in the group cycle on the dead VM's node
@@ -61,7 +59,7 @@ class TestMidPauseFailure:
             rep = yield from ck.recover(2)
             return rep
 
-        rep = run_process(sim, recover())
+        rep = sim.run_process(recover())
         assert sorted(rep.reconstructed) == [2, 6, 10]
         for vm in paper_cluster.all_vms:
             hv = paper_cluster.hypervisor(vm.node_id)
@@ -115,7 +113,7 @@ class TestHeterogeneousRebuild:
             rep = yield from ck.recover(node)
             return rep
 
-        rep = run_process(sim, proc())
+        rep = sim.run_process(proc())
         assert len(rep.reconstructed) == 3
         sizes = set()
         for vm in cluster.all_vms:
@@ -140,7 +138,7 @@ class TestRecoveryNetworkAccounting:
             rep = yield from ck.recover(0)
             return rep
 
-        rep = run_process(sim, proc())
+        rep = sim.run_process(proc())
         # pre-fix: ~6 GB of never-completed survivor transfers were charged
         assert rep.network_bytes == 0
         assert rep.reconstructed == {}
@@ -156,7 +154,7 @@ class TestRecoveryNetworkAccounting:
             rep = yield from ck.recover(0)
             return rep
 
-        rep = run_process(sim, proc())
+        rep = sim.run_process(proc())
         assert sorted(rep.reconstructed) == [0, 4, 8]
         # three groups x two remote survivors x 1 GB, plus restore
         # shipments for members rebuilt away from their parity node

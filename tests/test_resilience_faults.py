@@ -21,8 +21,6 @@ from repro.resilience import (
     corrupt_node_state,
 )
 
-from conftest import run_process
-
 
 class TestTransientFault:
     def test_validation(self):
@@ -135,7 +133,7 @@ class TestInjector:
             yield topo.transfer(0, 1, topo.node_bandwidth * 10)
 
         with pytest.raises(TransientNetworkError, match="dropped"):
-            run_process(sim, driver())
+            sim.run_process(driver())
         assert all(not lk.flows for lk in topo.network.links.values())
 
     def test_corrupt_on_empty_node_reports_nothing(self, sim):
@@ -164,7 +162,7 @@ class TestCorruptNodeState:
         def cycle():
             r = yield from ck.run_cycle()
             assert r.committed
-        run_process(sim, cycle())
+        sim.run_process(cycle())
         return ck
 
     def _artifact_bytes(self, node):
@@ -216,7 +214,7 @@ class TestZeroResidualCapacity:
             yield flow
 
         with pytest.raises(NetworkError):
-            run_process(sim, driver())
+            sim.run_process(driver())
         _assert_zero_residual(topo.network)
 
     def test_transient_abort_releases_capacity(self, sim):
@@ -228,7 +226,7 @@ class TestZeroResidualCapacity:
             yield flow
 
         with pytest.raises(TransientNetworkError):
-            run_process(sim, driver())
+            sim.run_process(driver())
         _assert_zero_residual(topo.network)
 
     def test_link_down_tears_all_crossing_flows_cleanly(self, sim):
@@ -259,7 +257,7 @@ class TestZeroResidualCapacity:
             yield topo.transfer(0, 1, 1e6)
 
         with pytest.raises(TransientNetworkError, match="down"):
-            run_process(sim, driver())
+            sim.run_process(driver())
         _assert_zero_residual(topo.network)
         # and the NIC recovers for the next attempt
         topo.set_node_links_up(1, True)
@@ -267,7 +265,7 @@ class TestZeroResidualCapacity:
         def retry():
             return (yield topo.transfer(0, 1, 1e6))
 
-        assert run_process(sim, retry()).ok
+        assert sim.run_process(retry()).ok
         _assert_zero_residual(topo.network)
 
     def test_bandwidth_change_midflight_conserves_allocation(self, sim):
@@ -279,7 +277,7 @@ class TestZeroResidualCapacity:
         def driver():
             return (yield flow)
 
-        assert run_process(sim, driver()).ok
+        assert sim.run_process(driver()).ok
         _assert_zero_residual(topo.network)
 
     def test_drop_then_survivors_reexpand(self, sim):

@@ -10,8 +10,6 @@ from repro.core import dvdc
 from repro.resilience import ClusterHealth, SelfHealer, SparePool
 from repro.telemetry import Probe
 
-from conftest import run_process
-
 
 def _populated(sim, n_active, n_spare, seed=11):
     """CLI ``audit --heal`` shape: VMs on the first ``n_active`` nodes."""
@@ -74,7 +72,7 @@ class TestHealAfterRecover:
             paper_cluster.kill_node(1)
             yield from ck.recover(1)
 
-        run_process(sim, driver())
+        sim.run_process(driver())
 
         co_located = [
             g for g in ck.layout.groups
@@ -90,7 +88,7 @@ class TestHealAfterRecover:
         def heal():
             return (yield from ck.heal())
 
-        healed = run_process(sim, heal())
+        healed = sim.run_process(heal())
         assert healed  # the co-located groups were re-encoded elsewhere
 
         auditor = Auditor(paper_cluster, ck.layout)
@@ -121,7 +119,7 @@ class TestSelfHealer:
         def driver():
             r = yield from ck.run_cycle()
             assert r.committed
-        run_process(sim, driver())
+        sim.run_process(driver())
         state, found = healer.assess()
         assert state is ClusterHealth.PROTECTED and found == []
 
@@ -141,7 +139,7 @@ class TestSelfHealer:
             out["report"] = yield from healer.reprotect()
             out["heal_again"] = yield from ck.heal()
 
-        sim.run_processes(driver())
+        sim.run_process(driver())
         report = out["report"]
         assert report.state is ClusterHealth.PROTECTED
         assert report.issues == []
@@ -187,7 +185,7 @@ class TestSelfHealer:
             yield from ck.recover(0)
             out["report"] = yield from healer.reprotect()
 
-        sim.run_processes(driver())
+        sim.run_process(driver())
         report = out["report"]
         assert report.state is ClusterHealth.DEGRADED
         assert healer.state is ClusterHealth.DEGRADED
@@ -216,7 +214,7 @@ class TestSelfHealer:
             r2 = yield from healer.reprotect()
             out["r1"], out["r2"] = r1, r2
 
-        sim.run_processes(driver())
+        sim.run_process(driver())
         assert out["r1"].state is ClusterHealth.PROTECTED
         assert out["r2"].state is ClusterHealth.PROTECTED
         assert out["r1"].spares_used == [4]

@@ -8,8 +8,6 @@ from repro.network.link import TransientNetworkError
 from repro.resilience import DEFAULT_RETRY, RetryExhausted, RetryPolicy, retrying_transfer
 from repro.telemetry import Probe
 
-from conftest import run_process
-
 
 def _counter(probe, name):
     snap = probe.metrics.snapshot()
@@ -82,7 +80,7 @@ class TestRetryingTransfer:
             flow = yield from retrying_transfer(sim, make_flow, DEFAULT_RETRY)
             return flow
 
-        flow = run_process(sim, driver())
+        flow = sim.run_process(driver())
         assert flow.ok and len(calls) == 1
 
     def test_recovers_after_transient_aborts(self, sim):
@@ -104,7 +102,7 @@ class TestRetryingTransfer:
                 sim, make_flow, policy, probe=probe
             ))
 
-        flow = run_process(sim, driver())
+        flow = sim.run_process(driver())
         assert flow is flows[2] and flow.ok
         assert _counter(probe, "repro_resilience_retries_total") == 2
         assert _counter(probe, "repro_resilience_recovered_transfers_total") == 1
@@ -124,7 +122,7 @@ class TestRetryingTransfer:
             yield from retrying_transfer(sim, make_flow, policy, label="doomed")
 
         with pytest.raises(RetryExhausted) as err:
-            run_process(sim, driver())
+            sim.run_process(driver())
         assert err.value.attempts == 3
         assert "doomed" in str(err.value)
         assert _counter(probe, "repro_resilience_retry_exhausted_total") == 0
@@ -160,7 +158,7 @@ class TestRetryingTransfer:
             yield from retrying_transfer(sim, make_flow, DEFAULT_RETRY)
 
         with pytest.raises(NetworkError, match="node crashed"):
-            run_process(sim, driver())
+            sim.run_process(driver())
         assert len(attempts) == 1  # no retry of a fatal failure
 
     def test_deadline_stops_before_attempt_budget(self, sim):
@@ -180,7 +178,7 @@ class TestRetryingTransfer:
             yield from retrying_transfer(sim, make_flow, policy)
 
         with pytest.raises(RetryExhausted):
-            run_process(sim, driver())
+            sim.run_process(driver())
         assert sim.now < 3.0  # gave up near the deadline, not after 100 tries
 
     def test_attempt_timeout_escapes_stragglers(self, sim):
@@ -206,7 +204,7 @@ class TestRetryingTransfer:
                 sim, make_flow, policy, probe=probe
             ))
 
-        flow = run_process(sim, driver())
+        flow = sim.run_process(driver())
         assert flow is attempts[1] and flow.ok
         assert sim.now < 100.0  # did not wait out the straggler
         assert _counter(probe, "repro_resilience_attempt_timeouts_total") == 1
@@ -220,6 +218,6 @@ class TestRetryingTransfer:
                 sim, lambda: net.start_flow([net.links["l"]], 100.0), policy
             ))
 
-        flow = run_process(sim, driver())
+        flow = sim.run_process(driver())
         assert flow.ok
         assert sim.now == pytest.approx(1.0)  # no stray 100 s event ran

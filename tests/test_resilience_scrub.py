@@ -9,8 +9,6 @@ from repro.core import dvdc
 from repro.resilience import Scrubber
 from repro.telemetry import Probe
 
-from conftest import run_process
-
 
 def _counter(probe, name):
     fam = probe.metrics.snapshot().get(name)
@@ -42,7 +40,7 @@ class TestScrubber:
         def cycle():
             r = yield from ck.run_cycle()
             assert r.committed
-        run_process(sim, cycle())
+        sim.run_process(cycle())
         return ck
 
     def _flip_parity(self, cluster, group):
@@ -143,7 +141,7 @@ class TestRottenParityRefusal:
         def first():
             r = yield from ck.run_cycle()
             assert r.committed
-        run_process(sim, first())
+        sim.run_process(first())
 
         group = ck.layout.groups[0]
         block = paper_cluster.node(group.parity_node).parity_store[group.group_id]
@@ -157,7 +155,7 @@ class TestRottenParityRefusal:
             yield from ck.run_cycle()
 
         with pytest.raises(RuntimeError, match="silent corruption"):
-            run_process(sim, second())
+            sim.run_process(second())
 
     def test_scrub_first_then_fold_succeeds(self, sim, paper_cluster, scheme):
         ck = dvdc(paper_cluster, strategy=IncrementalCapture(), scheme=scheme)
@@ -165,7 +163,7 @@ class TestRottenParityRefusal:
         def first():
             r = yield from ck.run_cycle()
             assert r.committed
-        run_process(sim, first())
+        sim.run_process(first())
 
         group = ck.layout.groups[0]
         block = paper_cluster.node(group.parity_node).parity_store[group.group_id]
@@ -180,4 +178,4 @@ class TestRottenParityRefusal:
         def second():
             r = yield from ck.run_cycle()
             assert r.committed
-        run_process(sim, second())
+        sim.run_process(second())

@@ -10,7 +10,42 @@ from repro.sim import (
     Simulator,
 )
 
-from conftest import run_process
+
+class TestRunProcess:
+    """``Simulator.run_process``, the one run-to-completion primitive."""
+
+    def test_returns_the_value_of_a_finished_process(self, sim):
+        def proc():
+            yield sim.timeout(2.0)
+            return "done"
+
+        assert sim.run_process(proc()) == "done"
+        assert sim.now == 2.0
+
+    def test_reraises_the_process_failure(self, sim):
+        def proc():
+            yield sim.timeout(1.0)
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run_process(proc())
+
+    def test_until_reached_while_running_raises(self, sim):
+        def slow():
+            yield sim.timeout(10.0)
+
+        with pytest.raises(SimulationError, match=r"'slow' never finished.*t=5"):
+            sim.run_process(slow(), until=5.0)
+        assert sim.now == 5.0
+
+    def test_accepts_a_started_process(self, sim):
+        def proc():
+            yield sim.timeout(1.0)
+            return 7
+
+        started = sim.process(proc())
+        assert sim.run_process(started, until=3.0) == 7
+        assert sim.now == 3.0
 
 
 class TestTimeout:
@@ -19,14 +54,14 @@ class TestTimeout:
             yield sim.timeout(5.0)
             return sim.now
 
-        assert run_process(sim, proc()) == 5.0
+        assert sim.run_process(proc()) == 5.0
 
     def test_timeout_value(self, sim):
         def proc():
             got = yield sim.timeout(1.0, value="payload")
             return got
 
-        assert run_process(sim, proc()) == "payload"
+        assert sim.run_process(proc()) == "payload"
 
     def test_sequential_timeouts_accumulate(self, sim):
         def proc():
@@ -35,14 +70,14 @@ class TestTimeout:
             yield sim.timeout(3.0)
             return sim.now
 
-        assert run_process(sim, proc()) == 6.0
+        assert sim.run_process(proc()) == 6.0
 
     def test_zero_timeout_allowed(self, sim):
         def proc():
             yield sim.timeout(0.0)
             return "done"
 
-        assert run_process(sim, proc()) == "done"
+        assert sim.run_process(proc()) == "done"
 
 
 class TestEvents:
@@ -100,7 +135,7 @@ class TestEvents:
             got = yield ev
             return got
 
-        assert run_process(sim, waiter()) == "early"
+        assert sim.run_process(waiter()) == "early"
 
     def test_value_before_trigger_raises(self, sim):
         with pytest.raises(ProcessError):
@@ -114,7 +149,7 @@ class TestEvents:
             yield sim.event()
 
         with pytest.raises(SimulationError, match="stuck_waiter"):
-            run_process(sim, stuck_waiter())
+            sim.run_process(stuck_waiter())
 
 
 class TestJoin:
@@ -127,7 +162,7 @@ class TestJoin:
             got = yield sim.process(child())
             return (got, sim.now)
 
-        assert run_process(sim, parent()) == ("result", 3.0)
+        assert sim.run_process(parent()) == ("result", 3.0)
 
     def test_child_exception_propagates_to_parent(self, sim):
         def child():
@@ -140,7 +175,7 @@ class TestJoin:
             except RuntimeError as exc:
                 return str(exc)
 
-        assert run_process(sim, parent()) == "child died"
+        assert sim.run_process(parent()) == "child died"
 
     def test_unhandled_child_exception_fails_process(self, sim):
         def child():
@@ -232,7 +267,7 @@ class TestConditions:
             got = yield AllOf(sim, [sim.process(worker(3.0)), sim.process(worker(1.0))])
             return (got, sim.now)
 
-        values, t = run_process(sim, parent())
+        values, t = sim.run_process(parent())
         assert t == 3.0
         assert values == {0: 3.0, 1: 1.0}
 
@@ -241,7 +276,7 @@ class TestConditions:
             got = yield AllOf(sim, [])
             return got
 
-        assert run_process(sim, parent()) == {}
+        assert sim.run_process(parent()) == {}
 
     def test_allof_fails_fast(self, sim):
         def ok():
@@ -257,7 +292,7 @@ class TestConditions:
             except ValueError:
                 return sim.now
 
-        assert run_process(sim, parent()) == 1.0
+        assert sim.run_process(parent()) == 1.0
 
 
 class TestDeterminism:

@@ -4,8 +4,6 @@ import pytest
 
 from repro.sim import Resource, ResourceError
 
-from conftest import run_process
-
 
 class TestResource:
     def test_capacity_validation(self, sim):
@@ -19,7 +17,7 @@ class TestResource:
             yield res.request()
             return (res.in_use, res.capacity - res.in_use)
 
-        assert run_process(sim, proc()) == (1, 1)
+        assert sim.run_process(proc()) == (1, 1)
 
     def test_fifo_queueing(self, sim):
         res = Resource(sim, capacity=1)

@@ -4,8 +4,6 @@ import pytest
 
 from repro.storage import NAS, Disk, DiskSpec, StorageError
 
-from conftest import run_process
-
 
 class TestDiskSpec:
     def test_service_time(self):
@@ -31,7 +29,7 @@ class TestDisk:
             yield from disk.write(200.0)
             return sim.now
 
-        assert run_process(sim, proc()) == pytest.approx(2.5)
+        assert sim.run_process(proc()) == pytest.approx(2.5)
         assert disk.bytes_written == 200.0
         assert disk.ops == 1
 
@@ -67,7 +65,7 @@ class TestDisk:
         def proc():
             yield from disk.read(1000.0)
 
-        run_process(sim, proc())
+        sim.run_process(proc())
         assert disk.bytes_read == 1000.0
 
 
@@ -81,7 +79,7 @@ class TestNAS:
             got = yield from nas.fetch("vm0/e0")
             return got.payload
 
-        assert run_process(sim, proc()) == {"x": 1}
+        assert sim.run_process(proc()) == {"x": 1}
 
     def test_version_advances_on_overwrite(self, sim):
         nas = NAS(sim)
@@ -91,7 +89,7 @@ class TestNAS:
             obj = yield from nas.store("k", 20.0)
             return obj
 
-        obj = run_process(sim, proc())
+        obj = sim.run_process(proc())
         assert obj.version == 1
         assert nas.bytes_stored == 20.0
         assert len(nas) == 1
@@ -112,7 +110,7 @@ class TestNAS:
             yield from nas.store("a", 95.0)
             return nas.bytes_stored
 
-        assert run_process(sim, proc()) == 95.0
+        assert sim.run_process(proc()) == 95.0
 
     def test_delete(self, sim):
         nas = NAS(sim)
@@ -130,7 +128,7 @@ class TestNAS:
             yield from nas.store("k", 500.0)
             return sim.now
 
-        assert run_process(sim, proc()) == pytest.approx(5.0)
+        assert sim.run_process(proc()) == pytest.approx(5.0)
 
     def test_concurrent_stores_serialize_on_disk(self, sim):
         nas = NAS(sim, disk_spec=DiskSpec(bandwidth=100.0, seek_time=0.0))

@@ -377,7 +377,7 @@ class TestInstrumentedRun:
         sc = scaled_scenario(3, 2, seed=0, tracer=probe)
         sc.sim.attach_probe(probe)
         ck = DiskfulCheckpointer(sc.cluster, tracer=probe)
-        sc.sim.run_processes(ck.run_cycle())
+        sc.sim.run_process(ck.run_cycle())
         return probe
 
     def test_sim_layer_metrics(self, probe):

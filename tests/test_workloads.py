@@ -132,10 +132,7 @@ class TestJobRunner:
             injector=inj, repair_time=30.0,
         )
         inj.start()
-        proc = job.start()
-        sc.sim.run()
-        if proc.ok is False:
-            raise proc.value
+        sc.sim.run_process(job.start())
         return job.result
 
     def test_failure_free_run(self):
@@ -216,10 +213,7 @@ class TestAdaptiveJob:
             injector=inj, repair_time=30.0,
         )
         inj.start()
-        proc = job.start()
-        sc.sim.run()
-        if proc.ok is False:
-            raise proc.value
+        sc.sim.run_process(job.start())
         r = job.result
         assert r.completed
         assert r.n_checkpoints >= 3  # the policy fires repeatedly
@@ -235,10 +229,7 @@ class TestAdaptiveJob:
         job = CheckpointedJob(
             sc.cluster, ck, work=3600.0, interval=self._policy(),
         )
-        proc = job.start()
-        sc.sim.run()
-        if proc.ok is False:
-            raise proc.value
+        sc.sim.run_process(job.start())
         mean_interval = 3600.0 / max(job.result.n_checkpoints - 1, 1)
         static = fig5().diskless.optimum.interval
         assert static / 3 < mean_interval < static * 3
@@ -257,9 +248,6 @@ class TestAdaptiveJob:
             injector=inj, repair_time=30.0,
         )
         inj.start()
-        proc = job.start()
-        sc.sim.run()
-        if proc.ok is False:
-            raise proc.value
+        sc.sim.run_process(job.start())
         assert job.result.completed
         assert job.result.n_recoveries == 1
