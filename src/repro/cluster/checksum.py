@@ -6,12 +6,32 @@ memory and links never flip a bit.  Real clusters see silent corruption
 is *more* exposed than a diskful one because every artifact lives in
 volatile RAM with no filesystem-level scrubbing underneath it.
 
-This module gives every checkpoint artifact a cheap content fingerprint:
-a CRC-32 (via :mod:`zlib`, vectorized C) folded with the block length so
-truncation and content damage are both caught.  Checksums are computed
-at *commit/stage* time (the moment bytes are known good), verified on
-reconstruct, and re-verified periodically by the
+Every checkpoint artifact carries a content fingerprint,
+:func:`block_checksum`: a CRC-32 (via :mod:`zlib`, vectorized C) folded
+with the block length so truncation and content damage are both caught.
+Checksums are taken at *commit/stage* time (the moment bytes are known
+good), verified on reconstruct, and re-verified periodically by the
 :class:`~repro.resilience.scrubber.Scrubber`.
+
+**Page images move in O(dirty).**  CRC-32 is affine over GF(2): the
+bytes of page ``p`` of an ``n``-page image reach the block's CRC through
+one 32×32 GF(2) matrix — "append ``(n−1−p)·page_size`` zero bytes",
+zlib's ``crc32_combine`` operator.  So the hypervisor keeps each
+committed page image's per-page CRCs (:func:`page_crcs`) beside its
+checksum, and moves an incremental commit's checksum by the dirty pages
+alone (:func:`update_checksum`): it hashes only the new pages, and the
+old page CRCs come from the record, not from the base bytes — rot in
+the base is never re-fingerprinted as good.  The operators are built
+from ``zlib.crc32`` on zero bytes, lazily, once per
+``(n_pages, page_size)``.  Every value is bit-identical to
+:func:`block_checksum` of the bytes.
+
+:func:`block_checksum` stays the oracle and the path for every whole
+hash: a full commit (which also records the image's page CRCs), a
+committed image whose base carries no page CRCs, parity shards a scheme
+cannot derive (RS, RDP, replication, and every full encode), remote
+copies, and every *verify* — the scrubber, the pre-fold check and the
+rebuild check always hash the bytes they hold.
 
 The functions accept any ndarray and hash its raw bytes; timing-only
 artifacts (``payload is None``) simply have no checksum.
@@ -20,10 +40,17 @@ artifacts (``payload is None``) simply have no checksum.
 from __future__ import annotations
 
 import zlib
+from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["block_checksum"]
+__all__ = [
+    "block_checksum",
+    "page_crcs",
+    "update_checksum",
+]
+
+_BITS = np.arange(32, dtype=np.uint32)
 
 
 def _flat_bytes(data: np.ndarray) -> np.ndarray:
@@ -41,3 +68,72 @@ def block_checksum(data: np.ndarray) -> int:
     # streams it in place — no tobytes copy
     crc = zlib.crc32(b)
     return (b.size & 0xFFFFFFFF) << 32 | crc
+
+
+def _gf2_apply(columns: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``M · v`` over GF(2) for each 32-bit ``v`` in ``vectors``, where
+    ``columns[i]`` is ``M``'s image of bit ``i``.  One pass per bit
+    keeps the working set at the size of ``vectors``."""
+    out = np.zeros_like(vectors)
+    for i in range(32):
+        out ^= columns[i] * ((vectors >> np.uint32(i)) & np.uint32(1))
+    return out
+
+
+@lru_cache(maxsize=32)
+def _shifts(n_pages: int, page_size: int) -> np.ndarray:
+    """``shifts[p]``: the columns of the operator that carries page
+    ``p``'s CRC to the end of an ``n_pages × page_size`` image
+    (``(n_pages−1−p)·page_size`` zero bytes appended)."""
+    zeros = bytes(page_size)
+    zero_page_crc = zlib.crc32(zeros)
+    # one page of appended zeros, column by column
+    step = np.array(
+        [zlib.crc32(zeros, 1 << i) ^ zero_page_crc for i in range(32)],
+        dtype=np.uint32,
+    )
+    # powers[j] = step^j, by doubling: step^(m+j) = step^m · step^j
+    powers = np.empty((n_pages, 32), dtype=np.uint32)
+    powers[0] = np.uint32(1) << _BITS
+    have, jump = 1, step
+    while have < n_pages:
+        take = min(have, n_pages - have)
+        powers[have : have + take] = _gf2_apply(jump, powers[:take])
+        jump = _gf2_apply(jump, jump)
+        have += take
+    shifts = powers[::-1].copy()
+    shifts.flags.writeable = False  # shared by every caller of the cache
+    return shifts
+
+
+def page_crcs(pages: np.ndarray) -> np.ndarray:
+    """CRC-32 of each row of a ``(n_pages, page_size)`` uint8 array."""
+    n_pages, page_size = pages.shape
+    flat = memoryview(_flat_bytes(pages.reshape(-1)))
+    return np.array(
+        [zlib.crc32(flat[o : o + page_size])
+         for o in range(0, n_pages * page_size, page_size)],
+        dtype=np.uint32,
+    )
+
+
+def update_checksum(
+    checksum: int,
+    indices: np.ndarray,
+    old_crcs: np.ndarray,
+    new_crcs: np.ndarray,
+    n_pages: int,
+    page_size: int,
+) -> int:
+    """:func:`block_checksum` of a page image after the pages at
+    ``indices`` (unique) changed from CRCs ``old_crcs`` to ``new_crcs``,
+    given its ``checksum`` before.  Costs O(len(indices)); no byte of
+    the image is read."""
+    moved = np.bitwise_xor(old_crcs, new_crcs, dtype=np.uint32)
+    if not moved.size:
+        return checksum
+    terms = moved[:, None] >> _BITS  # bit i of each moved CRC, in place
+    terms &= np.uint32(1)
+    terms *= _shifts(n_pages, page_size)[indices]
+    return checksum ^ int(np.bitwise_xor.reduce(terms, axis=None))
+

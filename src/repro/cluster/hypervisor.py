@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .checksum import block_checksum
+from .checksum import block_checksum, page_crcs, update_checksum
 from .images import CheckpointImage, CheckpointKind
 from .memory import PageDelta
 from .node import PhysicalNode
@@ -127,7 +127,9 @@ class Hypervisor:
     # ------------------------------------------------------------------
     # commit / restore
     # ------------------------------------------------------------------
-    def commit_checkpoint(self, image: CheckpointImage) -> None:
+    def commit_checkpoint(
+        self, image: CheckpointImage
+    ) -> tuple[int | None, int | None]:
         """Retain ``image`` as the VM's committed checkpoint in node RAM.
 
         For incremental images the committed state is the *merged* full
@@ -135,15 +137,29 @@ class Hypervisor:
         single in-memory object always reconstructs the VM — mirroring
         the merge step Plank describes for incremental diskless
         checkpoints.
+
+        A functional page image is fingerprinted with its per-page CRCs
+        (``meta["page_crcs"]``): a full commit hashes the image whole and
+        page by page, an incremental one only the dirty pages, moving the
+        base's recorded checksum by them — bytes the base holds are never
+        re-hashed, so rot in them stays detectable.  A base without page CRCs (its
+        geometry was unknown) is re-hashed whole.
+
+        Returns ``(replaced, committed)``: the checksum of the image this
+        commit replaces and of the one it stores (None where absent or
+        timing-only), so a caller need not hold either image.
         """
+        prev = self.node.checkpoint_store.get(image.vm_id)
+        replaced = None if prev is None else prev.meta.get("checksum")
         if image.kind == CheckpointKind.INCREMENTAL and image.payload is not None:
-            prev = self.node.checkpoint_store.get(image.vm_id)
             if prev is None or prev.payload is None:
                 raise HypervisorError(
                     f"incremental commit for vm {image.vm_id} without a "
                     "functional base checkpoint"
                 )
             delta: PageDelta = image.payload
+            base_crcs = prev.meta.get("page_crcs")
+            self._check_delta(image.vm_id, delta, prev.payload.nbytes, base_crcs)
             prev_payload = prev.payload
             if (
                 isinstance(prev_payload, np.ndarray)
@@ -164,6 +180,21 @@ class Hypervisor:
                 merged = prev.payload_flat().copy()
             del prev_payload
             delta.apply_to(merged)
+            meta = dict(image.meta, merged_from_incremental=True)
+            if base_crcs is not None:
+                new_crcs = page_crcs(delta.pages)
+                meta["checksum"] = update_checksum(
+                    replaced, delta.indices, base_crcs[delta.indices], new_crcs,
+                    delta.n_pages_total, delta.page_size,
+                )
+                # like the buffer, the record moves over unless the base
+                # lives on (no new long-lived allocation per commit)
+                if prev.payload is not None or sys.getrefcount(base_crcs) > 3:
+                    base_crcs = base_crcs.copy()
+                base_crcs[delta.indices] = new_crcs
+                meta["page_crcs"] = base_crcs
+            else:
+                meta["checksum"] = block_checksum(merged)
             # The committed object is a merged full snapshot: it occupies
             # full-image RAM on the node even though only the delta moved.
             image = CheckpointImage(
@@ -174,13 +205,51 @@ class Hypervisor:
                 captured_at=image.captured_at,
                 payload=merged,
                 base_epoch=image.base_epoch,
-                meta=dict(image.meta, merged_from_incremental=True),
+                meta=meta,
             )
-        if isinstance(image.payload, np.ndarray):
+        elif isinstance(image.payload, np.ndarray):
             # Commit is the moment the bytes are known good: fingerprint
             # them so restores and scrubs can detect later bit-rot.
-            image.meta["checksum"] = block_checksum(image.payload)
+            vm = self.node.vms.get(image.vm_id)
+            flat = image.payload_flat()
+            image.meta["checksum"] = block_checksum(flat)
+            if (
+                vm is not None
+                and vm.image is not None
+                and vm.image.nbytes == flat.nbytes
+            ):
+                image.meta["page_crcs"] = page_crcs(
+                    flat.reshape(vm.image.n_pages, vm.image.page_size)
+                )
         self.node.store_checkpoint(image)
+        return replaced, image.meta.get("checksum")
+
+    @staticmethod
+    def _check_delta(
+        vm_id: int, delta: PageDelta, base_nbytes: int, base_crcs: np.ndarray | None
+    ) -> None:
+        """Refuse a delta that cannot patch the committed image — before
+        the merge takes the image's buffer, so the VM keeps its last good
+        recovery point."""
+        n_pages, page_size = delta.n_pages_total, delta.page_size
+        if n_pages * page_size != base_nbytes or (
+            base_crcs is not None and len(base_crcs) != n_pages
+        ):
+            base = f"{base_nbytes} B"
+            if base_crcs is not None:
+                base = f"{len(base_crcs)} pages, {base}"
+            raise HypervisorError(
+                f"incremental commit for vm {vm_id}: a delta of {n_pages} "
+                f"pages × {page_size} B cannot patch the committed image "
+                f"({base})"
+            )
+        idx = delta.indices  # sorted: its ends bound it
+        if len(idx) and (idx[0] < 0 or idx[-1] >= n_pages):
+            raise HypervisorError(
+                f"incremental commit for vm {vm_id}: delta pages "
+                f"[{int(idx[0])}, {int(idx[-1])}] outside the committed "
+                f"image's {n_pages} pages"
+            )
 
     def committed(self, vm_id: int) -> CheckpointImage | None:
         return self.node.checkpoint_store.get(vm_id)

@@ -190,6 +190,15 @@ class CodingScheme:
         """
         raise NotImplementedError
 
+    def fold_checksum(
+        self, prev: int | None, member_deltas: Sequence[tuple[int, int] | None]
+    ) -> int | None:
+        """Checksum of a shard :meth:`fold_many` produced, from the
+        previous shard's ``prev`` and each folded member's ``(old, new)``
+        commit checksums (None where unknown) — or None when the shard's
+        bytes must be hashed instead, which is the default."""
+        return None
+
     def fold_mismatch(self, member_nbytes: int, shard_nbytes: int) -> str | None:
         """Why :meth:`fold_many` cannot fold a ``member_nbytes`` image into
         ``shard_nbytes`` shards, or None when it can.  Shards are
@@ -310,6 +319,21 @@ class XorScheme(CodingScheme):
             for row, i in zip(stacked, idxs):
                 out[i] = [row]
         return out
+
+    def fold_checksum(
+        self, prev: int | None, member_deltas: Sequence[tuple[int, int] | None]
+    ) -> int | None:
+        """The folded parity is ``prev ⊕ ⨁ (old ⊕ new)`` over the members,
+        all one length, and a length-tagged CRC-32 of equal-length blocks
+        is affine over XOR: its checksum is ``prev ⊕ ⨁ (old ⊕ new)`` of
+        theirs.  Taken from the members' recorded checksums, not the
+        bytes the fold read, so rot folded in from a base stays visible
+        to the scrubber."""
+        if prev is None or any(d is None or None in d for d in member_deltas):
+            return None
+        for old, new in member_deltas:
+            prev ^= old ^ new
+        return prev
 
     def fold_mismatch(self, member_nbytes: int, shard_nbytes: int) -> str | None:
         """:func:`xor_fold_groups` folds pages of a parity block exactly

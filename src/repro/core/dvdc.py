@@ -37,7 +37,9 @@ shards — the RAID-5 small-write optimization applied to checkpoints;
 any other scheme (RDP, replication) materializes each member
 (committed base + dirty pages) and re-encodes its shards whole.  Every
 block's ``member_checksums`` are the CRCs the commit takes of the
-members' bytes, except XOR-folded blocks, which record none.
+members' bytes, except XOR-folded blocks, which record none; an
+XOR-folded block's own checksum is derived from those CRCs
+(:meth:`~repro.coding.CodingScheme.fold_checksum`), not hashed.
 
 Recovery (after a node crash): every surviving VM rolls back to its
 local in-memory checkpoint (a memory copy — no disk, no network); each
@@ -224,17 +226,21 @@ class DisklessCheckpointer:
         logical_bytes: float,
         shards: list[np.ndarray] | None,
         member_checksums: dict[int, int],
+        checksum: int | None = None,
     ) -> ParityBlock:
         """Shard ``j`` of ``group`` as a store-ready block, keyed with
-        :func:`repro.coding.shard_key`; ``shards=None`` is timing-only."""
+        :func:`repro.coding.shard_key`; ``shards=None`` is timing-only.
+        Its bytes are hashed unless the fold derived their ``checksum``."""
         data = None if shards is None else shards[j]
+        if data is not None and checksum is None:
+            checksum = block_checksum(data)
         return ParityBlock(
             group_id=shard_key(group.group_id, j),
             epoch=epoch,
             member_vm_ids=group.member_vm_ids,
             logical_bytes=logical_bytes,
             data=data,
-            checksum=None if data is None else block_checksum(data),
+            checksum=checksum,
             member_checksums=dict(member_checksums),
         )
 
@@ -373,13 +379,12 @@ class DisklessCheckpointer:
         deltas: XOR, RS) or materialized — committed base + dirty pages
         — and encoded whole with the rest.
 
-        Returns one ``(group, member_images, shards, fingerprinted)``
+        Returns one ``(group, member_images, shards, prev_blocks)``
         record per pending group: the shard-index-ordered shard bytes
-        (None for a timing-only group) and whether its blocks record
-        the members' commit fingerprints — every encoded group does, a
-        folded one as the scheme's ``folded_member_checksums`` says.
-        The fold holds the committed images only for its call, so the
-        commit that follows can still patch each one in place.
+        (None for a timing-only group), and the previous blocks a folded
+        group's shards came from (None for an encoded group).  The fold
+        holds the committed images only for its call, so the commit that
+        follows can still patch each one in place.
         """
         flats: dict[int, list[np.ndarray]] = {}
         fold: list[int] = []
@@ -413,9 +418,8 @@ class DisklessCheckpointer:
                 [[blk.data for blk in pending[i][2]] for i in fold], updates
             )
             shards.update(zip(fold, folded))
-        fold_sums = self.scheme.folded_member_checksums
         return [
-            (group, images, shards.get(i), prev is None or fold_sums)
+            (group, images, shards.get(i), prev)
             for i, (group, images, prev) in enumerate(pending)
         ]
 
@@ -494,31 +498,36 @@ class DisklessCheckpointer:
             return result
         encoded = self._flush_encodes(pending)
         # the commit fingerprints each member's bytes; blocks record
-        # those CRCs rather than taking their own
-        fingerprints: dict[int, int] = {}
+        # those CRCs rather than taking their own, and a folded shard
+        # moves its checksum by the members' (replaced, committed) pairs
+        commits: dict[int, tuple[int | None, int | None]] = {}
         for vm_id, image in staged_commits.items():
             vm = self.cluster.vm(vm_id)
             if vm.node_id is None:
                 continue
-            hv = self.cluster.hypervisor(vm.node_id)
-            hv.commit_checkpoint(image)
-            crc = hv.committed(vm_id).meta.get("checksum")
-            if crc is not None:
-                fingerprints[vm_id] = crc
+            commits[vm_id] = self.cluster.hypervisor(vm.node_id).commit_checkpoint(
+                image
+            )
             vm.epoch = epoch
-        for group, images, shards, fingerprinted in encoded:
+        fingerprints = {v: new for v, (_, new) in commits.items() if new is not None}
+        fold_sums = self.scheme.folded_member_checksums
+        for group, images, shards, prev in encoded:
             member_checksums = {
                 img.vm_id: fingerprints[img.vm_id]
                 for img in images
-                if fingerprinted and img.vm_id in fingerprints
+                if (prev is None or fold_sums) and img.vm_id in fingerprints
             }
             logical = max(
                 max(img.logical_bytes for img in images),
                 max(self.cluster.vm(v).memory_bytes for v in group.member_vm_ids),
             )
+            deltas = [commits.get(img.vm_id) for img in images]
             for j, node_id in enumerate(group.parity_nodes):
+                crc = None
+                if prev is not None and shards is not None:
+                    crc = self.scheme.fold_checksum(prev[j].checksum, deltas)
                 self.cluster.node(node_id).store_parity(self._shard_block(
-                    group, j, epoch, logical, shards, member_checksums
+                    group, j, epoch, logical, shards, member_checksums, crc
                 ))
         self.committed_epoch = epoch
         self.epoch += 1

@@ -16,6 +16,8 @@ from repro.cluster import (
     VMError,
     VMState,
 )
+from repro.cluster.checksum import block_checksum, page_crcs
+from repro.cluster.memory import PageDelta
 
 from conftest import spread_vms
 
@@ -196,6 +198,54 @@ class TestHypervisor:
         assert np.array_equal(merged.payload_flat(), expected)
         # committed object occupies full-image RAM
         assert merged.logical_bytes == vm.memory_bytes
+
+    def test_commit_fingerprints_pages_and_returns_checksums(self):
+        _, hv, vm = self._setup()
+        assert hv.commit_checkpoint(hv.capture_full(vm, 0.0, 0))[0] is None
+        full = hv.committed(0)
+        assert np.array_equal(
+            full.meta["page_crcs"], page_crcs(vm.image.pages)
+        )
+        first = full.meta["checksum"]
+        assert first == block_checksum(vm.image.flat)
+        del full
+        vm.image.write(40, b"dirty")
+        replaced, committed = hv.commit_checkpoint(
+            hv.capture_incremental(vm, 1.0, 1, base_epoch=0)
+        )
+        merged = hv.committed(0)
+        assert (replaced, committed) == (first, merged.meta["checksum"])
+        assert committed == block_checksum(vm.image.flat)
+        assert np.array_equal(merged.meta["page_crcs"], page_crcs(vm.image.pages))
+
+    def test_commit_of_unknown_geometry_hashes_whole(self):
+        _, hv, vm = self._setup()
+        odd = np.arange(100, dtype=np.uint8)  # not the VM's image size
+        hv.commit_checkpoint(CheckpointImage(0, 0, CheckpointKind.FULL, 1e9, 0.0, odd))
+        meta = hv.committed(0).meta
+        assert "page_crcs" not in meta
+        assert meta["checksum"] == block_checksum(odd)
+
+    def test_failed_merge_keeps_the_committed_image(self):
+        # a delta whose geometry does not match the base is refused before
+        # the merge takes the base's buffer
+        _, hv, vm = self._setup()
+        hv.commit_checkpoint(hv.capture_full(vm, 0.0, 0))
+        before = hv.committed(0).payload_flat().copy()
+        wide = PageDelta(32, 16, np.array([3]), np.ones((1, 32), np.uint8))
+        with pytest.raises(HypervisorError, match=r"vm 0.*16 pages × 32 B.*8 pages, 256 B"):
+            hv.commit_checkpoint(CheckpointImage(
+                0, 1, CheckpointKind.INCREMENTAL, 32.0, 1.0, wide, base_epoch=0
+            ))
+        outside = PageDelta(32, 8, np.array([2, 9]), np.ones((2, 32), np.uint8))
+        with pytest.raises(HypervisorError, match=r"vm 0.*\[2, 9\].*8 pages"):
+            hv.commit_checkpoint(CheckpointImage(
+                0, 1, CheckpointKind.INCREMENTAL, 64.0, 1.0, outside, base_epoch=0
+            ))
+        kept = hv.committed(0)
+        assert kept.payload is not None
+        assert np.array_equal(kept.payload_flat(), before)
+        assert kept.meta["checksum"] == block_checksum(before)
 
     def test_incremental_commit_without_base_rejected(self):
         _, hv, vm = self._setup()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.checkpoint import IncrementalCapture
 from repro.cluster import ClusterSpec, VirtualCluster, VMState, xor_reduce
+from repro.cluster.checksum import block_checksum
 from repro.core import checkpoint_node, dvdc, first_shot, validate_layout
 
 from conftest import spread_vms
@@ -252,9 +253,13 @@ class TestFoldedEpoch:
                 assert blk.epoch == 1
                 assert np.array_equal(blk.data, shard)
                 assert blk.member_checksums == want
+                # a folded shard's derived checksum is its bytes' checksum
+                assert blk.checksum == block_checksum(blk.data)
         for vm in cluster.all_vms:
-            payload = cluster.hypervisor(vm.node_id).committed(vm.vm_id).payload
-            assert id(payload) == ids[vm.vm_id], f"vm {vm.vm_id}: commit copied"
+            img = cluster.hypervisor(vm.node_id).committed(vm.vm_id)
+            assert id(img.payload) == ids[vm.vm_id], f"vm {vm.vm_id}: commit copied"
+            # the commit moved the checksum by the dirty pages alone
+            assert img.meta["checksum"] == block_checksum(img.payload)
 
     @pytest.mark.parametrize("scheme", ["rs-8-2", "rs-4-3"])
     def test_corrupt_survivor_fails_end_to_end_checksum(self, sim, rng, scheme):

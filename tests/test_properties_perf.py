@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cluster.checksum import block_checksum
 from repro.cluster.memory import MemoryImage
 from repro.cluster.xorsum import (
     reconstruct_missing_padded,
@@ -143,10 +144,12 @@ def test_xor_fold_groups_matches_naive_fold(rngs: RngRegistry, seed: int):
 def test_xor_scheme_fold_many_equals_reencode(rngs: RngRegistry, seed: int):
     """Folding each epoch's deltas into the previous parity gives the
     bytes a whole re-encode of the new members gives — across two page
-    geometries in one call (two fold buckets) and with a clean member."""
+    geometries in one call (two fold buckets) and with a clean member.
+    ``fold_checksum`` derives the folded parity's checksum from the
+    previous one and the members' old and new checksums."""
     rng = rngs.stream(f"fold-many/{seed}")
     scheme = get_scheme("xor")
-    prev_shards, updates, expected = [], [], []
+    prev_shards, updates, expected, sums = [], [], [], []
     for n_pages, page_size in [(16, 64), (8, 32), (16, 64)]:
         images = []
         for _ in range(int(rng.integers(2, 5))):
@@ -161,10 +164,16 @@ def test_xor_scheme_fold_many_equals_reencode(rngs: RngRegistry, seed: int):
         updates.append([(base, img.capture_delta())
                         for base, img in zip(bases, images)])
         expected.append(scheme.encode([img.flat for img in images]))
+        sums.append([(block_checksum(base), block_checksum(img.flat))
+                     for base, img in zip(bases, images)])
     folded = scheme.fold_many(prev_shards, updates)
     assert len(folded) == len(expected)
-    for got, want in zip(folded, expected):
+    for got, want, prev, deltas in zip(folded, expected, prev_shards, sums):
         assert len(got) == 1 and np.array_equal(got[0], want[0])
+        derived = scheme.fold_checksum(block_checksum(prev[0]), deltas)
+        assert derived == block_checksum(got[0])
+        assert scheme.fold_checksum(None, deltas) is None
+        assert scheme.fold_checksum(derived, deltas + [None]) is None
 
 
 def _scribble(rng, img: MemoryImage, pages) -> None:
@@ -229,6 +238,8 @@ def test_rs_fold_many_equals_reencode(rngs: RngRegistry, spec: str, seed: int):
     for got, want in zip(folded, expected):
         assert len(got) == scheme.n_shards
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    # GF(256) products' CRCs do not follow from the members': hashed whole
+    assert scheme.fold_checksum(0, [(1, 2)]) is None
     for shards, saved in zip(prev_shards, before):
         assert all(np.array_equal(a, b) for a, b in zip(shards, saved)), \
             "input shards must not be mutated"
