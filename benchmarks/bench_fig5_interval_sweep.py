@@ -8,23 +8,12 @@ machines, 12 VMs, 40 ms base overhead):
 * diskless overhead ratio ~1% above the fault-free ideal;
 * disk-full "adds nearly 20% to the total execution time".
 
-The sweep runs through the ``repro.campaign`` layer: the bench asserts
-that the parallel fan-out is bit-identical to both the serial campaign
-and the direct :func:`repro.model.fig5` path, measures serial vs
-parallel wall-clock (speedup is reported, not claimed — on a 1-core
-container it can be < 1; see docs/campaigns.md, "Known limitation").
+The bench times :func:`repro.model.fig5` itself: the Section V closed
+form over the 240-point interval grid plus both optimum searches.
 """
 
-import time
-
-import numpy as np
-
 from repro.analysis import ascii_plot, format_seconds, render_table
-from repro.campaign import ResultStore, run_fig5_campaign
 from repro.model import fig5
-
-#: Worker processes for the parallel leg of campaign benches.
-PARALLEL_JOBS = 4
 
 
 def _report_text(result) -> str:
@@ -67,13 +56,8 @@ def _report_text(result) -> str:
     return "\n".join([table, "", plot, headline])
 
 
-def _fig5_via_campaign():
-    result, _ = run_fig5_campaign(jobs=1)
-    return result
-
-
-def test_fig5_sweep(benchmark, report):
-    result = benchmark(_fig5_via_campaign)
+def test_fig5_interval_sweep(benchmark, report):
+    result = benchmark(fig5)
     report(_report_text(result))
     # shape assertions: who wins, by roughly what factor, where optima fall
     assert 0.14 <= result.reduction <= 0.23
@@ -83,45 +67,6 @@ def test_fig5_sweep(benchmark, report):
     # diskless dominates over the operating range
     mask = (result.diskless.intervals > 10) & (result.diskless.intervals < 1e4)
     assert (result.diskless.ratios[mask] <= result.diskful.ratios[mask] + 1e-9).all()
-
-
-def test_fig5_campaign_parallel(report, tmp_path):
-    """Serial vs parallel campaign: bit-identical output, measured clock.
-
-    Also proves resume semantics on the real sweep: a second run against
-    the same store executes zero tasks.
-    """
-    t0 = time.perf_counter()
-    serial, serial_run = run_fig5_campaign(jobs=1)
-    serial_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    parallel, parallel_run = run_fig5_campaign(jobs=PARALLEL_JOBS)
-    parallel_s = time.perf_counter() - t0
-
-    # the acceptance bar: parallel fan-out reproduces the serial series
-    # (and the direct model path) bit for bit
-    direct = fig5()
-    for a, b in ((serial, parallel), (serial, direct)):
-        assert np.array_equal(a.diskless.intervals, b.diskless.intervals)
-        assert np.array_equal(a.diskless.ratios, b.diskless.ratios)
-        assert np.array_equal(a.diskful.ratios, b.diskful.ratios)
-        assert a.diskless.optimum.interval == b.diskless.optimum.interval
-        assert a.diskful.optimum.interval == b.diskful.optimum.interval
-
-    # resume: second run over a warm store executes nothing
-    store = ResultStore(tmp_path / "fig5_store")
-    _, cold = run_fig5_campaign(jobs=1, store=store)
-    _, warm = run_fig5_campaign(jobs=1, store=store)
-    assert cold.n_executed == cold.n_total
-    assert warm.n_executed == 0 and warm.n_cached == warm.n_total
-
-    report(
-        f"\nFIG5 campaign: {serial_run.n_total} tasks, serial "
-        f"{serial_s:.2f}s vs {PARALLEL_JOBS}-way {parallel_s:.2f}s "
-        f"(speedup {serial_s / parallel_s:.3f}x, measured); series "
-        f"bit-identical; resume re-executed 0 of {warm.n_total} tasks"
-    )
 
 
 def test_fig5_optimum_search_only(benchmark):

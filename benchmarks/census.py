@@ -119,7 +119,6 @@ DOC_COMMANDS = [
     ["trace", "export", "--scenario", "epoch", "--arch", "diskful",
      "--format", "chrome", "--out", "{work}/trace.json"],
     ["metrics", "--scenario", "epoch", "--format", "table"],
-    ["metrics", "--scenario", "fig5", "--format", "table"],
     ["metrics", "--scenario", "job"],
     ["metrics", "--scenario", "serving"],
     ["serving", "run", "--metrics"],
@@ -183,10 +182,6 @@ KEEP: dict[str, tuple[str, str]] = {
         "K4", "recovers a crash that lands before the first commit"),
     "repro.controlplane.maintenance:_unstage_committed": (
         "K4", "backs out a staged image when a drain migration fails"),
-    "repro.controlplane.scheduler:PlacementEngine.round_robin": (
-        "K4", "places VMs for a cold restart"),
-    "repro.workloads.app:CheckpointedJob._cold_restart": (
-        "K4", "restarts a job whose first checkpoint never committed"),
     "repro.resilience.retry:_attempt_timeout": (
         "K4", "aborts a transfer attempt that stalls past its timeout"),
     "repro.resilience.scrubber:Scrubber._detect": (

@@ -3,14 +3,13 @@
 The subsystem that turns the repo's serial parameter loops into
 independent task units with deterministic seeding, fans them across
 cores, caches completed results content-addressed on disk, and feeds
-them back into the existing analysis tables and figures::
+them back into the existing analysis tables::
 
-    from repro.campaign import CampaignRunner, fig5_sweep
-    from repro.campaign import fig5_result_from_values
+    from repro.campaign import CampaignRunner, validate_tasks
 
-    sweep = fig5_sweep()
+    cases, tasks = validate_tasks()
     runner = CampaignRunner(store="campaign_store", jobs=4)
-    result = runner.run(sweep.expand())        # resumable: hits are free
+    result = runner.run(tasks)                 # resumable: hits are free
 
 Task values are JSON values, so a cached result equals a fresh one.
 See ``docs/campaigns.md`` for the spec format, seeding guarantees,
@@ -18,14 +17,10 @@ store layout, and resume semantics.
 """
 
 from .aggregate import (
-    fig5_result_from_values,
-    fig5_series_from_values,
     mc_estimate_from_values,
     study_outcome_from_values,
 )
 from .presets import (
-    fig5_sweep,
-    run_fig5_campaign,
     run_study_campaign,
     run_validate_campaign,
     study_sweep,
@@ -56,14 +51,10 @@ __all__ = [
     "TaskKind",
     "register_task",
     "get_kind",
-    "fig5_sweep",
     "validate_tasks",
     "study_sweep",
-    "run_fig5_campaign",
     "run_validate_campaign",
     "run_study_campaign",
-    "fig5_result_from_values",
-    "fig5_series_from_values",
     "mc_estimate_from_values",
     "study_outcome_from_values",
 ]

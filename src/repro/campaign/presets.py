@@ -1,4 +1,4 @@
-"""Prebuilt campaigns for the repo's quantitative artifacts.
+"""Prebuilt campaigns for the repo's simulated artifacts.
 
 Each ``*_sweep``/``*_tasks`` builder returns the task units of one
 artifact; each ``run_*_campaign`` helper executes them through a
@@ -11,20 +11,7 @@ definition of each campaign.
 
 from __future__ import annotations
 
-from dataclasses import asdict
-
-import numpy as np
-
-from ..failures.mtbf import PAPER_LAMBDA
-from ..model import (
-    DISKFUL_PAPER,
-    DISKLESS_PAPER,
-    PAPER_CLUSTER,
-    PAPER_JOB_SECONDS,
-    ClusterModel,
-    MethodConfig,
-    chunk_sizes,
-)
+from ..model import chunk_sizes
 from ..sim.rng import derive_seed
 from ..telemetry import Probe
 from .runner import CampaignRunner
@@ -32,52 +19,14 @@ from .spec import Sweep, Task
 from .store import ResultStore
 
 __all__ = [
-    "fig5_sweep",
     "validate_tasks",
     "study_sweep",
-    "run_fig5_campaign",
     "run_validate_campaign",
     "run_study_campaign",
 ]
 
 #: Default MTBF grid of the ``validate`` command, hours.
 VALIDATE_MTBF_HOURS = (0.5, 1.0, 2.0, 4.0)
-
-
-def fig5_sweep(
-    lam: float = PAPER_LAMBDA,
-    T: float = PAPER_JOB_SECONDS,
-    cluster: ClusterModel = PAPER_CLUSTER,
-    diskful_cfg: MethodConfig = DISKFUL_PAPER,
-    diskless_cfg: MethodConfig = DISKLESS_PAPER,
-    intervals: np.ndarray | None = None,
-    points: int = 240,
-    name: str = "fig5",
-) -> Sweep:
-    """The Fig. 5 interval sweep as a deterministic campaign.
-
-    The default grid matches :func:`repro.model.ratio.sweep_intervals`
-    (240 log-spaced intervals up to T/2); ``points`` shrinks it for
-    smoke runs.
-    """
-    if intervals is None:
-        intervals = np.logspace(0, np.log10(T / 2.0), points)
-    return Sweep(
-        name=name,
-        kind="fig5_point",
-        base={
-            "lam": lam,
-            "T": T,
-            "cluster": asdict(cluster),
-            "diskful_cfg": asdict(diskful_cfg),
-            "diskless_cfg": asdict(diskless_cfg),
-        },
-        grid={
-            "interval": [float(x) for x in np.asarray(intervals)],
-            "method": ["diskful", "diskless"],
-        },
-        seeded=False,
-    )
 
 
 def validate_tasks(
@@ -174,31 +123,6 @@ def study_sweep(
         },
         seeded=False,
     )
-
-
-def run_fig5_campaign(
-    jobs: int = 1,
-    store: ResultStore | str | None = None,
-    resume: bool = True,
-    probe: Probe | None = None,
-    **sweep_kwargs,
-):
-    """Execute the Fig. 5 sweep; returns ``(Fig5Result, CampaignResult)``."""
-    from .aggregate import fig5_result_from_values
-
-    sweep = fig5_sweep(**sweep_kwargs)
-    result = CampaignRunner(store, jobs, resume, probe).run(sweep.expand())
-    result.raise_if_all_failed()
-    base = sweep.base
-    fig = fig5_result_from_values(
-        result.values("fig5_point"),
-        lam=base["lam"],
-        T=base["T"],
-        cluster=ClusterModel(**base["cluster"]),
-        diskful_cfg=MethodConfig(**base["diskful_cfg"]),
-        diskless_cfg=MethodConfig(**base["diskless_cfg"]),
-    )
-    return fig, result
 
 
 def run_validate_campaign(

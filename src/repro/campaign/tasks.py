@@ -14,11 +14,6 @@ as a digest, never as bytes.
 
 Built-in kinds:
 
-``fig5_point``
-    One (method, interval) point of the Fig. 5 expected-time-ratio
-    curve.  Purely deterministic — identical math to
-    :func:`repro.model.ratio.sweep_intervals`'s inner loop, so a
-    campaign-assembled curve is bit-identical to the serial one.
 ``mc_chunk``
     One deterministically seeded chunk of the Section V Monte-Carlo
     (:func:`repro.model.montecarlo.simulate_completion_times_chunk`),
@@ -46,7 +41,6 @@ __all__ = [
     "TaskKind",
     "register_task",
     "get_kind",
-    "run_fig5_point",
     "run_mc_chunk",
     "run_study_cell",
     "run_serving_cell_task",
@@ -88,43 +82,6 @@ def get_kind(name: str) -> TaskKind:
 
 # ---------------------------------------------------------------------------
 # Built-in kinds
-
-
-def _cluster_from(params: dict):
-    from ..model import ClusterModel
-
-    return ClusterModel(**(params.get("cluster") or {}))
-
-
-def _method_cfg(params: dict, method: str):
-    from ..model import DISKFUL_PAPER, DISKLESS_PAPER, MethodConfig
-
-    cfg = params.get(f"{method}_cfg")
-    if cfg is not None:
-        return MethodConfig(**cfg)
-    return DISKFUL_PAPER if method == "diskful" else DISKLESS_PAPER
-
-
-@register_task("fig5_point", version="1")
-def run_fig5_point(params: dict, seed: int | None) -> dict:
-    """Expected-time ratio at one checkpoint interval.
-
-    params: method ("diskful"|"diskless"), interval, lam, T, optional
-    cluster overrides and per-method cfg overrides, optional T_r.
-    """
-    from ..model import expected_time_with_overhead, overhead_function
-
-    method = params["method"]
-    interval = float(params["interval"])
-    lam = float(params["lam"])
-    T = float(params["T"])
-    cluster = _cluster_from(params)
-    ov = overhead_function(cluster, method, _method_cfg(params, method))
-    repair = float(params.get("T_r", cluster.repair_time))
-    ratio = expected_time_with_overhead(
-        lam, T, interval, ov(interval), repair
-    ) / T
-    return {"method": method, "interval": interval, "ratio": ratio}
 
 
 @register_task("mc_chunk", version="1")

@@ -14,13 +14,11 @@ from repro.campaign import (
     execute_task,
     get_kind,
     register_task,
-    run_fig5_campaign,
     run_study_campaign,
     run_validate_campaign,
     task_key,
 )
 from repro.campaign.tasks import _REGISTRY
-from repro.model import fig5
 
 #: kinds registered by the package itself, before the test-only ones below
 BUILTIN_KINDS = sorted(_REGISTRY)
@@ -44,15 +42,15 @@ def _run_ndarray(params, seed):
 
 class TestTaskKeys:
     def test_key_is_stable(self):
-        a = Task("fig5_point", {"x": 1.5}, seed=7)
-        b = Task("fig5_point", {"x": 1.5}, seed=7)
+        a = Task("mc_chunk", {"x": 1.5}, seed=7)
+        b = Task("mc_chunk", {"x": 1.5}, seed=7)
         assert a.key == b.key
 
     def test_key_depends_on_params_seed_version(self):
-        base = Task("fig5_point", {"x": 1.5}, seed=7, version="1")
-        assert base.key != Task("fig5_point", {"x": 2.5}, seed=7).key
-        assert base.key != Task("fig5_point", {"x": 1.5}, seed=8).key
-        assert base.key != Task("fig5_point", {"x": 1.5}, seed=7,
+        base = Task("mc_chunk", {"x": 1.5}, seed=7, version="1")
+        assert base.key != Task("mc_chunk", {"x": 2.5}, seed=7).key
+        assert base.key != Task("mc_chunk", {"x": 1.5}, seed=8).key
+        assert base.key != Task("mc_chunk", {"x": 1.5}, seed=7,
                                 version="2").key
 
     def test_key_insensitive_to_dict_order(self):
@@ -66,7 +64,7 @@ class TestTaskKeys:
 
 class TestSweep:
     def test_expansion_counts_and_order(self):
-        sw = Sweep(name="s", kind="fig5_point",
+        sw = Sweep(name="s", kind="mc_chunk",
                    grid={"b": [10, 20], "a": [1, 2, 3]})
         tasks = sw.expand(version="1")
         assert len(tasks) == 6
@@ -93,7 +91,7 @@ class TestSweep:
         assert by_a_fwd == by_a_rev
 
     def test_unseeded_sweep(self):
-        sw = Sweep(name="s", kind="fig5_point", grid={"a": [1]},
+        sw = Sweep(name="s", kind="mc_chunk", grid={"a": [1]},
                    seeded=False)
         assert sw.expand(version="1")[0].seed is None
 
@@ -112,14 +110,14 @@ class TestSweep:
 class TestResultStore:
     def test_put_get_roundtrip(self, tmp_path):
         store = ResultStore(tmp_path / "s")
-        t = Task("fig5_point", {"x": 1})
+        t = Task("mc_chunk", {"x": 1})
         store.put(t, {"ratio": 1.5}, elapsed=0.25)
         rec = store.get(t.key)
         assert rec["value"] == {"ratio": 1.5}
-        assert rec["task"]["kind"] == "fig5_point"
+        assert rec["task"]["kind"] == "mc_chunk"
 
     def test_persistence_across_reopen(self, tmp_path):
-        t = Task("fig5_point", {"x": 1})
+        t = Task("mc_chunk", {"x": 1})
         ResultStore(tmp_path / "s").put(t, {"ratio": 1.5})
         reopened = ResultStore(tmp_path / "s")
         assert len(reopened) == 1
@@ -127,7 +125,7 @@ class TestResultStore:
 
     def test_hit_and_miss_counters(self, tmp_path):
         store = ResultStore(tmp_path / "s")
-        t = Task("fig5_point", {"x": 1})
+        t = Task("mc_chunk", {"x": 1})
         assert store.get(t.key) is None
         store.put(t, {"ratio": 1.0})
         store.get(t.key)
@@ -137,38 +135,44 @@ class TestResultStore:
 
     def test_records_filter_by_kind(self, tmp_path):
         store = ResultStore(tmp_path / "s")
-        store.put(Task("fig5_point", {"x": 1}), {"r": 1})
+        store.put(Task("study_cell", {"x": 1}), {"r": 1})
         store.put(Task("mc_chunk", {"x": 1}), {"r": 2})
         assert len(store.records()) == 2
         assert len(store.records(kind="mc_chunk")) == 1
 
 
-def _tiny_fig5_tasks(n_points=4):
-    from repro.campaign import fig5_sweep
+def _tiny_mc_tasks(n=8):
+    """``n`` chunks of one 32-runs-per-chunk Monte-Carlo estimate."""
+    params = {
+        "lam": 1e-4, "T": 3600.0, "N": 600.0, "n_runs": 32 * n,
+        "chunk_runs": 32, "final_checkpoint": True, "master_seed": 1,
+    }
+    return [Task("mc_chunk", {**params, "chunk_index": i}) for i in range(n)]
 
-    return fig5_sweep(points=n_points).expand()
+
+#: a task whose worker raises: ``mc_chunk`` without its run counts
+BAD_TASK = Task("mc_chunk", {"chunk_index": 0})
 
 
 class TestRunner:
     def test_registry_has_builtin_kinds(self):
-        assert {"fig5_point", "mc_chunk", "study_cell"} <= set(_REGISTRY)
-        assert get_kind("fig5_point").version
+        assert {"mc_chunk", "study_cell"} <= set(_REGISTRY)
+        assert get_kind("mc_chunk").version
 
     def test_execute_task_never_raises(self):
-        bad = Task("fig5_point", {"method": "diskful"})  # missing params
-        out = execute_task(bad.to_dict())
+        out = execute_task(BAD_TASK.to_dict())
         assert out["ok"] is False
         assert "KeyError" in out["error"]
 
     def test_inline_and_parallel_identical(self):
-        tasks = _tiny_fig5_tasks()
+        tasks = _tiny_mc_tasks()
         r1 = CampaignRunner(jobs=1).run(tasks)
         r4 = CampaignRunner(jobs=4).run(tasks)
         assert r1.values() == r4.values()
         assert r1.n_failed == r4.n_failed == 0
 
     def test_resume_skips_completed_tasks(self, tmp_path):
-        tasks = _tiny_fig5_tasks()
+        tasks = _tiny_mc_tasks()
         store = ResultStore(tmp_path / "s")
         cold = CampaignRunner(store=store, jobs=1).run(tasks)
         assert cold.n_executed == len(tasks)
@@ -183,7 +187,7 @@ class TestRunner:
         assert warm.values() == cold.values()
 
     def test_partial_store_executes_only_missing(self, tmp_path):
-        tasks = _tiny_fig5_tasks()
+        tasks = _tiny_mc_tasks()
         store = ResultStore(tmp_path / "s")
         CampaignRunner(store=store, jobs=1).run(tasks[:3])
         result = CampaignRunner(store=store, jobs=1).run(tasks)
@@ -191,7 +195,7 @@ class TestRunner:
         assert result.n_executed == len(tasks) - 3
 
     def test_no_resume_recomputes(self, tmp_path):
-        tasks = _tiny_fig5_tasks()
+        tasks = _tiny_mc_tasks()
         store = ResultStore(tmp_path / "s")
         CampaignRunner(store=store, jobs=1).run(tasks)
         result = CampaignRunner(store=store, jobs=1, resume=False).run(tasks)
@@ -230,8 +234,7 @@ class TestRunner:
 
     def test_failed_task_not_stored(self, tmp_path):
         store = ResultStore(tmp_path / "s")
-        bad = Task("fig5_point", {"method": "diskful"})
-        CampaignRunner(store=store, jobs=1).run([bad])
+        CampaignRunner(store=store, jobs=1).run([BAD_TASK])
         assert len(store) == 0  # a rerun retries it
 
     def test_jobs_validation(self):
@@ -239,25 +242,12 @@ class TestRunner:
             CampaignRunner(jobs=0)
 
     def test_summary_table(self):
-        result = CampaignRunner(jobs=1).run(_tiny_fig5_tasks())
+        result = CampaignRunner(jobs=1).run(_tiny_mc_tasks())
         table = result.summary_table("t")
         assert "executed" in table and "cached" in table
 
 
 class TestCampaignArtifacts:
-    def test_fig5_parallel_bit_identical_to_serial_model(self):
-        grid = np.logspace(0, np.log10(2 * 24 * 3600.0 / 2.0), 16)
-        campaign_fig, run = run_fig5_campaign(jobs=3, intervals=grid)
-        serial_fig = fig5(intervals=grid)
-        assert run.n_failed == 0
-        assert np.array_equal(campaign_fig.diskless.ratios,
-                              serial_fig.diskless.ratios)
-        assert np.array_equal(campaign_fig.diskful.ratios,
-                              serial_fig.diskful.ratios)
-        assert (campaign_fig.diskless.optimum.interval
-                == serial_fig.diskless.optimum.interval)
-        assert campaign_fig.reduction == serial_fig.reduction
-
     def test_validate_campaign_matches_serial_chunked(self):
         from repro.model import estimate_expected_time
 
@@ -303,8 +293,8 @@ class TestCampaignArtifacts:
 class TestStoreCorruptTail:
     """A crash mid-append must not brick resume (satellite fix)."""
 
-    def _warm_store(self, tmp_path, n=4):
-        tasks = _tiny_fig5_tasks(n)
+    def _warm_store(self, tmp_path, n=8):
+        tasks = _tiny_mc_tasks(n)
         store = ResultStore(tmp_path / "s")
         result = CampaignRunner(store=store, jobs=1).run(tasks)
         assert result.n_executed == len(tasks)
@@ -432,9 +422,6 @@ class TestCompactionDedup:
 
 #: one tiny parameter set per built-in kind; a new kind must add its own
 TINY_PARAMS = {
-    "fig5_point": {
-        "method": "diskless", "interval": 600.0, "lam": 9.26e-5, "T": 172800.0,
-    },
     "mc_chunk": {
         "lam": 1e-4, "T": 3600.0, "N": 600.0, "n_runs": 64, "chunk_runs": 32,
         "chunk_index": 1, "final_checkpoint": True, "master_seed": 1,
@@ -473,7 +460,7 @@ class TestJsonValueContract:
         assert out["ok"] is False and out["value"] is None
         assert "TypeError" in out["error"]
         # ... so store.put never sees it and the siblings are unharmed
-        good = _tiny_fig5_tasks(1)
+        good = _tiny_mc_tasks(2)
         tasks = [good[0], Task("test_ndarray", {}), good[1]]
         store = ResultStore(tmp_path / "s")
         result = CampaignRunner(store=store, jobs=1).run(tasks)
@@ -540,7 +527,7 @@ class TestRunnerBatching:
         assert CampaignRunner._chunk([0, 1, 2], jobs=2) == [[0], [1], [2]]
 
     def test_execute_task_batch_matches_singles(self):
-        tasks = _tiny_fig5_tasks(3)
+        tasks = _tiny_mc_tasks(6)
         dicts = [t.to_dict() for t in tasks]
         batched = execute_task_batch(dicts)
         singles = [execute_task(d) for d in dicts]
@@ -551,7 +538,7 @@ class TestRunnerBatching:
             )
 
     def test_jobs4_bit_identical_to_jobs1(self):
-        tasks = _tiny_fig5_tasks(8)
+        tasks = _tiny_mc_tasks(16)
         r1 = CampaignRunner(jobs=1).run(tasks)
         r4 = CampaignRunner(jobs=4).run(tasks)
         assert r1.n_failed == r4.n_failed == 0
@@ -561,9 +548,8 @@ class TestRunnerBatching:
             assert a.value == b.value
 
     def test_batched_failures_stay_isolated_and_ordered(self):
-        good = _tiny_fig5_tasks(4)
-        bad = Task("fig5_point", {"method": "diskful"})  # missing params
-        tasks = [good[0], bad, good[1], good[2], bad, good[3]]
+        good = _tiny_mc_tasks(8)
+        tasks = [good[0], BAD_TASK, good[1], good[2], BAD_TASK, good[3]]
         result = CampaignRunner(jobs=3).run(tasks)
         assert [r.ok for r in result.runs] == [
             True, False, True, True, False, True
@@ -575,7 +561,7 @@ class TestRunnerProbe:
         from repro.telemetry import Probe
 
         probe = Probe()
-        tasks = _tiny_fig5_tasks(4)
+        tasks = _tiny_mc_tasks(8)
         CampaignRunner(jobs=1, probe=probe).run(tasks)
         snap = probe.metrics.snapshot()
         executed = [
@@ -593,7 +579,7 @@ class TestRunnerProbe:
         from repro.telemetry import Probe
 
         store = ResultStore(tmp_path / "s")
-        tasks = _tiny_fig5_tasks(4)
+        tasks = _tiny_mc_tasks(8)
         CampaignRunner(store=store, jobs=1).run(tasks)
         probe = Probe()
         CampaignRunner(store=store, jobs=1, probe=probe).run(tasks)
@@ -609,5 +595,5 @@ class TestRunnerProbe:
         from repro.telemetry import NULL_PROBE
 
         assert runner.probe is NULL_PROBE
-        runner.run(_tiny_fig5_tasks(2))  # must not record or raise
+        runner.run(_tiny_mc_tasks(4))  # must not record or raise
         assert vars(NULL_PROBE) == {"sink": None}

@@ -7,13 +7,14 @@ import pytest
 from repro.cli import build_parser, main
 
 
-def _fig5_spec(intervals) -> dict:
-    """A JSON fig5 sweep: ``len(intervals)`` x 2 methods tasks."""
+def _mc_spec(chunks: int) -> dict:
+    """A JSON sweep of ``chunks`` tiny ``mc_chunk`` tasks."""
     return {
         "name": "mini",
-        "kind": "fig5_point",
-        "base": {"lam": 9.26e-5, "T": 172800.0},
-        "grid": {"interval": intervals, "method": ["diskful", "diskless"]},
+        "kind": "mc_chunk",
+        "base": {"lam": 1e-4, "T": 3600.0, "N": 600.0, "n_runs": 32 * chunks,
+                 "chunk_runs": 32, "master_seed": 1},
+        "grid": {"chunk_index": list(range(chunks))},
         "seeded": False,
     }
 
@@ -28,9 +29,8 @@ class TestParser:
         assert args.mtbf == 3.0
         assert args.job == 48.0
         assert not args.plot
-        assert args.jobs == 1
-        assert args.store is None
-        assert not args.no_resume
+        # a closed form: no campaign runner behind it
+        assert not {"jobs", "store", "no_resume"} & set(vars(args))
 
     def test_epoch_arch_choices(self):
         with pytest.raises(SystemExit):
@@ -72,6 +72,9 @@ class TestParser:
         ["audit", "--heal", "--scheme", "bogus"],
         ["geo", "run", "--scheme", "bogus"],
         ["geo", "study", "--scheme", "rs-0-2"],
+        ["geo", "study", "--policies", "bogus"],
+        ["serving", "study", "--policies", "bogus"],
+        ["metrics", "--scenario", "fig5"],
         ["campaign", "--spec", "missing.json"],
         ["campaign", "--spec", "malformed.json"],
         ["campaign", "--spec", "invalid.json"],
@@ -79,22 +82,25 @@ class TestParser:
     ], ids=" ".join)
     def test_hostile_numbers_exit_2_naming_the_flag(self, argv, capsys,
                                                     tmp_path, monkeypatch):
-        """Numbers, scheme specs and sweep files are checked by the parser;
-        each used to end in a traceback with exit 1 or run on."""
+        """Numbers, scheme specs, policy names and sweep files are checked
+        by the parser; each used to end in a traceback with exit 1 or run
+        on."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "malformed.json").write_text("{not json")
         (tmp_path / "invalid.json").write_text(
-            json.dumps({**_fig5_spec([60.0]), "replications": 0}))
+            json.dumps({**_mc_spec(1), "replications": 0}))
         (tmp_path / "unknown-kind.json").write_text(
-            json.dumps({**_fig5_spec([60.0]), "kind": "bogus"}))
+            json.dumps({**_mc_spec(1), "kind": "fig5_point"}))
         says = {
             "bogus": "unknown coding scheme 'bogus'",
             "rs-0-2": "need k >= 1",
             "missing.json": "FileNotFoundError",
             "malformed.json": "JSONDecodeError",
             "invalid.json": "ValueError: replications must be >= 1",
-            "unknown-kind.json": "KeyError: \"unknown task kind 'bogus'",
+            "unknown-kind.json": "KeyError: \"unknown task kind 'fig5_point'",
         }.get(argv[-1], "must be")
+        if argv[-2] in ("--policies", "--scenario"):
+            says = f"invalid choice: '{argv[-1]}'"
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -135,6 +141,18 @@ class TestCommands:
         assert main(["fig5", "--plot"]) == 0
         out = capsys.readouterr().out
         assert "X" in out  # optima marks on the ASCII canvas
+
+    @pytest.mark.parametrize("argv", [
+        ["--mtbf", "0.25", "--job", "200"],
+        ["--mtbf", "1", "--job", "8", "--nodes", "16", "--vms-per-node", "4",
+         "--dirty-rate", "1e6"],
+    ], ids=" ".join)
+    def test_fig5_plot_when_diskful_never_gets_under_2x(self, argv, capsys):
+        """The plot kept only points with a diskful ratio under 2, so a
+        diskful minimum above 2 raised "no finite data to plot"."""
+        assert main(["fig5", *argv, "--plot"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("X") == 3  # both optima on the canvas, one in the legend
 
     def test_epoch_all_architectures(self, capsys):
         for arch in ("dvdc", "diskful", "checkpoint-node", "firstshot"):
@@ -179,24 +197,9 @@ class TestCommands:
 
 
 class TestCampaignCommand:
-    def test_fig5_jobs_output_identical_to_serial(self, capsys):
-        """--jobs N>1 must reproduce the serial table byte-for-byte."""
-        assert main(["fig5"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["fig5", "--jobs", "2"]) == 0
-        parallel = capsys.readouterr().out
-        assert parallel == serial
-
-    def test_campaign_fig5_smoke(self, capsys):
-        assert main(["fig5", "--jobs", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "diskless" in out
-        assert "reduces expected completion time" in out
-
     def test_campaign_store_resume(self, capsys, tmp_path):
         path = tmp_path / "sweep.json"
-        path.write_text(json.dumps(_fig5_spec([60.0, 120.0, 300.0, 600.0,
-                                               1200.0, 3600.0])))
+        path.write_text(json.dumps(_mc_spec(12)))
         args = ["campaign", "--spec", str(path),
                 "--store", str(tmp_path / "store")]
         assert main(args) == 0
@@ -209,7 +212,7 @@ class TestCampaignCommand:
             row = [ln for ln in out.splitlines() if ln.startswith("12")][0]
             return [int(x) for x in row.split()[:4]]
 
-        # 6 points x 2 methods: all executed cold, none on resume
+        # 12 chunks: all executed cold, none on resume
         assert counts(first) == [12, 12, 0, 0]
         assert counts(second) == [12, 0, 12, 0]
 
@@ -233,7 +236,7 @@ class TestCampaignCommand:
 
     def test_campaign_spec_file(self, capsys, tmp_path):
         path = tmp_path / "sweep.json"
-        path.write_text(json.dumps(_fig5_spec([60.0, 600.0])))
+        path.write_text(json.dumps(_mc_spec(4)))
         assert main(["campaign", "--spec", str(path), "--jobs", "2"]) == 0
         out = capsys.readouterr().out
         assert "campaign 'mini'" in out
@@ -412,11 +415,3 @@ class TestTelemetryCommands:
         links = docs[-1]["metrics"]["repro_link_utilization"]["series"]
         assert {s["labels"]["link"] for s in links} == {
             f"node{n}.{way}" for n in range(6) for way in ("rx", "tx")}
-
-    def test_fig5_scenario_campaign_metrics(self, capsys):
-        from repro.telemetry import parse_prometheus_text
-
-        assert main(["metrics", "--scenario", "fig5", "--points", "8"]) == 0
-        parsed = parse_prometheus_text(capsys.readouterr().out)
-        assert "repro_campaign_tasks_total" in parsed
-        assert "repro_campaign_task_seconds" in parsed
