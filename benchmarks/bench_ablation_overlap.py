@@ -35,14 +35,10 @@ def _job(kind: str, overlap: bool, seed: int, fail: bool):
     ).result
 
 
-def test_overhead_vs_latency(benchmark, report):
+def test_overhead_vs_latency(report):
     """The per-epoch split: both methods pause equally; commit-latency
     differs by an order of magnitude."""
-
-    def measure():
-        return {k: _epoch_latency(k) for k in ("dvdc", "diskful")}
-
-    results = benchmark(measure)
+    results = {k: _epoch_latency(k) for k in ("dvdc", "diskful")}
     rows = [
         [k, format_seconds(ov), format_seconds(lat), f"{lat / ov:.0f}x"]
         for k, (ov, lat) in results.items()
@@ -58,19 +54,14 @@ def test_overhead_vs_latency(benchmark, report):
     assert lat_f > 8 * lat_d  # the diskless latency win
 
 
-def test_overlapped_execution_ablation(benchmark, report):
+def test_overlapped_execution_ablation(report):
     """Job-level: does overlapping rescue the disk-full baseline?"""
-
-    def sweep():
-        out = {}
-        for fail in (False, True):
-            for kind in ("dvdc", "diskful"):
-                for overlap in (False, True):
-                    r = _job(kind, overlap, seed=3, fail=fail)
-                    out[(fail, kind, overlap)] = r
-        return out
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = {
+        (fail, kind, overlap): _job(kind, overlap, seed=3, fail=fail)
+        for fail in (False, True)
+        for kind in ("dvdc", "diskful")
+        for overlap in (False, True)
+    }
     assert all(r.n_failures == 0 for (fail, _, _), r in results.items() if not fail)
     rows = []
     for (fail, kind, overlap), r in results.items():

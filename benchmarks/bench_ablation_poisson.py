@@ -30,17 +30,13 @@ def _distributions(mtbf: float):
     ]
 
 
-def test_poisson_sensitivity_paper_regime(benchmark, report):
+def test_poisson_sensitivity_paper_regime(report):
     mtbf = 3 * 3600.0  # the paper's operating point
-
-    def sweep():
-        rng = np.random.default_rng(11)
-        return [
-            poisson_sensitivity(rng, d, T, N, TOV, TR, n_runs=2500, label=lbl)
-            for lbl, d in _distributions(mtbf)
-        ]
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rng = np.random.default_rng(11)
+    results = [
+        poisson_sensitivity(rng, d, T, N, TOV, TR, n_runs=2500, label=lbl)
+        for lbl, d in _distributions(mtbf)
+    ]
     rows = [
         [
             r.label,
@@ -63,17 +59,13 @@ def test_poisson_sensitivity_paper_regime(benchmark, report):
         assert abs(r.relative_error) < 0.05
 
 
-def test_poisson_sensitivity_dense_regime(benchmark, report):
+def test_poisson_sensitivity_dense_regime(report):
     mtbf = 1800.0  # 30 min — segments no longer << MTBF
-
-    def sweep():
-        rng = np.random.default_rng(13)
-        return [
-            poisson_sensitivity(rng, d, T, N, TOV, TR, n_runs=2000, label=lbl)
-            for lbl, d in _distributions(mtbf)
-        ]
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rng = np.random.default_rng(13)
+    results = [
+        poisson_sensitivity(rng, d, T, N, TOV, TR, n_runs=2000, label=lbl)
+        for lbl, d in _distributions(mtbf)
+    ]
     rows = [
         [r.label, f"{r.relative_error * 100:+.1f}%"] for r in results
     ]

@@ -26,31 +26,26 @@ from repro.workloads import scaled_scenario
 GB = 1e9
 
 
-def test_remus_vs_dvdc_tradeoff_table(benchmark, report):
+def test_remus_vs_dvdc_tradeoff_table(report):
     """Steady-state overhead + failure cost for both schemes across
     dirty rates (12 x 1 GB VMs, GbE)."""
-
-    def build():
-        rows = []
-        remus = RemusModel(epoch_length=25e-3, bandwidth=125e6)
-        cluster = ClusterModel()
-        for dirty_mb in (0.2, 2.0, 20.0, 100.0):
-            rate = dirty_mb * 1e6
-            m = cluster.with_(vm_dirty_rate=rate)
-            opt = find_optimal_interval(
-                PAPER_LAMBDA, PAPER_JOB_SECONDS,
-                overhead_function(m, "diskless"),
-            )
-            dvdc_overhead_frac = opt.expected_ratio - 1.0
-            dvdc_loss = opt.interval / 2.0  # mean rollback at failure
-            remus_frac = remus.overhead_fraction(rate, GB)
-            rows.append((
-                dirty_mb, remus_frac, remus.speculation_loss(),
-                dvdc_overhead_frac, dvdc_loss,
-            ))
-        return rows
-
-    rows = benchmark.pedantic(build, rounds=1, iterations=1)
+    rows = []
+    remus = RemusModel(epoch_length=25e-3, bandwidth=125e6)
+    cluster = ClusterModel()
+    for dirty_mb in (0.2, 2.0, 20.0, 100.0):
+        rate = dirty_mb * 1e6
+        m = cluster.with_(vm_dirty_rate=rate)
+        opt = find_optimal_interval(
+            PAPER_LAMBDA, PAPER_JOB_SECONDS,
+            overhead_function(m, "diskless"),
+        )
+        dvdc_overhead_frac = opt.expected_ratio - 1.0
+        dvdc_loss = opt.interval / 2.0  # mean rollback at failure
+        remus_frac = remus.overhead_fraction(rate, GB)
+        rows.append((
+            dirty_mb, remus_frac, remus.speculation_loss(),
+            dvdc_overhead_frac, dvdc_loss,
+        ))
     table = [
         [
             f"{d:g} MB/s",
@@ -81,39 +76,30 @@ def test_remus_vs_dvdc_tradeoff_table(benchmark, report):
     )
 
 
-def test_remus_failover_vs_dvdc_recovery_sim(benchmark, report):
+def test_remus_failover_vs_dvdc_recovery_sim(report):
     """Simulated failure handling: Remus failover is instant; DVDC must
     roll back and XOR-rebuild."""
+    # Remus pair
+    sim = Simulator()
+    cluster = VirtualCluster(sim, ClusterSpec(n_nodes=2))
+    vm = cluster.create_vm(0, GB, dirty_rate=5e6)
+    pair = RemusPair(cluster, vm, standby_node_id=1,
+                     model=RemusModel(epoch_length=0.05, bandwidth=125e6))
+    proc = sim.process(pair.protect())
+    sim.run(until=2.0)
+    cluster.kill_node(0)
+    proc.interrupt()
+    sim.run()
+    t0 = sim.now
+    lost = pair.failover()
+    remus_resume = sim.now - t0  # instantaneous
 
-    def scenario():
-        # Remus pair
-        sim = Simulator()
-        cluster = VirtualCluster(sim, ClusterSpec(n_nodes=2))
-        vm = cluster.create_vm(0, GB, dirty_rate=5e6)
-        pair = RemusPair(cluster, vm, standby_node_id=1,
-                         model=RemusModel(epoch_length=0.05, bandwidth=125e6))
-        proc = sim.process(pair.protect())
-        sim.run(until=2.0)
-        cluster.kill_node(0)
-        proc.interrupt()
-        sim.run()
-        t0 = sim.now
-        lost = pair.failover()
-        remus_resume = sim.now - t0  # instantaneous
-
-        # DVDC recovery on the paper cluster
-        sc = scaled_scenario(4, 3, vm_memory=1e9, seed=5)
-        sim2, cluster2 = sc.sim, sc.cluster
-        ck = dvdc(cluster2)
-        sim2.run_process(ck.run_cycle())
-        cluster2.kill_node(0)
-        t1 = sim2.now
-        rep = sim2.run_process(ck.recover(0))
-        return lost, remus_resume, rep.recovery_time
-
-    lost, remus_resume, dvdc_recovery = benchmark.pedantic(
-        scenario, rounds=1, iterations=1
-    )
+    # DVDC recovery on the paper cluster
+    sc = scaled_scenario(4, 3, vm_memory=1e9, seed=5)
+    ck = dvdc(sc.cluster)
+    sc.sim.run_process(ck.run_cycle())
+    sc.cluster.kill_node(0)
+    dvdc_recovery = sc.sim.run_process(ck.recover(0)).recovery_time
     report(
         f"ABL-REMUS failure handling: Remus resumes in "
         f"{format_seconds(remus_resume)} losing {format_seconds(lost)} of "

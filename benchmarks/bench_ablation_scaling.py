@@ -33,16 +33,12 @@ def _epoch(n_nodes: int, dedicated: bool):
     return sim.run_process(ck.run_cycle())
 
 
-def test_scaling_dvdc_vs_dedicated(benchmark, report):
+def test_scaling_dvdc_vs_dedicated(report):
     sizes = [2, 4, 8, 16]
-
-    def sweep():
-        return {
-            n: (_epoch(n, dedicated=False), _epoch(n, dedicated=True))
-            for n in sizes
-        }
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = {
+        n: (_epoch(n, dedicated=False), _epoch(n, dedicated=True))
+        for n in sizes
+    }
     rows = []
     for n, (r_dvdc, r_ded) in results.items():
         rows.append([
@@ -75,22 +71,17 @@ def test_scaling_dvdc_vs_dedicated(benchmark, report):
     assert ded_lat[-1] > 4 * ded_lat[0]
 
 
-def test_scaling_analytical_model(benchmark, report):
+def test_scaling_analytical_model(report):
     """Same claim in the closed-form model: diskful overhead grows with
     cluster size (NAS fan-in), diskless stays flat."""
-
-    def sweep():
-        out = []
-        for n in (2, 4, 8, 16, 32, 64):
-            m = ClusterModel(n_nodes=n)
-            out.append((
-                n,
-                diskful_costs(m, 600.0).overhead,
-                diskless_costs(m, 600.0).overhead,
-            ))
-        return out
-
-    results = benchmark(sweep)
+    results = []
+    for n in (2, 4, 8, 16, 32, 64):
+        m = ClusterModel(n_nodes=n)
+        results.append((
+            n,
+            diskful_costs(m, 600.0).overhead,
+            diskless_costs(m, 600.0).overhead,
+        ))
     rows = [
         [n, format_seconds(df), format_seconds(dl), f"{df / dl:.0f}x"]
         for n, df, dl in results

@@ -22,8 +22,8 @@ def _epoch(n_data_nodes: int = 3):
     return sc.sim, sc.cluster, ck, r
 
 
-def test_fig1_checkpoint_epoch(benchmark, report):
-    r = benchmark(lambda: _epoch()[3])
+def test_fig1_checkpoint_epoch(report):
+    r = _epoch()[3]
     rows = [[
         "first-shot (3+1)",
         format_seconds(r.overhead),
@@ -42,23 +42,19 @@ def test_fig1_checkpoint_epoch(benchmark, report):
     assert r.latency > 20.0
 
 
-def test_fig1_recovery(benchmark, report):
-    def scenario():
-        sim, cluster, ck, _ = _epoch()
-        committed = {
-            vm.vm_id: cluster.hypervisor(vm.node_id)
-            .committed(vm.vm_id).payload_flat().copy()
-            for vm in cluster.all_vms
-        }
-        cluster.kill_node(0)
-        rep = sim.run_process(ck.recover(0))
-        ok = all(
-            np.array_equal(cluster.vm(v).image.flat, committed[v])
-            for v in committed
-        )
-        return rep, ok
-
-    rep, ok = benchmark(scenario)
+def test_fig1_recovery(report):
+    sim, cluster, ck, _ = _epoch()
+    committed = {
+        vm.vm_id: cluster.hypervisor(vm.node_id)
+        .committed(vm.vm_id).payload_flat().copy()
+        for vm in cluster.all_vms
+    }
+    cluster.kill_node(0)
+    rep = sim.run_process(ck.recover(0))
+    ok = all(
+        np.array_equal(cluster.vm(v).image.flat, committed[v])
+        for v in committed
+    )
     report(
         f"FIG1 recovery: node 0 died; vm reconstructed on node "
         f"{rep.reconstructed.get(0)} in {format_seconds(rep.recovery_time)}; "

@@ -33,13 +33,9 @@ def _survivability(n_nodes: int, vms_per_node: int):
     }
 
 
-def test_fig2_survivability_matrix(benchmark, report):
+def test_fig2_survivability_matrix(report):
     configs = [(4, 3), (5, 4), (8, 2), (6, 6)]
-
-    def sweep():
-        return {cfg: _survivability(*cfg) for cfg in configs}
-
-    results = benchmark(sweep)
+    results = {cfg: _survivability(*cfg) for cfg in configs}
     rows = []
     for (n, v), r in results.items():
         rows.append([
@@ -60,15 +56,15 @@ def test_fig2_survivability_matrix(benchmark, report):
         assert r["doubles_fatal_rdp"] == 0  # RDP-tolerance saves all pairs
 
 
-def test_fig2_layout_construction_speed(benchmark):
-    """Layout building must stay cheap at scale (placement is on the
-    recovery path via rebalance)."""
+def test_fig2_layout_construction_speed():
+    """Layout building works at scale (placement is on the recovery path
+    via rebalance): a 32-node, 128-VM layout validates."""
     cluster = scaled_scenario(32, 4, vm_memory=1e9, seed=3).cluster
-    layout = benchmark(build_orthogonal_layout, cluster, 8)
+    layout = build_orthogonal_layout(cluster, 8)
     assert validate_layout(layout, cluster).ok
 
 
-def test_fig2_rack_domain_extension(benchmark, report):
+def test_fig2_rack_domain_extension(report):
     """FIG2 extension: the controller argument lifted to racks.
 
     Domain-aware placement lets single XOR parity survive a *whole-rack*
@@ -80,33 +76,29 @@ def test_fig2_rack_domain_extension(benchmark, report):
     from repro.core import DisklessCheckpointer, validate_layout
     from repro.failures import racks
 
-    def scenario():
-        sc = scaled_scenario(6, 2, vm_memory=1e9, seed=4)
-        sim, cluster = sc.sim, sc.cluster
-        domains = racks(6, 2)
-        layout = build_orthogonal_layout(cluster, group_size=2, domains=domains)
-        ok_aware = validate_layout(layout, cluster, domains=domains).ok
-        naive = build_orthogonal_layout(cluster, group_size=3)
-        ok_naive = validate_layout(naive, cluster, domains=domains).ok
-        # functional proof: kill rack 1 (nodes 2+3), recover bit-exact
-        ck = DisklessCheckpointer(cluster, layout)
-        sim.run_process(ck.run_cycle())
-        committed = {
-            vm.vm_id: cluster.hypervisor(vm.node_id)
-            .committed(vm.vm_id).payload_flat().copy()
-            for vm in cluster.all_vms
-        }
-        cluster.kill_node(2)
-        cluster.kill_node(3)
-        sim.run_process(ck.recover(2))
-        sim.run_process(ck.recover(3))
-        exact = all(
-            np.array_equal(cluster.vm(v).image.flat, committed[v])
-            for v in committed
-        )
-        return ok_aware, ok_naive, exact
-
-    ok_aware, ok_naive, exact = benchmark(scenario)
+    sc = scaled_scenario(6, 2, vm_memory=1e9, seed=4)
+    sim, cluster = sc.sim, sc.cluster
+    domains = racks(6, 2)
+    layout = build_orthogonal_layout(cluster, group_size=2, domains=domains)
+    ok_aware = validate_layout(layout, cluster, domains=domains).ok
+    naive = build_orthogonal_layout(cluster, group_size=3)
+    ok_naive = validate_layout(naive, cluster, domains=domains).ok
+    # functional proof: kill rack 1 (nodes 2+3), recover bit-exact
+    ck = DisklessCheckpointer(cluster, layout)
+    sim.run_process(ck.run_cycle())
+    committed = {
+        vm.vm_id: cluster.hypervisor(vm.node_id)
+        .committed(vm.vm_id).payload_flat().copy()
+        for vm in cluster.all_vms
+    }
+    cluster.kill_node(2)
+    cluster.kill_node(3)
+    sim.run_process(ck.recover(2))
+    sim.run_process(ck.recover(3))
+    exact = all(
+        np.array_equal(cluster.vm(v).image.flat, committed[v])
+        for v in committed
+    )
     report(
         "FIG2-RACKS — 3 racks x 2 nodes: rack-aware layout valid at rack "
         f"tolerance = {ok_aware}; naive node-layout valid = {ok_naive}; "

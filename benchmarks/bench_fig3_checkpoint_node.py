@@ -32,8 +32,8 @@ def _fig4_epoch(n_vms: int = 9):
     return cluster, ck, r
 
 
-def test_fig3_epoch(benchmark, report):
-    cluster, ck, r3 = benchmark(_fig3_epoch)
+def test_fig3_epoch(report):
+    cluster, ck, r3 = _fig3_epoch()
     _, _, r4 = _fig4_epoch()
     rows = [
         ["Fig.3 dedicated node", format_seconds(r3.overhead),
@@ -55,20 +55,14 @@ def test_fig3_epoch(benchmark, report):
     assert r3.latency > r4.latency
 
 
-def test_fig3_dedicated_node_loss_recovers_parity(benchmark, report):
+def test_fig3_dedicated_node_loss_recovers_parity(report):
     """Losing the checkpoint node loses ALL parity but no data: every
     group re-encodes; no VM state is touched."""
-
-    def scenario():
-        sc = scaled_scenario(4, 3, vm_memory=1e9, seed=22, spares=1)
-        sim, cluster = sc.sim, sc.cluster
-        ck = checkpoint_node(cluster, node_id=3)
-        sim.run_process(ck.run_cycle())
-        cluster.kill_node(3)
-        rep = sim.run_process(ck.recover(3))
-        return rep
-
-    rep = benchmark(scenario)
+    sc = scaled_scenario(4, 3, vm_memory=1e9, seed=22, spares=1)
+    ck = checkpoint_node(sc.cluster, node_id=3)
+    sc.sim.run_process(ck.run_cycle())
+    sc.cluster.kill_node(3)
+    rep = sc.sim.run_process(ck.recover(3))
     report(
         f"FIG3 checkpoint-node crash: {len(rep.reencoded_groups)} groups "
         f"re-encoded in {format_seconds(rep.recovery_time)}, "

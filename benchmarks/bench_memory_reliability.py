@@ -13,13 +13,9 @@ from repro.model import (
 )
 
 
-def test_memory_overhead_table(benchmark, report):
+def test_memory_overhead_table(report):
     m = ClusterModel()
-
-    def build():
-        return {s: scheme_footprint(m, s) for s in SCHEMES}
-
-    feet = benchmark(build)
+    feet = {s: scheme_footprint(m, s) for s in SCHEMES}
     rows = [
         [
             s,
@@ -43,19 +39,14 @@ def test_memory_overhead_table(benchmark, report):
     assert feet["dvdc"].overhead_ratio < feet["dvdc_rdp"].overhead_ratio
 
 
-def test_reliability_table(benchmark, report):
+def test_reliability_table(report):
     """MTTDL and job survival, XOR vs RDP, across failure densities."""
     n, wall = 4, 48 * 3600.0
     window = 120.0  # recovery + degraded interval until heal
-
-    def build():
-        out = []
-        for mtbf_h in (1.0, 4.0, 12.0, 48.0):
-            lam = 1.0 / (mtbf_h * 3600.0)
-            out.append((mtbf_h, compare_codes(lam, n, wall, window)))
-        return out
-
-    results = benchmark(build)
+    results = [
+        (mtbf_h, compare_codes(1.0 / (mtbf_h * 3600.0), n, wall, window))
+        for mtbf_h in (1.0, 4.0, 12.0, 48.0)
+    ]
     rows = []
     for mtbf_h, c in results:
         rows.append([
@@ -78,17 +69,13 @@ def test_reliability_table(benchmark, report):
         assert c.survival_rdp > c.survival_xor
 
 
-def test_window_sensitivity(benchmark, report):
+def test_window_sensitivity(report):
     """Why heal() matters: survival vs the degraded-window length."""
     lam, n, wall = 1.0 / (4 * 3600.0), 4, 24 * 3600.0
-
-    def build():
-        return [
-            (w, job_survival_probability(lam, n, wall, w, 1))
-            for w in (30.0, 60.0, 120.0, 300.0, 600.0, 1800.0)
-        ]
-
-    results = benchmark(build)
+    results = [
+        (w, job_survival_probability(lam, n, wall, w, 1))
+        for w in (30.0, 60.0, 120.0, 300.0, 600.0, 1800.0)
+    ]
     rows = [[format_seconds(w), f"{p * 100:.1f}%"] for w, p in results]
     report(render_table(
         ["vulnerability window", "24h job survival (XOR)"],

@@ -148,6 +148,12 @@ KEEP: dict[str, tuple[str, str]] = {
         "chunked estimates are checked against"),
     "repro.model.montecarlo:estimate_window_loss": (
         "K1", "Monte-Carlo check of `window_loss_probability`"),
+    "repro.model.montecarlo:simulate_completion_times_chunked": (
+        "K1", "serial chunk concatenation the `mc_chunk` campaign tasks "
+        "are checked against"),
+    "repro.cluster.xorsum:xor_reduce": (
+        "K1", "plain XOR reduce the padded kernel, the checkpointers' "
+        "parity blocks and RDP's row parity are checked against"),
     "repro.network.transfer": (
         "K1", "closed forms `test_network.py` checks the flow simulator "
         "against"),
@@ -449,7 +455,7 @@ def callers(root: Path, work: Path) -> list[Caller]:
                              "--repeats", "1", "--probes"], root),
         Caller("paper benches", [
             py, "-m", "pytest", "benchmarks", "--ignore", "benchmarks/e2e",
-            "--benchmark-disable", "-q"], root),
+            "-q"], root),
     ]
     out += [Caller(f"example {f.name}",
                    [py, str(f), *EXAMPLE_ARGS.get(f.name, [])], work)

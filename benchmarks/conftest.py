@@ -1,11 +1,13 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the paper benches.
 
 Every ``bench_*`` module reproduces one paper artifact (figure/table —
-see DESIGN.md §3).  Each exposes pytest-benchmark functions that time
-the underlying computation AND print the regenerated rows/series, so
-``pytest benchmarks/ --benchmark-only -s`` doubles as the reproduction
-report.  Shape assertions (who wins, by what factor) are checked inside
-the benches, so a regression in the reproduction fails the run.
+see DESIGN.md §3): it computes the rows once, prints them and asserts
+their shape (who wins, by what factor), so
+``pytest benchmarks --ignore benchmarks/e2e -s`` doubles as the
+reproduction report and a regression in the reproduction fails the run.
+None of them times its own computation; host time is measured in
+``benchmarks/e2e``.  The one host-dependent figure is the ABL-PARITY
+XOR bandwidth check.
 """
 
 from __future__ import annotations

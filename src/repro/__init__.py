@@ -44,7 +44,6 @@ from .core import (
     GroupLayout,
     RaidGroup,
     RDPCode,
-    XorCode,
     checkpoint_node,
     dvdc,
     first_shot,
@@ -91,7 +90,6 @@ __all__ = [
     "DisklessCheckpointer",
     "GroupLayout",
     "RaidGroup",
-    "XorCode",
     "RDPCode",
     "dvdc",
     "first_shot",

@@ -40,16 +40,6 @@ def as_u8(buf: np.ndarray | bytes | bytearray) -> np.ndarray:
     return arr.reshape(-1).view(np.uint8)
 
 
-def _check_same_length(bufs: Sequence[np.ndarray]) -> int:
-    n = bufs[0].shape[0]
-    for b in bufs[1:]:
-        if b.shape[0] != n:
-            raise ValueError(
-                f"parity members must have equal length, got {n} vs {b.shape[0]}"
-            )
-    return n
-
-
 def xor_reduce(buffers: Iterable[np.ndarray | bytes]) -> np.ndarray:
     """XOR of all buffers: ``b0 ^ b1 ^ ... ^ bk``.
 
@@ -58,9 +48,13 @@ def xor_reduce(buffers: Iterable[np.ndarray | bytes]) -> np.ndarray:
     bufs = [as_u8(b) for b in buffers]
     if not bufs:
         raise ValueError("xor_reduce needs at least one buffer")
-    _check_same_length(bufs)
     out = bufs[0].copy()
     for b in bufs[1:]:
+        if b.shape[0] != out.shape[0]:
+            raise ValueError(
+                f"parity members must have equal length, got {out.shape[0]} "
+                f"vs {b.shape[0]}"
+            )
         np.bitwise_xor(out, b, out=out)
     return out
 

@@ -1,7 +1,7 @@
 """Erasure codecs and pluggable coding schemes (XOR, RDP, Reed–Solomon,
 replication).
 
-See :mod:`repro.coding.parity` for the standalone XOR/RDP codecs,
+See :mod:`repro.coding.parity` for the standalone RDP codec,
 :mod:`repro.coding.schemes` for the :class:`CodingScheme` interface and
 ``docs/coding.md`` for the scheme matrix and custom-scheme registration.
 """
@@ -18,7 +18,7 @@ from .gf256 import (
     gf_mul,
     gf_pair_tables,
 )
-from .parity import ParityCodeError, RDPCode, XorCode, smallest_prime_at_least
+from .parity import ParityCodeError, RDPCode, smallest_prime_at_least
 from .schemes import (
     CodingScheme,
     ReedSolomonScheme,
@@ -59,6 +59,5 @@ __all__ = [
     "shard_suffix",
     "ParityCodeError",
     "RDPCode",
-    "XorCode",
     "smallest_prime_at_least",
 ]

@@ -1,17 +1,14 @@
 """Erasure codecs over VM checkpoint images.
 
-Two codes, matching Section II-B2:
+:class:`RDPCode` is Row-Diagonal Parity (Corbett et al., FAST'04), the
+double-erasure code Wang et al. applied to diskless checkpointing: it
+survives any two simultaneous losses.  The checkpointer runs it through
+:class:`repro.coding.schemes.RDPScheme`; the paper's single-parity XOR
+code is :class:`repro.coding.schemes.XorScheme`.
 
-* :class:`XorCode` — the RAID-4/5 single-parity code the DVDC design
-  uses ("a single parity checkpoint of the entire RAID group"); survives
-  any one lost member (or the parity itself).
-* :class:`RDPCode` — Row-Diagonal Parity (Corbett et al., FAST'04),
-  the double-erasure code Wang et al. applied to diskless checkpointing;
-  survives any two simultaneous losses.
-
-Both operate on equal-length byte buffers (flat ``uint8`` arrays — the
+It operates on equal-length byte buffers (flat ``uint8`` arrays — the
 committed checkpoint payloads).  Buffers are treated as *columns* of a
-stripe; codes never interpret content.
+stripe; the code never interprets content.
 
 The API is erasure-oriented: ``encode`` produces the parity buffers for
 a group; ``reconstruct`` takes the surviving subset (``None`` marks a
@@ -24,9 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..cluster.xorsum import as_u8, xor_reduce
+from ..cluster.xorsum import as_u8
 
-__all__ = ["ParityCodeError", "XorCode", "RDPCode", "smallest_prime_at_least"]
+__all__ = ["ParityCodeError", "RDPCode", "smallest_prime_at_least"]
 
 
 class ParityCodeError(RuntimeError):
@@ -42,47 +39,6 @@ def _normalize(buffers: Sequence[np.ndarray | bytes]) -> list[np.ndarray]:
         if b.shape[0] != n:
             raise ParityCodeError(f"members must be equal length: {n} vs {b.shape[0]}")
     return out
-
-
-class XorCode:
-    """Single-parity XOR code (RAID-4/5 over checkpoint images)."""
-
-    n_parity = 1
-    tolerates = 1
-
-    def encode(self, members: Sequence[np.ndarray | bytes]) -> list[np.ndarray]:
-        """Parity = XOR of all members; returns a one-element list."""
-        return [xor_reduce(_normalize(members))]
-
-    def reconstruct(
-        self,
-        members: Sequence[np.ndarray | None],
-        parity: Sequence[np.ndarray | None],
-    ) -> list[np.ndarray]:
-        """Fill in at most one missing member (or verify-complete).
-
-        Raises :class:`ParityCodeError` if more shards are missing than
-        the code tolerates.
-        """
-        if len(parity) != 1:
-            raise ParityCodeError(f"XorCode expects 1 parity shard, got {len(parity)}")
-        missing = [i for i, m in enumerate(members) if m is None]
-        if not missing:
-            return [as_u8(m).copy() for m in members]  # type: ignore[arg-type]
-        if len(missing) > 1:
-            raise ParityCodeError(
-                f"XOR parity tolerates 1 erasure, {len(missing)} members missing"
-            )
-        if parity[0] is None:
-            raise ParityCodeError(
-                "cannot rebuild a member when the parity shard is also lost"
-            )
-        survivors = [as_u8(m) for m in members if m is not None]
-        rebuilt = xor_reduce(survivors + [as_u8(parity[0])])
-        return [
-            rebuilt if i == missing[0] else as_u8(m).copy()
-            for i, m in enumerate(members)
-        ]
 
 
 def smallest_prime_at_least(n: int) -> int:

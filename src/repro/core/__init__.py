@@ -2,7 +2,7 @@
 the diskless checkpoint protocol, and recovery.  The parity codecs live
 one layer down in :mod:`repro.coding` and are re-exported here."""
 
-from ..coding import ParityCodeError, RDPCode, XorCode, smallest_prime_at_least
+from ..coding import ParityCodeError, RDPCode, smallest_prime_at_least
 from .architectures import checkpoint_node, dvdc, first_shot
 from .dvdc import DEFAULT_XOR_BANDWIDTH, DisklessCheckpointer, DisklessCycleResult
 from .groups import (
@@ -28,7 +28,6 @@ from .recovery import (
 )
 
 __all__ = [
-    "XorCode",
     "RDPCode",
     "ParityCodeError",
     "smallest_prime_at_least",

@@ -199,8 +199,7 @@ def simulate_completion_times_chunked(
     ``probe`` (a :class:`repro.telemetry.Probe`) records per-chunk
     timings and run counts; the guard below is the standard disabled-path
     discipline, so passing a disabled probe — or none — costs one
-    attribute check per chunk (the telemetry overhead bench measures
-    exactly this call).
+    attribute check per chunk (``tests/test_telemetry.py`` counts it).
     """
     import time as _time
 

@@ -138,7 +138,7 @@ class Simulator:
 
         The hot loop guards on ``probe is not None and probe.enabled``,
         so an absent or disabled probe costs one attribute check per
-        event (measured in ``benchmarks/bench_telemetry_overhead.py``).
+        event (counted in ``tests/test_telemetry.py``).
         """
         self._probe = probe
 

@@ -16,8 +16,8 @@ A :class:`Probe` bundles the three telemetry surfaces:
 Components resolve their probe with :func:`probe_of`: a Probe passed as
 ``tracer`` is returned as-is, any plain tracer maps to the inert
 :data:`NULL_PROBE`.  The disabled path is therefore a single attribute
-check — cheap enough for the simulator hot loop (measured in
-``benchmarks/bench_telemetry_overhead.py``).
+check — cheap enough for the simulator hot loop (the guard count is
+pinned by ``tests/test_telemetry.py``).
 
 An optional ``sink`` tracer receives a copy of every emit, which is how
 a pre-existing :class:`Tracer` plugs in as one sink of the unified

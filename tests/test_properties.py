@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, MemoryImage, VirtualCluster, xor_reduce
-from repro.core import RDPCode, XorCode, build_orthogonal_layout, validate_layout
+from repro.coding import get_scheme
+from repro.core import RDPCode, build_orthogonal_layout, validate_layout
 from repro.model import (
     expected_time_checkpointed,
     expected_time_no_checkpoint,
@@ -31,13 +32,13 @@ class TestXorAlgebra:
     @given(buffers(3))
     def test_parity_xor_members_is_zero(self, bufs):
         members = [np.frombuffer(b, dtype=np.uint8) for b in bufs]
-        [parity] = XorCode().encode(members)
+        [parity] = get_scheme("xor").encode(members)
         assert not xor_reduce(members + [parity]).any()
 
     @given(buffers(4), st.integers(min_value=0, max_value=3))
     def test_any_member_recoverable(self, bufs, lost):
         members = [np.frombuffer(b, dtype=np.uint8) for b in bufs]
-        code = XorCode()
+        code = get_scheme("xor")
         [parity] = code.encode(members)
         shards = [m if i != lost else None for i, m in enumerate(members)]
         out = code.reconstruct(shards, [parity])
@@ -73,7 +74,7 @@ class TestRDPProperties:
         nbytes = (code.p - 1) * 8  # no padding
         members = [rng.integers(0, 256, nbytes, dtype=np.uint8) for _ in range(k)]
         rp, _ = code.encode(members)
-        [xp] = XorCode().encode(members)
+        [xp] = get_scheme("xor").encode(members)
         assert np.array_equal(rp, xp)
 
 

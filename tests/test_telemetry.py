@@ -13,6 +13,8 @@ import math
 import numpy as np
 import pytest
 
+from repro.model import simulate_completion_times_chunked
+from repro.model.montecarlo import DEFAULT_CHUNK_RUNS, chunk_sizes
 from repro.sim import NULL_TRACER, Simulator, Tracer
 from repro.telemetry import (
     NULL_PROBE,
@@ -331,6 +333,75 @@ class TestProbe:
         assert NULL_PROBE.select() == []
         # it owns no registry, recorder or record list to leak through
         assert vars(NULL_PROBE) == {"sink": None}
+
+
+# ---------------------------------------------------------------------------
+# the disabled-probe contract on the two hot paths
+#
+# Every hot-loop call site guards with ``probe is not None and
+# probe.enabled`` (or holds ``NULL_PROBE``, whose ``enabled`` is constant
+# ``False``).  Checked structurally, by counting guard reads; host-time
+# cost is the e2e harness's ``telemetry.self_s`` and
+# ``trace.overhead_share``.
+
+MC_RUNS = 40_000
+STORM_EVENTS = 50_000
+MC_PARAMS = dict(lam=1.0 / 3600.0, T=8 * 3600.0, N=900.0, T_ov=120.0, T_r=60.0)
+
+
+class CountingDisabledProbe(Probe):
+    """A disabled probe that counts how often the hot paths consult it."""
+
+    def __init__(self):
+        self.enabled_reads = 0
+        self.sim_event_calls = 0
+        super().__init__(enabled=False)
+
+    @property
+    def enabled(self) -> bool:
+        self.enabled_reads += 1
+        return False
+
+    @enabled.setter
+    def enabled(self, value: bool) -> None:
+        pass  # permanently disabled
+
+    def sim_event(self, heap_depth: int) -> None:
+        self.sim_event_calls += 1
+
+
+class TestDisabledProbeGuards:
+    def test_disabled_probe_is_one_guard_per_chunk_and_event(self):
+        """Monte-Carlo reads a disabled probe once per chunk; the event
+        loop once per event, never calling ``sim_event``; neither
+        records anything."""
+        mc_probe = CountingDisabledProbe()
+        simulate_completion_times_chunked(
+            master_seed=7, n_runs=MC_RUNS, probe=mc_probe, **MC_PARAMS
+        )
+        assert mc_probe.enabled_reads == len(chunk_sizes(MC_RUNS, DEFAULT_CHUNK_RUNS))
+        assert mc_probe.metrics.snapshot() == Probe(enabled=False).metrics.snapshot()
+
+        storm_probe = CountingDisabledProbe()
+        sim = Simulator(probe=storm_probe)
+        for i in range(STORM_EVENTS):
+            sim.at(float(i), lambda: None)
+        sim.run()
+        assert sim.event_count == STORM_EVENTS
+        assert storm_probe.enabled_reads == STORM_EVENTS
+        assert storm_probe.sim_event_calls == 0
+
+    def test_enabled_probe_records_mc_metrics(self):
+        probe = Probe()
+        samples = simulate_completion_times_chunked(
+            master_seed=3, n_runs=1024, probe=probe, **MC_PARAMS
+        )
+        assert samples.size == 1024
+        snap = probe.metrics.snapshot()
+        runs = snap["repro_mc_runs_total"]["series"][0]["value"]
+        assert runs == 1024
+        chunks = snap["repro_mc_chunk_seconds"]["series"][0]["count"]
+        assert chunks == 2  # 1024 runs / 512 per chunk
 
 
 # ---------------------------------------------------------------------------
