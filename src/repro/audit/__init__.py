@@ -8,7 +8,8 @@ live protocol (``DisklessCheckpointer(..., auditor=...)``), and
 :mod:`repro.audit.fuzzer` hammers the protocol with adversarially-timed
 failure schedules and shrinks anything that breaks.
 
-CLI: ``repro audit`` (one-shot sweep) and ``repro audit --fuzz``.
+CLI: ``repro audit`` (one-shot sweep), ``repro audit --fuzz`` and
+``repro audit --heal`` (:func:`run_heal_trial`).
 Catalog and usage: ``docs/invariants.md``.
 """
 
@@ -20,9 +21,11 @@ from .fuzzer import (
     FuzzConfig,
     FuzzResult,
     TrialResult,
+    build_heal_trial,
     canonical_schedule,
     draw_schedule,
     fuzz,
+    run_heal_trial,
     run_trial,
     shrink,
 )
@@ -57,6 +60,7 @@ __all__ = [
     "draw_schedule",
     "canonical_schedule",
     "run_trial",
+    "build_heal_trial", "run_heal_trial",
     "shrink",
     "fuzz",
 ]

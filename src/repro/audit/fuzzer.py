@@ -50,6 +50,8 @@ __all__ = [
     "draw_schedule",
     "canonical_schedule",
     "run_trial",
+    "build_heal_trial",
+    "run_heal_trial",
     "shrink",
     "fuzz",
 ]
@@ -644,6 +646,53 @@ def run_trial(
         ))
     trial.violations.extend(auditor.violations)
     return trial
+
+
+def build_heal_trial(n_nodes: int, vms_per_node: int, spares: int,
+                     scheme: str, seed: int):
+    """The :class:`~repro.resilience.healing.SelfHealer` of ``n_nodes``
+    nodes of ``vms_per_node`` VMs plus ``spares`` cold spares, under DVDC
+    with the widest groups ``scheme`` leaves room for.  A shape with no
+    layout raises :class:`~repro.core.groups.LayoutError` here."""
+    from ..coding import parse_scheme
+    from ..resilience import SelfHealer, SparePool
+    from ..workloads import scaled_scenario
+
+    sc = scaled_scenario(
+        n_nodes + spares, vms_per_node, vm_memory=64e6, seed=seed,
+        image_pages=32, page_size=128, spares=spares,
+    )
+    pool = SparePool.provision(sc.cluster, spares)
+    n_shards = parse_scheme(scheme).n_shards
+    ck = dvdc(sc.cluster, group_size=max(1, n_nodes - n_shards), scheme=scheme)
+    return SelfHealer(ck, spares=pool)
+
+
+def run_heal_trial(healer):
+    """Permanent loss of node 0 after one committed epoch: recover, then
+    :meth:`~repro.resilience.healing.SelfHealer.reprotect`.  Returns the
+    :class:`~repro.resilience.healing.HealingReport` and, when the cluster
+    ends PROTECTED, the violations of a strict post-heal audit."""
+    from ..resilience import ClusterHealth
+
+    ck = healer.ck
+    sim, cluster = ck.cluster.sim, ck.cluster
+
+    def driver():
+        r = yield from ck.run_cycle()
+        assert r.committed
+        yield sim.timeout(60.0)
+        cluster.kill_node(0)  # permanent: the node never comes back
+        healer.on_failure()
+        yield from ck.recover(0)
+        return (yield from healer.reprotect())
+
+    report = sim.run_process(driver())
+    if report.state != ClusterHealth.PROTECTED:
+        return report, []
+    auditor = Auditor(cluster, ck.layout, scheme=ck.scheme)
+    auditor.run(ck.committed_epoch, context="post-heal", strict=True)
+    return report, auditor.violations
 
 
 # ----------------------------------------------------------------------

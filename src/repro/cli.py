@@ -1,43 +1,14 @@
 """Command-line interface: ``python -m repro.cli <command>``.
 
-Commands
---------
-fig5
-    Reproduce the paper's headline figure from the Section V closed
-    form and print the optima table (optionally the ASCII curve).
-epoch
-    Run one checkpoint epoch of a chosen architecture on a simulated
-    cluster and print the cost accounting.
-job
-    Run an end-to-end checkpointed job with failure injection and print
-    the realized completion statistics.
-study
-    Paired multi-method comparison over shared failure traces.
-validate
-    Corroborate the Section V equations against Monte-Carlo.
-campaign
-    Run a JSON-spec sweep (``--spec``) through the parallel, resumable
-    orchestration layer (``--jobs``, ``--store``, ``--no-resume``).
-trace export
-    Run an instrumented scenario and export its span timeline as a
-    Chrome/Perfetto trace or a JSONL event stream.
-metrics
-    Run an instrumented scenario and print its metrics in Prometheus
-    text exposition format (or as a summary table).
-serving run|study
-    Checkpoint-protected request serving: ``run`` serves one open-loop
-    stream under a chosen protection policy (baseline, checkpoint,
-    checkpoint_sla, clone2); ``study`` compares policies over shared
-    arrival+failure traces and prints the tail-latency table.
-controlplane run|drain|status
-    Drive the always-on cluster coordinator: ``run`` is the seeded
-    churn soak (concurrent provision/kill/drain/query ops under
-    transient faults and strict audits), ``drain`` performs rolling
-    maintenance of every node with live migrations, ``status`` prints
-    the coordinator's world view after a short managed run.
-calibrate
-    Measure this host's streaming XOR bandwidth (the model's
-    ``memory_xor_bandwidth`` input).
+``repro -h`` lists the commands and ``repro <command> -h`` their flags.
+A verb body parses, calls the library and renders what comes back.
+The ``controlplane`` verbs build through
+:func:`repro.controlplane.build_managed` and run one of its drivers
+(``soak``, ``rolling_drain``, ``timed_status``); ``audit --heal`` runs
+:func:`repro.audit.run_heal_trial`.  Bad input exits 2 with argparse
+naming the flag: numbers go through ``_bounded``, coding schemes
+through ``_scheme``, sweep files through ``_sweep``, and a cluster
+shape no layout fits through ``_laid_out``.
 
 ``study`` and ``validate`` (and ``geo study``/``serving study``)
 execute through the campaign layer too: ``--jobs N`` fans their task
@@ -54,12 +25,22 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 from .analysis import ascii_plot, format_bytes, format_seconds, render_table
+from .audit import (LAYOUTS, FuzzConfig, build_heal_trial, canonical_schedule,
+                    fuzz, run_heal_trial, run_trial)
+from .cluster import measure_xor_bandwidth
+from .coding import parse_scheme
+from .controlplane import build_managed, rolling_drain, soak, timed_status
+from .core.groups import LayoutError
 from .experiments import METHOD_NAMES, MethodSpec, run_job_cell
-from .model import ClusterModel, fig5
+from .model import ClusterModel, expected_time_with_overhead, fig5
+from .model.montecarlo import window_loss_probability
+from .resilience import ClusterHealth
 from .sim import NULL_TRACER
-from .workloads import scaled_scenario
+from .telemetry import (Probe, prometheus_text, summary_table,
+                        write_chrome_trace, write_jsonl)
 
 __all__ = ["main", "build_parser"]
 
@@ -134,9 +115,6 @@ def _fig5_scheme_sweep(args: argparse.Namespace) -> int:
     that failures during a degraded window exceed the scheme's remaining
     tolerance (:func:`repro.model.montecarlo.window_loss_probability`).
     """
-    from .coding import parse_scheme
-    from .model.montecarlo import window_loss_probability
-
     specs = args.scheme or ["xor", "rdp", "rs-8-2", "rep-3"]
     lam_node = 1.0 / (args.mtbf * 3600.0) / args.nodes
     rows = []
@@ -269,7 +247,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     from .campaign import run_validate_campaign
-    from .model import expected_time_with_overhead
 
     T = args.job * 3600.0
     cases, campaign = run_validate_campaign(
@@ -323,8 +300,6 @@ def _run_instrumented(args: argparse.Namespace):
     Each scenario runs a full simulation (spans on the checkpoint /
     recovery tracks, sim/network/storage metrics).
     """
-    from .telemetry import Probe
-
     probe = Probe()
     if args.scenario == "serving":
         from .serving.study import ServingLoad, ServingPolicy, run_serving_cell
@@ -374,8 +349,6 @@ def _add_scenario_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _cmd_trace_export(args: argparse.Namespace) -> int:
-    from .telemetry import write_chrome_trace, write_jsonl
-
     probe = _run_instrumented(args)
     if args.format == "chrome":
         out = args.out or "trace.json"
@@ -391,8 +364,6 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    from .telemetry import prometheus_text, summary_table
-
     probe = _run_instrumented(args)
     if args.format == "prom":
         text = prometheus_text(probe.metrics)
@@ -409,37 +380,12 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _audit_heal(args: argparse.Namespace) -> int:
-    """Spare-pool self-healing scenario: permanent node loss on a Fig. 4
-    cluster, recovery, then ``SelfHealer.reprotect``.  With a spare the
-    cluster must end PROTECTED (and report the window of vulnerability);
-    with an empty pool it must settle in DEGRADED and say so."""
-    from .audit import Auditor
-    from .coding import parse_scheme
-    from .core import dvdc
-    from .resilience import ClusterHealth, SelfHealer, SparePool
-
-    sc = scaled_scenario(
-        args.nodes + args.spares, args.vms_per_node, vm_memory=64e6,
-        seed=args.seed, image_pages=32, page_size=128, spares=args.spares,
-    )
-    sim, cluster = sc.sim, sc.cluster
-    spares = SparePool.provision(cluster, args.spares)
-    n_shards = parse_scheme(args.scheme).n_shards
-    ck = dvdc(
-        cluster, group_size=max(1, args.nodes - n_shards), scheme=args.scheme
-    )
-    healer = SelfHealer(ck, spares=spares)
-
-    def driver():
-        r = yield from ck.run_cycle()
-        assert r.committed
-        yield sim.timeout(60.0)
-        cluster.kill_node(0)  # permanent: the node never comes back
-        healer.on_failure()
-        yield from ck.recover(0)
-        return (yield from healer.reprotect())
-
-    report = sim.run_process(driver())
+    """With a spare the cluster must end PROTECTED, with an empty pool
+    DEGRADED, and a PROTECTED end must pass the strict audit."""
+    healer = _laid_out(build_heal_trial, args.nodes, args.vms_per_node,
+                       args.spares, args.scheme, args.seed)
+    report, violations = run_heal_trial(healer)
+    spares = healer.spares
     print(render_table(
         ["spares", "final state", "rounds", "spares used", "spares left",
          "exhausted", "relocated", "healed groups", "degraded window"],
@@ -456,21 +402,15 @@ def _audit_heal(args: argparse.Namespace) -> int:
               "degraded groups rely on relocation only")
     for issue in report.issues:
         print(f"  outstanding: {issue}")
-    if report.state == ClusterHealth.PROTECTED:
-        auditor = Auditor(cluster, ck.layout, scheme=ck.scheme)
-        auditor.run(ck.committed_epoch, context="post-heal", strict=True)
-        for v in auditor.violations:
-            print(f"  {v}")
-        if auditor.violations:
-            return 1
+    for v in violations:
+        print(f"  {v}")
+    if violations:
+        return 1
     want = ClusterHealth.PROTECTED if args.spares else ClusterHealth.DEGRADED
     return 0 if report.state == want else 1
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    from .audit import FuzzConfig, canonical_schedule, fuzz, run_trial
-    from .audit.fuzzer import LAYOUTS
-
     if args.heal:
         return _audit_heal(args)
     geo_sites = getattr(args, "geo", 0)
@@ -575,11 +515,9 @@ _GEO_HEADERS = ["policy", "seed", "killed", "beyond-tol", "survived",
 
 
 def _cmd_geo_run(args: argparse.Namespace) -> int:
-    from dataclasses import replace as _replace
-
     from .geo import run_geo_point
 
-    cfg = _replace(_geo_config(args), policy=args.policy)
+    cfg = replace(_geo_config(args), policy=args.policy)
     r = run_geo_point(cfg)
     row = _geo_cell_row(r)
     row[1] = cfg.seed
@@ -638,10 +576,7 @@ def _serving_load(args: argparse.Namespace):
 
 
 def _cmd_serving_run(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
     from .serving.study import policies_named, run_serving_cell
-    from .telemetry import Probe, summary_table
 
     policy = policies_named([args.policy])[0]
     if args.interval is not None:
@@ -695,37 +630,24 @@ def _cmd_serving_study(args: argparse.Namespace) -> int:
     return 0 if campaign.n_failed == 0 else 1
 
 
-def _controlplane_build(args: argparse.Namespace):
-    """Build a managed functional cluster: (sim, cluster, ck, cp, rngs)."""
-    from .controlplane import ControlPlane, ControlPlaneConfig
-    from .core import dvdc
-    from .resilience import DEFAULT_RETRY, SparePool
-    from .sim import Tracer
+def _laid_out(build, *args, **kwargs):
+    """Call a scenario builder; a cluster shape it cannot lay out exits 2
+    naming ``--nodes``.  A ``LayoutError`` raised once the simulation
+    runs still propagates: a protocol bug is never a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except LayoutError as exc:
+        raise argparse.ArgumentError(None, f"argument --nodes: {exc}") from None
 
-    tracer = Tracer()
-    total = args.nodes + args.spares
-    sc = scaled_scenario(
-        total, args.vms_per_node, vm_memory=1024.0, seed=args.seed,
-        image_pages=16, page_size=64, spares=args.spares, tracer=tracer,
-    )
-    sim, cluster, rngs = sc.sim, sc.cluster, sc.rngs
-    ck = dvdc(
-        cluster, group_size=args.group_size, tracer=tracer,
-        retry=DEFAULT_RETRY, retry_rng=rngs.stream("retry"),
-    )
-    spares = (
-        SparePool(cluster, node_ids=list(range(args.nodes, total)),
-                  tracer=tracer)
-        if args.spares else None
-    )
-    config = ControlPlaneConfig(
-        checkpoint_interval=2.0,
+
+def _managed(args: argparse.Namespace):
+    """The managed cluster a ``controlplane`` verb drives: ``(cp, rngs)``."""
+    return _laid_out(
+        build_managed, args.nodes, vms_per_node=args.vms_per_node,
+        spares=args.spares, group_size=args.group_size, seed=args.seed,
         repair_time=args.repair_time,
         maintenance_seconds=args.maintenance_seconds,
     )
-    cp = ControlPlane(cluster, ck, spares=spares, config=config,
-                      tracer=tracer)
-    return sim, cluster, ck, cp, rngs
 
 
 def _controlplane_summary(cp) -> str:
@@ -745,106 +667,24 @@ def _controlplane_summary(cp) -> str:
 
 
 def _cmd_controlplane_run(args: argparse.Namespace) -> int:
-    """Seeded churn soak: concurrent provision/kill/drain/query ops under
-    transient faults, every reconfiguration strictly audited."""
-    from .controlplane import AuditFailure
-    from .resilience import TransientFaultInjector, TransientFaultSchedule
-    from .sim import AllOf
-
-    sim, cluster, ck, cp, rngs = _controlplane_build(args)
-    if args.faults:
-        horizon = args.ops * args.mean_gap * 1.2
-        schedule = TransientFaultSchedule.draw(
-            rngs.stream("faults"), args.nodes, horizon,
-            rate=args.fault_rate, mean_duration=1.5,
-        )
-        injector = TransientFaultInjector(
-            sim, cluster, schedule, rng=rngs.stream("fault-targets"),
-            tracer=cp.tracer,
-        )
-        injector.start()
-    cp.start()
-    rng = rngs.stream("churn")
-
-    def churn():
-        ops = []
-        for _ in range(args.ops):
-            yield sim.timeout(float(rng.exponential(args.mean_gap)))
-            kind = rng.choice(
-                ["provision", "kill", "drain", "query"],
-                p=[0.25, 0.2, 0.15, 0.4],
-            )
-            params = {}
-            if kind == "provision":
-                params = dict(memory_bytes=1024.0, image_pages=16,
-                              page_size=64)
-            elif kind in ("kill", "drain"):
-                candidates = [
-                    n.node_id for n in cluster.alive_nodes
-                    if n.node_id not in cp.maintenance
-                    and n.node_id not in cp.fenced
-                ]
-                if not candidates:
-                    kind = "query"
-                else:
-                    params = dict(node_id=int(rng.choice(candidates)))
-            ops.append(cp.submit(kind, **params))
-        yield AllOf(sim, [op.done for op in ops])
-        # settle: let in-flight fences/recoveries/repairs finish
-        settle = 0
-        while cp.settling and settle < 600:
-            yield sim.timeout(1.0)
-            settle += 1
-        yield sim.timeout(2 * cp.config.repair_time)
-        # one fresh epoch with every node back: re-encodes any parity a
-        # late repair restored capacity for, so the audit sees steady state
-        yield from cp.checkpoint()
-        try:
-            ok, error = cp.audit("post-soak").ok, None
-        except AuditFailure as exc:
-            ok, error = False, str(exc)
-        cp.stop()
-        return ok, error
-
-    ok, error = sim.run_process(churn(), until=args.ops * args.mean_gap * 200)
+    cp, rngs = _managed(args)
+    error = soak(cp, rngs, ops=args.ops, mean_gap=args.mean_gap,
+                 fault_rate=args.fault_rate, faults=args.faults)
     print(_controlplane_summary(cp))
     terminal = cp.all_ops_terminal
     print(f"all ops terminal: {terminal}; final strict audit "
-          f"{'clean' if ok else 'FAILED'}")
+          f"{'clean' if error is None else 'FAILED'}")
     if error:
         print(f"  {error}")
     for op in cp.ops:
         if not op.state.terminal:
             print(f"  stuck: {op!r} params={op.params}")
-    return 0 if terminal and ok else 1
+    return 0 if terminal and error is None else 1
 
 
 def _cmd_controlplane_drain(args: argparse.Namespace) -> int:
-    """Rolling maintenance: drain+maintain+rejoin every node in turn."""
-    sim, cluster, ck, cp, rngs = _controlplane_build(args)
-    cp.start()
-
-    def roll():
-        # first protect everything: one committed epoch
-        yield cp.submit("query").done  # warm the façade
-        while ck.committed_epoch < 0:
-            yield sim.timeout(1.0)
-        issues = []
-        for node_id in range(args.nodes):
-            before = cp.verified_migrations
-            op = cp.submit("drain", node_id=node_id)
-            yield op.done
-            if op.state.value != "DONE":
-                issues.append(f"drain node {node_id}: {op.error}")
-            elif cp.verified_migrations == before:
-                issues.append(
-                    f"drain node {node_id}: no checksum-verified migration"
-                )
-        cp.audit("post-rolling-maintenance")
-        cp.stop()
-        return issues
-
-    issues = sim.run_process(roll(), until=args.nodes * 1000.0)
+    cp, _ = _managed(args)
+    issues = rolling_drain(cp)
     print(_controlplane_summary(cp))
     bad_audits = [r for r in cp.audits if not r.ok]
     print(f"rolled {args.nodes} nodes; audits: {len(cp.audits)} "
@@ -855,16 +695,8 @@ def _cmd_controlplane_drain(args: argparse.Namespace) -> int:
 
 
 def _cmd_controlplane_status(args: argparse.Namespace) -> int:
-    """Short managed run, then print the coordinator's world view."""
-    sim, cluster, ck, cp, rngs = _controlplane_build(args)
-    cp.start()
-
-    def run():
-        yield sim.timeout(args.duration)
-        cp.stop()
-
-    sim.run_process(run(), until=args.duration * 10)
-    status = cp.status()
+    cp, _ = _managed(args)
+    status = timed_status(cp, args.duration)
     print(render_table(
         ["field", "value"],
         [[k, str(v)] for k, v in status.items()],
@@ -873,17 +705,7 @@ def _cmd_controlplane_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_controlplane(args: argparse.Namespace) -> int:
-    return {
-        "run": _cmd_controlplane_run,
-        "drain": _cmd_controlplane_drain,
-        "status": _cmd_controlplane_status,
-    }[args.cp_command](args)
-
-
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    from .cluster import measure_xor_bandwidth
-
     bw = measure_xor_bandwidth(args.size, repeats=args.repeats)
     print(f"streaming XOR bandwidth: {format_bytes(bw)}/s")
     print(f"model input: ClusterModel(memory_xor_bandwidth={bw:.3g})")
@@ -916,8 +738,6 @@ _site = _bounded(int, -1)  # -1 names the worst site
 def _scheme(text: str) -> str:
     """An argparse type: a coding-scheme spec ``parse_scheme`` accepts,
     kept as text; a bad spec exits 2 with argparse naming the flag."""
-    from .coding import parse_scheme
-
     try:
         parse_scheme(text)
     except ValueError as exc:
@@ -1236,20 +1056,20 @@ def build_parser() -> argparse.ArgumentParser:
                     help="transient faults per node-second")
     cr.add_argument("--no-faults", dest="faults", action="store_false",
                     help="disable the transient fault injector")
-    cr.set_defaults(func=_cmd_controlplane, faults=True)
+    cr.set_defaults(func=_cmd_controlplane_run, faults=True)
 
     cd = cplsub.add_parser(
         "drain",
         help="rolling maintenance: drain+maintain+rejoin every node",
     )
     _cpl_common(cd, nodes=64)
-    cd.set_defaults(func=_cmd_controlplane)
+    cd.set_defaults(func=_cmd_controlplane_drain)
 
     cs = cplsub.add_parser("status", help="short managed run + status table")
     _cpl_common(cs, nodes=8)
     cs.add_argument("--duration", type=_positive, default=20.0,
                     help="sim seconds to run before the snapshot")
-    cs.set_defaults(func=_cmd_controlplane)
+    cs.set_defaults(func=_cmd_controlplane_status)
 
     ca = sub.add_parser("calibrate", help="measure host XOR bandwidth")
     ca.add_argument("--size", type=_positive_int, default=1 << 24, help="buffer bytes")
@@ -1261,7 +1081,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except argparse.ArgumentError as exc:  # raised by ``_laid_out``
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

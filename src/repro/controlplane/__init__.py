@@ -12,12 +12,15 @@ placement loops) into one long-running coordinator over the simulator:
   over real live migrations with checksum verification;
 * :mod:`~repro.controlplane.ops` — the PENDING→RUNNING→DONE/FAILED
   operation state machine behind :meth:`ControlPlane.submit`;
-* :mod:`~repro.controlplane.coordinator` — :class:`ControlPlane` itself.
+* :mod:`~repro.controlplane.coordinator` — :class:`ControlPlane` itself;
+* :mod:`~repro.controlplane.drivers` — the one managed-cluster builder
+  and the soak, rolling-drain and status runs over it.
 
 See ``docs/controlplane.md`` for the narrative walkthrough.
 """
 
 from .coordinator import AuditFailure, ControlPlane, ControlPlaneConfig
+from .drivers import build_managed, rolling_drain, soak, timed_status
 from .heartbeat import HeartbeatRegistry, KeepalivePolicy, keepalive_loop
 from .maintenance import drain_node, migrate_with_verify
 from .ops import OP_KINDS, Operation, OpRejected, OpState
@@ -27,6 +30,7 @@ __all__ = [
     "AuditFailure",
     "ControlPlane",
     "ControlPlaneConfig",
+    "build_managed", "rolling_drain", "soak", "timed_status",
     "HeartbeatRegistry",
     "KeepalivePolicy",
     "keepalive_loop",

@@ -6,7 +6,8 @@ PVC-style control plane:
 
 * **keepalive/fencing** — every managed node runs a
   :func:`~repro.controlplane.heartbeat.keepalive_loop`; the monitor
-  fences any node silent past ``interval · miss_threshold``.  Crashes
+  fences any node silent past :class:`KeepalivePolicy`'s deadline
+  (``interval · miss_threshold``).  Crashes
   (from :class:`~repro.failures.injector.FailureInjector` or kill ops)
   and link flaps (from :mod:`repro.resilience.faults`) both silence the
   beat, so one detection path covers both.  A fenced node that is still
@@ -41,7 +42,6 @@ from ..cluster.cluster import VirtualCluster
 from ..cluster.vm import VMState
 from ..core.dvdc import DisklessCheckpointer
 from ..core.groups import LayoutError, RaidGroup, build_orthogonal_layout
-from ..migration.precopy import PrecopyModel
 from ..resilience.healing import ClusterHealth, SelfHealer, SparePool
 from ..resilience.scrubber import Scrubber
 from ..sim import Interrupt, NULL_TRACER, Resource, Tracer
@@ -60,29 +60,14 @@ class AuditFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class ControlPlaneConfig:
-    """Tunables of the coordinator daemons."""
+    """What a caller tunes; the rest is fixed (``docs/controlplane.md``)."""
 
-    #: keepalive cadence (sim seconds)
-    heartbeat_interval: float = 1.0
-    #: consecutive silent intervals before a node is fenced
-    miss_threshold: int = 3
     #: periodic ``run_cycle()`` cadence; None disables the cycle loop
     checkpoint_interval: float | None = None
     #: node downtime after a STONITH power-fence before it rejoins
     repair_time: float = 30.0
-    #: how long a drained node stays down for maintenance by default
+    #: how long a drained node stays down for maintenance
     maintenance_seconds: float = 5.0
-    #: transient-fault retries for drain migrations/transfers
-    drain_retries: int = 3
-    drain_retry_wait: float = 0.5
-    #: run post-reconfiguration audits in strict mode and raise on
-    #: fatal violations
-    strict_audit: bool = True
-    #: target size for parity groups formed from provisioned VMs
-    group_size: int = 4
-    #: erasure tolerance used by the kill-op safety guard; None derives
-    #: it from the checkpointer's coding scheme (1 for XOR, m for RS(k,m))
-    tolerance: int | None = None
 
 
 class ControlPlane:
@@ -95,7 +80,6 @@ class ControlPlane:
         spares: SparePool | None = None,
         config: ControlPlaneConfig | None = None,
         tracer: Tracer = NULL_TRACER,
-        precopy_model: PrecopyModel | None = None,
     ):
         self.cluster = cluster
         self.ck = checkpointer
@@ -103,9 +87,7 @@ class ControlPlane:
         self.config = config or ControlPlaneConfig()
         self.tracer = tracer
         self.probe = probe_of(tracer)
-        self.policy = KeepalivePolicy(
-            self.config.heartbeat_interval, self.config.miss_threshold
-        )
+        self.policy = KeepalivePolicy()
         self.registry = HeartbeatRegistry(self.policy)
         self.engine = PlacementEngine(cluster)
         self.spares = spares
@@ -113,8 +95,6 @@ class ControlPlane:
         self.scrubber = Scrubber(
             cluster, self.layout, tracer=tracer, scheme=checkpointer.scheme
         )
-        #: drain migrations use this pre-copy model (default: node NIC)
-        self.precopy_model = precopy_model
 
         #: nodes currently under maintenance (drained or draining)
         self.maintenance: set[int] = set()
@@ -498,8 +478,10 @@ class ControlPlane:
         ]
         if not vms:
             return
+        # the layout's group size shapes provisioned groups too
+        largest = max(len(g.member_vm_ids) for g in self.layout.groups)
         hosts = {vm.node_id for vm in vms}
-        group_size = max(1, min(self.config.group_size, len(hosts)))
+        group_size = min(largest, len(hosts))
         sub = build_orthogonal_layout(
             self.cluster, group_size, parity="rotate", vms=vms,
             n_parity=self.ck.scheme.n_shards,
@@ -525,14 +507,11 @@ class ControlPlane:
 
         Scrubs first (corruption found by checksum is repaired in place,
         like the fuzzer does before its strict audits), then audits, and
-        raises :class:`AuditFailure` on fatal findings when configured
-        strict."""
-        strict = self.config.strict_audit
-        if strict:
-            self.scrubber.scrub_once()
+        raises :class:`AuditFailure` on fatal findings."""
+        self.scrubber.scrub_once()
         report = audit_cluster(
             self.cluster, self.layout, self.ck.committed_epoch,
-            strict=strict, context=context, scheme=self.ck.scheme,
+            strict=True, context=context, scheme=self.ck.scheme,
         )
         self.audits.append(report)
         self.probe.count(
@@ -540,7 +519,7 @@ class ControlPlane:
             help="Post-reconfiguration audit sweeps",
             ok="yes" if report.ok else "no",
         )
-        if strict and not report.ok:
+        if not report.ok:
             raise AuditFailure(
                 f"audit '{context}': "
                 + "; ".join(v.detail for v in report.fatal)
@@ -637,17 +616,14 @@ class ControlPlane:
         """Why killing ``node_id`` now would be unsafe, or None if fine.
 
         Counts, per group, elements already unavailable plus elements
-        that would go down with the candidate; more than ``tolerance``
-        lost elements in any group means unrecoverable data loss.
+        that would go down with the candidate; more lost elements in any
+        group than the coding scheme tolerates means unrecoverable data
+        loss.
         """
         for vm in self.cluster.vms_on(node_id):
             if vm.vm_id in self.pending_protect:
                 return f"vm {vm.vm_id} on node {node_id} is not yet protected"
-        tolerance = (
-            self.config.tolerance
-            if self.config.tolerance is not None
-            else self.ck.scheme.tolerance
-        )
+        tolerance = self.ck.scheme.tolerance
         for group in self.layout.groups:
             lost = 0
             for v in group.member_vm_ids:
@@ -695,10 +671,6 @@ class ControlPlane:
     # -- drain ----------------------------------------------------------
     def _op_drain(self, op: Operation):
         node_id = int(op.params["node_id"])
-        rejoin = bool(op.params.get("rejoin", True))
-        hold = float(
-            op.params.get("maintenance_seconds", self.config.maintenance_seconds)
-        )
         sim = self.cluster.sim
         req = self._lock.request()
         yield req
@@ -720,13 +692,11 @@ class ControlPlane:
             self._lock.release()
         # ---- maintenance hold: the node is powered down, cluster stays
         # fully protected on the remaining nodes
-        yield sim.timeout(hold)
-        if rejoin:
-            self.cluster.repair_node(node_id)
-            self.maintenance.discard(node_id)
-            self.audit(f"node {node_id} rejoined after maintenance")
-            self.tracer.emit(sim.now, "controlplane.rejoin", node=node_id)
-        summary["rejoined"] = rejoin
+        yield sim.timeout(self.config.maintenance_seconds)
+        self.cluster.repair_node(node_id)
+        self.maintenance.discard(node_id)
+        self.audit(f"node {node_id} rejoined after maintenance")
+        self.tracer.emit(sim.now, "controlplane.rejoin", node=node_id)
         return summary
 
     # ------------------------------------------------------------------

@@ -34,32 +34,34 @@ from ..network.link import NetworkError
 
 __all__ = ["drain_node", "migrate_with_verify"]
 
+DRAIN_RETRIES = 3  # after waits of 0.5, 1 and 2 s
+DRAIN_RETRY_WAIT = 0.5
+
+
+def _retrying(sim, attempt):
+    """Process: ``yield from attempt()``, retrying a :class:`NetworkError`
+    with doubling backoff; the last attempt's error propagates."""
+    for retry in range(DRAIN_RETRIES):
+        try:
+            return (yield from attempt())
+        except NetworkError:
+            yield sim.timeout(DRAIN_RETRY_WAIT * 2 ** retry)
+    return (yield from attempt())
+
 
 def migrate_with_verify(cp, vm, dst_node_id: int):
     """Process: live-migrate ``vm`` with retries + checksum verification.
 
-    Retries transient :class:`NetworkError` aborts up to
-    ``cp.config.drain_retries`` times with doubling backoff.  For
-    functional VMs the live image is fingerprinted before and after;
+    Transient :class:`NetworkError` aborts are retried (:func:`_retrying`).
+    For functional VMs the live image is fingerprinted before and after;
     a mismatch raises (and counts) — the migration machinery must be
     bit-exact.  Returns the :class:`~repro.migration.precopy.PrecopyResult`.
     """
-    sim = cp.cluster.sim
     pre = block_checksum(vm.image.flat) if vm.image is not None else None
-    attempts = cp.config.drain_retries + 1
-    result = None
-    for attempt in range(attempts):
-        try:
-            result = yield from live_migrate(
-                cp.cluster, vm, dst_node_id,
-                model=cp.precopy_model,
-                tracer=cp.tracer,
-            )
-            break
-        except NetworkError:
-            if attempt == attempts - 1:
-                raise
-            yield sim.timeout(cp.config.drain_retry_wait * (2 ** attempt))
+    result = yield from _retrying(
+        cp.cluster.sim,
+        lambda: live_migrate(cp.cluster, vm, dst_node_id, tracer=cp.tracer),
+    )
     verified = None
     if pre is not None:
         verified = block_checksum(vm.image.flat) == pre
@@ -89,19 +91,13 @@ def _stage_committed(cp, vm, src: int, dst: int):
     img = cp.cluster.node(src).checkpoint_store.get(vm.vm_id)
     if img is None:
         return None  # unprotected VM (no committed epoch yet): nothing to move
-    attempts = cp.config.drain_retries + 1
-    for attempt in range(attempts):
-        try:
-            yield cp.ck._transfer(
-                src, dst, img.logical_bytes, label=f"drain.ckpt.vm{vm.vm_id}"
-            )
-            break
-        except NetworkError:
-            if attempt == attempts - 1:
-                raise
-            yield cp.cluster.sim.timeout(
-                cp.config.drain_retry_wait * (2 ** attempt)
-            )
+
+    def transfer():
+        yield cp.ck._transfer(
+            src, dst, img.logical_bytes, label=f"drain.ckpt.vm{vm.vm_id}"
+        )
+
+    yield from _retrying(cp.cluster.sim, transfer)
     cp.cluster.node(dst).store_checkpoint(img)
     return img
 
@@ -159,18 +155,19 @@ def drain_node(cp, node_id: int) -> dict:
     # ---- re-encode parity shards homed here onto fresh nodes
     for group in list(cp.layout.groups_with_parity_on(node_id)):
         slots = [j for j, home in enumerate(group.parity_nodes) if home == node_id]
-        attempts = cp.config.drain_retries + 1
-        for attempt in range(attempts):
+
+        def rehome():
             report = DisklessRecoveryReport(failed_node=node_id)
             yield from cp.ck.rehome_shards(group, slots, report)
-            if group.group_id in report.reencoded_groups:
-                break
-            if attempt == attempts - 1:
-                raise RuntimeError(
+            if group.group_id not in report.reencoded_groups:
+                # rehome_shards returns without re-encoding when a
+                # transfer failed (or a member just died): retry alike
+                raise NetworkError(
                     f"group {group.group_id}: could not re-home parity off "
                     f"node {node_id}"
                 )
-            yield sim.timeout(cp.config.drain_retry_wait * (2 ** attempt))
+
+        yield from _retrying(sim, rehome)
         new_home = cp.layout.group_of(group.member_vm_ids[0]).parity_nodes[slots[0]]
         moved_parity[group.group_id] = new_home
         cp.audit(f"drain node {node_id}: parity g{group.group_id} -> {new_home}")

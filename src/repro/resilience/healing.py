@@ -62,10 +62,9 @@ class SparePool:
         self,
         cluster: VirtualCluster,
         node_ids: list[int] | None = None,
-        tracer: Tracer = NULL_TRACER,
     ):
         self.cluster = cluster
-        self.tracer = tracer
+        self.tracer = NULL_TRACER  # the owning SelfHealer sets its own
         self._available: list[int] = []
         self.acquired: list[int] = []
         #: times :meth:`acquire` came up empty — every one is a failure
@@ -159,7 +158,7 @@ class SelfHealer:
         self.spares = (
             spares
             if spares is not None
-            else SparePool(checkpointer.cluster, tracer=tracer)
+            else SparePool(checkpointer.cluster)
         )
         if self.spares.tracer is NULL_TRACER and tracer is not NULL_TRACER:
             # surface pool exhaustion through the healer's tracer rather

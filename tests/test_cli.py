@@ -79,12 +79,17 @@ class TestParser:
         ["campaign", "--spec", "malformed.json"],
         ["campaign", "--spec", "invalid.json"],
         ["campaign", "--spec", "unknown-kind.json"],
+        ["controlplane", "status", "--nodes", "1"],
+        ["controlplane", "drain", "--spares", "0", "--nodes", "2"],
+        ["controlplane", "run", "--group-size", "8", "--nodes", "3"],
+        ["audit", "--heal", "--nodes", "1"],
+        ["audit", "--heal", "--scheme", "rs-8-2", "--nodes", "2"],
     ], ids=" ".join)
     def test_hostile_numbers_exit_2_naming_the_flag(self, argv, capsys,
                                                     tmp_path, monkeypatch):
-        """Numbers, scheme specs, policy names and sweep files are checked
-        by the parser; each used to end in a traceback with exit 1 or run
-        on."""
+        """Numbers, scheme specs, policy names, sweep files and cluster
+        shapes are checked before anything runs; each used to end in a
+        traceback with exit 1 or run on."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "malformed.json").write_text("{not json")
         (tmp_path / "invalid.json").write_text(
@@ -101,6 +106,9 @@ class TestParser:
         }.get(argv[-1], "must be")
         if argv[-2] in ("--policies", "--scenario"):
             says = f"invalid choice: '{argv[-1]}'"
+        if argv[-2] == "--nodes":  # a cluster shape no layout fits
+            says = ("group_size" if argv[0] == "controlplane"
+                    else "no node available to hold parity shard")
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -188,6 +196,19 @@ class TestCommands:
 
         monkeypatch.setattr(DisklessCheckpointer, "run_cycle", run_cycle)
         with pytest.raises(RuntimeError, match="cycle exploded"):
+            main(["audit", "--heal"])
+
+    def test_layout_error_mid_run_is_not_a_usage_error(self, monkeypatch):
+        """Only a shape the builder cannot lay out exits 2; the same
+        error from the running protocol propagates."""
+        from repro.core import DisklessCheckpointer
+        from repro.core.groups import LayoutError
+
+        def run_cycle(self, *args, **kwargs):
+            raise LayoutError("layout broke mid-run")
+
+        monkeypatch.setattr(DisklessCheckpointer, "run_cycle", run_cycle)
+        with pytest.raises(LayoutError, match="layout broke mid-run"):
             main(["audit", "--heal"])
 
     def test_calibrate(self, capsys):

@@ -3,8 +3,9 @@
 Covers the keepalive/fencing daemon (true crash vs straggler-NIC false
 positive vs sub-deadline flap), the PENDING→RUNNING→DONE/FAILED op
 state machine, the kill-op safety guard, live-drain maintenance with
-checksum-verified migrations and zero unprotected windows, and the
-beyond-tolerance salvage path.
+checksum-verified migrations and zero unprotected windows, the
+beyond-tolerance salvage path, and the run-to-completion drivers
+behind ``repro controlplane run|drain|status``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ from repro.controlplane import (
     OpState,
     PlacementEngine,
     PlacementError,
+    build_managed,
+    rolling_drain,
+    soak,
+    timed_status,
 )
 from repro.core.architectures import dvdc
 from repro.failures.injector import (
@@ -269,6 +274,29 @@ class TestOps:
         report = cp.audit("after provision epoch")
         assert report.ok
 
+    def test_provisioned_groups_take_the_layout_group_size(self):
+        """Regression: provisioned VMs were grouped by a separate
+        ``ControlPlaneConfig.group_size`` (4), not the layout's size, so
+        four VMs provisioned in one epoch formed one group of 4."""
+        sim = Simulator()
+        cluster, ck, cp = make_cp(sim, 6, group_size=2)
+        initial = len(ck.layout.groups)
+        cp.start()
+
+        def scenario():
+            yield from cp.checkpoint()
+            ops = [cp.submit("provision", memory_bytes=VM_BYTES,
+                             image_pages=16, page_size=64) for _ in range(4)]
+            for op in ops:
+                yield op.done
+            yield from cp.checkpoint()
+
+        drive(sim, cp, scenario())
+        new = ck.layout.groups[initial:]
+        assert sum(len(g.member_vm_ids) for g in new) == 4
+        assert max(len(g.member_vm_ids) for g in ck.layout.groups) == 2
+        assert cp.audit("after provisioning").ok
+
     def test_provision_rejected_mid_run_under_incremental_capture(self):
         sim = Simulator()
         cluster, ck, cp = make_cp(sim, 6, strategy=IncrementalCapture())
@@ -380,7 +408,6 @@ class TestDrain:
         summary = op.result
         assert len(summary["migrated_vms"]) == n_vms
         assert set(summary["moved_parity_groups"]) == set(parity_groups)
-        assert summary["rejoined"] is True
         # every migration end-to-end checksum verified
         assert cp.verified_migrations == n_vms
         # zero unprotected windows: an audit ran after every migration,
@@ -403,7 +430,7 @@ class TestDrain:
             "repro.controlplane.maintenance.live_migrate", unreachable
         )
         sim = Simulator()
-        cluster, ck, cp = make_cp(sim, 6, drain_retry_wait=0.1)
+        cluster, ck, cp = make_cp(sim, 6)
         cp.start()
 
         def scenario():
@@ -539,6 +566,30 @@ class TestSalvage:
 # ---------------------------------------------------------------------------
 # placement engine
 # ---------------------------------------------------------------------------
+class TestDrivers:
+    def test_small_soak_ends_terminal_and_strictly_clean(self):
+        cp, rngs = build_managed(6)
+        assert soak(cp, rngs, ops=60) is None
+        assert len(cp.ops) == 60 and cp.all_ops_terminal
+        assert cp.audits[-1].context == "post-soak" and cp.audits[-1].ok
+
+    def test_small_rolling_drain_verifies_migrations(self):
+        cp, _ = build_managed(8)
+        assert rolling_drain(cp) == []
+        assert cp.verified_migrations > 0
+        assert all(r.ok for r in cp.audits)
+
+    def test_cold_spares_never_home_parity(self):
+        """Regression: the builder laid parity out before the spares were
+        powered off, so ``--group-size 2 --nodes 12`` put group 11's
+        parity on spare 12 and never committed an epoch."""
+        cp, _ = build_managed(12, group_size=2)
+        spares = set(cp.spares.available)
+        assert spares == {12, 13}
+        assert not any(spares & set(g.parity_nodes) for g in cp.layout.groups)
+        assert timed_status(cp, 20.0)["committed_epoch"] >= 0
+
+
 class TestPlacement:
     def test_choose_host_least_loaded_lowest_id(self, sim):
         cluster = _populated(sim, 4, vms_per_node=1)
