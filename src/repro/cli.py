@@ -121,8 +121,9 @@ def _fig5_scheme_sweep(args: argparse.Namespace) -> int:
     for spec in specs:
         sch = parse_scheme(spec)
         k = max(1, args.nodes - sch.n_shards)
-        p = window_loss_probability(
-            lam_node, args.nodes, args.window, tolerance=sch.tolerance
+        p = _laid_out(
+            window_loss_probability,
+            lam_node, args.nodes, args.window, tolerance=sch.tolerance,
         )
         rows.append([
             sch.name, sch.tolerance, sch.n_shards,
@@ -162,8 +163,9 @@ def _epoch_method(arch: str):
 
 
 def _cmd_epoch(args: argparse.Namespace) -> int:
-    sc, ck = _epoch_method(args.arch).build(
-        args.nodes, args.vms_per_node, seed=args.seed
+    sc, ck = _laid_out(
+        _epoch_method(args.arch).build,
+        args.nodes, args.vms_per_node, seed=args.seed,
     )
     r = sc.sim.run_process(ck.run_cycle())
     rows = [[
@@ -302,18 +304,20 @@ def _run_instrumented(args: argparse.Namespace):
     """
     probe = Probe()
     if args.scenario == "serving":
-        from .serving.study import ServingLoad, ServingPolicy, run_serving_cell
+        from .serving.study import ServingLoad, ServingPolicy, build_serving_cell
 
-        run_serving_cell(
+        _laid_out(
+            build_serving_cell,
             ServingPolicy("checkpoint", checkpoint=True),
             ServingLoad(n_requests=20_000, n_nodes=args.nodes,
                         vms_per_node=args.vms_per_node),
             args.seed, tracer=probe,
-        )
+        )()
         return probe
     if args.scenario == "epoch":
-        sc, ck = _epoch_method(args.arch).build(
-            args.nodes, args.vms_per_node, seed=args.seed, tracer=probe
+        sc, ck = _laid_out(
+            _epoch_method(args.arch).build,
+            args.nodes, args.vms_per_node, seed=args.seed, tracer=probe,
         )
         sc.sim.attach_probe(probe)
         sc.sim.run_process(ck.run_cycle())
@@ -420,7 +424,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         layouts = list(LAYOUTS) if args.layout == "all" else [args.layout]
     failed = False
     for layout in layouts:
-        config = FuzzConfig(
+        config = _laid_out(
+            FuzzConfig,
             layout=layout,
             n_nodes=args.nodes,
             vms_per_node=args.vms_per_node,
@@ -430,9 +435,10 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             strategy=args.strategy,
             transient=args.transient,
             scheme=args.scheme,
-            geo_sites=geo_sites,
-            geo_policy=args.geo_policy,
         )
+        if geo_sites:  # validated on its own so its errors name --geo
+            config = _laid_out(replace, config, flag="--geo",
+                               geo_sites=geo_sites, geo_policy=args.geo_policy)
         if args.fuzz:
             result = fuzz(
                 config, seeds=args.seeds, budget=args.budget,
@@ -515,10 +521,10 @@ _GEO_HEADERS = ["policy", "seed", "killed", "beyond-tol", "survived",
 
 
 def _cmd_geo_run(args: argparse.Namespace) -> int:
-    from .geo import run_geo_point
+    from .geo import build_geo_point
 
     cfg = replace(_geo_config(args), policy=args.policy)
-    r = run_geo_point(cfg)
+    r = _laid_out(build_geo_point, cfg, flag="--sites")()
     row = _geo_cell_row(r)
     row[1] = cfg.seed
     print(render_table(
@@ -576,16 +582,16 @@ def _serving_load(args: argparse.Namespace):
 
 
 def _cmd_serving_run(args: argparse.Namespace) -> int:
-    from .serving.study import policies_named, run_serving_cell
+    from .serving.study import build_serving_cell, policies_named
 
     policy = policies_named([args.policy])[0]
     if args.interval is not None:
         policy = replace(policy, interval=args.interval)
     probe = Probe() if args.metrics else None
-    report = run_serving_cell(
-        policy, _serving_load(args), args.seed,
+    report = _laid_out(
+        build_serving_cell, policy, _serving_load(args), args.seed,
         tracer=probe if probe is not None else NULL_TRACER,
-    )
+    )()
     lat = report["latency"]
     print(render_table(
         ["offered", "completed", "lost", "p50 ms", "p95 ms", "p99 ms",
@@ -630,14 +636,15 @@ def _cmd_serving_study(args: argparse.Namespace) -> int:
     return 0 if campaign.n_failed == 0 else 1
 
 
-def _laid_out(build, *args, **kwargs):
-    """Call a scenario builder; a cluster shape it cannot lay out exits 2
-    naming ``--nodes``.  A ``LayoutError`` raised once the simulation
-    runs still propagates: a protocol bug is never a usage error."""
+def _laid_out(build, *args, flag: str = "--nodes", **kwargs):
+    """Call a scenario builder; a cluster shape it rejects (``LayoutError``
+    or ``ValueError``) exits 2 naming ``flag``.  Builders run no event,
+    so an error raised once the simulation runs still propagates: a
+    protocol bug is never a usage error."""
     try:
         return build(*args, **kwargs)
-    except LayoutError as exc:
-        raise argparse.ArgumentError(None, f"argument --nodes: {exc}") from None
+    except (LayoutError, ValueError) as exc:
+        raise argparse.ArgumentError(None, f"argument {flag}: {exc}") from None
 
 
 def _managed(args: argparse.Namespace):

@@ -142,29 +142,42 @@ class StudyOutcome:
         return sum(r.completed for r in rs) / len(rs) if rs else float("nan")
 
     def summary_table(self) -> str:
+        """Per-method means over the *paired* seeds, those every method
+        completed, so a method that loses runs is not averaged over its
+        survivors alone.  Each method's lost runs get a column, and the
+        seeds left out of the means are named under the table."""
         methods = sorted({c.method for c in self.cells})
+        seeds = sorted({c.seed for c in self.cells})
+        done = {(c.method, c.seed) for c in self.cells if c.result.completed}
+        paired = {s for s in seeds if all((m, s) in done for m in methods)}
         rows = []
         for m in methods:
-            rs = self.for_method(m)
-            done = [r for r in rs if r.completed]
-            ratios = [r.time_ratio for r in done]
+            rs = [c.result for c in self.cells if c.method == m and c.seed in paired]
+            ratios = [r.time_ratio for r in rs]
             rows.append([
                 m,
                 f"{self.completion_rate(m) * 100:.0f}%",
+                sum(not r.completed for r in self.for_method(m)),
                 f"{np.mean(ratios):.3f}" if ratios else "-",
                 f"{summarize(ratios).std:.3f}" if len(ratios) > 1 else "-",
-                format_seconds(float(np.mean([r.checkpoint_time for r in done])))
-                if done else "-",
-                format_seconds(float(np.mean([r.lost_work for r in done])))
-                if done else "-",
+                format_seconds(float(np.mean([r.checkpoint_time for r in rs])))
+                if rs else "-",
+                format_seconds(float(np.mean([r.lost_work for r in rs])))
+                if rs else "-",
             ])
-        return render_table(
-            ["method", "completed", "mean T/T_ideal", "sd", "mean ckpt time",
-             "mean lost work"],
+        table = render_table(
+            ["method", "completed", "lost runs", "mean T/T_ideal", "sd",
+             "mean ckpt time", "mean lost work"],
             rows,
-            title=f"paired study over {len({c.seed for c in self.cells})} "
-                  "shared failure traces",
+            title=f"paired study over {len(paired)} of {len(seeds)} "
+                  "shared failure traces (seeds every method completed)",
         )
+        dropped = [s for s in seeds if s not in paired]
+        if dropped:
+            table += ("\n  dropped from the means (a method lost the run): "
+                      f"seed{'s' if len(dropped) > 1 else ''} "
+                      + ", ".join(map(str, dropped)))
+        return table
 
 
 def run_job_cell(

@@ -24,6 +24,7 @@ from .remus import RemoteCopy, RemusAsyncReplicator, RemusSalvageReport
 from .study import (
     POLICIES,
     GeoConfig,
+    build_geo_point,
     build_geo_scenario,
     respread_groups,
     run_geo_point,
@@ -50,6 +51,7 @@ __all__ = [
     "RemusSalvageReport",
     "POLICIES",
     "GeoConfig",
+    "build_geo_point",
     "build_geo_scenario",
     "respread_groups",
     "run_geo_point",

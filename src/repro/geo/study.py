@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -50,6 +51,7 @@ from .topology import (
 __all__ = [
     "POLICIES",
     "GeoConfig",
+    "build_geo_point",
     "build_geo_scenario",
     "respread_groups",
     "run_geo_point",
@@ -261,7 +263,19 @@ def run_geo_point(cfg: GeoConfig, collect_digests: bool = False) -> dict:
     audit.  Survival is judged bit-exactly: every VM's committed image
     must match the checksum logged when its restored epoch committed.
     """
-    sim, cluster, ck, replicator, geo, rngs, tracer = build_geo_scenario(cfg)
+    return build_geo_point(cfg, collect_digests)()
+
+
+def build_geo_point(cfg: GeoConfig, collect_digests: bool = False) -> Callable[[], dict]:
+    """Build one cell and return the call that runs it (see
+    :func:`run_geo_point`).  A cluster shape no layout fits raises here,
+    before any event runs."""
+    built = build_geo_scenario(cfg)
+    return lambda: _run_geo_point(cfg, built, collect_digests)
+
+
+def _run_geo_point(cfg: GeoConfig, built: tuple, collect_digests: bool) -> dict:
+    sim, cluster, ck, replicator, geo, rngs, tracer = built
 
     epoch_log: dict[int, dict[int, int]] = {}
     replicate_until = cfg.epochs - cfg.lag_epochs

@@ -7,31 +7,47 @@ Fig. 5 turns on — N checkpoint streams converging on one NAS ingress
 link serialize to ``bw/N`` each, while DVDC's peer-to-peer exchanges
 ride separate node links in parallel.
 
-Two allocators implement the same max-min fair solution:
+One allocation per simulated instant: a flow start, finish or link
+change only marks the links it touched dirty, and the first mark in an
+instant registers :meth:`Network._settle` with
+:meth:`~repro.sim.engine.Simulator.at_instant_end`.  Barrier-synchronised
+sends start and finish together, so one fill replaces the dozens a
+per-change allocator ran at the same time stamp.  The settle re-anchors
+and reschedules only the flows whose rate moved, in admission order, so
+same-time completions fire in the order their flows were admitted.
 
-* ``"incremental"`` (default) — when a flow starts, finishes, or a link
-  changes, only the *affected component* is recomputed: the flows
-  transitively connected to the changed links through shared links.
-  Disjoint components keep their rates (max-min fairness is separable
-  across link-disjoint flow sets), so a thousand-node cluster running
-  parallel group exchanges pays per-group cost, not per-cluster cost.
-* ``"reference"`` — recomputes every active flow on every change, the
-  original from-scratch algorithm.  Kept as the bit-exactness oracle:
+Two allocators compute the same max-min fair solution at the settle:
+
+* ``"incremental"`` (default) — one walk from the dirty links splits the
+  flows they reach into link-disjoint *components* (flows transitively
+  connected through shared links), and each component is filled on its
+  own.  Components nothing touched keep their rates (max-min fairness
+  is separable across link-disjoint flow sets), so a thousand-node
+  cluster running parallel group exchanges pays per-group cost, not
+  per-cluster cost; filling the union in one pass would not, since the
+  bottleneck scan is quadratic in the links it spans.
+* ``"reference"`` — one fill over every active flow, the original
+  from-scratch algorithm.  Kept as the bit-exactness oracle:
   ``tests/test_golden_determinism.py`` proves both allocators produce
   identical rates, completion times, and traces.
 
+Reads during an instant see the last settle's rates: ``Flow.rate`` and
+``Link.utilization`` do not reflect changes made since, and a flow
+admitted since reads ``0.0``.  Inside the package only the settle's own
+probe gauges read rates, after the fill.
+
 Flow progress uses an *anchor* representation: ``remaining`` bytes are
 stored as of the instant the flow's rate last changed, and interpolated
-on read.  A flow whose rate is unchanged by a reallocation is not
-touched at all — its completion event stays scheduled — which is what
-makes the incremental allocator bit-identical to the reference one.
+on read.  A flow whose rate is unchanged by a settle is not touched at
+all — its completion event stays scheduled — which is what makes the
+incremental allocator bit-identical to the reference one.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from ..sim import NULL_TRACER, Simulator, SimEvent, Tracer
 from ..sim.engine import EventHandle
@@ -98,7 +114,7 @@ class Link:
 
     @property
     def utilization(self) -> float:
-        """Fraction of capacity currently allocated (0..1)."""
+        """Fraction of capacity allocated at the last settle (0..1)."""
         return sum(f.rate for f in self.flows) / self.bandwidth
 
     @property
@@ -200,6 +216,8 @@ class Network:
         self._probe = probe_of(tracer)
         self.links: dict[str, Link] = {}
         self._active: dict[Flow, None] = {}
+        #: links changed since the last settle (insertion-ordered set)
+        self._dirty: dict[Link, None] = {}
         self._flow_seq = 0
         self._admit_seq = 0
         self._link_seq = 0
@@ -241,8 +259,9 @@ class Network:
         return torn
 
     def set_link_bandwidth(self, link: Link | str, bandwidth: float) -> None:
-        """Change a link's current capacity (degradation / recovery) and
-        re-run the fair allocation so in-flight flows adjust rate.
+        """Change a link's current capacity (degradation / recovery); the
+        instant's settle re-runs the fair allocation so in-flight flows
+        adjust rate.
 
         ``nominal_bandwidth`` is untouched: pass it back to restore."""
         lk = self.link(link) if isinstance(link, str) else link
@@ -363,30 +382,35 @@ class Network:
     # ------------------------------------------------------------------
     # max-min fair allocation (progressive filling)
     # ------------------------------------------------------------------
-    def _closure(self, dirty_links: Iterable[Link]) -> dict[Flow, None]:
-        """Flows whose rate can change: the transitive closure of the
-        dirty links' flows under link sharing (one connected component of
-        the flow/link bipartite graph per dirty link)."""
-        flows: dict[Flow, None] = {}
-        stack: list[Link] = []
-        seen_links: dict[Link, None] = {}
-        for lk in dirty_links:
-            if lk not in seen_links:
-                seen_links[lk] = None
-                stack.append(lk)
-        while stack:
-            lk = stack.pop()
-            for f in lk.flows:
-                if f in flows:
-                    continue
-                flows[f] = None
-                for other in f.path:
-                    if other not in seen_links:
-                        seen_links[other] = None
-                        stack.append(other)
-        return flows
+    def _components(self, dirty_links: Iterable[Link]) -> list[list[Flow]]:
+        """Flows whose rate can change, split into link-disjoint
+        components: one walk of the flow/link bipartite graph from the
+        dirty links, each new start opening the next component."""
+        components: list[list[Flow]] = []
+        seen_links: set[Link] = set()
+        seen_flows: set[Flow] = set()
+        for start in dirty_links:
+            if start in seen_links:
+                continue
+            seen_links.add(start)
+            stack = [start]
+            component: list[Flow] = []
+            while stack:
+                lk = stack.pop()
+                for f in lk.flows:
+                    if f in seen_flows:
+                        continue
+                    seen_flows.add(f)
+                    component.append(f)
+                    for other in f.path:
+                        if other not in seen_links:
+                            seen_links.add(other)
+                            stack.append(other)
+            if component:
+                components.append(component)
+        return components
 
-    def _fill(self, flows: dict[Flow, None]) -> dict[Flow, float]:
+    def _fill(self, flows: Collection[Flow]) -> dict[Flow, float]:
         """Progressive filling restricted to ``flows``.
 
         ``flows`` must be closed under link sharing (every flow crossing
@@ -394,18 +418,18 @@ class Network:
         guarantee; max-min fairness is then separable, so the restricted
         solution equals the global one on these flows.
         """
-        unfrozen = dict.fromkeys(flows)
-        if len(unfrozen) == 1:
+        if len(flows) == 1:
             # Lone flow: every share is residual/1 == the link bandwidth,
             # so it freezes at its path's bottleneck in one round.  Same
             # float the general loop would select (x / 1.0 is exact).
-            (f,) = unfrozen
+            (f,) = flows
             rate = math.inf
             for lk in f.path:
                 bw = lk.bandwidth
                 if bw < rate:
                     rate = bw
             return {f: rate}
+        unfrozen = dict.fromkeys(flows)
         residual: dict[Link, float] = {}
         count: dict[Link, int] = {}
         for f in unfrozen:
@@ -453,36 +477,47 @@ class Network:
         return rates
 
     def _reallocate(self, dirty_links: Iterable[Link]) -> None:
+        """Mark ``dirty_links`` for the end-of-instant :meth:`_settle`;
+        the first mark in an instant registers it with the simulator."""
+        dirty = self._dirty
+        if not dirty:
+            self.sim.at_instant_end(self._settle)
+        for lk in dirty_links:
+            dirty[lk] = None
+
+    def _settle(self) -> None:
+        """One max-min fill for everything that changed this instant,
+        then re-anchor and reschedule the flows whose rate moved, in
+        admission order so both allocators consume identical event-heap
+        sequence numbers.  A flow whose rate is bitwise unchanged is not
+        touched: its anchor and completion event stay valid."""
+        dirty = self._dirty
+        self._dirty = {}
         if self.allocator == "reference":
-            affected: dict[Flow, None] = self._active
+            affected: Iterable[Flow] = self._active
+            rates = self._fill(self._active)
+            changed = [f for f in self._active if rates[f] != f.rate]
         else:
-            # admission order, matching the reference allocator's
-            # iteration over _active, so reschedules consume identical
-            # event-heap sequence numbers under both strategies
-            affected = sorted(
-                self._closure(dirty_links), key=operator.attrgetter("_order")
-            )
-        if affected:
-            rates = self._fill(affected)
-            now = self.sim.now
-            for flow in affected:
-                new_rate = rates.get(flow, 0.0)
-                if new_rate == flow.rate:
-                    # untouched: anchor and completion event stay valid
-                    continue
-                flow._sync_progress(now)
-                flow.rate = new_rate
-                if flow._completion is not None:
-                    flow._completion.cancel()
-                    flow._completion = None
-                if new_rate > 0.0:
-                    eta = flow._anchor_remaining / new_rate
-                    flow._completion = self.sim.schedule(eta, self._complete, flow)
+            rates = {}
+            for component in self._components(dirty):
+                rates.update(self._fill(component))
+            affected = rates
+            changed = [f for f, rate in rates.items() if rate != f.rate]
+            changed.sort(key=operator.attrgetter("_order"))
+        now = self.sim.now
+        for flow in changed:
+            new_rate = rates[flow]
+            flow._sync_progress(now)
+            flow.rate = new_rate
+            if flow._completion is not None:
+                flow._completion.cancel()
+                flow._completion = None
+            if new_rate > 0.0:
+                eta = flow._anchor_remaining / new_rate
+                flow._completion = self.sim.schedule(eta, self._complete, flow)
 
         if self._probe.enabled:
-            gauged: dict[Link, None] = {}
-            for lk in dirty_links:
-                gauged[lk] = None
+            gauged: dict[Link, None] = dict(dirty)
             for f in affected:
                 for lk in f.path:
                     gauged[lk] = None
@@ -505,5 +540,7 @@ class Network:
         remaining = flow._anchor_remaining
         if remaining <= 1.0 or math.isclose(remaining, 0.0, abs_tol=1e-6):
             self._finish_flow(flow)
-        else:  # pragma: no cover - defensive reschedule
-            self._reallocate(flow.path)
+        else:  # pragma: no cover - defensive reschedule at the same rate
+            flow._completion = self.sim.schedule(
+                remaining / flow.rate, self._complete, flow
+            )

@@ -27,6 +27,7 @@ determinism suite).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -47,6 +48,7 @@ __all__ = [
     "DEFAULT_POLICIES",
     "policies_named",
     "ServingStudyOutcome",
+    "build_serving_cell",
     "run_serving_cell",
     "run_serving_study",
     "serving_sweep",
@@ -145,6 +147,20 @@ def run_serving_cell(
     ``seed`` alone, so every policy at the same seed faces the same
     world.
     """
+    return build_serving_cell(policy, load, seed, tracer)()
+
+
+def build_serving_cell(
+    policy: ServingPolicy,
+    load: ServingLoad,
+    seed: int,
+    tracer: Tracer = NULL_TRACER,
+) -> Callable[[], dict]:
+    """Build one cell and return the call that runs it to its report.
+
+    A cluster shape no layout fits raises here, before any event runs,
+    so a caller can tell a bad shape from a failure during the run.
+    """
     sc = scaled_scenario(
         load.n_nodes, load.vms_per_node, vm_memory=load.vm_memory,
         seed=seed, image_pages=16, page_size=64, tracer=tracer,
@@ -188,15 +204,18 @@ def run_serving_cell(
             max_interval=policy.interval * 16.0,
             tracer=tracer,
         )
-    if injector is not None:
-        injector.start()
-    runtime.start()
-    horizon = load.n_requests / load.rate * 50.0 + 1000.0
-    sc.sim.run(until=horizon)
-    report = runtime.report()
-    report["policy"] = policy.name
-    report["trace_seed"] = seed
-    return report
+
+    def run() -> dict:
+        if injector is not None:
+            injector.start()
+        runtime.start()
+        sc.sim.run(until=load.n_requests / load.rate * 50.0 + 1000.0)
+        report = runtime.report()
+        report["policy"] = policy.name
+        report["trace_seed"] = seed
+        return report
+
+    return run
 
 
 @dataclass

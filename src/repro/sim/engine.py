@@ -26,6 +26,21 @@ structure that did not).
 Cancellation is lazy: cancelled entries are dropped when they surface
 at the top of the heap, or wholesale by an amortized O(n) compaction
 sweep.
+
+Instant-end hooks
+-----------------
+:meth:`Simulator.at_instant_end` registers a one-shot callback for the
+end of the current simulated instant: :meth:`Simulator.run` calls it
+once every event due at ``now`` has run, before the clock moves on (the
+next live entry is later, the queue drains, or ``until`` is reached).
+Layers that would otherwise redo the same work on every same-time event
+batch it there; the network settles its max-min rates this way.  A hook
+is not a heap event, so :attr:`Simulator.event_count` does not count it
+and it takes no sequence number.  It may schedule events, even at
+``now``; those run, and the instant ends again after them.  A run that
+``max_events`` or :class:`StopSimulation` ends partway through an
+instant leaves its hooks pending for the next :meth:`Simulator.run`, so
+chunked runs execute exactly what one long run does.
 """
 
 from __future__ import annotations
@@ -115,8 +130,8 @@ class Simulator:
     #: until at least this many have accumulated *and* they make up half
     #: the pending set; then one O(n) sweep evicts them all.  Amortized,
     #: every queue operation stays O(log live) even under cancel-heavy
-    #: schedules (the flow allocator cancels/reschedules completions
-    #: constantly).
+    #: schedules (timeouts that lose their race, and flow completions the
+    #: allocator reschedules when a later instant changes their rate).
     COMPACT_MIN_CANCELLED = 64
 
     def __init__(self, start: float = 0.0, probe: Any = None):
@@ -129,6 +144,8 @@ class Simulator:
         self._cancelled = 0
         self._compactions = 0
         self._probe = probe
+        # callbacks for the end of the current instant (at_instant_end)
+        self._instant_end: list[Callable[[], Any]] = []
 
     # ------------------------------------------------------------------
     # telemetry
@@ -236,6 +253,18 @@ class Simulator:
         self._push(time, priority, handle)
         return handle
 
+    def at_instant_end(self, fn: Callable[[], Any]) -> None:
+        """Call ``fn()`` once, when the current simulated instant ends:
+        after every event due at :attr:`now` has run and before the
+        clock advances (see the module docstring)."""
+        self._instant_end.append(fn)
+
+    def _end_instant(self) -> None:
+        hooks = self._instant_end[:]
+        self._instant_end.clear()
+        for fn in hooks:
+            fn()
+
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -246,17 +275,23 @@ class Simulator:
         Returns the simulated time at which execution stopped.  When the
         queue drains the clock stays at the last executed event; when
         ``until`` is hit the clock is advanced to exactly ``until``.
+        Instant-end hooks run before either, and before the clock moves
+        to a later event.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
         executed = 0
-        # the heap is only ever mutated in place (compaction), so
-        # one binding stays valid across callbacks
+        # the heap and the hook list are only ever mutated in place, so
+        # one binding each stays valid across callbacks
         heap = self._heap
+        instant_end = self._instant_end
         try:
             while True:
                 if not heap:
+                    if instant_end:
+                        self._end_instant()
+                        continue
                     # queue drained
                     if until != _INF and until > self._now:
                         self._now = until
@@ -268,6 +303,9 @@ class Simulator:
                     self._cancelled -= 1
                     continue
                 time = entry[0]
+                if instant_end and time > self._now:
+                    self._end_instant()
+                    continue
                 if time > until:
                     self._now = until
                     break

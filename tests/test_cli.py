@@ -84,6 +84,13 @@ class TestParser:
         ["controlplane", "run", "--group-size", "8", "--nodes", "3"],
         ["audit", "--heal", "--nodes", "1"],
         ["audit", "--heal", "--scheme", "rs-8-2", "--nodes", "2"],
+        ["epoch", "--nodes", "1"],
+        ["serving", "run", "--nodes", "1"],
+        ["geo", "run", "--sites", "1"],
+        ["fig5", "--scheme", "xor", "--nodes", "1"],
+        ["audit", "--nodes", "1"],
+        ["audit", "--fuzz", "--geo", "3", "--nodes", "2"],
+        ["audit", "--fuzz", "--geo", "1"],
     ], ids=" ".join)
     def test_hostile_numbers_exit_2_naming_the_flag(self, argv, capsys,
                                                     tmp_path, monkeypatch):
@@ -106,9 +113,17 @@ class TestParser:
         }.get(argv[-1], "must be")
         if argv[-2] in ("--policies", "--scenario"):
             says = f"invalid choice: '{argv[-1]}'"
-        if argv[-2] == "--nodes":  # a cluster shape no layout fits
-            says = ("group_size" if argv[0] == "controlplane"
-                    else "no node available to hold parity shard")
+        if argv[-2] in ("--nodes", "--sites"):  # a shape nothing fits
+            says = {
+                "controlplane": "group_size",
+                "epoch": "1 nodes leave no room for a member",
+                "serving": "1 nodes leave no room for a member",
+                "fig5": "n_nodes must be >= 2",
+                "audit": ("no node available to hold parity shard"
+                          if "--heal" in argv else "fuzzing needs >= 3 nodes"),
+            }.get(argv[0], "no node available to hold parity shard")
+        if argv[-2] == "--geo":
+            says = "geo mode needs >= 2 sites"
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -210,6 +225,19 @@ class TestCommands:
         monkeypatch.setattr(DisklessCheckpointer, "run_cycle", run_cycle)
         with pytest.raises(LayoutError, match="layout broke mid-run"):
             main(["audit", "--heal"])
+
+    @pytest.mark.parametrize("argv", [["epoch"], ["geo", "run"]], ids=" ".join)
+    def test_value_error_mid_run_is_not_a_usage_error(self, argv, monkeypatch):
+        """``_laid_out`` also turns a builder's ``ValueError`` into exit
+        2; raised by the running protocol, it still propagates."""
+        from repro.core import DisklessCheckpointer
+
+        def run_cycle(self, *args, **kwargs):
+            raise ValueError("bad value mid-run")
+
+        monkeypatch.setattr(DisklessCheckpointer, "run_cycle", run_cycle)
+        with pytest.raises(ValueError, match="bad value mid-run"):
+            main(argv)
 
     def test_calibrate(self, capsys):
         assert main(["calibrate", "--size", str(1 << 20), "--repeats", "1"]) == 0

@@ -97,6 +97,17 @@ class TestStudyOutcome:
         assert "a" in table and "b" in table
         assert "75%" in table
 
+    def test_summary_table_means_only_seeds_every_method_completed(self):
+        """``b`` loses seed 3, so ``a``'s mean T/T_ideal is over seeds
+        0-2 (1.110), not over all four of its runs (1.115): the table
+        used to average each method over its own survivors."""
+        lines = self._fake().summary_table().splitlines()
+        assert "paired study over 3 of 4 shared failure traces" in lines[0]
+        rows = {line.split()[0]: line.split() for line in lines[3:5]}
+        assert rows["a"][1:4] == ["100%", "0", "1.110"]
+        assert rows["b"][1:4] == ["75%", "1", "1.500"]
+        assert lines[-1].strip().endswith("seed 3")
+
 
 class TestPairedJobStudy:
     def test_validation(self):

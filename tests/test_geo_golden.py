@@ -5,7 +5,8 @@ worst-site kill — see :mod:`repro.geo.study`) is digested under each
 placement policy and pinned in ``tests/golden/geo.json``: committed
 checkpoints, parity, flows, cycles, clock, RNG states, plus the geo
 extras (WAN bytes, survival verdict, rollback window, per-epoch
-committed-image checksums).
+committed-image checksums).  ``flow_records`` pins the ``net.flow.*``
+records order-insensitively, as in ``scale64.json``.
 
 The tests prove each policy's digests are byte-stable run to run,
 identical under campaign ``--jobs 1`` vs ``--jobs 4``, and equal to the
@@ -23,10 +24,13 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from repro.geo import POLICIES, GeoConfig, run_geo_point
+from repro.geo import study
+from test_golden_determinism import flow_records_digest
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "geo.json"
 #: The pinned scenario.  Changing any field invalidates the golden file.
@@ -38,8 +42,20 @@ def _golden() -> dict:
 
 
 def _cell(policy: str) -> dict:
+    """One pinned cell, plus the order-insensitive digest of its flow
+    records (the builder is wrapped to get at the cell's tracer)."""
     cfg = GeoConfig(**GOLDEN_CFG, policy=policy, trace=True)
-    return run_geo_point(cfg, collect_digests=True)
+    built = []
+
+    def build(*args, **kwargs):
+        built.append(study_build(*args, **kwargs))
+        return built[-1]
+
+    study_build = study.build_geo_scenario
+    with mock.patch.object(study, "build_geo_scenario", build):
+        r = run_geo_point(cfg, collect_digests=True)
+    r["flow_records"] = flow_records_digest(built[0][-1])
+    return r
 
 
 def _generate_golden() -> dict:
@@ -57,6 +73,7 @@ def _generate_golden() -> dict:
             "beyond_tolerance": r["beyond_tolerance"],
             "rollback_epochs": r["rollback_epochs"],
             "digests": r["digests"],
+            "flow_records": r["flow_records"],
         }
     return out
 
@@ -75,6 +92,7 @@ def test_policy_run_matches_golden(policy):
     assert r["beyond_tolerance"] == golden["beyond_tolerance"]
     assert r["rollback_epochs"] == golden["rollback_epochs"]
     assert r["digests"] == golden["digests"]
+    assert r["flow_records"] == golden["flow_records"]
 
 
 def test_golden_survival_matrix():

@@ -5,6 +5,10 @@ seed 0 — see :mod:`repro.perf.scale`) is digested and pinned in
 ``tests/golden/scale64.json``: committed checkpoints, parity blocks +
 checksums, flow-completion trace, per-cycle latencies, final sim clock,
 RNG bit-generator states, and the SHA-256 of the Chrome-trace export.
+``flow_records`` pins the same ``net.flow.*`` records order-insensitively
+(:func:`flow_records_digest`): every time, label, size and duration as a
+multiset, so a change that only reorders same-time records moves the
+ordered ``flows`` digest but not this one.
 
 The tests prove the digests are byte-stable across
 
@@ -32,6 +36,7 @@ import pytest
 
 from repro.geo.study import GeoConfig, build_geo_scenario
 from repro.perf import ScaleConfig, build_scale_scenario, run_epochs, scenario_digests
+from repro.perf.scale import _dirty_epoch
 from repro.telemetry import Probe
 from repro.telemetry.export import chrome_trace
 from repro.workloads import scaled_scenario
@@ -45,6 +50,16 @@ def _golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
 
 
+def flow_records_digest(tracer) -> str:
+    """SHA-256 of the sorted ``(kind, time.hex(), sorted data)`` lines of
+    the ``net.flow.*`` trace records: blind to emission order only."""
+    lines = sorted(
+        f"{r.kind} {r.time.hex()} {sorted(r.data.items())}"
+        for r in tracer.select(prefix="net.flow.")
+    )
+    return hashlib.sha256("|".join(lines).encode()).hexdigest()
+
+
 def _run_digests(allocator: str = "incremental") -> dict:
     cfg = ScaleConfig(**GOLDEN_CFG, allocator=allocator, trace=True)
     sim, cluster, ckpt, rngs, tracer = build_scale_scenario(cfg)
@@ -53,6 +68,7 @@ def _run_digests(allocator: str = "incremental") -> dict:
         "events": sim.event_count,
         "sim_time": sim.now,
         "digests": scenario_digests(sim, cluster, ckpt, rngs, tracer),
+        "flow_records": flow_records_digest(tracer),
     }
 
 
@@ -75,6 +91,7 @@ def _generate_golden() -> dict:
         "events": result["events"],
         "sim_time": result["sim_time"].hex(),
         "digests": result["digests"],
+        "flow_records": result["flow_records"],
         "chrome_trace_sha256": hashlib.sha256(_chrome_trace_bytes()).hexdigest(),
     }
 
@@ -94,6 +111,14 @@ def test_incremental_run_matches_golden():
     assert result["digests"] == golden["digests"]
 
 
+@pytest.mark.parametrize("allocator", ["incremental", "reference"])
+def test_flow_records_match_golden_in_any_order(allocator):
+    """Every flow record's time and payload is pinned as a multiset, so
+    a change that only reorders same-time completions (and so moves the
+    ordered ``flows`` digest) is proven to have moved nothing else."""
+    assert _run_digests(allocator)["flow_records"] == _golden()["flow_records"]
+
+
 @pytest.mark.parametrize("allocator", ["reference"])
 def test_optimization_paths_match_golden(allocator):
     """The reference (global recompute) allocator reproduces the pinned
@@ -102,6 +127,30 @@ def test_optimization_paths_match_golden(allocator):
     result = _run_digests(allocator=allocator)
     assert result["events"] == golden["events"]
     assert result["digests"] == golden["digests"]
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_chunked_runs_match_one_run(k):
+    """Driving the golden scenario in ``run(max_events=k)`` chunks, as
+    the e2e harness does, changes no digest: work the engine defers to
+    the end of a simulated instant must not depend on where a caller's
+    ``run()`` happens to return."""
+    cfg = ScaleConfig(**GOLDEN_CFG, trace=True)
+    sim, cluster, ckpt, rngs, tracer = build_scale_scenario(cfg)
+    for _ in range(cfg.epochs):
+        _dirty_epoch(cluster, rngs, cfg)
+        cycle = sim.process(ckpt.run_cycle())
+        while True:
+            before = sim.event_count
+            sim.run(max_events=k)
+            if sim.event_count - before < k:
+                break
+        assert cycle.ok
+    golden = _golden()
+    assert sim.event_count == golden["events"]
+    assert sim.now.hex() == golden["sim_time"]
+    assert scenario_digests(sim, cluster, ckpt, rngs, tracer) == golden["digests"]
+    assert flow_records_digest(tracer) == golden["flow_records"]
 
 
 def test_chrome_trace_byte_stable_and_pinned():

@@ -142,6 +142,29 @@ class TestMaxMin:
         for f in flows:
             assert f.finished_at == pytest.approx(3.0)
 
+    def test_a_change_undone_within_the_instant_leaves_flows_untouched(self, sim):
+        """Rates settle once per simulated instant: a link doubled and
+        restored at one time stamp leaves its flow's anchor and
+        completion event alone, so 7 B at 0.7 B/s ends at exactly 10 s.
+        Refilling on every change re-anchored the flow at t = 1.3 and
+        ended it at 10.000000000000002; until the settle a new rate is
+        not visible, and a flow admitted this instant reads 0."""
+        net = Network(sim)
+        link = net.add_link("l", 0.7)
+        flow = net.start_flow([link], 7.0)
+        seen = []
+
+        def flap():
+            net.set_link_bandwidth(link, 1.4)
+            late = net.start_flow([net.add_link("m", 5.0)], 1.0)
+            net.set_link_bandwidth(link, 0.7)
+            seen.extend([flow.rate, late.rate])
+
+        sim.at(1.3, flap)
+        sim.run()
+        assert seen == [0.7, 0.0]
+        assert flow.finished_at == 10.0
+
 
 class TestTopology:
     def test_fan_in_serializes_on_nas(self):

@@ -257,3 +257,69 @@ class TestRun:
         sim.schedule(1.0, boom)
         with pytest.raises(ValueError, match="boom"):
             sim.run()
+
+
+class TestInstantEnd:
+    """``at_instant_end``: once per instant, after its last event and
+    before the clock moves; never an event of its own."""
+
+    def _log(self, sim, log, tag):
+        def fn():
+            log.append((tag, sim.now))
+        return fn
+
+    def test_fires_after_the_instants_events_before_the_clock_moves(self):
+        sim = Simulator()
+        log = []
+
+        def first():
+            log.append(("a", sim.now))
+            sim.at_instant_end(self._log(sim, log, "end"))
+
+        sim.schedule(1.0, first)
+        sim.schedule(1.0, self._log(sim, log, "b"))
+        sim.schedule(2.0, self._log(sim, log, "c"))
+        sim.run()
+        assert log == [("a", 1.0), ("b", 1.0), ("end", 1.0), ("c", 2.0)]
+        assert sim.event_count == 3
+
+    def test_fires_when_the_queue_drains_and_at_until(self):
+        sim = Simulator()
+        log = []
+        sim.schedule(1.0, lambda: sim.at_instant_end(self._log(sim, log, "drain")))
+        assert sim.run() == 1.0
+        sim.schedule(1.0, lambda: sim.at_instant_end(self._log(sim, log, "until")))
+        sim.schedule(5.0, lambda: None)
+        assert sim.run(until=3.0) == 3.0
+        assert log == [("drain", 1.0), ("until", 2.0)]
+
+    def test_events_a_hook_schedules_at_now_run_in_the_same_instant(self):
+        sim = Simulator()
+        log = []
+
+        def hook():
+            log.append(("hook", sim.now))
+            sim.schedule(0.0, self._log(sim, log, "echo"))
+            sim.at_instant_end(self._log(sim, log, "end2"))
+
+        sim.schedule(1.0, lambda: sim.at_instant_end(hook))
+        sim.schedule(2.0, self._log(sim, log, "later"))
+        sim.run()
+        assert log == [("hook", 1.0), ("echo", 1.0), ("end2", 1.0), ("later", 2.0)]
+
+    @pytest.mark.parametrize("stop", ["max_events", "StopSimulation"])
+    def test_a_run_cut_mid_instant_leaves_the_hook_pending(self, stop):
+        sim = Simulator()
+        log = []
+
+        def first():
+            sim.at_instant_end(self._log(sim, log, "end"))
+            if stop == "StopSimulation":
+                raise StopSimulation
+
+        sim.schedule(1.0, first)
+        sim.schedule(1.0, self._log(sim, log, "b"))
+        sim.run(max_events=1 if stop == "max_events" else None)
+        assert log == []
+        sim.run()
+        assert log == [("b", 1.0), ("end", 1.0)]
