@@ -15,12 +15,11 @@ NAS fan-out — so diskless keeps winning under failures.
 
 
 from repro.analysis import format_seconds, render_table
-from repro.experiments import MethodSpec, run_job_cell
+from repro.experiments import MethodSpec, build_epoch_cell, run_job_cell
 
 
 def _epoch_latency(kind: str):
-    sc, ck = MethodSpec(kind, incremental=False).build(4, 3, seed=8)
-    r = sc.sim.run_process(ck.run_cycle())
+    r = build_epoch_cell(MethodSpec(kind, incremental=False), 4, 3, seed=8)()
     return r.overhead, r.latency
 
 

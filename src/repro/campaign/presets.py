@@ -11,7 +11,7 @@ definition of each campaign.
 
 from __future__ import annotations
 
-from ..model import chunk_sizes
+from ..model import chunk_sizes, expected_time_with_overhead
 from ..sim.rng import derive_seed
 from ..telemetry import Probe
 from .runner import CampaignRunner
@@ -41,9 +41,9 @@ def validate_tasks(
 ) -> tuple[list[dict], list[Task]]:
     """The VAL-MC grid as chunked Monte-Carlo tasks.
 
-    Returns ``(cases, tasks)``: one case per grid point — with a
-    per-case master seed derived from ``seed`` — and the flat task list
-    (cases crossed with chunk indices).  By default the grid is
+    Returns ``(cases, tasks)``: one case per grid point — with its
+    ``closed_form`` E[T] and a master seed derived from ``seed`` — and
+    the flat task list (cases crossed with chunk indices).  By default the grid is
     ``mtbf_hours`` with the serial ``validate`` command's interval
     choice; pass explicit ``cases`` as ``(lam, N)`` pairs to pin both.
     """
@@ -62,6 +62,7 @@ def validate_tasks(
             "mtbf_h": mtbf_h,
             "lam": lam,
             "N": N,
+            "closed_form": expected_time_with_overhead(lam, T, N, T_ov, T_r),
             "master_seed": derive_seed(
                 seed, f"validate/case/{lam!r}/{N!r}"
             ),
@@ -134,8 +135,9 @@ def run_validate_campaign(
 ):
     """Execute the VAL-MC grid.
 
-    Returns ``(rows, CampaignResult)`` where each row is the case dict
-    plus its merged ``estimate`` (:class:`MonteCarloEstimate`).
+    Returns ``(rows, CampaignResult)``: each row is the case dict plus
+    its merged ``estimate`` (:class:`MonteCarloEstimate`), ``within``
+    (the closed form is inside its 3-sigma band) and ``rel_err``.
     """
     from .aggregate import mc_estimate_from_values
 
@@ -149,7 +151,10 @@ def run_validate_campaign(
             if r.ok and r.task.kind == "mc_chunk"
             and r.task.params.get("master_seed") == case["master_seed"]
         ]
-        rows.append({**case, "estimate": mc_estimate_from_values(values)})
+        mc = mc_estimate_from_values(values)
+        closed = case["closed_form"]
+        rows.append({**case, "estimate": mc, "within": mc.within(closed),
+                     "rel_err": abs(mc.mean - closed) / closed})
     return rows, result
 
 

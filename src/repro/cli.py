@@ -1,23 +1,21 @@
 """Command-line interface: ``python -m repro.cli <command>``.
 
 ``repro -h`` lists the commands and ``repro <command> -h`` their flags.
-A verb body parses, calls the library and renders what comes back.
-The ``controlplane`` verbs build through
-:func:`repro.controlplane.build_managed` and run one of its drivers
-(``soak``, ``rolling_drain``, ``timed_status``); ``audit --heal`` runs
-:func:`repro.audit.run_heal_trial`.  Bad input exits 2 with argparse
-naming the flag: numbers go through ``_bounded``, coding schemes
-through ``_scheme``, sweep files through ``_sweep``, and a cluster
-shape no layout fits through ``_laid_out``.
+A verb body parses, calls the library and renders what comes back; no
+simulation or model code lives here.  A verb and its ``trace``/
+``metrics`` scenario share one builder that returns the call running
+the cell (:func:`repro.experiments.build_epoch_cell`,
+:func:`~repro.experiments.build_job_cell`,
+:func:`repro.serving.study.build_serving_cell`).  Bad input exits 2
+with argparse naming the flag: numbers go through ``_bounded``, coding
+schemes through ``_scheme``, sweep files through ``_sweep``, and a
+cluster shape no layout fits through ``_laid_out``, which wraps only
+the build.
 
-``study`` and ``validate`` (and ``geo study``/``serving study``)
-execute through the campaign layer too: ``--jobs N`` fans their task
-units across cores with bit-identical output (deterministic per-task
-seeding), and ``--store`` makes them resumable.
-
-Every simulation driver runs its top-level process with
-``sim.run_process``, so a process that raises surfaces its own
-exception and one that never finishes raises ``SimulationError``.
+``study``, ``validate``, ``geo study`` and ``serving study`` execute
+through the campaign layer: ``--jobs N`` fans their task units across
+cores with bit-identical output, ``--store`` makes them resumable, and
+a failed task prints a ``FAILED`` line and exits 1.
 """
 
 from __future__ import annotations
@@ -34,9 +32,9 @@ from .cluster import measure_xor_bandwidth
 from .coding import parse_scheme
 from .controlplane import build_managed, rolling_drain, soak, timed_status
 from .core.groups import LayoutError
-from .experiments import METHOD_NAMES, MethodSpec, run_job_cell
-from .model import ClusterModel, expected_time_with_overhead, fig5
-from .model.montecarlo import window_loss_probability
+from .experiments import (METHOD_NAMES, MethodSpec, build_epoch_cell,
+                          build_job_cell)
+from .model import ClusterModel, fig5, scheme_window_losses
 from .resilience import ClusterHealth
 from .sim import NULL_TRACER
 from .telemetry import (Probe, prometheus_text, summary_table,
@@ -98,43 +96,29 @@ def _campaign_kwargs(args: argparse.Namespace) -> dict:
     }
 
 
-def _report_failures(campaign) -> None:
+def _report_failures(campaign) -> int:
+    """Print up to five ``FAILED`` lines; returns the verb's exit status."""
     for run in campaign.failures()[:5]:
         print(f"FAILED {run.task.kind} {run.task.params}: {run.error}",
               file=sys.stderr)
     if campaign.n_failed > 5:
         print(f"... and {campaign.n_failed - 5} more failed tasks",
               file=sys.stderr)
+    return 1 if campaign.n_failed else 0
 
 
 def _fig5_scheme_sweep(args: argparse.Namespace) -> int:
-    """Analytic scheme comparison: loss probability vs overhead.
-
-    For each coding scheme, prints its erasure tolerance, storage and
-    traffic overheads at this cluster's group size, and the probability
-    that failures during a degraded window exceed the scheme's remaining
-    tolerance (:func:`repro.model.montecarlo.window_loss_probability`).
-    """
-    specs = args.scheme or ["xor", "rdp", "rs-8-2", "rep-3"]
-    lam_node = 1.0 / (args.mtbf * 3600.0) / args.nodes
-    rows = []
-    for spec in specs:
-        sch = parse_scheme(spec)
-        k = max(1, args.nodes - sch.n_shards)
-        p = _laid_out(
-            window_loss_probability,
-            lam_node, args.nodes, args.window, tolerance=sch.tolerance,
-        )
-        rows.append([
-            sch.name, sch.tolerance, sch.n_shards,
-            f"{sch.storage_overhead(k):.2f}x",
-            f"{sch.traffic_factor(k):.1f}x",
-            f"{p:.3e}",
-        ])
+    """Analytic scheme comparison: loss probability vs overhead
+    (:func:`repro.model.scheme_window_losses`)."""
+    rows = _laid_out(
+        scheme_window_losses, args.scheme or None,
+        lam=1.0 / (args.mtbf * 3600.0), n_nodes=args.nodes, window=args.window,
+    )
     print(render_table(
         ["scheme", "tolerance", "shards", "storage", "traffic",
          "P(loss in window)"],
-        rows,
+        [[r["scheme"], r["tolerance"], r["shards"], f"{r['storage']:.2f}x",
+          f"{r['traffic']:.1f}x", f"{r['p_loss']:.3e}"] for r in rows],
         title=f"coding schemes @ {args.nodes} nodes, MTBF {args.mtbf:g} h, "
               f"window {args.window:g} s (k = nodes - shards)",
     ))
@@ -156,21 +140,20 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
     return 0
 
 
-def _epoch_method(arch: str):
-    """The ``--arch`` spelling as a full-capture :class:`MethodSpec`."""
+def _epoch_cell(args: argparse.Namespace, tracer=NULL_TRACER):
+    """The epoch cell of ``epoch`` and ``trace``/``metrics``: the
+    ``--arch`` spelling as a full-capture :class:`MethodSpec`."""
     name = {"checkpoint-node": "checkpoint_node", "firstshot": "first_shot"}
-    return MethodSpec(name.get(arch, arch), incremental=False)
+    spec = MethodSpec(name.get(args.arch, args.arch), incremental=False)
+    return _laid_out(build_epoch_cell, spec, args.nodes, args.vms_per_node,
+                     seed=args.seed, tracer=tracer)
 
 
 def _cmd_epoch(args: argparse.Namespace) -> int:
-    sc, ck = _laid_out(
-        _epoch_method(args.arch).build,
-        args.nodes, args.vms_per_node, seed=args.seed,
-    )
-    r = sc.sim.run_process(ck.run_cycle())
+    r = _epoch_cell(args)()
     rows = [[
         args.arch,
-        len(sc.cluster.all_vms),
+        len(r.per_vm_pause),  # a full capture pauses every VM
         format_seconds(r.overhead),
         format_seconds(r.latency),
         format_bytes(r.network_bytes),
@@ -190,12 +173,12 @@ def _cmd_epoch(args: argparse.Namespace) -> int:
 def _cmd_job(args: argparse.Namespace) -> int:
     rows = []
     for seed in range(args.seeds):
-        r = run_job_cell(
+        r = build_job_cell(
             MethodSpec(args.method, overlap=args.overlap), seed,
             work=args.work * 3600.0, interval=args.interval,
             node_mtbf=args.node_mtbf * 3600.0, repair_time=args.repair,
             n_nodes=4, vms_per_node=3,
-        ).result
+        )().result
         rows.append([
             seed,
             "yes" if r.completed else "LOST",
@@ -221,69 +204,49 @@ def _cmd_job(args: argparse.Namespace) -> int:
 def _cmd_study(args: argparse.Namespace) -> int:
     from .campaign import run_study_campaign
 
-    methods = []
-    for name in args.methods:
-        overlap = name.endswith("+overlap")
-        base = name.removesuffix("+overlap")
-        methods.append({
-            "name": base,
-            "incremental": not args.full,
-            "overlap": overlap,
-            "label": name,
-        })
+    methods = [{"name": name.removesuffix("+overlap"), "incremental": not args.full,
+                "overlap": name.endswith("+overlap"), "label": name}
+               for name in args.methods]
+    cell = dict(work=args.work * 3600.0, interval=args.interval,
+                node_mtbf=args.node_mtbf * 3600.0, repair_time=args.repair,
+                n_nodes=args.nodes, vms_per_node=args.vms_per_node)
+    for method in methods:  # a shape no layout fits exits before the fan-out
+        _laid_out(build_job_cell, MethodSpec(**method), 0, **cell)
     outcome, campaign = run_study_campaign(
-        methods=methods,
-        work=args.work * 3600.0,
-        interval=args.interval,
-        node_mtbf=args.node_mtbf * 3600.0,
-        repair_time=args.repair,
-        seeds=args.seeds,
-        n_nodes=args.nodes,
-        vms_per_node=args.vms_per_node,
-        **_campaign_kwargs(args),
+        methods=methods, seeds=args.seeds, **cell, **_campaign_kwargs(args),
     )
     print(outcome.summary_table())
-    _report_failures(campaign)
-    return 0 if campaign.n_failed == 0 else 1
+    return _report_failures(campaign)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     from .campaign import run_validate_campaign
 
-    T = args.job * 3600.0
     cases, campaign = run_validate_campaign(
-        T=T,
+        T=args.job * 3600.0,
         T_ov=args.overhead,
         T_r=args.repair,
         runs=args.runs,
         seed=args.seed,
         **_campaign_kwargs(args),
     )
-    rows = []
-    worst = 0.0
-    for case in cases:
-        mc = case["estimate"]
-        analytic = expected_time_with_overhead(
-            case["lam"], T, case["N"], args.overhead, args.repair
-        )
-        err = abs(mc.mean - analytic) / analytic
-        worst = max(worst, err)
-        rows.append([
-            f"{case['mtbf_h']:g}h",
-            format_seconds(case["N"]),
-            format_seconds(analytic),
-            format_seconds(mc.mean),
-            f"{err * 100:.2f}%",
-            "yes" if mc.within(analytic) else "NO",
-        ])
+    rows = [[
+        f"{case['mtbf_h']:g}h",
+        format_seconds(case["N"]),
+        format_seconds(case["closed_form"]),
+        format_seconds(case["estimate"].mean),
+        f"{case['rel_err'] * 100:.2f}%",
+        "yes" if case["within"] else "NO",
+    ] for case in cases]
     print(render_table(
         ["MTBF", "interval", "closed form", "Monte-Carlo", "rel err",
          "within 3 sigma"],
         rows,
         title=f"Section V equations vs Monte-Carlo ({args.runs} runs each)",
     ))
-    _report_failures(campaign)
-    return 0 if worst < 0.05 and campaign.n_failed == 0 else 1
+    failed = _report_failures(campaign)
+    worst = max(case["rel_err"] for case in cases)
+    return 0 if worst < 0.05 and not failed else 1
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -292,44 +255,32 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     sweep = args.spec
     result = CampaignRunner(**_campaign_kwargs(args)).run(sweep.expand())
     print(result.summary_table(title=f"campaign {sweep.name!r}"))
-    _report_failures(result)
-    return 0 if result.n_failed == 0 else 1
+    return _report_failures(result)
 
 
-def _run_instrumented(args: argparse.Namespace):
-    """Run the chosen scenario with a live probe; returns the probe.
+def _run_instrumented(args: argparse.Namespace) -> Probe:
+    """Run the chosen scenario, the cell of ``epoch``, ``job`` or
+    ``serving run``, under a live probe; returns the probe."""
+    from .serving.study import ServingLoad, build_serving_cell, policies_named
 
-    Each scenario runs a full simulation (spans on the checkpoint /
-    recovery tracks, sim/network/storage metrics).
-    """
     probe = Probe()
-    if args.scenario == "serving":
-        from .serving.study import ServingLoad, ServingPolicy, build_serving_cell
-
-        _laid_out(
-            build_serving_cell,
-            ServingPolicy("checkpoint", checkpoint=True),
+    if args.scenario == "epoch":
+        run = _epoch_cell(args, tracer=probe)
+    elif args.scenario == "job":  # failure injection: the recovery track too
+        run = _laid_out(
+            build_job_cell, MethodSpec(args.arch), args.seed,
+            work=args.work * 3600.0, interval=args.interval,
+            node_mtbf=args.node_mtbf * 3600.0, repair_time=30.0,
+            n_nodes=args.nodes, vms_per_node=args.vms_per_node, tracer=probe,
+        )
+    else:
+        run = _laid_out(
+            build_serving_cell, policies_named(["checkpoint"])[0],
             ServingLoad(n_requests=20_000, n_nodes=args.nodes,
                         vms_per_node=args.vms_per_node),
             args.seed, tracer=probe,
-        )()
-        return probe
-    if args.scenario == "epoch":
-        sc, ck = _laid_out(
-            _epoch_method(args.arch).build,
-            args.nodes, args.vms_per_node, seed=args.seed, tracer=probe,
         )
-        sc.sim.attach_probe(probe)
-        sc.sim.run_process(ck.run_cycle())
-        return probe
-    # job: checkpointed work with failure injection — exercises the
-    # recovery track too
-    run_job_cell(
-        MethodSpec(args.arch), args.seed,
-        work=args.work * 3600.0, interval=args.interval,
-        node_mtbf=args.node_mtbf * 3600.0, repair_time=30.0,
-        n_nodes=args.nodes, vms_per_node=args.vms_per_node, tracer=probe,
-    )
+    run()
     return probe
 
 
@@ -540,20 +491,18 @@ def _cmd_geo_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_geo_study(args: argparse.Namespace) -> int:
-    from .geo import run_geo_study
+    from .geo import build_geo_point, run_geo_study
 
     cfg = _geo_config(args)
-    study = run_geo_study(
+    for policy in args.policies:  # a shape no layout fits exits before the fan-out
+        _laid_out(build_geo_point, replace(cfg, policy=policy), flag="--sites")
+    study, campaign = run_geo_study(
         cfg, policies=tuple(args.policies),
         seeds=tuple(range(args.seed, args.seed + args.seeds)),
         **_campaign_kwargs(args),
     )
-    rows = []
-    for cell in study["cells"]:
-        row = _geo_cell_row(cell)
-        rows.append(row)
     print(render_table(
-        _GEO_HEADERS, rows,
+        _GEO_HEADERS, [_geo_cell_row(cell) for cell in study["cells"]],
         title=f"geo study: {cfg.n_nodes} nodes / {cfg.n_sites} sites, "
               f"site kill={'worst' if cfg.kill_site == -1 else cfg.kill_site}",
     ))
@@ -562,7 +511,7 @@ def _cmd_geo_study(args: argparse.Namespace) -> int:
               f"{s['data_lost']} lost data, "
               f"mean rollback {s['mean_rollback_epochs']:.1f} epochs, "
               f"mean WAN {s['mean_wan_bytes'] / 1e9:.1f} GB")
-    return 0
+    return _report_failures(campaign)
 
 
 def _serving_load(args: argparse.Namespace):
@@ -600,10 +549,8 @@ def _cmd_serving_run(args: argparse.Namespace) -> int:
             report["offered"],
             report["completed"],
             report["lost"] + report["lost_unrouted"],
-            f"{lat.get('p50', float('nan')) * 1e3:.1f}",
-            f"{lat.get('p95', float('nan')) * 1e3:.1f}",
-            f"{lat.get('p99', float('nan')) * 1e3:.1f}",
-            f"{lat.get('p999', float('nan')) * 1e3:.1f}",
+            *(f"{lat.get(q, float('nan')) * 1e3:.1f}"
+              for q in ("p50", "p95", "p99", "p999")),
             report["pauses"],
             f"{report['pause_seconds']:.2f}",
             report["failures"],
@@ -623,17 +570,18 @@ def _cmd_serving_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_serving_study(args: argparse.Namespace) -> int:
-    from .serving.study import policies_named, run_serving_study
+    from .serving.study import build_serving_cell, policies_named, run_serving_study
 
+    policies = policies_named(args.policies)
+    load = _serving_load(args)
+    for policy in policies:  # a shape no layout fits exits before the fan-out
+        _laid_out(build_serving_cell, policy, load, 0)
     outcome, campaign = run_serving_study(
-        policies=policies_named(args.policies),
-        load=_serving_load(args),
-        seeds=args.seeds,
+        policies=policies, load=load, seeds=args.seeds,
         **_campaign_kwargs(args),
     )
     print(outcome.summary_table())
-    _report_failures(campaign)
-    return 0 if campaign.n_failed == 0 else 1
+    return _report_failures(campaign)
 
 
 def _laid_out(build, *args, flag: str = "--nodes", **kwargs):

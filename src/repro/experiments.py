@@ -19,11 +19,13 @@ implementation both lean on.  A paired study runs one campaign cell per
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .analysis.stats import summarize
 from .analysis.tables import format_seconds, render_table
+from .checkpoint.base import CheckpointCycleResult
 from .checkpoint.diskful import DiskfulCheckpointer
 from .checkpoint.strategies import ForkedCapture, IncrementalCapture
 from .core.architectures import checkpoint_node, dvdc, first_shot
@@ -34,7 +36,8 @@ from .telemetry import NULL_PROBE, probe_of
 from .workloads.app import CheckpointedJob, JobResult
 from .workloads.generators import scaled_scenario
 
-__all__ = ["METHOD_NAMES", "MethodSpec", "JobOutcome", "StudyOutcome", "run_job_cell"]
+__all__ = ["METHOD_NAMES", "MethodSpec", "JobOutcome", "StudyOutcome",
+           "build_epoch_cell", "build_job_cell", "run_job_cell"]
 
 METHOD_NAMES = ("dvdc", "diskful", "dvdc_rdp", "checkpoint_node", "first_shot")
 
@@ -90,7 +93,9 @@ class MethodSpec:
         ``checkpoint_node`` keeps the last node free for the checkpoint
         server; ``first_shot`` runs one VM on each other node and keeps
         the last free for parity.  Sizes reach here from campaign spec
-        files, so bad ones are rejected by field name.
+        files, so bad ones are rejected by field name.  A
+        :class:`~repro.telemetry.Probe` as ``tracer`` also observes the
+        simulator's events.
         """
         # before first_shot's shaping replaces it with 1
         if vms_per_node < 1:
@@ -104,6 +109,8 @@ class MethodSpec:
             spares=int(self.name in ("checkpoint_node", "first_shot")),
             tracer=tracer,
         )
+        if probe_of(tracer) is not NULL_PROBE:
+            sc.sim.attach_probe(tracer)
         cluster = sc.cluster
         strategy = IncrementalCapture() if self.incremental else ForkedCapture()
         if self.name == "dvdc":
@@ -180,7 +187,22 @@ class StudyOutcome:
         return table
 
 
-def run_job_cell(
+def build_epoch_cell(spec: MethodSpec, n_nodes: int, vms_per_node: int,
+                     **build) -> Callable[[], CheckpointCycleResult]:
+    """Build ``spec``'s cluster (``build``: :meth:`MethodSpec.build`'s
+    keywords) and return the call that runs one checkpoint epoch on it
+    to its cycle result.  A cluster shape no layout fits raises here,
+    before any event runs."""
+    sc, ck = spec.build(n_nodes, vms_per_node, **build)
+    return lambda: sc.sim.run_process(ck.run_cycle())
+
+
+def run_job_cell(spec: MethodSpec, seed: int, **cell) -> JobOutcome:
+    """Run one cell of a paired job study: ``build_job_cell(...)()``."""
+    return build_job_cell(spec, seed, **cell)()
+
+
+def build_job_cell(
     spec: MethodSpec,
     seed: int,
     *,
@@ -191,20 +213,19 @@ def run_job_cell(
     n_nodes: int,
     vms_per_node: int,
     tracer: Tracer = NULL_TRACER,
-) -> JobOutcome:
-    """One (method, trace seed) cell of a paired job study.
+) -> Callable[[], JobOutcome]:
+    """Build one (method, trace seed) cell of a paired job study and
+    return the call that runs it.
 
     ``seed`` draws one failure schedule; every method replays it
     exactly (common random numbers), so cross-method differences are
-    pure protocol cost.  A :class:`~repro.telemetry.Probe` as ``tracer``
-    also observes the simulator's events.
+    pure protocol cost.  A cluster shape no layout fits raises here,
+    before any event runs.
     """
     sc, ck = spec.build(
         n_nodes, vms_per_node, seed=seed, tracer=tracer,
         image_pages=32, page_size=128,
     )
-    if probe_of(tracer) is not NULL_PROBE:
-        sc.sim.attach_probe(tracer)
     rng = sc.rngs.stream("failure-trace")
     schedule = FailureSchedule.draw(
         rng, Exponential(1.0 / node_mtbf), n_nodes,
@@ -215,6 +236,10 @@ def run_job_cell(
         sc.cluster, ck, work=work, interval=interval,
         injector=injector, repair_time=repair_time, overlap=spec.overlap,
     )
-    injector.start()
-    sc.sim.run_process(job.start(), until=work * 100)
-    return JobOutcome(method=spec.display, seed=seed, result=job.result)
+
+    def run() -> JobOutcome:
+        injector.start()
+        sc.sim.run_process(job.start(), until=work * 100)
+        return JobOutcome(method=spec.display, seed=seed, result=job.result)
+
+    return run

@@ -409,12 +409,12 @@ def run_geo_study(
     jobs: int = 1,
     store=None,
     resume: bool = True,
-) -> dict:
+) -> tuple[dict, "object"]:
     """Fan the (policy × seed) matrix out through the campaign layer.
 
-    Serial and parallel runs are bit-identical (each cell is one
-    deterministic ``geo_cell`` task); the summary reports per-policy
-    survival under the configured site kill.
+    Returns ``(study, CampaignResult)``: the config, the successful cells
+    and per-policy survival under the site kill.  Serial and parallel
+    runs are bit-identical (one deterministic ``geo_cell`` task a cell).
     """
     from ..campaign import CampaignRunner, Task
 
@@ -424,13 +424,9 @@ def run_geo_study(
             cell = replace(cfg, policy=policy, seed=seed)
             params = {f: getattr(cell, f) for f in cell.__dataclass_fields__}
             tasks.append(Task(kind="geo_cell", params=params))
-    outcome = CampaignRunner(store=store, jobs=jobs, resume=resume).run(tasks)
-    if outcome.n_failed:
-        raise RuntimeError(
-            f"{outcome.n_failed} geo cells failed: "
-            + "; ".join(str(r.error) for r in outcome.failures()[:3])
-        )
-    cells = [run.value for run in outcome.runs]
+    result = CampaignRunner(store=store, jobs=jobs, resume=resume).run(tasks)
+    result.raise_if_all_failed()
+    cells = result.values("geo_cell")
     by_policy: dict[str, list[dict]] = {}
     for cell in cells:
         by_policy.setdefault(cell["policy"], []).append(cell)
@@ -446,4 +442,4 @@ def run_geo_study(
             ),
             "mean_wan_bytes": sum(r["wan_bytes"] for r in rows) / len(rows),
         }
-    return {"config": cfg.__dict__ | {}, "cells": cells, "summary": summary}
+    return {"config": cfg.__dict__ | {}, "cells": cells, "summary": summary}, result

@@ -30,7 +30,11 @@ against the end-to-end cluster simulation's realized completion rates.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+from ..coding import parse_scheme
+from .montecarlo import window_loss_probability
 
 __all__ = [
     "fatal_probability_per_failure",
@@ -38,6 +42,7 @@ __all__ = [
     "job_survival_probability",
     "ReliabilityComparison",
     "compare_codes",
+    "scheme_window_losses",
 ]
 
 
@@ -129,3 +134,26 @@ def compare_codes(
             lam_node, n_nodes, wall_time, window, tolerance=2
         ),
     )
+
+
+def scheme_window_losses(specs: Sequence[str] | None, *, lam: float,
+                         n_nodes: int, window: float) -> list[dict]:
+    """Tolerance, shards, storage and traffic overheads (at group size
+    ``k = n_nodes - shards``, at least 1) and
+    :func:`~repro.model.montecarlo.window_loss_probability` of each
+    coding scheme spec (``None``: xor, rdp, rs-8-2, rep-3) on an
+    ``n_nodes`` cluster of failure rate ``lam``."""
+    rows = []
+    for spec in specs or ("xor", "rdp", "rs-8-2", "rep-3"):
+        sch = parse_scheme(spec)
+        k = max(1, n_nodes - sch.n_shards)
+        rows.append({
+            "scheme": sch.name,
+            "tolerance": sch.tolerance,
+            "shards": sch.n_shards,
+            "storage": sch.storage_overhead(k),
+            "traffic": sch.traffic_factor(k),
+            "p_loss": window_loss_probability(
+                lam / n_nodes, n_nodes, window, tolerance=sch.tolerance),
+        })
+    return rows

@@ -101,7 +101,6 @@ class ServingRuntime:
         self.pauses: list[tuple[float, float]] = []
         self._pause_open: float | None = None
         self.cycles = 0
-        self.aborted_cycles = 0
         self.n_failures = 0
         self.n_recoveries = 0
         self.unrecoverable: list[tuple[int, str]] = []
@@ -119,7 +118,7 @@ class ServingRuntime:
         self._last_lost = 0
         self._done = False
         self.drain_stalled = False
-        self._proc = None
+        self._cadence = None
 
         if injector is not None:
             injector.subscribe(self._on_failure)
@@ -128,8 +127,7 @@ class ServingRuntime:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self):
-        self._proc = self.sim.process(self._run())
-        return self._proc
+        return self.sim.process(self._run())
 
     def _late_wake(self, t: float):
         """An event succeeding at ``t`` *after* every same-timestamp
@@ -141,7 +139,7 @@ class ServingRuntime:
     def _run(self):
         sim = self.sim
         if self.ck is not None:
-            sim.process(self._cadence_loop())
+            self._cadence = sim.process(self._cadence_loop())
         sim.process(self._drain_loop())
         for chunk in self.arrivals.chunks():
             self.engine.feed(chunk)
@@ -201,11 +199,7 @@ class ServingRuntime:
                 # membership gate: no cycles with nodes down/recovering
                 yield sim.timeout(min(self.interval, self.drain_tick))
                 continue
-            try:
-                yield from self._one_cycle()
-            except Exception:
-                self.aborted_cycles += 1
-                self._on_resume(sim.now)  # never leave servers frozen
+            yield from self._one_cycle()
             if self._done:
                 break
             yield sim.timeout(self.interval)
@@ -228,7 +222,7 @@ class ServingRuntime:
         yield lifted
         self._on_resume(sim.now)
         if not proc.triggered:
-            yield proc  # raises into the cadence loop if the cycle died
+            yield proc  # raises out of the cadence loop if the cycle died
         elif proc.ok is False:
             raise proc.value
         self.cycles += 1
@@ -421,7 +415,10 @@ class ServingRuntime:
         return np.concatenate(self._lat_chunks)
 
     def report(self) -> dict:
-        """JSON-able run summary (exact quantiles, not estimates)."""
+        """JSON-able run summary (exact quantiles, not estimates); raises
+        the error of a checkpoint cycle that failed."""
+        if self._cadence is not None and self._cadence.ok is False:
+            raise self._cadence.value
         lat = self.latencies()
         if lat.size:
             quantiles = {
@@ -453,7 +450,6 @@ class ServingRuntime:
                 sum(end - start for start, end in self.pauses)
             ),
             "cycles": self.cycles,
-            "aborted_cycles": self.aborted_cycles,
             "failures": self.n_failures,
             "recoveries": self.n_recoveries,
             "unrecoverable": len(self.unrecoverable),

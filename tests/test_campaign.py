@@ -265,6 +265,19 @@ class TestCampaignArtifacts:
             )
             assert row["estimate"].within(mono.mean, z=4.0)
 
+    def test_validate_rows_carry_the_closed_form_and_verdict(self):
+        from repro.model import expected_time_with_overhead
+
+        rows, _ = run_validate_campaign(runs=256, chunk_runs=128, T=3600.0,
+                                        T_ov=30.0, T_r=20.0, mtbf_hours=(0.5, 4.0))
+        for row in rows:
+            analytic = expected_time_with_overhead(row["lam"], 3600.0, row["N"],
+                                                   30.0, 20.0)
+            assert row["closed_form"] == analytic
+            mc = row["estimate"]
+            assert row["rel_err"] == abs(mc.mean - analytic) / analytic
+            assert row["within"] == mc.within(analytic)
+
     def test_study_jobs1_vs_jobs4_identical_tables(self):
         kwargs = dict(
             methods=[{"name": "dvdc"}, {"name": "diskful"}],

@@ -91,12 +91,19 @@ class TestParser:
         ["audit", "--nodes", "1"],
         ["audit", "--fuzz", "--geo", "3", "--nodes", "2"],
         ["audit", "--fuzz", "--geo", "1"],
+        ["metrics", "--scenario", "job", "--nodes", "1"],
+        ["trace", "export", "--scenario", "job", "--nodes", "1"],
+        ["geo", "study", "--seeds", "1", "--nodes", "3", "--sites", "3"],
+        ["study", "--methods", "first_shot", "--seeds", "1", "--nodes", "1"],
+        ["study", "--nodes", "1"],
+        ["serving", "study", "--nodes", "1"],
     ], ids=" ".join)
     def test_hostile_numbers_exit_2_naming_the_flag(self, argv, capsys,
                                                     tmp_path, monkeypatch):
         """Numbers, scheme specs, policy names, sweep files and cluster
-        shapes are checked before anything runs; each used to end in a
-        traceback with exit 1 or run on."""
+        shapes are checked before anything runs (the campaign-backed
+        studies before their fan-out); each used to end in a traceback
+        or a ``FAILED`` line with exit 1, or run on."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "malformed.json").write_text("{not json")
         (tmp_path / "invalid.json").write_text(
@@ -114,14 +121,22 @@ class TestParser:
         if argv[-2] in ("--policies", "--scenario"):
             says = f"invalid choice: '{argv[-1]}'"
         if argv[-2] in ("--nodes", "--sites"):  # a shape nothing fits
+            room = "1 nodes leave no room for a member"
             says = {
                 "controlplane": "group_size",
-                "epoch": "1 nodes leave no room for a member",
-                "serving": "1 nodes leave no room for a member",
+                "epoch": room,
+                "serving": room,
+                "study": room,
+                "metrics": room,
+                "trace": room,
                 "fig5": "n_nodes must be >= 2",
                 "audit": ("no node available to hold parity shard"
                           if "--heal" in argv else "fuzzing needs >= 3 nodes"),
             }.get(argv[0], "no node available to hold parity shard")
+            if "first_shot" in argv:
+                says = "first_shot needs >= 2 nodes, got 1"
+            if argv[:2] == ["geo", "study"]:
+                says = "racks_per_site 2 exceeds the smallest site's 1 node(s)"
         if argv[-2] == "--geo":
             says = "geo mode needs >= 2 sites"
         with pytest.raises(SystemExit) as exc:
@@ -226,10 +241,13 @@ class TestCommands:
         with pytest.raises(LayoutError, match="layout broke mid-run"):
             main(["audit", "--heal"])
 
-    @pytest.mark.parametrize("argv", [["epoch"], ["geo", "run"]], ids=" ".join)
+    @pytest.mark.parametrize("argv", [
+        ["epoch"], ["geo", "run"], ["serving", "run", "--requests", "200"],
+    ], ids=" ".join)
     def test_value_error_mid_run_is_not_a_usage_error(self, argv, monkeypatch):
         """``_laid_out`` also turns a builder's ``ValueError`` into exit
-        2; raised by the running protocol, it still propagates."""
+        2; raised by the running protocol, it still propagates.  (The
+        serving cadence used to swallow it and exit 0.)"""
         from repro.core import DisklessCheckpointer
 
         def run_cycle(self, *args, **kwargs):
@@ -238,6 +256,25 @@ class TestCommands:
         monkeypatch.setattr(DisklessCheckpointer, "run_cycle", run_cycle)
         with pytest.raises(ValueError, match="bad value mid-run"):
             main(argv)
+
+    @pytest.mark.parametrize("argv,target", [
+        (["serving", "study", "--requests", "200", "--seeds", "1",
+          "--policies", "baseline", "checkpoint"],
+         "repro.core.DisklessCheckpointer.run_cycle"),
+        (["geo", "study", "--seeds", "1", "--policies", "local-parity",
+          "geo-spread"], "repro.geo.study.respread_groups"),
+    ], ids=["serving study", "geo study"])
+    def test_a_failed_study_cell_prints_failed_and_exits_1(
+            self, argv, target, monkeypatch, capsys):
+        """A failed cell used to pass as an aborted serving cycle, or end
+        ``geo study`` in a traceback."""
+        def broken(*args, **kwargs):
+            raise ValueError("cell broke")
+
+        monkeypatch.setattr(target, broken)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("FAILED") == 1 and "ValueError: cell broke" in err
 
     def test_calibrate(self, capsys):
         assert main(["calibrate", "--size", str(1 << 20), "--repeats", "1"]) == 0
@@ -347,12 +384,16 @@ class TestStudyCommand:
     @pytest.mark.parametrize("method,low", [
         ("first_shot", 2), ("checkpoint_node", 2), ("dvdc_rdp", 4),
     ])
-    def test_study_below_the_node_minimum_names_it(self, method, low):
+    def test_study_below_the_node_minimum_names_it(self, method, low, capsys):
         """first_shot on one node used to print a 0 % table over zero
-        VMs; checkpoint_node died in a LayoutError."""
-        with pytest.raises(RuntimeError, match=f"{method} needs >= {low} nodes"):
+        VMs; checkpoint_node died in a LayoutError; then every task of
+        the fan-out failed on it."""
+        with pytest.raises(SystemExit) as exc:
             main(["study", "--methods", method, "--nodes", str(low - 1),
                   "--seeds", "1", "--work", "0.2"])
+        assert exc.value.code == 2
+        assert (f"argument --nodes: {method} needs >= {low} nodes"
+                in capsys.readouterr().err)
 
     def test_study_overlap_suffix(self, capsys):
         assert main([

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import experiments
 from repro.campaign import run_study_campaign
 from repro.campaign.tasks import run_study_cell
 from repro.experiments import (
@@ -10,6 +11,8 @@ from repro.experiments import (
     JobOutcome,
     MethodSpec,
     StudyOutcome,
+    build_epoch_cell,
+    build_job_cell,
     run_job_cell,
 )
 from repro.workloads import JobResult
@@ -53,6 +56,36 @@ class TestMethodSpec:
             MethodSpec(name).build(low - 1, 3)
         sc, _ = MethodSpec(name).build(low, 3)
         assert sc.cluster.n_nodes == low
+
+
+#: a job cell short and failure-prone enough to recover at least once
+CELL = dict(work=1800.0, interval=600.0, node_mtbf=1800.0, repair_time=30.0,
+            n_nodes=4, vms_per_node=3)
+
+
+class TestCellBuilders:
+    def test_builders_run_no_event(self, monkeypatch):
+        """A builder only builds, so a shape error raised there is never
+        a failure of the run; the run is the call it returns."""
+        made = []
+
+        def spy(*args, **kwargs):
+            made.append(scaled(*args, **kwargs))
+            return made[-1]
+
+        scaled = experiments.scaled_scenario
+        monkeypatch.setattr(experiments, "scaled_scenario", spy)
+        runs = [build_job_cell(MethodSpec("dvdc"), 2, **CELL),
+                build_epoch_cell(MethodSpec("diskful", incremental=False), 4, 3)]
+        assert [sc.sim.event_count for sc in made] == [0, 0]
+        outcomes = [run() for run in runs]
+        assert all(sc.sim.event_count > 0 for sc in made)
+        assert outcomes[0].result.n_recoveries > 0
+        assert outcomes[1].committed and len(outcomes[1].per_vm_pause) == 12
+
+    def test_run_job_cell_is_build_then_run(self):
+        spec = MethodSpec("dvdc")
+        assert run_job_cell(spec, 2, **CELL) == build_job_cell(spec, 2, **CELL)()
 
 
 class TestStudyCellInputs:

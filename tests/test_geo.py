@@ -101,7 +101,8 @@ class TestGeoSpreadLayout:
 class TestSurvivalMatrix:
     def test_policy_matrix_under_full_site_outage(self):
         cfg = GeoConfig(n_nodes=12, n_sites=3, epochs=2, kill_site=-1)
-        study = run_geo_study(cfg, seeds=(0, 1))
+        study, campaign = run_geo_study(cfg, seeds=(0, 1))
+        assert campaign.n_failed == 0
         s = study["summary"]
         # local-parity loses the site outage every time
         assert s["local-parity"]["survived"] == 0
