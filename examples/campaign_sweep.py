@@ -10,8 +10,9 @@ resumable.
 2. Attach an on-disk `ResultStore` and run the campaign twice: the
    second invocation executes zero tasks (pure cache hits), the resume
    guarantee.
-3. Merge the cached chunk values back into one estimate per case and
-   print the closed-form vs Monte-Carlo table.
+3. Re-run the campaign on the warm store: it executes zero tasks and
+   merges the cached chunk values into the closed-form vs Monte-Carlo
+   table.
 
 Run:  python examples/campaign_sweep.py [--runs 4000] [--jobs 2]
 """
@@ -23,11 +24,9 @@ from repro.analysis import format_seconds, render_table
 from repro.campaign import (
     CampaignRunner,
     ResultStore,
-    mc_estimate_from_values,
     run_validate_campaign,
     validate_tasks,
 )
-from repro.model import expected_time_with_overhead
 
 
 def act1_parallel_equals_serial(runs: int, jobs: int) -> None:
@@ -61,28 +60,21 @@ def act2_resume(runs: int, store_dir: str) -> ResultStore:
     return store
 
 
-def act3_aggregate(store: ResultStore) -> None:
+def act3_aggregate(store: ResultStore, runs: int) -> None:
     print("=" * 72)
     print("Act 3 — merge cached chunk values into the VAL-MC table")
     print("=" * 72)
-    cases = {}  # master seed -> (params of its first chunk, chunk values)
-    for rec in store.records("mc_chunk"):
-        p = rec["task"]["params"]
-        cases.setdefault(p["master_seed"], (p, []))[1].append(rec["value"])
-    rows = []
-    for p, values in cases.values():
-        mc = mc_estimate_from_values(values)
-        analytic = expected_time_with_overhead(
-            p["lam"], p["T"], p["N"], p["T_ov"], p["T_r"]
-        )
-        rows.append([
-            f"{1.0 / p['lam'] / 3600.0:g}h",
-            format_seconds(p["N"]),
-            format_seconds(analytic),
-            format_seconds(mc.mean),
-            len(values),
-            "yes" if mc.within(analytic) else "NO",
-        ])
+    cases, warm = run_validate_campaign(store=store, runs=runs)
+    assert warm.n_executed == 0, "the table must come from the store alone"
+    chunks = warm.n_total // len(cases)
+    rows = [[
+        f"{case['mtbf_h']:g}h",
+        format_seconds(case["N"]),
+        format_seconds(case["closed_form"]),
+        format_seconds(case["estimate"].mean),
+        chunks,
+        "yes" if case["within"] else "NO",
+    ] for case in cases]
     print(render_table(
         ["MTBF", "interval", "closed form", "Monte-Carlo", "chunks",
          "within 3 sigma"],
@@ -101,7 +93,7 @@ def main() -> None:
     act1_parallel_equals_serial(args.runs, args.jobs)
     with tempfile.TemporaryDirectory() as tmp:
         store = act2_resume(args.runs, tmp)
-        act3_aggregate(store)
+        act3_aggregate(store, args.runs)
 
 
 if __name__ == "__main__":

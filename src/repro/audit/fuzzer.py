@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..checkpoint.base import Unrecoverable
 from ..checkpoint.strategies import ForkedCapture, FullCapture, IncrementalCapture
 from ..cluster.cluster import ClusterSpec, VirtualCluster
 from ..core.architectures import checkpoint_node, dvdc, first_shot
@@ -67,23 +68,6 @@ KINDS = ("kill", "site", "flap", "degrade", "drop", "corrupt")
 
 #: paper figures the fuzzer knows how to build
 LAYOUTS = ("fig1", "fig3", "fig4")
-
-#: RuntimeError messages that mean "legitimately unrecoverable under
-#: the active scheme" rather than "bug" — raised by the recovery path
-#: when the faults (including crash + silent corruption) exceed the
-#: code's tolerance
-_UNRECOVERABLE_MARKERS = (
-    "no alive node",
-    "no eligible parity node",
-    "has no committed checkpoint",
-    "silently corrupt",
-    # recovery raises "... \u2014 beyond <scheme> tolerance <t>" only when
-    # the erasure pattern provably exceeds the active code's tolerance: a
-    # double fault under XOR matches, an RS(k,2) double fault that fails
-    # recovery does NOT and is a bug
-    "\u2014 beyond",
-)
-
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -443,16 +427,8 @@ def run_trial(
             if img is not None and img.payload is not None:
                 expected[vm.vm_id] = img.payload_flat().copy()
 
-    class Unrecoverable(Exception):
-        pass
-
-    def recover_classified(node: int):
-        try:
-            yield from ck.recover(node)
-        except RuntimeError as exc:
-            if any(m in str(exc) for m in _UNRECOVERABLE_MARKERS):
-                raise Unrecoverable(str(exc)) from exc
-            raise
+    def recover_node(node: int):
+        yield from ck.recover(node)
         trial.recoveries += 1
 
     def salvage_and_converge(cycle: int):
@@ -524,7 +500,7 @@ def run_trial(
                 if scrub is not None:
                     scrub.scrub_once()
                 try:
-                    yield from recover_classified(node)
+                    yield from recover_node(node)
                 except Unrecoverable:
                     if replicator is None:
                         raise
@@ -554,7 +530,7 @@ def run_trial(
                 continue
             if scrub is not None:
                 scrub.scrub_once()
-            yield from recover_classified(-1)
+            yield from recover_node(-1)
             yield from ck.heal()
 
     def quiescent_audit(where: str) -> None:

@@ -128,10 +128,3 @@ class ResultStore:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
         self._index[rec["key"]] = rec
         return rec
-
-    def records(self, kind: str | None = None) -> list[dict]:
-        """All records, optionally filtered by task kind."""
-        recs = self._index.values()
-        if kind is None:
-            return list(recs)
-        return [r for r in recs if r["task"]["kind"] == kind]

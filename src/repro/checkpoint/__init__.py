@@ -8,6 +8,7 @@ from .base import (
     CaptureStrategy,
     CheckpointCycleResult,
     CheckpointProtocol,
+    Unrecoverable,
 )
 from .compression import (
     NO_COMPRESSION,
@@ -27,6 +28,7 @@ __all__ = [
     "CaptureOutcome",
     "CheckpointCycleResult",
     "CheckpointProtocol",
+    "Unrecoverable",
     "FullCapture",
     "IncrementalCapture",
     "ForkedCapture",

@@ -31,6 +31,7 @@ __all__ = [
     "CaptureOutcome",
     "CheckpointCycleResult",
     "CheckpointProtocol",
+    "Unrecoverable",
 ]
 
 #: In-memory copy bandwidth for non-COW capture (memcpy class), bytes/s.
@@ -105,6 +106,18 @@ class CheckpointCycleResult:
     committed: bool = False
 
 
+class Unrecoverable(RuntimeError):
+    """Recovery is impossible by the failure model, not by a bug.
+
+    The one legitimate way a recovery fails: the faults exceed what the
+    protocol can rebuild from — a group lost more elements than its
+    parity covers, no node is left to restore onto, or nothing was ever
+    committed.  Handlers around ``recover``, ``heal`` and
+    ``rehome_shards`` catch this type only; any other exception out of
+    them is a bug and propagates.
+    """
+
+
 class CheckpointProtocol(Protocol):
     """End-to-end checkpoint protocol over a cluster.
 
@@ -120,5 +133,7 @@ class CheckpointProtocol(Protocol):
 
     def recover(self, failed_node_id: int):  # pragma: no cover - protocol
         """Simulation process recovering from a node failure; returns a
-        recovery report object."""
+        recovery report object.  Raises :class:`Unrecoverable` when the
+        loss exceeds what the protocol can rebuild (fate); any other
+        exception is a bug."""
         ...

@@ -30,7 +30,7 @@ from ..cluster.vm import VirtualMachine, VMState
 from ..network.link import NetworkError
 from ..sim import AllOf, NULL_TRACER, Tracer
 from ..telemetry import probe_of
-from .base import CaptureStrategy, CheckpointCycleResult
+from .base import CaptureStrategy, CheckpointCycleResult, Unrecoverable
 from .compression import NO_COMPRESSION, CompressionModel
 from .coordinator import CoordinatedCheckpoint
 from .strategies import ForkedCapture
@@ -284,14 +284,14 @@ class DiskfulCheckpointer:
         sim = self.cluster.sim
         start = sim.now
         if self.committed_epoch < 0:
-            raise RuntimeError("no committed checkpoint generation to recover from")
+            raise Unrecoverable("no committed checkpoint generation to recover from")
         span = self.probe.span_begin(
             "diskful.recover", start, track="recovery", node=failed_node_id,
         )
         report = DiskfulRecoveryReport(failed_node=failed_node_id)
         survivors = [n for n in self.cluster.alive_nodes if n.node_id != failed_node_id]
         if not survivors:
-            raise RuntimeError("no surviving nodes to recover onto")
+            raise Unrecoverable("no surviving nodes to recover onto")
         # re-place dead VMs
         homeless = [vm for vm in self.cluster.all_vms if vm.state == VMState.FAILED
                     and vm.node_id is None]

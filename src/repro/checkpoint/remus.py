@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from ..cluster.cluster import VirtualCluster
 from ..cluster.vm import VirtualMachine
+from ..network.link import NetworkError
 from ..sim import Interrupt, NULL_TRACER, Tracer
 
 __all__ = ["RemusModel", "RemusPair", "RemusEpochStats"]
@@ -118,7 +119,8 @@ class RemusPair:
         self.last_committed_at: float | None = None
 
     def protect(self):
-        """Process: run replication epochs until interrupted."""
+        """Process: run replication epochs until interrupted or until the
+        active host dies (then :meth:`failover` takes over)."""
         sim = self.cluster.sim
         m = self.model
         try:
@@ -138,7 +140,12 @@ class RemusPair:
                         src, self.standby_node_id, dirty,
                         label=f"remus.vm{self.vm.vm_id}.e{self.stats.epochs}",
                     )
-                    yield flow
+                    try:
+                        yield flow
+                    except NetworkError:
+                        if self.vm.node_id is not None:
+                            raise
+                        return self.stats  # the host died mid-drain
                 self.last_committed_at = sim.now
                 self.stats.epochs += 1
                 self.stats.replicated_bytes += dirty

@@ -45,7 +45,6 @@ class ClusterSpec:
         nas_bandwidth: float = DEFAULT_NAS_BANDWIDTH,
         nas_disk: DiskSpec | None = None,
         latency: float = DEFAULT_LATENCY,
-        allocator: str = "incremental",
         topology_factory=None,
     ):
         if n_nodes < 1:
@@ -57,8 +56,6 @@ class ClusterSpec:
         self.nas_bandwidth = nas_bandwidth
         self.nas_disk = nas_disk or DiskSpec(bandwidth=nas_bandwidth, channels=1)
         self.latency = latency
-        #: fluid-flow reallocation strategy (see repro.network.link)
-        self.allocator = allocator
         #: optional ``(sim, spec, tracer) -> ClusterTopology`` override;
         #: None keeps the flat switched fabric (see repro.geo for the
         #: hierarchical multi-site variant)
@@ -92,7 +89,6 @@ class VirtualCluster:
                 nas_bandwidth=self.spec.nas_bandwidth,
                 latency=self.spec.latency,
                 tracer=tracer,
-                allocator=self.spec.allocator,
             )
         self.nas = NAS(sim, disk_spec=self.spec.nas_disk, tracer=tracer)
         self.vms: dict[int, VirtualMachine] = {}

@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..audit.invariants import AuditReport, audit_cluster
+from ..checkpoint.base import Unrecoverable
 from ..cluster.cluster import VirtualCluster
 from ..cluster.vm import VMState
 from ..core.dvdc import DisklessCheckpointer
@@ -49,7 +50,7 @@ from ..telemetry import probe_of
 from .heartbeat import HeartbeatRegistry, KeepalivePolicy, keepalive_loop
 from .maintenance import drain_node
 from .ops import OP_KINDS, Operation, OpRejected, OpState
-from .scheduler import PlacementEngine
+from .scheduler import PlacementEngine, PlacementError
 
 __all__ = ["ControlPlane", "ControlPlaneConfig", "AuditFailure"]
 
@@ -243,10 +244,8 @@ class ControlPlane:
         try:
             if self._recovery_queue:
                 return  # a fresh crash owns the gap now
-            try:
-                yield from self.healer.reprotect()
-            except RuntimeError:
-                return  # still short on capacity; the next repair retries
+            # short on capacity ends DEGRADED; the next repair retries
+            yield from self.healer.reprotect()
         finally:
             self._lock.release()
 
@@ -270,7 +269,7 @@ class ControlPlane:
                     else:
                         report = yield from self.ck.recover(node_id)
                         self.recoveries.append(report)
-                except RuntimeError as exc:
+                except Unrecoverable as exc:
                     ok, error = False, str(exc)
                     # last resort, once the pileup has drained: a loss
                     # beyond single-parity tolerance cannot be rebuilt,
@@ -285,19 +284,21 @@ class ControlPlane:
                         # not absorbed yet, not this recovery
                         if not self._recovery_queue:
                             self.audit(f"recovery of node {node_id}")
-                    except Exception as exc:
+                    except AuditFailure as exc:
                         ok, error = False, f"{type(exc).__name__}: {exc}"
             finally:
                 self._lock.release()
-                self.probe.span_end(span, sim.now, ok=ok)
-                if not ok:
-                    self.probe.count(
-                        "repro_controlplane_recovery_failures_total",
-                        help="Recoveries that raised (e.g. double failure)",
-                    )
-                    self.tracer.emit(sim.now, "controlplane.recovery_failed",
-                                     node=node_id, error=error)
-                self._notify_recovered(node_id, ok, error)
+            # anything else escaping the try is a bug and ends the run, so
+            # only an outcome the worker reached is ever reported
+            self.probe.span_end(span, sim.now, ok=ok)
+            if not ok:
+                self.probe.count(
+                    "repro_controlplane_recovery_failures_total",
+                    help="Recoveries that raised (e.g. double failure)",
+                )
+                self.tracer.emit(sim.now, "controlplane.recovery_failed",
+                                 node=node_id, error=error)
+            self._notify_recovered(node_id, ok, error)
         self._recovery_proc = None
 
     def _can_salvage(self) -> bool:
@@ -316,11 +317,10 @@ class ControlPlane:
         Rather than leave the cluster permanently degraded, do what a
         real control plane does: reprovision the unrecoverable VMs with
         fresh state (the data loss is counted in telemetry) and take a
-        full checkpoint epoch so parity covers the new images.
+        full checkpoint epoch so parity covers the new images.  No node
+        left to host a VM or a shard is :class:`Unrecoverable` and fails
+        the salvage; any other exception is a bug and ends the run.
         """
-        from ..core.recovery import choose_parity_node
-        from .scheduler import PlacementError
-
         sim = self.cluster.sim
         lost = [
             vm for vm in self.cluster.all_vms
@@ -346,9 +346,12 @@ class ControlPlane:
                     target = self.engine.choose_host(exclude=exclude)
                 except PlacementError:
                     # degraded placement beats leaving the VM dead
-                    target = self.engine.choose_host(
-                        exclude=self.maintenance | self.fenced
-                    )
+                    try:
+                        target = self.engine.choose_host(
+                            exclude=self.maintenance | self.fenced
+                        )
+                    except PlacementError as exc:
+                        raise Unrecoverable(str(exc)) from exc
                 self.cluster.place_failed_vm(vm.vm_id, target)
                 vm.revive()
                 self.probe.count(
@@ -365,19 +368,13 @@ class ControlPlane:
             # (its RAM died with it).  Every shard keeps its own distinct
             # non-member node.
             for group in list(self.layout.groups):
-                homes = list(group.parity_nodes)
                 dead = [
-                    j for j, p in enumerate(homes)
+                    j for j, p in enumerate(group.parity_nodes)
                     if not self.cluster.node(p).alive
                 ]
                 if not dead:
                     continue
-                for j in dead:
-                    others = {h for i, h in enumerate(homes) if i != j}
-                    homes[j] = choose_parity_node(
-                        self.cluster, self.layout, group,
-                        exclude=self.maintenance | self.fenced | others,
-                    )
+                homes = self.ck.shard_homes(group, dead)
                 self.layout.replace_group(
                     group.group_id,
                     RaidGroup(
@@ -386,19 +383,23 @@ class ControlPlane:
                     ),
                 )
             result = yield from self.ck.run_cycle()
-        except Exception as exc:
+        except Unrecoverable as exc:
             return False, f"salvage failed: {type(exc).__name__}: {exc}"
         if not result.committed:
             return False, "salvage cycle aborted by a concurrent failure"
         return True, None
 
     def _cold_restore(self) -> None:
-        """Nothing committed yet: re-place dead VMs empty (cold restart)."""
+        """Nothing committed yet: re-place dead VMs empty (cold restart).
+        No live host left is :class:`Unrecoverable`, as in ``recover``."""
         for vm in self.cluster.all_vms:
             if vm.state == VMState.FAILED and vm.node_id is None:
-                target = self.engine.choose_host(
-                    exclude=self.maintenance | self.fenced
-                )
+                try:
+                    target = self.engine.choose_host(
+                        exclude=self.maintenance | self.fenced
+                    )
+                except PlacementError as exc:
+                    raise Unrecoverable(str(exc)) from exc
                 self.cluster.place_failed_vm(vm.vm_id, target)
                 vm.revive()
 

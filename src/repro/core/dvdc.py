@@ -55,7 +55,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..checkpoint.base import CaptureOutcome, CaptureStrategy, CheckpointCycleResult
+from ..checkpoint.base import (
+    CaptureOutcome,
+    CaptureStrategy,
+    CheckpointCycleResult,
+    Unrecoverable,
+)
 from ..checkpoint.compression import NO_COMPRESSION, CompressionModel
 from ..checkpoint.coordinator import CoordinatedCheckpoint
 from ..checkpoint.strategies import ForkedCapture
@@ -597,8 +602,8 @@ class DisklessCheckpointer:
         """Process: rebuild every lost member of one group via the scheme.
 
         Handles any erasure pattern within ``scheme.tolerance`` (multiple
-        members, members + shards); patterns beyond it raise the
-        tolerance-aware unrecoverable error the audit classifier keys on.
+        members, members + shards); patterns beyond it raise
+        :class:`~repro.checkpoint.base.Unrecoverable`.
         Shards the crash took are re-encoded afterwards in the same pass.
         """
         sim = self.cluster.sim
@@ -624,7 +629,7 @@ class DisklessCheckpointer:
             getattr(self.scheme, "copies", None) is not None and staging is not None
         )
         if (over_tolerance and not replica_rescue) or staging is None:
-            raise RuntimeError(
+            raise Unrecoverable(
                 f"group {gid} lost {len(lost_set)} members and "
                 f"{missing_shards} parity shards — {beyond}"
             )
@@ -637,12 +642,12 @@ class DisklessCheckpointer:
         for v in survivors:
             vm = self.cluster.vm(v)
             if vm.node_id is None:
-                raise RuntimeError(
+                raise Unrecoverable(
                     f"group {gid}: survivor vm {v} also lost — {beyond}"
                 )
             img = self.cluster.hypervisor(vm.node_id).committed(v)
             if img is None:
-                raise RuntimeError(f"survivor vm {v} has no committed checkpoint")
+                raise Unrecoverable(f"survivor vm {v} has no committed checkpoint")
             decode_bytes += vm.memory_bytes
             if img.payload is not None:
                 survivor_payloads[v] = img.payload_flat()
@@ -677,7 +682,7 @@ class DisklessCheckpointer:
                 return
         report.network_bytes += wire_bytes
         if not self.cluster.node(staging).alive:
-            raise RuntimeError(
+            raise Unrecoverable(
                 f"group {gid}: staging node {staging} died during "
                 f"reconstruction — {beyond}"
             )
@@ -709,7 +714,7 @@ class DisklessCheckpointer:
                 img_bytes = decoded[idx][:nbytes].copy()
                 expect = expected.get(v)
                 if expect is not None and block_checksum(img_bytes) != expect:
-                    raise RuntimeError(
+                    raise Unrecoverable(
                         f"vm {v}: rebuilt image fails its end-to-end checksum "
                         "— a survivor image or a parity shard is silently "
                         "corrupt; scrub before recovering"
@@ -759,6 +764,31 @@ class DisklessCheckpointer:
         if slots:
             yield from self.rehome_shards(group, slots, report)
 
+    def shard_homes(
+        self, group: RaidGroup, slots: list[int], failed_node: int = -1
+    ) -> list[int]:
+        """``group``'s shard homes with each of ``slots`` moved to a
+        fresh node: one that avoids ``failed_node``, the cordons and the
+        group's other shard homes (and, with :attr:`domains`, their
+        failure domains where it can).  Raises
+        :class:`~repro.checkpoint.base.Unrecoverable` when no node is
+        left to hold a shard."""
+        homes = list(group.parity_nodes)
+        for j in slots:
+            taken = {h for i, h in enumerate(homes) if i != j}
+            avoid = frozenset(
+                self.domains.domain_of(h)
+                for h in taken
+                if self.cluster.node(h).alive
+            ) if self.domains is not None else frozenset()
+            homes[j] = choose_parity_node(
+                self.cluster, self.layout, group,
+                exclude=self._recovery_exclude({failed_node} | taken),
+                domains=self.domains,
+                avoid_domains=avoid,
+            )
+        return homes
+
     def rehome_shards(
         self, group: RaidGroup, slots: list[int], report: DisklessRecoveryReport
     ):
@@ -774,20 +804,7 @@ class DisklessCheckpointer:
         """
         sim = self.cluster.sim
         gid = group.group_id
-        homes = list(group.parity_nodes)
-        for j in slots:
-            taken = {h for i, h in enumerate(homes) if i != j}
-            avoid = frozenset(
-                self.domains.domain_of(h)
-                for h in taken
-                if self.cluster.node(h).alive
-            ) if self.domains is not None else frozenset()
-            homes[j] = choose_parity_node(
-                self.cluster, self.layout, group,
-                exclude=self._recovery_exclude({report.failed_node} | taken),
-                domains=self.domains,
-                avoid_domains=avoid,
-            )
+        homes = self.shard_homes(group, slots, report.failed_node)
         payloads = []
         total = 0.0
         for v in group.member_vm_ids:
@@ -798,7 +815,7 @@ class DisklessCheckpointer:
                 return
             img = self.cluster.hypervisor(vm.node_id).committed(v)
             if img is None:
-                raise RuntimeError(f"vm {v} has no committed checkpoint to re-encode")
+                raise Unrecoverable(f"vm {v} has no committed checkpoint to re-encode")
             total += vm.memory_bytes
             if img.payload is not None:
                 payloads.append(img.payload_flat())
@@ -826,6 +843,10 @@ class DisklessCheckpointer:
         for j in slots:
             yield from self._encode_at(homes[j], total)
             report.xor_bytes += total
+        if not all(self.cluster.node(homes[j]).alive for j in slots):
+            # a new home died mid-encode: as for a failed transfer, the
+            # queued failure's recovery (or the next heal) retries
+            return
         functional = payloads and len(payloads) == len(group.member_vm_ids)
         shards = self.scheme.encode(payloads) if functional else None
         member_checksums = (
@@ -919,7 +940,7 @@ class DisklessCheckpointer:
             report = DisklessRecoveryReport(failed_node=-1)
             try:
                 yield from self.rehome_shards(group, slots, report)
-            except RuntimeError:
+            except Unrecoverable:
                 continue
             healed.append(group.group_id)
         if healed:
@@ -933,12 +954,14 @@ class DisklessCheckpointer:
         (local memory copies), per-group member reconstruction (any
         within-tolerance mix of lost members and shards), and shard
         re-encoding.  Returns a
-        :class:`~repro.core.recovery.DisklessRecoveryReport`.
+        :class:`~repro.core.recovery.DisklessRecoveryReport`; raises
+        :class:`~repro.checkpoint.base.Unrecoverable` when the loss is
+        beyond the scheme's tolerance or nothing was ever committed.
         """
         sim = self.cluster.sim
         start = sim.now
         if self.committed_epoch < 0:
-            raise RuntimeError("no committed checkpoint epoch to recover from")
+            raise Unrecoverable("no committed checkpoint epoch to recover from")
         report = DisklessRecoveryReport(failed_node=failed_node_id)
 
         lost_by_group: dict[int, list[int]] = {}

@@ -8,6 +8,7 @@ failure destroys at most one element per group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Collection
 
 from ..cluster.cluster import VirtualCluster
 from .groups import GroupLayout
@@ -75,15 +76,17 @@ def validate_layout(
 
 
 def group_losses_if_node_fails(
-    layout: GroupLayout, cluster: VirtualCluster, node_id: int
+    layout: GroupLayout, cluster: VirtualCluster, dead_nodes: Collection[int]
 ) -> dict[int, int]:
-    """Elements (members + parity) each group loses when ``node_id`` dies."""
+    """Elements (members + parity) each group loses when every node in
+    ``dead_nodes`` dies; groups that lose nothing are left out."""
     losses: dict[int, int] = {}
     for g in layout.groups:
         n = sum(
-            1 for vm_id in g.member_vm_ids if cluster.vm(vm_id).node_id == node_id
+            1 for vm_id in g.member_vm_ids
+            if cluster.vm(vm_id).node_id in dead_nodes
         )
-        n += sum(1 for p in g.parity_nodes if p == node_id)
+        n += sum(1 for p in g.parity_nodes if p in dead_nodes)
         if n:
             losses[g.group_id] = n
     return losses
@@ -94,7 +97,8 @@ def survives_single_node_failure(
 ) -> bool:
     """True iff every possible single node crash is recoverable."""
     return all(
-        max(group_losses_if_node_fails(layout, cluster, n.node_id).values(), default=0)
+        max(group_losses_if_node_fails(layout, cluster, {n.node_id}).values(),
+            default=0)
         <= tolerance
         for n in cluster.nodes
     )
@@ -112,14 +116,7 @@ def tolerable_node_failure_sets(
     fatal: list[tuple[int, ...]] = []
     for r in range(1, max_set + 1):
         for combo in combinations(node_ids, r):
-            worst = 0
-            for g in layout.groups:
-                loss = sum(
-                    1
-                    for vm_id in g.member_vm_ids
-                    if cluster.vm(vm_id).node_id in combo
-                )
-                loss += sum(1 for p in g.parity_nodes if p in combo)
-                worst = max(worst, loss)
+            losses = group_losses_if_node_fails(layout, cluster, combo)
+            worst = max(losses.values(), default=0)
             (survivable if worst <= tolerance else fatal).append(combo)
     return survivable, fatal

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..checkpoint.base import Unrecoverable
 from ..cluster.cluster import VirtualCluster
 from .groups import GroupLayout, RaidGroup
 
@@ -61,7 +62,7 @@ def choose_restore_node(
     }
     alive = [n for n in cluster.alive_nodes if n.node_id not in exclude]
     if not alive:
-        raise RuntimeError("no alive node to restore onto")
+        raise Unrecoverable("no alive node to restore onto")
 
     def load(n):  # VMs hosted, then id for determinism
         return (len(n.vms), n.node_id)
@@ -137,10 +138,10 @@ def choose_parity_node(
     if eligible:
         return min(eligible, key=lambda n: (load.get(n.node_id, 0), n.node_id)).node_id
     if not allow_degraded:
-        raise RuntimeError(f"no eligible parity node for group {group.group_id}")
+        raise Unrecoverable(f"no eligible parity node for group {group.group_id}")
     fallback = [n for n in cluster.alive_nodes if n.node_id not in exclude]
     if not fallback:
-        raise RuntimeError(f"no alive node for parity of group {group.group_id}")
+        raise Unrecoverable(f"no alive node for parity of group {group.group_id}")
     return min(
         fallback,
         key=lambda n: (member_count.get(n.node_id, 0), load.get(n.node_id, 0), n.node_id),

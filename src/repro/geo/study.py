@@ -37,6 +37,7 @@ import numpy as np
 from ..cluster.checksum import block_checksum
 from ..cluster.vm import VMState
 from ..coding import get_scheme
+from ..core.placement import group_losses_if_node_fails
 from ..network.link import NetworkError
 from ..perf.scale import build_scenario, run_epochs, scenario_digests
 from ..sim import NULL_TRACER, Tracer
@@ -79,7 +80,6 @@ class GeoConfig:
     dirty_pages_per_vm: int = 2
     wan_bandwidth: float = DEFAULT_WAN_BANDWIDTH
     wan_latency: float = DEFAULT_WAN_LATENCY
-    allocator: str = "incremental"
     #: site to kill after the last commit; ``None`` = fault-free run,
     #: ``-1`` = the site whose loss hurts the layout most (computed)
     kill_site: int | None = None
@@ -124,7 +124,7 @@ def build_geo_scenario(cfg: GeoConfig, tracer: Tracer | None = None):
         else max(1, cfg.n_sites - scheme.n_shards)
     )
     sim, cluster, ck, rngs, tracer = build_scenario(
-        cfg, geo_cluster_spec(geo, allocator=cfg.allocator), tracer,
+        cfg, geo_cluster_spec(geo), tracer,
         group_size=group_size, scheme=scheme,
         domains=geo.domain_map("site") if cfg.policy == "geo-spread" else None,
     )
@@ -145,26 +145,14 @@ def _committed_checksums(cluster) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-def _group_site_losses(ck, cluster, geo: GeoSpec, site: int) -> dict[int, int]:
-    """Elements (members + parity shards) each group loses to ``site``."""
-    dead = set(geo.nodes_in_site(site))
-    losses: dict[int, int] = {}
-    for g in ck.layout.groups:
-        n = sum(
-            1 for v in g.member_vm_ids if cluster.vm(v).node_id in dead
-        )
-        n += sum(1 for p in g.parity_nodes if p in dead)
-        if n:
-            losses[g.group_id] = n
-    return losses
-
-
 def _worst_kill_site(ck, cluster, geo: GeoSpec) -> int:
     """The site whose loss costs the worst-placed group the most
     elements (ties to the lowest site id) — where ``kill_site=-1`` aims."""
     best = (0, 0)
     for site in range(geo.n_sites):
-        losses = _group_site_losses(ck, cluster, geo, site)
+        losses = group_losses_if_node_fails(
+            ck.layout, cluster, set(geo.nodes_in_site(site))
+        )
         worst = max(losses.values(), default=0)
         if worst > best[1]:
             best = (site, worst)
@@ -310,7 +298,9 @@ def _run_geo_point(cfg: GeoConfig, built: tuple, collect_digests: bool) -> dict:
             else cfg.kill_site
         )
         result["kill_site"] = site
-        losses = _group_site_losses(ck, cluster, geo, site)
+        losses = group_losses_if_node_fails(
+            ck.layout, cluster, set(geo.nodes_in_site(site))
+        )
         beyond = any(n > ck.scheme.tolerance for n in losses.values())
         result["beyond_tolerance"] = beyond
         dead_nodes = geo.nodes_in_site(site)

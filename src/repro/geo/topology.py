@@ -181,12 +181,11 @@ class GeoTopology(SwitchedTopology):
         latency: float = DEFAULT_LATENCY,
         core_bandwidth: float | None = None,
         tracer: Tracer = NULL_TRACER,
-        allocator: str = "incremental",
     ):
         super().__init__(
             sim, geo.n_nodes, node_bandwidth=node_bandwidth,
             nas_bandwidth=nas_bandwidth, latency=latency,
-            core_bandwidth=core_bandwidth, tracer=tracer, allocator=allocator,
+            core_bandwidth=core_bandwidth, tracer=tracer,
         )
         self.geo = geo
         self._probe = probe_of(tracer)
@@ -252,7 +251,7 @@ def geo_cluster_spec(geo: GeoSpec, **spec_kwargs) -> ClusterSpec:
     :class:`GeoTopology` over ``geo``.
 
     ``spec_kwargs`` pass through to :class:`ClusterSpec` (bandwidths,
-    latency, allocator, ...); ``n_nodes`` is taken from ``geo``.
+    latency, ...); ``n_nodes`` is taken from ``geo``.
     """
     spec_kwargs.pop("n_nodes", None)
 
@@ -263,7 +262,6 @@ def geo_cluster_spec(geo: GeoSpec, **spec_kwargs) -> ClusterSpec:
             nas_bandwidth=spec.nas_bandwidth,
             latency=spec.latency,
             tracer=tracer,
-            allocator=spec.allocator,
         )
 
     return ClusterSpec(

@@ -16,20 +16,16 @@ per-change allocator ran at the same time stamp.  The settle re-anchors
 and reschedules only the flows whose rate moved, in admission order, so
 same-time completions fire in the order their flows were admitted.
 
-Two allocators compute the same max-min fair solution at the settle:
-
-* ``"incremental"`` (default) — one walk from the dirty links splits the
-  flows they reach into link-disjoint *components* (flows transitively
-  connected through shared links), and each component is filled on its
-  own.  Components nothing touched keep their rates (max-min fairness
-  is separable across link-disjoint flow sets), so a thousand-node
-  cluster running parallel group exchanges pays per-group cost, not
-  per-cluster cost; filling the union in one pass would not, since the
-  bottleneck scan is quadratic in the links it spans.
-* ``"reference"`` — one fill over every active flow, the original
-  from-scratch algorithm.  Kept as the bit-exactness oracle:
-  ``tests/test_golden_determinism.py`` proves both allocators produce
-  identical rates, completion times, and traces.
+The settle fills only what changed: one walk from the dirty links
+splits the flows they reach into link-disjoint *components* (flows
+transitively connected through shared links), and each component is
+filled on its own.  Components nothing touched keep their rates
+(max-min fairness is separable across link-disjoint flow sets), so a
+thousand-node cluster running parallel group exchanges pays per-group
+cost, not per-cluster cost; filling the union in one pass would not,
+since the bottleneck scan is quadratic in the links it spans.  The
+tests keep a one-global-fill ``Network`` subclass as the bit-exactness
+oracle: identical rates, completion times and traces.
 
 Reads during an instant see the last settle's rates: ``Flow.rate`` and
 ``Link.utilization`` do not reflect changes made since, and a flow
@@ -40,7 +36,7 @@ Flow progress uses an *anchor* representation: ``remaining`` bytes are
 stored as of the instant the flow's rate last changed, and interpolated
 on read.  A flow whose rate is unchanged by a settle is not touched at
 all — its completion event stays scheduled — which is what makes the
-incremental allocator bit-identical to the reference one.
+component-scoped fill bit-identical to a global one.
 """
 
 from __future__ import annotations
@@ -54,10 +50,6 @@ from ..sim.engine import EventHandle
 from ..telemetry import probe_of
 
 __all__ = ["Link", "Flow", "Network", "NetworkError", "TransientNetworkError"]
-
-#: Valid values for ``Network(allocator=...)``.
-ALLOCATORS = ("incremental", "reference")
-
 
 class NetworkError(RuntimeError):
     """Structural misuse of the network layer."""
@@ -164,8 +156,8 @@ class Flow(SimEvent):
         self._anchor_remaining = float(size)
         self._anchor_time = network.sim.now
         self._completion: EventHandle | None = None
-        #: admission sequence; reallocation visits flows in this order so
-        #: both allocators reschedule same-time completions identically
+        #: admission sequence; the settle reschedules flows in this order
+        #: whatever components they fall into
         self._order = 0
 
     def abort(self, reason: str = "aborted", transient: bool = False) -> None:
@@ -197,22 +189,11 @@ class Flow(SimEvent):
 
 
 class Network:
-    """Set of links plus the global max-min fair rate allocator.
+    """Set of links plus the global max-min fair rate allocator."""
 
-    ``allocator`` selects the reallocation strategy (see module
-    docstring): ``"incremental"`` (component-scoped, default) or
-    ``"reference"`` (global recompute, the bit-exactness oracle).
-    """
-
-    def __init__(self, sim: Simulator, tracer: Tracer = NULL_TRACER,
-                 allocator: str = "incremental"):
-        if allocator not in ALLOCATORS:
-            raise NetworkError(
-                f"unknown allocator {allocator!r}; expected one of {ALLOCATORS}"
-            )
+    def __init__(self, sim: Simulator, tracer: Tracer = NULL_TRACER):
         self.sim = sim
         self.tracer = tracer
-        self.allocator = allocator
         self._probe = probe_of(tracer)
         self.links: dict[str, Link] = {}
         self._active: dict[Flow, None] = {}
@@ -488,22 +469,17 @@ class Network:
     def _settle(self) -> None:
         """One max-min fill for everything that changed this instant,
         then re-anchor and reschedule the flows whose rate moved, in
-        admission order so both allocators consume identical event-heap
-        sequence numbers.  A flow whose rate is bitwise unchanged is not
-        touched: its anchor and completion event stay valid."""
+        admission order, so event-heap sequence numbers do not depend on
+        how the flows split into components.  A flow whose rate is
+        bitwise unchanged is not touched: its anchor and completion
+        event stay valid."""
         dirty = self._dirty
         self._dirty = {}
-        if self.allocator == "reference":
-            affected: Iterable[Flow] = self._active
-            rates = self._fill(self._active)
-            changed = [f for f in self._active if rates[f] != f.rate]
-        else:
-            rates = {}
-            for component in self._components(dirty):
-                rates.update(self._fill(component))
-            affected = rates
-            changed = [f for f, rate in rates.items() if rate != f.rate]
-            changed.sort(key=operator.attrgetter("_order"))
+        rates: dict[Flow, float] = {}
+        for component in self._components(dirty):
+            rates.update(self._fill(component))
+        changed = [f for f, rate in rates.items() if rate != f.rate]
+        changed.sort(key=operator.attrgetter("_order"))
         now = self.sim.now
         for flow in changed:
             new_rate = rates[flow]
@@ -518,7 +494,7 @@ class Network:
 
         if self._probe.enabled:
             gauged: dict[Link, None] = dict(dirty)
-            for f in affected:
+            for f in rates:
                 for lk in f.path:
                     gauged[lk] = None
             for lk in gauged:

@@ -85,7 +85,6 @@ class SwitchedTopology(ClusterTopology):
         latency: float = DEFAULT_LATENCY,
         core_bandwidth: float | None = None,
         tracer: Tracer = NULL_TRACER,
-        allocator: str = "incremental",
     ):
         if n_nodes < 1:
             raise NetworkError(f"need >= 1 node, got {n_nodes}")
@@ -93,7 +92,7 @@ class SwitchedTopology(ClusterTopology):
         self.n_nodes = n_nodes
         self.node_bandwidth = float(node_bandwidth)
         self.nas_bandwidth = float(nas_bandwidth)
-        self.network = Network(sim, tracer=tracer, allocator=allocator)
+        self.network = Network(sim, tracer=tracer)
         self.tx: list[Link] = []
         self.rx: list[Link] = []
         for i in range(n_nodes):

@@ -56,7 +56,6 @@ class ScaleConfig:
     group_size: int = 4
     epochs: int = 3
     seed: int = 0
-    allocator: str = "incremental"
     image_pages: int = 16
     page_size: int = 64
     dirty_pages_per_vm: int = 4
@@ -95,7 +94,7 @@ def build_scenario(cfg, spec: ClusterSpec, tracer: Tracer | None = None,
 
 def build_scale_scenario(cfg: ScaleConfig, tracer: Tracer | None = None):
     """The flat-fabric scenario: ``(sim, cluster, checkpointer, rngs, tracer)``."""
-    spec = ClusterSpec(n_nodes=cfg.n_nodes, allocator=cfg.allocator)
+    spec = ClusterSpec(n_nodes=cfg.n_nodes)
     return build_scenario(cfg, spec, tracer, group_size=cfg.group_size)
 
 

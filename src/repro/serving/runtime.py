@@ -28,6 +28,7 @@ import math
 
 import numpy as np
 
+from ..checkpoint.base import Unrecoverable
 from ..sim import LATE, NULL_TRACER, Tracer
 from ..telemetry import probe_of
 from .arrivals import OpenLoopArrivals
@@ -118,7 +119,6 @@ class ServingRuntime:
         self._last_lost = 0
         self._done = False
         self.drain_stalled = False
-        self._cadence = None
 
         if injector is not None:
             injector.subscribe(self._on_failure)
@@ -139,7 +139,8 @@ class ServingRuntime:
     def _run(self):
         sim = self.sim
         if self.ck is not None:
-            self._cadence = sim.process(self._cadence_loop())
+            # unjoined: a cycle that raises ends the run (Process docs)
+            sim.process(self._cadence_loop())
         sim.process(self._drain_loop())
         for chunk in self.arrivals.chunks():
             self.engine.feed(chunk)
@@ -297,7 +298,7 @@ class ServingRuntime:
         if self.ck is not None and self.ck.committed_epoch >= 0:
             try:
                 yield from self.ck.recover(node_id)
-            except RuntimeError as exc:
+            except Unrecoverable as exc:
                 self.unrecoverable.append((node_id, str(exc)))
                 self.tracer.emit(
                     self.sim.now, "serving.unrecoverable", node=node_id
@@ -415,10 +416,7 @@ class ServingRuntime:
         return np.concatenate(self._lat_chunks)
 
     def report(self) -> dict:
-        """JSON-able run summary (exact quantiles, not estimates); raises
-        the error of a checkpoint cycle that failed."""
-        if self._cadence is not None and self._cadence.ok is False:
-            raise self._cadence.value
+        """JSON-able run summary (exact quantiles, not estimates)."""
         lat = self.latencies()
         if lat.size:
             quantiles = {

@@ -310,14 +310,7 @@ def run_serving_study(
         sweep.expand()
     )
     result.raise_if_all_failed()
-    order = {
-        (p.name, s): i
-        for i, (p, s) in enumerate(
-            (p, s) for p in policies for s in range(seeds)
-        )
-    }
-    cells = sorted(
-        result.values("serving_cell"),
-        key=lambda c: order.get((c["policy"], c["trace_seed"]), 1 << 30),
-    )
+    # task order is policy-major, seed-minor: the sweep crosses its axes
+    # in sorted name order (``policy`` before ``trace_seed``)
+    cells = result.values("serving_cell")
     return ServingStudyOutcome(cells=cells, load=load), result

@@ -355,6 +355,9 @@ class Simulator:
 
         ``process`` is a generator, spawned here, or an already started
         :class:`repro.sim.process.Process`.  Its exception is re-raised.
+        So is that of any other process that fails with nothing joining
+        it: the run stops at the failure instant and the exception
+        propagates from here (see :class:`repro.sim.process.Process`).
         If the run stops (the queue drains or ``until`` is reached) with
         the process still waiting, that raises :class:`SimulationError`
         naming it instead of returning a quiet ``None``.  Only the

@@ -11,7 +11,10 @@ A *process* is a Python generator driven by the event heap in
 
 Failure propagates: if a yielded event *fails* with an exception, the
 exception is thrown into the waiting generator, where it can be caught
-with ordinary ``try/except``.  Processes can also be interrupted from the
+with ordinary ``try/except``.  A process that fails while nothing waits
+on it (no joiner, no :class:`AllOf`, no subscribed callback) re-raises
+its exception out of :meth:`Simulator.run` at the failure instant: no
+failure is dropped silently.  Processes can also be interrupted from the
 outside with :meth:`Process.interrupt`, which raises :class:`Interrupt`
 inside them — the mechanism used to model machine crashes killing
 in-flight checkpoints and migrations.
@@ -148,7 +151,10 @@ class Process(SimEvent):
 
     The process is itself a :class:`SimEvent`: it succeeds with the
     generator's return value when the generator finishes, or fails with
-    the escaping exception.  Yield a Process to join it.
+    the escaping exception.  Yield a Process to join it.  A failure with
+    no subscriber at the failure instant ends the run: the exception
+    propagates out of :meth:`Simulator.run`.  An escaping
+    :class:`Interrupt` is a clean kill, not a failure.
     """
 
     __slots__ = ("generator", "_waiting_on", "name")
@@ -167,6 +173,14 @@ class Process(SimEvent):
     @property
     def alive(self) -> bool:
         return not self.triggered
+
+    def _process_callbacks(self) -> None:
+        # A failure nobody joins is a failure of the run: re-raise it out
+        # of Simulator.run at the failure instant instead of dropping it.
+        if self._ok is False and not self.callbacks:
+            self.callbacks = None
+            raise self._value
+        super()._process_callbacks()
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..checkpoint.base import Unrecoverable
 from ..cluster.cluster import VirtualCluster
 from ..failures.injector import FailureEvent, FailureInjector
 from ..sim import Interrupt, NULL_TRACER, Tracer
@@ -153,14 +154,8 @@ class CheckpointedJob:
             and (self._heal_proc is None or not self._heal_proc.alive)
         )
         if can_heal_now:
-            self._heal_proc = self.cluster.sim.process(self._background_heal())
+            self._heal_proc = self.cluster.sim.process(self.checkpointer.heal())
         else:
-            self._needs_heal = True
-
-    def _background_heal(self):
-        try:
-            yield from self.checkpointer.heal()
-        except RuntimeError:
             self._needs_heal = True
 
     # ------------------------------------------------------------------
@@ -323,7 +318,7 @@ class CheckpointedJob:
                     continue
                 try:
                     yield from self.checkpointer.recover(node_id)
-                except (RuntimeError,) as exc:
+                except Unrecoverable as exc:
                     self.result.failure_reason = str(exc)
                     return False
                 self.result.n_recoveries += 1
@@ -336,7 +331,7 @@ class CheckpointedJob:
                 and (self._heal_proc is None or not self._heal_proc.alive)
             ):
                 self._needs_heal = False
-                self._heal_proc = sim.process(self._background_heal())
+                self._heal_proc = sim.process(self.checkpointer.heal())
             return True
         finally:
             self._recovering = False

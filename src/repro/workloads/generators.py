@@ -52,7 +52,7 @@ def scaled_scenario(
     """``vms_per_node`` identical VMs on each of the first
     ``n - spares`` of ``n`` nodes.
 
-    ``nodes`` is a node count or a whole :class:`ClusterSpec` (allocator,
+    ``nodes`` is a node count or a whole :class:`ClusterSpec` (bandwidths,
     geo fabric).  VM *i* lands on node ``i % (n - spares)``; the last
     ``spares`` nodes stay empty, so ``SparePool.provision`` takes exactly
     them.  Timing uses the logical ``vm_memory`` and a 2e5 B/s dirty

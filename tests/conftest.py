@@ -7,6 +7,7 @@ import pytest
 
 from repro.cluster import ClusterSpec, VirtualCluster
 from repro.controlplane import PlacementEngine
+from repro.network import Network, SwitchedTopology
 from repro.sim import RngRegistry, Simulator
 
 
@@ -16,6 +17,34 @@ def spread_vms(cluster: VirtualCluster, n_vms: int, memory_bytes: float,
     empty cluster, VM *i* lands on node ``i % n_nodes``."""
     return [cluster.create_vm(host, memory_bytes, **vm_kwargs)
             for host in PlacementEngine(cluster).spread(n_vms)]
+
+
+class GlobalFillNetwork(Network):
+    """The bit-exactness oracle for the component-scoped settle: every
+    settle fills all active flows as one component.  ``_active`` is
+    admission-ordered, so flows are rescheduled in the same order."""
+
+    def _components(self, dirty_links):
+        return [list(self._active)]
+
+
+def global_fill(topology):
+    """``topology`` (before its first flow) settling by global fill."""
+    topology.network.__class__ = GlobalFillNetwork
+    return topology
+
+
+def global_fill_spec(n_nodes: int) -> ClusterSpec:
+    """A flat :class:`ClusterSpec` whose fabric settles by global fill."""
+
+    def factory(sim, spec, tracer):
+        return global_fill(SwitchedTopology(
+            sim, spec.n_nodes, node_bandwidth=spec.node_bandwidth,
+            nas_bandwidth=spec.nas_bandwidth, latency=spec.latency,
+            tracer=tracer,
+        ))
+
+    return ClusterSpec(n_nodes=n_nodes, topology_factory=factory)
 
 
 @pytest.fixture

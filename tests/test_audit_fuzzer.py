@@ -224,16 +224,33 @@ class TestSchemeSweep:
         with pytest.raises(ValueError):
             FuzzConfig(scheme="lrc-4")
 
-    def test_beyond_tolerance_marker_is_deliberate_only(self):
-        """Only the em-dash ``— beyond`` messages raised when a loss
-        genuinely exceeds the scheme's tolerance count as fate.  A
-        decode failure *within* tolerance (e.g. an RS(k,2) double fault
-        the codec should have survived) matches no marker and therefore
-        surfaces as a bug, exactly as the classifier intends."""
-        fate = "silent corruption — beyond rs-8-2 tolerance 2: g0 shard1"
-        assert any(m in fate for m in fuzzer_mod._UNRECOVERABLE_MARKERS)
-        bug = "rs-8-2 decode failed: singular survivor matrix (2 erasures)"
-        assert not any(m in bug for m in fuzzer_mod._UNRECOVERABLE_MARKERS)
+    def test_beyond_tolerance_marker_is_deliberate_only(self, monkeypatch):
+        """Only :class:`Unrecoverable` counts as fate.  A decode failure
+        *within* tolerance (e.g. an RS(k,2) double fault the codec should
+        have survived) is a plain :class:`ParityCodeError` and therefore
+        fails the trial as a bug, whatever its message says."""
+        from repro.checkpoint import Unrecoverable
+        from repro.coding.parity import ParityCodeError
+        from repro.core.dvdc import DisklessCheckpointer
+
+        assert not issubclass(ParityCodeError, Unrecoverable)
+        schedule = (FaultSpec(cycle=1, phase="idle", node=1, frac=0.4),)
+        for error in (Unrecoverable, ParityCodeError):
+            def recover_group(self, group, lost_vm_ids, report, error=error):
+                raise error("group lost 2 members — beyond xor tolerance 1")
+                yield  # pragma: no cover - makes this a generator
+
+            monkeypatch.setattr(
+                DisklessCheckpointer, "_recover_group", recover_group
+            )
+            trial = run_trial(FuzzConfig(n_cycles=3), schedule, seed=0)
+            fate = error is Unrecoverable
+            assert (trial.unrecoverable is not None) is fate
+            assert trial.failed is not fate
+            if not fate:
+                assert [v.subject for v in trial.violations] == [
+                    "ParityCodeError"
+                ]
 
     @pytest.mark.parametrize("scheme", ["rs-8-2", "rep-3"])
     def test_double_faults_never_lose_data(self, scheme):

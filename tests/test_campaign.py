@@ -133,12 +133,6 @@ class TestResultStore:
         assert store.hits == 2
         assert store.misses == 1
 
-    def test_records_filter_by_kind(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
-        store.put(Task("study_cell", {"x": 1}), {"r": 1})
-        store.put(Task("mc_chunk", {"x": 1}), {"r": 2})
-        assert len(store.records()) == 2
-        assert len(store.records(kind="mc_chunk")) == 1
 
 
 def _tiny_mc_tasks(n=8):

@@ -77,6 +77,20 @@ class TestRemusPair:
         assert lost >= 0.0
         assert pair.stats.failovers == 1
 
+    def test_host_crash_mid_drain_ends_protection(self):
+        """The active host dying while an epoch drains ends ``protect``
+        with its stats, as a crash between epochs does; the aborted flow
+        is not a failure of the run."""
+        sim, cluster, vm, pair = self._setup(dirty_rate=1e9)
+        proc = sim.process(pair.protect())
+        sim.run(until=0.115)  # epoch 0 paused at 0.1, drains from 0.11
+        cluster.kill_node(0)
+        sim.run()
+        assert proc.ok is True and proc.value is pair.stats
+        assert pair.stats.epochs == 0
+        pair.failover()
+        assert vm.node_id == 1
+
     def test_failover_requires_dead_active(self):
         sim, cluster, vm, pair = self._setup()
         with pytest.raises(RuntimeError):

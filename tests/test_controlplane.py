@@ -590,6 +590,30 @@ class TestDrivers:
         assert timed_status(cp, 20.0)["committed_epoch"] >= 0
 
 
+    def test_a_bug_in_recover_ends_the_soak_unreported(self, monkeypatch):
+        """A non-fate exception out of ``recover`` ends the soak, and no
+        recovery that raised is notified as succeeded."""
+        from repro.core.dvdc import DisklessCheckpointer
+
+        def recover(self, failed_node_id):
+            raise ValueError("bug in recover")
+            yield  # pragma: no cover - makes this a generator
+
+        notified = []
+        notify = ControlPlane._notify_recovered
+
+        def spy(self, node_id, ok, error):
+            notified.append(ok)
+            notify(self, node_id, ok, error)
+
+        monkeypatch.setattr(DisklessCheckpointer, "recover", recover)
+        monkeypatch.setattr(ControlPlane, "_notify_recovered", spy)
+        cp, rngs = build_managed(6)
+        with pytest.raises(ValueError, match="bug in recover"):
+            soak(cp, rngs, ops=60)
+        assert True not in notified
+
+
 class TestPlacement:
     def test_choose_host_least_loaded_lowest_id(self, sim):
         cluster = _populated(sim, 4, vms_per_node=1)

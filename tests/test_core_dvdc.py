@@ -201,6 +201,38 @@ class TestDVDCRecovery:
         assert validate_layout(ck.layout, paper_cluster).ok
         assert _parity_matches_committed(paper_cluster, ck)
 
+    def test_heal_survives_new_home_crash_mid_encode(self, paper_cluster, sim, rng):
+        # a background heal nobody joins: were the crash of the node it
+        # re-encodes onto to escape as an error, it would end the run
+        ck = dvdc(paper_cluster)
+        encode_at = ck._encode_at
+        crashed = []
+
+        def encode_then_crash(node_id, nbytes):
+            if not crashed:
+                crashed.append(node_id)
+
+                def crash():
+                    yield sim.timeout(1e-6)
+                    paper_cluster.kill_node(node_id)
+
+                sim.process(crash())
+            yield from encode_at(node_id, nbytes)
+
+        def proc():
+            yield from ck.run_cycle()
+            paper_cluster.kill_node(1)
+            yield from ck.recover(1)
+            paper_cluster.repair_node(1)
+            ck._encode_at = encode_then_crash
+            sim.process(ck.heal())
+
+        sim.run_process(proc())
+        sim.run()
+        assert crashed
+        assert not paper_cluster.node(crashed[0]).alive
+        assert not ck.layout.groups_with_parity_on(crashed[0])
+
 
 class TestFoldedEpoch:
     """An incremental epoch under a scheme that folds deltas: the blocks

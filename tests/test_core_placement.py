@@ -58,7 +58,7 @@ class TestFailureAnalysis:
         spread_vms(cluster4, 12, 1e9)
         layout = layout_dvdc(cluster4)
         for node in range(4):
-            losses = group_losses_if_node_fails(layout, cluster4, node)
+            losses = group_losses_if_node_fails(layout, cluster4, {node})
             # node hosts 3 member VMs (3 groups) + 1 parity block
             assert len(losses) == 4
             assert all(v == 1 for v in losses.values())

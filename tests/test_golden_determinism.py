@@ -12,7 +12,8 @@ ordered ``flows`` digest but not this one.
 
 The tests prove the digests are byte-stable across
 
-* the incremental vs reference fluid-flow allocator,
+* the component-scoped settle vs one global max-min fill (the
+  ``GlobalFillNetwork`` oracle, the "reference" cases),
 * campaign execution with ``--jobs 1`` vs ``--jobs 4``,
 
 and that all of them equal the pinned golden values, so any perf change
@@ -34,9 +35,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import global_fill_spec
 from repro.geo.study import GeoConfig, build_geo_scenario
 from repro.perf import ScaleConfig, build_scale_scenario, run_epochs, scenario_digests
-from repro.perf.scale import _dirty_epoch
+from repro.perf.scale import _dirty_epoch, build_scenario
 from repro.telemetry import Probe
 from repro.telemetry.export import chrome_trace
 from repro.workloads import scaled_scenario
@@ -61,8 +63,15 @@ def flow_records_digest(tracer) -> str:
 
 
 def _run_digests(allocator: str = "incremental") -> dict:
-    cfg = ScaleConfig(**GOLDEN_CFG, allocator=allocator, trace=True)
-    sim, cluster, ckpt, rngs, tracer = build_scale_scenario(cfg)
+    """The golden scenario's digests; ``allocator="reference"`` runs it
+    on the global-fill oracle fabric."""
+    cfg = ScaleConfig(**GOLDEN_CFG, trace=True)
+    if allocator == "reference":
+        sim, cluster, ckpt, rngs, tracer = build_scenario(
+            cfg, global_fill_spec(cfg.n_nodes), group_size=cfg.group_size
+        )
+    else:
+        sim, cluster, ckpt, rngs, tracer = build_scale_scenario(cfg)
     run_epochs(sim, cluster, ckpt, rngs, cfg)
     return {
         "events": sim.event_count,
@@ -121,8 +130,8 @@ def test_flow_records_match_golden_in_any_order(allocator):
 
 @pytest.mark.parametrize("allocator", ["reference"])
 def test_optimization_paths_match_golden(allocator):
-    """The reference (global recompute) allocator reproduces the pinned
-    incremental-allocator run."""
+    """One global fill per settle (the oracle) reproduces the pinned
+    component-scoped run."""
     golden = _golden()
     result = _run_digests(allocator=allocator)
     assert result["events"] == golden["events"]
@@ -229,9 +238,11 @@ GOLDEN_GEO_CELL = dict(
 def _campaign_digests(jobs: int) -> list[dict]:
     from repro.campaign import CampaignRunner, Task
 
+    # two distinct cells: a one-site fabric has no WAN link, so its
+    # bandwidth moves no digest
     tasks = [
-        Task(kind="geo_cell", params={**GOLDEN_GEO_CELL, "allocator": alloc})
-        for alloc in ("incremental", "reference")
+        Task(kind="geo_cell", params={**GOLDEN_GEO_CELL, "wan_bandwidth": bw})
+        for bw in (125e6, 250e6)
     ]
     result = CampaignRunner(jobs=jobs).run(tasks)
     assert result.n_failed == 0, [r.error for r in result.failures()]

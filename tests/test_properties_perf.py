@@ -9,8 +9,8 @@ work leans on hardest:
   fold, and ``fold_many`` of XOR and RS equal to a whole re-encode;
 * fluid-flow conservation — under random flap/abort/degrade schedules,
   delivered bytes match flow sizes, links never leak flows, and the
-  incremental allocator's per-flow trajectory is bit-identical to the
-  reference allocator's;
+  component-scoped settle's per-flow trajectory is bit-identical to one
+  global fill's (the ``GlobalFillNetwork`` oracle);
 * ``MemoryImage.touch_pages`` accounting — ``dirty_page_count`` counts
   *unique* pages (the double-count regression) while RNG consumption
   stays keyed to the raw index list;
@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import global_fill
 from repro.cluster.checksum import block_checksum
 from repro.cluster.memory import MemoryImage
 from repro.cluster.xorsum import (
@@ -252,13 +253,16 @@ def _run_flow_schedule(allocator: str, seed: int):
     """Drive a random flow + fault schedule; returns per-flow records.
 
     The schedule (flows, flaps, drops, degradations) is derived from the
-    seed *before* running, so both allocators see the same stimulus.
+    seed *before* running, so both allocators see the same stimulus;
+    ``"reference"`` settles by global fill.
     """
     registry = RngRegistry(seed)
     rng = registry.stream("flow-schedule")
     sim = Simulator()
     n_nodes = 6
-    topo = SwitchedTopology(sim, n_nodes, allocator=allocator)
+    topo = SwitchedTopology(sim, n_nodes)
+    if allocator == "reference":
+        global_fill(topo)
     flows = []
 
     def start(src, dst, size, label):

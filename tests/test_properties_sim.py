@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import GlobalFillNetwork
 from repro.network import Network
 from repro.sim import Simulator
 
@@ -179,6 +180,10 @@ class _CheckedNetwork(Network):
         )
 
 
+class _CheckedGlobalFillNetwork(GlobalFillNetwork, _CheckedNetwork):
+    """The checked settle over one global component: the oracle."""
+
+
 #: one burst: (instant, [op, ...]); ops are drawn as plain tuples so the
 #: same schedule replays on every allocator
 _OPS = st.one_of(
@@ -195,9 +200,9 @@ _BURSTS = st.lists(
 )
 
 
-def _replay(cls, allocator, bandwidths, latencies, bursts):
+def _replay(cls, bandwidths, latencies, bursts):
     sim = Simulator()
-    net = cls(sim, allocator=allocator)
+    net = cls(sim)
     links = [
         net.add_link(f"l{i}", bandwidth=float(bw), latency=lat)
         for i, (bw, lat) in enumerate(zip(bandwidths, latencies))
@@ -238,8 +243,8 @@ class TestEndOfInstantSettle:
         self, bandwidths, latencies, bursts
     ):
         runs = {
-            alloc: _replay(_CheckedNetwork, alloc, bandwidths, latencies, bursts)
-            for alloc in ("incremental", "reference")
+            cls: _replay(cls, bandwidths, latencies, bursts)
+            for cls in (_CheckedNetwork, _CheckedGlobalFillNetwork)
         }
         (sim_i, net_i, flows_i), (sim_r, net_r, flows_r) = runs.values()
         # the two allocators: bit-identical rate trajectories and ends
@@ -254,7 +259,7 @@ class TestEndOfInstantSettle:
         # the per-change allocator executes exactly as many events: the
         # completions it cancels and reschedules mid-instant never run
         sim_e, _, flows_e = _replay(
-            _EagerNetwork, "incremental", bandwidths, latencies, bursts
+            _EagerNetwork, bandwidths, latencies, bursts
         )
         assert sim_e.event_count == sim_i.event_count
         assert [f.ok for f in flows_e] == [f.ok for f in flows_i]

@@ -140,7 +140,8 @@ class TestRetryingTransfer:
             yield from retrying_transfer(sim2, make_flow2, policy, probe=probe)
 
         proc = sim2.process(driver2())
-        sim2.run()
+        with pytest.raises(RetryExhausted):
+            sim2.run()
         assert proc.ok is False and isinstance(proc.value, RetryExhausted)
         assert _counter(probe, "repro_resilience_retry_exhausted_total") == 1
 

@@ -431,6 +431,32 @@ class TestConcurrentKills:
         assert audit.fatal == []
 
 
+class TestNothingFailsSilently:
+    def test_a_bug_in_recover_fails_the_cell(self, monkeypatch):
+        """Only :class:`~repro.checkpoint.Unrecoverable` is fate.  Any
+        other exception out of ``recover`` is a bug: it ends the cell
+        at the first crash's recovery instead of being counted away
+        (this shape calls ``recover`` 12 times)."""
+        from repro.core.dvdc import DisklessCheckpointer
+        from repro.serving.study import build_serving_cell
+
+        calls = []
+
+        def recover(self, failed_node_id):
+            calls.append(self.cluster.sim.now)
+            raise ValueError("bug in recover")
+            yield  # pragma: no cover - makes this a generator
+
+        monkeypatch.setattr(DisklessCheckpointer, "recover", recover)
+        run = build_serving_cell(
+            policies_named(["checkpoint"])[0],
+            ServingLoad(n_requests=20_000, node_mtbf=300.0), 0,
+        )
+        with pytest.raises(ValueError, match="bug in recover"):
+            run()
+        assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # study orchestration
 

@@ -183,7 +183,8 @@ class TestJoin:
             raise RuntimeError("unhandled")
 
         p = sim.process(child())
-        sim.run()
+        with pytest.raises(RuntimeError, match="unhandled"):
+            sim.run()
         assert p.ok is False
         assert isinstance(p.value, RuntimeError)
 
@@ -192,9 +193,26 @@ class TestJoin:
             yield 42
 
         p = sim.process(bad())
-        sim.run()
+        with pytest.raises(ProcessError, match="non-event"):
+            sim.run()
         assert p.ok is False
         assert isinstance(p.value, ProcessError)
+
+    def test_unjoined_failure_stops_the_run_at_its_instant(self, sim):
+        """Nothing fails silently: a failure nobody waits on propagates
+        out of ``run`` when it happens, and later events do not run."""
+        later = []
+
+        def child():
+            yield sim.timeout(2.0)
+            raise ValueError("nobody joins me")
+
+        sim.process(child())
+        sim.schedule(5.0, later.append, "ran")
+        with pytest.raises(ValueError, match="nobody joins me"):
+            sim.run()
+        assert sim.now == 2.0
+        assert later == []
 
 
 class TestInterrupt:

@@ -98,12 +98,12 @@ class TestScenarios:
         assert img.flat[:512].any() and not img.flat[512:].any()
 
     def test_builder_takes_a_cluster_spec(self):
-        from repro.cluster import ClusterSpec
+        from conftest import GlobalFillNetwork, global_fill_spec
 
-        spec = ClusterSpec(n_nodes=3, allocator="reference")
+        spec = global_fill_spec(3)
         sc = scaled_scenario(spec, 2)
         assert sc.cluster.spec is spec
-        assert sc.cluster.topology.network.allocator == "reference"
+        assert type(sc.cluster.topology.network) is GlobalFillNetwork
         assert [vm.node_id for vm in sc.vms] == [0, 1, 2, 0, 1, 2]
 
     @pytest.mark.parametrize("spares", [-1, 3])
