@@ -35,6 +35,7 @@ from ..checkpoint.base import Unrecoverable
 from ..checkpoint.strategies import ForkedCapture, FullCapture, IncrementalCapture
 from ..cluster.cluster import ClusterSpec, VirtualCluster
 from ..core.architectures import checkpoint_node, dvdc, first_shot
+from ..core.recovery import RecoveryDriver
 from ..failures.injector import FailureEvent
 from ..sim import NULL_TRACER, Simulator, Tracer
 from ..telemetry import probe_of
@@ -377,7 +378,7 @@ def run_trial(
     chaos = np.random.default_rng([seed, 0xCA])  # corruption targeting
     trial = TrialResult(seed=seed, config=config, schedule=schedule)
     expected: dict[int, np.ndarray] = {}
-    pending: list[int] = []  # killed nodes awaiting recovery
+    recovery = RecoveryDriver(ck)  # killed nodes are handed over at the kill
     scrub = None
     if config.transient:
         from ..resilience.scrubber import Scrubber
@@ -392,7 +393,7 @@ def run_trial(
             FailureEvent(time=sim.now, node_id=node_id,
                          ordinal=len(trial.faults_fired))
         )
-        pending.append(node_id)
+        recovery.hand_over(node_id)
 
     def fire(f: FaultSpec) -> None:
         if f.kind == "kill":
@@ -427,10 +428,6 @@ def run_trial(
             if img is not None and img.payload is not None:
                 expected[vm.vm_id] = img.payload_flat().copy()
 
-    def recover_node(node: int):
-        yield from ck.recover(node)
-        trial.recoveries += 1
-
     def salvage_and_converge(cycle: int):
         """Remote-copy salvage of a beyond-tolerance loss (remus-async).
 
@@ -455,8 +452,8 @@ def run_trial(
         for n in cluster.nodes:
             if not n.alive:
                 cluster.repair_node(n.node_id)
-                if n.node_id in pending:
-                    pending.remove(n.node_id)
+                if n.node_id in recovery.queue:
+                    recovery.queue.remove(n.node_id)
         still_lost = [
             vm.vm_id for vm in cluster.all_vms if vm.node_id is None
         ]
@@ -490,25 +487,28 @@ def run_trial(
         re-runs recovery, bounded so a genuine bug still surfaces as a
         homeless-VM audit violation instead of a hang.
         """
+        def recover_killed(node: int, node_recovery):
+            # aim the cycle's mid-recovery faults, then repair and heal;
+            # beyond tolerance only remus-async has a way back
+            for f in schedule:
+                if f.cycle == cycle and f.phase == "mid_recovery":
+                    sim.schedule(max(f.frac * rec_est, 1e-9), fire, f)
+            if scrub is not None:
+                scrub.scrub_once()
+            try:
+                yield from node_recovery
+            except Unrecoverable:
+                if replicator is None:
+                    raise
+                yield from salvage_and_converge(cycle)
+                return
+            trial.recoveries += 1
+            cluster.repair_node(node)
+            yield from ck.heal()
+
         stalls = 0
         while True:
-            if pending:
-                node = pending.pop(0)
-                for f in schedule:
-                    if f.cycle == cycle and f.phase == "mid_recovery":
-                        sim.schedule(max(f.frac * rec_est, 1e-9), fire, f)
-                if scrub is not None:
-                    scrub.scrub_once()
-                try:
-                    yield from recover_node(node)
-                except Unrecoverable:
-                    if replicator is None:
-                        raise
-                    yield from salvage_and_converge(cycle)
-                    continue
-                cluster.repair_node(node)
-                yield from ck.heal()
-                continue
+            yield from recovery.drain(recover_killed)
             recovered = all(vm.node_id is not None for vm in cluster.all_vms)
             if recovered or not config.transient or stalls >= 3:
                 if (
@@ -526,15 +526,16 @@ def run_trial(
                 return
             stalls += 1
             yield sim.timeout(max(rec_est, 2.0))  # let the outage clear
-            if pending:
+            if recovery.queue:
                 continue
             if scrub is not None:
                 scrub.scrub_once()
-            yield from recover_node(-1)
+            yield from ck.recover(-1)  # re-run for the starved rebuilds
+            trial.recoveries += 1
             yield from ck.heal()
 
     def quiescent_audit(where: str) -> None:
-        if pending or any(not n.alive for n in cluster.nodes):
+        if recovery.queue or any(not n.alive for n in cluster.nodes):
             return
         if scrub is not None:
             report = scrub.scrub_once()

@@ -151,7 +151,7 @@ def run_study_cell(params: dict, seed: int | None) -> dict:
     }
 
 
-@register_task("serving_cell", version="2")
+@register_task("serving_cell", version="3")
 def run_serving_cell_task(params: dict, seed: int | None) -> dict:
     """One (policy, trace seed) cell of a paired serving study.
 

@@ -71,7 +71,8 @@ class CaptureStrategy(Protocol):
 
     ``elapsed`` is the time since this VM's previous checkpoint — what
     incremental strategies need to size the dirty set for logical-only
-    VMs (functional VMs read their real dirty log instead).
+    VMs (functional VMs read their real dirty log instead).  ``base`` is
+    False when the protocol holds no image of this VM to diff against.
     """
 
     def capture(
@@ -81,6 +82,7 @@ class CaptureStrategy(Protocol):
         epoch: int,
         now: float,
         elapsed: float,
+        base: bool = True,
     ) -> CaptureOutcome:  # pragma: no cover - protocol
         ...
 

@@ -16,7 +16,7 @@ respective nodes.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Collection, Sequence
 
 from ..cluster.cluster import VirtualCluster
 from ..cluster.vm import VirtualMachine, VMState
@@ -50,12 +50,15 @@ class CoordinatedCheckpoint:
         vms: Sequence[VirtualMachine],
         epoch: int,
         elapsed: float,
+        baseless: Collection[int] = frozenset(),
     ):
         """Simulation process: barrier-pause, capture, barrier-resume.
 
         Returns ``(outcomes, pause_window)`` where ``outcomes`` is a list
         of :class:`CaptureOutcome` in VM order and ``pause_window`` is
-        the global suspension charged to the job.
+        the global suspension charged to the job.  ``baseless`` names the
+        VMs the calling protocol holds no base image of; their capture
+        is told so (``base=False``).
 
         Per-VM captures on the *same* node serialize (one capture engine
         per hypervisor); captures on different nodes run concurrently.
@@ -78,7 +81,10 @@ class CoordinatedCheckpoint:
             node_id = vm.node_id
             assert node_id is not None
             hv = self.cluster.hypervisor(node_id)
-            outcome = self.strategy.capture(hv, vm, epoch, sim.now, elapsed)
+            outcome = self.strategy.capture(
+                hv, vm, epoch, sim.now, elapsed,
+                base=vm.vm_id not in baseless,
+            )
             outcomes.append(outcome)
             per_node_pause[node_id] = per_node_pause.get(node_id, 0.0) + outcome.pause_seconds
 

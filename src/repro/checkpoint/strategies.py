@@ -37,6 +37,7 @@ class FullCapture:
         epoch: int,
         now: float,
         elapsed: float,
+        base: bool = True,
     ) -> CaptureOutcome:
         image = hypervisor.capture_full(vm, now, epoch)
         pause = self.spec.pause_fixed + vm.memory_bytes / self.spec.copy_bandwidth
@@ -50,7 +51,9 @@ class IncrementalCapture:
     For logical-only VMs the dirty set is estimated as
     ``min(dirty_rate · elapsed, memory_bytes)`` — the saturating
     working-set approximation (repeated writes to a hot page cost one
-    page).  The first epoch is necessarily full.
+    page).  A VM with nothing to diff against captures full: every VM
+    at epoch 0, and any VM the protocol reports without a base
+    (``base=False``: one reprovisioned or provisioned mid-run).
     """
 
     spec: CaptureSpec = field(default_factory=CaptureSpec)
@@ -62,8 +65,9 @@ class IncrementalCapture:
         epoch: int,
         now: float,
         elapsed: float,
+        base: bool = True,
     ) -> CaptureOutcome:
-        if epoch == 0:
+        if epoch == 0 or not base:
             image = hypervisor.capture_full(vm, now, epoch)
             pause = self.spec.pause_fixed + vm.memory_bytes / self.spec.copy_bandwidth
             return CaptureOutcome(image=image, pause_seconds=pause)
@@ -90,6 +94,7 @@ class ForkedCapture:
         epoch: int,
         now: float,
         elapsed: float,
+        base: bool = True,
     ) -> CaptureOutcome:
         image = hypervisor.capture_forked(vm, now, epoch)
         return CaptureOutcome(image=image, pause_seconds=self.spec.pause_fixed)

@@ -544,7 +544,8 @@ def _cmd_serving_run(args: argparse.Namespace) -> int:
     lat = report["latency"]
     print(render_table(
         ["offered", "completed", "lost", "p50 ms", "p95 ms", "p99 ms",
-         "p999 ms", "pauses", "pause s", "failures"],
+         "p999 ms", "pauses", "pause s", "failures", "recovered",
+         "salvaged"],
         [[
             report["offered"],
             report["completed"],
@@ -554,6 +555,8 @@ def _cmd_serving_run(args: argparse.Namespace) -> int:
             report["pauses"],
             f"{report['pause_seconds']:.2f}",
             report["failures"],
+            report["recoveries"],
+            report["salvaged"],
         ]],
         title=f"serving run: policy {policy.name!r}, seed {args.seed}",
     ))

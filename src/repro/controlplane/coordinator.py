@@ -14,10 +14,12 @@ PVC-style control plane:
   alive (a false positive: long flap, partition) is STONITH'd —
   power-fenced via ``kill_node`` — because an unreachable node must be
   assumed rogue before its VMs are rebuilt elsewhere;
-* **recovery pipeline** — fenced nodes queue into a serialized recovery
-  worker: protocol :meth:`~repro.core.dvdc.DisklessCheckpointer.recover`,
-  then :meth:`~repro.resilience.healing.SelfHealer.reprotect` (spares),
-  then a strict audit;
+* **recovery pipeline** — each fenced node is handed to the
+  :class:`~repro.core.recovery.RecoveryDriver`, whose drain recovers
+  one node at a time under the protocol lock; each recovery is followed
+  by :meth:`~repro.resilience.healing.SelfHealer.reprotect` (spares)
+  and a strict audit, and a loss beyond tolerance by
+  :func:`~repro.core.recovery.salvage`;
 * **checkpoint cadence** — an optional periodic loop drives
   ``run_cycle()`` every ``checkpoint_interval`` sim-seconds, pausing
   while recovery or maintenance holds the protocol lock;
@@ -40,9 +42,9 @@ from dataclasses import dataclass
 from ..audit.invariants import AuditReport, audit_cluster
 from ..checkpoint.base import Unrecoverable
 from ..cluster.cluster import VirtualCluster
-from ..cluster.vm import VMState
 from ..core.dvdc import DisklessCheckpointer
-from ..core.groups import LayoutError, RaidGroup, build_orthogonal_layout
+from ..core.groups import RaidGroup, build_orthogonal_layout
+from ..core.recovery import RecoveryDriver, salvage
 from ..resilience.healing import ClusterHealth, SelfHealer, SparePool
 from ..resilience.scrubber import Scrubber
 from ..sim import Interrupt, NULL_TRACER, Resource, Tracer
@@ -50,7 +52,7 @@ from ..telemetry import probe_of
 from .heartbeat import HeartbeatRegistry, KeepalivePolicy, keepalive_loop
 from .maintenance import drain_node
 from .ops import OP_KINDS, Operation, OpRejected, OpState
-from .scheduler import PlacementEngine, PlacementError
+from .scheduler import PlacementEngine
 
 __all__ = ["ControlPlane", "ControlPlaneConfig", "AuditFailure"]
 
@@ -117,8 +119,7 @@ class ControlPlane:
         # one protocol lock serializes cycles, recoveries, and drains —
         # the cluster-state mutations that must not interleave
         self._lock = Resource(cluster.sim, capacity=1)
-        self._recovery_queue: list[int] = []
-        self._recovery_proc = None
+        self.recovery = RecoveryDriver(checkpointer)
         self._heal_proc = None
         self._recovered_waiters: dict[int, list] = {}
         #: last completed recovery result per node, cleared when the
@@ -212,9 +213,8 @@ class ControlPlane:
             self.cluster.kill_node(node_id)
             self.healer.on_failure()
             sim.schedule(self.config.repair_time, self._repair, node_id)
-        self._recovery_queue.append(node_id)
-        if self._recovery_proc is None or not self._recovery_proc.alive:
-            self._recovery_proc = sim.process(self._recovery_worker())
+        if self.recovery.hand_over(node_id):
+            sim.process(self.recovery.drain(self._recover_fenced))
 
     def _repair(self, node_id: int) -> None:
         if node_id in self.maintenance:
@@ -229,7 +229,7 @@ class ControlPlane:
         # the monitor loop re-enrolls the node on its next sweep
         if (
             self.healer.state is not ClusterHealth.PROTECTED
-            and not self._recovery_queue
+            and not self.recovery.queue
             and (self._heal_proc is None or not self._heal_proc.alive)
         ):
             # a repaired node restores capacity that an earlier
@@ -242,7 +242,7 @@ class ControlPlane:
         req = self._lock.request()
         yield req
         try:
-            if self._recovery_queue:
+            if self.recovery.queue:
                 return  # a fresh crash owns the gap now
             # short on capacity ends DEGRADED; the next repair retries
             yield from self.healer.reprotect()
@@ -252,156 +252,67 @@ class ControlPlane:
     # ------------------------------------------------------------------
     # recovery pipeline
     # ------------------------------------------------------------------
-    def _recovery_worker(self):
+    def _recover_fenced(self, node_id: int, recovery):
+        """One fenced node's recovery under the protocol lock (the
+        :class:`RecoveryDriver` drain's wrapper): recover, or salvage
+        once the pileup has drained; then reprotect and audit."""
         sim = self.cluster.sim
-        while self._recovery_queue:
-            node_id = self._recovery_queue.pop(0)
-            req = self._lock.request()
-            yield req
-            span = self.probe.span_begin(
-                "controlplane.recover", sim.now, node=node_id
-            )
-            ok, error = True, None
-            try:
-                try:
-                    if self.ck.committed_epoch < 0:
-                        self._cold_restore()
-                    else:
-                        report = yield from self.ck.recover(node_id)
-                        self.recoveries.append(report)
-                except Unrecoverable as exc:
-                    ok, error = False, str(exc)
-                    # last resort, once the pileup has drained: a loss
-                    # beyond single-parity tolerance cannot be rebuilt,
-                    # so declare the VMs lost and reprovision them
-                    if not self._recovery_queue and self._can_salvage():
-                        ok, error = yield from self._salvage(error)
-                if ok:
-                    try:
-                        yield from self.healer.reprotect()
-                        # audit once the queue drains: a strict sweep
-                        # mid-pileup would flag the *next* crash we have
-                        # not absorbed yet, not this recovery
-                        if not self._recovery_queue:
-                            self.audit(f"recovery of node {node_id}")
-                    except AuditFailure as exc:
-                        ok, error = False, f"{type(exc).__name__}: {exc}"
-            finally:
-                self._lock.release()
-            # anything else escaping the try is a bug and ends the run, so
-            # only an outcome the worker reached is ever reported
-            self.probe.span_end(span, sim.now, ok=ok)
-            if not ok:
-                self.probe.count(
-                    "repro_controlplane_recovery_failures_total",
-                    help="Recoveries that raised (e.g. double failure)",
-                )
-                self.tracer.emit(sim.now, "controlplane.recovery_failed",
-                                 node=node_id, error=error)
-            self._notify_recovered(node_id, ok, error)
-        self._recovery_proc = None
-
-    def _can_salvage(self) -> bool:
-        from ..checkpoint.strategies import IncrementalCapture
-
-        # incremental capture cannot re-baseline a fresh VM mid-run;
-        # there the failure is surfaced to the caller instead
-        return self.ck.committed_epoch >= 0 and not isinstance(
-            self.ck.strategy, IncrementalCapture
+        req = self._lock.request()
+        yield req
+        span = self.probe.span_begin(
+            "controlplane.recover", sim.now, node=node_id
         )
+        ok, error = True, None
+        try:
+            try:
+                report = yield from recovery
+                if report is not None:
+                    self.recoveries.append(report)
+            except Unrecoverable as exc:
+                ok, error = False, str(exc)
+                if not self.recovery.queue:
+                    ok, error = yield from self._salvage(error)
+            if ok:
+                try:
+                    yield from self.healer.reprotect()
+                    # audit once the queue drains: a strict sweep
+                    # mid-pileup would flag the *next* crash we have
+                    # not absorbed yet, not this recovery
+                    if not self.recovery.queue:
+                        self.audit(f"recovery of node {node_id}")
+                except AuditFailure as exc:
+                    ok, error = False, f"{type(exc).__name__}: {exc}"
+        finally:
+            self._lock.release()
+        # anything else escaping the try is a bug and ends the run, so
+        # only an outcome this wrapper reached is ever reported
+        self.probe.span_end(span, sim.now, ok=ok)
+        if not ok:
+            self.probe.count(
+                "repro_controlplane_recovery_failures_total",
+                help="Recoveries that raised (e.g. double failure)",
+            )
+            self.tracer.emit(sim.now, "controlplane.recovery_failed",
+                             node=node_id, error=error)
+        self._notify_recovered(node_id, ok, error)
 
     def _salvage(self, cause: str):
-        """Process: declare unrecoverable VMs lost, reprovision them.
-
-        Overlapping crashes can exceed what single parity can rebuild.
-        Rather than leave the cluster permanently degraded, do what a
-        real control plane does: reprovision the unrecoverable VMs with
-        fresh state (the data loss is counted in telemetry) and take a
-        full checkpoint epoch so parity covers the new images.  No node
-        left to host a VM or a shard is :class:`Unrecoverable` and fails
-        the salvage; any other exception is a bug and ends the run.
-        """
-        sim = self.cluster.sim
-        lost = [
-            vm for vm in self.cluster.all_vms
-            if vm.state == VMState.FAILED and vm.node_id is None
-        ]
+        """Process: :func:`~repro.core.recovery.salvage` the loss under
+        the lock, counting the reprovisioned VMs (the data loss) in
+        telemetry.  No node left to host on fails the recovery."""
         try:
-            for vm in lost:
-                # keep the group spread: avoid its parity home and the
-                # hosts of its surviving members where possible
-                exclude = self.maintenance | self.fenced
-                try:
-                    group = self.layout.group_of(vm.vm_id)
-                except LayoutError:
-                    group = None
-                if group is not None:
-                    exclude = exclude | set(group.parity_nodes) | {
-                        self.cluster.vm(v).node_id
-                        for v in group.member_vm_ids
-                        if v != vm.vm_id
-                        and self.cluster.vm(v).node_id is not None
-                    }
-                try:
-                    target = self.engine.choose_host(exclude=exclude)
-                except PlacementError:
-                    # degraded placement beats leaving the VM dead
-                    try:
-                        target = self.engine.choose_host(
-                            exclude=self.maintenance | self.fenced
-                        )
-                    except PlacementError as exc:
-                        raise Unrecoverable(str(exc)) from exc
-                self.cluster.place_failed_vm(vm.vm_id, target)
-                vm.revive()
-                self.probe.count(
-                    "repro_controlplane_vms_lost_total",
-                    help="VMs reprovisioned empty after unrecoverable loss",
-                )
-            self.tracer.emit(
-                sim.now, "controlplane.salvage",
-                vms=[vm.vm_id for vm in lost], cause=cause,
-            )
-            # groups with a shard home still down would abort the fresh
-            # epoch: point those shards at live nodes first — the epoch
-            # writes brand-new blocks, nothing is read from the old home
-            # (its RAM died with it).  Every shard keeps its own distinct
-            # non-member node.
-            for group in list(self.layout.groups):
-                dead = [
-                    j for j, p in enumerate(group.parity_nodes)
-                    if not self.cluster.node(p).alive
-                ]
-                if not dead:
-                    continue
-                homes = self.ck.shard_homes(group, dead)
-                self.layout.replace_group(
-                    group.group_id,
-                    RaidGroup(
-                        group.group_id, group.member_vm_ids,
-                        homes[0], tuple(homes[1:]),
-                    ),
-                )
-            result = yield from self.ck.run_cycle()
+            lost = yield from salvage(self.ck, self.ck.run_cycle)
         except Unrecoverable as exc:
             return False, f"salvage failed: {type(exc).__name__}: {exc}"
-        if not result.committed:
-            return False, "salvage cycle aborted by a concurrent failure"
+        if lost:
+            self.probe.count(
+                "repro_controlplane_vms_lost_total", len(lost),
+                help="VMs reprovisioned empty after unrecoverable loss",
+            )
+        self.tracer.emit(
+            self.cluster.sim.now, "controlplane.salvage", vms=lost, cause=cause,
+        )
         return True, None
-
-    def _cold_restore(self) -> None:
-        """Nothing committed yet: re-place dead VMs empty (cold restart).
-        No live host left is :class:`Unrecoverable`, as in ``recover``."""
-        for vm in self.cluster.all_vms:
-            if vm.state == VMState.FAILED and vm.node_id is None:
-                try:
-                    target = self.engine.choose_host(
-                        exclude=self.maintenance | self.fenced
-                    )
-                except PlacementError as exc:
-                    raise Unrecoverable(str(exc)) from exc
-                self.cluster.place_failed_vm(vm.vm_id, target)
-                vm.revive()
 
     def recovered_event(self, node_id: int):
         """A yieldable event triggered when ``node_id``'s recovery ends.
@@ -429,10 +340,7 @@ class ControlPlane:
         try:
             while True:
                 yield sim.timeout(interval)
-                if self._recovery_queue or (
-                    self._recovery_proc is not None
-                    and self._recovery_proc.alive
-                ):
+                if self.recovery.busy:
                     continue  # recovery owns the lock; cycle next tick
                 yield from self.checkpoint()
         except Interrupt:
@@ -463,9 +371,10 @@ class ControlPlane:
         """Form parity groups from provisioned-but-unprotected VMs.
 
         Called at a checkpoint boundary under the lock; the new groups'
-        first capture in the imminent cycle is a full one (the capture
-        strategies treat base-less VMs as epoch-0), bringing them under
-        protection atomically with the epoch commit.
+        first capture in the imminent cycle is a full one (the protocol
+        reports the new VMs base-less to the capture strategy, and their
+        groups are encoded whole), bringing them under protection
+        atomically with the epoch commit.
         """
         if not self.pending_protect:
             return
@@ -581,17 +490,6 @@ class ControlPlane:
 
     # -- provision ------------------------------------------------------
     def _op_provision(self, op: Operation):
-        from ..checkpoint.strategies import IncrementalCapture
-
-        if (
-            isinstance(self.ck.strategy, IncrementalCapture)
-            and self.ck.committed_epoch >= 0
-        ):
-            raise OpRejected(
-                "provisioning into a running incremental-capture protocol "
-                "is unsupported (new VMs have no base epoch); use a "
-                "full/forked capture strategy"
-            )
         p = op.params
         node_id = self.engine.choose_host(
             exclude=self.maintenance | self.fenced
@@ -738,7 +636,7 @@ class ControlPlane:
     def settling(self) -> bool:
         """Nodes are still fenced or recoveries still queued: the state a
         soak waits out before its final audit."""
-        return bool(self.fenced or self._recovery_queue)
+        return bool(self.fenced or self.recovery.queue)
 
     @property
     def all_ops_terminal(self) -> bool:

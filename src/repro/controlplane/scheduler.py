@@ -75,17 +75,6 @@ class PlacementEngine:
             heapq.heappush(heap, (load + 1, nid))
         return out
 
-    def round_robin(self, count: int, exclude=frozenset()) -> list[int]:
-        """Hosts for ``count`` VMs, strict round-robin over alive nodes.
-
-        Bit-identical to the historical ``alive[i % len(alive)]`` loops
-        in job cold-restart and scenario factories, which now route
-        through the engine."""
-        nodes = self._candidates(exclude)
-        if not nodes:
-            raise PlacementError("no eligible node for placement")
-        return [nodes[i % len(nodes)].node_id for i in range(count)]
-
     # ------------------------------------------------------------------
     def choose_drain_target(
         self,

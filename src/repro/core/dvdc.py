@@ -34,8 +34,11 @@ Incremental epochs move only dirty data.  A scheme that folds deltas
 (XOR, and RS through the members' columns of its generator) folds
 ``old ⊕ new`` of the dirty pages into the staged copy of the previous
 shards — the RAID-5 small-write optimization applied to checkpoints;
-any other scheme (RDP, replication) materializes each member
-(committed base + dirty pages) and re-encodes its shards whole.  Every
+any other scheme (RDP, replication), and any group with a full capture
+or a shard without its previous block, materializes each member
+(committed base + dirty pages) and re-encodes its shards whole.  A VM
+with no committed image (provisioned or salvaged mid-run) has no base
+to diff against and is captured full.  Every
 block's ``member_checksums`` are the CRCs the commit takes of the
 members' bytes, except XOR-folded blocks, which record none; an
 XOR-folded block's own checksum is derived from those CRCs
@@ -168,7 +171,7 @@ class DisklessCheckpointer:
     # ------------------------------------------------------------------
     # recovery placement constraints
     # ------------------------------------------------------------------
-    def _recovery_exclude(self, base: set[int]) -> set[int]:
+    def recovery_exclude(self, base: set[int]) -> set[int]:
         """Exclusion set for recovery placement: the crash being handled
         plus any controlplane cordons (maintenance / fencing) — a drain
         in progress must never become a parity or restore target."""
@@ -324,50 +327,39 @@ class DisklessCheckpointer:
 
         # Validate and *register* the encode; the numeric work happens
         # once per epoch in _flush_encodes, batched across every group,
-        # on the commit path only.  The protocol-point checks a delta
-        # fold depends on (shard-home aliveness, previous-block presence
-        # and checksum, member sizes the scheme can fold) stay right here
-        # so failure behavior is unchanged; what moves is pure,
-        # event-free byte crunching whose results only become observable
-        # at commit.
+        # on the commit path only.  The checks a delta fold depends on
+        # (shard-home aliveness, previous-block checksum, member sizes
+        # the scheme can fold) stay right here.  A group folds only when
+        # every member sent a delta and every shard home holds its
+        # previous block; any other group (a base-less VM's full
+        # capture, a shard re-homed since the commit) is encoded whole.
         prev = None
-        if (
-            self.scheme.folds_deltas
-            and all(img.payload is not None for img in member_images)
-            and any(isinstance(img.payload, PageDelta) for img in member_images)
+        if self.scheme.folds_deltas and all(
+            isinstance(img.payload, PageDelta) for img in member_images
         ):
             if any(not self.cluster.node(n).alive for n in homes):
                 # died between the encode above and the fold
                 result.failed_groups.append(gid)
                 return
             prev = self._shard_blocks(group)
+            if any(blk is None or blk.data is None for blk in prev):
+                prev = None
+        for blk in prev or ():
+            if blk.checksum is not None and block_checksum(blk.data) != blk.checksum:
+                # folding a delta into rotten parity would produce a
+                # self-consistently-checksummed wrong block — refuse
+                raise RuntimeError(
+                    f"group {gid}: previous parity block fails "
+                    "its checksum — silent corruption; scrub or run a "
+                    "full epoch before folding increments"
+                )
+        for img in member_images if prev else ():
+            delta = img.payload
+            nbytes = delta.n_pages_total * delta.page_size
             for blk in prev:
-                if blk is None or blk.data is None:
-                    raise RuntimeError(
-                        f"group {gid}: incremental parity update "
-                        "without a previous parity block"
-                    )
-                if blk.checksum is not None and block_checksum(blk.data) != blk.checksum:
-                    # folding a delta into rotten parity would produce a
-                    # self-consistently-checksummed wrong block — refuse
-                    raise RuntimeError(
-                        f"group {gid}: previous parity block fails "
-                        "its checksum — silent corruption; scrub or run a "
-                        "full epoch before folding increments"
-                    )
-            for img in member_images:
-                delta = img.payload
-                if not isinstance(delta, PageDelta):
-                    # a full capture mixed in (e.g. post-recovery)
-                    raise RuntimeError(
-                        "mixed full/incremental captures within one group "
-                        "epoch are not supported; run a full epoch first"
-                    )
-                nbytes = delta.n_pages_total * delta.page_size
-                for blk in prev:
-                    why = self.scheme.fold_mismatch(nbytes, blk.data.shape[0])
-                    if why is not None:
-                        raise RuntimeError(f"group {gid}, vm {img.vm_id}: {why}")
+                why = self.scheme.fold_mismatch(nbytes, blk.data.shape[0])
+                if why is not None:
+                    raise RuntimeError(f"group {gid}, vm {img.vm_id}: {why}")
         pending.append((group, member_images, prev))
         for img in member_images:
             staged_commits[img.vm_id] = img
@@ -456,8 +448,14 @@ class DisklessCheckpointer:
             for v in self.layout.vm_ids
             if self.cluster.vm(v).state != VMState.FAILED
         ]
+        # the base an incremental capture diffs against is the VM's
+        # committed image on its host; a VM without one captures full
+        baseless = {
+            vm.vm_id for vm in vms
+            if self.cluster.hypervisor(vm.node_id).committed(vm.vm_id) is None
+        }
         outcomes_list, pause = yield from self.coordinator.capture_all(
-            vms, epoch, elapsed
+            vms, epoch, elapsed, baseless
         )
         outcomes = {o.image.vm_id: o for o in outcomes_list}
         if pause_done is not None and not pause_done.triggered:
@@ -726,7 +724,7 @@ class DisklessCheckpointer:
             lost_vm = self.cluster.vm(v)
             target = choose_restore_node(
                 self.cluster, self.layout, group,
-                exclude=self._recovery_exclude({report.failed_node}),
+                exclude=self.recovery_exclude({report.failed_node}),
                 domains=self.domains,
             )
             if target != staging:
@@ -783,7 +781,7 @@ class DisklessCheckpointer:
             ) if self.domains is not None else frozenset()
             homes[j] = choose_parity_node(
                 self.cluster, self.layout, group,
-                exclude=self._recovery_exclude({failed_node} | taken),
+                exclude=self.recovery_exclude({failed_node} | taken),
                 domains=self.domains,
                 avoid_domains=avoid,
             )

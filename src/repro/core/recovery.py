@@ -1,9 +1,11 @@
-"""Recovery reports and placement helpers for diskless recovery.
+"""The failure path: the recovery driver, salvage, reports and placement.
 
 Recovery after a node crash (Section VI's description of the DVDC
 failure path): "DVDC requires all nodes to roll back to their previous
 checkpoints, compute the failed node's checkpoint from parity and data,
-and then resume."
+and then resume."  :class:`RecoveryDriver` is the one loop around that
+path; the job, the control plane, the serving runtime and the fuzzer
+each hand failed nodes to it.
 """
 
 from __future__ import annotations
@@ -12,9 +14,11 @@ from dataclasses import dataclass, field
 
 from ..checkpoint.base import Unrecoverable
 from ..cluster.cluster import VirtualCluster
+from ..cluster.vm import VMState
 from .groups import GroupLayout, RaidGroup
 
-__all__ = ["DisklessRecoveryReport", "choose_restore_node", "choose_parity_node"]
+__all__ = ["DisklessRecoveryReport", "RecoveryDriver", "salvage",
+           "choose_restore_node", "choose_parity_node"]
 
 
 @dataclass
@@ -32,6 +36,134 @@ class DisklessRecoveryReport:
     network_bytes: float = 0.0
     xor_bytes: float = 0.0
     restored_epoch: int = -1
+
+
+def _homeless(cluster: VirtualCluster) -> list:
+    """VMs that died with their node and are hosted nowhere yet."""
+    return [
+        vm for vm in cluster.all_vms
+        if vm.state == VMState.FAILED and vm.node_id is None
+    ]
+
+
+class RecoveryDriver:
+    """The one recovery loop every consumer of the cluster goes through.
+
+    A caller hands a failed node over (:meth:`hand_over`) when its own
+    rules say so -- at the kill, at the fence, after a repair wait -- and
+    runs :meth:`drain` inline in its own process.  The drain recovers the
+    queued nodes oldest first, one at a time: ``recover``, or before the
+    first commit a cold start (every dead VM comes back empty on the
+    least-loaded live node).  It decides no fate: :class:`Unrecoverable`
+    leaves the drain with the failing node dequeued, the rest queued.
+    """
+
+    def __init__(self, checkpointer):
+        self.ck = checkpointer
+        self.cluster = checkpointer.cluster
+        #: failed nodes awaiting recovery, oldest first
+        self.queue: list[int] = []
+        #: a node was handed over and the drain taking it has not ended
+        self.busy = False
+        self._heal_proc = None  # the background heal last started
+        self._heal_deferred = False
+
+    def hand_over(self, node_id: int) -> bool:
+        """Queue ``node_id``.  True when no drain is running, so the
+        caller must run one; a running drain takes the node itself."""
+        self.queue.append(node_id)
+        idle, self.busy = not self.busy, True
+        return idle
+
+    def drain(self, around):
+        """Process: recover every queued node, including nodes queued
+        while it runs.  ``around(node_id, recovery)`` is the caller's
+        wrapper around one recovery (a lock, counters, fate): a process
+        that must ``yield from recovery``, whose value is the protocol's
+        recovery report (None for a cold start)."""
+        try:
+            while self.queue:
+                node_id = self.queue.pop(0)
+                yield from around(node_id, self._recover(node_id))
+        finally:
+            self.busy = False
+        if self._heal_deferred and not self._healing:
+            self._heal_deferred = False
+            self.heal()
+
+    def _recover(self, node_id: int):
+        if self.ck.committed_epoch >= 0:
+            return (yield from self.ck.recover(node_id))
+        for vm in _homeless(self.cluster):
+            alive = self.cluster.alive_nodes
+            if not alive:
+                raise Unrecoverable("no alive node to cold-start onto")
+            target = min(alive, key=lambda n: (len(n.vms), n.node_id))
+            self.cluster.place_failed_vm(vm.vm_id, target.node_id)
+            vm.revive()
+        return None
+
+    def heal(self, defer: bool = False) -> None:
+        """Re-home parity in the background after a repair: now, or when
+        ``defer`` is set or a drain or heal runs, after the drain or at
+        :meth:`settle`."""
+        if defer or self.busy or self._healing:
+            self._heal_deferred = True
+        else:
+            self._heal_proc = self.cluster.sim.process(self.ck.heal())
+
+    @property
+    def _healing(self) -> bool:
+        return self._heal_proc is not None and self._heal_proc.alive
+
+    def settle(self):
+        """Process: let a background heal land, then run a deferred one
+        inline -- what a caller does before mutating state itself."""
+        if self._healing:
+            yield self._heal_proc
+        if self._heal_deferred:
+            self._heal_deferred = False
+            yield from self.ck.heal()
+
+
+def salvage(ck, run_epoch):
+    """Process: reprovision what recovery could not rebuild, then commit.
+
+    A loss beyond the scheme's tolerance cannot be rebuilt from parity.
+    Rather than leave the cluster degraded, declare the lost VMs' state
+    gone and host them again, empty, keeping each group spread where the
+    nodes allow (:func:`choose_restore_node`); move every shard slot
+    homed on a dead node to a live one; then commit a fresh epoch with
+    ``run_epoch()`` -- the caller's cycle -- so parity covers the new
+    images before any further ``recover``.  That epoch writes every
+    block: nothing is read from the old homes, whose RAM died with
+    them.  A crash that aborts it is salvaged along, until an epoch
+    commits.  Returns the reprovisioned VM ids; no node left to host a
+    VM or a shard is :class:`Unrecoverable`.
+    """
+    cluster, layout = ck.cluster, ck.layout
+    salvaged: list[int] = []
+    while True:
+        for vm in _homeless(cluster):
+            target = choose_restore_node(
+                cluster, layout, layout.group_of(vm.vm_id),
+                exclude=ck.recovery_exclude(set()), domains=ck.domains,
+            )
+            cluster.place_failed_vm(vm.vm_id, target)
+            vm.revive()
+            salvaged.append(vm.vm_id)
+        for group in list(layout.groups):
+            dead = [j for j, p in enumerate(group.parity_nodes)
+                    if not cluster.node(p).alive]
+            if dead:
+                homes = ck.shard_homes(group, dead)
+                layout.replace_group(group.group_id, RaidGroup(
+                    group.group_id, group.member_vm_ids, homes[0],
+                    tuple(homes[1:]),
+                ))
+        result = yield from run_epoch()
+        if result.committed:
+            return salvaged
 
 
 def choose_restore_node(

@@ -10,15 +10,17 @@ feeds the drained completions into telemetry in batch.
 
 The runtime owns the checkpoint cadence: each cycle brackets
 :meth:`DisklessCheckpointer.run_cycle` with engine stalls (barrier start
-to barrier lift, surfaced by the cycle's ``pause_done`` event), and it
-drives node repair + rollback recovery after injected crashes.  This is
-what ``repro serving run|study`` uses.
+to barrier lift, surfaced by the cycle's ``pause_done`` event).  A
+crashed node is handed to the recovery driver after its repair wait; a
+loss beyond tolerance is salvaged, not left dark.  This is what
+``repro serving run|study`` uses.
 
 Disruption accounting: every (node down → serving restored) interval is
-a *degraded window* attributed to the parity groups hosted on that
-node, exported per group as ``repro_requests_degraded_total{group=}``
-and summed into the report — the serving-side counterpart of the
-healer's per-group ``repro_degraded_window_seconds``.
+a *degraded window* attributed to the parity groups with a member or a
+shard on that node, exported per group as
+``repro_requests_degraded_total{group=}`` and summed into the report —
+the serving-side counterpart of the healer's per-group
+``repro_degraded_window_seconds``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import math
 import numpy as np
 
 from ..checkpoint.base import Unrecoverable
+from ..core.recovery import RecoveryDriver, salvage
 from ..sim import LATE, NULL_TRACER, Tracer
 from ..telemetry import probe_of
 from .arrivals import OpenLoopArrivals
@@ -104,8 +107,13 @@ class ServingRuntime:
         self.cycles = 0
         self.n_failures = 0
         self.n_recoveries = 0
+        #: beyond-tolerance losses reprovisioned by a committed salvage
+        self.n_salvaged = 0
+        #: (node, reason) of losses that stayed lost: the replicas are dark
         self.unrecoverable: list[tuple[int, str]] = []
-        self._recovery = None  # latest recovery process
+        self.recovery = (
+            RecoveryDriver(checkpointer) if checkpointer is not None else None
+        )
         #: node -> (window start, group labels, downed sids)
         self._open_outages: dict[int, tuple[float, list[str], list[int]]] = {}
         self._shed: set[int] = set()
@@ -227,6 +235,7 @@ class ServingRuntime:
         elif proc.ok is False:
             raise proc.value
         self.cycles += 1
+        return proc.value
 
     def _on_pause(self, t: float) -> None:
         if self._pause_open is None:
@@ -243,17 +252,16 @@ class ServingRuntime:
     # failures and recovery
     # ------------------------------------------------------------------
     def _groups_on_node(self, node_id: int) -> list[str]:
-        layout = getattr(self.ck, "layout", None)
-        if layout is None:
+        """Groups with a member or a shard on ``node_id``, or ``none``."""
+        if self.ck is None:
             return ["none"]
-        groups: set[int] = set()
-        for server in self.servers:
-            if server.node_id == node_id:
-                try:
-                    groups.add(layout.group_of(server.vm_id).group_id)
-                except (KeyError, AttributeError):
-                    pass
-        return [str(g) for g in sorted(groups)] or ["none"]
+        hit = sorted(
+            g.group_id for g in self.ck.layout.groups
+            if node_id in g.parity_nodes or any(
+                self.cluster.vm(v).node_id == node_id for v in g.member_vm_ids
+            )
+        )
+        return [str(g) for g in hit] or ["none"]
 
     def _on_failure(self, event) -> None:
         node_id = event.node_id
@@ -276,44 +284,45 @@ class ServingRuntime:
         self.tracer.emit(
             now, "serving.node_down", node=node_id, shed=len(sids)
         )
-        self.sim.schedule(self.repair_time, self._spawn_recovery, node_id)
+        self.sim.schedule(self.repair_time, self._repaired, node_id)
 
-    def _spawn_recovery(self, node_id: int) -> None:
-        self._recovery = self.sim.process(
-            self._recover_proc(node_id, self._recovery)
-        )
-
-    def _recover_proc(self, node_id: int, prior):
-        """Repair + rollback recovery for one crashed node.
-
-        ``ck.recover`` rebuilds *every* failed unhosted VM, whichever
-        node it died on, so two in flight would both re-place the same
-        VMs: wait for ``prior`` (the previous crash's recovery, if still
-        running), then recover whatever is still lost.
-        """
+    def _repaired(self, node_id: int) -> None:
+        """The node rejoins empty and goes to the recovery driver; with
+        no checkpointer its replicas restart on it, their state gone."""
         self.cluster.repair_node(node_id)
-        if prior is not None and prior.alive:
-            yield prior
-        _, _, sids = self._open_outages.get(node_id, (0.0, [], []))
-        if self.ck is not None and self.ck.committed_epoch >= 0:
-            try:
-                yield from self.ck.recover(node_id)
-            except Unrecoverable as exc:
-                self.unrecoverable.append((node_id, str(exc)))
-                self.tracer.emit(
-                    self.sim.now, "serving.unrecoverable", node=node_id
-                )
-                return  # replicas stay dark; the outage never closes
-            self.n_recoveries += 1
-        else:
-            # nothing committed to roll back to: cold-start the replicas
-            # empty on the freshly repaired node
-            for sid in sids:
+        if self.recovery is None:
+            for sid in self._open_outages.get(node_id, (0.0, [], []))[2]:
                 vm = self.cluster.vm(self.servers[sid].vm_id)
-                if vm.node_id is None:
-                    self.cluster.place_failed_vm(vm.vm_id, node_id)
-                    vm.revive()
+                self.cluster.place_failed_vm(vm.vm_id, node_id)
+                vm.revive()
+            self._restore_replicas(node_id)
+        elif self.recovery.hand_over(node_id):
+            self.sim.process(self.recovery.drain(self._recover))
+
+    def _recover(self, node_id: int, recovery):
+        """The drain's wrapper: recover or salvage, then bring the
+        node's replicas back up wherever their VMs now live."""
+        try:
+            yield from recovery
+            self.n_recoveries += 1
+        except Unrecoverable as exc:
+            if not (yield from self._salvage(node_id, str(exc))):
+                return  # replicas stay dark; the outage never closes
         self._restore_replicas(node_id)
+
+    def _salvage(self, node_id: int, cause: str):
+        """Process: :func:`~repro.core.recovery.salvage` the loss, its
+        epoch through :meth:`_one_cycle` (the fleet stalls for the
+        pause); False when no node is left to host the lost VMs."""
+        try:
+            yield from salvage(self.ck, self._one_cycle)
+        except Unrecoverable as exc:
+            self.unrecoverable.append((node_id, f"{cause}; {exc}"))
+            self.tracer.emit(self.sim.now, "serving.unrecoverable", node=node_id)
+            return False
+        self.n_salvaged += 1
+        self.tracer.emit(self.sim.now, "serving.salvage", node=node_id)
+        return True
 
     def _restore_replicas(self, node_id: int) -> None:
         now = self.sim.now
@@ -450,6 +459,7 @@ class ServingRuntime:
             "cycles": self.cycles,
             "failures": self.n_failures,
             "recoveries": self.n_recoveries,
+            "salvaged": self.n_salvaged,
             "unrecoverable": len(self.unrecoverable),
             "degraded_seconds": degraded_seconds,
             "degraded_requests": dict(self.degraded_requests),

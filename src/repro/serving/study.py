@@ -255,11 +255,15 @@ class ServingStudyOutcome:
                 f"{self.mean_quantile(name, 'p999') * 1e3:.1f}",
                 f"{lost / offered * 100:.2f}%" if offered else "-",
                 f"{pauses:.2f}",
+                str(sum(c["failures"] for c in cells)),
+                str(sum(c["recoveries"] for c in cells)),
+                str(sum(c["salvaged"] for c in cells)),
             ])
         seeds = len({c["trace_seed"] for c in self.cells})
         return render_table(
             ["policy", "offered", "p50 ms", "p95 ms", "p99 ms",
-             "p999 ms", "lost", "pause s"],
+             "p999 ms", "lost", "pause s", "failures", "recovered",
+             "salvaged"],
             rows,
             title=f"serving study over {seeds} shared arrival+failure "
                   "trace(s)",

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from ..checkpoint.base import Unrecoverable
 from ..cluster.cluster import VirtualCluster
+from ..core.recovery import RecoveryDriver
 from ..failures.injector import FailureEvent, FailureInjector
 from ..sim import Interrupt, NULL_TRACER, Tracer
 
@@ -117,13 +118,10 @@ class CheckpointedJob:
         self.tracer = tracer
         self.result = JobResult(completed=False, work_seconds=work)
         self._main = None
-        self._pending_failures: list[int] = []
-        self._recovering = False
-        self._needs_heal = False
+        self.recovery = RecoveryDriver(checkpointer)
         self._committed_progress = 0.0
         self._outstanding = None  # (cycle Process, progress at capture)
         self._in_cycle = False
-        self._heal_proc = None
         if injector is not None:
             injector.subscribe(self._on_failure)
 
@@ -137,8 +135,9 @@ class CheckpointedJob:
         self.cluster.kill_node(ev.node_id)
         self.result.n_failures += 1
         self.cluster.sim.schedule(self.repair_time, self._repair, ev.node_id)
-        self._pending_failures.append(ev.node_id)
-        if self._main is not None and self._main.alive and not self._recovering:
+        # a running drain takes the node; otherwise the interrupted job
+        # runs one
+        if self.recovery.hand_over(ev.node_id) and self._main is not None:
             self._main.interrupt(ev)
 
     def _repair(self, node_id: int) -> None:
@@ -146,17 +145,8 @@ class CheckpointedJob:
         # shrink the degraded window: re-home parity in the background
         # right away instead of waiting for the next checkpoint boundary
         # (the re-encode traffic overlaps useful work, like any RAID
-        # rebuild).  Defer when a cycle/recovery is mutating state.
-        can_heal_now = (
-            hasattr(self.checkpointer, "heal")
-            and not self._in_cycle
-            and not self._recovering
-            and (self._heal_proc is None or not self._heal_proc.alive)
-        )
-        if can_heal_now:
-            self._heal_proc = self.cluster.sim.process(self.checkpointer.heal())
-        else:
-            self._needs_heal = True
+        # rebuild); a running cycle defers it
+        self.recovery.heal(defer=self._in_cycle)
 
     # ------------------------------------------------------------------
     def start(self):
@@ -165,8 +155,33 @@ class CheckpointedJob:
         return self._main
 
     def _run(self):
+        t_start = self.cluster.sim.now
+        try:
+            yield from self._execute()
+        except Unrecoverable as exc:
+            # e.g. a double failure in one group under XOR parity: the
+            # job is lost
+            self.result.failure_reason = str(exc)
+            return self._finish(t_start, completed=False)
+        return self._finish(t_start, completed=True)
+
+    def _roll_back(self, progress: float, wasted: float = 0.0):
+        """Process: a failure interrupted the job.  The work since the
+        last commit is lost; recover, and resume from that commit."""
+        self.result.lost_work += wasted + (progress - self._committed_progress)
+        progress = self._committed_progress
+        self._outstanding = None
+        yield from self.recovery.drain(self._recovered)
+        return progress
+
+    def _recovered(self, node_id: int, recovery):
+        t0 = self.cluster.sim.now
+        yield from recovery
+        self.result.n_recoveries += 1
+        self.result.recovery_time += self.cluster.sim.now - t0
+
+    def _execute(self):
         sim = self.cluster.sim
-        t_start = sim.now
         progress = 0.0
         self._committed_progress = 0.0
 
@@ -179,9 +194,7 @@ class CheckpointedJob:
                 self.result.checkpoint_time += sim.now - t0
                 break
             except Interrupt:
-                ok = yield from self._drain_recoveries()
-                if not ok:
-                    return self._finish(t_start, completed=False)
+                yield from self.recovery.drain(self._recovered)
 
         last_ckpt_progress = progress
         while progress < self.work:
@@ -196,15 +209,8 @@ class CheckpointedJob:
                 yield sim.timeout(chunk)
                 progress += chunk
             except Interrupt:
-                self.result.lost_work += (
-                    (sim.now - t0) + (progress - self._committed_progress)
-                )
-                progress = self._committed_progress
+                progress = yield from self._roll_back(progress, sim.now - t0)
                 last_ckpt_progress = progress
-                self._outstanding = None
-                ok = yield from self._drain_recoveries()
-                if not ok:
-                    return self._finish(t_start, completed=False)
                 continue
             if progress >= self.work:
                 break
@@ -215,18 +221,14 @@ class CheckpointedJob:
             # ---- checkpoint phase ----
             t0 = sim.now
             try:
-                if self._heal_proc is not None and self._heal_proc.alive:
-                    yield self._heal_proc  # let a background heal land
-                if self._needs_heal and hasattr(self.checkpointer, "heal"):
-                    self._needs_heal = False
-                    yield from self.checkpointer.heal()
+                yield from self.recovery.settle()
                 self._in_cycle = True
                 try:
                     if self.overlap:
                         yield from self._checkpoint_overlapped(progress)
                     else:
                         r = yield from self.checkpointer.run_cycle()
-                        if getattr(r, "committed", True):
+                        if r.committed:
                             self.result.n_checkpoints += 1
                             self._committed_progress = progress
                 finally:
@@ -234,15 +236,8 @@ class CheckpointedJob:
                 self.result.checkpoint_time += sim.now - t0
                 last_ckpt_progress = progress
             except Interrupt:
-                self.result.lost_work += progress - self._committed_progress
-                progress = self._committed_progress
+                progress = yield from self._roll_back(progress)
                 last_ckpt_progress = progress
-                self._outstanding = None
-                ok = yield from self._drain_recoveries()
-                if not ok:
-                    return self._finish(t_start, completed=False)
-                continue
-        return self._finish(t_start, completed=True)
 
     def _estimated_dirty_bytes(self, since_progress: float, progress: float) -> float:
         elapsed = progress - since_progress
@@ -295,66 +290,6 @@ class CheckpointedJob:
         proc.subscribe(on_done)
         self._outstanding = (proc, captured_at)
         yield pause_done
-
-    def _drain_recoveries(self):
-        """Process: recover every pending failed node, newest last.
-
-        Additional failures arriving mid-recovery queue up (recovery is
-        not interrupted) and are drained in order.  Returns False when a
-        recovery is impossible (e.g. double failure in one group under
-        XOR parity) — the job is then lost.
-        """
-        sim = self.cluster.sim
-        self._recovering = True
-        try:
-            while self._pending_failures:
-                node_id = self._pending_failures.pop(0)
-                t0 = sim.now
-                if self.checkpointer.committed_epoch < 0:
-                    # nothing committed yet: nothing to restore — cold
-                    # restart (the classic resubmit-from-scratch path)
-                    self._cold_restart()
-                    self.result.n_recoveries += 1
-                    continue
-                try:
-                    yield from self.checkpointer.recover(node_id)
-                except Unrecoverable as exc:
-                    self.result.failure_reason = str(exc)
-                    return False
-                self.result.n_recoveries += 1
-                self.result.recovery_time += sim.now - t0
-            # kick any deferred heal off immediately — every second of a
-            # degraded layout is exposure to a fatal second failure
-            if (
-                self._needs_heal
-                and hasattr(self.checkpointer, "heal")
-                and (self._heal_proc is None or not self._heal_proc.alive)
-            ):
-                self._needs_heal = False
-                self._heal_proc = sim.process(self.checkpointer.heal())
-            return True
-        finally:
-            self._recovering = False
-
-    def _cold_restart(self) -> None:
-        """Re-place VMs killed before the first checkpoint committed.
-
-        There is no state to restore — the job restarts from zero work —
-        so the dead VMs simply come back empty on surviving nodes."""
-        from ..cluster.vm import VMState
-        from ..controlplane.scheduler import PlacementEngine, PlacementError
-
-        homeless = [
-            vm for vm in self.cluster.all_vms
-            if vm.state == VMState.FAILED and vm.node_id is None
-        ]
-        try:
-            targets = PlacementEngine(self.cluster).round_robin(len(homeless))
-        except PlacementError as exc:
-            raise RuntimeError("no surviving nodes for a cold restart") from exc
-        for vm, target in zip(homeless, targets):
-            self.cluster.place_failed_vm(vm.vm_id, target)
-            vm.revive()
 
     def _finish(self, t_start: float, completed: bool) -> JobResult:
         self.result.completed = completed

@@ -21,7 +21,6 @@ from repro.controlplane import (
     ControlPlane,
     ControlPlaneConfig,
     Operation,
-    OpRejected,
     OpState,
     PlacementEngine,
     PlacementError,
@@ -297,7 +296,10 @@ class TestOps:
         assert max(len(g.member_vm_ids) for g in ck.layout.groups) == 2
         assert cp.audit("after provisioning").ok
 
-    def test_provision_rejected_mid_run_under_incremental_capture(self):
+    def test_provision_mid_run_under_incremental_capture_commits(self):
+        """A VM provisioned into a running incremental protocol has no
+        base: its first capture is full, its new group is encoded whole,
+        and the epoch commits it under protection."""
         sim = Simulator()
         cluster, ck, cp = make_cp(sim, 6, strategy=IncrementalCapture())
         cp.start()
@@ -307,11 +309,16 @@ class TestOps:
             op = cp.submit("provision", memory_bytes=VM_BYTES,
                            image_pages=16, page_size=64)
             yield op.done
-            return op
+            result = yield from cp.checkpoint()
+            return op, result
 
-        op = drive(sim, cp, scenario())
-        assert op.state is OpState.FAILED
-        assert "OpRejected" in op.error and "base epoch" in op.error
+        op, result = drive(sim, cp, scenario())
+        assert op.state is OpState.DONE, op.error
+        assert result.committed
+        vm_id = op.result["vm_id"]
+        img = cluster.hypervisor(op.result["node"]).committed(vm_id)
+        assert img is not None and img.epoch == ck.committed_epoch
+        assert cp.audit("after provisioning").ok
 
     def test_kill_refused_when_group_would_exceed_tolerance(self):
         sim = Simulator()
@@ -363,7 +370,8 @@ class TestOps:
 
     def test_kill_before_first_commit_cold_restores(self):
         """No committed epoch to roll back to: recovery re-places the
-        dead node's VMs empty on live hosts (``_cold_restore``)."""
+        dead node's VMs empty on live hosts (the recovery driver's cold
+        start)."""
         sim = Simulator()
         cluster, ck, cp = make_cp(sim, 6)  # no checkpoint cadence
         assert cp.config.checkpoint_interval is None
@@ -562,6 +570,40 @@ class TestSalvage:
         report = cp.audit("after salvage")
         assert report.ok
 
+    def test_double_member_loss_is_salvaged_under_incremental_capture(self):
+        """The salvaged VMs have no base to diff against: they capture
+        full and their groups are encoded whole, so the salvage commits
+        and the next incremental epoch commits and audits clean."""
+        sim = Simulator()
+        cluster, ck, cp = make_cp(sim, 6, strategy=IncrementalCapture())
+        cp.start()
+        group = ck.layout.groups[0]
+        a = cluster.vm(group.member_vm_ids[0]).node_id
+        b = cluster.vm(group.member_vm_ids[1]).node_id
+        rng = np.random.default_rng(3)
+
+        def scenario():
+            yield from cp.checkpoint()
+            for node_id in (a, b):
+                cluster.kill_node(node_id)
+                cp.healer.on_failure()
+                sim.schedule(cp.config.repair_time, cp._repair, node_id)
+            oks = []
+            for node_id in (a, b):
+                ok, error = yield cp.recovered_event(node_id)
+                oks.append(ok)
+            yield sim.timeout(cp.config.repair_time + 2.0)
+            for vm in cluster.all_vms:
+                vm.image.touch_pages(rng.integers(0, vm.image.n_pages, 3), rng)
+            result = yield from cp.checkpoint()
+            return oks, result
+
+        oks, result = drive(sim, cp, scenario())
+        assert oks[-1] is True
+        assert events_of(cp, "controlplane.salvage")
+        assert result.committed
+        assert cp.audit("incremental epoch after salvage").ok
+
 
 # ---------------------------------------------------------------------------
 # placement engine
@@ -623,11 +665,6 @@ class TestPlacement:
         # nodes 0,1,3 tie at one VM; lowest id wins
         assert engine.choose_host() == 0
         assert engine.choose_host(exclude={0}) == 1
-
-    def test_round_robin_matches_classic_modulo(self, sim):
-        cluster = VirtualCluster(sim, ClusterSpec(n_nodes=5))
-        engine = PlacementEngine(cluster)
-        assert engine.round_robin(12) == [i % 5 for i in range(12)]
 
     def test_placement_error_when_everything_excluded(self, sim):
         cluster = VirtualCluster(sim, ClusterSpec(n_nodes=2))

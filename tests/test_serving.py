@@ -27,7 +27,7 @@ from repro.serving import (
     run_serving_study,
 )
 from repro.serving.runtime import ServingRuntime
-from repro.sim import RngRegistry
+from repro.sim import RngRegistry, Tracer
 from repro.workloads.generators import scaled_scenario
 
 
@@ -381,20 +381,66 @@ class TestServingCell:
         clone = run_serving_cell(ServingPolicy("clone2", clone=2), QUICK, 0)
         assert clone["latency"]["p99"] < base["latency"]["p99"]
 
-    def test_degraded_windows_attributed_per_group(self):
+    def test_degraded_windows_attributed_per_group(self, monkeypatch):
+        """A crash opens a window labelled with every group that has a
+        member or a shard on the node; ``none`` only when it holds
+        neither."""
+        windows = []  # (groups the node held, labels the window got)
+        on_failure = ServingRuntime._on_failure
+
+        def spy(runtime, event):
+            node = event.node_id
+            if runtime.cluster.node(node).alive:
+                layout = runtime.ck.layout
+                held = {layout.group_of(vm.vm_id).group_id
+                        for vm in runtime.cluster.vms_on(node)}
+                held |= {g.group_id for g in layout.groups_with_parity_on(node)}
+                on_failure(runtime, event)
+                windows.append((held, runtime._open_outages[node][1]))
+            else:
+                on_failure(runtime, event)
+
+        monkeypatch.setattr(ServingRuntime, "_on_failure", spy)
         rep = run_serving_cell(
             ServingPolicy("ck", checkpoint=True, interval=1.0), CRASHY, 0
         )
-        assert rep["failures"] > 0
+        assert len(windows) == rep["failures"] > 0
+        for held, labels in windows:
+            assert labels == ([str(g) for g in sorted(held)] or ["none"])
+        # parity-group labels: the checkpointer places groups on nodes
+        assert any(held for held, _ in windows)
         assert rep["degraded_seconds"]  # outage windows recorded
-        # parity-group labels, not 'none': the checkpointer places groups
-        assert all(k != "none" for k in rep["degraded_seconds"])
         assert rep["degraded_requests"]
         assert all(v > 0 for v in rep["degraded_requests"].values())
 
     def test_unprotected_outages_attributed_to_none(self):
         rep = run_serving_cell(ServingPolicy("baseline"), CRASHY, 0)
         assert set(rep["degraded_seconds"]) == {"none"}
+
+
+class TestBeyondTolerance:
+    @pytest.mark.parametrize("node_mtbf", [1200.0, 300.0])
+    def test_every_crash_is_recovered_or_salvaged(self, node_mtbf):
+        """``serving run --policy checkpoint --requests 20000`` at seed 0:
+        overlapping crashes inside the repair wait cost an XOR group two
+        members.  The loss is salvaged (reprovisioned, then a fresh
+        epoch), so later recoveries succeed and the cadence resumes."""
+        tracer = Tracer()
+        rep = run_serving_cell(
+            policies_named(["checkpoint"])[0],
+            ServingLoad(n_requests=20_000, node_mtbf=node_mtbf), 0,
+            tracer=tracer,
+        )
+        assert rep["unrecoverable"] == 0 and rep["salvaged"] > 0
+        assert rep["recoveries"] + rep["salvaged"] == rep["failures"]
+        assert rep["drained"] is True
+        done = tracer.select(kind="serving.done")[0].time
+        cycles = [r.time for r in tracer.select(kind="diskless.cycle")]
+        salvages = [r.time for r in tracer.select(kind="serving.salvage")]
+        serving_salvages = [t for t in salvages if t < done]
+        assert serving_salvages
+        # the salvage epoch commits before its event; cadence cycles follow
+        assert any(t > max(serving_salvages) for t in cycles)
 
 
 class TestConcurrentKills:
