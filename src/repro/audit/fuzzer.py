@@ -205,6 +205,22 @@ class FuzzResult:
     def n_violations(self) -> int:
         return sum(len(t.violations) for t in self.trials)
 
+    @property
+    def n_clean(self) -> int:
+        """Trials that neither failed nor hit a loss beyond tolerance."""
+        return sum(
+            1 for t in self.trials if not t.failed and not t.unrecoverable
+        )
+
+    @property
+    def n_unrecoverable(self) -> int:
+        return sum(1 for t in self.trials if t.unrecoverable)
+
+    @property
+    def n_transients(self) -> int:
+        """Transient faults fired across every trial."""
+        return sum(len(t.transients_fired) for t in self.trials)
+
 
 # ----------------------------------------------------------------------
 # schedule generation
@@ -280,8 +296,8 @@ _STRATEGIES = {
 
 def _build(config: FuzzConfig, seed: int, tracer: Tracer):
     """Deterministically build
-    (sim, cluster, checkpointer, auditor, geo, domains, replicator) —
-    the last three ``None`` outside geo mode."""
+    (sim, cluster, checkpointer, auditor, geo, replicator) — the last
+    two ``None`` outside geo mode."""
     from ..coding import parse_scheme
 
     sim = Simulator()
@@ -361,7 +377,7 @@ def _build(config: FuzzConfig, seed: int, tracer: Tracer):
         cluster, ck.layout, tracer=tracer, scheme=coding, domains=domains,
     )
     ck.attach_auditor(auditor)
-    return sim, cluster, ck, auditor, geo, domains, replicator
+    return sim, cluster, ck, auditor, geo, replicator
 
 
 def run_trial(
@@ -371,7 +387,7 @@ def run_trial(
     tracer: Tracer = NULL_TRACER,
 ) -> TrialResult:
     """Drive one schedule through ``n_cycles`` epochs and audit throughout."""
-    sim, cluster, ck, auditor, geo, domains, replicator = _build(
+    sim, cluster, ck, auditor, geo, replicator = _build(
         config, seed, tracer
     )
     dirt = np.random.default_rng([seed, 0xD1])
@@ -463,13 +479,8 @@ def run_trial(
                 f"outside the replication window for vms {still_lost}"
             )
         # standby assignment ignores group structure, so salvage can pile
-        # several elements of one group onto one node — re-home members
-        # (node-granular respread), then let heal() re-place parity
-        from ..geo import respread_groups
-
-        yield from respread_groups(
-            ck, cluster, geo.domain_map("node"), tracer
-        )
+        # several elements of one group onto one node — heal() re-homes
+        # members, then parity
         yield from ck.heal()
         expected.clear()
         result = yield from ck.run_cycle()
@@ -511,18 +522,6 @@ def run_trial(
             yield from recovery.drain(recover_killed)
             recovered = all(vm.node_id is not None for vm in cluster.all_vms)
             if recovered or not config.transient or stalls >= 3:
-                if (
-                    recovered
-                    and domains is not None
-                    and all(n.alive for n in cluster.nodes)
-                ):
-                    # geo-spread: recovery during a site outage legally
-                    # lands members co-sited; re-home them before the
-                    # quiescent strict audit judges the layout per domain
-                    from ..geo import respread_groups
-
-                    yield from respread_groups(ck, cluster, domains, tracer)
-                    yield from ck.heal()
                 return
             stalls += 1
             yield sim.timeout(max(rec_est, 2.0))  # let the outage clear

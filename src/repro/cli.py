@@ -343,11 +343,11 @@ def _audit_heal(args: argparse.Namespace) -> int:
     spares = healer.spares
     print(render_table(
         ["spares", "final state", "rounds", "spares used", "spares left",
-         "exhausted", "relocated", "healed groups", "degraded window"],
+         "exhausted", "healed groups", "degraded window"],
         [[args.spares, report.state.value, report.rounds,
           ",".join(map(str, report.spares_used)) or "-",
           len(spares), spares.exhausted,
-          len(report.relocated), len(report.healed_groups),
+          len(report.healed_groups),
           format_seconds(report.window_seconds)
           if report.window_seconds is not None else "still open"]],
         title="self-healing after permanent node loss (fig4)",
@@ -395,18 +395,12 @@ def _cmd_audit(args: argparse.Namespace) -> int:
                 config, seeds=args.seeds, budget=args.budget,
                 base_seed=args.seed,
             )
-            clean = sum(
-                1 for t in result.trials
-                if not t.failed and not t.unrecoverable
-            )
-            unrec = sum(1 for t in result.trials if t.unrecoverable)
-            transients = sum(len(t.transients_fired) for t in result.trials)
             print(render_table(
                 ["trials", "clean", "unrecoverable", "failing", "violations",
                  "transients", "wall"],
-                [[len(result.trials), clean, unrec, len(result.failures),
-                  result.n_violations, transients,
-                  format_seconds(result.elapsed)]],
+                [[len(result.trials), result.n_clean, result.n_unrecoverable,
+                  len(result.failures), result.n_violations,
+                  result.n_transients, format_seconds(result.elapsed)]],
                 title=f"audit fuzz: {layout}"
                       + (f" [{args.scheme}]" if args.scheme != "xor" else "")
                       + (f" geo:{args.geo_policy}x{geo_sites}"

@@ -77,7 +77,12 @@ from ..network.link import NetworkError
 from ..sim import AllOf, NULL_TRACER, Resource, Tracer
 from ..telemetry import probe_of
 from .groups import GroupLayout, RaidGroup
-from .recovery import DisklessRecoveryReport, choose_parity_node, choose_restore_node
+from .recovery import (
+    DisklessRecoveryReport,
+    choose_parity_node,
+    choose_restore_node,
+    respread_groups,
+)
 
 __all__ = ["DisklessCheckpointer", "DisklessCycleResult", "DEFAULT_XOR_BANDWIDTH"]
 
@@ -919,18 +924,26 @@ class DisklessCheckpointer:
         return slots
 
     def heal(self):
-        """Process: restore layout validity after node repairs.
+        """Process: restore layout validity after node repairs -- the one
+        layout repair every caller runs.
 
         Post-recovery placements can be *degraded*: with few nodes the
-        only place to restore a rebuilt VM is one of its group's shard
-        homes, so one element of slack is gone until the crashed node
-        returns.  ``heal`` scans for groups with a shard co-located with
-        a member (or missing/on a dead node) and re-encodes it onto a
-        strictly valid node when one exists.  Call it at checkpoint
-        boundaries once repairs have landed — the
-        :class:`~repro.workloads.app.CheckpointedJob` runner does.
+        only place to restore a rebuilt VM is beside another member of
+        its group or on one of its shard homes, so one element of slack
+        is gone until the crashed node returns.  ``heal`` first moves
+        crowded members (:func:`~repro.core.recovery.respread_groups`,
+        per :attr:`domains`), then scans for groups with a shard
+        co-located with a member (or missing/on a dead node) and
+        re-encodes it onto a strictly valid node when one exists.  Call
+        it once repairs have landed -- the job, the serving runtime
+        (through :class:`~repro.core.recovery.RecoveryDriver`), the
+        self-healer and the fuzzer do.  Returns the ids of the groups
+        it healed.
         """
-        healed: list[int] = []
+        moved = yield from respread_groups(
+            self, self.cluster, self.domains, self.tracer
+        )
+        healed = {self.layout.group_of(v).group_id for v in moved}
         for group in list(self.layout.groups):
             slots = self._misplaced_shard_slots(group)
             if not slots:
@@ -940,7 +953,8 @@ class DisklessCheckpointer:
                 yield from self.rehome_shards(group, slots, report)
             except Unrecoverable:
                 continue
-            healed.append(group.group_id)
+            healed.add(group.group_id)
+        healed = sorted(healed)
         if healed:
             self.tracer.emit(self.cluster.sim.now, "diskless.heal", groups=healed)
         return healed

@@ -5,7 +5,9 @@ failure path): "DVDC requires all nodes to roll back to their previous
 checkpoints, compute the failed node's checkpoint from parity and data,
 and then resume."  :class:`RecoveryDriver` is the one loop around that
 path; the job, the control plane, the serving runtime and the fuzzer
-each hand failed nodes to it.
+each hand failed nodes to it.  :func:`respread_groups` is the member
+half of the one layout repair,
+:meth:`~repro.core.dvdc.DisklessCheckpointer.heal`.
 """
 
 from __future__ import annotations
@@ -15,10 +17,12 @@ from dataclasses import dataclass, field
 from ..checkpoint.base import Unrecoverable
 from ..cluster.cluster import VirtualCluster
 from ..cluster.vm import VMState
+from ..network.link import NetworkError
+from ..sim import NULL_TRACER, Tracer
 from .groups import GroupLayout, RaidGroup
 
 __all__ = ["DisklessRecoveryReport", "RecoveryDriver", "salvage",
-           "choose_restore_node", "choose_parity_node"]
+           "respread_groups", "choose_restore_node", "choose_parity_node"]
 
 
 @dataclass
@@ -104,9 +108,9 @@ class RecoveryDriver:
         return None
 
     def heal(self, defer: bool = False) -> None:
-        """Re-home parity in the background after a repair: now, or when
-        ``defer`` is set or a drain or heal runs, after the drain or at
-        :meth:`settle`."""
+        """Repair the layout (``ck.heal``: members, then shards) in the
+        background after a repair: now, or when ``defer`` is set or a
+        drain or heal runs, after the drain or at :meth:`settle`."""
         if defer or self.busy or self._healing:
             self._heal_deferred = True
         else:
@@ -164,6 +168,97 @@ def salvage(ck, run_epoch):
         result = yield from run_epoch()
         if result.committed:
             return salvaged
+
+
+def respread_groups(ck, cluster, domains=None, tracer: Tracer = NULL_TRACER):
+    """Process: restore the orthogonality of *members* after repairs.
+
+    Recovery legitimately lands rebuilt members where the preferred
+    nodes were down: beside another member of their group, on a shard
+    home, or with ``domains`` (a
+    :class:`~repro.failures.domains.FailureDomainMap`) in a failure
+    domain already holding an element of the group.  ``domains=None``
+    makes each node its own domain.  Once nodes are repaired, this pass
+    cold-migrates each offending member -- committed image and all --
+    onto an alive node in a domain holding no other element of its
+    group.  A move whose transfer fails, or whose source or target dies
+    before it lands, leaves the member where it is, resumed if it
+    survived; a dead member is the recovery's.  Shard re-homes stay the
+    second pass of :meth:`~repro.core.dvdc.DisklessCheckpointer.heal`.
+    Returns ``{vm_id: new_node}``.
+    """
+    def domain_of(node_id: int) -> int:
+        return domains.domain_of(node_id) if domains is not None else node_id
+
+    moved: dict[int, int] = {}
+    for group in list(ck.layout.groups):
+        placed: dict[int, list[int]] = {}  # domain -> member vm_ids there
+        parity_doms = {
+            domain_of(p) for p in group.parity_nodes if cluster.node(p).alive
+        }
+        for v in group.member_vm_ids:
+            node = cluster.vm(v).node_id
+            if node is None:
+                continue
+            placed.setdefault(domain_of(node), []).append(v)
+        offenders = [
+            v
+            for dom, vms in sorted(placed.items())
+            for v in sorted(vms)[1:]  # keep the first element per domain
+        ] + [
+            v
+            for dom, vms in sorted(placed.items())
+            if dom in parity_doms
+            for v in sorted(vms)[:1]
+        ]
+        for vm_id in offenders:
+            vm = cluster.vm(vm_id)
+            src = vm.node_id
+            if src is None:
+                continue
+            taken = {
+                domain_of(cluster.vm(v).node_id)
+                for v in group.member_vm_ids
+                if v != vm_id and cluster.vm(v).node_id is not None
+            } | parity_doms
+            member_nodes = {
+                cluster.vm(v).node_id
+                for v in group.member_vm_ids
+                if cluster.vm(v).node_id is not None
+            }
+            candidates = [
+                n for n in cluster.alive_nodes
+                if domain_of(n.node_id) not in taken
+                and n.node_id not in member_nodes
+                and n.node_id not in group.parity_nodes
+            ]
+            if not candidates:
+                continue
+            dst = min(candidates, key=lambda n: (len(n.vms), n.node_id)).node_id
+            was_running = vm.state == VMState.RUNNING
+            if was_running:
+                vm.pause()
+            try:
+                yield ck._transfer(
+                    src, dst, vm.memory_bytes, label=f"respread.vm{vm_id}"
+                )
+            except NetworkError:
+                pass  # the member stays where it is
+            else:
+                if vm.node_id == src and cluster.node(dst).alive:
+                    cluster.move_vm(vm_id, dst)
+                    img = cluster.node(src).checkpoint_store.pop(vm_id, None)
+                    if img is not None:
+                        cluster.node(dst).checkpoint_store[vm_id] = img
+                    moved[vm_id] = dst
+                    tracer.emit(
+                        cluster.sim.now, "geo.respread", vm=vm_id, src=src,
+                        dst=dst, group=group.group_id,
+                    )
+            # a member whose node died mid-move is the recovery's
+            if was_running and vm.state == VMState.PAUSED:
+                vm.resume()
+    return moved
 
 
 def choose_restore_node(

@@ -26,7 +26,6 @@ from .study import (
     GeoConfig,
     build_geo_point,
     build_geo_scenario,
-    respread_groups,
     run_geo_point,
     run_geo_study,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "GeoConfig",
     "build_geo_point",
     "build_geo_scenario",
-    "respread_groups",
     "run_geo_point",
     "run_geo_study",
 ]

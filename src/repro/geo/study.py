@@ -21,7 +21,7 @@ epochs — run under each cross-site placement policy:
     cost of the replication lag window (epochs not yet shipped).
 
 :func:`run_geo_point` runs one (policy, seed) cell end to end — epochs,
-optional site kill, recovery/salvage, repair, re-spread, strict audit —
+optional site kill, recovery/salvage, repair, heal, strict audit —
 and returns survival plus bit-exactness digests.  The ``geo_cell``
 campaign task kind wraps it; ``repro geo study`` fans it out.
 """
@@ -38,9 +38,9 @@ from ..cluster.checksum import block_checksum
 from ..cluster.vm import VMState
 from ..coding import get_scheme
 from ..core.placement import group_losses_if_node_fails
-from ..network.link import NetworkError
+from ..core.recovery import respread_groups  # kept importable from here
 from ..perf.scale import build_scenario, run_epochs, scenario_digests
-from ..sim import NULL_TRACER, Tracer
+from ..sim import Tracer
 from .remus import RemusAsyncReplicator
 from .topology import (
     DEFAULT_WAN_BANDWIDTH,
@@ -159,97 +159,15 @@ def _worst_kill_site(ck, cluster, geo: GeoSpec) -> int:
     return best[0]
 
 
-def respread_groups(ck, cluster, domains, tracer: Tracer = NULL_TRACER):
-    """Process: restore domain orthogonality of *members* after repairs.
-
-    Recovery during a domain outage legitimately lands rebuilt members
-    in surviving domains (the preferred tier is empty while the domain
-    is down).  Once nodes are repaired, this pass cold-migrates each
-    offending member — committed image and all — onto an alive node in
-    a domain holding no other element of its group, so a strict
-    domain-aware audit passes again.  Parity re-homes stay ``heal()``'s
-    job.  Returns ``{vm_id: new_node}``.
-    """
-    moved: dict[int, int] = {}
-    for group in list(ck.layout.groups):
-        placed: dict[int, list[int]] = {}  # domain -> member vm_ids there
-        parity_doms = {
-            domains.domain_of(p)
-            for p in group.parity_nodes
-            if cluster.node(p).alive
-        }
-        for v in group.member_vm_ids:
-            node = cluster.vm(v).node_id
-            if node is None:
-                continue
-            placed.setdefault(domains.domain_of(node), []).append(v)
-        offenders = [
-            v
-            for dom, vms in sorted(placed.items())
-            for v in sorted(vms)[1:]  # keep the first element per domain
-        ] + [
-            v
-            for dom, vms in sorted(placed.items())
-            if dom in parity_doms
-            for v in sorted(vms)[:1]
-        ]
-        for vm_id in offenders:
-            vm = cluster.vm(vm_id)
-            src = vm.node_id
-            if src is None:
-                continue
-            taken = {
-                domains.domain_of(cluster.vm(v).node_id)
-                for v in group.member_vm_ids
-                if v != vm_id and cluster.vm(v).node_id is not None
-            } | parity_doms
-            member_nodes = {
-                cluster.vm(v).node_id
-                for v in group.member_vm_ids
-                if cluster.vm(v).node_id is not None
-            }
-            candidates = [
-                n for n in cluster.alive_nodes
-                if domains.domain_of(n.node_id) not in taken
-                and n.node_id not in member_nodes
-                and n.node_id not in group.parity_nodes
-            ]
-            if not candidates:
-                continue
-            dst = min(candidates, key=lambda n: (len(n.vms), n.node_id)).node_id
-            was_running = vm.state == VMState.RUNNING
-            if was_running:
-                vm.pause()
-            try:
-                yield ck._transfer(
-                    src, dst, vm.memory_bytes, label=f"respread.vm{vm_id}"
-                )
-            except NetworkError:
-                if was_running:
-                    vm.resume()
-                continue
-            cluster.move_vm(vm_id, dst)
-            img = cluster.node(src).checkpoint_store.pop(vm_id, None)
-            if img is not None:
-                cluster.node(dst).checkpoint_store[vm_id] = img
-            if was_running:
-                vm.resume()
-            moved[vm_id] = dst
-            tracer.emit(
-                cluster.sim.now, "geo.respread", vm=vm_id, src=src, dst=dst,
-                group=group.group_id,
-            )
-    return moved
-
-
 def run_geo_point(cfg: GeoConfig, collect_digests: bool = False) -> dict:
     """Run one geo-study cell end to end.
 
     Fault-free epochs, then (when ``kill_site`` is set) a correlated
     full-site outage with WAN partition, recovery or remote salvage,
-    repair, domain re-spread, a fresh converging cycle, and a strict
-    audit.  Survival is judged bit-exactly: every VM's committed image
-    must match the checksum logged when its restored epoch committed.
+    repair, heal (domain re-spread of members, then shard re-homes), a
+    fresh converging cycle, and a strict audit.  Survival is judged
+    bit-exactly: every VM's committed image must match the checksum
+    logged when its restored epoch committed.
     """
     return build_geo_point(cfg, collect_digests)()
 
@@ -350,10 +268,11 @@ def _run_geo_point(cfg: GeoConfig, built: tuple, collect_digests: bool) -> dict:
         if geo.n_sites > 1:
             cluster.topology.set_site_wan_up(site, True, reason="site repaired")
         if result["survived"]:
-            if cfg.policy == "geo-spread":
-                moved = sim.run_process(respread_groups(ck, cluster, domains, tracer))
-                result["respread_vms"] = len(moved)
+            placed = {vm.vm_id: vm.node_id for vm in cluster.all_vms}
             sim.run_process(ck.heal())
+            result["respread_vms"] = sum(
+                vm.node_id != placed[vm.vm_id] for vm in cluster.all_vms
+            )
             run_epochs(sim, cluster, ck, rngs, cfg, epochs=1)
             epoch_log[ck.committed_epoch] = _committed_checksums(cluster)
             if replicator is not None:

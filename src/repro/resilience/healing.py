@@ -16,9 +16,10 @@ production cluster does not.  The :class:`SelfHealer` drives the cycle
            everywhere, audits         (pull spare, re-place
            green                       members, re-encode)
 
-pulling a node from the :class:`SparePool` when one is available,
-re-running placement for crowded groups, and re-encoding parity via
-:meth:`~repro.core.dvdc.DisklessCheckpointer.heal`.  The time spent
+pulling a node from the :class:`SparePool` when one is available and
+running the one layout repair,
+:meth:`~repro.core.dvdc.DisklessCheckpointer.heal`: crowded members
+move, co-located parity re-encodes.  The time spent
 outside PROTECTED — the *window of vulnerability* during which a second
 failure could be unrecoverable — is recorded per incident and exported
 as the ``repro_degraded_window_seconds`` histogram; the Monte-Carlo
@@ -137,7 +138,6 @@ class HealingReport:
     state: ClusterHealth
     rounds: int = 0
     spares_used: list[int] = field(default_factory=list)
-    relocated: dict[int, int] = field(default_factory=dict)
     healed_groups: list[int] = field(default_factory=list)
     #: seconds from the degrading failure to PROTECTED; None if still open
     window_seconds: float | None = None
@@ -313,60 +313,11 @@ class SelfHealer:
     # ------------------------------------------------------------------
     # re-protection
     # ------------------------------------------------------------------
-    def _relocate_crowded_members(self, report: HealingReport):
-        """Process: move members off nodes hosting 2+ of the same group.
-
-        The relocation ships the VM memory plus its committed checkpoint
-        image over the network, then re-registers both on the target —
-        parity stays valid because the image bytes do not change.
-        """
-        for group in list(self.ck.layout.groups):
-            per_node: dict[int, list[int]] = {}
-            for v in group.member_vm_ids:
-                node = self.cluster.vm(v).node_id
-                if node is not None:
-                    per_node.setdefault(node, []).append(v)
-            for node_id, members in sorted(per_node.items()):
-                if len(members) < 2:
-                    continue
-                member_nodes = set(per_node)
-                targets = [
-                    n for n in self.cluster.alive_nodes
-                    if n.node_id not in member_nodes
-                    and n.node_id not in group.parity_nodes
-                ]
-                if not targets:
-                    continue
-                target = min(targets, key=lambda n: (len(n.vms), n.node_id))
-                vm_id = max(members)  # move the newest member, keep the rest
-                vm = self.cluster.vm(vm_id)
-                src_node = self.cluster.node(node_id)
-                img = src_node.checkpoint_store.get(vm_id)
-                size = vm.memory_bytes + (img.logical_bytes if img else 0.0)
-                try:
-                    yield self.cluster.topology.transfer(
-                        node_id, target.node_id, size,
-                        label=f"heal.move.vm{vm_id}",
-                    )
-                except Exception:
-                    continue  # a fresh failure mid-move; reassess next round
-                if vm.node_id != node_id:
-                    continue  # the VM moved (or died) while we streamed
-                self.cluster.move_vm(vm_id, target.node_id)
-                if img is not None and src_node.checkpoint_store.get(vm_id) is img:
-                    del src_node.checkpoint_store[vm_id]
-                    self.cluster.node(target.node_id).store_checkpoint(img)
-                report.relocated[vm_id] = target.node_id
-                self.tracer.emit(
-                    self.cluster.sim.now, "healing.relocate",
-                    vm=vm_id, src=node_id, dst=target.node_id,
-                )
-
     def reprotect(self, max_rounds: int = 4):
         """Process: drive the cluster back to PROTECTED.
 
-        Each round: re-place crowded members, re-encode co-located or
-        missing parity (:meth:`DisklessCheckpointer.heal`), reassess.
+        Each round: :meth:`DisklessCheckpointer.heal` (move crowded
+        members, re-encode co-located or missing parity), reassess.
         If a round makes no progress and a spare is available, one is
         pulled (powered on empty) and the next round's placement uses
         it.  Terminates in DEGRADED — explicitly, not by exception —
@@ -382,14 +333,13 @@ class SelfHealer:
         self._transition(ClusterHealth.REPROTECTING)
         for _ in range(max_rounds):
             report.rounds += 1
-            yield from self._relocate_crowded_members(report)
             healed = yield from self.ck.heal()
             report.healed_groups.extend(healed)
             _, found = self.assess()
             if self.state == ClusterHealth.PROTECTED:
                 break
             self._transition(ClusterHealth.REPROTECTING)
-            if healed or report.relocated:
+            if healed:
                 continue  # progress without spending a spare; go again
             spare = self.spares.acquire()
             if spare is None:

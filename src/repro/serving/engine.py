@@ -63,14 +63,13 @@ class PSServer:
     """One processor-sharing replica with a lazy virtual-time anchor."""
 
     __slots__ = (
-        "sid", "vm_id", "node_id", "t", "V", "n",
+        "sid", "vm_id", "t", "V", "n",
         "jobs", "heap", "stalled", "down", "version",
     )
 
-    def __init__(self, sid: int, vm_id: int = -1, node_id: int = -1):
+    def __init__(self, sid: int, vm_id: int = -1):
         self.sid = sid
         self.vm_id = vm_id
-        self.node_id = node_id
         self.t = 0.0  # anchor real time
         self.V = 0.0  # virtual time at the anchor
         self.n = 0  # in-flight requests

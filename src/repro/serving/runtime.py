@@ -12,7 +12,8 @@ The runtime owns the checkpoint cadence: each cycle brackets
 :meth:`DisklessCheckpointer.run_cycle` with engine stalls (barrier start
 to barrier lift, surfaced by the cycle's ``pause_done`` event).  A
 crashed node is handed to the recovery driver after its repair wait; a
-loss beyond tolerance is salvaged, not left dark.  This is what
+loss beyond tolerance is salvaged, not left dark; the layout is healed
+after the drain and settled before the next cycle.  This is what
 ``repro serving run|study`` uses.
 
 Disruption accounting: every (node down → serving restored) interval is
@@ -53,13 +54,7 @@ def build_servers(cluster) -> list[PSServer]:
     vms = sorted(cluster.all_vms, key=lambda v: v.vm_id)
     if not vms:
         raise ValueError("cluster hosts no VMs to serve from")
-    return [
-        PSServer(
-            sid, vm.vm_id,
-            vm.node_id if vm.node_id is not None else -1,
-        )
-        for sid, vm in enumerate(vms)
-    ]
+    return [PSServer(sid, vm.vm_id) for sid, vm in enumerate(vms)]
 
 
 class ServingRuntime:
@@ -208,6 +203,8 @@ class ServingRuntime:
                 # membership gate: no cycles with nodes down/recovering
                 yield sim.timeout(min(self.interval, self.drain_tick))
                 continue
+            # a cycle starts on the healed layout, as the job's does
+            yield from self.recovery.settle()
             yield from self._one_cycle()
             if self._done:
                 break
@@ -268,11 +265,12 @@ class ServingRuntime:
         now = self.sim.now
         # track shed replicas at the runtime level — engine server state
         # lags behind sim time until the next sweep and must not be read
-        # (or written) here, or chunk invariance breaks
-        sids = [
-            s.sid for s in self.servers
-            if s.node_id == node_id and s.sid not in self._shed
-        ]
+        # (or written) here, or chunk invariance breaks; placement is the
+        # cluster's, since recovery and heal move VMs
+        sids = sorted(
+            self._sid_by_vm[vm_id] for vm_id in self.cluster.node(node_id).vms
+            if self._sid_by_vm[vm_id] not in self._shed
+        )
         labels = self._groups_on_node(node_id)
         if not self.cluster.node(node_id).alive:
             return
@@ -287,8 +285,9 @@ class ServingRuntime:
         self.sim.schedule(self.repair_time, self._repaired, node_id)
 
     def _repaired(self, node_id: int) -> None:
-        """The node rejoins empty and goes to the recovery driver; with
-        no checkpointer its replicas restart on it, their state gone."""
+        """The node rejoins empty and goes to the recovery driver, which
+        heals the layout once the drain ends; with no checkpointer its
+        replicas restart on it, their state gone."""
         self.cluster.repair_node(node_id)
         if self.recovery is None:
             for sid in self._open_outages.get(node_id, (0.0, [], []))[2]:
@@ -296,8 +295,10 @@ class ServingRuntime:
                 self.cluster.place_failed_vm(vm.vm_id, node_id)
                 vm.revive()
             self._restore_replicas(node_id)
-        elif self.recovery.hand_over(node_id):
+            return
+        if self.recovery.hand_over(node_id):
             self.sim.process(self.recovery.drain(self._recover))
+        self.recovery.heal(defer=True)
 
     def _recover(self, node_id: int, recovery):
         """The drain's wrapper: recover or salvage, then bring the
@@ -334,8 +335,6 @@ class ServingRuntime:
             vm = self.cluster.vm(self.servers[sid].vm_id)
             if vm.node_id is None:
                 continue  # still homeless — leave it dark
-            # recovery may have re-placed the VM; follow it
-            self.servers[sid].node_id = vm.node_id
             up.append(sid)
         if up:
             self.engine.set_up(now, up)

@@ -203,7 +203,9 @@ class TestDVDCRecovery:
 
     def test_heal_survives_new_home_crash_mid_encode(self, paper_cluster, sim, rng):
         # a background heal nobody joins: were the crash of the node it
-        # re-encodes onto to escape as an error, it would end the run
+        # re-encodes onto to escape as an error, it would end the run.
+        # Group 0's shard home dies after a recovery, so heal must
+        # re-home the lost shard
         ck = dvdc(paper_cluster)
         encode_at = ck._encode_at
         crashed = []
@@ -224,6 +226,8 @@ class TestDVDCRecovery:
             paper_cluster.kill_node(1)
             yield from ck.recover(1)
             paper_cluster.repair_node(1)
+            yield from ck.heal()
+            paper_cluster.kill_node(ck.layout.groups[0].parity_nodes[0])
             ck._encode_at = encode_then_crash
             sim.process(ck.heal())
 
@@ -231,7 +235,7 @@ class TestDVDCRecovery:
         sim.run()
         assert crashed
         assert not paper_cluster.node(crashed[0]).alive
-        assert not ck.layout.groups_with_parity_on(crashed[0])
+        assert crashed[0] not in ck.layout.groups[0].parity_nodes
 
 
 class TestFoldedEpoch:

@@ -159,3 +159,42 @@ class TestRecoveryNetworkAccounting:
         # three groups x two remote survivors x 1 GB, plus restore
         # shipments for members rebuilt away from their parity node
         assert rep.network_bytes >= 6e9
+
+
+class TestRespreadSourceDiesMidMove:
+    """Heal's member pass pauses a member, ships it, and resumes it.  A
+    source node that died mid-move used to have its (failed) VM resumed:
+    ``VMError: cannot resume a failed VM`` out of the heal."""
+
+    def test_the_dead_member_is_left_to_recovery(self):
+        from repro.geo import GeoConfig, build_geo_scenario
+        from repro.perf.scale import run_epochs
+
+        cfg = GeoConfig(n_nodes=12, n_sites=3, policy="geo-spread")
+        sim, cluster, ck, _, geo, rngs, _ = build_geo_scenario(cfg)
+        run_epochs(sim, cluster, ck, rngs, cfg)
+        site = geo.nodes_in_site(0)
+        cluster.topology.set_site_wan_up(0, False, reason="site outage")
+        for node_id in site:
+            cluster.kill_node(node_id)
+        sim.run_process(ck.recover(site[0]))
+        for node_id in site:
+            cluster.repair_node(node_id)
+        cluster.topology.set_site_wan_up(0, True, reason="site repaired")
+
+        transfer = ck._transfer
+        killed = []  # (vm, source node) of the first member move
+
+        def kill_first_source(src, dst, size, label):
+            if label.startswith("respread.") and not killed:
+                killed.append((int(label.removeprefix("respread.vm")), src))
+                sim.schedule(1e-3, cluster.kill_node, src)
+            return transfer(src, dst, size, label)
+
+        ck._transfer = kill_first_source
+        sim.run_process(ck.heal())
+        assert killed
+        vm_id, src = killed[0]
+        assert not cluster.node(src).alive
+        vm = cluster.vm(vm_id)
+        assert vm.state == VMState.FAILED and vm.node_id is None

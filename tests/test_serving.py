@@ -443,6 +443,62 @@ class TestBeyondTolerance:
         assert any(t > max(serving_salvages) for t in cycles)
 
 
+class TestLayoutStaysSpread:
+    """Recovery lands rebuilt VMs where the nodes allow; the runtime
+    heals after each drain and settles before each cycle, so a node
+    crash costs each group at most one element again."""
+
+    def test_every_full_strength_cycle_starts_on_a_valid_layout(
+            self, monkeypatch):
+        """Without heal, every VM and every shard of the crashy cell
+        piled onto one node, and every cycle that started with the whole
+        cluster up started on an invalid layout."""
+        from repro.core import validate_layout
+        from repro.core.dvdc import DisklessCheckpointer
+
+        run_cycle = DisklessCheckpointer.run_cycle
+        starts = []  # layout verdict at each full-strength cycle start
+
+        def spy(ck, *args, **kwargs):
+            cluster = ck.cluster
+            if (all(n.alive for n in cluster.nodes)
+                    and all(vm.node_id is not None for vm in cluster.all_vms)):
+                starts.append(validate_layout(
+                    ck.layout, cluster, tolerance=ck.scheme.tolerance,
+                    domains=ck.domains,
+                ).ok)
+            return run_cycle(ck, *args, **kwargs)
+
+        monkeypatch.setattr(DisklessCheckpointer, "run_cycle", spy)
+        rep = run_serving_cell(policies_named(["checkpoint"])[0], CRASHY, 0)
+        assert rep["failures"] > 0
+        assert len(starts) > 1 and all(starts), starts
+
+    def test_a_moved_vm_is_shed_with_its_new_node(self):
+        """The crashed node's replicas are the VMs the cluster hosts
+        there, wherever recovery or heal moved them."""
+        sc = scaled_scenario(
+            4, 2, vm_memory=float(16 << 20), seed=0, image_pages=16, page_size=64,
+        )
+        arrivals = OpenLoopArrivals(
+            ArrivalConfig(rate=200.0, n_requests=2000), sc.rngs
+        )
+        kill = FailureEvent(time=5.0, node_id=1, ordinal=0)
+        injector = FailureInjector(sc.sim, 4, schedule=FailureSchedule([kill]))
+        runtime = ServingRuntime(sc, arrivals, injector=injector)
+        vm = sc.cluster.vms_on(0)[0]
+        sc.cluster.move_vm(vm.vm_id, 1)  # as heal moves a member
+        hosted = sorted(
+            runtime._sid_by_vm[v.vm_id] for v in sc.cluster.vms_on(1)
+        )
+        injector.start()
+        runtime.start()
+        sc.sim.run(until=6.0)
+        shed = runtime._open_outages[1][2]
+        assert runtime._sid_by_vm[vm.vm_id] in shed
+        assert shed == hosted and len(hosted) == 3
+
+
 class TestConcurrentKills:
     def test_simultaneous_node_kills_within_tolerance_both_recover(self):
         """Two nodes die at the same instant under RS(4,2).  Each crash
