@@ -17,7 +17,8 @@ mid-flight, recovery drained):
   observable (staged state never leaks past an abort);
 * **single-failure recoverability** — the constructive form of parity
   coherence: actually reconstruct each member from the others + parity
-  and compare bit-for-bit.
+  and compare bit-for-bit (once per group shape, behind a syndrome
+  check on every group).
 
 Checkers never raise on bad state; they return :class:`Violation`
 records so the fuzzer can aggregate and shrink.  States that are
@@ -99,6 +100,57 @@ def _severity(strict: bool) -> str:
     return FATAL if strict else DEGRADED
 
 
+def _gather(cluster: "VirtualCluster", g) -> tuple[list[str], tuple | None]:
+    """One group's audit inputs, as ``(why, inputs)``.
+
+    ``why`` names, in order, each shard that is missing (its home is
+    down, or holds no block) and then the first member that has failed
+    or has no committed checkpoint.  ``inputs`` is ``(payloads, shards)``
+    — the members' committed payloads and each present shard as
+    ``(j, bytes)`` — or None when there is nothing to compare: a member
+    is unauditable, no shard is present, or the run is timing-only (no
+    payload bytes).
+    """
+    why: list[str] = []
+    blocks: list[tuple[int, object]] = []
+    for j, pnode_id in enumerate(g.parity_nodes):
+        pnode = cluster.node(pnode_id)
+        if not pnode.alive:
+            why.append(f"{shard_name(j)} node {pnode_id} is down")
+            continue
+        block = pnode.parity_store.get(shard_key(g.group_id, j))
+        if block is None:
+            why.append(f"no {shard_name(j)} block on node {pnode_id}")
+            continue
+        blocks.append((j, block))
+    payloads = []
+    for v in g.member_vm_ids:
+        vm = cluster.vm(v)
+        if vm.node_id is None:
+            why.append(f"member vm {v} failed — group unauditable")
+            return why, None
+        img = cluster.hypervisor(vm.node_id).committed(v)
+        if img is None:
+            why.append(f"member vm {v} has no committed checkpoint")
+            return why, None
+        payloads.append(img.payload_flat() if img.payload is not None else None)
+    if not blocks or any(p is None for p in payloads) or any(
+        b.data is None for _, b in blocks
+    ):
+        return why, None
+    return why, (payloads, [(j, b.data) for j, b in blocks])
+
+
+def _syndrome(coding, payloads, shards) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """``(j, stored, encoded)`` for every stored shard that is not the
+    scheme's ``encode`` of the members: empty when the syndrome is clean."""
+    expect = coding.encode(payloads)
+    return [
+        (j, got, expect[j]) for j, got in shards
+        if got.shape[0] != expect[j].shape[0] or not np.array_equal(got, expect[j])
+    ]
+
+
 def check_parity_coherence(
     cluster: "VirtualCluster",
     layout: "GroupLayout",
@@ -112,64 +164,26 @@ def check_parity_coherence(
     out: list[Violation] = []
     for g in layout.groups:
         subject = f"group {g.group_id}"
-        blocks: list[tuple[int, object]] = []
-        for j, pnode_id in enumerate(g.parity_nodes):
-            pnode = cluster.node(pnode_id)
-            if not pnode.alive:
-                out.append(Violation(
-                    "parity-coherence", _severity(strict), subject,
-                    f"{shard_name(j)} node {pnode_id} is down",
-                ))
-                continue
-            block = pnode.parity_store.get(shard_key(g.group_id, j))
-            if block is None:
-                out.append(Violation(
-                    "parity-coherence", _severity(strict), subject,
-                    f"no {shard_name(j)} block on node {pnode_id}",
-                ))
-                continue
-            blocks.append((j, block))
-        payloads = []
-        auditable = True
-        for v in g.member_vm_ids:
-            vm = cluster.vm(v)
-            if vm.node_id is None:
-                out.append(Violation(
-                    "parity-coherence", _severity(strict), subject,
-                    f"member vm {v} failed — group unauditable",
-                ))
-                auditable = False
-                break
-            img = cluster.hypervisor(vm.node_id).committed(v)
-            if img is None:
-                out.append(Violation(
-                    "parity-coherence", _severity(strict), subject,
-                    f"member vm {v} has no committed checkpoint",
-                ))
-                auditable = False
-                break
-            payloads.append(img.payload_flat() if img.payload is not None else None)
-        if not auditable or not blocks:
+        why, inputs = _gather(cluster, g)
+        out.extend(
+            Violation("parity-coherence", _severity(strict), subject, reason)
+            for reason in why
+        )
+        if inputs is None:
             continue
-        if any(p is None for p in payloads) or any(b.data is None for _, b in blocks):
-            continue  # timing-only run: nothing functional to compare
-        expect = coding.encode(payloads)
-        for j, block in blocks:
-            want, got = expect[j], block.data
+        for j, got, want in _syndrome(coding, *inputs):
             if got.shape[0] != want.shape[0]:
-                out.append(Violation(
-                    "parity-coherence", FATAL, subject,
+                detail = (
                     f"{shard_name(j)} length {got.shape[0]} != encoded "
-                    f"length {want.shape[0]}",
-                ))
-                continue
-            if not np.array_equal(got, want):
+                    f"length {want.shape[0]}"
+                )
+            else:
                 nbad = int(np.count_nonzero(got != want))
-                out.append(Violation(
-                    "parity-coherence", FATAL, subject,
+                detail = (
                     f"{shard_name(j)} differs from {coding.name} encode "
-                    f"in {nbad} byte(s)",
-                ))
+                    f"in {nbad} byte(s)"
+                )
+            out.append(Violation("parity-coherence", FATAL, subject, detail))
     return out
 
 
@@ -301,75 +315,89 @@ def check_single_failure_recoverable(
     actual recovery computation) and compare the rebuilt members
     bit-exactly against their committed payloads.  Under a tolerance-1
     scheme that is each single member loss, reported under the
-    invariant's historical name."""
+    invariant's historical name.
+
+    Every group gets a syndrome check (its stored shards against the
+    members' encode); the full decode runs once per group shape
+    ``(k, member lengths, shard lengths)`` per call, and again for any
+    group whose syndrome fails.  Skipping a clean shape-mate is safe
+    because every scheme's ``reconstruct`` is a linear map of the
+    survivors fixed by the shape: with a clean syndrome the shards are
+    the encode of the members, so a decode that was bit-exact on one
+    group's bytes is bit-exact on every clean group of its shape.  A
+    shape counts as verified only when its syndrome was clean and its
+    decode found nothing, and nothing is remembered between calls."""
     coding = get_scheme(scheme)
+    out: list[Violation] = []
+    verified: set[tuple] = set()
+    for g in layout.groups:
+        why, inputs = _gather(cluster, g)
+        if why or inputs is None:
+            continue  # unauditable or incomplete: parity-coherence flags it
+        payloads, shards = inputs
+        shape = (
+            len(payloads),
+            tuple(p.shape[0] for p in payloads),
+            tuple(s.shape[0] for _, s in shards),
+        )
+        clean = not _syndrome(coding, payloads, shards)
+        if clean and shape in verified:
+            continue
+        findings = _decode_every_pattern(
+            coding, g, payloads, [s for _, s in shards]
+        )
+        if clean and not findings:
+            verified.add(shape)
+        out.extend(findings)
+    return out
+
+
+def _decode_every_pattern(coding, g, member_list, shards) -> list[Violation]:
+    """Decode each erasure pattern of one group and compare every rebuilt
+    member with its committed payload."""
     out: list[Violation] = []
     t, m = coding.tolerance, coding.n_shards
     name = "single-failure-recoverable" if t == 1 else "erasure-recoverable"
-    for g in layout.groups:
-        k = len(g.member_vm_ids)
-        shards: list[np.ndarray] = []
-        available = True
-        for j, pnode_id in enumerate(g.parity_nodes):
-            pnode = cluster.node(pnode_id)
-            block = (
-                pnode.parity_store.get(shard_key(g.group_id, j))
-                if pnode.alive else None
-            )
-            if block is None or block.data is None:
-                available = False
-                break
-            shards.append(block.data)
-        if not available:
-            continue  # availability handled by parity-coherence
-        images = {}
-        for v in g.member_vm_ids:
-            vm = cluster.vm(v)
-            img = (
-                cluster.hypervisor(vm.node_id).committed(v)
-                if vm.node_id is not None
-                else None
-            )
-            if img is None or img.payload is None:
-                images = None
-                break
-            images[v] = img.payload_flat()
-        if images is None:
-            continue  # unauditable; parity-coherence already flagged it
-        member_list = [images[v] for v in g.member_vm_ids]
-        length = max(p.shape[0] for p in member_list)
-        patterns = [
-            combo
-            for r in range(1, t + 1)
-            for combo in combinations(range(k + m), r)
-            if any(slot < k for slot in combo)
-        ]
-        patterns = patterns[:_MAX_ERASURE_PATTERNS]
-        for combo in patterns:
-            mem = [None if i in combo else member_list[i] for i in range(k)]
-            shd = [None if (k + j) in combo else shards[j] for j in range(m)]
-            try:
-                rebuilt = coding.reconstruct(mem, shd, nbytes=length)
-            except Exception as exc:
-                out.append(Violation(
-                    name, FATAL, f"group {g.group_id}",
-                    f"pattern {combo} within tolerance {t} failed to "
-                    f"decode: {exc}",
-                ))
+    k = len(member_list)
+    length = max(p.shape[0] for p in member_list)
+    patterns = [
+        combo
+        for r in range(1, t + 1)
+        for combo in combinations(range(k + m), r)
+        if any(slot < k for slot in combo)
+    ]
+    patterns = patterns[:_MAX_ERASURE_PATTERNS]
+    for combo in patterns:
+        mem = [None if i in combo else member_list[i] for i in range(k)]
+        shd = [None if (k + j) in combo else shards[j] for j in range(m)]
+        try:
+            rebuilt = coding.reconstruct(mem, shd, nbytes=length)
+        except Exception as exc:
+            out.append(Violation(
+                name, FATAL, f"group {g.group_id}",
+                f"pattern {combo} within tolerance {t} failed to "
+                f"decode: {exc}",
+            ))
+            continue
+        for i in combo:
+            if i >= k:
                 continue
-            for i in combo:
-                if i >= k:
-                    continue
-                want = member_list[i]
-                got = rebuilt[i][: want.shape[0]]
-                if not np.array_equal(got, want):
-                    nbad = int(np.count_nonzero(got != want))
-                    out.append(Violation(
-                        name, FATAL,
-                        f"vm {g.member_vm_ids[i]}",
-                        f"pattern {combo}: rebuilt image differs from "
-                        f"committed in {nbad} byte(s)",
-                    ))
+            want = member_list[i]
+            got = rebuilt[i][: want.shape[0]]
+            if got.shape[0] != want.shape[0]:
+                out.append(Violation(
+                    name, FATAL, f"vm {g.member_vm_ids[i]}",
+                    f"pattern {combo}: rebuilt image is {got.shape[0]} "
+                    f"bytes, committed {want.shape[0]}",
+                ))
+            elif not np.array_equal(got, want):
+                nbad = int(np.count_nonzero(got != want))
+                out.append(Violation(
+                    name, FATAL,
+                    f"vm {g.member_vm_ids[i]}",
+                    f"pattern {combo}: rebuilt image differs from "
+                    f"committed in {nbad} byte(s)",
+                ))
     return out
 
 

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+from repro.audit import Violation
+from repro.audit.invariants import _MAX_ERASURE_PATTERNS
 from repro.cluster import ClusterSpec, VirtualCluster
+from repro.coding import get_scheme, shard_key
 from repro.controlplane import PlacementEngine
 from repro.network import Network, SwitchedTopology
 from repro.sim import RngRegistry, Simulator
@@ -45,6 +50,80 @@ def global_fill_spec(n_nodes: int) -> ClusterSpec:
         ))
 
     return ClusterSpec(n_nodes=n_nodes, topology_factory=factory)
+
+
+def exhaustive_recoverable(cluster, layout, scheme=None) -> list[Violation]:
+    """The findings oracle for ``check_single_failure_recoverable``: every
+    auditable group decodes every erasure pattern within tolerance that
+    touches a member, with no syndrome check and no per-shape skip."""
+    coding = get_scheme(scheme)
+    out: list[Violation] = []
+    t, m = coding.tolerance, coding.n_shards
+    name = "single-failure-recoverable" if t == 1 else "erasure-recoverable"
+    for g in layout.groups:
+        k = len(g.member_vm_ids)
+        shards = []
+        for j, pnode_id in enumerate(g.parity_nodes):
+            pnode = cluster.node(pnode_id)
+            block = (
+                pnode.parity_store.get(shard_key(g.group_id, j))
+                if pnode.alive else None
+            )
+            if block is None or block.data is None:
+                break
+            shards.append(block.data)
+        if len(shards) < m:
+            continue
+        member_list = []
+        for v in g.member_vm_ids:
+            vm = cluster.vm(v)
+            img = (
+                cluster.hypervisor(vm.node_id).committed(v)
+                if vm.node_id is not None else None
+            )
+            if img is None or img.payload is None:
+                break
+            member_list.append(img.payload_flat())
+        if len(member_list) < k:
+            continue
+        length = max(p.shape[0] for p in member_list)
+        patterns = [
+            combo
+            for r in range(1, t + 1)
+            for combo in combinations(range(k + m), r)
+            if any(slot < k for slot in combo)
+        ][:_MAX_ERASURE_PATTERNS]
+        for combo in patterns:
+            mem = [None if i in combo else member_list[i] for i in range(k)]
+            shd = [None if (k + j) in combo else shards[j] for j in range(m)]
+            try:
+                rebuilt = coding.reconstruct(mem, shd, nbytes=length)
+            except Exception as exc:
+                out.append(Violation(
+                    name, "fatal", f"group {g.group_id}",
+                    f"pattern {combo} within tolerance {t} failed to "
+                    f"decode: {exc}",
+                ))
+                continue
+            for i in combo:
+                if i >= k:
+                    continue
+                want = member_list[i]
+                got = rebuilt[i][: want.shape[0]]
+                if got.shape[0] != want.shape[0]:
+                    out.append(Violation(
+                        name, "fatal", f"vm {g.member_vm_ids[i]}",
+                        f"pattern {combo}: rebuilt image is {got.shape[0]} "
+                        f"bytes, committed {want.shape[0]}",
+                    ))
+                elif not np.array_equal(got, want):
+                    nbad = int(np.count_nonzero(got != want))
+                    out.append(Violation(
+                        name, "fatal", f"vm {g.member_vm_ids[i]}",
+                        f"pattern {combo}: rebuilt image differs from "
+                        f"committed in {nbad} byte(s)",
+                    ))
+    return out
 
 
 @pytest.fixture
