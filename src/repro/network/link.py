@@ -127,6 +127,11 @@ class Flow(SimEvent):
     The event value is the flow, so processes can ``flow = yield flow``.
     Cancel in-flight (e.g. sender crashed) with :meth:`abort` — the event
     then *fails* with :class:`NetworkError`.
+
+    A delivered flow reports itself through :attr:`value` instead of
+    storing itself as its value: a flow that referred to itself would
+    be a reference cycle, left for the cyclic collector instead of
+    freed by refcounting when its last waiter lets go.
     """
 
     __slots__ = (
@@ -159,6 +164,14 @@ class Flow(SimEvent):
         #: admission sequence; the settle reschedules flows in this order
         #: whatever components they fall into
         self._order = 0
+
+    @property
+    def value(self) -> "Flow | BaseException":
+        """The flow itself once delivered; the :class:`NetworkError` once
+        aborted."""
+        if self._ok:
+            return self
+        return super().value
 
     def abort(self, reason: str = "aborted", transient: bool = False) -> None:
         """Cancel the transfer; the waiting process sees a NetworkError.
@@ -197,6 +210,9 @@ class Network:
         self._probe = probe_of(tracer)
         self.links: dict[str, Link] = {}
         self._active: dict[Flow, None] = {}
+        #: flows still in their latency phase, not yet admitted
+        #: (insertion-ordered set, so tear-down order is deterministic)
+        self._latent: dict[Flow, None] = {}
         #: links changed since the last settle (insertion-ordered set)
         self._dirty: dict[Link, None] = {}
         self._flow_seq = 0
@@ -293,12 +309,14 @@ class Network:
             )
         total_latency = sum(lk.latency for lk in links)
         if total_latency > 0.0:
+            self._latent[flow] = None
             self.sim.schedule(total_latency, self._admit, flow)
         else:
             self._admit(flow)
         return flow
 
     def _admit(self, flow: Flow) -> None:
+        self._latent.pop(flow, None)
         if flow.triggered:  # aborted during the latency phase
             return
         down = [lk.name for lk in flow.path if not lk.up]
@@ -319,6 +337,7 @@ class Network:
         self._reallocate(flow.path)
 
     def _finish_flow(self, flow: Flow, error: BaseException | None = None) -> None:
+        self._latent.pop(flow, None)
         if flow in self._active:
             flow._sync_progress(self.sim.now)
             del self._active[flow]
@@ -348,7 +367,7 @@ class Network:
                     help="Bytes delivered, by terminal link",
                     link=terminal,
                 )
-            flow.succeed(flow)
+            flow.succeed()
         else:
             if self.tracer.enabled:
                 self.tracer.emit(self.sim.now, "net.flow.abort", label=flow.label)

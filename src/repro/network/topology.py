@@ -136,7 +136,8 @@ class SwitchedTopology(ClusterTopology):
         return path
 
     def abort_node_flows(self, node_id: int, reason: str = "node failed") -> int:
-        """Abort every in-flight flow crossing the node's NIC.
+        """Abort every in-flight flow crossing the node's NIC, those
+        still in their latency phase included.
 
         Called when a physical node crashes: transfers it was sending or
         receiving terminate with a :class:`NetworkError` at the waiting
@@ -148,11 +149,16 @@ class SwitchedTopology(ClusterTopology):
         return len(doomed)
 
     def _nic_flows(self, node_id: int) -> list[Flow]:
-        """Flows crossing either NIC direction, in deterministic
-        (admission) order — tear-down order affects event ordering, so it
-        must not depend on set iteration."""
-        doomed = dict.fromkeys(self.tx[node_id].flows)
-        doomed.update(dict.fromkeys(self.rx[node_id].flows))
+        """Flows crossing either NIC direction, in deterministic order —
+        tear-down order affects event ordering, so it must not depend on
+        set iteration: admitted flows in admission order, then flows
+        still in their latency phase in start order."""
+        tx, rx = self.tx[node_id], self.rx[node_id]
+        doomed = dict.fromkeys(tx.flows)
+        doomed.update(dict.fromkeys(rx.flows))
+        for flow in self.network._latent:
+            if tx in flow.path or rx in flow.path:
+                doomed[flow] = None
         return list(doomed)
 
     # ------------------------------------------------------------------

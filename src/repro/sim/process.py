@@ -18,6 +18,10 @@ failure is dropped silently.  Processes can also be interrupted from the
 outside with :meth:`Process.interrupt`, which raises :class:`Interrupt`
 inside them — the mechanism used to model machine crashes killing
 in-flight checkpoints and migrations.
+
+A failure leaves no reference cycle behind (see :func:`_unwound`), so
+refcounting frees everything a failed process lets go of; the cyclic
+collector need not run for it.
 """
 
 from __future__ import annotations
@@ -54,6 +58,29 @@ class Interrupt(Exception):
     def __init__(self, cause: Any = None):
         super().__init__(cause)
         self.cause = cause
+
+
+def _unwound(exc: BaseException, thrown_with: Any = _PENDING) -> BaseException:
+    """``exc`` as a process fails with it, with no reference cycle left in
+    its traceback.
+
+    The traceback's head is the frame of the :class:`Process` method that
+    caught ``exc``; it holds the process, which is about to hold ``exc``
+    as its value, so that entry is dropped.  When ``exc`` was thrown in
+    with traceback ``thrown_with`` and passed through uncaught, the
+    entries ahead of ``thrown_with`` are the generator frames it
+    unwound, all finished now: their locals are cleared, because a local
+    that holds the failed event (a flow, a child process) refers back to
+    ``exc``.  Every entry keeps its file, line and function for the
+    printed traceback.
+    """
+    tb = exc.__traceback__.tb_next
+    exc.__traceback__ = tb
+    if thrown_with is not _PENDING:
+        while tb is not thrown_with:
+            tb.tb_frame.clear()
+            tb = tb.tb_next
+    return exc
 
 
 class SimEvent:
@@ -196,23 +223,20 @@ class Process(SimEvent):
         if not self.alive:
             return
         self._waiting_on = None  # abandon whatever we were waiting for
-        self._step(lambda: self.generator.throw(Interrupt(cause)))
+        self._throw(Interrupt(cause))
 
     def _resume(self, event: SimEvent | None) -> None:
         # Stale wakeup: the process was interrupted or moved on.
         if event is not None and event is not self._waiting_on:
             return
         self._waiting_on = None
-        # _step inlined with send/throw dispatched directly: this runs
-        # once per yield of every process, and allocating a closure per
-        # resume is measurable at cluster scale.
+        if event is not None and event.ok is False:
+            self._throw(event.value)
+            return
+        # the success path runs once per yield of every process: send
+        # inline, none of _throw's traceback bookkeeping
         try:
-            if event is None:
-                target = self.generator.send(None)
-            elif event.ok is False:
-                target = self.generator.throw(event.value)
-            else:
-                target = self.generator.send(event.value)
+            target = self.generator.send(None if event is None else event.value)
         except StopIteration as stop:
             if not self.triggered:
                 self.succeed(stop.value)
@@ -224,7 +248,7 @@ class Process(SimEvent):
             return
         except BaseException as exc:
             if not self.triggered:
-                self.fail(exc)
+                self.fail(_unwound(exc))
             return
         if not isinstance(target, SimEvent):
             self.generator.close()
@@ -234,22 +258,33 @@ class Process(SimEvent):
         self._waiting_on = target
         target.subscribe(self._resume)
 
-    def _step(self, advance: Callable[[], Any]) -> None:
+    def _throw(self, exc: BaseException) -> None:
+        """Throw ``exc`` (a failed event's error, or an interrupt) into the
+        generator.  A generator that handles it does not keep its frame in
+        ``exc``'s traceback: the frame holds the event that failed with
+        ``exc`` (a flow in a local list, a child process), so the entry
+        would make a reference cycle."""
+        before = exc.__traceback__
         try:
-            target = advance()
+            target = self.generator.throw(exc)
         except StopIteration as stop:
+            exc.__traceback__ = before
             if not self.triggered:
                 self.succeed(stop.value)
             return
         except Interrupt:
             # Interrupt escaped the generator: treat as a clean kill.
+            exc.__traceback__ = before
             if not self.triggered:
                 self.succeed(None)
             return
-        except BaseException as exc:
+        except BaseException as out:
+            if out is not exc:
+                exc.__traceback__ = before
             if not self.triggered:
-                self.fail(exc)
+                self.fail(_unwound(out, before) if out is exc else _unwound(out))
             return
+        exc.__traceback__ = before
         if not isinstance(target, SimEvent):
             self.generator.close()
             if not self.triggered:

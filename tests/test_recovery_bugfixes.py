@@ -9,7 +9,10 @@ Each test documents a failure mode that existed before the fix:
   with ``NetworkError``, inflating recovery accounting on aborted
   rebuild/re-encode passes;
 * the member rebuild hand-rolled the survivor XOR fold instead of using
-  ``reconstruct_missing_padded`` (covered via heterogeneous groups).
+  ``reconstruct_missing_padded`` (covered via heterogeneous groups);
+* a flow whose endpoint node crashed during the flow's latency phase
+  was admitted afterwards and delivered: node tear-down only reached
+  flows already on a NIC link.
 """
 
 import numpy as np
@@ -198,3 +201,38 @@ class TestRespreadSourceDiesMidMove:
         assert not cluster.node(src).alive
         vm = cluster.vm(vm_id)
         assert vm.state == VMState.FAILED and vm.node_id is None
+
+
+class TestEndpointDiesInLatencyPhase:
+    """A node crash tears down the flows it sends or receives, including
+    those still in their latency phase.  They used to be admitted after
+    the crash and delivered: ``flow.ok is True`` on a dead endpoint."""
+
+    def _flows(self):
+        from repro.network import SwitchedTopology
+        from repro.sim import Simulator
+
+        sim = Simulator()
+        topo = SwitchedTopology(sim, 3, latency=0.010)
+        doomed = topo.transfer(0, 1, 1e6, "doomed")
+        inbound = topo.transfer(2, 0, 1e6, "inbound")
+        bystander = topo.transfer(1, 2, 1e6, "bystander")
+        return sim, topo, (doomed, inbound, bystander)
+
+    @pytest.mark.parametrize("tear_down, error", [
+        ("abort_node_flows", "NetworkError"),
+        ("drop_node_flows", "TransientNetworkError"),
+    ])
+    def test_latent_flows_fail_and_bystanders_deliver(self, tear_down, error):
+        sim, topo, (doomed, inbound, bystander) = self._flows()
+        torn = []
+        sim.schedule(1e-3, lambda: torn.append(getattr(topo, tear_down)(0)))
+        sim.run()
+        assert torn == [2]
+        for flow in (doomed, inbound):
+            assert flow.ok is False
+            assert type(flow.value).__name__ == error
+            assert flow.finished_at == pytest.approx(1e-3)
+        assert bystander.ok is True and bystander.value is bystander
+        assert not topo.network._latent
+        assert not topo.tx[0].flows and not topo.rx[0].flows
