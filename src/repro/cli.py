@@ -354,7 +354,7 @@ def _audit_heal(args: argparse.Namespace) -> int:
     ))
     if spares.exhausted:
         print(f"  spare pool ran dry {spares.exhausted} time(s) — "
-              "degraded groups rely on relocation only")
+              "degraded groups rely on heal() alone")
     for issue in report.issues:
         print(f"  outstanding: {issue}")
     for v in violations:
@@ -609,8 +609,7 @@ def _controlplane_summary(cp) -> str:
         ["ops", "done", "failed", "fences", "recoveries", "migrations",
          "verified", "audits", "violations", "health"],
         [[sum(ops.values()), ops["DONE"], ops["FAILED"],
-          len([r for r in cp.tracer.records
-               if r.kind == "controlplane.fence"]),
+          status["fences"],
           status["recoveries"], status["migrations"],
           status["verified_migrations"], status["audits"],
           status["audit_violations"], status["health"]]],

@@ -6,10 +6,11 @@ placement loops) into one long-running coordinator over the simulator:
 
 * :mod:`~repro.controlplane.heartbeat` — keepalive daemons + fencing
   registry: one detection path for crashes and link flaps;
-* :mod:`~repro.controlplane.scheduler` — the placement engine owning
-  initial placement, drain re-placement, and recovery placement;
+* :mod:`~repro.controlplane.scheduler` — the placement engine for
+  new VMs;
 * :mod:`~repro.controlplane.maintenance` — zero-gap rolling node drains
-  over real live migrations with checksum verification;
+  over real live migrations with checksum verification, each VM moved
+  by recovery's member rule;
 * :mod:`~repro.controlplane.ops` — the PENDING→RUNNING→DONE/FAILED
   operation state machine behind :meth:`ControlPlane.submit`;
 * :mod:`~repro.controlplane.coordinator` — :class:`ControlPlane` itself;

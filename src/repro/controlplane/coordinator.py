@@ -44,6 +44,7 @@ from ..checkpoint.base import Unrecoverable
 from ..cluster.cluster import VirtualCluster
 from ..core.dvdc import DisklessCheckpointer
 from ..core.groups import RaidGroup, build_orthogonal_layout
+from ..core.placement import group_losses_if_node_fails
 from ..core.recovery import RecoveryDriver, salvage
 from ..resilience.healing import ClusterHealth, SelfHealer, SparePool
 from ..resilience.scrubber import Scrubber
@@ -103,6 +104,8 @@ class ControlPlane:
         self.maintenance: set[int] = set()
         #: nodes fenced and not yet back in service
         self.fenced: set[int] = set()
+        #: fences so far, false positives included
+        self.fences = 0
         # recovery placement inside the checkpointer (parity re-homes,
         # restore targets) must honor the same cordons drain targeting
         # does — otherwise a drain's own parity re-encode can land on a
@@ -197,6 +200,7 @@ class ControlPlane:
         was_alive = node.alive
         self.registry.unenroll(node_id)
         self.fenced.add(node_id)
+        self.fences += 1
         self._recovery_results.pop(node_id, None)
         self.tracer.emit(
             sim.now, "controlplane.fence", node=node_id,
@@ -512,31 +516,22 @@ class ControlPlane:
 
     # -- kill -----------------------------------------------------------
     def _safe_to_kill(self, node_id: int) -> str | None:
-        """Why killing ``node_id`` now would be unsafe, or None if fine.
-
-        Counts, per group, elements already unavailable plus elements
-        that would go down with the candidate; more lost elements in any
-        group than the coding scheme tolerates means unrecoverable data
-        loss.
-        """
+        """Why killing ``node_id`` now would be unsafe, or None if fine:
+        an unprotected VM on it, or a group that would lose more
+        elements than the coding scheme tolerates with it and every
+        node already down gone (unrecoverable data loss)."""
         for vm in self.cluster.vms_on(node_id):
             if vm.vm_id in self.pending_protect:
                 return f"vm {vm.vm_id} on node {node_id} is not yet protected"
         tolerance = self.ck.scheme.tolerance
-        for group in self.layout.groups:
-            lost = 0
-            for v in group.member_vm_ids:
-                home = self.cluster.vm(v).node_id
-                if home is None or not self.cluster.node(home).alive:
-                    lost += 1
-                elif home == node_id:
-                    lost += 1
-            for pnode in group.parity_nodes:
-                if pnode == node_id or not self.cluster.node(pnode).alive:
-                    lost += 1
+        dead = {n.node_id for n in self.cluster.nodes if not n.alive}
+        losses = group_losses_if_node_fails(
+            self.layout, self.cluster, dead | {node_id}
+        )
+        for gid, lost in losses.items():
             if lost > tolerance:
                 return (
-                    f"group {group.group_id} would lose {lost} elements "
+                    f"group {gid} would lose {lost} elements "
                     f"(tolerance {tolerance})"
                 )
         return None
@@ -611,6 +606,7 @@ class ControlPlane:
             "alive": len(self.cluster.alive_nodes),
             "maintenance": sorted(self.maintenance),
             "fenced": sorted(self.fenced),
+            "fences": self.fences,
             "vms": len(self.cluster.all_vms),
             "unprotected_vms": len(self.pending_protect),
             "groups": len(self.layout.groups),

@@ -5,9 +5,10 @@ The drain path is where the control plane finally exercises
 network flows, under the strict auditor, with **zero unprotected
 windows**:
 
-1. every VM on the draining node live-migrates to an
-   orthogonality-preserving target (the placement engine refuses any
-   node already holding an element of the VM's group);
+1. every VM on the draining node live-migrates to a home that keeps
+   its group orthogonal (:func:`_drain_target`: the member rule of
+   :func:`~repro.core.recovery.member_homes`, domain-spread first and
+   never degraded);
 2. the VM's committed checkpoint image moves with it — *staged* on the
    destination before the migration starts, *promoted* (source copy
    dropped) only after the VM lands, so at every instant the parity
@@ -28,9 +29,11 @@ Transient network faults are ridden out with bounded retries.
 from __future__ import annotations
 
 from ..cluster.checksum import block_checksum
-from ..core.recovery import DisklessRecoveryReport
+from ..core.groups import LayoutError
+from ..core.recovery import DisklessRecoveryReport, least_loaded, member_homes
 from ..migration.precopy import live_migrate
 from ..network.link import NetworkError
+from .scheduler import PlacementError
 
 __all__ = ["drain_node", "migrate_with_verify"]
 
@@ -122,6 +125,25 @@ def _unstage_committed(cp, vm, dst: int, img) -> None:
         del dst_store[vm.vm_id]
 
 
+def _drain_target(cp, vm) -> int:
+    """Where a drain moves ``vm``: the first or second
+    :func:`~repro.core.recovery.member_homes` tier, never a degraded
+    home (:class:`PlacementError`); a VM in no group yet goes anywhere."""
+    exclude = cp.ck.recovery_exclude(set())
+    try:
+        group = cp.layout.group_of(vm.vm_id)
+    except LayoutError:
+        return cp.engine.choose_host(exclude=exclude)
+    spread, clear, _ = member_homes(
+        cp.cluster, group, vm.vm_id, exclude, cp.ck.domains
+    )
+    if not clear:
+        raise PlacementError(
+            f"no orthogonality-preserving target for vm {vm.vm_id}"
+        )
+    return least_loaded(spread or clear)
+
+
 def drain_node(cp, node_id: int) -> dict:
     """Process: fully evacuate ``node_id`` and power it down cleanly.
 
@@ -139,9 +161,7 @@ def drain_node(cp, node_id: int) -> dict:
 
     # ---- live-migrate every resident VM (committed image rides along)
     for vm in sorted(cluster.vms_on(node_id), key=lambda v: v.vm_id):
-        dst = cp.engine.choose_drain_target(
-            vm, cp.layout, exclude=cp.maintenance | cp.fenced
-        )
+        dst = _drain_target(cp, vm)
         img = yield from _stage_committed(cp, vm, node_id, dst)
         try:
             yield from migrate_with_verify(cp, vm, dst)

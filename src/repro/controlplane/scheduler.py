@@ -9,10 +9,11 @@ coordinator owns:
 * :meth:`choose_host` — least-loaded placement for a new VM;
 * :meth:`spread` — balanced placement for a batch (reproduces the
   classic round-robin layout for identical VMs, so converted call sites
-  stay bit-identical);
-* :meth:`choose_drain_target` — constraint-aware re-placement during a
-  drain: never co-locate a VM with another element (member or parity)
-  of its own RAID group, so the layout stays valid mid-maintenance.
+  stay bit-identical).
+
+A protected VM's home is not the engine's to pick: a drain, like a
+recovery, follows the member rule of
+:func:`~repro.core.recovery.member_homes`.
 
 The engine is deliberately stateless between calls — it reads the live
 cluster every time — which makes it safe to consult from concurrent
@@ -24,8 +25,7 @@ from __future__ import annotations
 import heapq
 
 from ..cluster.cluster import VirtualCluster
-from ..cluster.vm import VirtualMachine
-from ..core.groups import GroupLayout, LayoutError
+from ..core.recovery import least_loaded
 
 __all__ = ["PlacementEngine", "PlacementError"]
 
@@ -35,7 +35,7 @@ class PlacementError(RuntimeError):
 
 
 class PlacementEngine:
-    """Owns every placement decision the control plane makes."""
+    """Places the VMs the control plane creates."""
 
     def __init__(self, cluster: VirtualCluster):
         self.cluster = cluster
@@ -51,7 +51,7 @@ class PlacementEngine:
         nodes = self._candidates(exclude)
         if not nodes:
             raise PlacementError("no eligible node for placement")
-        return min(nodes, key=lambda n: (len(n.vms), n.node_id)).node_id
+        return least_loaded(nodes)
 
     def spread(self, count: int, exclude=frozenset()) -> list[int]:
         """Hosts for ``count`` identical VMs, balanced.
@@ -74,39 +74,3 @@ class PlacementEngine:
             out.append(nid)
             heapq.heappush(heap, (load + 1, nid))
         return out
-
-    # ------------------------------------------------------------------
-    def choose_drain_target(
-        self,
-        vm: VirtualMachine,
-        layout: GroupLayout | None = None,
-        exclude=frozenset(),
-    ) -> int:
-        """Where to migrate ``vm`` so its RAID group stays orthogonal.
-
-        Excludes the VM's current node, every node hosting another
-        member of its group, the group's parity shard homes, and ``exclude``
-        (draining / fenced / maintenance nodes); then least-loaded.
-        """
-        banned = set(exclude)
-        if vm.node_id is not None:
-            banned.add(vm.node_id)
-        if layout is not None:
-            try:
-                group = layout.group_of(vm.vm_id)
-            except LayoutError:
-                group = None
-            if group is not None:
-                banned.update(group.parity_nodes)
-                for other in group.member_vm_ids:
-                    if other == vm.vm_id:
-                        continue
-                    node = self.cluster.vm(other).node_id
-                    if node is not None:
-                        banned.add(node)
-        nodes = self._candidates(banned)
-        if not nodes:
-            raise PlacementError(
-                f"no orthogonality-preserving target for vm {vm.vm_id}"
-            )
-        return min(nodes, key=lambda n: (len(n.vms), n.node_id)).node_id

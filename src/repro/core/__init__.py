@@ -25,6 +25,7 @@ from .recovery import (
     DisklessRecoveryReport,
     choose_parity_node,
     choose_restore_node,
+    member_homes,
 )
 
 __all__ = [
@@ -47,6 +48,7 @@ __all__ = [
     "DisklessCycleResult",
     "DEFAULT_XOR_BANDWIDTH",
     "DisklessRecoveryReport",
+    "member_homes",
     "choose_restore_node",
     "choose_parity_node",
     "first_shot",

@@ -76,12 +76,13 @@ from ..coding import CodingScheme, get_scheme, shard_key, shard_suffix
 from ..network.link import NetworkError
 from ..sim import AllOf, NULL_TRACER, Resource, Tracer
 from ..telemetry import probe_of
-from .groups import GroupLayout, RaidGroup
+from .groups import GroupLayout, LayoutError, RaidGroup
 from .recovery import (
     DisklessRecoveryReport,
     choose_parity_node,
     choose_restore_node,
     respread_groups,
+    revive_empty,
 )
 
 __all__ = ["DisklessCheckpointer", "DisklessCycleResult", "DEFAULT_XOR_BANDWIDTH"]
@@ -728,7 +729,7 @@ class DisklessCheckpointer:
         for v in lost_vm_ids:
             lost_vm = self.cluster.vm(v)
             target = choose_restore_node(
-                self.cluster, self.layout, group,
+                self.cluster, group, v,
                 exclude=self.recovery_exclude({report.failed_node}),
                 domains=self.domains,
             )
@@ -978,9 +979,18 @@ class DisklessCheckpointer:
 
         lost_by_group: dict[int, list[int]] = {}
         for vm in self.cluster.all_vms:
-            if vm.state == VMState.FAILED and vm.node_id is None:
+            if vm.state != VMState.FAILED or vm.node_id is not None:
+                continue
+            try:
                 gid = self.layout.group_of(vm.vm_id).group_id
-                lost_by_group.setdefault(gid, []).append(vm.vm_id)
+            except LayoutError:
+                # provisioned since the last commit, so no checkpoint
+                # holds it: back empty; the next epoch protects it
+                revive_empty(
+                    self.cluster, vm, self.recovery_exclude({failed_node_id})
+                )
+                continue
+            lost_by_group.setdefault(gid, []).append(vm.vm_id)
         groups_by_id = {g.group_id: g for g in self.layout.groups}
         procs = [
             sim.process(self._recover_group(groups_by_id[gid], lost, report))

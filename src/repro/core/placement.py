@@ -7,14 +7,16 @@ failure destroys at most one element per group.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Collection
 
 from ..cluster.cluster import VirtualCluster
-from .groups import GroupLayout
+from .groups import GroupLayout, RaidGroup
 
 __all__ = [
     "validate_layout",
+    "group_layout_errors",
     "group_losses_if_node_fails",
     "survives_single_node_failure",
     "tolerable_node_failure_sets",
@@ -37,54 +39,60 @@ def validate_layout(
     tolerance: int = 1,
     domains=None,
 ) -> LayoutReport:
-    """Check orthogonality and parity independence.
+    """Check orthogonality and parity independence of every group
+    (:func:`group_layout_errors`)."""
+    errors = [
+        err
+        for g in layout.groups
+        for err in group_layout_errors(g, cluster, tolerance, domains)
+    ]
+    return LayoutReport(ok=not errors, errors=errors, parity_load=layout.parity_load())
+
+
+def group_layout_errors(
+    group: RaidGroup,
+    cluster: VirtualCluster,
+    tolerance: int = 1,
+    domains=None,
+) -> list[str]:
+    """Why ``group``'s placement breaks the orthogonal layout, if it does.
 
     ``tolerance`` is the erasure capability of the coding scheme in use
     (1 for XOR, 2 for RDP and RS(k,2), ``m`` for RS(k,m)): a group may
     co-locate at most ``tolerance`` elements (members + parity shards)
     per node — or per failure *domain* when
-    a :class:`repro.failures.domains.FailureDomainMap` is given.
+    a :class:`repro.failures.domains.FailureDomainMap` is given.  A
+    member hosted nowhere is an error too.
     """
-    errors: list[str] = []
-
-    def unit_of(node_id: int) -> int:
-        return domains.domain_of(node_id) if domains is not None else node_id
-
+    unit = domains.domain_of if domains is not None else (lambda n: n)
+    nodes = [cluster.vm(v).node_id for v in group.member_vm_ids]
+    errors = [
+        f"group {group.group_id}: vm {v} is homeless"
+        for v, n in zip(group.member_vm_ids, nodes) if n is None
+    ]
+    # count elements (members + parity shards) per failure unit
+    per_unit = Counter(
+        unit(n) for n in (*nodes, *group.parity_nodes) if n is not None
+    )
     unit_name = "domain" if domains is not None else "node"
-    for g in layout.groups:
-        nodes: list[int] = []
-        for vm_id in g.member_vm_ids:
-            vm = cluster.vm(vm_id)
-            if vm.node_id is None:
-                errors.append(f"group {g.group_id}: vm {vm_id} is homeless")
-                continue
-            nodes.append(vm.node_id)
-        # count elements (members + parity block) per failure unit
-        per_unit: dict[int, int] = {}
-        for n in nodes:
-            per_unit[unit_of(n)] = per_unit.get(unit_of(n), 0) + 1
-        for pnode in g.parity_nodes:
-            pu = unit_of(pnode)
-            per_unit[pu] = per_unit.get(pu, 0) + 1
-        for unit_id, count in per_unit.items():
-            if count > tolerance:
-                errors.append(
-                    f"group {g.group_id}: {count} elements on {unit_name} "
-                    f"{unit_id} exceeds tolerance {tolerance}"
-                )
-    return LayoutReport(ok=not errors, errors=errors, parity_load=layout.parity_load())
+    return errors + [
+        f"group {group.group_id}: {count} elements on {unit_name} "
+        f"{unit_id} exceeds tolerance {tolerance}"
+        for unit_id, count in per_unit.items() if count > tolerance
+    ]
 
 
 def group_losses_if_node_fails(
     layout: GroupLayout, cluster: VirtualCluster, dead_nodes: Collection[int]
 ) -> dict[int, int]:
     """Elements (members + parity) each group loses when every node in
-    ``dead_nodes`` dies; groups that lose nothing are left out."""
+    ``dead_nodes`` dies, a member hosted nowhere counting as lost;
+    groups that lose nothing are left out."""
     losses: dict[int, int] = {}
     for g in layout.groups:
         n = sum(
             1 for vm_id in g.member_vm_ids
-            if cluster.vm(vm_id).node_id in dead_nodes
+            if (node := cluster.vm(vm_id).node_id) is None or node in dead_nodes
         )
         n += sum(1 for p in g.parity_nodes if p in dead_nodes)
         if n:

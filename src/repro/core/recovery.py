@@ -8,6 +8,9 @@ path; the job, the control plane, the serving runtime and the fuzzer
 each hand failed nodes to it.  :func:`respread_groups` is the member
 half of the one layout repair,
 :meth:`~repro.core.dvdc.DisklessCheckpointer.heal`.
+Every member move -- rebuild, salvage, respread, drain -- takes its
+home from :func:`member_homes`, the one statement of the orthogonal
+rule (Figs. 2 and 4).
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ from ..cluster.cluster import VirtualCluster
 from ..cluster.vm import VMState
 from ..network.link import NetworkError
 from ..sim import NULL_TRACER, Tracer
-from .groups import GroupLayout, RaidGroup
+from .groups import GroupLayout, LayoutError, RaidGroup
 
 __all__ = ["DisklessRecoveryReport", "RecoveryDriver", "salvage",
-           "respread_groups", "choose_restore_node", "choose_parity_node"]
+           "respread_groups", "member_homes", "least_loaded",
+           "revive_empty", "choose_restore_node", "choose_parity_node"]
 
 
 @dataclass
@@ -48,6 +52,23 @@ def _homeless(cluster: VirtualCluster) -> list:
         vm for vm in cluster.all_vms
         if vm.state == VMState.FAILED and vm.node_id is None
     ]
+
+
+def least_loaded(nodes) -> int:
+    """The id of the node hosting the fewest VMs, ties by id."""
+    return min(nodes, key=lambda n: (len(n.vms), n.node_id)).node_id
+
+
+def revive_empty(cluster: VirtualCluster, vm, exclude=frozenset()) -> int:
+    """Host a dead VM that no checkpoint holds again, empty, on the
+    least-loaded live node outside ``exclude``; returns that node."""
+    alive = [n for n in cluster.alive_nodes if n.node_id not in exclude]
+    if not alive:
+        raise Unrecoverable("no alive node to cold-start onto")
+    target = least_loaded(alive)
+    cluster.place_failed_vm(vm.vm_id, target)
+    vm.revive()
+    return target
 
 
 class RecoveryDriver:
@@ -99,12 +120,7 @@ class RecoveryDriver:
         if self.ck.committed_epoch >= 0:
             return (yield from self.ck.recover(node_id))
         for vm in _homeless(self.cluster):
-            alive = self.cluster.alive_nodes
-            if not alive:
-                raise Unrecoverable("no alive node to cold-start onto")
-            target = min(alive, key=lambda n: (len(n.vms), n.node_id))
-            self.cluster.place_failed_vm(vm.vm_id, target.node_id)
-            vm.revive()
+            revive_empty(self.cluster, vm)
         return None
 
     def heal(self, defer: bool = False) -> None:
@@ -149,12 +165,17 @@ def salvage(ck, run_epoch):
     salvaged: list[int] = []
     while True:
         for vm in _homeless(cluster):
-            target = choose_restore_node(
-                cluster, layout, layout.group_of(vm.vm_id),
-                exclude=ck.recovery_exclude(set()), domains=ck.domains,
-            )
-            cluster.place_failed_vm(vm.vm_id, target)
-            vm.revive()
+            exclude = ck.recovery_exclude(set())
+            try:
+                group = layout.group_of(vm.vm_id)
+            except LayoutError:  # provisioned since the last commit
+                revive_empty(cluster, vm, exclude)
+            else:
+                target = choose_restore_node(
+                    cluster, group, vm.vm_id, exclude, ck.domains
+                )
+                cluster.place_failed_vm(vm.vm_id, target)
+                vm.revive()
             salvaged.append(vm.vm_id)
         for group in list(layout.groups):
             dead = [j for j, p in enumerate(group.parity_nodes)
@@ -180,12 +201,13 @@ def respread_groups(ck, cluster, domains=None, tracer: Tracer = NULL_TRACER):
     domain already holding an element of the group.  ``domains=None``
     makes each node its own domain.  Once nodes are repaired, this pass
     cold-migrates each offending member -- committed image and all --
-    onto an alive node in a domain holding no other element of its
-    group.  A move whose transfer fails, or whose source or target dies
-    before it lands, leaves the member where it is, resumed if it
-    survived; a dead member is the recovery's.  Shard re-homes stay the
-    second pass of :meth:`~repro.core.dvdc.DisklessCheckpointer.heal`.
-    Returns ``{vm_id: new_node}``.
+    onto the least-loaded node of :func:`member_homes`' first tier,
+    outside the cordons (``ck.recovery_exclude``).  A move whose
+    transfer fails, or whose source or target dies before it lands,
+    leaves the member where it is, resumed if it survived; a dead member
+    is the recovery's.  Shard re-homes stay the second pass of
+    :meth:`~repro.core.dvdc.DisklessCheckpointer.heal`.  Returns
+    ``{vm_id: new_node}``.
     """
     def domain_of(node_id: int) -> int:
         return domains.domain_of(node_id) if domains is not None else node_id
@@ -216,25 +238,12 @@ def respread_groups(ck, cluster, domains=None, tracer: Tracer = NULL_TRACER):
             src = vm.node_id
             if src is None:
                 continue
-            taken = {
-                domain_of(cluster.vm(v).node_id)
-                for v in group.member_vm_ids
-                if v != vm_id and cluster.vm(v).node_id is not None
-            } | parity_doms
-            member_nodes = {
-                cluster.vm(v).node_id
-                for v in group.member_vm_ids
-                if cluster.vm(v).node_id is not None
-            }
-            candidates = [
-                n for n in cluster.alive_nodes
-                if domain_of(n.node_id) not in taken
-                and n.node_id not in member_nodes
-                and n.node_id not in group.parity_nodes
-            ]
-            if not candidates:
+            spread = member_homes(
+                cluster, group, vm_id, ck.recovery_exclude(set()), domains
+            )[0]
+            if not spread:
                 continue
-            dst = min(candidates, key=lambda n: (len(n.vms), n.node_id)).node_id
+            dst = least_loaded(spread)
             was_running = vm.state == VMState.RUNNING
             if was_running:
                 vm.pause()
@@ -261,57 +270,66 @@ def respread_groups(ck, cluster, domains=None, tracer: Tracer = NULL_TRACER):
     return moved
 
 
-def choose_restore_node(
+def member_homes(
     cluster: VirtualCluster,
-    layout: GroupLayout,
     group: RaidGroup,
-    exclude: set[int] | None = None,
+    vm_id: int,
+    exclude=frozenset(),
     domains=None,
-) -> int:
-    """Pick the node to restore a reconstructed VM onto.
+) -> tuple[list, list, list]:
+    """Where member ``vm_id`` of ``group`` may live: the live nodes
+    outside ``exclude`` in three nested tiers, best first --
 
-    Preference order: an alive node hosting no member of the same group
-    and not the group's parity node (keeps the layout valid), breaking
-    ties by current VM count; falls back to any alive non-member node,
-    then any alive node (with the caller expected to rebalance).
+    1. nodes whose failure unit (the node's domain in ``domains``, a
+       :class:`~repro.failures.domains.FailureDomainMap`, else the node)
+       holds no *other* live element of the group;
+    2. nodes holding no other member and no shard of the group;
+    3. nodes holding no other member.
 
-    With ``domains`` (a :class:`~repro.failures.domains.FailureDomainMap`),
-    a stronger tier is tried first: an ideal node whose failure domain
-    holds no surviving element of the group — so a geo-spread layout
-    stays domain-orthogonal through recovery whenever capacity allows.
-    ``domains=None`` is bit-identical to the historical behavior.
+    Callers take the :func:`least_loaded` node of the first tier they
+    may use: recovery and salvage any (:func:`choose_restore_node`), a
+    respread the first, a control-plane drain the first two.
     """
-    exclude = exclude or set()
     member_nodes = {
         cluster.vm(v).node_id
         for v in group.member_vm_ids
-        if cluster.vm(v).node_id is not None
+        if v != vm_id and cluster.vm(v).node_id is not None
     }
+    apart = [
+        n for n in cluster.alive_nodes
+        if n.node_id not in exclude and n.node_id not in member_nodes
+    ]
+    clear = [n for n in apart if n.node_id not in group.parity_nodes]
+    if domains is None:  # each node its own unit: tier 1 is tier 2
+        return clear, clear, apart
+    taken = {domains.domain_of(n) for n in member_nodes} | {
+        domains.domain_of(p) for p in group.parity_nodes
+        if cluster.node(p).alive
+    }
+    spread = [n for n in clear if domains.domain_of(n.node_id) not in taken]
+    return spread, clear, apart
+
+
+def choose_restore_node(
+    cluster: VirtualCluster,
+    group: RaidGroup,
+    vm_id: int,
+    exclude: set[int] | None = None,
+    domains=None,
+) -> int:
+    """Pick the node to restore member ``vm_id`` of ``group`` onto: the
+    least-loaded node of the first non-empty :func:`member_homes` tier,
+    else of every live node outside ``exclude`` (a degraded placement
+    that :meth:`~repro.core.dvdc.DisklessCheckpointer.heal` repairs
+    once nodes return)."""
+    exclude = exclude or set()
+    for tier in member_homes(cluster, group, vm_id, exclude, domains):
+        if tier:
+            return least_loaded(tier)
     alive = [n for n in cluster.alive_nodes if n.node_id not in exclude]
     if not alive:
         raise Unrecoverable("no alive node to restore onto")
-
-    def load(n):  # VMs hosted, then id for determinism
-        return (len(n.vms), n.node_id)
-
-    ideal = [n for n in alive if n.node_id not in member_nodes
-             and n.node_id not in group.parity_nodes]
-    if domains is not None and ideal:
-        taken_domains = {domains.domain_of(m) for m in member_nodes}
-        taken_domains |= {
-            domains.domain_of(p) for p in group.parity_nodes
-            if cluster.node(p).alive
-        }
-        spread = [n for n in ideal
-                  if domains.domain_of(n.node_id) not in taken_domains]
-        if spread:
-            return min(spread, key=load).node_id
-    if ideal:
-        return min(ideal, key=load).node_id
-    non_member = [n for n in alive if n.node_id not in member_nodes]
-    if non_member:
-        return min(non_member, key=load).node_id
-    return min(alive, key=load).node_id
+    return least_loaded(alive)
 
 
 def choose_parity_node(
@@ -319,7 +337,6 @@ def choose_parity_node(
     layout: GroupLayout,
     group: RaidGroup,
     exclude: set[int] | None = None,
-    allow_degraded: bool = True,
     domains=None,
     avoid_domains: frozenset[int] = frozenset(),
 ) -> int:
@@ -327,11 +344,11 @@ def choose_parity_node(
     with the lightest current parity load.
 
     When no non-member node survives (e.g. 4 nodes, group size 3, one
-    node down) and ``allow_degraded`` is set, the parity is placed on
-    the member node carrying the fewest of this group's members — the
-    layout is then *degraded* (that node's failure would cost two
-    elements) until the cluster heals and
-    :func:`~repro.core.placement.rebalance_after_migration` runs.
+    node down), the parity is placed on the member node carrying the
+    fewest of this group's members — the layout is then *degraded*
+    (that node's failure would cost two elements) until the cluster
+    repairs and :meth:`~repro.core.dvdc.DisklessCheckpointer.heal`
+    moves it.
 
     With ``domains`` set, eligible nodes whose failure domain holds no
     surviving group element (and is not in ``avoid_domains`` — the
@@ -364,8 +381,6 @@ def choose_parity_node(
             ).node_id
     if eligible:
         return min(eligible, key=lambda n: (load.get(n.node_id, 0), n.node_id)).node_id
-    if not allow_degraded:
-        raise Unrecoverable(f"no eligible parity node for group {group.group_id}")
     fallback = [n for n in cluster.alive_nodes if n.node_id not in exclude]
     if not fallback:
         raise Unrecoverable(f"no alive node for parity of group {group.group_id}")

@@ -35,7 +35,7 @@ from enum import Enum
 from ..cluster.cluster import VirtualCluster
 from ..coding import shard_key, shard_name
 from ..core.dvdc import DisklessCheckpointer
-from ..core.placement import validate_layout
+from ..core.placement import group_layout_errors
 from ..sim import NULL_TRACER, Tracer
 from ..telemetry import probe_of
 
@@ -178,75 +178,40 @@ class SelfHealer:
     # ------------------------------------------------------------------
     # assessment
     # ------------------------------------------------------------------
-    def issues(self) -> list[str]:
-        """Everything standing between the cluster and full protection."""
-        out: list[str] = []
-        if self.ck.committed_epoch < 0:
-            out.append("no committed checkpoint epoch")
-            return out
-        for vm in self.cluster.all_vms:
-            if vm.node_id is None:
-                out.append(f"vm {vm.vm_id} failed and not yet rebuilt")
-        out.extend(
-            validate_layout(
-                self.ck.layout, self.cluster, tolerance=self.ck.scheme.tolerance
-            ).errors
-        )
+    def exposed(self) -> dict[int, list[str]]:
+        """Why each exposed group is short of protection: a shard home
+        down or holding no block (every group before the first commit),
+        or :func:`~repro.core.placement.group_layout_errors` under the
+        scheme's tolerance and the checkpointer's domains."""
+        out: dict[int, list[str]] = {}
+        tolerance, domains = self.ck.scheme.tolerance, self.ck.domains
         for g in self.ck.layout.groups:
+            reasons = group_layout_errors(g, self.cluster, tolerance, domains)
             for j, pnode_id in enumerate(g.parity_nodes):
                 pnode = self.cluster.node(pnode_id)
                 if not pnode.alive:
-                    out.append(
+                    reasons.append(
                         f"group {g.group_id}: {shard_name(j)} node {pnode_id} down"
                     )
                 elif shard_key(g.group_id, j) not in pnode.parity_store:
-                    out.append(
+                    reasons.append(
                         f"group {g.group_id}: no {shard_name(j)} block "
                         f"on node {pnode_id}"
                     )
+            if reasons:
+                out[g.group_id] = reasons
         return out
 
-    def degraded_groups(self) -> list[int]:
-        """Group ids currently lacking full single-failure protection.
-
-        Structural test per group: parity node alive and holding the
-        parity block, every member VM placed, no member sharing a node
-        with another member or with the parity.  With nothing committed
-        yet, every group is exposed.
-        """
-        if self.ck.committed_epoch < 0:
-            return [g.group_id for g in self.ck.layout.groups]
-        out = []
-        for g in self.ck.layout.groups:
-            pnodes = g.parity_nodes
-            shards_ok = all(
-                self.cluster.node(p).alive
-                and shard_key(g.group_id, j) in self.cluster.node(p).parity_store
-                for j, p in enumerate(pnodes)
-            )
-            if not shards_ok or len(set(pnodes)) != len(pnodes):
-                out.append(g.group_id)
-                continue
-            seen: set[int] = set()
-            for v in g.member_vm_ids:
-                node = self.cluster.vm(v).node_id
-                if node is None or node in pnodes or node in seen:
-                    out.append(g.group_id)
-                    break
-                seen.add(node)
-        return out
-
-    def _sync_group_windows(self, now: float) -> None:
-        """Open/close per-group windows against the structural state.
+    def _sync_group_windows(self, now: float, exposed) -> None:
+        """Open/close per-group windows against :meth:`exposed`.
 
         Closing observes ``repro_degraded_window_seconds{group=...}`` —
         the same family as the aggregate label-less series, so brownout
         cost is attributable to the parity group that was exposed.
         """
-        degraded = set(self.degraded_groups())
-        for gid in sorted(degraded):
+        for gid in sorted(exposed):
             self._group_degraded_since.setdefault(gid, now)
-        for gid in sorted(set(self._group_degraded_since) - degraded):
+        for gid in sorted(set(self._group_degraded_since) - set(exposed)):
             start = self._group_degraded_since.pop(gid)
             self.group_windows.setdefault(gid, []).append((start, now))
             self.probe.observe(
@@ -258,10 +223,17 @@ class SelfHealer:
     def assess(self) -> tuple[ClusterHealth, list[str]]:
         """Re-evaluate protection state; closes the vulnerability window
         (and observes the histogram) on the transition back to PROTECTED.
+        Returns the state and everything standing between the cluster
+        and full protection: :meth:`exposed`'s reasons, or that no epoch
+        has committed.
         """
-        found = self.issues()
+        exposed = self.exposed()
+        found = (
+            ["no committed checkpoint epoch"] if self.ck.committed_epoch < 0
+            else [r for reasons in exposed.values() for r in reasons]
+        )
         now = self.cluster.sim.now
-        self._sync_group_windows(now)
+        self._sync_group_windows(now, exposed)
         if found:
             if self.degraded_since is None:
                 self.degraded_since = now
@@ -300,7 +272,7 @@ class SelfHealer:
         :class:`~repro.failures.injector.FailureInjector`."""
         if self.degraded_since is None:
             self.degraded_since = self.cluster.sim.now
-        self._sync_group_windows(self.cluster.sim.now)
+        self._sync_group_windows(self.cluster.sim.now, self.exposed())
         self._transition(ClusterHealth.DEGRADED)
 
     @property

@@ -29,13 +29,16 @@ from repro.controlplane import (
     soak,
     timed_status,
 )
+from repro.core import validate_layout
 from repro.core.architectures import dvdc
+from repro.core.recovery import salvage
+from repro.failures import FailureDomainMap
 from repro.failures.injector import (
     FailureEvent,
     FailureInjector,
     FailureSchedule,
 )
-from repro.resilience import SparePool
+from repro.resilience import ClusterHealth, SparePool
 from repro.sim import Simulator, Tracer
 
 VM_BYTES = float(16 * 64)  # 16 pages x 64B: cycles finish in sim-seconds
@@ -57,11 +60,11 @@ def _populated(sim, n_active, n_spare=0, vms_per_node=2, seed=7):
 
 
 def make_cp(sim, n_active=6, n_spare=0, group_size=3, strategy=None,
-            scheme=None, **cfg):
-    cluster = _populated(sim, n_active, n_spare)
+            scheme=None, domains=None, vms_per_node=2, **cfg):
+    cluster = _populated(sim, n_active, n_spare, vms_per_node=vms_per_node)
     tracer = Tracer()
     ck = dvdc(cluster, group_size=group_size, strategy=strategy,
-              tracer=tracer, scheme=scheme)
+              tracer=tracer, scheme=scheme, domains=domains)
     spares = SparePool.provision(cluster, n_spare) if n_spare else None
     cfg.setdefault("repair_time", 8.0)
     cp = ControlPlane(
@@ -368,6 +371,37 @@ class TestOps:
         assert all(vm.state == VMState.RUNNING for vm in cluster.all_vms)
         assert cp.audits and cp.audits[-1].ok
 
+    def test_crash_before_a_provisioned_vm_is_protected_revives_it_empty(self):
+        """A host crash between a ``provision`` and the next epoch skips
+        the kill guard (a STONITH or an injected crash): no checkpoint
+        holds the new VM, so recovery brings it back empty on a live
+        node and the next epoch protects it."""
+        sim = Simulator()
+        cluster, ck, cp = make_cp(sim, 6)
+        cp.start()
+
+        def scenario():
+            yield from cp.checkpoint()
+            op = cp.submit("provision", memory_bytes=VM_BYTES,
+                           image_pages=16, page_size=64)
+            yield op.done
+            host = op.result["node"]
+            cluster.kill_node(host)
+            cp.healer.on_failure()
+            sim.schedule(cp.config.repair_time, cp._repair, host)
+            ok, error = yield cp.recovered_event(host)
+            assert ok, error
+            result = yield from cp.checkpoint()
+            return op, result
+
+        op, result = drive(sim, cp, scenario())
+        vm = cluster.vm(op.result["vm_id"])
+        assert vm.state == VMState.RUNNING
+        assert vm.node_id not in (None, op.result["node"])
+        assert result.committed and not cp.pending_protect
+        assert ck.layout.group_of(vm.vm_id)
+        assert cp.audit("after the provisioned vm's first epoch").ok
+
     def test_kill_before_first_commit_cold_restores(self):
         """No committed epoch to roll back to: recovery re-places the
         dead node's VMs empty on live hosts (the recovery driver's cold
@@ -507,6 +541,26 @@ class TestDrain:
         first = drive(sim, cp, scenario())
         assert first.state is OpState.DONE
 
+    def test_drain_refuses_to_degrade_a_layout(self):
+        """4 nodes, groups of three plus parity: every other node holds
+        an element of the draining VM's group, so the drain fails and
+        leaves the layout valid rather than doubling a group up."""
+        sim = Simulator()
+        cluster, ck, cp = make_cp(sim, 4, maintenance_seconds=0.5)
+        cp.start()
+
+        def scenario():
+            yield from cp.checkpoint()
+            op = cp.submit("drain", node_id=0)
+            yield op.done
+            return op
+
+        op = drive(sim, cp, scenario())
+        assert op.state is OpState.FAILED
+        assert "PlacementError" in op.error
+        assert 0 not in cp.maintenance
+        assert validate_layout(ck.layout, cluster).ok
+
     def test_rolling_maintenance_every_node(self):
         """Roll through *all* nodes of a cluster under the strict
         auditor: every drain migrates with checksum verification and no
@@ -529,6 +583,70 @@ class TestDrain:
         assert status["alive"] == 8
         assert status["unprotected_vms"] == 0
         assert cp.audits and all(r.ok for r in cp.audits)
+
+
+# ---------------------------------------------------------------------------
+# geo-spread under the control plane: recovery, heal and drains keep the
+# group elements one per site
+# ---------------------------------------------------------------------------
+class TestGeoSpreadManaged:
+    @staticmethod
+    def _sites(n_nodes):
+        """Three sites of ``n_nodes / 3`` consecutive nodes."""
+        return FailureDomainMap([3 * n // n_nodes for n in range(n_nodes)])
+
+    def test_site_loss_heals_back_to_site_spread_once_the_site_returns(self):
+        """While site 0 is down no site-spread layout exists, so recovery
+        doubles groups up in the surviving sites and the healer reads
+        them exposed; once the site is repaired one heal moves members
+        back and the layout passes the domain-aware audit."""
+        sim = Simulator()
+        domains = self._sites(6)
+        cluster, ck, cp = make_cp(sim, 6, group_size=2, domains=domains,
+                                  vms_per_node=1)
+        cp.start()
+
+        def scenario():
+            yield from cp.checkpoint()
+            for node_id in (0, 1):
+                cluster.kill_node(node_id)
+                cp.healer.on_failure()
+                sim.schedule(cp.config.repair_time, cp._repair, node_id)
+            for node_id in (0, 1):
+                ok, error = yield cp.recovered_event(node_id)
+                assert ok, error
+            assert cp.healer.state is not ClusterHealth.PROTECTED
+            yield sim.timeout(4 * cp.config.repair_time)
+
+        drive(sim, cp, scenario())
+        assert events_of(cp, "diskless.heal")
+        assert events_of(cp, "geo.respread")
+        assert cp.healer.state is ClusterHealth.PROTECTED
+        assert validate_layout(ck.layout, cluster, domains=domains).ok
+        report = audit_cluster(
+            cluster, ck.layout, ck.committed_epoch, strict=True,
+            scheme=ck.scheme, domains=domains,
+        )
+        assert report.ok, [v.detail for v in report.fatal]
+
+    def test_rolling_drain_keeps_every_group_site_spread(self):
+        sim = Simulator()
+        domains = self._sites(9)
+        cluster, ck, cp = make_cp(sim, 9, group_size=2, domains=domains,
+                                  maintenance_seconds=0.5)
+        cp.start()
+
+        def scenario():
+            yield from cp.checkpoint()
+            for node_id in range(9):
+                op = cp.submit("drain", node_id=node_id)
+                yield op.done
+                assert op.state is OpState.DONE, (node_id, op.error)
+                report = validate_layout(ck.layout, cluster, domains=domains)
+                assert report.ok, (node_id, report.errors)
+
+        drive(sim, cp, scenario(), until=2000.0)
+        assert cp.healer.state is ClusterHealth.PROTECTED
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +687,33 @@ class TestSalvage:
         assert all(vm.node_id is not None for vm in cluster.all_vms)
         report = cp.audit("after salvage")
         assert report.ok
+
+    def test_salvage_revives_a_vm_no_group_holds_yet(self):
+        """A crash aborts the salvage's own epoch and takes a VM
+        provisioned since the last commit with it: the next salvage
+        round brings that VM back empty, like a cold start."""
+        sim = Simulator()
+        cluster, ck, cp = make_cp(sim, 6)
+        group = ck.layout.groups[0]
+        sim.run_process(ck.run_cycle())
+        for v in group.member_vm_ids[:2]:  # beyond XOR tolerance
+            cluster.kill_node(cluster.vm(v).node_id)
+        host = next(n.node_id for n in cluster.alive_nodes
+                    if not set(group.parity_nodes) & {n.node_id})
+        fresh = cluster.create_vm(host, VM_BYTES, image_pages=16, page_size=64)
+        epochs = []
+
+        def run_epoch():
+            if not epochs:
+                cluster.kill_node(host)  # the first epoch aborts
+            result = yield from ck.run_cycle()
+            epochs.append(result.committed)
+            return result
+
+        salvaged = sim.run_process(salvage(ck, run_epoch))
+        assert epochs == [False, True]
+        assert fresh.vm_id in salvaged
+        assert fresh.state == VMState.RUNNING and fresh.node_id != host
 
     def test_double_member_loss_is_salvaged_under_incremental_capture(self):
         """The salvaged VMs have no base to diff against: they capture

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterSpec, VirtualCluster
-from repro.core import validate_layout
+from repro.core import member_homes, validate_layout
 from repro.core.architectures import dvdc
+from repro.core.recovery import respread_groups
 from repro.failures import FailureDomainMap
 from repro.geo import (
     GeoConfig,
@@ -213,6 +214,44 @@ class TestCordonComposition:
         sim.run()
         assert rec.ok, rec.value
         assert ck.layout.groups[0].parity_nodes[0] == buddy
+
+    def test_member_homes_tiers(self):
+        """Member on node 0, its peer on node 2 (site 1), parity in site
+        2: the VM's own element never counts against its site."""
+        sim, cluster, ck, domains = _cordon_cluster()
+        sim.run_process(ck.run_cycle())
+        group = ck.layout.groups[0]
+        p = group.parity_nodes[0]
+        vm = next(v for v in group.member_vm_ids
+                  if cluster.vm(v).node_id == 0)
+        ids = [
+            [n.node_id for n in tier]
+            for tier in member_homes(cluster, group, vm, domains=domains)
+        ]
+        assert ids == [
+            [0, 1],
+            [n for n in range(6) if n not in (2, p)],
+            [0, 1, 3, 4, 5],
+        ]
+        spread, clear, _ = member_homes(cluster, group, vm, {0}, domains)
+        assert [n.node_id for n in spread] == [1]
+        # without domains each node is its own unit: tier 1 is tier 2
+        spread, clear, _ = member_homes(cluster, group, vm)
+        assert spread == clear
+
+    def test_respread_respects_cordons(self):
+        """Both members crowd into site 1; the only site-spread home for
+        the offender is site 0, which a cordon closes."""
+        sim, cluster, ck, domains = _cordon_cluster()
+        sim.run_process(ck.run_cycle())
+        group = ck.layout.groups[0]
+        first, second = sorted(group.member_vm_ids)
+        cluster.move_vm(first, 3)  # site 1, beside the member on node 2
+        ck.cordons = lambda: {0, 1}
+        assert sim.run_process(respread_groups(ck, cluster, domains)) == {}
+        ck.cordons = None
+        moved = sim.run_process(respread_groups(ck, cluster, domains))
+        assert list(moved) == [second] and moved[second] in (0, 1)
 
     def test_controlplane_wires_cordons(self):
         from repro.controlplane import ControlPlane, ControlPlaneConfig

@@ -111,7 +111,9 @@ class TestSelfHealer:
 
     def test_fresh_cluster_reports_no_epoch(self, sim):
         _, _, healer = self._scenario(sim, 0)
-        assert healer.issues() == ["no committed checkpoint epoch"]
+        state, found = healer.assess()
+        assert state is ClusterHealth.DEGRADED
+        assert found == ["no committed checkpoint epoch"]
 
     def test_assess_is_protected_after_a_clean_cycle(self, sim):
         cluster, ck, healer = self._scenario(sim, 0)
@@ -153,23 +155,25 @@ class TestSelfHealer:
         # and PROTECTED is real: the strict auditor agrees
         auditor = Auditor(cluster, ck.layout, scheme=ck.scheme)
         assert auditor.run(ck.committed_epoch, strict=True).ok
-        if ck.scheme.tolerance > 1:
-            # a second shard tolerates two elements per node: the three
-            # survivors suffice, the spare stays cold and the structurally
-            # doubled-up groups keep their per-group windows open
-            assert report.spares_used == []
-            return
-        assert report.spares_used == [4]
+        # a second shard tolerates two elements per node: the three
+        # survivors suffice and the spare stays cold
+        assert report.spares_used == ([] if ck.scheme.tolerance > 1 else [4])
         # window telemetry: one aggregate observation of that exact
-        # width, plus per-group attribution for the exposed groups
+        # width, plus one per-group window for each group the crash
+        # exposed (every group spans node 0), all closed at PROTECTED
         snap = probe.metrics.snapshot()
         fam = snap["repro_degraded_window_seconds"]
         assert sum(
             s["count"] for s in fam["series"] if not s["labels"]
         ) == 1
-        grouped = [s for s in fam["series"] if "group" in s["labels"]]
-        assert grouped and all(s["count"] >= 1 for s in grouped)
-        assert healer.group_windows
+        grouped = {
+            s["labels"]["group"]: s["count"]
+            for s in fam["series"] if "group" in s["labels"]
+        }
+        assert grouped == {str(g.group_id): 1 for g in ck.layout.groups}
+        assert {g: len(w) for g, w in healer.group_windows.items()} == {
+            g.group_id: 1 for g in ck.layout.groups
+        }
         assert not healer._group_degraded_since  # all windows closed
 
     def test_empty_pool_settles_degraded_and_says_so(self, sim):
