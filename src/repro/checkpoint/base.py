@@ -18,7 +18,7 @@ commit those images, each charging its own pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Collection, Mapping, NamedTuple, Protocol, Sequence
 
 from ..cluster.hypervisor import Hypervisor
 from ..cluster.images import CheckpointImage
@@ -54,12 +54,11 @@ class CaptureSpec:
     def __post_init__(self) -> None:
         if self.pause_fixed < 0:
             raise ValueError(f"pause_fixed must be >= 0, got {self.pause_fixed}")
-        if self.copy_bandwidth <= 0:
+        if not self.copy_bandwidth > 0:  # NaN included
             raise ValueError(f"copy_bandwidth must be > 0, got {self.copy_bandwidth}")
 
 
-@dataclass(frozen=True)
-class CaptureOutcome:
+class CaptureOutcome(NamedTuple):
     """One VM captured: the image plus the guest pause charged."""
 
     image: CheckpointImage
@@ -69,21 +68,23 @@ class CaptureOutcome:
 class CaptureStrategy(Protocol):
     """Capture policy: produces images and pause costs.
 
-    ``elapsed`` is the time since this VM's previous checkpoint — what
+    ``elapsed`` is the time since the VMs' previous checkpoint — what
     incremental strategies need to size the dirty set for logical-only
-    VMs (functional VMs read their real dirty log instead).  ``base`` is
-    False when the protocol holds no image of this VM to diff against.
+    VMs (functional VMs read their real dirty log instead).
+    :meth:`capture_many` captures a whole barrier in one pass, each VM
+    through ``hypervisors[vm.node_id]``; ``baseless`` names the VMs the
+    protocol holds no image of to diff against.
     """
 
-    def capture(
+    def capture_many(
         self,
-        hypervisor: Hypervisor,
-        vm: VirtualMachine,
+        hypervisors: Mapping[int, Hypervisor] | Sequence[Hypervisor],
+        vms: Sequence[VirtualMachine],
         epoch: int,
         now: float,
         elapsed: float,
-        base: bool = True,
-    ) -> CaptureOutcome:  # pragma: no cover - protocol
+        baseless: Collection[int] = (),
+    ) -> list[CaptureOutcome]:  # pragma: no cover - protocol
         ...
 
 

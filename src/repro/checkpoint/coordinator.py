@@ -75,17 +75,12 @@ class CoordinatedCheckpoint:
             vm.pause()
         self.tracer.emit(sim.now, "coordinated.pause", epoch=epoch, n_vms=len(live))
 
-        outcomes: list[CaptureOutcome] = []
+        outcomes: list[CaptureOutcome] = self.strategy.capture_many(
+            self.cluster.hypervisors, live, epoch, sim.now, elapsed, baseless
+        )
         per_node_pause: dict[int, float] = {}
-        for vm in live:
+        for vm, outcome in zip(live, outcomes):
             node_id = vm.node_id
-            assert node_id is not None
-            hv = self.cluster.hypervisor(node_id)
-            outcome = self.strategy.capture(
-                hv, vm, epoch, sim.now, elapsed,
-                base=vm.vm_id not in baseless,
-            )
-            outcomes.append(outcome)
             per_node_pause[node_id] = per_node_pause.get(node_id, 0.0) + outcome.pause_seconds
 
         pause_window = max(per_node_pause.values(), default=0.0)
@@ -97,13 +92,11 @@ class CoordinatedCheckpoint:
         # it.  Returning those outcomes would let a stale image from a
         # dead VM reach the exchange/commit path, so drop them here.
         dropped = [
-            o for o in outcomes
-            if self.cluster.vm(o.image.vm_id).state == VMState.FAILED
+            o for vm, o in zip(live, outcomes) if vm.state == VMState.FAILED
         ]
         if dropped:
             outcomes = [
-                o for o in outcomes
-                if self.cluster.vm(o.image.vm_id).state != VMState.FAILED
+                o for vm, o in zip(live, outcomes) if vm.state != VMState.FAILED
             ]
             self.tracer.emit(
                 sim.now, "coordinated.stale_captures_dropped", epoch=epoch,

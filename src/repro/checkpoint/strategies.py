@@ -16,6 +16,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Collection, Mapping, Sequence
 
 from ..cluster.hypervisor import Hypervisor
 from ..cluster.vm import VirtualMachine
@@ -30,18 +31,23 @@ class FullCapture:
 
     spec: CaptureSpec = field(default_factory=CaptureSpec)
 
-    def capture(
+    def capture_many(
         self,
-        hypervisor: Hypervisor,
-        vm: VirtualMachine,
+        hypervisors: Mapping[int, Hypervisor] | Sequence[Hypervisor],
+        vms: Sequence[VirtualMachine],
         epoch: int,
         now: float,
         elapsed: float,
-        base: bool = True,
-    ) -> CaptureOutcome:
-        image = hypervisor.capture_full(vm, now, epoch)
-        pause = self.spec.pause_fixed + vm.memory_bytes / self.spec.copy_bandwidth
-        return CaptureOutcome(image=image, pause_seconds=pause)
+        baseless: Collection[int] = (),
+    ) -> list[CaptureOutcome]:
+        fixed, bandwidth = self.spec.pause_fixed, self.spec.copy_bandwidth
+        return [
+            CaptureOutcome(
+                hypervisors[vm.node_id].capture_full(vm, now, epoch),
+                fixed + vm.memory_bytes / bandwidth,
+            )
+            for vm in vms
+        ]
 
 
 @dataclass(frozen=True)
@@ -53,32 +59,35 @@ class IncrementalCapture:
     working-set approximation (repeated writes to a hot page cost one
     page).  A VM with nothing to diff against captures full: every VM
     at epoch 0, and any VM the protocol reports without a base
-    (``base=False``: one reprovisioned or provisioned mid-run).
+    (``baseless``: one reprovisioned or provisioned mid-run).
     """
 
     spec: CaptureSpec = field(default_factory=CaptureSpec)
 
-    def capture(
+    def capture_many(
         self,
-        hypervisor: Hypervisor,
-        vm: VirtualMachine,
+        hypervisors: Mapping[int, Hypervisor] | Sequence[Hypervisor],
+        vms: Sequence[VirtualMachine],
         epoch: int,
         now: float,
         elapsed: float,
-        base: bool = True,
-    ) -> CaptureOutcome:
-        if epoch == 0 or not base:
-            image = hypervisor.capture_full(vm, now, epoch)
-            pause = self.spec.pause_fixed + vm.memory_bytes / self.spec.copy_bandwidth
-            return CaptureOutcome(image=image, pause_seconds=pause)
-        logical = None
-        if vm.image is None:
-            logical = min(vm.dirty_rate * max(elapsed, 0.0), vm.memory_bytes)
-        image = hypervisor.capture_incremental(
-            vm, now, epoch, logical_bytes=logical, base_epoch=epoch - 1
-        )
-        pause = self.spec.pause_fixed + image.logical_bytes / self.spec.copy_bandwidth
-        return CaptureOutcome(image=image, pause_seconds=pause)
+        baseless: Collection[int] = (),
+    ) -> list[CaptureOutcome]:
+        fixed, bandwidth = self.spec.pause_fixed, self.spec.copy_bandwidth
+        out = []
+        for vm in vms:
+            hypervisor = hypervisors[vm.node_id]
+            if epoch == 0 or vm.vm_id in baseless:
+                image = hypervisor.capture_full(vm, now, epoch)
+                pause = fixed + vm.memory_bytes / bandwidth
+            else:
+                logical = None
+                if vm.image is None:
+                    logical = min(vm.dirty_rate * max(elapsed, 0.0), vm.memory_bytes)
+                image = hypervisor.capture_incremental(vm, now, epoch, logical, epoch - 1)
+                pause = fixed + image.logical_bytes / bandwidth
+            out.append(CaptureOutcome(image, pause))
+        return out
 
 
 @dataclass(frozen=True)
@@ -87,14 +96,17 @@ class ForkedCapture:
 
     spec: CaptureSpec = field(default_factory=CaptureSpec)
 
-    def capture(
+    def capture_many(
         self,
-        hypervisor: Hypervisor,
-        vm: VirtualMachine,
+        hypervisors: Mapping[int, Hypervisor] | Sequence[Hypervisor],
+        vms: Sequence[VirtualMachine],
         epoch: int,
         now: float,
         elapsed: float,
-        base: bool = True,
-    ) -> CaptureOutcome:
-        image = hypervisor.capture_forked(vm, now, epoch)
-        return CaptureOutcome(image=image, pause_seconds=self.spec.pause_fixed)
+        baseless: Collection[int] = (),
+    ) -> list[CaptureOutcome]:
+        fixed = self.spec.pause_fixed
+        return [
+            CaptureOutcome(hypervisors[vm.node_id].capture_forked(vm, now, epoch), fixed)
+            for vm in vms
+        ]

@@ -335,8 +335,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _audit_heal(args: argparse.Namespace) -> int:
-    """With a spare the cluster must end PROTECTED, with an empty pool
-    DEGRADED, and a PROTECTED end must pass the strict audit."""
+    """With a spare the cluster must end PROTECTED.  With an empty pool
+    it may end DEGRADED, or PROTECTED where a scheme with spare parity
+    (``m >= 2``) lets heal() re-protect the survivors alone.  Any
+    PROTECTED end must pass the strict audit."""
     healer = _laid_out(build_heal_trial, args.nodes, args.vms_per_node,
                        args.spares, args.scheme, args.seed)
     report, violations = run_heal_trial(healer)
@@ -361,8 +363,9 @@ def _audit_heal(args: argparse.Namespace) -> int:
         print(f"  {v}")
     if violations:
         return 1
-    want = ClusterHealth.PROTECTED if args.spares else ClusterHealth.DEGRADED
-    return 0 if report.state == want else 1
+    if report.state == ClusterHealth.PROTECTED:
+        return 0
+    return 0 if not args.spares and report.state == ClusterHealth.DEGRADED else 1
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:

@@ -41,6 +41,8 @@ from __future__ import annotations
 
 import zlib
 from functools import lru_cache
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -81,10 +83,11 @@ def _gf2_apply(columns: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _shifts(n_pages: int, page_size: int) -> np.ndarray:
-    """``shifts[p]``: the columns of the operator that carries page
-    ``p``'s CRC to the end of an ``n_pages × page_size`` image
-    (``(n_pages−1−p)·page_size`` zero bytes appended)."""
+def _planes(n_pages: int, page_size: int) -> np.ndarray:
+    """``planes[i, p]``: the image of bit ``i`` under the operator that
+    carries page ``p``'s CRC to the end of an ``n_pages × page_size``
+    image (``(n_pages−1−p)·page_size`` zero bytes appended).  Stored bit
+    by bit, so one bit of every moved page is one gather."""
     zeros = bytes(page_size)
     zero_page_crc = zlib.crc32(zeros)
     # one page of appended zeros, column by column
@@ -101,39 +104,61 @@ def _shifts(n_pages: int, page_size: int) -> np.ndarray:
         powers[have : have + take] = _gf2_apply(jump, powers[:take])
         jump = _gf2_apply(jump, jump)
         have += take
-    shifts = powers[::-1].copy()
-    shifts.flags.writeable = False  # shared by every caller of the cache
-    return shifts
+    planes = np.ascontiguousarray(powers[::-1].T)
+    planes.flags.writeable = False  # shared by every caller of the cache
+    return planes
 
 
-def page_crcs(pages: np.ndarray) -> np.ndarray:
-    """CRC-32 of each row of a ``(n_pages, page_size)`` uint8 array."""
-    n_pages, page_size = pages.shape
-    flat = memoryview(_flat_bytes(pages.reshape(-1)))
-    return np.array(
-        [zlib.crc32(flat[o : o + page_size])
-         for o in range(0, n_pages * page_size, page_size)],
+def page_crcs(pages: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
+    """CRC-32 of each row of a ``(n_pages, page_size)`` uint8 array, or
+    of every row of several such arrays, concatenated in order: one
+    pass over all the pages, straight into the result, with no copy of
+    their bytes."""
+    if isinstance(pages, np.ndarray):
+        pages = (pages,)
+    crc32 = zlib.crc32
+    return np.fromiter(
+        chain.from_iterable(
+            map(crc32, np.ascontiguousarray(block)) for block in pages
+        ),
         dtype=np.uint32,
+        count=sum(len(block) for block in pages),
     )
 
 
 def update_checksum(
-    checksum: int,
+    checksums: Sequence[int],
+    counts: Sequence[int],
     indices: np.ndarray,
     old_crcs: np.ndarray,
     new_crcs: np.ndarray,
     n_pages: int,
     page_size: int,
-) -> int:
-    """:func:`block_checksum` of a page image after the pages at
-    ``indices`` (unique) changed from CRCs ``old_crcs`` to ``new_crcs``,
-    given its ``checksum`` before.  Costs O(len(indices)); no byte of
-    the image is read."""
+) -> list[int]:
+    """:func:`block_checksum` of each of several ``n_pages × page_size``
+    images after some of their pages changed, given its checksum before.
+
+    Image ``b`` owns the next ``counts[b]`` entries of ``indices`` (its
+    changed pages, unique), ``old_crcs`` and ``new_crcs`` (their CRCs
+    before and after).  Costs O(total changed pages) in 32 whole-array
+    passes, one per bit of a CRC, whatever the number of images; no
+    byte of any image is read."""
     moved = np.bitwise_xor(old_crcs, new_crcs, dtype=np.uint32)
     if not moved.size:
-        return checksum
-    terms = moved[:, None] >> _BITS  # bit i of each moved CRC, in place
-    terms &= np.uint32(1)
-    terms *= _shifts(n_pages, page_size)[indices]
-    return checksum ^ int(np.bitwise_xor.reduce(terms, axis=None))
-
+        return list(checksums)
+    planes = _planes(n_pages, page_size)
+    acc = np.zeros_like(moved)
+    bit = np.empty_like(moved)
+    for i in range(32):
+        np.right_shift(moved, np.uint32(i), out=bit)
+        bit &= np.uint32(1)
+        bit *= planes[i].take(indices)
+        acc ^= bit
+    counts = np.asarray(counts, dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    some = counts > 0
+    shifts = np.zeros(len(counts), dtype=np.uint32)
+    # empty images take no entries, so the non-empty starts alone bound
+    # every segment
+    shifts[some] = np.bitwise_xor.reduceat(acc, starts[some])
+    return [c ^ s for c, s in zip(checksums, shifts.tolist())]

@@ -31,7 +31,7 @@ class CheckpointKind(str, Enum):
     FORKED = "forked"
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckpointImage:
     """Captured state of one VM at one epoch.
 
@@ -70,13 +70,17 @@ class CheckpointImage:
                 raise TypeError("incremental checkpoint payload must be a PageDelta")
 
     def payload_flat(self) -> np.ndarray:
-        """The payload as a flat uint8 array (full snapshots only)."""
-        if isinstance(self.payload, np.ndarray):
-            return self.payload.reshape(-1).view(np.uint8)
+        """The payload as a flat uint8 array (full snapshots only): the
+        payload itself when it is one already, else a view of it."""
+        payload = self.payload
+        if isinstance(payload, np.ndarray):
+            if payload.ndim == 1 and payload.dtype == np.uint8:
+                return payload
+            return payload.reshape(-1).view(np.uint8)
         raise TypeError(f"checkpoint {self.vm_id}@{self.epoch} has no flat payload")
 
 
-@dataclass
+@dataclass(slots=True)
 class ParityBlock:
     """XOR parity over the members of one RAID group at one epoch.
 

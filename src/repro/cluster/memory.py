@@ -14,7 +14,7 @@ Buffers are plain numpy arrays: a full snapshot is one ``copy()`` of
 the image and a delta is one allocating gather of its dirty pages.  The
 steady-state checkpoint cost stays proportional to the dirty set
 because the hypervisor merges each delta into the committed image in
-place (see :meth:`repro.cluster.hypervisor.Hypervisor.commit_checkpoint`).
+place (see :func:`repro.cluster.hypervisor.commit_checkpoints`).
 """
 
 from __future__ import annotations
@@ -195,14 +195,16 @@ class MemoryImage:
     # ------------------------------------------------------------------
     @property
     def dirty_page_indices(self) -> np.ndarray:
-        return np.flatnonzero(self._dirty)
+        # nonzero's result is a view of an (n, 1) array: the copy is a
+        # lone, compact index array, which a delta holds for an epoch
+        return self._dirty.nonzero()[0].astype(np.int64)
 
     @property
     def dirty_page_count(self) -> int:
         return self._dirty_count
 
     def clear_dirty(self) -> None:
-        self._dirty[:] = False
+        self._dirty.fill(False)
         self._dirty_count = 0
 
     # ------------------------------------------------------------------
@@ -224,15 +226,10 @@ class MemoryImage:
         hypervisor modes perform atomically at checkpoint time.
         """
         idx = self.dirty_page_indices
-        pages = np.take(self.pages, idx, axis=0)
+        pages = self._pages2d.take(idx, 0)
         if clear:
             self.clear_dirty()
-        return PageDelta(
-            page_size=self.page_size,
-            n_pages_total=self.n_pages,
-            indices=idx.astype(np.int64),
-            pages=pages,
-        )
+        return PageDelta(self.page_size, self.n_pages, idx, pages)
 
     def restore(self, payload: np.ndarray) -> None:
         """Overwrite the whole image from a full snapshot; clears dirty."""

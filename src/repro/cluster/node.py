@@ -11,10 +11,16 @@ parity for a group must not live with any member.
 
 from __future__ import annotations
 
+from operator import attrgetter
+from typing import Iterable
+
 from ..cluster.images import CheckpointImage, ParityBlock
 from .vm import VirtualMachine
 
 __all__ = ["PhysicalNode", "NodeError"]
+
+_MEMORY_BYTES = attrgetter("memory_bytes")
+_LOGICAL_BYTES = attrgetter("logical_bytes")
 
 
 class NodeError(RuntimeError):
@@ -36,7 +42,7 @@ class PhysicalNode:
     """
 
     def __init__(self, node_id: int, ram_bytes: float, cpu_cores: int = 8):
-        if ram_bytes <= 0:
+        if not ram_bytes > 0:  # NaN would switch the RAM check off
             raise NodeError(f"ram_bytes must be > 0, got {ram_bytes}")
         if cpu_cores < 1:
             raise NodeError(f"cpu_cores must be >= 1, got {cpu_cores}")
@@ -78,15 +84,15 @@ class PhysicalNode:
     # ------------------------------------------------------------------
     @property
     def vm_bytes(self) -> float:
-        return sum(vm.memory_bytes for vm in self.vms.values())
+        return sum(map(_MEMORY_BYTES, self.vms.values()))
 
     @property
     def checkpoint_bytes(self) -> float:
-        return sum(c.logical_bytes for c in self.checkpoint_store.values())
+        return sum(map(_LOGICAL_BYTES, self.checkpoint_store.values()))
 
     @property
     def parity_bytes(self) -> float:
-        return sum(p.logical_bytes for p in self.parity_store.values())
+        return sum(map(_LOGICAL_BYTES, self.parity_store.values()))
 
     @property
     def used_bytes(self) -> float:
@@ -104,9 +110,15 @@ class PhysicalNode:
     # volatile stores
     # ------------------------------------------------------------------
     def store_checkpoint(self, image: CheckpointImage) -> None:
+        self.store_checkpoints((image,))
+
+    def store_checkpoints(self, images: Iterable[CheckpointImage]) -> None:
+        """Store committed images, in order, then check RAM once."""
         if not self.alive:
             raise NodeError(f"node {self.node_id} is down")
-        self.checkpoint_store[image.vm_id] = image
+        store = self.checkpoint_store
+        for image in images:
+            store[image.vm_id] = image
         self.check_memory()
 
     def store_parity(self, block: ParityBlock) -> None:

@@ -124,44 +124,46 @@ def xor_fold_groups(
     inputs are not mutated.
 
     The fold runs member-slot-major: slot *j* of every group gathers its
-    parity pages in one fancy index (indices from different groups land
-    in disjoint row ranges, so the update is well-defined), XORs each
-    member's old and new pages straight into its segment of the gather,
-    and scatters back once.  Two members of the *same* group may dirty
-    the same page; they sit in different slots, and slot *j+1* gathers
-    after slot *j* scattered, so overlapping updates chain exactly like
-    the sequential fold — and XOR commutativity makes the slot-major
-    order bit-identical to the group-major one.
+    parity pages in one ``take`` (indices from different groups land in
+    disjoint row ranges, offset by one ``repeat``, so the update is
+    well-defined), XORs each member's old and new pages into its
+    segment of the gather, and scatters back once.  Two members of the
+    *same* group may dirty the same page; they sit in different slots,
+    and slot *j+1* gathers after slot *j* scattered, so overlapping
+    updates chain exactly like the sequential fold — and XOR
+    commutativity makes the slot-major order bit-identical to the
+    group-major one.  The members' images are separate buffers, so
+    their old pages are one ``take`` each, XORed straight into the
+    gather: no member's pages are copied twice, and the working set is
+    one slot's pages.
     """
     n_groups = len(prev_rows)
     if n_groups != len(group_folds):
         raise ValueError("prev_rows and group_folds must be the same length")
     nbytes = n_pages_total * page_size
-    out = np.empty((n_groups, nbytes), dtype=np.uint8)
     for i, prev in enumerate(prev_rows):
         if prev.shape[0] != nbytes:
             raise ValueError(
                 f"group {i}: parity block is {prev.shape[0]}B, expected {nbytes}B"
             )
-        out[i] = prev
+    out = np.empty((n_groups, nbytes), dtype=np.uint8)
+    if n_groups:
+        np.stack(prev_rows, out=out)
     pages_view = out.reshape(n_groups * n_pages_total, page_size)
     max_slots = max((len(folds) for folds in group_folds), default=0)
     for slot in range(max_slots):
-        members = []
-        idx_parts = []
-        for i, folds in enumerate(group_folds):
-            if slot < len(folds):
-                members.append(folds[slot])
-                idx_parts.append(folds[slot][0] + i * n_pages_total)
-        idx = np.concatenate(idx_parts)
-        gathered = pages_view[idx]
+        rows = [i for i, folds in enumerate(group_folds) if slot < len(folds)]
+        members = [group_folds[i][slot] for i in rows]
+        counts = [len(indices) for indices, _, _ in members]
+        idx = np.concatenate([indices for indices, _, _ in members])
+        idx += np.repeat(np.array(rows, dtype=np.int64) * n_pages_total, counts)
+        gathered = pages_view.take(idx, 0)
         start = 0
-        for indices, base, pages in members:
-            seg = gathered[start : start + len(indices)]
-            start += len(indices)
-            old = base.reshape(n_pages_total, page_size)[indices]
-            np.bitwise_xor(seg, old, out=seg)
-            np.bitwise_xor(seg, pages, out=seg)
+        for (indices, base, pages), count in zip(members, counts):
+            seg = gathered[start : start + count]
+            start += count
+            seg ^= base.reshape(n_pages_total, page_size).take(indices, 0)
+            seg ^= pages
         pages_view[idx] = gathered
     return out
 

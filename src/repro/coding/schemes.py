@@ -299,23 +299,23 @@ class XorScheme(CodingScheme):
         stacked :func:`xor_fold_groups` call per ``(pages, page size)``
         bucket."""
         out: list[list[np.ndarray]] = [[] for _ in updates]
-        buckets: dict[tuple[int, int], list[int]] = {}
-        folds = [[u for u in members if u is not None] for members in updates]
-        for i, members in enumerate(folds):
-            delta = members[0][1]
-            buckets.setdefault(
-                (delta.n_pages_total, delta.page_size), []
-            ).append(i)
-        for (n_pages_total, page_size), idxs in buckets.items():
-            stacked = xor_fold_groups(
-                [prev_shards[i][0] for i in idxs],
-                [
-                    [(delta.indices, base, delta.pages) for base, delta in folds[i]]
-                    for i in idxs
-                ],
-                n_pages_total,
-                page_size,
-            )
+        # (pages, page size) -> group indices, previous parity, members
+        buckets: dict[tuple[int, int], tuple[list, list, list]] = {}
+        for i, members in enumerate(updates):
+            folds = [
+                (delta.indices, base, delta.pages)
+                for base, delta in filter(None, members)
+            ]
+            delta = next(filter(None, members))[1]
+            key = (delta.n_pages_total, delta.page_size)
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = bucket = ([], [], [])
+            bucket[0].append(i)
+            bucket[1].append(prev_shards[i][0])
+            bucket[2].append(folds)
+        for (n_pages_total, page_size), (idxs, prev, folds) in buckets.items():
+            stacked = xor_fold_groups(prev, folds, n_pages_total, page_size)
             for row, i in zip(stacked, idxs):
                 out[i] = [row]
         return out

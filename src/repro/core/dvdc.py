@@ -55,6 +55,7 @@ their parity block re-encode onto a new node.  See
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -69,6 +70,7 @@ from ..checkpoint.coordinator import CoordinatedCheckpoint
 from ..checkpoint.strategies import ForkedCapture
 from ..cluster.checksum import block_checksum
 from ..cluster.cluster import VirtualCluster
+from ..cluster.hypervisor import commit_checkpoints
 from ..cluster.images import CheckpointImage, CheckpointKind, ParityBlock
 from ..cluster.memory import PageDelta
 from ..cluster.vm import VMState
@@ -89,6 +91,8 @@ __all__ = ["DisklessCheckpointer", "DisklessCycleResult", "DEFAULT_XOR_BANDWIDTH
 
 #: In-memory XOR throughput default (bytes/second) — DDR3-era streaming.
 DEFAULT_XOR_BANDWIDTH = 4e9
+
+_ALIVE = attrgetter("alive")
 
 
 @dataclass
@@ -127,7 +131,7 @@ class DisklessCheckpointer:
         scheme: CodingScheme | str | None = None,
         domains=None,
     ):
-        if xor_bandwidth <= 0:
+        if not xor_bandwidth > 0:  # NaN would charge no encode time
             raise ValueError(f"xor_bandwidth must be > 0, got {xor_bandwidth}")
         self.cluster = cluster
         self.layout = layout
@@ -223,15 +227,6 @@ class DisklessCheckpointer:
         finally:
             engine.release()
 
-    def _committed_flat(self, vm_id: int) -> np.ndarray | None:
-        """Flat bytes of ``vm_id``'s committed checkpoint at its current
-        node; None for a timing-only image or when nothing is committed."""
-        vm = self.cluster.vm(vm_id)
-        img = self.cluster.hypervisor(vm.node_id).committed(vm_id)
-        if img is None or img.payload is None:
-            return None
-        return img.payload_flat()
-
     def _shard_block(
         self,
         group: RaidGroup,
@@ -265,18 +260,23 @@ class DisklessCheckpointer:
         result: DisklessCycleResult,
         pending: list,
         staged_commits: dict[int, CheckpointImage],
+        bases: dict[int, CheckpointImage],
     ):
         """Process: m-way exchange + validation for one group; the shard
         bytes themselves are encoded by the commit-time batched flush.
 
         Every member ships its capture to *each* of the scheme's ``m``
         shard homes (the m-way traffic the scheme's ``traffic_factor``
-        models), and each home charges its encode engine.
+        models), and each home charges its encode engine.  The committed
+        image a member's delta patches is looked up here, once, into
+        ``bases`` (vm id -> image) for the flush.
         """
         sim = self.cluster.sim
+        nodes = self.cluster.nodes
+        vms = self.cluster.vms
         gid = group.group_id
         homes = group.parity_nodes
-        if any(not self.cluster.node(n).alive for n in homes):
+        if not all(map(_ALIVE, map(nodes.__getitem__, homes))):
             # a shard home died before the exchange even started (its
             # RAM — including any previous shard — is gone); the group
             # contributes nothing and the epoch aborts
@@ -285,30 +285,30 @@ class DisklessCheckpointer:
         flows = []
         member_images: list[CheckpointImage] = []
         raw_bytes = 0.0
+        transfer = self._transfer
+        output_bytes = self.compression.output_bytes
+        suffixes = [(home, shard_suffix(j)) for j, home in enumerate(homes)]
         for vm_id in group.member_vm_ids:
-            if vm_id not in outcomes:  # VM failed before capture
+            outcome = outcomes.get(vm_id)
+            if outcome is None:  # VM failed before capture
                 continue
-            image = outcomes[vm_id].image
-            vm = self.cluster.vm(vm_id)
-            assert vm.node_id is not None
+            image = outcome.image
+            node_id = vms[vm_id].node_id
+            assert node_id is not None
             member_images.append(image)
-            if (
-                isinstance(image.payload, PageDelta)
-                and self._committed_flat(vm_id) is None
-            ):
-                raise RuntimeError(
-                    f"vm {vm_id}: incremental epoch without committed base"
-                )
-            wire = self.compression.output_bytes(image.logical_bytes)
-            raw_bytes += image.logical_bytes
-            base = f"dvdc.g{gid}.vm{vm_id}.e{image.epoch}"
-            for j, home in enumerate(homes):
-                result.network_bytes += wire
-                flows.append(
-                    self._transfer(
-                        vm.node_id, home, wire, label=base + shard_suffix(j)
+            if isinstance(image.payload, PageDelta):
+                base = nodes[node_id].checkpoint_store.get(vm_id)
+                if base is None or base.payload is None:
+                    raise RuntimeError(
+                        f"vm {vm_id}: incremental epoch without committed base"
                     )
-                )
+                bases[vm_id] = base
+            wire = output_bytes(image.logical_bytes)
+            raw_bytes += image.logical_bytes
+            label = f"dvdc.g{gid}.vm{vm_id}.e{image.epoch}"
+            for home, suffix in suffixes:
+                result.network_bytes += wire
+                flows.append(transfer(node_id, home, wire, label=label + suffix))
         if not member_images:
             return
         try:
@@ -320,15 +320,15 @@ class DisklessCheckpointer:
             result.failed_groups.append(gid)
             return
         # encode at every shard home (serialized per node across groups)
+        xor_seconds = result.xor_seconds_by_node
         for home in homes:
-            if not self.cluster.node(home).alive:
+            if not nodes[home].alive:
                 result.failed_groups.append(gid)
                 return
             yield from self._encode_at(home, raw_bytes)
             result.parity_bytes += raw_bytes
-            result.xor_seconds_by_node[home] = (
-                result.xor_seconds_by_node.get(home, 0.0)
-                + raw_bytes / self.xor_bandwidth
+            xor_seconds[home] = (
+                xor_seconds.get(home, 0.0) + raw_bytes / self.xor_bandwidth
             )
 
         # Validate and *register* the encode; the numeric work happens
@@ -343,7 +343,7 @@ class DisklessCheckpointer:
         if self.scheme.folds_deltas and all(
             isinstance(img.payload, PageDelta) for img in member_images
         ):
-            if any(not self.cluster.node(n).alive for n in homes):
+            if not all(map(_ALIVE, map(nodes.__getitem__, homes))):
                 # died between the encode above and the fold
                 result.failed_groups.append(gid)
                 return
@@ -370,12 +370,15 @@ class DisklessCheckpointer:
         for img in member_images:
             staged_commits[img.vm_id] = img
 
-    def _flush_encodes(self, pending: list) -> list[tuple]:
+    def _flush_encodes(
+        self, pending: list, bases: dict[int, CheckpointImage]
+    ) -> list[tuple]:
         """Commit-time batched shard encode.
 
         ``pending`` holds one ``(group, member_images, prev_blocks)``
         record per surviving group, registered in exchange completion
-        order.  All full-image groups go through one
+        order; ``bases`` the committed image each delta patches, as the
+        exchange found it.  All full-image groups go through one
         :meth:`~repro.coding.CodingScheme.encode_many` call; incremental
         captures are either folded into ``prev_blocks`` by
         :meth:`~repro.coding.CodingScheme.fold_many` (schemes that fold
@@ -386,8 +389,9 @@ class DisklessCheckpointer:
         record per pending group: the shard-index-ordered shard bytes
         (None for a timing-only group), and the previous blocks a folded
         group's shards came from (None for an encoded group).  The fold
-        holds the committed images only for its call, so the commit that
-        follows can still patch each one in place.
+        reads the committed images only for its call; the caller drops
+        ``bases`` after it, so the commit that follows can still patch
+        each one in place.
         """
         flats: dict[int, list[np.ndarray]] = {}
         fold: list[int] = []
@@ -400,7 +404,7 @@ class DisklessCheckpointer:
             members = []
             for img in images:
                 if isinstance(img.payload, PageDelta):
-                    full = self._committed_flat(img.vm_id).copy()
+                    full = bases[img.vm_id].payload_flat().copy()
                     img.payload.apply_to(full)
                     members.append(full)
                 else:
@@ -414,7 +418,7 @@ class DisklessCheckpointer:
                 deltas = {img.vm_id: img.payload for img in images}
                 # one entry per group member, at its encode column
                 updates.append([
-                    (self._committed_flat(v), deltas[v]) if v in deltas else None
+                    (bases[v].payload_flat(), deltas[v]) if v in deltas else None
                     for v in group.member_vm_ids
                 ])
             folded = self.scheme.fold_many(
@@ -449,33 +453,38 @@ class DisklessCheckpointer:
         epoch = self.epoch
         failure_snapshot = self.cluster.failure_epoch
         elapsed = (start - self.last_cycle_at) if self.last_cycle_at is not None else start
+        nodes = self.cluster.nodes
+        registry = self.cluster.vms
         vms = [
-            self.cluster.vm(v)
-            for v in self.layout.vm_ids
-            if self.cluster.vm(v).state != VMState.FAILED
+            vm for vm in map(registry.__getitem__, self.layout.vm_ids)
+            if vm.state != VMState.FAILED
         ]
         # the base an incremental capture diffs against is the VM's
         # committed image on its host; a VM without one captures full
         baseless = {
             vm.vm_id for vm in vms
-            if self.cluster.hypervisor(vm.node_id).committed(vm.vm_id) is None
+            if vm.vm_id not in nodes[vm.node_id].checkpoint_store
         }
         outcomes_list, pause = yield from self.coordinator.capture_all(
             vms, epoch, elapsed, baseless
         )
-        outcomes = {o.image.vm_id: o for o in outcomes_list}
         if pause_done is not None and not pause_done.triggered:
             pause_done.succeed(pause)
         result = DisklessCycleResult(epoch=epoch, started_at=start, overhead=pause)
+        outcomes: dict[int, CaptureOutcome] = {}
+        per_vm_pause = result.per_vm_pause
         for o in outcomes_list:
-            result.per_vm_pause[o.image.vm_id] = o.pause_seconds
+            vm_id = o.image.vm_id
+            outcomes[vm_id] = o
+            per_vm_pause[vm_id] = o.pause_seconds
 
         staged_commits: dict[int, CheckpointImage] = {}
         pending: list = []
+        bases: dict[int, CheckpointImage] = {}
         group_procs = [
-            sim.process(
-                self._group_cycle(g, outcomes, result, pending, staged_commits)
-            )
+            sim.process(self._group_cycle(
+                g, outcomes, result, pending, staged_commits, bases
+            ))
             for g in self.layout.groups
         ]
         if group_procs:
@@ -495,7 +504,7 @@ class DisklessCheckpointer:
                 if img.kind == CheckpointKind.INCREMENTAL and isinstance(
                     img.payload, PageDelta
                 ):
-                    vm = self.cluster.vm(img.vm_id)
+                    vm = registry[img.vm_id]
                     if vm.node_id is not None and vm.image is not None:
                         vm.image.touch_pages(img.payload.indices)
             self.tracer.emit(
@@ -505,19 +514,23 @@ class DisklessCheckpointer:
             if self.auditor is not None:
                 self.auditor.post_cycle(self, result)
             return result
-        encoded = self._flush_encodes(pending)
-        # the commit fingerprints each member's bytes; blocks record
-        # those CRCs rather than taking their own, and a folded shard
-        # moves its checksum by the members' (replaced, committed) pairs
-        commits: dict[int, tuple[int | None, int | None]] = {}
-        for vm_id, image in staged_commits.items():
-            vm = self.cluster.vm(vm_id)
-            if vm.node_id is None:
-                continue
-            commits[vm_id] = self.cluster.hypervisor(vm.node_id).commit_checkpoint(
-                image
-            )
-            vm.epoch = epoch
+        encoded = self._flush_encodes(pending, bases)
+        # the commit may patch these committed images in place: let go
+        bases.clear()
+        # one batched commit of every member; it fingerprints their
+        # bytes, blocks record those CRCs rather than taking their own,
+        # and a folded shard moves its checksum by the members'
+        # (replaced, committed) pairs
+        staged = [
+            (nodes[node_id], image)
+            for vm_id, image in staged_commits.items()
+            if (node_id := registry[vm_id].node_id) is not None
+        ]
+        commits = dict(zip(
+            (image.vm_id for _, image in staged), commit_checkpoints(staged)
+        ))
+        for _, image in staged:
+            registry[image.vm_id].epoch = epoch
         fingerprints = {v: new for v, (_, new) in commits.items() if new is not None}
         fold_sums = self.scheme.folded_member_checksums
         for group, images, shards, prev in encoded:
@@ -528,14 +541,14 @@ class DisklessCheckpointer:
             }
             logical = max(
                 max(img.logical_bytes for img in images),
-                max(self.cluster.vm(v).memory_bytes for v in group.member_vm_ids),
+                max(registry[v].memory_bytes for v in group.member_vm_ids),
             )
             deltas = [commits.get(img.vm_id) for img in images]
             for j, node_id in enumerate(group.parity_nodes):
                 crc = None
                 if prev is not None and shards is not None:
                     crc = self.scheme.fold_checksum(prev[j].checksum, deltas)
-                self.cluster.node(node_id).store_parity(self._shard_block(
+                nodes[node_id].store_parity(self._shard_block(
                     group, j, epoch, logical, shards, member_checksums, crc
                 ))
         self.committed_epoch = epoch

@@ -70,7 +70,7 @@ class ServingPolicy:
             raise ValueError(f"clone must be >= 1, got {self.clone}")
         if self.sla and not self.checkpoint:
             raise ValueError("sla control needs checkpoint=True")
-        if self.interval <= 0:
+        if not self.interval > 0:  # NaN included
             raise ValueError(f"interval must be > 0, got {self.interval}")
 
 

@@ -227,9 +227,6 @@ class Simulator:
         self._cancelled = 0
         self._compactions += 1
 
-    def _push(self, time: float, priority: int, handle: EventHandle) -> None:
-        heappush(self._heap, (time, priority, next(self._seq), handle))
-
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
@@ -250,7 +247,7 @@ class Simulator:
             raise SimulationError(f"invalid delay {delay!r}; must be finite and >= 0")
         time = self._now + delay
         handle = EventHandle(time, fn, args, self)
-        self._push(time, priority, handle)
+        heappush(self._heap, (time, priority, next(self._seq), handle))
         return handle
 
     def at(
@@ -272,7 +269,7 @@ class Simulator:
                 f"cannot schedule at t={time:.6g} before now={self._now:.6g}"
             )
         handle = EventHandle(time, fn, args, self)
-        self._push(time, priority, handle)
+        heappush(self._heap, (time, priority, next(self._seq), handle))
         return handle
 
     def at_instant_end(self, fn: Callable[[], Any]) -> None:
@@ -357,6 +354,9 @@ class Simulator:
             self._running = False
             if freeze:
                 gc.unfreeze()
+            # a callback's exception keeps this frame in its traceback:
+            # let go of the handle, whose callback may hold the raiser
+            entry = handle = None
         return self._now
 
     # ------------------------------------------------------------------
@@ -400,13 +400,19 @@ class Simulator:
 
         if not isinstance(process, Process):
             process = Process(self, process)
-        self.run(until=until)
-        if not process.triggered:
-            raise SimulationError(
-                f"process {process.name!r} never finished: the run stopped "
-                f"at t={self._now:.6g} while it was still waiting "
-                "(deadlock, or `until` came first)"
-            )
-        if process.ok is False:
-            raise process.value
+        try:
+            self.run(until=until)
+            if not process.triggered:
+                raise SimulationError(
+                    f"process {process.name!r} never finished: the run "
+                    f"stopped at t={self._now:.6g} while it was still "
+                    "waiting (deadlock, or `until` came first)"
+                )
+            if process.ok is False:
+                raise process.value
+        except BaseException:
+            # the exception's traceback keeps this frame; a failed
+            # process holds its exception, so the frame must not hold it
+            del process
+            raise
         return process.value

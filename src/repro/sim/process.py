@@ -19,7 +19,9 @@ outside with :meth:`Process.interrupt`, which raises :class:`Interrupt`
 inside them — the mechanism used to model machine crashes killing
 in-flight checkpoints and migrations.
 
-A failure leaves no reference cycle behind (see :func:`_unwound`), so
+A failure leaves no reference cycle behind (see :func:`_unwound`), nor
+does one re-raised out of :meth:`Simulator.run` or
+:meth:`Simulator.run_process` (their frames let go of it), so
 refcounting frees everything a failed process lets go of; the cyclic
 collector need not run for it.
 """
@@ -127,7 +129,7 @@ class SimEvent:
         return self
 
     def _trigger(self, ok: bool, value: Any) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             raise ProcessError(f"{self!r} already triggered")
         self._ok = ok
         self._value = value
@@ -169,7 +171,7 @@ class Timeout(SimEvent):
         sim.schedule(self.delay, self._expire, value, priority=NORMAL)
 
     def _expire(self, value: Any) -> None:
-        if not self.triggered:
+        if self._value is _PENDING:
             self.succeed(value)
 
 
@@ -206,7 +208,13 @@ class Process(SimEvent):
         # of Simulator.run at the failure instant instead of dropping it.
         if self._ok is False and not self.callbacks:
             self.callbacks = None
-            raise self._value
+            try:
+                raise self._value
+            finally:
+                # the failure's traceback keeps this frame, and the
+                # process holds the failure: a frame holding the process
+                # would close a cycle
+                del self
         super()._process_callbacks()
 
     def interrupt(self, cause: Any = None) -> None:
@@ -230,7 +238,7 @@ class Process(SimEvent):
         if event is not None and event is not self._waiting_on:
             return
         self._waiting_on = None
-        if event is not None and event.ok is False:
+        if event is not None and event._ok is False:
             self._throw(event.value)
             return
         # the success path runs once per yield of every process: send
@@ -238,7 +246,7 @@ class Process(SimEvent):
         try:
             target = self.generator.send(None if event is None else event.value)
         except StopIteration as stop:
-            if not self.triggered:
+            if self._value is _PENDING:
                 self.succeed(stop.value)
             return
         except Interrupt:
@@ -316,9 +324,9 @@ class AllOf(SimEvent):
             ev.subscribe(self._on_child)
 
     def _on_child(self, event: SimEvent) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
-        if event.ok is False:
+        if event._ok is False:
             self.fail(event.value)
             return
         self._remaining -= 1

@@ -19,6 +19,11 @@ from repro.cluster import CheckpointKind, VMState
 from conftest import spread_vms
 
 
+def _capture(strategy, hv, vm, epoch, now, elapsed):
+    """One VM through the strategy's batched capture."""
+    return strategy.capture_many({vm.node_id: hv}, [vm], epoch, now, elapsed)[0]
+
+
 def _vm_and_hv(cluster, node=0):
     vm = cluster.create_vm(node, 1e9, dirty_rate=1e6, image_pages=16, page_size=64)
     vm.image.write(0, b"some starting content")
@@ -41,39 +46,39 @@ class TestStrategies:
     def test_full_pause_includes_copy(self, cluster4):
         vm, hv = _vm_and_hv(cluster4)
         spec = CaptureSpec(pause_fixed=0.04, copy_bandwidth=1e9)
-        out = FullCapture(spec).capture(hv, vm, 0, 0.0, 0.0)
+        out = _capture(FullCapture(spec), hv, vm, 0, 0.0, 0.0)
         assert out.pause_seconds == pytest.approx(0.04 + 1.0)
         assert out.image.kind == CheckpointKind.FULL
 
     def test_forked_pause_is_fixed(self, cluster4):
         vm, hv = _vm_and_hv(cluster4)
-        out = ForkedCapture().capture(hv, vm, 0, 0.0, 0.0)
+        out = _capture(ForkedCapture(), hv, vm, 0, 0.0, 0.0)
         assert out.pause_seconds == pytest.approx(40e-3)
         assert out.image.logical_bytes == vm.memory_bytes
 
     def test_incremental_first_epoch_is_full(self, cluster4):
         vm, hv = _vm_and_hv(cluster4)
-        out = IncrementalCapture().capture(hv, vm, 0, 0.0, 0.0)
+        out = _capture(IncrementalCapture(), hv, vm, 0, 0.0, 0.0)
         assert out.image.kind == CheckpointKind.FULL
 
     def test_incremental_logical_estimate_nonfunctional(self, cluster4):
         vm = cluster4.create_vm(1, 1e9, dirty_rate=1e6)
         hv = cluster4.hypervisor(1)
-        out = IncrementalCapture().capture(hv, vm, 3, 0.0, elapsed=100.0)
+        out = _capture(IncrementalCapture(), hv, vm, 3, 0.0, 100.0)
         assert out.image.kind == CheckpointKind.INCREMENTAL
         assert out.image.logical_bytes == pytest.approx(1e8)
 
     def test_incremental_saturates_at_image_size(self, cluster4):
         vm = cluster4.create_vm(1, 1e9, dirty_rate=1e6)
         hv = cluster4.hypervisor(1)
-        out = IncrementalCapture().capture(hv, vm, 3, 0.0, elapsed=1e9)
+        out = _capture(IncrementalCapture(), hv, vm, 3, 0.0, 1e9)
         assert out.image.logical_bytes == vm.memory_bytes
 
     def test_incremental_functional_uses_dirty_log(self, cluster4):
         vm, hv = _vm_and_hv(cluster4)
         hv.commit_checkpoint(hv.capture_full(vm, 0.0, 0))
         vm.image.write(100, b"dirty")
-        out = IncrementalCapture().capture(hv, vm, 1, 0.0, 50.0)
+        out = _capture(IncrementalCapture(), hv, vm, 1, 0.0, 50.0)
         assert out.image.payload.n_pages == 1
 
 

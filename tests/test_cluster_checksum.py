@@ -63,8 +63,9 @@ def test_page_checksums_match_zlib(case):
     after = image.copy()
     after[dirty] = pages
     assert update_checksum(
-        whole, dirty, crcs[dirty], page_crcs(pages), n_pages, page_size
-    ) == _oracle(after.reshape(-1))
+        [whole], [len(dirty)], dirty, crcs[dirty], page_crcs(pages),
+        n_pages, page_size,
+    ) == [_oracle(after.reshape(-1))]
 
 
 def test_update_reads_no_image_bytes():
@@ -76,10 +77,49 @@ def test_update_reads_no_image_bytes():
     whole = block_checksum(image)
     image[5, 0] ^= 1  # rot a page the update does not touch
     new = rng.integers(0, 256, (1, 256), dtype=np.uint8)
-    moved = update_checksum(
-        whole, np.array([40]), crcs[[40]], page_crcs(new), 64, 256
+    [moved] = update_checksum(
+        [whole], [1], np.array([40]), crcs[[40]], page_crcs(new), 64, 256
     )
     image[40] = new[0]
     assert moved != block_checksum(image)
     image[5, 0] ^= 1
     assert moved == block_checksum(image)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.integers(1, 40), st.sampled_from([1, 3, 64])),
+    st.lists(st.sets(st.integers(0, 39)), min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+def test_one_batched_update_moves_every_image(geometry, dirty_sets, seed):
+    # several images of one geometry, some with nothing dirty, moved by
+    # one call: each must equal its own oracle, and the page CRCs of
+    # several arrays come back concatenated in order
+    n_pages, page_size = geometry
+    rng = np.random.default_rng(seed)
+    images = [
+        rng.integers(0, 256, (n_pages, page_size), dtype=np.uint8)
+        for _ in dirty_sets
+    ]
+    records = page_crcs(images)
+    assert records.tolist() == [
+        zlib.crc32(row.tobytes()) for image in images for row in image
+    ]
+    dirty = [
+        np.array(sorted(p for p in d if p < n_pages), dtype=np.int64)
+        for d in dirty_sets
+    ]
+    pages = [
+        rng.integers(0, 256, (len(d), page_size), dtype=np.uint8) for d in dirty
+    ]
+    old = np.concatenate(
+        [records[k * n_pages + d] for k, d in enumerate(dirty)]
+    )
+    moved = update_checksum(
+        [block_checksum(image) for image in images], [len(d) for d in dirty],
+        np.concatenate(dirty), old, page_crcs(pages), n_pages, page_size,
+    )
+    for image, d, new in zip(images, dirty, pages):
+        image[d] = new
+    assert moved == [_oracle(image.reshape(-1)) for image in images]

@@ -311,9 +311,54 @@ def _failures_through_processes():
     return sim, topo, procs
 
 
+def _doomed(sim):
+    yield sim.timeout(1.0)
+    raise ValueError("boom")
+
+
+def _raised_out_of(run):
+    """A cell whose run raises a process's failure, caught here.  The
+    helpers between hold no process: only the engine's frames do."""
+    def cell():
+        sim = Simulator()
+        try:
+            run(sim)
+        except ValueError:
+            return sim
+        raise AssertionError("the run should have failed")
+    return cell
+
+
+def _unjoined(sim):
+    sim.process(_doomed(sim))
+    sim.run()
+
+
+def _unjoined_through_a_parent(sim):
+    def parent():
+        yield sim.process(_doomed(sim))
+
+    sim.process(parent())
+    sim.run()
+
+
+def _run_process(sim):
+    sim.run_process(_doomed(sim))
+
+
 class TestProcessFailures:
     def test_thrown_failures_leave_no_cyclic_garbage(self):
         assert _cyclic_garbage(_failures_through_processes) == Counter()
+
+    @pytest.mark.parametrize(
+        "run", [_unjoined, _unjoined_through_a_parent, _run_process],
+        ids=["run", "parent", "run_process"],
+    )
+    def test_a_raising_run_leaves_no_cyclic_garbage(self, run):
+        # the frames that re-raise the failure (the unjoined process's
+        # callback, the dispatch loop, run_process) stay in its
+        # traceback; none of them may hold the process or the failure
+        assert _cyclic_garbage(_raised_out_of(run)) == Counter()
 
     def test_an_unjoined_failure_reports_every_generator_frame(self):
         def deep():

@@ -109,3 +109,14 @@ class TestCLI:
         assert rc == 0
         assert "degraded" in out
         assert "outstanding" in out  # it says *why* it is not protected
+
+    @pytest.mark.parametrize("scheme", ["rdp", "rs-8-2"])
+    def test_audit_heal_two_shards_without_spares_exits_zero(self, capsys, scheme):
+        # two parity shards let heal() re-protect the survivors with an
+        # empty pool: a PROTECTED end that passes the strict audit is a
+        # success, not a mismatch with the spare count
+        rc = main(["audit", "--heal", "--spares", "0", "--scheme", scheme])
+        out = capsys.readouterr().out
+        assert "protected" in out
+        assert "still open" not in out and "outstanding" not in out
+        assert rc == 0
